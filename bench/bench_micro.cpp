@@ -3,7 +3,8 @@
 // These are not paper figures; they document the cost of each building
 // block: field arithmetic, Shamir split/reconstruct across (k, m), the
 // subset-metric evaluations (DP vs the paper's literal exponential sums),
-// the schedule LPs, wire codec, dithering, and raw simulator throughput.
+// the schedule LPs, wire codec, dithering, raw simulator throughput, and
+// the timer-queue costs the live pump loop pays.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -413,6 +414,45 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
 }
 BENCHMARK(BM_SimulatorEventThroughput);
+
+// The live endpoints' one timer queue: N armed timers (deadlines spread
+// over one second, as RTOs of N flows would be). The pump loop reads the
+// next deadline once per iteration, so that cost must not grow with N;
+// arming and cancelling an RTO is the per-packet cost and grows only as
+// the heap's depth, log N.
+
+/// A simulator holding `n` pending no-op timers.
+net::Simulator armed_timers(std::int64_t n) {
+  net::Simulator sim;
+  Rng rng(11);
+  for (std::int64_t i = 0; i < n; ++i) {
+    sim.schedule_at(static_cast<net::SimTime>(rng.uniform_int(1'000'000'000)),
+                    [] {});
+  }
+  return sim;
+}
+
+void BM_TimerQueueNextDeadline(benchmark::State& state) {
+  const net::Simulator sim = armed_timers(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.next_event_time());
+  }
+}
+BENCHMARK(BM_TimerQueueNextDeadline)->Arg(1'000)->Arg(100'000)->Arg(1'000'000);
+
+void BM_TimerQueueScheduleCancel(benchmark::State& state) {
+  net::Simulator sim = armed_timers(state.range(0));
+  Rng rng(12);
+  for (auto _ : state) {
+    const net::EventHandle h = sim.schedule_at(
+        static_cast<net::SimTime>(rng.uniform_int(1'000'000'000)), [] {});
+    benchmark::DoNotOptimize(sim.cancel(h));
+  }
+}
+BENCHMARK(BM_TimerQueueScheduleCancel)
+    ->Arg(1'000)
+    ->Arg(100'000)
+    ->Arg(1'000'000);
 
 // ---------------------------------------------------------------- obs
 //

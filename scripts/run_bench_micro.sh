@@ -5,7 +5,9 @@
 #   scripts/run_bench_micro.sh [build-dir] [output-json]
 #
 # The script runs the kernel + Shamir benchmarks (the hot path the
-# region-arithmetic layer optimizes), reduces google-benchmark's JSON to
+# region-arithmetic layer optimizes) and the timer-queue cases (next
+# deadline and schedule/cancel with 1k..1M armed timers), reduces
+# google-benchmark's JSON to
 # a compact {name: {ns, mb_per_s}} map, and merges it into the output
 # file under "current" while preserving the committed "baseline" block
 # (the seed scalar-path numbers). See EXPERIMENTS.md ("Microbenchmarks")
@@ -25,11 +27,11 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 "$bench_bin" \
-  --benchmark_filter='BM_Gf|BM_RngFill|BM_Shamir(Split|Reconstruct)|BM_XorSplit' \
+  --benchmark_filter='BM_Gf|BM_RngFill|BM_Shamir(Split|Reconstruct)|BM_XorSplit|BM_TimerQueue' \
   --benchmark_format=json >"$raw"
 
 python3 - "$raw" "$out" <<'PY'
-import json, subprocess, sys
+import json, os, subprocess, sys
 
 raw_path, out_path = sys.argv[1], sys.argv[2]
 raw = json.load(open(raw_path))
@@ -49,7 +51,8 @@ except (FileNotFoundError, json.JSONDecodeError):
     doc = {}
 
 try:
-    commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+    # "-dirty" marks numbers measured on uncommitted changes.
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"],
                             capture_output=True, text=True, check=True).stdout.strip()
 except Exception:
     commit = "unknown"
@@ -57,8 +60,9 @@ except Exception:
 doc.setdefault("baseline", {})
 doc["current"] = {
     "commit": commit,
-    "context": {k: raw["context"].get(k) for k in
-                ("num_cpus", "mhz_per_cpu", "library_build_type")},
+    "context": {**{k: raw["context"].get(k) for k in
+                   ("num_cpus", "mhz_per_cpu", "library_build_type")},
+                "nproc": len(os.sched_getaffinity(0))},
     "benchmarks": current,
 }
 json.dump(doc, open(out_path, "w"), indent=2, sort_keys=True)

@@ -31,7 +31,6 @@
 #include "protocol/receiver.hpp"     // IWYU pragma: export
 #include "protocol/scheduler.hpp"    // IWYU pragma: export
 #include "protocol/sender.hpp"       // IWYU pragma: export
-#include "protocol/tunnel.hpp"       // IWYU pragma: export
 #include "protocol/wire.hpp"         // IWYU pragma: export
 #include "risk/channel_risk.hpp"     // IWYU pragma: export
 #include "runtime/parallel.hpp"      // IWYU pragma: export

@@ -6,14 +6,14 @@
 
 namespace mcss::net {
 
-void Simulator::schedule_at(SimTime t, Callback fn) {
+EventHandle Simulator::schedule_at(SimTime t, Callback fn) {
   MCSS_ENSURE(t >= now_, "cannot schedule an event in the past");
-  queue_.push(Event{t, next_seq_++, std::move(fn)});
+  return queue_.push(Event{t, next_seq_++, std::move(fn)});
 }
 
-void Simulator::schedule_in(SimTime delay, Callback fn) {
+EventHandle Simulator::schedule_in(SimTime delay, Callback fn) {
   MCSS_ENSURE(delay >= 0, "negative delay");
-  schedule_at(now_ + delay, std::move(fn));
+  return schedule_at(now_ + delay, std::move(fn));
 }
 
 void Simulator::dispatch(Event&& e) {

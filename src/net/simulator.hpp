@@ -13,6 +13,14 @@
 //     events running at t still fire before the call returns.
 //   - schedule_at rejects times strictly before now(); scheduling at
 //     now() from within a dispatch is always legal.
+//   - cancel() removes a pending event; a callback may cancel another
+//     pending event, which then does not fire. Cancelling a fired,
+//     already-cancelled or empty handle is a no-op returning false.
+//
+// The live endpoints run this same queue on wall time (now() is the
+// endpoint's epoch-relative clock, advanced with run_until once per loop
+// iteration), so impairment, RTO, report and reassembly timers share one
+// implementation with the simulator.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +39,16 @@ class Simulator {
   /// Current simulation time. Advances only while events run.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedule `fn` at absolute time `t` (>= now; earlier throws).
-  void schedule_at(SimTime t, Callback fn);
+  /// Schedule `fn` at absolute time `t` (>= now; earlier throws). The
+  /// handle cancels the event; callers that never cancel may ignore it.
+  EventHandle schedule_at(SimTime t, Callback fn);
 
   /// Schedule `fn` after a relative delay (>= 0).
-  void schedule_in(SimTime delay, Callback fn);
+  EventHandle schedule_in(SimTime delay, Callback fn);
+
+  /// Remove a pending event so it never fires. O(log n). False when the
+  /// event already fired, was already cancelled, or `h` is empty.
+  bool cancel(EventHandle h) { return queue_.erase(h); }
 
   /// Run events until the queue is empty.
   void run();
@@ -55,7 +68,7 @@ class Simulator {
   /// Process a single event; returns false if the queue was empty.
   bool step();
 
-  /// Timestamp of the earliest pending event, if any.
+  /// Timestamp of the earliest pending event, if any. O(1).
   [[nodiscard]] std::optional<SimTime> next_event_time() const {
     if (queue_.empty()) return std::nullopt;
     return queue_.min_time();

@@ -72,7 +72,7 @@ class Sampler {
   /// shutdown paths that want one last consistent scrape).
   void sample_now(std::int64_t now_ns);
 
-  /// Next instant poll() wants to run, for timer-wheel arming:
+  /// Next instant poll() wants to run, for arming a loop timer:
   /// immediately (now) while a walk is in progress, else the next
   /// interval boundary.
   [[nodiscard]] std::int64_t next_due_ns(std::int64_t now_ns) const;

@@ -8,7 +8,7 @@
 //                      forward unknown poller events to
 //                      telemetry.on_poller_event(fd, r, w)
 //   3. loop pacing:    telemetry.poll(now_ns) once per pump iteration
-//                      (and arm a wheel timer at
+//                      (and arm a loop timer at
 //                      telemetry.sampler().next_due_ns(now) so an idle
 //                      poller still wakes for samples)
 //

@@ -62,7 +62,7 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
         config_.pool_slots != 0
             ? config_.pool_slots
             : lanes * (config_.recv_batch + 4 * config_.send_batch) + 256;
-    pool_ = std::make_unique<transport::FramePool>(slot_bytes, slots);
+    pool_ = std::make_unique<util::FramePool>(slot_bytes, slots);
   }
   poller_.register_buffers({pool_->arena_data(), pool_->arena_bytes()});
 
@@ -81,7 +81,7 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
             ? static_cast<std::uint16_t>(config_.port_base + i)
             : 0;
     auto ch = std::make_unique<transport::UdpChannel>(
-        spec.config, rng_.fork(), wheel_, *pool_, port, spec.name,
+        spec.config, rng_.fork(), timeline_, *pool_, port, spec.name,
         config_.max_datagram_bytes, config_.send_batch, config_.recv_batch);
     ch->set_on_frame([this, i](std::span<const std::uint8_t> frame) {
       on_share_frame(i, frame);
@@ -100,7 +100,7 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
             ? static_cast<std::uint16_t>(config_.port_base + n)
             : 0;
     feedback_ch_ = std::make_unique<transport::UdpChannel>(
-        config_.reliability.feedback_channel, rng_.fork(), wheel_, *pool_,
+        config_.reliability.feedback_channel, rng_.fork(), timeline_, *pool_,
         fb_port, "feedback", config_.max_datagram_bytes, config_.send_batch,
         config_.recv_batch);
     feedback_ch_->set_on_frame([this](std::span<const std::uint8_t> datagram) {
@@ -115,8 +115,8 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
 
     MCSS_ENSURE(config_.reliability.report_interval_ns > 0,
                 "report interval must be positive");
-    wheel_.schedule_at(now_ns() + config_.reliability.report_interval_ns,
-                       [this] { emit_reports(); });
+    timeline_.schedule_at(now_ns() + config_.reliability.report_interval_ns,
+                          [this] { emit_reports(); });
   }
 
   if (config_.telemetry.enabled) init_telemetry();
@@ -160,17 +160,14 @@ void SessionEndpoint::arm_sampler_timer() {
   const std::int64_t due = telemetry_->sampler().sampling()
                                ? now + 1'000'000
                                : telemetry_->sampler().next_due_ns(now);
-  wheel_.schedule_at(std::max(due, now + 1), [this] { arm_sampler_timer(); });
+  timeline_.schedule_at(std::max(due, now + 1),
+                        [this] { arm_sampler_timer(); });
 }
 
 SessionEndpoint::~SessionEndpoint() = default;
 
 std::int64_t SessionEndpoint::now_ns() const {
   return transport::monotonic_ns() - epoch_ns_;
-}
-
-void SessionEndpoint::sync_timeline(std::int64_t now) {
-  if (now > timeline_.now()) timeline_.run_until(now);
 }
 
 double SessionEndpoint::price_flow(const FlowParams& params) const noexcept {
@@ -242,13 +239,10 @@ bool SessionEndpoint::close_flow(std::uint32_t cid) {
   const auto it = flows_.find(cid);
   if (it == flows_.end()) return false;
   Flow& flow = *it->second;
-  // Cancel-by-handle keeps the shared wheel from firing into freed
+  // Cancel-by-handle keeps the shared timeline from firing into freed
   // per-flow state; the Receiver's liveness token covers the eviction
-  // timers already parked in timeline_ the same way.
-  if (flow.rto_timer != transport::TimerWheel::kNoTimer) {
-    wheel_.cancel(flow.rto_timer);
-    flow.rto_timer = transport::TimerWheel::kNoTimer;
-  }
+  // timers parked there the same way.
+  timeline_.cancel(flow.rto_timer);
   fold_closed(flow);
   unlink_ready(flow);
   unlink_report(flow);
@@ -392,7 +386,7 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
   }
   if (flow.manager) {
     flow.manager->on_packet_sent(id, k, payload, decision.channels, now);
-    arm_rto(flow, now);
+    arm_rto(flow);
   }
 
   // Same split-into-slot fast path as LiveEndpoint::dispatch, with the
@@ -406,7 +400,7 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
     tx_slots_.clear();
     tx_spans_.clear();
     for (int j = 0; j < m; ++j) {
-      transport::FrameRef slot = pool_->acquire();
+      util::FrameRef slot = pool_->acquire();
       if (!slot) {
         fast = false;
         tx_slots_.clear();
@@ -460,7 +454,7 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
       ++flow.sender_stats.shares_dropped_at_channel;
       continue;
     }
-    transport::FrameRef slot = pool_->acquire();
+    util::FrameRef slot = pool_->acquire();
     if (!slot) {
       ++flow.sender_stats.shares_dropped_at_channel;
       continue;
@@ -518,7 +512,7 @@ void SessionEndpoint::resend(std::uint32_t cid, std::uint64_t id,
       ++flow.sender_stats.shares_dropped_at_channel;
       continue;
     }
-    transport::FrameRef slot = pool_->acquire();
+    util::FrameRef slot = pool_->acquire();
     if (!slot) {
       ++flow.sender_stats.shares_dropped_at_channel;
       continue;
@@ -532,40 +526,37 @@ void SessionEndpoint::resend(std::uint32_t cid, std::uint64_t id,
   flow.manager->note_exposure(id, order);
 }
 
-void SessionEndpoint::arm_rto(Flow& flow, std::int64_t now) {
+void SessionEndpoint::arm_rto(Flow& flow) {
   const auto deadline = flow.manager->next_deadline();
   if (!deadline) {
-    if (flow.rto_timer != transport::TimerWheel::kNoTimer) {
-      wheel_.cancel(flow.rto_timer);
-      flow.rto_timer = transport::TimerWheel::kNoTimer;
-    }
+    timeline_.cancel(flow.rto_timer);
+    flow.rto_timer = {};
     return;
   }
-  const std::int64_t when = std::max<std::int64_t>(*deadline, now);
-  if (flow.rto_timer != transport::TimerWheel::kNoTimer) {
+  const std::int64_t when = *deadline;
+  if (flow.rto_timer) {
     if (flow.rto_deadline <= when) return;  // armed early enough already
-    wheel_.cancel(flow.rto_timer);
+    timeline_.cancel(flow.rto_timer);
   }
   flow.rto_deadline = when;
   const std::uint32_t cid = flow.cid;
   // The callback captures the id, never the Flow: cancel-on-close is the
   // designed teardown path, and the table lookup makes a missed cancel a
-  // no-op instead of a use-after-free.
-  flow.rto_timer = wheel_.schedule_at(when, [this, cid] {
+  // no-op instead of a use-after-free. An overdue deadline fires on the
+  // next advance: schedule_wall clamps it to the timeline's now().
+  flow.rto_timer = transport::schedule_wall(timeline_, when, [this, cid] {
     const auto it = flows_.find(cid);
     if (it == flows_.end()) return;
     Flow& f = *it->second;
-    f.rto_timer = transport::TimerWheel::kNoTimer;
-    const std::int64_t fire_now = now_ns();
-    f.manager->advance(fire_now);
+    f.rto_timer = {};
+    f.manager->advance(now_ns());
     fold_closed(f);
-    arm_rto(f, fire_now);
+    arm_rto(f);
   });
 }
 
 void SessionEndpoint::on_share_frame(std::size_t channel,
                                      std::span<const std::uint8_t> frame) {
-  sync_timeline(now_ns());
   proto::DecodeStatus status = proto::DecodeStatus::Ok;
   // Framing-only peek (no key): route on the connection id, then let the
   // owning flow's receiver do its own (keyed) decode and accounting.
@@ -653,8 +644,8 @@ void SessionEndpoint::emit_reports() {
     }
     report_datagram_.clear();
   }
-  wheel_.schedule_at(now + config_.reliability.report_interval_ns,
-                     [this] { emit_reports(); });
+  timeline_.schedule_at(now + config_.reliability.report_interval_ns,
+                        [this] { emit_reports(); });
 }
 
 void SessionEndpoint::on_feedback_datagram(
@@ -695,7 +686,7 @@ void SessionEndpoint::on_feedback_datagram(
     flow.manager->on_report(*report, now);
     ++stats_.reports_demuxed;
     fold_closed(flow);
-    arm_rto(flow, now);
+    arm_rto(flow);
   }
 }
 
@@ -718,26 +709,18 @@ void SessionEndpoint::update_write_interest() {
   }
 }
 
-int SessionEndpoint::poll_timeout_ms(std::int64_t now,
-                                     std::int64_t deadline) const {
-  std::int64_t until = deadline - now;
-  if (const auto next = wheel_.next_deadline()) {
-    until = std::min(until, *next - now);
-  }
-  until = std::max<std::int64_t>(until, 0);
-  const std::int64_t ms = (until + 999'999) / 1'000'000;
-  return static_cast<int>(std::min<std::int64_t>(ms, 100));
-}
-
 void SessionEndpoint::run_for(std::int64_t wall_ns) {
   MCSS_ENSURE(wall_ns >= 0, "run_for needs a nonnegative duration");
   const std::int64_t deadline = now_ns() + wall_ns;
   for (;;) {
     const std::int64_t now = now_ns();
-    sync_timeline(now);
-    // Per-flow RTO timers live on the wheel, so this advance is the ONLY
-    // retransmission driver — no per-flow manager scan anywhere.
-    wheel_.advance(now);
+    // The loop's one timer advance, after the poller woke (or on entry)
+    // and before its events are handled: every handler sees a timeline
+    // at `now`, and no timer fires inside a receive loop. Per-flow RTO
+    // timers live here too, so this is the ONLY place retransmissions
+    // start — no per-flow manager scan anywhere.
+    timeline_.run_until(now);
+    handle_events(now);
     pump(now);
     for (const auto& ch : channels_) ch->flush(now);
     if (feedback_ch_) feedback_ch_->flush(now);
@@ -748,32 +731,38 @@ void SessionEndpoint::run_for(std::int64_t wall_ns) {
     }
     if (now >= deadline) break;
 
-    const int timeout_ms = poll_timeout_ms(now, deadline);
+    const int timeout_ms =
+        transport::poll_timeout_ms(timeline_, now, deadline);
     const std::int64_t wait_start = telemetry_ ? now_ns() : 0;
     poller_.wait(timeout_ms, events_);
     if (telemetry_) {
       telemetry_->health().on_wait(timeout_ms, now_ns() - wait_start);
     }
-    for (const transport::Poller::Event& ev : events_) {
-      const auto it = fd_to_channel_.find(ev.fd);
-      if (it == fd_to_channel_.end()) {
-        if (telemetry_) {
-          telemetry_->on_poller_event(ev.fd, ev.readable || ev.error,
-                                      ev.writable || ev.error);
-        }
-        continue;
+  }
+}
+
+void SessionEndpoint::handle_events(std::int64_t now) {
+  for (const transport::Poller::Event& ev : events_) {
+    const auto it = fd_to_channel_.find(ev.fd);
+    if (it == fd_to_channel_.end()) {
+      if (telemetry_) {
+        telemetry_->on_poller_event(ev.fd, ev.readable || ev.error,
+                                    ev.writable || ev.error);
       }
-      transport::UdpChannel& ch = it->second < channels_.size()
-                                      ? *channels_[it->second]
-                                      : *feedback_ch_;
-      if (ev.fd == ch.rx_fd() && (ev.readable || ev.error)) {
-        ch.on_readable();
-      }
-      if (ev.fd == ch.tx_fd() && (ev.writable || ev.error)) {
-        ch.on_writable(now_ns());
-      }
+      continue;
+    }
+    transport::UdpChannel& ch = it->second < channels_.size()
+                                    ? *channels_[it->second]
+                                    : *feedback_ch_;
+    if (ev.fd == ch.rx_fd() && (ev.readable || ev.error)) {
+      ch.on_readable();
+    }
+    if (ev.fd == ch.tx_fd() && (ev.writable || ev.error)) {
+      ch.on_writable(now);
     }
   }
+  // Handled once: the loop exits before the next wait() would refill it.
+  events_.clear();
 }
 
 const proto::Receiver* SessionEndpoint::flow_receiver(
@@ -799,9 +788,12 @@ const proto::SenderStats* SessionEndpoint::flow_sender_stats(
 }
 
 void SessionEndpoint::fold_closed(Flow& flow) {
-  if (!telemetry_ || !flow.manager) return;
+  if (!flow.manager) return;
+  // Drain even without an accountant: the manager keeps one record per
+  // closed packet until drained, so skipping the drain would grow every
+  // reliability flow by one record per packet.
   const auto closed = flow.manager->drain_closed();
-  if (closed.empty()) return;
+  if (!telemetry_ || closed.empty()) return;
   closed_scratch_.clear();
   closed_scratch_.reserve(closed.size());
   for (const feedback::ClosedPacket& packet : closed) {
@@ -949,7 +941,7 @@ void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
     net::publish(registry, ch->impair_stats());
   }
 
-  const transport::FramePool::Stats& ps = pool_->stats();
+  const util::FramePool::Stats& ps = pool_->stats();
   add("mcss_session_pool_acquired", ps.acquired);
   add("mcss_session_pool_exhausted", ps.exhausted);
   registry.set(registry.gauge("mcss_session_pool_high_water"),

@@ -4,18 +4,18 @@
 // The ROADMAP north-star host terminates a large churning population of
 // secret-sharing sessions — the multicast / many-receiver shape of
 // "Two-Multicast Channel with Confidential Messages" — on ONE endpoint.
-// LiveEndpoint's machinery (UdpChannels behind a Poller, a TimerWheel
-// for impairment and pacing, a FramePool arena) is exactly the right
-// substrate, but all of its protocol state is singular. This layer keeps
-// the substrate singular and makes the protocol state per-flow:
+// LiveEndpoint's machinery (UdpChannels behind a Poller, a wall-clock
+// net::Simulator as the timer queue, a FramePool arena) is exactly the
+// right substrate, but all of its protocol state is singular. This layer
+// keeps the substrate singular and makes the protocol state per-flow:
 //
 //   shared, one per endpoint            per-flow, in the flow table
 //   ---------------------------         --------------------------------
 //   Poller (all sockets)                packet-id space + send queue
-//   TimerWheel (RTO + impairment)       DynamicScheduler (dither state)
-//   FramePool (TX/RX/partial slots)     proto::Receiver (reassembly)
-//   UdpChannels + feedback lane         feedback::ReportBuilder
-//   wall-driven net::Simulator          feedback::RetransmitManager
+//   net::Simulator timeline (RTO,       DynamicScheduler (dither state)
+//     impairment, report, eviction)     proto::Receiver (reassembly)
+//   FramePool (TX/RX/partial slots)     feedback::ReportBuilder
+//   UdpChannels + feedback lane         feedback::RetransmitManager
 //
 // Flows are keyed by the wire header's connection id (wire.hpp flag bit
 // 2): every share and every receiver report carries the owning flow's
@@ -29,18 +29,20 @@
 //   - O(1) ready-flow scheduling: flows with queued packets sit on an
 //     intrusive doubly-linked ready list and are served round-robin (one
 //     packet per turn). No per-flow heaps, no scan of idle flows.
-//   - Per-flow RTO timers live on the SHARED TimerWheel, armed at the
+//   - Per-flow RTO timers live on the SHARED timeline, armed at the
 //     flow's RetransmitManager::next_deadline() and re-armed on ack and
-//     fire. The pump never scans managers; an idle endpoint with 100k
-//     armed flows does O(due timers) work, not O(flows).
+//     fire. The pump never scans managers, and the poll timeout reads
+//     the timeline's earliest deadline in O(1); an idle endpoint with
+//     100k armed flows does O(due timers x log n) work per iteration,
+//     not O(flows).
 //   - Report emission is paced by one session-wide timer that walks an
 //     intrusive list of flows with NEW deliveries since the last report
 //     (again no idle-flow scan), coalescing several flows' reports into
 //     each feedback datagram.
-//   - Flow teardown cancels wheel timers by handle (TimerWheel::cancel)
-//     and relies on the Receiver's liveness token for simulator-parked
-//     eviction timers, so churn never leaves a callback aimed at freed
-//     per-flow state.
+//   - Flow teardown cancels its RTO timer by handle
+//     (net::Simulator::cancel) and relies on the Receiver's liveness
+//     token for parked eviction timers, so churn never leaves a callback
+//     aimed at freed per-flow state.
 //   - Memory degrades PER FLOW: each flow's Receiver gets its own
 //     memory cap (limits.per_flow_memory_bytes), so an overloaded or
 //     attacked flow evicts its own oldest partials and cannot starve its
@@ -73,7 +75,6 @@
 #include "protocol/sender.hpp"
 #include "transport/live_endpoint.hpp"
 #include "transport/poller.hpp"
-#include "transport/timer_wheel.hpp"
 #include "transport/udp_channel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -197,7 +198,7 @@ class SessionEndpoint {
   [[nodiscard]] std::optional<std::uint32_t> open_flow(
       const FlowParams& params = {});
 
-  /// Tear a flow down: cancel its wheel timers, unlink it from the
+  /// Tear a flow down: cancel its RTO timer, unlink it from the
   /// ready/report lists, release its admission reservation, destroy its
   /// state. Pending simulator eviction timers become no-ops via the
   /// Receiver's liveness token. False when `cid` is not an open flow.
@@ -240,7 +241,7 @@ class SessionEndpoint {
   }
   /// End-to-end packet delay samples (seconds) across all flows.
   [[nodiscard]] PercentileTracker& delay_seconds() noexcept { return delay_; }
-  [[nodiscard]] const transport::FramePool& pool() const noexcept {
+  [[nodiscard]] const util::FramePool& pool() const noexcept {
     return *pool_;
   }
   [[nodiscard]] const transport::Poller& poller() const noexcept {
@@ -302,8 +303,8 @@ class SessionEndpoint {
     Flow* report_next = nullptr;
     bool in_report = false;
 
-    /// This flow's RTO timer on the shared wheel; kNoTimer when unarmed.
-    transport::TimerWheel::TimerId rto_timer = transport::TimerWheel::kNoTimer;
+    /// This flow's RTO timer on the shared timeline; empty when unarmed.
+    net::EventHandle rto_timer;
     std::int64_t rto_deadline = 0;
 
     std::int64_t opened_ns = 0;
@@ -317,15 +318,13 @@ class SessionEndpoint {
   void on_share_frame(std::size_t channel, std::span<const std::uint8_t> frame);
   void on_delivered(std::uint32_t cid, std::uint64_t id,
                     std::vector<std::uint8_t> payload);
-  /// (Re)arm the flow's wheel timer at its manager's next deadline;
+  /// (Re)arm the flow's RTO timer at its manager's next deadline;
   /// cancels a stale handle first. Call after any event that can move
   /// the deadline (dispatch, ack, fire).
-  void arm_rto(Flow& flow, std::int64_t now);
+  void arm_rto(Flow& flow);
   void emit_reports();
-  void sync_timeline(std::int64_t now);
+  void handle_events(std::int64_t now);
   void update_write_interest();
-  [[nodiscard]] int poll_timeout_ms(std::int64_t now,
-                                    std::int64_t deadline) const;
   [[nodiscard]] double price_flow(const FlowParams& params) const noexcept;
 
   void push_ready(Flow& flow);
@@ -338,8 +337,9 @@ class SessionEndpoint {
   /// cadence while a sliced flow walk is in progress, the sample
   /// interval otherwise.
   void arm_sampler_timer();
-  /// Drain the flow's closed-packet records into the privacy
-  /// accountant (call after any event that can close packets).
+  /// Drain the flow's closed-packet records into the privacy accountant,
+  /// or drop them when telemetry is off (call after any event that can
+  /// close packets).
   void fold_closed(Flow& flow);
   [[nodiscard]] bool probe_flow(std::uint32_t cid,
                                 obs::runtime::FlowSample& out) const;
@@ -350,21 +350,19 @@ class SessionEndpoint {
   SessionConfig config_;
   std::int64_t epoch_ns_;
   transport::Poller poller_;
-  /// Before wheel_/channels_/flows_: every FrameRef alive at destruction
-  /// (receive pins, parked impairment frames, per-flow partials) must
-  /// release into a live pool.
-  std::unique_ptr<transport::FramePool> pool_;
-  transport::TimerWheel wheel_;
+  /// Before timeline_/channels_/flows_: every FrameRef alive at
+  /// destruction (receive pins, impairment closures pending on the
+  /// timeline, per-flow partials) must release into a live pool.
+  std::unique_ptr<util::FramePool> pool_;
+  /// The endpoint's only timer queue, shared by every channel and flow;
+  /// now() is now_ns(), advanced once per run_for iteration.
+  net::Simulator timeline_;
   Rng rng_;
   std::vector<std::unique_ptr<transport::UdpChannel>> channels_;
   std::vector<bool> write_interest_;
   std::unordered_map<int, std::size_t> fd_to_channel_;
   std::unique_ptr<transport::UdpChannel> feedback_ch_;
   bool feedback_write_interest_ = false;
-
-  /// Wall-driven timeline shared by every flow's Receiver (reassembly
-  /// eviction timers), run_until(now - epoch) each pump iteration.
-  net::Simulator timeline_;
 
   DeliverFn deliver_;
   SessionStats stats_;
@@ -387,14 +385,14 @@ class SessionEndpoint {
 
   std::vector<transport::Poller::Event> events_;
   std::vector<proto::ChannelView> view_scratch_;
-  std::vector<transport::FrameRef> tx_slots_;
+  std::vector<util::FrameRef> tx_slots_;
   std::vector<std::span<std::uint8_t>> tx_spans_;
   std::vector<std::uint8_t> split_scratch_;
   std::vector<std::uint8_t> report_datagram_;
 
   /// Destroyed FIRST (declared last): per-flow receivers release arena
-  /// slots into pool_ and flip their liveness tokens while timeline_ and
-  /// wheel_ still exist.
+  /// slots into pool_ and flip their liveness tokens while timeline_
+  /// still exists.
   std::unordered_map<std::uint32_t, std::unique_ptr<Flow>> flows_;
 };
 

@@ -4,15 +4,16 @@
 #include <utility>
 
 #include "net/sim_time.hpp"
+#include "transport/wall_clock.hpp"
 #include "util/ensure.hpp"
 
 namespace mcss::transport {
 
-Impairment::Impairment(net::ChannelConfig config, Rng rng, TimerWheel& wheel,
-                       ReleaseFn release)
+Impairment::Impairment(net::ChannelConfig config, Rng rng,
+                       net::Simulator& timeline, ReleaseFn release)
     : config_(config),
       rng_(rng),
-      wheel_(wheel),
+      timeline_(timeline),
       release_(std::move(release)) {
   MCSS_ENSURE(config_.rate_bps > 0.0, "channel rate must be positive");
   MCSS_ENSURE(config_.loss >= 0.0 && config_.loss < 1.0,
@@ -36,7 +37,7 @@ std::int64_t Impairment::serialization_ns(std::size_t bytes) const noexcept {
   return net::from_seconds(seconds);
 }
 
-bool Impairment::offer(FrameRef frame, std::int64_t now_ns) {
+bool Impairment::offer(util::FrameRef frame, std::int64_t now_ns) {
   ++stats_.frames_offered;
   MCSS_ENSURE(frame && frame.size() > 0, "cannot send an empty frame");
   if (queued_bytes_ + frame.size() > config_.queue_capacity_bytes) {
@@ -49,28 +50,28 @@ bool Impairment::offer(FrameRef frame, std::int64_t now_ns) {
 
   // Charge the serializer up front: FIFO means this frame departs once
   // everything already accepted has, so its departure time is known at
-  // offer time. The wheel fires departures in deadline order, which is
-  // exactly arrival order here (the serializer is monotone).
+  // offer time. The timeline fires departures in deadline order, which
+  // is exactly arrival order here (the serializer is monotone).
   const std::int64_t start = std::max(serializer_free_at_, now_ns);
   const std::int64_t departure = start + serialization_ns(frame.size());
   serializer_free_at_ = departure;
   if (departure <= now_ns) {
     // Transparent-channel fast path: the serializer was idle and the
     // charge rounded to zero, so the frame departs right now — skip the
-    // wheel and its type-erased closure (the hot path's only heap
+    // timer and its type-erased closure (the hot path's only heap
     // allocation). Draw order matches the scheduled path exactly: the
-    // wheel would have fired this departure before any later offer.
+    // timeline would have fired this departure before any later offer.
     depart(std::move(frame), departure);
     return true;
   }
-  wheel_.schedule_at(departure, [this, departure,
-                                 f = std::move(frame)]() mutable {
-    depart(std::move(f), departure);
-  });
+  schedule_wall(timeline_, departure,
+                [this, departure, f = std::move(frame)]() mutable {
+                  depart(std::move(f), departure);
+                });
   return true;
 }
 
-void Impairment::depart(FrameRef frame, std::int64_t departure_ns) {
+void Impairment::depart(util::FrameRef frame, std::int64_t departure_ns) {
   queued_bytes_ -= frame.size();
   // Shared-link burst loss first: the shared chain advances on the
   // departure clock, so channels subscribed to one link drop together
@@ -112,11 +113,11 @@ void Impairment::depart(FrameRef frame, std::int64_t departure_ns) {
       release_(copy + 1 < copies ? frame : std::move(frame), release_at);
       continue;
     }
-    wheel_.schedule_at(release_at,
-                       [this, release_at,
-                        f = copy + 1 < copies ? frame : std::move(frame)]() mutable {
-      release_(std::move(f), release_at);
-    });
+    schedule_wall(timeline_, release_at,
+                  [this, release_at,
+                   f = copy + 1 < copies ? frame : std::move(frame)]() mutable {
+                    release_(std::move(f), release_at);
+                  });
   }
 }
 

@@ -16,12 +16,13 @@
 //   - optional corrupt (one random bit flip) and duplicate knobs.
 //
 // This is the same model net::SimChannel implements on simulated time —
-// it reuses net::ChannelConfig and net::ChannelStats verbatim — except
-// "time" is monotonic wall nanoseconds and "events" are TimerWheel
-// callbacks instead of simulator events. That symmetry is the point: a
-// live run and a sim run of the same workload::Setup are impaired by the
-// same arithmetic, so bench/live_eval can compare measured against
-// LP-predicted exactly as Section VI does against the testbed.
+// it reuses net::ChannelConfig and net::ChannelStats verbatim — and its
+// departures and releases are events on the same net::Simulator type,
+// here the live endpoint's wall-clock timeline. That symmetry is the
+// point: a live run and a sim run of the same workload::Setup are
+// impaired by the same arithmetic, so bench/live_eval can compare
+// measured against LP-predicted exactly as Section VI does against the
+// testbed.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +31,9 @@
 #include <vector>
 
 #include "net/sim_channel.hpp"
-#include "transport/frame_pool.hpp"
+#include "net/simulator.hpp"
 #include "transport/shared_link_loss.hpp"
-#include "transport/timer_wheel.hpp"
+#include "util/frame_pool.hpp"
 #include "util/rng.hpp"
 
 namespace mcss::transport {
@@ -43,27 +44,29 @@ class Impairment {
   /// with that release time (monotonic ns) — the channel batches many
   /// released frames into one sendmmsg, and each frame keeps its OWN
   /// release stamp so per-frame queue-wait accounting survives batching.
-  using ReleaseFn = std::function<void(FrameRef, std::int64_t)>;
+  using ReleaseFn = std::function<void(util::FrameRef, std::int64_t)>;
 
-  /// `rng` seeds this channel's private loss/jitter stream. The wheel is
-  /// shared across channels and must outlive the Impairment.
-  Impairment(net::ChannelConfig config, Rng rng, TimerWheel& wheel,
+  /// `rng` seeds this channel's private loss/jitter stream. `timeline`
+  /// is the endpoint's timer queue (now() = monotonic ns since its
+  /// epoch), shared across channels; it must outlive the Impairment.
+  Impairment(net::ChannelConfig config, Rng rng, net::Simulator& timeline,
              ReleaseFn release);
 
   Impairment(const Impairment&) = delete;
   Impairment& operator=(const Impairment&) = delete;
 
-  /// Offer a frame at monotonic time `now_ns`. Returns false (tail drop)
-  /// when the transmit queue cannot take it; otherwise the frame will
-  /// serialize, possibly be lost, and otherwise be released to `release`
-  /// serialization + delay + jitter later.
+  /// Offer a frame at monotonic time `now_ns`, which may trail the
+  /// timeline's now(). Returns false (tail drop) when the transmit queue
+  /// cannot take it; otherwise the frame will serialize, possibly be
+  /// lost, and otherwise be released to `release` serialization + delay
+  /// + jitter later.
   ///
   /// Fast path: when the serializer is idle and the frame's whole
   /// serialization + delay + jitter charge rounds to zero (a transparent
   /// channel, i.e. the bench's unimpaired configuration), the frame is
-  /// released inline — no wheel entry, no deferred closure, no
-  /// allocation — with draw order identical to the scheduled path.
-  bool offer(FrameRef frame, std::int64_t now_ns);
+  /// released inline — no timer, no deferred closure, no allocation —
+  /// with draw order identical to the scheduled path.
+  bool offer(util::FrameRef frame, std::int64_t now_ns);
 
   /// Shared-link loss mode: route this channel over `shared` (a link
   /// its path shares with other channels). Consulted at serializer
@@ -99,12 +102,12 @@ class Impairment {
   }
 
  private:
-  void depart(FrameRef frame, std::int64_t departure_ns);
+  void depart(util::FrameRef frame, std::int64_t departure_ns);
   [[nodiscard]] std::int64_t serialization_ns(std::size_t bytes) const noexcept;
 
   net::ChannelConfig config_;
   Rng rng_;
-  TimerWheel& wheel_;
+  net::Simulator& timeline_;
   ReleaseFn release_;
   SharedLinkLoss* shared_ = nullptr;  ///< optional, not owned
   std::size_t watermark_ = 0;

@@ -76,7 +76,7 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
         config_.pool_slots != 0
             ? config_.pool_slots
             : lanes * (config_.recv_batch + 4 * config_.send_batch) + 64;
-    pool_ = std::make_unique<FramePool>(slot_bytes, slots);
+    pool_ = std::make_unique<util::FramePool>(slot_bytes, slots);
   }
   // Reassembly partials share the arena too: small-k partials live in
   // slots, so steady-state RX appends never touch the heap.
@@ -112,11 +112,9 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
             ? static_cast<std::uint16_t>(config_.port_base + i)
             : 0;
     auto ch = std::make_unique<UdpChannel>(
-        spec.config, rng_.fork(), wheel_, *pool_, port, spec.name,
+        spec.config, rng_.fork(), timeline_, *pool_, port, spec.name,
         config_.max_datagram_bytes, config_.send_batch, config_.recv_batch);
     ch->set_on_frame([this, i](std::span<const std::uint8_t> frame) {
-      // Keep the receiver's clock caught up before it stamps first_seen.
-      sync_timeline(now_ns());
       if (builder_) {
         // Classify for the per-channel report counters the way the
         // receiver will: a parseable head is a share frame, anything
@@ -149,15 +147,15 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
       resend(id, generation, payload, k);
     });
 
-    // The feedback channel rides the same wheel/poller machinery as the
-    // share channels; report datagrams fail share-frame parsing at the
+    // The feedback channel rides the same timeline/poller machinery as
+    // the share channels; report datagrams fail share-frame parsing at the
     // channel, so they arrive whole via the unparsed-forward path.
     const std::uint16_t fb_port =
         config_.port_base != 0
             ? static_cast<std::uint16_t>(config_.port_base + n)
             : 0;
     feedback_ch_ = std::make_unique<UdpChannel>(
-        config_.reliability.feedback_channel, rng_.fork(), wheel_, *pool_,
+        config_.reliability.feedback_channel, rng_.fork(), timeline_, *pool_,
         fb_port, "feedback", config_.max_datagram_bytes, config_.send_batch,
         config_.recv_batch);
     feedback_ch_->set_on_frame([this](std::span<const std::uint8_t> datagram) {
@@ -176,8 +174,8 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
 
     MCSS_ENSURE(config_.reliability.report_interval_ns > 0,
                 "report interval must be positive");
-    wheel_.schedule_at(now_ns() + config_.reliability.report_interval_ns,
-                       [this] { emit_report(); });
+    timeline_.schedule_at(now_ns() + config_.reliability.report_interval_ns,
+                          [this] { emit_report(); });
   }
 
   if (config_.telemetry.enabled) init_telemetry();
@@ -231,13 +229,17 @@ void LiveEndpoint::arm_sampler_timer() {
   const std::int64_t due = telemetry_->sampler().sampling()
                                ? now + 1'000'000
                                : telemetry_->sampler().next_due_ns(now);
-  wheel_.schedule_at(std::max(due, now + 1), [this] { arm_sampler_timer(); });
+  timeline_.schedule_at(std::max(due, now + 1),
+                        [this] { arm_sampler_timer(); });
 }
 
 void LiveEndpoint::fold_closed() {
-  if (!telemetry_ || !manager_) return;
+  if (!manager_) return;
+  // Drain even without an accountant: the manager keeps one record per
+  // closed packet until drained, so skipping the drain would grow the
+  // endpoint by one record per packet for the life of the run.
   const auto closed = manager_->drain_closed();
-  if (closed.empty()) return;
+  if (!telemetry_ || closed.empty()) return;
   closed_scratch_.clear();
   closed_scratch_.reserve(closed.size());
   for (const feedback::ClosedPacket& packet : closed) {
@@ -251,10 +253,6 @@ void LiveEndpoint::fold_closed() {
 
 std::int64_t LiveEndpoint::now_ns() const {
   return monotonic_ns() - epoch_ns_;
-}
-
-void LiveEndpoint::sync_timeline(std::int64_t now) {
-  if (now > timeline_.now()) timeline_.run_until(now);
 }
 
 bool LiveEndpoint::send(std::vector<std::uint8_t> payload) {
@@ -340,7 +338,7 @@ void LiveEndpoint::dispatch(std::vector<std::uint8_t> payload,
     tx_slots_.clear();
     tx_spans_.clear();
     for (int j = 0; j < m; ++j) {
-      FrameRef slot = pool_->acquire();
+      util::FrameRef slot = pool_->acquire();
       if (!slot) {
         fast = false;
         tx_slots_.clear();  // hand the acquired slots back
@@ -422,7 +420,7 @@ bool LiveEndpoint::encode_and_send(const proto::ShareFrame& frame,
     ++pool_oversize_drops_;
     return false;
   }
-  FrameRef slot = pool_->acquire();
+  util::FrameRef slot = pool_->acquire();
   if (!slot) return false;  // exhaustion already counted by the pool
   slot.resize(need);
   // Serialize once, straight into the arena — the frame's bytes are
@@ -450,32 +448,22 @@ void LiveEndpoint::update_write_interest() {
   }
 }
 
-int LiveEndpoint::poll_timeout_ms(std::int64_t now,
-                                  std::int64_t deadline) const {
-  std::int64_t until = deadline - now;
-  if (const auto next = wheel_.next_deadline()) {
-    until = std::min(until, *next - now);
-  }
-  until = std::max<std::int64_t>(until, 0);
-  // Round up so a 0.3 ms timer does not busy-poll, but cap the sleep so
-  // the loop re-checks the wall deadline at a reasonable cadence.
-  const std::int64_t ms = (until + 999'999) / 1'000'000;
-  return static_cast<int>(std::min<std::int64_t>(ms, 100));
-}
-
 void LiveEndpoint::run_for(std::int64_t wall_ns) {
   MCSS_ENSURE(wall_ns >= 0, "run_for needs a nonnegative duration");
   const std::int64_t deadline = now_ns() + wall_ns;
   for (;;) {
     const std::int64_t now = now_ns();
-    sync_timeline(now);
-    wheel_.advance(now);
+    // The loop's one timer advance: after the poller woke (or on entry)
+    // and before its events are handled, so every handler below sees a
+    // timeline at `now` and no timer fires inside a receive loop.
+    timeline_.run_until(now);
+    handle_events(now);
     if (manager_) {
       manager_->advance(now);
       fold_closed();
     }
     pump(now);
-    // One flush per pump iteration: everything the wheel advance just
+    // One flush per pump iteration: everything the timeline advance just
     // released (plus anything the transparent fast path handed over
     // during pump) leaves in a single sendmmsg per channel.
     for (const auto& ch : channels_) ch->flush(now);
@@ -487,7 +475,7 @@ void LiveEndpoint::run_for(std::int64_t wall_ns) {
     }
     if (now >= deadline) break;
 
-    // RTO deadlines bound the sleep alongside the wheel and the wall
+    // RTO deadlines bound the sleep alongside the timeline and the wall
     // deadline, so a due retransmission never waits for traffic.
     std::int64_t wake = deadline;
     if (manager_) {
@@ -495,32 +483,11 @@ void LiveEndpoint::run_for(std::int64_t wall_ns) {
         wake = std::min(wake, *rto);
       }
     }
-    const int timeout_ms = poll_timeout_ms(now, wake);
+    const int timeout_ms = poll_timeout_ms(timeline_, now, wake);
     const std::int64_t wait_start = telemetry_ ? now_ns() : 0;
     poller_.wait(timeout_ms, events_);
     if (telemetry_) {
       telemetry_->health().on_wait(timeout_ms, now_ns() - wait_start);
-    }
-    for (const Poller::Event& ev : events_) {
-      const auto it = fd_to_channel_.find(ev.fd);
-      if (it == fd_to_channel_.end()) {
-        if (telemetry_) {
-          telemetry_->on_poller_event(ev.fd, ev.readable || ev.error,
-                                      ev.writable || ev.error);
-        }
-        continue;
-      }
-      UdpChannel& ch = it->second < channels_.size()
-                           ? *channels_[it->second]
-                           : *feedback_ch_;
-      if (ev.fd == ch.rx_fd() && (ev.readable || ev.error)) {
-        // POLLERR on the RX fd means a pending ICMP error; recv() drains
-        // and counts it alongside any queued datagrams.
-        ch.on_readable();
-      }
-      if (ev.fd == ch.tx_fd() && (ev.writable || ev.error)) {
-        ch.on_writable(now_ns());
-      }
     }
   }
 
@@ -535,6 +502,31 @@ void LiveEndpoint::run_for(std::int64_t wall_ns) {
   }
 }
 
+void LiveEndpoint::handle_events(std::int64_t now) {
+  for (const Poller::Event& ev : events_) {
+    const auto it = fd_to_channel_.find(ev.fd);
+    if (it == fd_to_channel_.end()) {
+      if (telemetry_) {
+        telemetry_->on_poller_event(ev.fd, ev.readable || ev.error,
+                                    ev.writable || ev.error);
+      }
+      continue;
+    }
+    UdpChannel& ch = it->second < channels_.size() ? *channels_[it->second]
+                                                   : *feedback_ch_;
+    if (ev.fd == ch.rx_fd() && (ev.readable || ev.error)) {
+      // POLLERR on the RX fd means a pending ICMP error; recv() drains
+      // and counts it alongside any queued datagrams.
+      ch.on_readable();
+    }
+    if (ev.fd == ch.tx_fd() && (ev.writable || ev.error)) {
+      ch.on_writable(now);
+    }
+  }
+  // Handled once: the loop exits before the next wait() would refill it.
+  events_.clear();
+}
+
 void LiveEndpoint::emit_report() {
   const std::int64_t now = now_ns();
   auto report = builder_->build(now);
@@ -546,8 +538,8 @@ void LiveEndpoint::emit_report() {
   if (!feedback_ch_->try_send(std::span<const std::uint8_t>(bytes), now)) {
     ++reports_dropped_at_channel_;
   }
-  wheel_.schedule_at(now + config_.reliability.report_interval_ns,
-                     [this] { emit_report(); });
+  timeline_.schedule_at(now + config_.reliability.report_interval_ns,
+                        [this] { emit_report(); });
 }
 
 void LiveEndpoint::resend(std::uint64_t id, std::uint8_t generation,
@@ -661,7 +653,7 @@ void LiveEndpoint::publish_metrics(obs::Registry& registry) const {
   // transport makes — send/sendmmsg, recv/recvmmsg, and poller waits.
   add("mcss_transport_syscalls_total", syscalls);
 
-  const FramePool::Stats& ps = pool_->stats();
+  const util::FramePool::Stats& ps = pool_->stats();
   add("mcss_live_pool_acquired", ps.acquired);
   add("mcss_live_pool_exhausted", ps.exhausted);
   add("mcss_live_pool_oversize_drops", pool_oversize_drops_);

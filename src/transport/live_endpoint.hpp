@@ -5,16 +5,17 @@
 // UdpChannels, a ShareScheduler (ReMICSS dynamic by default), and a
 // proto::Receiver. Source packets go scheduler -> sss::split ->
 // wire::encode -> UdpChannel::try_send; the pump loop parks in
-// Poller::wait until a socket turns readable/writable or the impairment
-// TimerWheel needs service; received datagrams come back through
-// wire::decode_prefix and into the unmodified Receiver.
+// Poller::wait until a socket turns readable/writable or the next timer
+// is due; received datagrams come back through wire::decode_prefix and
+// into the unmodified Receiver.
 //
 // Reusing the simulator's Receiver verbatim is deliberate — its
 // reassembly timeouts, memory cap, and duplicate suppression are the
-// logic under test. The trick is a private net::Simulator driven in
-// lockstep with the wall clock: every pump iteration calls
-// run_until(now - epoch), so "sim time" IS wall time and the Receiver's
-// schedule_in()-based eviction timers fire at the right real moments.
+// logic under test. The endpoint's one timer queue is a net::Simulator
+// whose clock is wall time since construction: impairment, report and
+// sampler timers schedule on it, and so do the Receiver's eviction
+// timers. Each loop iteration advances it once, with run_until(now),
+// right after the poller wakes and before socket events are handled.
 //
 // Determinism note: protocol decisions (dither sequence, share
 // coefficients, impairment draws) are all seeded, but *scheduling* is
@@ -43,7 +44,6 @@
 #include "protocol/scheduler.hpp"
 #include "protocol/sender.hpp"
 #include "transport/poller.hpp"
-#include "transport/timer_wheel.hpp"
 #include "transport/udp_channel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -171,7 +171,9 @@ class LiveEndpoint {
   /// The readiness source (e.g. wait_calls() for syscall accounting).
   [[nodiscard]] const Poller& poller() const noexcept { return poller_; }
   /// The shared frame arena all channels draw from.
-  [[nodiscard]] const FramePool& pool() const noexcept { return *pool_; }
+  [[nodiscard]] const util::FramePool& pool() const noexcept {
+    return *pool_;
+  }
   /// Reliability internals (null/absent unless reliability.enabled).
   [[nodiscard]] feedback::RetransmitManager* retransmit_manager() noexcept {
     return manager_.get();
@@ -200,10 +202,8 @@ class LiveEndpoint {
   void pump(std::int64_t now);
   void dispatch(std::vector<std::uint8_t> payload,
                 const proto::ShareDecision& decision, std::int64_t now);
-  void sync_timeline(std::int64_t now);
+  void handle_events(std::int64_t now);
   void update_write_interest();
-  [[nodiscard]] int poll_timeout_ms(std::int64_t now,
-                                    std::int64_t deadline) const;
   void emit_report();
   void resend(std::uint64_t id, std::uint8_t generation,
               const std::vector<std::uint8_t>& payload, int k);
@@ -216,20 +216,18 @@ class LiveEndpoint {
   LiveConfig config_;
   std::int64_t epoch_ns_;
   Poller poller_;
-  /// Declared before wheel_ and channels_: every FrameRef still alive at
-  /// destruction — receive pins, parked frames, and impairment timer
-  /// callbacks pending in the wheel — must release into a live pool.
-  std::unique_ptr<FramePool> pool_;
-  TimerWheel wheel_;
+  /// Declared before timeline_ and channels_: every FrameRef still
+  /// alive at destruction — receive pins, parked frames, and impairment
+  /// closures pending on the timeline — must release into a live pool.
+  std::unique_ptr<util::FramePool> pool_;
+  /// The endpoint's only timer queue; now() is now_ns().
+  net::Simulator timeline_;
   Rng rng_;
   std::unique_ptr<proto::ShareScheduler> scheduler_;
   std::vector<std::unique_ptr<UdpChannel>> channels_;
   std::vector<bool> write_interest_;  ///< current EPOLLOUT state per channel
   std::unordered_map<int, std::size_t> fd_to_channel_;
 
-  /// Wall-driven timeline: run_until(now - epoch) each iteration, so the
-  /// Receiver's reassembly timers see real time.
-  net::Simulator timeline_;
   proto::Receiver receiver_;
   DeliverFn deliver_;
 
@@ -265,7 +263,7 @@ class LiveEndpoint {
   /// view, the per-packet slot handles and payload windows of the
   /// split-into-slot fast path, and the splitter's coefficient slices.
   std::vector<proto::ChannelView> view_scratch_;
-  std::vector<FrameRef> tx_slots_;
+  std::vector<util::FrameRef> tx_slots_;
   std::vector<std::span<std::uint8_t>> tx_spans_;
   std::vector<std::uint8_t> split_scratch_;
 };

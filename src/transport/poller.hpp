@@ -4,7 +4,7 @@
 // writing" straight from epoll (Section V); this is that readiness
 // source. One Poller watches every channel socket of a LiveEndpoint;
 // wait() parks the pump loop until a socket turns readable/writable or
-// the impairment timer wheel needs service.
+// the endpoint's next timer is due.
 //
 // All backends are level-triggered (io_uring's multishot poll is made
 // level-equivalent by re-arming; see uring_poller.hpp), and all three

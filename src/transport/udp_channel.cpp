@@ -8,6 +8,7 @@
 #include "net/sim_time.hpp"
 #include "obs/metrics.hpp"
 #include "protocol/wire.hpp"
+#include "transport/wall_clock.hpp"
 #include "util/ensure.hpp"
 
 namespace mcss::transport {
@@ -44,8 +45,8 @@ obs::HistogramId recv_batch_hist() {
 
 }  // namespace
 
-UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng, TimerWheel& wheel,
-                       FramePool& pool, std::uint16_t rx_port,
+UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng,
+                       net::Simulator& timeline, util::FramePool& pool, std::uint16_t rx_port,
                        std::string name, std::size_t max_datagram_bytes,
                        std::size_t send_batch, std::size_t recv_batch)
     : name_(std::move(name)),
@@ -54,10 +55,10 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng, TimerWheel& wheel,
       recv_batch_(recv_batch),
       rx_(UdpSocket::bound_loopback(rx_port)),
       tx_(UdpSocket::bound_loopback(0)),
-      wheel_(wheel),
+      timeline_(timeline),
       pool_(pool),
-      impair_(config, rng, wheel,
-              [this](FrameRef frame, std::int64_t release_ns) {
+      impair_(config, rng, timeline,
+              [this](util::FrameRef frame, std::int64_t release_ns) {
                 release(std::move(frame), release_ns);
               }),
       // Seed the retry pacer from (not with) the impairment stream so the
@@ -97,7 +98,7 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng, TimerWheel& wheel,
     rx_msgs_.resize(recv_batch_);
     rx_iovs_.resize(recv_batch_);
     for (std::size_t i = 0; i < recv_batch_; ++i) {
-      FrameRef slot = pool_.acquire();
+      util::FrameRef slot = pool_.acquire();
       MCSS_ENSURE(slot,
                   "frame pool too small to pin this channel's receive slots");
       rx_iovs_[i].iov_base = slot.data();
@@ -112,14 +113,14 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng, TimerWheel& wheel,
 
 UdpChannel::~UdpChannel() = default;
 
-bool UdpChannel::try_send(FrameRef frame, std::int64_t now_ns) {
+bool UdpChannel::try_send(util::FrameRef frame, std::int64_t now_ns) {
   last_now_ns_ = now_ns;
   return impair_.offer(std::move(frame), now_ns);
 }
 
 bool UdpChannel::try_send(std::span<const std::uint8_t> frame,
                           std::int64_t now_ns) {
-  FrameRef staged = pool_.acquire_copy(frame);
+  util::FrameRef staged = pool_.acquire_copy(frame);
   if (!staged) {
     ++stats_.frames_dropped_pool;
     return false;
@@ -150,7 +151,7 @@ std::int64_t UdpChannel::backlog_ns(std::int64_t now_ns) const noexcept {
   return t;
 }
 
-void UdpChannel::release(FrameRef frame, std::int64_t release_ns) {
+void UdpChannel::release(util::FrameRef frame, std::int64_t release_ns) {
   if (ring_count_ == ring_.size()) {
     // Pathological park (kernel jammed for ages): degrade is tail drop
     // with a stat, never an allocation.
@@ -210,7 +211,7 @@ void UdpChannel::flush_batched(std::int64_t now_ns) {
       // The head frame always goes (even if it alone exceeds the budget
       // — UDP will take it or EMSGSIZE will tell us); later frames join
       // while they fit.
-      FrameRef& head = ring_at(frame_idx).ref;
+      util::FrameRef& head = ring_at(frame_idx).ref;
       std::size_t total = head.size();
       std::size_t take = 1;
       tx_iovs_[iov_idx].iov_base = head.data();
@@ -219,7 +220,7 @@ void UdpChannel::flush_batched(std::int64_t now_ns) {
       while (frame_idx + take < ring_count_ &&
              total + ring_at(frame_idx + take).ref.size() <=
                  max_datagram_bytes_) {
-        FrameRef& next = ring_at(frame_idx + take).ref;
+        util::FrameRef& next = ring_at(frame_idx + take).ref;
         tx_iovs_[iov_idx].iov_base = next.data();
         tx_iovs_[iov_idx].iov_len = next.size();
         total += next.size();
@@ -269,7 +270,7 @@ void UdpChannel::flush_batched(std::int64_t now_ns) {
         continue;
       case UdpSocket::IoResult::WouldBlock:
         // Kernel buffer full: park everything and wait for EPOLLOUT,
-        // with a backoff-paced wheel retry as a backstop.
+        // with a backoff-paced timer retry as a backstop.
         ++stats_.send_wouldblock;
         arm_retry();
         return;
@@ -335,7 +336,7 @@ void UdpChannel::arm_retry() {
   if (retry_armed_) return;
   retry_armed_ = true;
   const std::int64_t at = last_now_ns_ + retry_backoff_.next();
-  wheel_.schedule_at(at, [this, at] {
+  schedule_wall(timeline_, at, [this, at] {
     retry_armed_ = false;
     if (ring_count_ > 0) {
       ++stats_.send_retries;

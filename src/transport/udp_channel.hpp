@@ -6,7 +6,8 @@
 // they cross it in batches:
 //
 //   try_send(FrameRef)                       sender side
-//     -> Impairment (rate pacing, loss, delay+jitter on the TimerWheel)
+//     -> Impairment (rate pacing, loss, delay+jitter on the endpoint's
+//        timeline)
 //     -> pending ring (pool-backed frames the shim has released, each
 //        carrying its own release stamp)
 //     -> flush(): greedy-coalesce frames into datagrams of
@@ -41,11 +42,11 @@
 #include <vector>
 
 #include "net/sim_channel.hpp"
-#include "transport/frame_pool.hpp"
+#include "net/simulator.hpp"
 #include "transport/impairment.hpp"
-#include "transport/timer_wheel.hpp"
 #include "transport/udp_socket.hpp"
 #include "util/backoff.hpp"
+#include "util/frame_pool.hpp"
 #include "util/rng.hpp"
 
 namespace mcss::transport {
@@ -81,13 +82,14 @@ class UdpChannel {
 
   /// Binds the RX socket to 127.0.0.1:`rx_port` (0 = ephemeral) and
   /// connects an ephemeral TX socket to it. `rng` seeds the impairment's
-  /// private loss/jitter stream; the wheel and pool are shared across
-  /// channels and must outlive the channel. `send_batch` caps datagrams
+  /// private loss/jitter stream; the timeline (the endpoint's timer
+  /// queue) and pool are shared across channels and must outlive the
+  /// channel. `send_batch` caps datagrams
   /// per sendmmsg, `recv_batch` caps datagrams per recvmmsg (and is the
   /// number of receive slots pinned from the pool for this channel's
   /// lifetime); send_batch == 1 selects the legacy unbatched path.
-  UdpChannel(net::ChannelConfig config, Rng rng, TimerWheel& wheel,
-             FramePool& pool, std::uint16_t rx_port, std::string name = {},
+  UdpChannel(net::ChannelConfig config, Rng rng, net::Simulator& timeline,
+             util::FramePool& pool, std::uint16_t rx_port, std::string name = {},
              std::size_t max_datagram_bytes = 1400,
              std::size_t send_batch = 32, std::size_t recv_batch = 32);
 
@@ -99,7 +101,7 @@ class UdpChannel {
 
   /// Offer a pool-backed frame at monotonic time `now_ns`. False = tail
   /// drop at the impairment queue (mirrors SimChannel::try_send).
-  bool try_send(FrameRef frame, std::int64_t now_ns);
+  bool try_send(util::FrameRef frame, std::int64_t now_ns);
 
   /// Copying convenience: stage `frame` into a pool slot first. False
   /// additionally covers pool exhaustion (counted in
@@ -126,7 +128,7 @@ class UdpChannel {
 
   /// Send whatever the impairment has released. The endpoint calls this
   /// once per pump iteration so frames released close together (one
-  /// wheel advance) leave in one sendmmsg; release() also self-flushes
+  /// timeline advance) leave in one sendmmsg; release() also self-flushes
   /// whenever a full batch is pending, so backlogs never wait for the
   /// next pump.
   void flush(std::int64_t now_ns);
@@ -172,11 +174,11 @@ class UdpChannel {
 
  private:
   struct Pending {
-    FrameRef ref;
+    util::FrameRef ref;
     std::int64_t release_ns = 0;
   };
 
-  void release(FrameRef frame, std::int64_t release_ns);
+  void release(util::FrameRef frame, std::int64_t release_ns);
   void flush_batched(std::int64_t now_ns);
   void flush_legacy(std::int64_t now_ns);
   void on_readable_batched();
@@ -194,8 +196,8 @@ class UdpChannel {
   std::size_t recv_batch_;
   UdpSocket rx_;
   UdpSocket tx_;
-  TimerWheel& wheel_;
-  FramePool& pool_;
+  net::Simulator& timeline_;
+  util::FramePool& pool_;
   Impairment impair_;
   FrameFn on_frame_;
 
@@ -214,10 +216,10 @@ class UdpChannel {
   std::vector<std::size_t> tx_takes_;   ///< frames per built datagram
   std::vector<mmsghdr> rx_msgs_;
   std::vector<iovec> rx_iovs_;
-  std::vector<FrameRef> rx_slots_;      ///< pool slots pinned for RX reuse
+  std::vector<util::FrameRef> rx_slots_;      ///< pool slots pinned for RX reuse
   std::vector<std::int64_t> last_flush_release_ns_;
 
-  /// EAGAIN recovery: EPOLLOUT is the primary wake-up, but a wheel-timer
+  /// EAGAIN recovery: EPOLLOUT is the primary wake-up, but a timer
   /// re-flush paced by decorrelated-jitter backoff backstops pollers
   /// whose write interest only updates between waits. Reset on progress.
   Backoff retry_backoff_;

@@ -5,10 +5,17 @@
 // boundary speak one clock type. monotonic_ns() is CLOCK_MONOTONIC-based
 // (std::chrono::steady_clock), so it never jumps backwards; callers
 // subtract a run-start origin to get small, SimTime-compatible values.
+//
+// A live endpoint's only timer queue is a net::Simulator whose now() is
+// that epoch-relative wall time, advanced once per loop iteration.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <utility>
+
+#include "net/simulator.hpp"
 
 namespace mcss::transport {
 
@@ -17,6 +24,35 @@ namespace mcss::transport {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Schedule `fn` on a live timeline at the wall-derived `deadline_ns`.
+/// Live deadlines come from stamps that can trail the timeline's now()
+/// — a stale offer time, a retry backoff from the last send, an RTO
+/// already overdue — so one earlier than now() is clamped to now() and
+/// fires on the next advance instead of throwing. Simulation code calls
+/// Simulator::schedule_at directly and keeps its past-time check.
+inline net::EventHandle schedule_wall(net::Simulator& timeline,
+                                      std::int64_t deadline_ns,
+                                      net::Simulator::Callback fn) {
+  return timeline.schedule_at(std::max(deadline_ns, timeline.now()),
+                              std::move(fn));
+}
+
+/// Poller timeout for a live loop that must wake by `deadline_ns` or
+/// when the timeline's next timer is due. Rounded up to whole
+/// milliseconds so a sub-millisecond timer does not busy-poll, and
+/// capped at 100 ms so the loop re-checks its wall deadline regularly.
+[[nodiscard]] inline int poll_timeout_ms(const net::Simulator& timeline,
+                                         std::int64_t now_ns,
+                                         std::int64_t deadline_ns) {
+  std::int64_t until = deadline_ns - now_ns;
+  if (const auto next = timeline.next_event_time()) {
+    until = std::min(until, *next - now_ns);
+  }
+  until = std::max<std::int64_t>(until, 0);
+  return static_cast<int>(
+      std::min<std::int64_t>((until + 999'999) / 1'000'000, 100));
 }
 
 }  // namespace mcss::transport

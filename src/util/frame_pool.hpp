@@ -6,12 +6,11 @@
 // receiver's reassembly partials — lives in one of these pools instead
 // of an ad-hoc std::vector. (The pool started life in mcss::transport;
 // it moved down to util when proto::Receiver grew arena-backed partial
-// storage, since protocol sits below transport in the layering.
-// transport/frame_pool.hpp forwards the old names.) The design is the classic
-// fixed-size allocator (netsim's Alloc/mem.h idiom): one contiguous
-// arena carved into equal slots, a singly-linked freelist threaded
-// through the slot headers, O(1) acquire/release, and no malloc after
-// construction. Exhaustion is a *policy*, not an error: acquire()
+// storage, since protocol sits below transport in the layering.) The
+// design is the classic fixed-size allocator (netsim's Alloc/mem.h
+// idiom): one contiguous arena carved into equal slots, a singly-linked
+// freelist threaded through the slot headers, O(1) acquire/release, and
+// no malloc after construction. Exhaustion is a *policy*, not an error: acquire()
 // returns a null FrameRef, the caller drops the frame and bumps a stat,
 // and the transport degrades exactly like a full qdisc — never by
 // falling back to heap allocation on the hot path.

@@ -3,6 +3,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/cpu_model.hpp"
@@ -158,6 +160,152 @@ TEST(Simulator, ProcessedCounter) {
   for (int i = 0; i < 7; ++i) sim.schedule_at(i, [] {});
   sim.run();
   EXPECT_EQ(sim.processed(), 7u);
+}
+
+// ------------------------------------------------- Simulator timer handles
+//
+// The live endpoints use the simulator as their only timer queue, so the
+// timer contract they rely on is pinned here: deadline order, same-pass
+// chains, an exact O(1) next deadline, and cancel-by-handle.
+
+TEST(SimulatorTimers, FiresInDeadlineOrderWithTiesInScheduleOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(5'000'000, [&] { order.push_back(1); });
+  sim.schedule_at(3'000'000, [&] { order.push_back(2); });
+  sim.schedule_at(5'000'000, [&] { order.push_back(3); });
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.run_until(10'000'000);
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulatorTimers, CallbackScheduledDueTimerFiresWithinTheSameAdvance) {
+  Simulator sim;
+  bool chained = false;
+  sim.schedule_at(2'000'000, [&] {
+    sim.schedule_at(3'000'000, [&] { chained = true; });  // already due
+  });
+  const std::uint64_t before = sim.processed();
+  sim.run_until(5'000'000);
+  EXPECT_TRUE(chained);
+  EXPECT_EQ(sim.processed() - before, 2u);
+}
+
+TEST(SimulatorTimers, NextDeadlineIsExact) {
+  Simulator sim;
+  EXPECT_FALSE(sim.next_event_time().has_value());
+  sim.schedule_at(7'300'000, [] {});
+  sim.schedule_at(2'100'000, [] {});
+  ASSERT_TRUE(sim.next_event_time().has_value());
+  EXPECT_EQ(*sim.next_event_time(), 2'100'000);
+  sim.run_until(3'000'000);
+  EXPECT_EQ(*sim.next_event_time(), 7'300'000);
+}
+
+TEST(SimulatorTimers, CancelPreventsFiringAndIsIdempotent) {
+  Simulator sim;
+  bool fired = false;
+  const EventHandle id = sim.schedule_at(2'000'000, [&] { fired = true; });
+  EXPECT_TRUE(id);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_TRUE(sim.cancel(id));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_FALSE(sim.next_event_time().has_value());
+  sim.run_until(5'000'000);
+  EXPECT_FALSE(fired);
+  // Double-cancel, cancel-after-fire, and empty handles are safe no-ops.
+  EXPECT_FALSE(sim.cancel(id));
+  const EventHandle id2 = sim.schedule_at(6'000'000, [] {});
+  sim.run_until(7'000'000);
+  EXPECT_FALSE(sim.cancel(id2));
+  EXPECT_FALSE(sim.cancel(EventHandle{}));
+  // A stale handle never cancels the event that reused its slot.
+  bool reused_fired = false;
+  const EventHandle reuse =
+      sim.schedule_at(8'000'000, [&] { reused_fired = true; });
+  EXPECT_EQ(reuse.slot, id2.slot);
+  EXPECT_FALSE(sim.cancel(id2));
+  sim.run_until(9'000'000);
+  EXPECT_TRUE(reused_fired);
+}
+
+TEST(SimulatorTimers, CancelledTimerDoesNotMaskLaterDeadlines) {
+  // next_event_time() must not report a cancelled timer's deadline: the
+  // pump loop would wake early and fire nothing.
+  Simulator sim;
+  const EventHandle early = sim.schedule_at(2'000'000, [] {});
+  int fired = 0;
+  sim.schedule_at(5'000'000, [&] { ++fired; });
+  EXPECT_TRUE(sim.cancel(early));
+  ASSERT_TRUE(sim.next_event_time().has_value());
+  EXPECT_EQ(*sim.next_event_time(), 5'000'000);
+  sim.run_until(5'000'000);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(SimulatorTimers, TeardownBetweenArmAndFireDoesNotTouchFreedState) {
+  // A flow torn down with a pending retransmit timer must not have the
+  // callback fire against its freed state. The callback dereferences
+  // the flow's memory — without cancel() this test dies under ASan as
+  // heap-use-after-free.
+  Simulator sim;
+  struct FlowState {
+    int rto_count = 0;
+  };
+  auto flow = std::make_unique<FlowState>();
+  FlowState* raw = flow.get();
+  const EventHandle id =
+      sim.schedule_at(2'000'000, [raw] { ++raw->rto_count; });
+  flow.reset();  // teardown: free the flow, cancel its armed timer
+  EXPECT_TRUE(sim.cancel(id));
+  const std::uint64_t before = sim.processed();
+  sim.run_until(10'000'000);
+  EXPECT_EQ(sim.processed(), before);
+}
+
+TEST(SimulatorTimers, CancelFromCallbackSuppressesLaterEntryInSameBatch) {
+  // Both timers are due in ONE run_until(): the first callback tears the
+  // "flow" down and cancels the second timer. The second callback must
+  // not run (it touches the freed state — ASan-visible if it did).
+  Simulator sim;
+  auto flow = std::make_unique<int>(0);
+  int* raw = flow.get();
+  EventHandle second;
+  sim.schedule_at(2'000'000, [&] {
+    flow.reset();
+    EXPECT_TRUE(sim.cancel(second));
+  });
+  second = sim.schedule_at(3'000'000, [raw] { *raw = 99; });
+  const std::uint64_t before = sim.processed();
+  sim.run_until(5'000'000);
+  EXPECT_EQ(sim.processed() - before, 1u);  // only the teardown fired
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulatorTimers, CancelKeepsTheRestInTimeThenSequenceOrder) {
+  // Cancelling from the middle of a large heap re-sifts the moved key;
+  // every survivor must still pop in (time, seq) order.
+  Simulator sim;
+  std::vector<EventHandle> handles;
+  std::vector<std::pair<SimTime, int>> fired;
+  for (int i = 0; i < 500; ++i) {
+    const SimTime t = (i * 7919) % 251;
+    handles.push_back(sim.schedule_at(t, [&fired, &sim, i] {
+      fired.emplace_back(sim.now(), i);
+    }));
+  }
+  for (int i = 0; i < 500; i += 3) {
+    EXPECT_TRUE(sim.cancel(handles[static_cast<std::size_t>(i)]));
+  }
+  sim.run();
+  ASSERT_EQ(fired.size(), 500u - 167u);
+  for (std::size_t j = 1; j < fired.size(); ++j) {
+    EXPECT_TRUE(fired[j - 1].first < fired[j].first ||
+                (fired[j - 1].first == fired[j].first &&
+                 fired[j - 1].second < fired[j].second));
+  }
+  for (const auto& [t, i] : fired) EXPECT_NE(i % 3, 0);
 }
 
 // ---------------------------------------------------------------- SimChannel

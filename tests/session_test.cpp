@@ -300,6 +300,36 @@ TEST(Session, MemoryPressureEvictsWithinTheOffendingFlowOnly) {
   EXPECT_GT(delivered[*b], 0u);
 }
 
+TEST(Session, ClosedPacketRecordsStayBoundedWithTelemetryOff) {
+  // The retransmit manager keeps one record per closed packet until the
+  // endpoint drains it. Without telemetry nothing consumes the records,
+  // but the endpoint must still drain them, or every reliability flow
+  // grows by one record per packet for its whole life.
+  SessionConfig config = clean_config();
+  config.reliability.enabled = true;
+  config.reliability.report_interval_ns = 2'000'000;
+  config.limits.max_queue_packets = 1024;
+  ASSERT_FALSE(config.telemetry.enabled);
+  SessionEndpoint ep(std::move(config));
+
+  const auto cid = ep.open_flow();
+  ASSERT_TRUE(cid.has_value());
+  constexpr std::uint64_t kPackets = 600;
+  for (std::uint64_t i = 0; i < kPackets; ++i) {
+    ASSERT_TRUE(ep.send(*cid, pattern_payload(64, static_cast<std::uint8_t>(i))));
+  }
+  feedback::RetransmitManager* manager = ep.flow_manager(*cid);
+  ASSERT_NE(manager, nullptr);
+  ASSERT_TRUE(run_until(ep, [&] {
+    return manager->stats().packets_acked + manager->stats().packets_abandoned ==
+               kPackets &&
+           manager->outstanding() == 0;
+  }));
+  // Every packet closed; what is left undrained is at most what closed
+  // since the endpoint's last fold, independent of kPackets.
+  EXPECT_LE(manager->drain_closed().size(), 64u);
+}
+
 TEST(Session, TeardownBetweenArmAndFireIsSafe) {
   // A flow is closed while (a) its RTO timer is armed on the shared
   // wheel, (b) reassembly eviction timers for its partials are parked in

@@ -8,7 +8,9 @@
 // push/pop/cascade patterns with debug-mode container checks on. It is
 // assert-based and compiles src/net/simulator.cpp directly because
 // _GLIBCXX_DEBUG changes container ABI: linking the prebuilt library or
-// gtest would mix incompatible layouts.
+// gtest would mix incompatible layouts. The cancel cases drive the
+// heap's position bookkeeping (every key move updates its slot's
+// recorded position) through the hardened containers.
 #undef NDEBUG
 #include <cassert>
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include "net/simulator.hpp"
 #include "util/ensure.hpp"
 
+using mcss::net::EventHandle;
 using mcss::net::SimTime;
 using mcss::net::Simulator;
 
@@ -97,6 +100,67 @@ void rejects_past() {
   assert(threw);
 }
 
+void cancel_head() {
+  Simulator sim;
+  std::vector<int> order;
+  const EventHandle head = sim.schedule_at(1, [&] { order.push_back(1); });
+  sim.schedule_at(2, [&] { order.push_back(2); });
+  sim.schedule_at(3, [&] { order.push_back(3); });
+  assert(sim.cancel(head));
+  assert(*sim.next_event_time() == 2);
+  sim.run();
+  assert((order == std::vector<int>{2, 3}));
+}
+
+void cancel_middle() {
+  // Cancel every third of many events so removals land at interior heap
+  // positions and the refill key must sift both up and down.
+  Simulator sim;
+  std::vector<EventHandle> handles;
+  std::vector<SimTime> fired;
+  for (int i = 0; i < 1000; ++i) {
+    const SimTime t = (i * 7919) % 509;
+    handles.push_back(
+        sim.schedule_at(t, [&sim, &fired] { fired.push_back(sim.now()); }));
+  }
+  std::size_t cancelled = 0;
+  for (std::size_t i = 1; i < handles.size(); i += 3) {
+    assert(sim.cancel(handles[i]));
+    ++cancelled;
+  }
+  assert(sim.pending() == handles.size() - cancelled);
+  sim.run();
+  assert(fired.size() == handles.size() - cancelled);
+  for (std::size_t i = 1; i < fired.size(); ++i) assert(fired[i - 1] <= fired[i]);
+}
+
+void cancel_from_callback() {
+  Simulator sim;
+  int later_fired = 0;
+  EventHandle later;
+  sim.schedule_at(10, [&] { assert(sim.cancel(later)); });
+  later = sim.schedule_at(10, [&] { ++later_fired; });
+  sim.schedule_at(20, [] {});
+  sim.run();
+  assert(later_fired == 0);
+  assert(sim.processed() == 2);
+}
+
+void cancel_after_fire() {
+  Simulator sim;
+  const EventHandle done = sim.schedule_at(5, [] {});
+  sim.run();
+  assert(!sim.cancel(done));
+  assert(!sim.cancel(done));
+  assert(!sim.cancel(EventHandle{}));
+  // The freed slot is reused; the stale handle must not hit its new event.
+  int fired = 0;
+  sim.schedule_at(6, [&] { ++fired; });
+  assert(!sim.cancel(done));
+  sim.run();
+  assert(fired == 1);
+}
+
 }  // namespace
 
 int main() {
@@ -105,5 +169,9 @@ int main() {
   heavy_interleaved_churn();
   run_before_boundary();
   rejects_past();
+  cancel_head();
+  cancel_middle();
+  cancel_from_callback();
+  cancel_after_fire();
   return 0;
 }

@@ -1,4 +1,4 @@
-// Live transport tests: timer wheel, poller backends, sockets, the
+// Live transport tests: the live timeline, poller backends, sockets, the
 // userspace impairment shim, and end-to-end LiveEndpoint runs — all on
 // unprivileged loopback, no netem, no fixed ports (everything binds
 // ephemeral so suites can run in parallel).
@@ -18,16 +18,15 @@
 #include "protocol/receiver.hpp"
 #include "protocol/wire.hpp"
 #include "sss/shamir.hpp"
-#include "transport/frame_pool.hpp"
 #include "transport/impairment.hpp"
 #include "transport/live_endpoint.hpp"
 #include "transport/poller.hpp"
-#include "transport/timer_wheel.hpp"
 #include "transport/udp_channel.hpp"
 #include "transport/udp_socket.hpp"
 #include "transport/uring_poller.hpp"
 #include "transport/wall_clock.hpp"
 #include "util/ensure.hpp"
+#include "util/frame_pool.hpp"
 #include "util/rng.hpp"
 
 // ---- allocation-counting hook ----------------------------------------
@@ -68,6 +67,8 @@ namespace mcss::transport {
 namespace {
 
 using net::ChannelConfig;
+using util::FramePool;
+using util::FrameRef;
 
 /// Pool-backed frame full of `fill`. Tests size their pools so that
 /// acquisition cannot fail.
@@ -79,152 +80,28 @@ FrameRef make_frame(FramePool& pool, std::size_t size, std::uint8_t fill) {
   return f;
 }
 
-// ---------------------------------------------------------------- wheel
+// ------------------------------------------------------- live timeline
 
-TEST(TimerWheel, FiresInDeadlineOrderWithTiesInScheduleOrder) {
-  TimerWheel wheel(1'000'000, 16);
-  wheel.advance(0);
-  std::vector<int> order;
-  wheel.schedule_at(5'000'000, [&] { order.push_back(1); });
-  wheel.schedule_at(3'000'000, [&] { order.push_back(2); });
-  wheel.schedule_at(5'000'000, [&] { order.push_back(3); });
-  EXPECT_EQ(wheel.pending(), 3u);
-  EXPECT_EQ(wheel.advance(10'000'000), 3u);
-  EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
-  EXPECT_EQ(wheel.pending(), 0u);
-}
-
-TEST(TimerWheel, PastDeadlineFiresOnNextAdvance) {
-  TimerWheel wheel(1'000'000, 16);
-  wheel.advance(10'000'000);
+TEST(LiveTimeline, PastDeadlineFiresOnNextAdvanceWithoutThrowing) {
+  // Live deadlines are derived from wall stamps that can trail the
+  // timeline (a stale offer time, a retry backoff from the last send, an
+  // overdue RTO). schedule_wall clamps them to now(): no throw, and the
+  // timer fires on the very next advance.
+  net::Simulator timeline;
+  timeline.run_until(10'000'000);
   bool fired = false;
-  wheel.schedule_at(1'000'000, [&] { fired = true; });  // long past
-  EXPECT_EQ(wheel.advance(10'000'000), 1u);
-  EXPECT_TRUE(fired);
-}
-
-TEST(TimerWheel, LaterRotationsWaitTheirTurn) {
-  // 4 slots of 1 ms = 4 ms per rotation; a 10 ms timer shares slot 2 with
-  // tick 2 and must survive two early passes over that slot.
-  TimerWheel wheel(1'000'000, 4);
-  wheel.advance(0);
-  int fired = 0;
-  wheel.schedule_at(10'000'000, [&] { ++fired; });
-  EXPECT_EQ(wheel.advance(2'000'000), 0u);
-  EXPECT_EQ(wheel.advance(6'000'000), 0u);
-  EXPECT_EQ(wheel.advance(10'000'000), 1u);
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(TimerWheel, LaterDeadlineInTheSameTickIsNotStranded) {
-  // Two timers inside one 1 ms tick; servicing the first must not carry
-  // the wheel past the tick and orphan the second for a full rotation.
-  TimerWheel wheel(1'000'000, 8);
-  wheel.advance(0);
-  std::vector<int> order;
-  wheel.schedule_at(100'000, [&] { order.push_back(1); });
-  wheel.schedule_at(900'000, [&] { order.push_back(2); });
-  EXPECT_EQ(wheel.advance(500'000), 1u);
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  EXPECT_EQ(wheel.advance(950'000), 1u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(TimerWheel, CallbackScheduledDueTimerFiresWithinTheSameAdvance) {
-  TimerWheel wheel(1'000'000, 8);
-  wheel.advance(0);
-  bool chained = false;
-  wheel.schedule_at(2'000'000, [&] {
-    wheel.schedule_at(3'000'000, [&] { chained = true; });  // already due
-  });
-  EXPECT_EQ(wheel.advance(5'000'000), 2u);
-  EXPECT_TRUE(chained);
-}
-
-TEST(TimerWheel, NextDeadlineIsExact) {
-  TimerWheel wheel(1'000'000, 8);
-  wheel.advance(0);
-  EXPECT_FALSE(wheel.next_deadline().has_value());
-  wheel.schedule_at(7'300'000, [] {});
-  wheel.schedule_at(2'100'000, [] {});
-  ASSERT_TRUE(wheel.next_deadline().has_value());
-  EXPECT_EQ(*wheel.next_deadline(), 2'100'000);
-  wheel.advance(3'000'000);
-  EXPECT_EQ(*wheel.next_deadline(), 7'300'000);
-}
-
-TEST(TimerWheel, CancelPreventsFiringAndIsIdempotent) {
-  TimerWheel wheel(1'000'000, 8);
-  wheel.advance(0);
-  bool fired = false;
-  const auto id = wheel.schedule_at(2'000'000, [&] { fired = true; });
-  EXPECT_NE(id, TimerWheel::kNoTimer);
-  EXPECT_EQ(wheel.pending(), 1u);
-  EXPECT_TRUE(wheel.cancel(id));
-  EXPECT_EQ(wheel.pending(), 0u);
-  EXPECT_FALSE(wheel.next_deadline().has_value());
-  EXPECT_EQ(wheel.advance(5'000'000), 0u);
+  const auto handle =
+      schedule_wall(timeline, 1'000'000, [&] { fired = true; });  // long past
+  EXPECT_TRUE(handle);
+  ASSERT_TRUE(timeline.next_event_time().has_value());
+  EXPECT_EQ(*timeline.next_event_time(), 10'000'000);
   EXPECT_FALSE(fired);
-  // Double-cancel, cancel-after-fire, and garbage ids are safe no-ops.
-  EXPECT_FALSE(wheel.cancel(id));
-  const auto id2 = wheel.schedule_at(6'000'000, [] {});
-  wheel.advance(7'000'000);
-  EXPECT_FALSE(wheel.cancel(id2));
-  EXPECT_FALSE(wheel.cancel(12345));
-  EXPECT_FALSE(wheel.cancel(TimerWheel::kNoTimer));
-}
-
-TEST(TimerWheel, CancelledTimerDoesNotMaskLaterDeadlines) {
-  // next_deadline() must not report a cancelled timer's deadline: the
-  // pump loop would wake early and fire nothing.
-  TimerWheel wheel(1'000'000, 8);
-  wheel.advance(0);
-  const auto early = wheel.schedule_at(2'000'000, [] {});
-  int fired = 0;
-  wheel.schedule_at(5'000'000, [&] { ++fired; });
-  EXPECT_TRUE(wheel.cancel(early));
-  ASSERT_TRUE(wheel.next_deadline().has_value());
-  EXPECT_EQ(*wheel.next_deadline(), 5'000'000);
-  EXPECT_EQ(wheel.advance(5'000'000), 1u);
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(TimerWheel, TeardownBetweenArmAndFireDoesNotTouchFreedState) {
-  // Regression (ISSUE 7): a flow torn down with a pending retransmit
-  // timer left the callback to fire against freed per-flow state. The
-  // callback below dereferences the flow's memory — without cancel()
-  // this test dies under ASan as heap-use-after-free.
-  TimerWheel wheel(1'000'000, 8);
-  wheel.advance(0);
-  struct FlowState {
-    int rto_count = 0;
-  };
-  auto flow = std::make_unique<FlowState>();
-  FlowState* raw = flow.get();
-  const auto id = wheel.schedule_at(2'000'000, [raw] { ++raw->rto_count; });
-  // Teardown: free the flow, cancel its armed timer.
-  flow.reset();
-  EXPECT_TRUE(wheel.cancel(id));
-  EXPECT_EQ(wheel.advance(10'000'000), 0u);
-}
-
-TEST(TimerWheel, CancelFromCallbackSuppressesLaterEntryInSameBatch) {
-  // Both timers are due in ONE advance(): the first callback tears the
-  // "flow" down and cancels the second timer, which advance() has
-  // already pulled into its due batch. The second callback must not run
-  // (it touches the freed state — ASan-visible without the fix).
-  TimerWheel wheel(1'000'000, 8);
-  wheel.advance(0);
-  auto flow = std::make_unique<int>(0);
-  int* raw = flow.get();
-  TimerWheel::TimerId second = TimerWheel::kNoTimer;
-  wheel.schedule_at(2'000'000, [&] {
-    flow.reset();
-    EXPECT_TRUE(wheel.cancel(second));
-  });
-  second = wheel.schedule_at(3'000'000, [raw] { *raw = 99; });
-  EXPECT_EQ(wheel.advance(5'000'000), 1u);  // only the teardown fired
-  EXPECT_EQ(wheel.pending(), 0u);
+  timeline.run_until(10'000'000);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(timeline.pending(), 0u);
+  // Simulation callers keep the precondition: schedule_at still rejects
+  // the same past deadline.
+  EXPECT_THROW(timeline.schedule_at(1'000'000, [] {}), PreconditionError);
 }
 
 // --------------------------------------------------------------- poller
@@ -480,31 +357,31 @@ TEST(FramePool, ExhaustionReturnsNullAndCounts) {
 
 // ----------------------------------------------------------- impairment
 
-/// Steps the wheel in `step_ns` increments up to `until_ns`, recording the
-/// advance-time at which each release lands.
+/// Steps the timeline in `step_ns` increments up to `until_ns`,
+/// recording the advance-time at which each release lands.
 struct ReleaseRecorder {
   std::vector<std::int64_t> at;
   std::int64_t now = 0;
-  void step(TimerWheel& wheel, std::int64_t until_ns, std::int64_t step_ns) {
-    for (; now <= until_ns; now += step_ns) wheel.advance(now);
+  void step(net::Simulator& timeline, std::int64_t until_ns,
+            std::int64_t step_ns) {
+    for (; now <= until_ns; now += step_ns) timeline.run_until(now);
   }
 };
 
 TEST(Impairment, PacesFramesAtTheConfiguredRate) {
-  TimerWheel wheel(100'000, 64);
-  wheel.advance(0);
+  net::Simulator timeline;
   ChannelConfig cfg;
   cfg.rate_bps = 8e6;  // 1000 bytes = 1 ms on the serializer
   cfg.delay = 0;
   ReleaseRecorder rec;
   FramePool pool(2048, 8);
-  Impairment impair(cfg, Rng(1), wheel,
+  Impairment impair(cfg, Rng(1), timeline,
                     [&](FrameRef, std::int64_t) { rec.at.push_back(rec.now); });
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(impair.offer(make_frame(pool, 1000, 0xAB), 0));
   }
   EXPECT_EQ(impair.backlog_ns(0), 5'000'000);
-  rec.step(wheel, 10'000'000, 50'000);
+  rec.step(timeline, 10'000'000, 50'000);
   ASSERT_EQ(rec.at.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     const std::int64_t expected = (i + 1) * 1'000'000;
@@ -517,8 +394,7 @@ TEST(Impairment, PacesFramesAtTheConfiguredRate) {
 }
 
 TEST(Impairment, DelayPlusJitterStaysInBounds) {
-  TimerWheel wheel(100'000, 256);
-  wheel.advance(0);
+  net::Simulator timeline;
   ChannelConfig cfg;
   cfg.rate_bps = 1e12;  // serialization ~ 0
   cfg.delay = 5'000'000;
@@ -526,12 +402,12 @@ TEST(Impairment, DelayPlusJitterStaysInBounds) {
   cfg.queue_capacity_bytes = 1 << 20;
   ReleaseRecorder rec;
   FramePool pool(256, 128);
-  Impairment impair(cfg, Rng(7), wheel,
+  Impairment impair(cfg, Rng(7), timeline,
                     [&](FrameRef, std::int64_t) { rec.at.push_back(rec.now); });
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(impair.offer(make_frame(pool, 64, 1), 0));
   }
-  rec.step(wheel, 9'000'000, 50'000);
+  rec.step(timeline, 9'000'000, 50'000);
   ASSERT_EQ(rec.at.size(), 100u);
   const auto [lo, hi] = std::minmax_element(rec.at.begin(), rec.at.end());
   EXPECT_GE(*lo, 5'000'000);
@@ -540,14 +416,13 @@ TEST(Impairment, DelayPlusJitterStaysInBounds) {
 }
 
 TEST(Impairment, TailDropsAndReadyWatermark) {
-  TimerWheel wheel;
-  wheel.advance(0);
+  net::Simulator timeline;
   ChannelConfig cfg;
   cfg.rate_bps = 8e6;
   cfg.queue_capacity_bytes = 3000;  // watermark defaults to 1500
   int released = 0;
   FramePool pool(2048, 8);
-  Impairment impair(cfg, Rng(1), wheel,
+  Impairment impair(cfg, Rng(1), timeline,
                     [&](FrameRef, std::int64_t) { ++released; });
   EXPECT_TRUE(impair.ready());
   for (int i = 0; i < 3; ++i) {
@@ -556,26 +431,48 @@ TEST(Impairment, TailDropsAndReadyWatermark) {
   EXPECT_FALSE(impair.ready());  // 3000 queued >= 1500 watermark
   EXPECT_FALSE(impair.offer(make_frame(pool, 1000, 2), 0));
   EXPECT_EQ(impair.stats().frames_dropped_queue, 1u);
-  wheel.advance(10'000'000);  // drain
+  timeline.run_until(10'000'000);  // drain
   EXPECT_TRUE(impair.ready());
   EXPECT_EQ(released, 3);
 }
 
+TEST(Impairment, StaleOfferTimeReleasesOnTheNextAdvance) {
+  // A live caller may offer with a stamp older than the timeline's now()
+  // (it read the clock before the loop advanced). The departure and
+  // release it computes are then already past: they must fire on the
+  // next advance, keep their computed stamps, and never throw.
+  net::Simulator timeline;
+  timeline.run_until(10'000'000);
+  ChannelConfig cfg;
+  cfg.rate_bps = 8e6;  // 1000 bytes = 1 ms on the serializer
+  cfg.delay = 2'000'000;
+  std::vector<std::int64_t> stamps;
+  FramePool pool(2048, 8);
+  Impairment impair(cfg, Rng(1), timeline, [&](FrameRef, std::int64_t at) {
+    stamps.push_back(at);
+  });
+  ASSERT_TRUE(impair.offer(make_frame(pool, 1000, 4), 0));
+  EXPECT_TRUE(stamps.empty());
+  timeline.run_until(10'000'000);
+  ASSERT_EQ(stamps.size(), 1u);
+  EXPECT_EQ(stamps[0], 3'000'000);  // departure 1 ms + delay 2 ms
+  EXPECT_EQ(impair.stats().frames_delivered, 1u);
+}
+
 TEST(Impairment, SeededBernoulliLossLandsNearTheConfiguredRate) {
-  TimerWheel wheel(100'000, 64);
-  wheel.advance(0);
+  net::Simulator timeline;
   ChannelConfig cfg;
   cfg.rate_bps = 8e9;  // 100 bytes = 100 ns; drains between offers
   cfg.loss = 0.3;
   FramePool pool(256, 8);
-  Impairment impair(cfg, Rng(42), wheel, [](FrameRef, std::int64_t) {});
+  Impairment impair(cfg, Rng(42), timeline, [](FrameRef, std::int64_t) {});
   const int kFrames = 2000;
   for (int i = 0; i < kFrames; ++i) {
     const std::int64_t t = static_cast<std::int64_t>(i) * 1000;
     ASSERT_TRUE(impair.offer(make_frame(pool, 100, 3), t));
-    wheel.advance(t + 1000);
+    timeline.run_until(t + 1000);
   }
-  wheel.advance(kFrames * 1000 + 10'000'000);
+  timeline.run_until(kFrames * 1000 + 10'000'000);
   const auto& s = impair.stats();
   EXPECT_EQ(s.frames_dropped_loss + s.frames_delivered,
             static_cast<std::uint64_t>(kFrames));
@@ -622,8 +519,7 @@ TEST(Impairment, SharedLinkLossCorrelatesDropsAcrossChannels) {
   // Two channels over one shared link: with a hard-outage chain their
   // drops must co-occur frame-for-frame — the signature per-channel
   // netem loss cannot produce.
-  TimerWheel wheel(100'000, 64);
-  wheel.advance(0);
+  net::Simulator timeline;
   ChannelConfig cfg;
   cfg.rate_bps = 8e9;  // 100 bytes = 100 ns; drains between offers
   SharedLinkLoss shared({.mean_good_ns = 200'000,
@@ -631,8 +527,8 @@ TEST(Impairment, SharedLinkLossCorrelatesDropsAcrossChannels) {
                          .drop_in_bad = 1.0},
                         Rng(11));
   FramePool pool(256, 8);
-  Impairment a(cfg, Rng(1), wheel, [](FrameRef, std::int64_t) {});
-  Impairment b(cfg, Rng(2), wheel, [](FrameRef, std::int64_t) {});
+  Impairment a(cfg, Rng(1), timeline, [](FrameRef, std::int64_t) {});
+  Impairment b(cfg, Rng(2), timeline, [](FrameRef, std::int64_t) {});
   a.set_shared_loss(&shared);
   b.set_shared_loss(&shared);
   EXPECT_EQ(a.shared_loss(), &shared);
@@ -646,7 +542,7 @@ TEST(Impairment, SharedLinkLossCorrelatesDropsAcrossChannels) {
     const auto db = b.stats().frames_dropped_shared_link;
     ASSERT_TRUE(a.offer(make_frame(pool, 100, 1), t));
     ASSERT_TRUE(b.offer(make_frame(pool, 100, 2), t));
-    wheel.advance(t + 5'000);
+    timeline.run_until(t + 5'000);
     const bool dropped_a = a.stats().frames_dropped_shared_link > da;
     const bool dropped_b = b.stats().frames_dropped_shared_link > db;
     if (dropped_a || dropped_b) ++either;
@@ -673,12 +569,11 @@ UdpChannel::FrameFn collect_into(std::vector<std::vector<std::uint8_t>>& got) {
 }
 
 TEST(UdpChannel, CoalescesOnBackpressureAndSplitsFramesOnReceive) {
-  TimerWheel wheel(100'000, 64);
-  wheel.advance(0);
+  net::Simulator timeline;
   FramePool pool(2048, 64);
   ChannelConfig cfg;
   cfg.rate_bps = 1e12;
-  UdpChannel ch(cfg, Rng(3), wheel, pool, /*rx_port=*/0, "test");
+  UdpChannel ch(cfg, Rng(3), timeline, pool, /*rx_port=*/0, "test");
   std::vector<std::vector<std::uint8_t>> got;
   ch.set_on_frame(collect_into(got));
 
@@ -694,7 +589,7 @@ TEST(UdpChannel, CoalescesOnBackpressureAndSplitsFramesOnReceive) {
   for (auto& f : sent) {
     ASSERT_TRUE(ch.try_send(std::span<const std::uint8_t>(f), 0));
   }
-  wheel.advance(1'000'000);  // all three land in the pending ring
+  timeline.run_until(1'000'000);  // all three land in the pending ring
   // Park deterministically: the first sendmmsg hits an injected EAGAIN.
   ch.tx_socket().inject_wouldblock(1);
   ch.flush(1'000'000);
@@ -718,11 +613,10 @@ TEST(UdpChannel, CoalescesOnBackpressureAndSplitsFramesOnReceive) {
 }
 
 TEST(UdpChannel, UndecodableDatagramIsForwardedWholeForAccounting) {
-  TimerWheel wheel;
-  wheel.advance(0);
+  net::Simulator timeline;
   FramePool pool(2048, 40);
   ChannelConfig cfg;
-  UdpChannel ch(cfg, Rng(3), wheel, pool, 0, "junk");
+  UdpChannel ch(cfg, Rng(3), timeline, pool, 0, "junk");
   std::vector<std::vector<std::uint8_t>> got;
   ch.set_on_frame(collect_into(got));
 
@@ -751,12 +645,11 @@ std::vector<std::uint8_t> big_frame_bytes(std::uint64_t id) {
 }
 
 TEST(UdpChannel, ShortSendmmsgRetiresTheHeadAndResendsTheTail) {
-  TimerWheel wheel(100'000, 64);
-  wheel.advance(0);
+  net::Simulator timeline;
   FramePool pool(2048, 64);
   ChannelConfig cfg;
   cfg.rate_bps = 1e15;  // transparent: releases happen inside try_send
-  UdpChannel ch(cfg, Rng(5), wheel, pool, 0, "short");
+  UdpChannel ch(cfg, Rng(5), timeline, pool, 0, "short");
   std::vector<std::vector<std::uint8_t>> got;
   ch.set_on_frame(collect_into(got));
 
@@ -784,12 +677,11 @@ TEST(UdpChannel, ShortSendmmsgRetiresTheHeadAndResendsTheTail) {
 }
 
 TEST(UdpChannel, EagainOnSlotZeroParksTheWholeBatch) {
-  TimerWheel wheel(100'000, 64);
-  wheel.advance(0);
+  net::Simulator timeline;
   FramePool pool(2048, 64);
   ChannelConfig cfg;
   cfg.rate_bps = 1e15;
-  UdpChannel ch(cfg, Rng(5), wheel, pool, 0, "slot0");
+  UdpChannel ch(cfg, Rng(5), timeline, pool, 0, "slot0");
   std::size_t frames_seen = 0;
   ch.set_on_frame([&](std::span<const std::uint8_t>) { ++frames_seen; });
 
@@ -808,12 +700,11 @@ TEST(UdpChannel, EagainOnSlotZeroParksTheWholeBatch) {
 }
 
 TEST(UdpChannel, EagainMidBatchRetiresTheHeadAndParksTheTail) {
-  TimerWheel wheel(100'000, 64);
-  wheel.advance(0);
+  net::Simulator timeline;
   FramePool pool(2048, 64);
   ChannelConfig cfg;
   cfg.rate_bps = 1e15;
-  UdpChannel ch(cfg, Rng(5), wheel, pool, 0, "slotk");
+  UdpChannel ch(cfg, Rng(5), timeline, pool, 0, "slotk");
   ch.set_on_frame([](std::span<const std::uint8_t>) {});
 
   for (std::uint64_t i = 1; i <= 5; ++i) {
@@ -836,11 +727,10 @@ TEST(UdpChannel, EagainMidBatchRetiresTheHeadAndParksTheTail) {
 }
 
 TEST(UdpChannel, RecvmmsgDrainsBurstsLargerThanTheBatch) {
-  TimerWheel wheel;
-  wheel.advance(0);
+  net::Simulator timeline;
   FramePool pool(2048, 32);
   ChannelConfig cfg;
-  UdpChannel ch(cfg, Rng(7), wheel, pool, 0, "burst", 1400,
+  UdpChannel ch(cfg, Rng(7), timeline, pool, 0, "burst", 1400,
                 /*send_batch=*/32, /*recv_batch=*/4);
   std::vector<std::vector<std::uint8_t>> got;
   ch.set_on_frame(collect_into(got));
@@ -862,13 +752,12 @@ TEST(UdpChannel, RecvmmsgDrainsBurstsLargerThanTheBatch) {
 }
 
 TEST(UdpChannel, PoolExhaustionUnderStormDegradesToDropWithStat) {
-  TimerWheel wheel;
-  wheel.advance(0);
+  net::Simulator timeline;
   // 6 slots; the channel pins 2 for its receive batch, leaving 4 for TX.
   FramePool pool(2048, 6);
   ChannelConfig cfg;
   cfg.rate_bps = 1e15;
-  UdpChannel ch(cfg, Rng(9), wheel, pool, 0, "storm", 1400,
+  UdpChannel ch(cfg, Rng(9), timeline, pool, 0, "storm", 1400,
                 /*send_batch=*/32, /*recv_batch=*/2);
   ch.set_on_frame([](std::span<const std::uint8_t>) {});
 
@@ -890,18 +779,17 @@ TEST(UdpChannel, PoolExhaustionUnderStormDegradesToDropWithStat) {
 }
 
 TEST(UdpChannel, WholeBatchDepartureKeepsPerFrameReleaseStamps) {
-  TimerWheel wheel(100'000, 64);
-  wheel.advance(0);
+  net::Simulator timeline;
   FramePool pool(2048, 40);  // 32 pinned receive slots + TX headroom
   ChannelConfig cfg;
   cfg.rate_bps = 8e6;  // 1000 bytes = 1 ms on the serializer
-  UdpChannel ch(cfg, Rng(11), wheel, pool, 0, "stamps");
+  UdpChannel ch(cfg, Rng(11), timeline, pool, 0, "stamps");
   ch.set_on_frame([](std::span<const std::uint8_t>) {});
 
   for (std::uint8_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(ch.try_send(make_frame(pool, 1000, i), 0));
   }
-  wheel.advance(10'000'000);  // serializer releases at 1, 2, 3 ms
+  timeline.run_until(10'000'000);  // serializer releases at 1, 2, 3 ms
   ch.flush(10'000'000);
   // 1000-byte frames do not share a 1400-byte datagram: three datagrams,
   // ONE sendmmsg — yet each retired frame keeps the release stamp the
@@ -916,12 +804,11 @@ TEST(UdpChannel, WholeBatchDepartureKeepsPerFrameReleaseStamps) {
 }
 
 TEST(UdpChannel, SteadyStateFastPathDoesNotAllocateAfterWarmup) {
-  TimerWheel wheel(100'000, 64);
-  wheel.advance(0);
+  net::Simulator timeline;
   FramePool pool(2048, 80);
   ChannelConfig cfg;
-  cfg.rate_bps = 1e15;  // transparent channel: no wheel, no closures
-  UdpChannel ch(cfg, Rng(13), wheel, pool, 0, "hot");
+  cfg.rate_bps = 1e15;  // transparent channel: no timeline, no closures
+  UdpChannel ch(cfg, Rng(13), timeline, pool, 0, "hot");
   std::size_t frames_seen = 0;
   ch.set_on_frame([&frames_seen](std::span<const std::uint8_t>) {
     ++frames_seen;
