@@ -20,7 +20,8 @@
 //   LP sweep +   windows / events / cross-events as the partition count
 //   large point  grows, then one large population (default 1,000,000
 //                flows; MCSS_PSIM_FLOWS or --large-flows overrides for
-//                constrained hosts) run at the full host width.
+//                constrained hosts), both at the configured thread count
+//                (MCSS_THREADS, else the host width).
 //
 //   parallel_sim_eval [--flows N] [--large-flows N] [--out FILE]
 #include <chrono>
@@ -102,6 +103,8 @@ int main(int argc, char** argv) {
   }
 
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  // Read before the thread sweep's set_threads() calls override it.
+  const unsigned width = runtime::configured_threads();
   const char* require_env = std::getenv("MCSS_PSIM_REQUIRE_SPEEDUP");
   const bool require_speedup =
       require_env != nullptr && require_env[0] != '\0' && require_env[0] != '0';
@@ -179,11 +182,11 @@ int main(int argc, char** argv) {
   }
 
   // --- LP-count sweep -------------------------------------------------
-  std::printf("\n== LP sweep: %llu flows, host-width threads ==\n",
-              static_cast<unsigned long long>(flows));
+  std::printf("\n== LP sweep: %llu flows, %u threads ==\n",
+              static_cast<unsigned long long>(flows), width);
   std::string lp_rows;
   for (const std::uint32_t lps : {1u, 2u, 4u, 8u, 16u}) {
-    const auto point = run_timed(population(flows, lps), cores);
+    const auto point = run_timed(population(flows, lps), width);
     const auto& p = point.result.partition;
     std::printf(
         "  lps=%-2u  %.3fs  windows=%-8llu events=%-10llu cross=%-7llu "
@@ -210,18 +213,19 @@ int main(int argc, char** argv) {
 
   // --- large point ----------------------------------------------------
   std::printf("\n== large point: %llu flows, 8 LPs, %u threads ==\n",
-              static_cast<unsigned long long>(large_flows), cores);
-  const auto large = run_timed(population(large_flows, 8), cores);
-  const double events_per_sec =
-      large.wall_s > 0.0
-          ? static_cast<double>(large.result.partition.events_processed) /
-                large.wall_s
-          : 0.0;
+              static_cast<unsigned long long>(large_flows), width);
+  const auto large = run_timed(population(large_flows, 8), width);
+  const auto per_sec = [&](std::uint64_t n) {
+    return large.wall_s > 0.0 ? static_cast<double>(n) / large.wall_s : 0.0;
+  };
+  const double events_per_sec = per_sec(large.result.partition.events_processed);
+  const double flows_per_sec = per_sec(large.result.flows_completed);
   std::printf(
-      "  %.3fs  flows=%llu  events=%llu (%.2fM events/s)  cross=%llu  "
-      "control_rounds=%llu\n",
+      "  %.3fs  flows=%llu (%.0f flows/s)  events=%llu (%.2fM events/s)  "
+      "cross=%llu  control_rounds=%llu\n",
       large.wall_s,
       static_cast<unsigned long long>(large.result.flows_completed),
+      flows_per_sec,
       static_cast<unsigned long long>(large.result.partition.events_processed),
       events_per_sec / 1e6,
       static_cast<unsigned long long>(large.result.partition.cross_events),
@@ -235,6 +239,7 @@ int main(int argc, char** argv) {
     std::string doc = obs::JsonRow()
                           .field("bench", "parallel_sim_eval")
                           .field("host_cores", static_cast<std::uint64_t>(cores))
+                          .field("threads", static_cast<std::uint64_t>(width))
                           .field("flows", flows)
                           .field("deterministic", det_ok)
                           .field("determinism_fingerprint", det_fingerprint)
@@ -249,6 +254,7 @@ int main(int argc, char** argv) {
                                                 large.result.partition
                                                     .events_processed)
                                          .field("events_per_sec", events_per_sec)
+                                         .field("flows_per_sec", flows_per_sec)
                                          .field("fingerprint",
                                                 large.result.fingerprint())
                                          .str())

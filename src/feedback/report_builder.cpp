@@ -72,6 +72,7 @@ ReceiverReport ReportBuilder::build(std::int64_t now_ns) {
   report.seq = next_seq_++;
   report.receiver_time_ns = now_ns;
   report.packets_delivered = packets_delivered_;
+  reported_delivered_ = packets_delivered_;
   report.sack_base = sack_base_;
   report.sack = sack_;
   report.channels = channels_;

@@ -51,6 +51,14 @@ class ReportBuilder {
   [[nodiscard]] std::uint64_t packets_delivered() const noexcept {
     return packets_delivered_;
   }
+  /// Whether the deliveries since the last build() reach half the SACK
+  /// window. A report built now still acks every one of them; waiting
+  /// for the periodic report at a high packet rate would let the window
+  /// slide past unreported ids, which the sender then retransmits.
+  [[nodiscard]] bool report_due() const noexcept {
+    return packets_delivered_ - reported_delivered_ >=
+           32 * config_.sack_window_words;
+  }
   [[nodiscard]] std::uint64_t sack_base() const noexcept { return sack_base_; }
   [[nodiscard]] std::uint64_t reports_built() const noexcept {
     return next_seq_ - 1;
@@ -69,6 +77,7 @@ class ReportBuilder {
   ReportBuilderConfig config_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t packets_delivered_ = 0;
+  std::uint64_t reported_delivered_ = 0;  ///< packets_delivered_ at build()
   std::uint64_t sack_base_ = 1;  // packet ids start at 1
   std::vector<std::uint64_t> sack_;
   std::vector<ChannelCounters> channels_;

@@ -24,7 +24,8 @@ void EventLoopHealth::resolve_ids() {
   ids_resolved_ = true;
 }
 
-void EventLoopHealth::on_wait(int timeout_ms, std::int64_t blocked_ns) {
+void EventLoopHealth::on_wait(std::int64_t start_ns, std::int64_t wake_ns,
+                              std::int64_t end_ns) {
   if (!metrics_enabled()) return;
   // Ids are resolved once per instance, not per call: on_wait runs
   // every loop iteration, and a registry lookup there is a mutex plus
@@ -34,14 +35,13 @@ void EventLoopHealth::on_wait(int timeout_ms, std::int64_t blocked_ns) {
   // per run, so in practice only a test that resets mid-run sees this.
   if (!ids_resolved_) resolve_ids();
   Registry& registry = Registry::global();
-  registry.observe(wait_id_, static_cast<double>(blocked_ns) / 1e3);
-  if (timeout_ms >= 0) {
-    const std::int64_t lag_ns =
-        blocked_ns - static_cast<std::int64_t>(timeout_ms) * 1'000'000;
-    registry.observe(lag_id_,
-                     static_cast<double>(std::max<std::int64_t>(lag_ns, 0)) /
-                         1e3);
-  }
+  registry.observe(wait_id_, static_cast<double>(end_ns - start_ns) / 1e3);
+  // A wake time already past when the wait began (a timer that came due
+  // during the pump) is the pump's lateness, not the wait's.
+  const std::int64_t lag_ns = end_ns - std::max(wake_ns, start_ns);
+  registry.observe(lag_id_,
+                   static_cast<double>(std::max<std::int64_t>(lag_ns, 0)) /
+                       1e3);
 }
 
 void EventLoopHealth::on_pump(std::int64_t pump_ns) {

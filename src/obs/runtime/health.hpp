@@ -5,9 +5,12 @@
 //
 //   mcss_loop_poll_wait_us       histogram: time blocked in the poller
 //   mcss_loop_poll_wake_lag_us   histogram: how late the wait returned
-//                                past its requested timeout (scheduler
-//                                + kernel wake latency; 0 when events
-//                                arrived before the timeout)
+//                                past the time the loop wanted to wake
+//                                (its next timer or run deadline, or the
+//                                wait's start if that time had passed):
+//                                timeout rounding + scheduler + kernel
+//                                wake latency; 0 when events arrived
+//                                first
 //   mcss_loop_pump_us            histogram: one pump iteration's work
 //   mcss_loop_watchdog_stalls_total  counter: pump iterations over the
 //                                configured budget
@@ -33,9 +36,13 @@ class EventLoopHealth {
  public:
   explicit EventLoopHealth(HealthConfig config = {});
 
-  /// One poller wait completed: `timeout_ms` as requested (< 0 =
-  /// infinite), `blocked_ns` as measured around the wait call.
-  void on_wait(int timeout_ms, std::int64_t blocked_ns);
+  /// One poller wait completed: it started at `start_ns`, the loop
+  /// wanted to wake at `wake_ns`, and the wait returned at `end_ns`
+  /// (all on one clock). Wake lag is the lateness past `wake_ns`, or
+  /// past `start_ns` when that is later, clamped at 0, so the poll
+  /// timeout's millisecond rounding counts.
+  void on_wait(std::int64_t start_ns, std::int64_t wake_ns,
+               std::int64_t end_ns);
 
   /// One pump iteration (everything between two waits) took `pump_ns`.
   void on_pump(std::int64_t pump_ns);

@@ -65,8 +65,10 @@ Receiver::Receiver(net::Simulator& sim, ReceiverConfig config,
 }
 
 Receiver::~Receiver() {
-  // Timers this receiver parked in the (possibly shared, longer-lived)
-  // simulator hold the token, check it, and stand down.
+  // The simulator may be shared and outlive this receiver (session flows
+  // come and go): take back every eviction timer still parked there, and
+  // let deferred deliveries, which hold the token, stand down.
+  for (const auto& [id, partial] : partials_) sim_.cancel(partial.eviction);
   *alive_ = false;
 }
 
@@ -128,7 +130,7 @@ void Receiver::on_frame(std::span<const std::uint8_t> raw) {
       obs::Tracer::global().async_begin("reassembly", "receiver", id,
                                         sim_.now(), "k", frame->k);
     }
-    arm_eviction_timer(id);
+    arm_eviction_timer(id, it->second);
   }
 
   Partial& partial = it->second;
@@ -146,8 +148,7 @@ void Receiver::on_frame(std::span<const std::uint8_t> raw) {
     // different random polynomial and can never combine with this one.
     // Restart the partial around the new generation, and give it a fresh
     // reassembly lease — with ARQ, a packet legitimately outlives one
-    // reassembly timeout while retransmissions are still arriving (the
-    // superseded timer finds first_seen moved and stands down).
+    // reassembly timeout while retransmissions are still arriving.
     buffered_bytes_ -= partial.share_size * partial.count;
     partial.shares.clear();
     partial.slot.reset();
@@ -158,7 +159,7 @@ void Receiver::on_frame(std::span<const std::uint8_t> raw) {
     partial.first_seen = sim_.now();
     init_storage(partial);
     ++stats_.partials_superseded;
-    arm_eviction_timer(id);
+    arm_eviction_timer(id, partial);
   }
   if (frame->k != partial.k || frame->payload.size() != partial.share_size) {
     ++stats_.conflicting_metadata;
@@ -234,22 +235,15 @@ void Receiver::append_share(Partial& partial, std::uint8_t index,
   ++partial.count;
 }
 
-void Receiver::arm_eviction_timer(std::uint64_t id) {
+void Receiver::arm_eviction_timer(std::uint64_t id, Partial& partial) {
   // IP-reassembly-style timer: if the packet is still partial when it
-  // fires, evict it. first_seen disambiguates both id reuse (never
-  // happens with 64-bit ids) and generation supersedes that renewed the
-  // lease after this timer was armed.
-  // `alive` outlives the receiver (the simulator may be shared and
-  // longer-lived — session-layer flows come and go); a timer surviving
-  // its receiver stands down instead of touching freed state.
-  sim_.schedule_in(config_.reassembly_timeout,
-                   [this, alive = alive_, id, born = sim_.now()] {
-                     if (!*alive) return;
-                     auto p = partials_.find(id);
-                     if (p != partials_.end() && p->second.first_seen == born) {
-                       evict(id, &stats_.packets_evicted_timeout);
-                     }
-                   });
+  // fires, evict it. complete(), evict() and a generation supersede
+  // cancel it, so a firing timer always finds its partial pending.
+  sim_.cancel(partial.eviction);
+  partial.eviction =
+      sim_.schedule_in(config_.reassembly_timeout, [this, id] {
+        evict(id, &stats_.packets_evicted_timeout);
+      });
 }
 
 void Receiver::complete(std::uint64_t id, Partial& partial) {
@@ -307,6 +301,7 @@ void Receiver::complete(std::uint64_t id, Partial& partial) {
   }
 
   buffered_bytes_ -= partial.share_size * partial.count;
+  sim_.cancel(partial.eviction);
   creation_order_.erase(partial.order_it);
   partials_.erase(id);
   remember_completed(id);
@@ -316,6 +311,7 @@ void Receiver::evict(std::uint64_t id, std::uint64_t* counter) {
   const auto it = partials_.find(id);
   MCSS_INVARIANT(it != partials_.end(), "evicting a packet that is not pending");
   buffered_bytes_ -= it->second.share_size * it->second.count;
+  sim_.cancel(it->second.eviction);  // no-op when the timer is what fired
   creation_order_.erase(it->second.order_it);
   partials_.erase(it);
   ++*counter;

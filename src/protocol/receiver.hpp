@@ -140,6 +140,10 @@ class Receiver {
     util::FrameRef slot;
     std::vector<sss::Share> shares;  ///< heap fallback storage
     net::SimTime first_seen = 0;
+    /// This partial's reassembly-timeout timer; cancelled when the
+    /// partial completes, is evicted or is superseded, so the timeline
+    /// holds one timer per PENDING partial and none for finished ones.
+    net::EventHandle eviction;
     /// This partial's node in creation_order_, for O(1) unlink.
     std::list<std::uint64_t>::iterator order_it;
 
@@ -156,7 +160,9 @@ class Receiver {
   void append_share(Partial& partial, std::uint8_t index,
                     std::span<const std::uint8_t> payload);
 
-  void arm_eviction_timer(std::uint64_t id);
+  /// (Re)arm the partial's reassembly timeout, cancelling any earlier
+  /// one.
+  void arm_eviction_timer(std::uint64_t id, Partial& partial);
   void complete(std::uint64_t id, Partial& partial);
   void evict(std::uint64_t id, std::uint64_t* counter);
   /// Evict oldest partials (never `exclude`) until `incoming_bytes` more
@@ -176,11 +182,12 @@ class Receiver {
   std::unordered_set<std::uint64_t> completed_;
   std::deque<std::uint64_t> completed_order_;
   ReceiverStats stats_;
-  /// Liveness token captured by timers parked in sim_: the simulator has
-  /// no cancellation, and with the session layer many receivers share
-  /// one long-lived timeline — a receiver destroyed with timers pending
-  /// (flow teardown) must make those callbacks no-ops, not
-  /// use-after-frees.
+  /// Liveness token captured by CpuModel deferred-delivery timers, which
+  /// are not tracked by handle: with the session layer many receivers
+  /// share one long-lived timeline, and a receiver destroyed with a
+  /// delivery pending (flow teardown) must make it a no-op, not a
+  /// use-after-free. Eviction timers need no token: the destructor
+  /// cancels them.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

@@ -240,8 +240,8 @@ bool SessionEndpoint::close_flow(std::uint32_t cid) {
   if (it == flows_.end()) return false;
   Flow& flow = *it->second;
   // Cancel-by-handle keeps the shared timeline from firing into freed
-  // per-flow state; the Receiver's liveness token covers the eviction
-  // timers parked there the same way.
+  // per-flow state; the Receiver's destructor cancels its eviction
+  // timers the same way.
   timeline_.cancel(flow.rto_timer);
   fold_closed(flow);
   unlink_ready(flow);
@@ -603,49 +603,52 @@ void SessionEndpoint::on_delivered(std::uint32_t cid, std::uint64_t id,
   ++stats_.packets_delivered;
   if (flow.builder) {
     flow.builder->on_delivered(id, now_ns());
-    push_report(flow);
+    if (flow.builder->report_due()) {
+      // Ahead of the periodic timer, before the SACK window slides past
+      // ids it has not acked yet.
+      append_report(flow, now_ns());
+      send_report_datagram(now_ns());
+    } else {
+      push_report(flow);
+    }
   }
   if (deliver_) deliver_(cid, id, std::move(payload));
 }
 
 void SessionEndpoint::emit_reports() {
   const std::int64_t now = now_ns();
-  report_datagram_.clear();
   // Only flows with deliveries since the last report are on the list;
   // idle flows cost nothing. Several flows' reports coalesce into each
   // feedback datagram (the report codec's decode_prefix contract).
-  while (report_head_ != nullptr) {
-    Flow& flow = *report_head_;
-    unlink_report(flow);
-    feedback::ReceiverReport report = flow.builder->build(now);
-    report.connection_id = flow.cid;
-    const auto bytes = feedback::encode_report(
-        report, config_.reliability.report_auth_key
-                    ? &*config_.reliability.report_auth_key
-                    : nullptr);
-    if (!report_datagram_.empty() &&
-        report_datagram_.size() + bytes.size() > config_.max_datagram_bytes) {
-      ++stats_.report_datagrams_sent;
-      if (!feedback_ch_->try_send(
-              std::span<const std::uint8_t>(report_datagram_), now)) {
-        ++stats_.reports_dropped_at_channel;
-      }
-      report_datagram_.clear();
-    }
-    report_datagram_.insert(report_datagram_.end(), bytes.begin(),
-                            bytes.end());
-    ++stats_.reports_sent;
-  }
-  if (!report_datagram_.empty()) {
-    ++stats_.report_datagrams_sent;
-    if (!feedback_ch_->try_send(std::span<const std::uint8_t>(report_datagram_),
-                                now)) {
-      ++stats_.reports_dropped_at_channel;
-    }
-    report_datagram_.clear();
-  }
+  while (report_head_ != nullptr) append_report(*report_head_, now);
+  send_report_datagram(now);
   timeline_.schedule_at(now + config_.reliability.report_interval_ns,
                         [this] { emit_reports(); });
+}
+
+void SessionEndpoint::append_report(Flow& flow, std::int64_t now) {
+  unlink_report(flow);
+  feedback::ReceiverReport report = flow.builder->build(now);
+  report.connection_id = flow.cid;
+  const auto bytes = feedback::encode_report(
+      report, config_.reliability.report_auth_key
+                  ? &*config_.reliability.report_auth_key
+                  : nullptr);
+  if (report_datagram_.size() + bytes.size() > config_.max_datagram_bytes) {
+    send_report_datagram(now);
+  }
+  report_datagram_.insert(report_datagram_.end(), bytes.begin(), bytes.end());
+  ++stats_.reports_sent;
+}
+
+void SessionEndpoint::send_report_datagram(std::int64_t now) {
+  if (report_datagram_.empty()) return;
+  ++stats_.report_datagrams_sent;
+  if (!feedback_ch_->try_send(std::span<const std::uint8_t>(report_datagram_),
+                              now)) {
+    ++stats_.reports_dropped_at_channel;
+  }
+  report_datagram_.clear();
 }
 
 void SessionEndpoint::on_feedback_datagram(
@@ -731,12 +734,14 @@ void SessionEndpoint::run_for(std::int64_t wall_ns) {
     }
     if (now >= deadline) break;
 
-    const int timeout_ms =
-        transport::poll_timeout_ms(timeline_, now, deadline);
-    const std::int64_t wait_start = telemetry_ ? now_ns() : 0;
-    poller_.wait(timeout_ms, events_);
+    // A fresh read, not `now`: a timer the pump or flush above armed
+    // may already be due, and it must not wait out a rounded-up 1 ms.
+    const std::int64_t wait_start = now_ns();
+    const transport::PollWait wait =
+        transport::plan_wait(timeline_, wait_start, deadline);
+    poller_.wait(wait.timeout_ms, events_);
     if (telemetry_) {
-      telemetry_->health().on_wait(timeout_ms, now_ns() - wait_start);
+      telemetry_->health().on_wait(wait_start, wait.wake_ns, now_ns());
     }
   }
 }

@@ -40,9 +40,10 @@
 //     (again no idle-flow scan), coalescing several flows' reports into
 //     each feedback datagram.
 //   - Flow teardown cancels its RTO timer by handle
-//     (net::Simulator::cancel) and relies on the Receiver's liveness
-//     token for parked eviction timers, so churn never leaves a callback
-//     aimed at freed per-flow state.
+//     (net::Simulator::cancel), and the Receiver's destructor cancels its
+//     eviction timers, so churn never leaves a callback aimed at freed
+//     per-flow state. Eviction timers leave the timeline with their
+//     packet, so it holds one per PENDING partial.
 //   - Memory degrades PER FLOW: each flow's Receiver gets its own
 //     memory cap (limits.per_flow_memory_bytes), so an overloaded or
 //     attacked flow evicts its own oldest partials and cannot starve its
@@ -200,8 +201,8 @@ class SessionEndpoint {
 
   /// Tear a flow down: cancel its RTO timer, unlink it from the
   /// ready/report lists, release its admission reservation, destroy its
-  /// state. Pending simulator eviction timers become no-ops via the
-  /// Receiver's liveness token. False when `cid` is not an open flow.
+  /// state; the flow's Receiver cancels its pending eviction timers.
+  /// False when `cid` is not an open flow.
   bool close_flow(std::uint32_t cid);
 
   /// Queue one source packet on flow `cid`. False = unknown flow or
@@ -322,7 +323,14 @@ class SessionEndpoint {
   /// cancels a stale handle first. Call after any event that can move
   /// the deadline (dispatch, ack, fire).
   void arm_rto(Flow& flow);
+  /// The periodic report timer: every flow on the report list, then
+  /// re-arm.
   void emit_reports();
+  /// Build `flow`'s report into report_datagram_ (sending the datagram
+  /// first when the report would overflow it) and take the flow off the
+  /// report list.
+  void append_report(Flow& flow, std::int64_t now);
+  void send_report_datagram(std::int64_t now);
   void handle_events(std::int64_t now);
   void update_write_interest();
   [[nodiscard]] double price_flow(const FlowParams& params) const noexcept;
@@ -391,7 +399,7 @@ class SessionEndpoint {
   std::vector<std::uint8_t> report_datagram_;
 
   /// Destroyed FIRST (declared last): per-flow receivers release arena
-  /// slots into pool_ and flip their liveness tokens while timeline_
+  /// slots into pool_ and cancel their eviction timers while timeline_
   /// still exists.
   std::unordered_map<std::uint32_t, std::unique_ptr<Flow>> flows_;
 };

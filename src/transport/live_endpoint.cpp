@@ -99,7 +99,10 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
           delay_.add(net::to_seconds(now_ns() - it->second));
           sent_at_ns_.erase(it);
         }
-        if (builder_) builder_->on_delivered(id, now_ns());
+        if (builder_) {
+          builder_->on_delivered(id, now_ns());
+          if (builder_->report_due()) send_report(now_ns());
+        }
         if (deliver_) deliver_(id, std::move(payload));
       });
 
@@ -483,11 +486,13 @@ void LiveEndpoint::run_for(std::int64_t wall_ns) {
         wake = std::min(wake, *rto);
       }
     }
-    const int timeout_ms = poll_timeout_ms(timeline_, now, wake);
-    const std::int64_t wait_start = telemetry_ ? now_ns() : 0;
-    poller_.wait(timeout_ms, events_);
+    // A fresh read, not `now`: a timer the pump or flush above armed
+    // may already be due, and it must not wait out a rounded-up 1 ms.
+    const std::int64_t wait_start = now_ns();
+    const PollWait wait = plan_wait(timeline_, wait_start, wake);
+    poller_.wait(wait.timeout_ms, events_);
     if (telemetry_) {
-      telemetry_->health().on_wait(timeout_ms, now_ns() - wait_start);
+      telemetry_->health().on_wait(wait_start, wait.wake_ns, now_ns());
     }
   }
 
@@ -529,6 +534,12 @@ void LiveEndpoint::handle_events(std::int64_t now) {
 
 void LiveEndpoint::emit_report() {
   const std::int64_t now = now_ns();
+  send_report(now);
+  timeline_.schedule_at(now + config_.reliability.report_interval_ns,
+                        [this] { emit_report(); });
+}
+
+void LiveEndpoint::send_report(std::int64_t now) {
   auto report = builder_->build(now);
   auto bytes = feedback::encode_report(report,
                                        config_.reliability.report_auth_key
@@ -538,8 +549,6 @@ void LiveEndpoint::emit_report() {
   if (!feedback_ch_->try_send(std::span<const std::uint8_t>(bytes), now)) {
     ++reports_dropped_at_channel_;
   }
-  timeline_.schedule_at(now + config_.reliability.report_interval_ns,
-                        [this] { emit_report(); });
 }
 
 void LiveEndpoint::resend(std::uint64_t id, std::uint8_t generation,

@@ -204,6 +204,9 @@ class LiveEndpoint {
                 const proto::ShareDecision& decision, std::int64_t now);
   void handle_events(std::int64_t now);
   void update_write_interest();
+  /// Build, encode and send one report now.
+  void send_report(std::int64_t now);
+  /// The periodic report timer: send_report, then re-arm.
   void emit_report();
   void resend(std::uint64_t id, std::uint8_t generation,
               const std::vector<std::uint8_t>& payload, int k);
@@ -228,6 +231,7 @@ class LiveEndpoint {
   std::vector<bool> write_interest_;  ///< current EPOLLOUT state per channel
   std::unordered_map<int, std::size_t> fd_to_channel_;
 
+  /// After timeline_: the destructor cancels its eviction timers there.
   proto::Receiver receiver_;
   DeliverFn deliver_;
 

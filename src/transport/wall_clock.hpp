@@ -39,20 +39,31 @@ inline net::EventHandle schedule_wall(net::Simulator& timeline,
                               std::move(fn));
 }
 
-/// Poller timeout for a live loop that must wake by `deadline_ns` or
-/// when the timeline's next timer is due. Rounded up to whole
-/// milliseconds so a sub-millisecond timer does not busy-poll, and
+/// One poller wait of a live loop: when the loop wants to wake, and the
+/// timeout that asks the poller for it.
+struct PollWait {
+  std::int64_t wake_ns;  ///< the earlier of the next timer and the deadline
+  int timeout_ms;
+};
+
+/// Plan a wait that ends by `deadline_ns` or when the timeline's next
+/// timer is due. `now_ns` must be a clock read taken just before the
+/// wait, not the loop-top time: a timer the iteration's own pump or flush
+/// armed (a microsecond serializer departure) is then already due and
+/// yields timeout 0 instead of a full millisecond. A timer still in the
+/// future rounds up to whole milliseconds, so a sub-millisecond delay
+/// costs one wake-up rather than a busy poll per release; the timeout is
 /// capped at 100 ms so the loop re-checks its wall deadline regularly.
-[[nodiscard]] inline int poll_timeout_ms(const net::Simulator& timeline,
-                                         std::int64_t now_ns,
-                                         std::int64_t deadline_ns) {
-  std::int64_t until = deadline_ns - now_ns;
+[[nodiscard]] inline PollWait plan_wait(const net::Simulator& timeline,
+                                        std::int64_t now_ns,
+                                        std::int64_t deadline_ns) {
+  std::int64_t wake = deadline_ns;
   if (const auto next = timeline.next_event_time()) {
-    until = std::min(until, *next - now_ns);
+    wake = std::min(wake, *next);
   }
-  until = std::max<std::int64_t>(until, 0);
-  return static_cast<int>(
-      std::min<std::int64_t>((until + 999'999) / 1'000'000, 100));
+  const std::int64_t until = std::max<std::int64_t>(wake - now_ns, 0);
+  return {wake, static_cast<int>(std::min<std::int64_t>(
+                    (until + 999'999) / 1'000'000, 100))};
 }
 
 }  // namespace mcss::transport

@@ -21,6 +21,8 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "feedback/report.hpp"
@@ -492,6 +494,47 @@ TEST(PrivacyAccountant, GaugesRefreshOnPublishNotPerFold) {
 
 // ----------------------------------------------------- EventLoopHealth
 
+namespace {
+
+/// Sum and count of the named histogram in the global registry.
+std::pair<double, std::uint64_t> histogram_sum(const std::string& name) {
+  for (const auto& h : Registry::global().snapshot().histograms) {
+    if (h.name == name) return {h.sum, h.count};
+  }
+  return {0.0, 0};
+}
+
+}  // namespace
+
+TEST(EventLoopHealth, WakeLagIsLatenessPastTheWantedWakeTime) {
+  MetricsGuard guard(true);
+  EventLoopHealth health;
+  // A timer due 1 us after the wait started, woken by a 1 ms timeout:
+  // 999 us late, which the old lag (blocked minus the rounded timeout)
+  // read as 0.
+  health.on_wait(/*start_ns=*/5'000, /*wake_ns=*/6'000,
+                 /*end_ns=*/1'005'000);
+  auto [sum, count] = histogram_sum("mcss_loop_poll_wake_lag_us");
+  EXPECT_EQ(count, 1u);
+  EXPECT_DOUBLE_EQ(sum, 999.0);
+  // Events arrived before the wanted wake time: not late at all.
+  health.on_wait(/*start_ns=*/0, /*wake_ns=*/50'000'000,
+                 /*end_ns=*/20'000);
+  std::tie(sum, count) = histogram_sum("mcss_loop_poll_wake_lag_us");
+  EXPECT_EQ(count, 2u);
+  EXPECT_DOUBLE_EQ(sum, 999.0);
+  // A timer already 3 ms overdue when the wait began (a long pump): the
+  // wait itself is 5 us late, and the pump's overrun is not its lag.
+  health.on_wait(/*start_ns=*/10'000'000, /*wake_ns=*/7'000'000,
+                 /*end_ns=*/10'005'000);
+  std::tie(sum, count) = histogram_sum("mcss_loop_poll_wake_lag_us");
+  EXPECT_EQ(count, 3u);
+  EXPECT_DOUBLE_EQ(sum, 999.0 + 5.0);
+  const auto [wait_sum, wait_count] = histogram_sum("mcss_loop_poll_wait_us");
+  EXPECT_EQ(wait_count, 3u);
+  EXPECT_DOUBLE_EQ(wait_sum, 1000.0 + 20.0 + 5.0);
+}
+
 TEST(EventLoopHealth, WatchdogCountsOverBudgetPumps) {
   MetricsGuard guard(false);  // healthz counters work with metrics off
   HealthConfig config;
@@ -508,7 +551,8 @@ TEST(EventLoopHealth, WatchdogCountsOverBudgetPumps) {
 TEST(EventLoopHealth, ObservesLoopHistogramsWhenEnabled) {
   MetricsGuard guard(true);
   EventLoopHealth health;
-  health.on_wait(/*timeout_ms=*/1, /*blocked_ns=*/3'000'000);  // 2ms late
+  health.on_wait(/*start_ns=*/0, /*wake_ns=*/1'000'000,
+                 /*end_ns=*/3'000'000);  // 2ms late
   health.on_pump(100'000);
   health.set_pool_occupancy(3, 8);
   const MetricsSnapshot snapshot = Registry::global().snapshot();

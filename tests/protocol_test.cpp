@@ -493,6 +493,82 @@ TEST(Receiver, CreationOrderIsPrunedOnCompletionAndEviction) {
   EXPECT_EQ(rx.tracked_partials(), 0u);
 }
 
+/// One share of packet `id` (k shares needed, generation `gen`).
+std::vector<std::uint8_t> share_of(std::uint64_t id, std::uint8_t k,
+                                   std::uint8_t index, std::uint8_t gen = 0,
+                                   std::size_t bytes = 4) {
+  ShareFrame f;
+  f.packet_id = id;
+  f.k = k;
+  f.share_index = index;
+  f.generation = gen;
+  f.payload.assign(bytes, static_cast<std::uint8_t>(id));
+  return encode(f);
+}
+
+TEST(Receiver, CompletedPacketsLeaveNoTimerBehind) {
+  // Each partial's reassembly timer leaves the timeline when the packet
+  // completes: the timeline carries pending partials, not one dead timer
+  // per packet of the last reassembly timeout.
+  net::Simulator sim;
+  Receiver rx(sim);
+  rx.set_deliver([](std::uint64_t, std::vector<std::uint8_t>) {});
+  constexpr std::uint64_t kPackets = 50;
+  for (std::uint64_t id = 1; id <= kPackets; ++id) {
+    rx.on_frame(share_of(id, 2, 1));
+    EXPECT_EQ(sim.pending(), 1u);
+    rx.on_frame(share_of(id, 2, 2));
+  }
+  EXPECT_EQ(rx.stats().packets_delivered, kPackets);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Receiver, MemoryEvictedPartialLeavesNoTimerBehind) {
+  net::Simulator sim;
+  ReceiverConfig cfg;
+  cfg.memory_limit_bytes = 2000;
+  Receiver rx(sim, cfg);
+  rx.on_frame(share_of(1, 2, 1, 0, 1000));
+  rx.on_frame(share_of(2, 2, 1, 0, 1000));
+  ASSERT_EQ(sim.pending(), 2u);
+  rx.on_frame(share_of(3, 2, 1, 0, 1000));  // pushes out id 1
+  EXPECT_EQ(rx.stats().packets_evicted_memory, 1u);
+  EXPECT_EQ(rx.pending_packets(), 2u);
+  EXPECT_EQ(sim.pending(), 2u);
+}
+
+TEST(Receiver, DestructionLeavesNoTimerOnASharedTimeline) {
+  // A session flow's receiver dies while the endpoint's timeline lives
+  // on: its pending eviction timers go with it.
+  net::Simulator sim;
+  {
+    Receiver rx(sim);
+    for (std::uint64_t id = 1; id <= 5; ++id) rx.on_frame(share_of(id, 3, 1));
+    ASSERT_EQ(sim.pending(), 5u);
+  }
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.run();
+}
+
+TEST(Receiver, SupersedeLeavesExactlyOneTimerWithAFreshLease) {
+  net::Simulator sim;
+  ReceiverConfig cfg;
+  cfg.reassembly_timeout = net::from_millis(10);
+  Receiver rx(sim, cfg);
+  rx.on_frame(share_of(7, 2, 1, /*gen=*/1));
+  sim.run_until(net::from_millis(6));
+  rx.on_frame(share_of(7, 2, 1, /*gen=*/2));  // a retransmission re-split
+  EXPECT_EQ(rx.stats().partials_superseded, 1u);
+  EXPECT_EQ(sim.pending(), 1u);
+  // The first lease (due at 10 ms) is gone; the new one runs to 16 ms.
+  sim.run_until(net::from_millis(12));
+  EXPECT_EQ(rx.pending_packets(), 1u);
+  sim.run_until(net::from_millis(16));
+  EXPECT_EQ(rx.pending_packets(), 0u);
+  EXPECT_EQ(rx.stats().packets_evicted_timeout, 1u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 TEST(Receiver, TimeoutAndMemoryEvictionInterplay) {
   net::Simulator sim;
   ReceiverConfig cfg;

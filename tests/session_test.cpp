@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -330,9 +331,79 @@ TEST(Session, ClosedPacketRecordsStayBoundedWithTelemetryOff) {
   EXPECT_LE(manager->drain_closed().size(), 64u);
 }
 
+TEST(Session, UnloadedPacketIsDeliveredWellUnderAMillisecond) {
+  // Zero-delay 10 Gbps channels: a 1470 B packet's serializer departure
+  // is due about a microsecond after the pump arms it. The loop must not
+  // sleep out a poll timeout rounded up to 1 ms before releasing it.
+  SessionEndpoint ep(clean_config(3, 10e9));
+  std::int64_t delivered_at = -1;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    delivered_at = ep.now_ns();
+  });
+  const auto cid = ep.open_flow();
+  ASSERT_TRUE(cid.has_value());
+  std::vector<double> latency_ms;
+  for (int i = 0; i < 50; ++i) {
+    delivered_at = -1;
+    const std::int64_t sent_at = ep.now_ns();
+    ASSERT_TRUE(ep.send(*cid, pattern_payload(1470, static_cast<std::uint8_t>(i))));
+    ASSERT_TRUE(run_until(ep, [&] { return delivered_at >= 0; }));
+    latency_ms.push_back(static_cast<double>(delivered_at - sent_at) / 1e6);
+  }
+  std::sort(latency_ms.begin(), latency_ms.end());
+  EXPECT_LT(latency_ms[latency_ms.size() / 2], 0.5);
+}
+
+TEST(Session, EarlyReportsKeepTheSackWindowAheadOfDeliveries) {
+  // Far more than one SACK window (16 words = 1024 ids) is delivered
+  // inside one report interval. Without a report at half a window, the
+  // periodic report finds the oldest ids already slid out of its window;
+  // they are never acked and time out into retransmissions.
+  SessionConfig config = clean_config(3, 1e9);
+  config.reliability.enabled = true;
+  config.reliability.report_interval_ns = 400'000'000;
+  config.reliability.retransmit.initial_rto_ns = 650'000'000;
+  config.reliability.retransmit.min_rto_ns = 650'000'000;
+  config.limits.max_queue_packets = 4096;
+  ASSERT_EQ(config.reliability.sack_window_words, 16u);
+  SessionEndpoint ep(std::move(config));
+
+  std::uint64_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const auto cid = ep.open_flow();
+  ASSERT_TRUE(cid.has_value());
+  // Chunks small enough that no socket buffer overflows: every share
+  // arrives, so no packet has a reason to be retransmitted.
+  constexpr std::uint64_t kPackets = 1600;
+  constexpr std::uint64_t kChunk = 100;
+  for (std::uint64_t sent = 0; sent < kPackets; sent += kChunk) {
+    for (std::uint64_t i = 0; i < kChunk; ++i) {
+      ASSERT_TRUE(ep.send(*cid, pattern_payload(64, static_cast<std::uint8_t>(i))));
+    }
+    ASSERT_TRUE(run_until(ep, [&] { return delivered == sent + kChunk; }));
+  }
+  // now_ns() counts from construction, where the report timer was armed.
+  ASSERT_LT(ep.now_ns(), 400'000'000)
+      << "deliveries must fit inside the first report interval";
+
+  // The periodic report at 400 ms acks the tail; an id it cannot ack
+  // times out from 650 ms on.
+  feedback::RetransmitManager* manager = ep.flow_manager(*cid);
+  ASSERT_NE(manager, nullptr);
+  run_until(ep, [&] {
+    return manager->stats().retransmits > 0 ||
+           manager->stats().packets_acked == kPackets;
+  }, 1500);
+  EXPECT_EQ(manager->stats().retransmits, 0u);
+  EXPECT_EQ(manager->stats().packets_acked, kPackets);
+  EXPECT_EQ(manager->outstanding(), 0u);
+}
+
 TEST(Session, TeardownBetweenArmAndFireIsSafe) {
   // A flow is closed while (a) its RTO timer is armed on the shared
-  // wheel, (b) reassembly eviction timers for its partials are parked in
+  // timeline, (b) reassembly eviction timers for its partials are parked in
   // the shared timeline, and (c) its shares are still in flight. Running
   // well past every deadline afterwards must touch no freed state — the
   // CI sanitizer leg turns any violation into a failure.

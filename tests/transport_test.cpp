@@ -104,6 +104,33 @@ TEST(LiveTimeline, PastDeadlineFiresOnNextAdvanceWithoutThrowing) {
   EXPECT_THROW(timeline.schedule_at(1'000'000, [] {}), PreconditionError);
 }
 
+TEST(LiveTimeline, TimerDueBeforeTheFreshReadYieldsTimeoutZero) {
+  // The loop advanced to 10 ms, then its pump armed a serializer
+  // departure 1.2 us later. Measured from the stale loop-top time the
+  // wait rounds up to a whole millisecond; from a fresh read taken after
+  // the departure came due it does not wait at all.
+  net::Simulator timeline;
+  timeline.run_until(10'000'000);
+  timeline.schedule_at(10'001'200, [] {});
+  const std::int64_t deadline = 500'000'000;
+  const PollWait stale = plan_wait(timeline, 10'000'000, deadline);
+  EXPECT_EQ(stale.timeout_ms, 1);
+  const PollWait fresh = plan_wait(timeline, 10'002'000, deadline);
+  EXPECT_EQ(fresh.timeout_ms, 0);
+  EXPECT_EQ(fresh.wake_ns, 10'001'200);
+  // A timer still in the future keeps whole-millisecond rounding, and
+  // the run deadline bounds the wake when it comes first.
+  EXPECT_EQ(plan_wait(timeline, 9'000'000, deadline).timeout_ms, 2);
+  const PollWait by_deadline = plan_wait(timeline, 10'000'000, 10'000'500);
+  EXPECT_EQ(by_deadline.wake_ns, 10'000'500);
+  EXPECT_EQ(by_deadline.timeout_ms, 1);
+  // Nothing pending: the 100 ms cap keeps the deadline re-checked.
+  net::Simulator idle;
+  const PollWait capped = plan_wait(idle, 0, deadline);
+  EXPECT_EQ(capped.wake_ns, deadline);
+  EXPECT_EQ(capped.timeout_ms, 100);
+}
+
 // --------------------------------------------------------------- poller
 
 class PollerBackends : public ::testing::TestWithParam<Poller::Backend> {};
@@ -1391,6 +1418,43 @@ TEST(LiveEndpoint, ReliabilityWorksOnThePollBackend) {
   EXPECT_GT(ep.reports_sent(), 0u);
   EXPECT_GT(ep.retransmit_manager()->stats().reports_received, 0u);
   EXPECT_EQ(ep.poller_backend(), Poller::Backend::Poll);
+}
+
+TEST(LiveEndpoint, EarlyReportsKeepTheSackWindowAheadOfDeliveries) {
+  // Session.EarlyReportsKeepTheSackWindowAheadOfDeliveries on the
+  // single-flow endpoint: 1600 deliveries inside the first 400 ms report
+  // interval, a 16-word (1024-id) SACK window, and an RTO that fires only
+  // after the periodic report would have acked the tail.
+  LiveConfig cfg = clean_config(3, 1000.0, 83);
+  cfg.reliability.enabled = true;
+  cfg.reliability.report_interval_ns = 400'000'000;
+  cfg.reliability.retransmit.initial_rto_ns = 650'000'000;
+  cfg.reliability.retransmit.min_rto_ns = 650'000'000;
+  ASSERT_EQ(cfg.reliability.sack_window_words, 16u);
+  LiveEndpoint ep(std::move(cfg));
+  std::uint64_t delivered = 0;
+  ep.set_deliver([&](std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  constexpr std::uint64_t kPackets = 1600;
+  constexpr std::uint64_t kChunk = 100;
+  for (std::uint64_t sent = 0; sent < kPackets; sent += kChunk) {
+    for (std::uint64_t i = 0; i < kChunk; ++i) {
+      ASSERT_TRUE(ep.send(std::vector<std::uint8_t>(64, 0x3C)));
+    }
+    run_until(ep, 2000, [&] { return delivered == sent + kChunk; });
+    ASSERT_EQ(delivered, sent + kChunk);
+  }
+  // now_ns() counts from construction, where the report timer was armed.
+  ASSERT_LT(ep.now_ns(), 400'000'000)
+      << "deliveries must fit inside the first report interval";
+
+  const feedback::RetransmitStats& stats = ep.retransmit_manager()->stats();
+  run_until(ep, 1500, [&] {
+    return stats.retransmits > 0 || stats.packets_acked == kPackets;
+  });
+  EXPECT_EQ(stats.retransmits, 0u);
+  EXPECT_EQ(stats.packets_acked, kPackets);
 }
 
 }  // namespace
