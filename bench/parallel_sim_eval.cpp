@@ -9,7 +9,11 @@
 //                (time, seq) merge guarantee). HARD GATE: exit 1 on any
 //                mismatch, whatever the host.
 //   thread sweep wall-clock for one fixed population across thread
-//                counts. The speedup bar is conditional on the host
+//                counts, with the worker-team size each row actually
+//                used and its per-window numbers: the slowest and the
+//                mean member's compute and the caller's barrier wait
+//                (microseconds per window; 0 on the inline path). The
+//                speedup bar is conditional on the host
 //                (same policy as run_bench_sweeps.sh): >= 2.0x at 8
 //                threads on hosts with >= 8 cores, >= 1.3x at 4 on
 //                >= 4 cores, informational below that — single-core CI
@@ -61,6 +65,41 @@ workload::MultiflowConfig population(std::uint64_t flows, std::uint32_t lps) {
 struct Timed {
   workload::MultiflowResult result;
   double wall_s = 0.0;
+};
+
+/// Team size and per-window team timings of one run, in microseconds
+/// per window (zeros when every window ran inline).
+struct WindowTimes {
+  std::uint64_t members = 1;
+  double busy_max_us = 0.0;
+  double busy_mean_us = 0.0;
+  double barrier_us = 0.0;
+
+  explicit WindowTimes(const net::psim::PartitionStats& p) {
+    if (p.team_windows == 0) return;
+    members = p.team_members;
+    const double windows = static_cast<double>(p.team_windows);
+    busy_max_us = static_cast<double>(p.busy_max_ns) / windows / 1e3;
+    busy_mean_us = static_cast<double>(p.busy_sum_ns) /
+                   (windows * static_cast<double>(members)) / 1e3;
+    barrier_us = static_cast<double>(p.barrier_wait_ns) / windows / 1e3;
+  }
+
+  [[nodiscard]] std::string text() const {
+    char buf[128];
+    std::snprintf(buf, sizeof buf,
+                  "members=%llu  busy max/mean=%.1f/%.1fus  barrier=%.1fus",
+                  static_cast<unsigned long long>(members), busy_max_us,
+                  busy_mean_us, barrier_us);
+    return buf;
+  }
+
+  obs::JsonRow& fields(obs::JsonRow& row) const {
+    return row.field("members", members)
+        .field("busy_max_us", busy_max_us)
+        .field("busy_mean_us", busy_mean_us)
+        .field("barrier_us", barrier_us);
+  }
 };
 
 Timed run_timed(const workload::MultiflowConfig& config, unsigned threads) {
@@ -149,15 +188,17 @@ int main(int argc, char** argv) {
     if (threads == 1u) seq_s = point.wall_s;
     const double speedup = point.wall_s > 0.0 ? seq_s / point.wall_s : 0.0;
     best_speedup = std::max(best_speedup, speedup);
-    std::printf("  threads=%u  %.3fs  speedup=%.2fx  windows=%llu\n", threads,
-                point.wall_s, speedup,
-                static_cast<unsigned long long>(point.result.partition.windows));
+    const WindowTimes times(point.result.partition);
+    std::printf("  threads=%u  %.3fs  speedup=%.2fx  windows=%llu  %s\n",
+                threads, point.wall_s, speedup,
+                static_cast<unsigned long long>(point.result.partition.windows),
+                times.text().c_str());
     if (!thread_rows.empty()) thread_rows += ",";
-    thread_rows += obs::JsonRow()
-                       .field("threads", static_cast<std::uint64_t>(threads))
-                       .field("wall_s", point.wall_s)
-                       .field("speedup", speedup)
-                       .str();
+    obs::JsonRow row;
+    row.field("threads", static_cast<std::uint64_t>(threads))
+        .field("wall_s", point.wall_s)
+        .field("speedup", speedup);
+    thread_rows += times.fields(row).str();
   }
   if (cores >= 8 || require_speedup) {
     if (best_speedup < 2.0) {
@@ -188,13 +229,15 @@ int main(int argc, char** argv) {
   for (const std::uint32_t lps : {1u, 2u, 4u, 8u, 16u}) {
     const auto point = run_timed(population(flows, lps), width);
     const auto& p = point.result.partition;
+    const WindowTimes times(p);
     std::printf(
         "  lps=%-2u  %.3fs  windows=%-8llu events=%-10llu cross=%-7llu "
-        "fingerprint=%016llx\n",
+        "fingerprint=%016llx  %s\n",
         lps, point.wall_s, static_cast<unsigned long long>(p.windows),
         static_cast<unsigned long long>(p.events_processed),
         static_cast<unsigned long long>(p.cross_events),
-        static_cast<unsigned long long>(point.result.fingerprint()));
+        static_cast<unsigned long long>(point.result.fingerprint()),
+        times.text().c_str());
     if (point.result.flows_completed != flows) {
       std::printf("  FAIL: only %llu/%llu flows completed at lps=%u\n",
                   static_cast<unsigned long long>(point.result.flows_completed),
@@ -202,13 +245,13 @@ int main(int argc, char** argv) {
       failed = true;
     }
     if (!lp_rows.empty()) lp_rows += ",";
-    lp_rows += obs::JsonRow()
-                   .field("lps", static_cast<std::uint64_t>(lps))
-                   .field("wall_s", point.wall_s)
-                   .field("windows", p.windows)
-                   .field("events", p.events_processed)
-                   .field("cross_events", p.cross_events)
-                   .str();
+    obs::JsonRow row;
+    row.field("lps", static_cast<std::uint64_t>(lps))
+        .field("wall_s", point.wall_s)
+        .field("windows", p.windows)
+        .field("events", p.events_processed)
+        .field("cross_events", p.cross_events);
+    lp_rows += times.fields(row).str();
   }
 
   // --- large point ----------------------------------------------------
@@ -220,22 +263,32 @@ int main(int argc, char** argv) {
   };
   const double events_per_sec = per_sec(large.result.partition.events_processed);
   const double flows_per_sec = per_sec(large.result.flows_completed);
+  const WindowTimes large_times(large.result.partition);
   std::printf(
       "  %.3fs  flows=%llu (%.0f flows/s)  events=%llu (%.2fM events/s)  "
-      "cross=%llu  control_rounds=%llu\n",
+      "cross=%llu  control_rounds=%llu\n  %s\n",
       large.wall_s,
       static_cast<unsigned long long>(large.result.flows_completed),
       flows_per_sec,
       static_cast<unsigned long long>(large.result.partition.events_processed),
       events_per_sec / 1e6,
       static_cast<unsigned long long>(large.result.partition.cross_events),
-      static_cast<unsigned long long>(large.result.control_rounds));
+      static_cast<unsigned long long>(large.result.control_rounds),
+      large_times.text().c_str());
   if (large.result.flows_completed != large_flows) {
     std::printf("  FAIL: large point incomplete\n");
     failed = true;
   }
 
   if (!out_path.empty()) {
+    obs::JsonRow large_row;
+    large_row.field("flows", large_flows)
+        .field("wall_s", large.wall_s)
+        .field("events", large.result.partition.events_processed)
+        .field("events_per_sec", events_per_sec)
+        .field("flows_per_sec", flows_per_sec)
+        .field("fingerprint", large.result.fingerprint());
+    large_times.fields(large_row);
     std::string doc = obs::JsonRow()
                           .field("bench", "parallel_sim_eval")
                           .field("host_cores", static_cast<std::uint64_t>(cores))
@@ -246,18 +299,7 @@ int main(int argc, char** argv) {
                           .field("best_speedup", best_speedup)
                           .field_raw("thread_sweep", "[" + thread_rows + "]")
                           .field_raw("lp_sweep", "[" + lp_rows + "]")
-                          .field_raw("large_point",
-                                     obs::JsonRow()
-                                         .field("flows", large_flows)
-                                         .field("wall_s", large.wall_s)
-                                         .field("events",
-                                                large.result.partition
-                                                    .events_processed)
-                                         .field("events_per_sec", events_per_sec)
-                                         .field("flows_per_sec", flows_per_sec)
-                                         .field("fingerprint",
-                                                large.result.fingerprint())
-                                         .str())
+                          .field_raw("large_point", large_row.str())
                           .str();
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {

@@ -6,6 +6,7 @@
 
 #include "obs/metrics.hpp"
 #include "runtime/parallel.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/ensure.hpp"
 
 namespace mcss::net::psim {
@@ -41,7 +42,10 @@ PartitionedSimulator::PartitionedSimulator(std::uint32_t num_lps,
     lps_.emplace_back(new LogicalProcess(this, i));
   }
   window_processed_.resize(num_lps, 0);
+  window_metrics_.resize(num_lps);
 }
+
+PartitionedSimulator::~PartitionedSimulator() = default;
 
 LogicalProcess& PartitionedSimulator::lp(std::uint32_t i) {
   MCSS_ENSURE(i < lps_.size(), "logical process index out of range");
@@ -122,9 +126,7 @@ void PartitionedSimulator::run_windows(bool bounded, SimTime horizon) {
       w_end = horizon + 1;  // run_until semantics: include events at t == horizon
     }
 
-    runtime::parallel_for_indexed(lps_.size(), [&](std::size_t i) {
-      window_processed_[i] = lps_[i]->sim_.run_before(w_end);
-    });
+    run_lps(w_end);
 
     committed_before_ = std::max(committed_before_, w_end);
     ++stats_.windows;
@@ -133,6 +135,43 @@ void PartitionedSimulator::run_windows(bool bounded, SimTime horizon) {
     stats_.events_processed += window_total;
     stats_.max_window_events = std::max(stats_.max_window_events, window_total);
   }
+}
+
+void PartitionedSimulator::run_lps(SimTime w_end) {
+  const unsigned members = std::min(runtime::configured_threads(), num_lps());
+  if (members <= 1 || runtime::ThreadPool::on_worker()) {
+    runtime::for_each_ordered(
+        lps_.size(),
+        [&](std::size_t i) {
+          window_processed_[i] = lps_[i]->sim_.run_before(w_end);
+          return 0;
+        },
+        [](std::size_t, int) {});
+    return;
+  }
+
+  if (!team_ || team_->size() != members) {
+    team_ = std::make_unique<runtime::Team>(members);
+  }
+  // Each member's thread-local shard is empty between LPs (drained after
+  // the previous one), so what take_local() returns is exactly LP i's
+  // deltas; on member 0 the first capture also takes whatever the caller
+  // recorded since its last merge, as the inline loop's first LP does.
+  const runtime::Team::Timing timing =
+      team_->run(lps_.size(), [this, w_end](std::size_t i) {
+        window_processed_[i] = lps_[i]->sim_.run_before(w_end);
+        window_metrics_[i] = obs::Registry::global().take_local();
+      });
+  for (const obs::MetricShard& shard : window_metrics_) {
+    obs::Registry::global().merge(shard);
+  }
+
+  stats_.team_members = members;
+  ++stats_.team_windows;
+  stats_.busy_max_ns += static_cast<std::uint64_t>(timing.busy_max.count());
+  stats_.busy_sum_ns += static_cast<std::uint64_t>(timing.busy_sum.count());
+  stats_.barrier_wait_ns +=
+      static_cast<std::uint64_t>(timing.caller_wait.count());
 }
 
 void PartitionedSimulator::run() {

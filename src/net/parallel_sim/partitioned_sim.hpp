@@ -25,9 +25,16 @@
 // runs the same windows inline: bitwise-identical output, by
 // construction, to any parallel run.
 //
-// Windows execute on the shared runtime thread pool via
-// runtime::parallel_for_indexed; per-LP obs metric shards merge in LP
-// index order on both the sequential and parallel paths (see
+// With MCSS_THREADS > 1, windows execute on a runtime::Team the engine
+// owns: min(MCSS_THREADS, num_lps) members, the calling thread being
+// member 0, created at the first threaded window and joined when the
+// engine is destroyed. LP i always runs on member i % members, so an
+// LP's heap and flows stay on one core, and a window costs one futex
+// release and one futex count-down rather than a task per LP. Inline
+// (MCSS_THREADS=1, or when already on a pool worker or team member)
+// the windows run through runtime::for_each_ordered's sequential loop.
+// On both paths each LP's obs metric shard is captured after the LP's
+// share of the window and merged in LP index order at the barrier (see
 // runtime/parallel.hpp), keeping registry contents bit-reproducible too.
 #pragma once
 
@@ -39,8 +46,13 @@
 #include "net/simulator.hpp"
 
 namespace mcss::obs {
+class MetricShard;
 class Registry;
-}
+}  // namespace mcss::obs
+
+namespace mcss::runtime {
+class Team;
+}  // namespace mcss::runtime
 
 namespace mcss::net::psim {
 
@@ -97,6 +109,15 @@ struct PartitionStats {
   std::uint64_t cross_events = 0;     ///< cross-LP events committed
   std::uint64_t events_processed = 0; ///< total events across all LPs
   std::uint64_t max_window_events = 0;///< busiest single window (all LPs)
+
+  // Threaded windows only (all zero inline). Wall-clock times, summed
+  // over team windows: they vary run to run, so no result fingerprint
+  // may include them.
+  std::uint32_t team_members = 0;      ///< members of the last team used
+  std::uint64_t team_windows = 0;      ///< windows run on the team
+  std::uint64_t busy_max_ns = 0;       ///< slowest member's compute
+  std::uint64_t busy_sum_ns = 0;       ///< every member's compute
+  std::uint64_t barrier_wait_ns = 0;   ///< caller's wait at the barrier
 };
 
 /// Add engine totals into the registry under mcss_psim_* names. The
@@ -110,6 +131,8 @@ class PartitionedSimulator {
   /// `lookahead` must be positive: it is both the window width and the
   /// floor every cross-LP latency is validated against.
   PartitionedSimulator(std::uint32_t num_lps, SimTime lookahead);
+
+  ~PartitionedSimulator();
 
   PartitionedSimulator(const PartitionedSimulator&) = delete;
   PartitionedSimulator& operator=(const PartitionedSimulator&) = delete;
@@ -137,6 +160,8 @@ class PartitionedSimulator {
   /// Earliest pending local event across LPs; false when all idle.
   [[nodiscard]] bool min_pending(SimTime* t) const;
   void run_windows(bool bounded, SimTime horizon);
+  /// Run every LP's events before w_end: inline, or on the team.
+  void run_lps(SimTime w_end);
 
   SimTime lookahead_;
   /// Exclusive upper bound of simulated-and-committed time: no event
@@ -145,7 +170,9 @@ class PartitionedSimulator {
   SimTime committed_before_ = 0;
   std::vector<std::unique_ptr<LogicalProcess>> lps_;
   std::vector<std::uint64_t> window_processed_;  ///< scratch, per LP
+  std::vector<obs::MetricShard> window_metrics_; ///< scratch, per LP (team)
   PartitionStats stats_;
+  std::unique_ptr<runtime::Team> team_;  ///< after lps_: joined first
 };
 
 }  // namespace mcss::net::psim

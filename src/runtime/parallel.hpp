@@ -16,9 +16,12 @@
 // either cancel the remaining work and are rethrown to the caller.
 //
 // When configured_threads() == 1, when there is at most one index, or
-// when already running on a pool worker (nested parallelism), both
-// helpers degrade to a plain sequential loop on the calling thread —
-// the exact legacy path, no pool, no synchronization.
+// when already running on a pool worker or inside a Team member's share
+// (nested parallelism), it degrades to a plain sequential loop on the
+// calling thread — the exact legacy path, no pool, no synchronization.
+// The partitioned simulator uses that loop for its inline windows; its
+// threaded windows run on a runtime::Team (thread_pool.hpp) instead,
+// with the same per-index shard capture and index-order merge.
 //
 // Observability: on the parallel path each pump captures the metric
 // deltas its compute(i) accumulated in the worker's thread-local shard
@@ -166,19 +169,6 @@ void for_each_ordered(std::size_t count, ComputeFn&& compute,
   state.cancelled.store(true, std::memory_order_relaxed);
   state.progress.wait(lock, [&] { return state.pumps_running == 0; });
   if (state.error) std::rethrow_exception(state.error);
-}
-
-/// body(i) for every i in [0, count), concurrently; blocks until all
-/// have run. body must tolerate concurrent invocation for distinct i.
-template <typename Body>
-void parallel_for_indexed(std::size_t count, Body&& body) {
-  for_each_ordered(
-      count,
-      [&body](std::size_t i) {
-        body(i);
-        return 0;
-      },
-      [](std::size_t, int) {});
 }
 
 }  // namespace mcss::runtime

@@ -1,5 +1,6 @@
 #include "runtime/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <string>
@@ -86,8 +87,99 @@ void ThreadPool::worker_loop() {
 bool ThreadPool::on_worker() noexcept { return t_on_worker; }
 
 ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(configured_threads());
+  static ThreadPool pool(
+      std::max(configured_threads(), std::thread::hardware_concurrency()));
   return pool;
+}
+
+Team::Team(unsigned members) {
+  MCSS_ENSURE(members >= 1, "a team needs at least one member");
+  slots_.resize(members);
+  threads_.reserve(members - 1);
+  try {
+    for (unsigned m = 1; m < members; ++m) {
+      threads_.emplace_back([this, m] { member_loop(m); });
+    }
+  } catch (...) {
+    stop();
+    throw;
+  }
+}
+
+Team::~Team() { stop(); }
+
+void Team::stop() noexcept {
+  stopping_ = true;
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
+  for (std::thread& thread : threads_) thread.join();
+}
+
+void Team::member_loop(unsigned member) {
+  t_on_worker = true;
+  std::uint32_t seen = 0;
+  for (;;) {
+    generation_.wait(seen, std::memory_order_acquire);
+    seen = generation_.load(std::memory_order_acquire);
+    if (stopping_) return;
+    run_share(member);
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      pending_.notify_one();
+    }
+  }
+}
+
+void Team::run_share(unsigned member) {
+  Slot& slot = slots_[member];
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = member; i < count_; i += slots_.size()) {
+    try {
+      (*body_)(i);
+    } catch (...) {
+      slot.error = std::current_exception();
+      slot.error_index = i;
+      break;
+    }
+  }
+  slot.busy = std::chrono::steady_clock::now() - start;
+}
+
+Team::Timing Team::run(std::size_t count,
+                       const std::function<void(std::size_t)>& body) {
+  body_ = &body;
+  count_ = count;
+  pending_.store(size() - 1, std::memory_order_relaxed);
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
+
+  const bool was_on_worker = t_on_worker;
+  t_on_worker = true;
+  run_share(0);
+  t_on_worker = was_on_worker;
+
+  const auto wait_start = std::chrono::steady_clock::now();
+  for (std::uint32_t left = pending_.load(std::memory_order_acquire);
+       left != 0; left = pending_.load(std::memory_order_acquire)) {
+    pending_.wait(left, std::memory_order_acquire);
+  }
+  Timing timing;
+  timing.caller_wait = std::chrono::steady_clock::now() - wait_start;
+
+  Slot* failed = nullptr;
+  for (Slot& slot : slots_) {
+    timing.busy_max = std::max(timing.busy_max, slot.busy);
+    timing.busy_sum += slot.busy;
+    if (slot.error &&
+        (failed == nullptr || slot.error_index < failed->error_index)) {
+      failed = &slot;
+    }
+  }
+  if (failed != nullptr) {
+    const std::exception_ptr error = failed->error;
+    for (Slot& slot : slots_) slot.error = nullptr;
+    std::rethrow_exception(error);
+  }
+  return timing;
 }
 
 }  // namespace mcss::runtime

@@ -1,12 +1,17 @@
 // Tests for the partitioned logical-process engine and the multiflow
 // population workload built on it: conservative-window correctness,
-// cross-LP merge determinism across thread counts, and the simulator
+// cross-LP merge determinism across thread counts, the worker team's
+// LP pinning, error and lifetime behaviour, and the simulator
 // primitives (run_before, extractable heap) the engine relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -223,10 +228,113 @@ std::vector<std::string> fanout_trace(unsigned threads) {
   return logs;
 }
 
+/// Thread counts the determinism tests compare against the inline run:
+/// ones that do not divide the LP count, and more threads than LPs.
+constexpr unsigned kThreadCounts[] = {2, 3, 8, 16};
+
 TEST(PartitionedSim, FanoutTraceBitwiseIdenticalAcrossThreadCounts) {
   const auto base = fanout_trace(1);
-  EXPECT_EQ(fanout_trace(2), base);
-  EXPECT_EQ(fanout_trace(8), base);
+  for (const unsigned threads : kThreadCounts) {
+    EXPECT_EQ(fanout_trace(threads), base) << threads << " threads";
+  }
+}
+
+TEST(PartitionedSim, LpsStayOnTheirTeamMemberAndRunAsWorkers) {
+  constexpr std::uint32_t kLps = 8;
+  for (const unsigned threads : kThreadCounts) {
+    ThreadGuard guard(threads);
+    const unsigned members = std::min<unsigned>(threads, kLps);
+    psim::PartitionedSimulator ps(kLps, 10);
+    // Each LP writes only its own entries.
+    std::vector<std::vector<std::thread::id>> ran_on(kLps);
+    std::vector<int> off_worker(kLps, 0);
+    for (std::uint32_t lp = 0; lp < kLps; ++lp) {
+      for (SimTime t = 0; t < 200; t += 10) {
+        ps.lp(lp).sim().schedule_at(t + lp, [&, lp] {
+          ran_on[lp].push_back(std::this_thread::get_id());
+          if (!runtime::ThreadPool::on_worker()) ++off_worker[lp];
+        });
+      }
+    }
+    ps.run();
+    EXPECT_FALSE(runtime::ThreadPool::on_worker());
+    for (std::uint32_t lp = 0; lp < kLps; ++lp) {
+      EXPECT_EQ(off_worker[lp], 0) << "lp " << lp << ", " << threads;
+      ASSERT_EQ(ran_on[lp].size(), 20u);
+      for (const auto id : ran_on[lp]) {
+        EXPECT_EQ(id, ran_on[lp % members].front()) << "lp " << lp;
+      }
+    }
+    EXPECT_EQ(ran_on[0].front(), std::this_thread::get_id());
+    const auto& stats = ps.stats();
+    EXPECT_EQ(stats.team_members, members);
+    EXPECT_EQ(stats.team_windows, stats.windows);
+    EXPECT_GE(stats.busy_sum_ns, stats.busy_max_ns);
+  }
+  ThreadGuard inline_run(1);
+  psim::PartitionedSimulator ps(kLps, 10);
+  ps.lp(3).sim().schedule_at(1, [] {});
+  ps.run();
+  EXPECT_EQ(ps.stats().team_members, 0u);
+  EXPECT_EQ(ps.stats().team_windows, 0u);
+}
+
+TEST(PartitionedSim, ThrowingLpIsRethrownAfterTheWindowThenRunsOn) {
+  constexpr std::uint32_t kLps = 8;
+  const auto thrower = [](std::uint32_t lp) {
+    return [lp] { throw std::runtime_error("lp " + std::to_string(lp)); };
+  };
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    ThreadGuard guard(threads);
+    {
+      // Two LPs throw in one window: the lower index is the one reported.
+      psim::PartitionedSimulator ps(kLps, 10);
+      ps.lp(5).sim().schedule_at(3, thrower(5));
+      ps.lp(2).sim().schedule_at(4, thrower(2));
+      try {
+        ps.run();
+        ADD_FAILURE() << "no exception at " << threads << " threads";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "lp 2") << threads << " threads";
+      }
+    }
+    psim::PartitionedSimulator ps(kLps, 10);
+    std::vector<int> fired(kLps, 0);
+    for (std::uint32_t lp = 0; lp < kLps; ++lp) {
+      ps.lp(lp).sim().schedule_at(50, [&fired, lp] { ++fired[lp]; });
+    }
+    ps.lp(5).sim().schedule_at(3, thrower(5));
+    EXPECT_THROW(ps.run(), std::runtime_error);
+    ps.run();
+    EXPECT_EQ(fired, std::vector<int>(kLps, 1)) << threads << " threads";
+  }
+}
+
+/// Threads of this process, from the kernel's own count.
+unsigned process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return static_cast<unsigned>(std::stoul(line.substr(8)));
+    }
+  }
+  return 0;
+}
+
+TEST(PartitionedSim, DestroyedEnginesLeaveNoThreadBehind) {
+  ThreadGuard guard(4);
+  const unsigned before = process_threads();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 200; ++i) {
+    psim::PartitionedSimulator ps(4, 10);
+    for (std::uint32_t lp = 0; lp < 4; ++lp) {
+      ps.lp(lp).sim().schedule_at(lp, [&ps, lp] { ps.lp(lp).send(0, 10, [] {}); });
+    }
+    ps.run();
+    ASSERT_EQ(ps.stats().team_members, 4u);
+  }
+  EXPECT_EQ(process_threads(), before);
 }
 
 TEST(PartitionedSim, PublishExportsEngineTotals) {
@@ -310,8 +418,9 @@ TEST(PartitionedSim, RegistryMergeBitwiseIdenticalAcrossThreadCounts) {
   const auto base = registry_merge_run(1);
   EXPECT_EQ(std::get<0>(base), 600u);  // 100 direct + 500 cross events
   EXPECT_EQ(std::get<1>(base), 600u);
-  EXPECT_EQ(registry_merge_run(2), base);
-  EXPECT_EQ(registry_merge_run(8), base);
+  for (const unsigned threads : kThreadCounts) {
+    EXPECT_EQ(registry_merge_run(threads), base) << threads << " threads";
+  }
 }
 
 // ---------------------------------------------------------- Multiflow
@@ -344,18 +453,19 @@ TEST(Multiflow, RunsPopulationToCompletion) {
 }
 
 TEST(Multiflow, FingerprintBitwiseIdenticalAcrossThreadCounts) {
-  std::uint64_t base = 0;
-  {
-    ThreadGuard guard(1);
-    base = workload::run_multiflow(small_population()).fingerprint();
-  }
-  {
-    ThreadGuard guard(2);
-    EXPECT_EQ(workload::run_multiflow(small_population()).fingerprint(), base);
-  }
-  {
-    ThreadGuard guard(8);
-    EXPECT_EQ(workload::run_multiflow(small_population()).fingerprint(), base);
+  for (const std::uint32_t lps : {3u, 8u}) {
+    auto config = small_population();
+    config.num_lps = lps;
+    std::uint64_t base = 0;
+    {
+      ThreadGuard guard(1);
+      base = workload::run_multiflow(config).fingerprint();
+    }
+    for (const unsigned threads : kThreadCounts) {
+      ThreadGuard guard(threads);
+      EXPECT_EQ(workload::run_multiflow(config).fingerprint(), base)
+          << lps << " LPs, " << threads << " threads";
+    }
   }
 }
 

@@ -1,9 +1,12 @@
 // Tests for the deterministic parallel sweep substrate (src/runtime):
 // ordered commits, full index coverage, the sequential fallback paths,
-// exception propagation, and bitwise determinism across thread counts.
+// exception propagation, bitwise determinism across thread counts, and
+// the lockstep Team's member pinning, barrier and error handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
@@ -156,12 +159,108 @@ TEST(ForEachOrdered, NestedCallDegradesToSequential) {
   EXPECT_EQ(total.load(), 8u * (0 + 1 + 2 + 3));
 }
 
-TEST(ParallelForIndexed, CoversAllIndicesExactlyOnce) {
-  ThreadGuard guard(4);
-  const std::size_t n = 500;
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for_indexed(n, [&](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
+TEST(ForEachOrdered, SharedPoolTakesALaterWiderThreadCount) {
+  // The shared pool is created by the first parallel loop, here at two
+  // threads. A later, wider setting must still get its width: as many
+  // pumps as the host has cores (up to four) must run at once, which a
+  // pool sized at two would never allow — each pump would block in its
+  // compute until the deadline.
+  const unsigned parties =
+      std::clamp(std::thread::hardware_concurrency(), 2u, 4u);
+  ThreadGuard guard(2);
+  for_each_ordered(
+      8, [](std::size_t i) { return i; }, [](std::size_t, std::size_t) {});
+  set_threads(parties);
+  std::atomic<unsigned> arrived{0};
+  std::vector<bool> met;
+  for_each_ordered(
+      parties,
+      [&](std::size_t) {
+        ++arrived;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (arrived.load() < parties &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        return arrived.load() >= parties;
+      },
+      [&](std::size_t, bool all) { met.push_back(all); });
+  ASSERT_EQ(met.size(), parties);
+  for (const bool all : met) EXPECT_TRUE(all);
+}
+
+TEST(Team, IndexRunsOnTheSameMemberEveryRun) {
+  Team team(3);
+  EXPECT_EQ(team.size(), 3u);
+  const std::size_t n = 10;
+  std::vector<std::thread::id> first(n);
+  team.run(n, [&](std::size_t i) { first[i] = std::this_thread::get_id(); });
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(first[i], first[i % 3]) << "index " << i;
+  }
+  EXPECT_EQ(first[0], std::this_thread::get_id());  // member 0 = caller
+  EXPECT_NE(first[1], first[0]);
+  EXPECT_NE(first[2], first[0]);
+  EXPECT_NE(first[2], first[1]);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::thread::id> again(n);
+    team.run(n, [&](std::size_t i) { again[i] = std::this_thread::get_id(); });
+    EXPECT_EQ(again, first);
+  }
+}
+
+TEST(Team, OnWorkerIsTrueInEveryShareIncludingTheCaller) {
+  Team team(4);
+  std::vector<int> on_worker(9, -1);
+  team.run(on_worker.size(), [&](std::size_t i) {
+    on_worker[i] = ThreadPool::on_worker() ? 1 : 0;
+  });
+  for (const int v : on_worker) EXPECT_EQ(v, 1);
+  EXPECT_FALSE(ThreadPool::on_worker());
+}
+
+TEST(Team, RethrowsTheLowestThrowingIndexThenRunsAgain) {
+  Team team(4);
+  // Members 1, 2 and 3 each throw, at indices 9, 6 and 3; the lowest
+  // index wins whatever order the members finish in.
+  for (int round = 0; round < 20; ++round) {
+    try {
+      team.run(12, [](std::size_t i) {
+        if (i == 3 || i == 6 || i == 9) {
+          throw std::runtime_error(std::to_string(i));
+        }
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "3");
+    }
+  }
+  std::vector<std::atomic<int>> hits(12);
+  team.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Team, SingleMemberRunsEverythingOnTheCaller) {
+  Team team(1);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  team.run(5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(Team, ReportsMemberAndBarrierTimes) {
+  Team team(2);
+  const Team::Timing timing = team.run(2, [](std::size_t i) {
+    if (i == 1) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  EXPECT_GE(timing.busy_max, std::chrono::milliseconds(20));
+  EXPECT_GE(timing.busy_sum, timing.busy_max);
+  // Member 0's share is empty, so the caller waits out member 1's sleep.
+  EXPECT_GE(timing.caller_wait, std::chrono::milliseconds(15));
 }
 
 TEST(Configure, SetThreadsOverridesAndZeroMeansOne) {
