@@ -7,6 +7,7 @@
 // the timer-queue costs the live pump loop pays.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "core/lp_schedule.hpp"
@@ -280,6 +281,45 @@ void BM_SipHash(benchmark::State& state) {
                           static_cast<std::int64_t>(len));
 }
 BENCHMARK(BM_SipHash)->Arg(16)->Arg(256)->Arg(1486);
+
+// Four messages per siphash24_lanes call on one forced kernel tier: a
+// 24 B-payload share frame (40 B), a 128 B one with session header
+// (152 B) and a 1470 B one (1494 B). Registered as
+// BM_SipHashLanes/<tier>/<len> for every tier this host supports.
+void BM_SipHashLanes(benchmark::State& state, crypto::LaneKernel tier,
+                     std::size_t len) {
+  Rng rng(35);
+  std::vector<std::vector<std::uint8_t>> bufs(4, std::vector<std::uint8_t>(len));
+  for (auto& b : bufs) rng.fill(b);
+  const std::vector<std::span<const std::uint8_t>> msgs(bufs.begin(),
+                                                        bufs.end());
+  crypto::SipHashKey key{};
+  for (auto& b : key) b = rng.byte();
+  std::vector<std::uint64_t> out(msgs.size());
+  for (auto _ : state) {
+    crypto::siphash24_lanes(tier, msgs, key, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(msgs.size() * len));
+  state.SetLabel(crypto::lane_kernel_name(tier));
+}
+
+const bool kSipHashLanesRegistered = [] {
+  for (const auto tier : {crypto::LaneKernel::Portable,
+                          crypto::LaneKernel::Avx2}) {
+    if (!crypto::lane_kernel_supported(tier)) continue;
+    for (const std::size_t len : {std::size_t{40}, std::size_t{152},
+                                  std::size_t{1494}}) {
+      const std::string name = std::string("BM_SipHashLanes/") +
+                               crypto::lane_kernel_name(tier) + "/" +
+                               std::to_string(len);
+      benchmark::RegisterBenchmark(name.c_str(), BM_SipHashLanes, tier, len);
+    }
+  }
+  return true;
+}();
 
 void BM_HmmForwardFilter(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));

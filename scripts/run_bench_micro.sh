@@ -5,8 +5,10 @@
 #   scripts/run_bench_micro.sh [build-dir] [output-json]
 #
 # The script runs the kernel + Shamir benchmarks (the hot path the
-# region-arithmetic layer optimizes) and the timer-queue cases (next
-# deadline and schedule/cancel with 1k..1M armed timers), reduces
+# region-arithmetic layer optimizes), the SipHash tag cases (scalar
+# BM_SipHash and the per-tier BM_SipHashLanes, four messages per pass)
+# and the timer-queue cases (next deadline and schedule/cancel with
+# 1k..1M armed timers), reduces
 # google-benchmark's JSON to
 # a compact {name: {ns, mb_per_s}} map, and merges it into the output
 # file under "current" while preserving the committed "baseline" block
@@ -27,7 +29,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 "$bench_bin" \
-  --benchmark_filter='BM_Gf|BM_RngFill|BM_Shamir(Split|Reconstruct)|BM_XorSplit|BM_TimerQueue' \
+  --benchmark_filter='BM_Gf|BM_RngFill|BM_Shamir(Split|Reconstruct)|BM_XorSplit|BM_SipHash|BM_SipHashLanes|BM_TimerQueue' \
   --benchmark_format=json >"$raw"
 
 python3 - "$raw" "$out" <<'PY'

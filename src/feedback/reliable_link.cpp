@@ -34,16 +34,20 @@ ReliableLink::ReliableLink(net::Simulator& sim, proto::Sender& sender,
     manager_.set_link_map(config_.channel_link_masks);
   }
 
-  // Receiver side: tap each forward channel for per-channel counters
-  // (classifying arrivals the way the receiver will), then reassemble.
+  // Receiver side: tap each forward channel for per-channel counters,
+  // then reassemble. Each frame is parsed and (keyed) authenticated once,
+  // under the receiver's key, before it is counted: a forged frame is
+  // undecodable, and the receiver takes the same verdict and view.
   for (std::size_t i = 0; i < forward_.size(); ++i) {
     MCSS_ENSURE(forward_[i] != nullptr, "null forward channel");
     forward_[i]->set_receiver([this, i](std::vector<std::uint8_t> frame) {
-      std::size_t consumed = 0;
-      const bool decodable =
-          proto::decode_prefix(frame, &consumed).has_value();
-      builder_.on_channel_frame(i, decodable);
-      receiver_.on_frame(std::move(frame));
+      const std::span<const std::uint8_t> raw(frame);
+      proto::FrameView view;
+      proto::DecodeStatus status = proto::DecodeStatus::Ok;
+      proto::decode_views({&raw, 1}, receiver_.auth_key(), {&view, 1},
+                          {&status, 1});
+      builder_.on_channel_frame(i, status == proto::DecodeStatus::Ok);
+      receiver_.on_frame(status, view);
     });
   }
   receiver_.set_deliver(

@@ -86,25 +86,32 @@ void Receiver::attach(net::ChannelPort& channel) {
 }
 
 void Receiver::on_frame(std::span<const std::uint8_t> raw) {
+  FrameView view;
+  DecodeStatus status = DecodeStatus::Ok;
+  decode_views({&raw, 1}, auth_key(), {&view, 1}, {&status, 1});
+  on_frame(status, view);
+}
+
+void Receiver::on_frame(DecodeStatus status, const FrameView& view) {
   ++stats_.frames_received;
-  DecodeStatus decode_status = DecodeStatus::Ok;
-  // Zero-copy parse: the payload stays a span into `raw` and is copied
-  // exactly once, straight into the partial's storage, on append.
-  const auto frame = decode_view(
-      raw, config_.auth_key ? &*config_.auth_key : nullptr, &decode_status);
-  if (!frame) {
-    if (decode_status == DecodeStatus::AuthFailed) {
+  if (status == DecodeStatus::Ok && config_.auth_key && !view.authenticated) {
+    status = DecodeStatus::AuthFailed;
+  }
+  if (status != DecodeStatus::Ok) {
+    if (status == DecodeStatus::AuthFailed) {
       ++stats_.auth_failures;
     } else {
       ++stats_.malformed_frames;
     }
     return;
   }
-  const std::uint64_t id = frame->packet_id;
+  // Zero-copy: the payload is a span into the caller's buffer, copied
+  // exactly once, straight into the partial's storage, on append.
+  const std::uint64_t id = view.packet_id;
   if (obs::trace_enabled()) {
     // Ends the span the sender opened when it enqueued this share.
     obs::Tracer::global().async_end(
-        "share", "share", obs::share_span_id(id, frame->share_index),
+        "share", "share", obs::share_span_id(id, view.share_index),
         sim_.now());
   }
   if (completed_.contains(id)) {
@@ -114,31 +121,31 @@ void Receiver::on_frame(std::span<const std::uint8_t> raw) {
 
   auto it = partials_.find(id);
   if (it == partials_.end()) {
-    if (!make_room(frame->payload.size(), std::nullopt)) {
+    if (!make_room(view.payload.size(), std::nullopt)) {
       ++stats_.shares_dropped_memory;
       return;
     }
     Partial partial;
-    partial.k = frame->k;
-    partial.generation = frame->generation;
-    partial.share_size = frame->payload.size();
+    partial.k = view.k;
+    partial.generation = view.generation;
+    partial.share_size = view.payload.size();
     partial.first_seen = sim_.now();
     it = partials_.emplace(id, std::move(partial)).first;
     init_storage(it->second);
     it->second.order_it = creation_order_.insert(creation_order_.end(), id);
     if (obs::trace_enabled()) {
       obs::Tracer::global().async_begin("reassembly", "receiver", id,
-                                        sim_.now(), "k", frame->k);
+                                        sim_.now(), "k", view.k);
     }
     arm_eviction_timer(id, it->second);
   }
 
   Partial& partial = it->second;
-  if (frame->generation != partial.generation) {
+  if (view.generation != partial.generation) {
     // RFC 1982 serial order on the 8-bit generation, so an ARQ session
     // surviving 255 re-splits wraps cleanly.
     const bool newer =
-        static_cast<std::uint8_t>(frame->generation - partial.generation) <
+        static_cast<std::uint8_t>(view.generation - partial.generation) <
         0x80;
     if (!newer) {
       ++stats_.stale_generation_shares;
@@ -153,19 +160,19 @@ void Receiver::on_frame(std::span<const std::uint8_t> raw) {
     partial.shares.clear();
     partial.slot.reset();
     partial.count = 0;
-    partial.k = frame->k;
-    partial.generation = frame->generation;
-    partial.share_size = frame->payload.size();
+    partial.k = view.k;
+    partial.generation = view.generation;
+    partial.share_size = view.payload.size();
     partial.first_seen = sim_.now();
     init_storage(partial);
     ++stats_.partials_superseded;
     arm_eviction_timer(id, partial);
   }
-  if (frame->k != partial.k || frame->payload.size() != partial.share_size) {
+  if (view.k != partial.k || view.payload.size() != partial.share_size) {
     ++stats_.conflicting_metadata;
     return;
   }
-  if (has_share(partial, frame->share_index)) {
+  if (has_share(partial, view.share_index)) {
     ++stats_.duplicate_shares;
     return;
   }
@@ -174,12 +181,12 @@ void Receiver::on_frame(std::span<const std::uint8_t> raw) {
   // existing packet accumulating shares grows buffered_bytes_ all the
   // same. The partial being extended is never its own victim; if even
   // evicting everything else cannot fit the share, drop the share.
-  if (!make_room(frame->payload.size(), id)) {
+  if (!make_room(view.payload.size(), id)) {
     ++stats_.shares_dropped_memory;
     return;
   }
-  buffered_bytes_ += frame->payload.size();
-  append_share(partial, frame->share_index, frame->payload);
+  buffered_bytes_ += view.payload.size();
+  append_share(partial, view.share_index, view.payload);
   if (partial.count >= partial.k) {
     complete(id, partial);
   }

@@ -23,6 +23,7 @@
 #include "net/channel_port.hpp"
 #include "net/cpu_model.hpp"
 #include "net/simulator.hpp"
+#include "protocol/wire.hpp"
 #include "sss/share.hpp"
 #include "util/frame_pool.hpp"
 
@@ -105,11 +106,21 @@ class Receiver {
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
-  /// Feed one raw frame viewed in place — the live transport's batched
-  /// RX path hands spans into pool-backed receive slots, and only the
-  /// share payload the receiver actually retains is copied (into the
-  /// reassembly partial, by decode). The span need not outlive the call.
+  /// Feed one raw frame viewed in place: decode_view() under the
+  /// receiver's key (the batch-of-one decode), then the decoded overload
+  /// below. The simulator's path; the span need not outlive the call.
   void on_frame(std::span<const std::uint8_t> frame);
+
+  /// Feed one frame decode_views() already framed and, under this
+  /// receiver's key, authenticated — the live endpoints' path, where one
+  /// lane pass verifies a whole receive batch and each frame is parsed
+  /// once. `status` is that decode's verdict: failures are counted here
+  /// (malformed / auth) and touch nothing else. A keyed receiver counts
+  /// an Ok view that carries no verified tag as an auth failure, so a
+  /// keyless decode can never hand it a frame. Only the share payload
+  /// the receiver retains is copied (into the reassembly partial); the
+  /// view need not outlive the call.
+  void on_frame(DecodeStatus status, const FrameView& frame);
 
   /// Owning-buffer convenience (the attach() path; public for tests).
   void on_frame(std::vector<std::uint8_t> frame) {
@@ -117,6 +128,12 @@ class Receiver {
   }
 
   [[nodiscard]] const ReceiverStats& stats() const noexcept { return stats_; }
+  /// The key frames must be authenticated under before they reach this
+  /// receiver (the key batch decoders pass to decode_views); null when
+  /// unkeyed.
+  [[nodiscard]] const crypto::SipHashKey* auth_key() const noexcept {
+    return config_.auth_key ? &*config_.auth_key : nullptr;
+  }
 
   /// Publish this receiver's stats into the registry (end-of-run hook).
   void publish_metrics(obs::Registry& registry) const;

@@ -1,5 +1,7 @@
 #include "protocol/wire.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "util/ensure.hpp"
@@ -19,6 +21,10 @@ namespace {
   }
   return v;
 }
+
+/// Frames per lane pass in seal_frames/decode_views: stack scratch, with
+/// longer batches run in chunks of this many.
+constexpr std::size_t kLaneBatch = 32;
 
 template <typename T>
 std::optional<T> fail(DecodeStatus* status, DecodeStatus why) {
@@ -78,12 +84,28 @@ std::size_t encode_header_into(const FrameMeta& meta, std::size_t payload_len,
   return at;
 }
 
+void seal_frames(std::span<const std::span<std::uint8_t>> frames,
+                 const crypto::SipHashKey& key) {
+  std::array<std::span<const std::uint8_t>, kLaneBatch> bodies;
+  std::array<std::uint64_t, kLaneBatch> tags;
+  for (std::size_t base = 0; base < frames.size(); base += kLaneBatch) {
+    const std::size_t n = std::min(kLaneBatch, frames.size() - base);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto frame = frames[base + i];
+      MCSS_ENSURE(frame.size() >= kHeaderSize + kTagSize,
+                  "seal_frames needs full keyed frames");
+      bodies[i] = frame.first(frame.size() - kTagSize);
+    }
+    crypto::siphash24_lanes(std::span(bodies).first(n), key,
+                            std::span(tags).first(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      crypto::store_tag(tags[i], frames[base + i].data() + bodies[i].size());
+    }
+  }
+}
+
 void seal_frame(std::span<std::uint8_t> dst, const crypto::SipHashKey& key) {
-  MCSS_ENSURE(dst.size() >= kHeaderSize + kTagSize,
-              "seal_frame needs a full keyed frame");
-  const std::size_t at = dst.size() - kTagSize;
-  const auto tag = crypto::siphash24_tag(dst.first(at), key);
-  std::memcpy(dst.data() + at, tag.data(), tag.size());
+  seal_frames({&dst, 1}, key);
 }
 
 std::size_t encode_into(const ShareFrame& frame, std::span<std::uint8_t> dst,
@@ -141,68 +163,112 @@ std::optional<std::size_t> frame_extent(
   return expected;
 }
 
+namespace {
+
+/// The MAC half of decode_views: every frame still Ok after framing
+/// carries a tag (untagged ones already failed), verified in one lane
+/// pass per kLaneBatch frames.
+void verify_tags(std::span<const std::span<const std::uint8_t>> frames,
+                 const crypto::SipHashKey& key, std::span<FrameView> views,
+                 std::span<DecodeStatus> status) {
+  std::array<std::span<const std::uint8_t>, kLaneBatch> bodies;
+  std::array<std::size_t, kLaneBatch> owner;
+  std::array<std::uint64_t, kLaneBatch> tags;
+  std::size_t queued = 0;
+  const auto verify = [&] {
+    crypto::siphash24_lanes(std::span(bodies).first(queued), key,
+                            std::span(tags).first(queued));
+    for (std::size_t j = 0; j < queued; ++j) {
+      std::array<std::uint8_t, kTagSize> computed;
+      crypto::store_tag(tags[j], computed.data());
+      const auto frame = frames[owner[j]];
+      if (crypto::tag_equal(computed, frame.subspan(bodies[j].size()))) {
+        views[owner[j]].authenticated = true;
+      } else {
+        status[owner[j]] = DecodeStatus::AuthFailed;
+      }
+    }
+    queued = 0;
+  };
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (status[i] != DecodeStatus::Ok) continue;
+    bodies[queued] = frames[i].first(frames[i].size() - kTagSize);
+    owner[queued] = i;
+    if (++queued == kLaneBatch) verify();
+  }
+  if (queued > 0) verify();
+}
+
+}  // namespace
+
+void decode_views(std::span<const std::span<const std::uint8_t>> frames,
+                  const crypto::SipHashKey* key, std::span<FrameView> views,
+                  std::span<DecodeStatus> status) {
+  MCSS_ENSURE(views.size() == frames.size() && status.size() == frames.size(),
+              "decode_views needs one view and one status per frame");
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto buf = frames[i];
+    FrameView& view = views[i];
+    view = FrameView{};
+    // Framing (magic, version, k/index, flags, lengths, canonical
+    // generation/connection) is frame_extent's single source of truth;
+    // strict mode adds that the frame fills the buffer exactly.
+    const auto extent = frame_extent(buf);
+    if (!extent || *extent != buf.size()) {
+      status[i] = DecodeStatus::Malformed;
+      continue;
+    }
+    status[i] = DecodeStatus::Ok;
+    view.k = buf[3];
+    view.packet_id = get64(buf, 4);
+    view.share_index = buf[12];
+    const std::uint8_t flags = buf[13];
+    // Extension bytes between header and payload (retransmissions carry
+    // a generation; multiplexed flows carry a connection id).
+    const std::size_t ext = (flags & kFlagGeneration) != 0 ? 1 : 0;
+    const std::size_t cid =
+        (flags & kFlagConnectionId) != 0 ? kConnectionIdSize : 0;
+    const std::size_t len = get16(buf, 14);
+    if (ext != 0) view.generation = buf[kHeaderSize];
+    if (cid != 0) {
+      std::uint32_t id = 0;
+      for (int b = 3; b >= 0; --b) {
+        id = (id << 8) | buf[kHeaderSize + ext + static_cast<std::size_t>(b)];
+      }
+      view.connection_id = id;
+    }
+    view.payload = buf.subspan(kHeaderSize + ext + cid, len);
+    // A keyed decoder refuses unauthenticated frames outright.
+    if (key != nullptr && (flags & kFlagAuthenticated) == 0) {
+      status[i] = DecodeStatus::AuthFailed;
+    }
+  }
+  // Without a key a tag is parsed past, not checked (passive observation
+  // tooling; the keyed path is what the protocol itself uses).
+  if (key != nullptr) verify_tags(frames, *key, views, status);
+}
+
+std::optional<FrameView> decode_view(std::span<const std::uint8_t> buf,
+                                     const crypto::SipHashKey* key,
+                                     DecodeStatus* status) {
+  FrameView view;
+  DecodeStatus why = DecodeStatus::Ok;
+  decode_views({&buf, 1}, key, {&view, 1}, {&why, 1});
+  if (status != nullptr) *status = why;
+  if (why != DecodeStatus::Ok) return std::nullopt;
+  return view;
+}
+
 std::optional<FrameView> decode_prefix_view(std::span<const std::uint8_t> buf,
                                             std::size_t* consumed,
                                             const crypto::SipHashKey* key,
                                             DecodeStatus* status) {
   MCSS_ENSURE(consumed != nullptr, "decode_prefix needs a consumed out-param");
   *consumed = 0;
-  if (status != nullptr) *status = DecodeStatus::Ok;
-  // Framing (magic, version, k/index, flags, lengths, canonical
-  // generation/connection) is frame_extent's single source of truth;
-  // this function adds authentication and field extraction on top.
   const auto extent = frame_extent(buf);
   if (!extent) return fail<FrameView>(status, DecodeStatus::Malformed);
-
-  FrameView view;
-  view.k = buf[3];
-  view.packet_id = get64(buf, 4);
-  view.share_index = buf[12];
-  const std::uint8_t flags = buf[13];
-  const bool authenticated = (flags & kFlagAuthenticated) != 0;
-  // Extension bytes between header and payload (retransmissions carry a
-  // generation; multiplexed flows carry a connection id).
-  const std::size_t ext = (flags & kFlagGeneration) != 0 ? 1 : 0;
-  const std::size_t cid =
-      (flags & kFlagConnectionId) != 0 ? kConnectionIdSize : 0;
-  const std::size_t len = get16(buf, 14);
-  const std::size_t body = kHeaderSize + ext + cid + len;
-  if (ext != 0) view.generation = buf[kHeaderSize];
-  if (cid != 0) {
-    std::uint32_t id = 0;
-    for (int i = 3; i >= 0; --i) {
-      id = (id << 8) | buf[kHeaderSize + ext + static_cast<std::size_t>(i)];
-    }
-    view.connection_id = id;
-  }
-
-  if (key != nullptr) {
-    // A keyed receiver refuses unauthenticated frames outright.
-    if (!authenticated) return fail<FrameView>(status, DecodeStatus::AuthFailed);
-    const auto computed = crypto::siphash24_tag(buf.first(body), *key);
-    if (!crypto::tag_equal(computed, buf.subspan(body, kTagSize))) {
-      return fail<FrameView>(status, DecodeStatus::AuthFailed);
-    }
-  } else if (authenticated) {
-    // Tag present but no key to check it: parse the frame, ignore the tag.
-    // (Useful for passive observation tooling; the keyed path is what the
-    // protocol itself uses.)
-  }
-
-  view.payload = buf.subspan(kHeaderSize + ext + cid, len);
-  *consumed = *extent;
-  return view;
-}
-
-std::optional<FrameView> decode_view(std::span<const std::uint8_t> buf,
-                                     const crypto::SipHashKey* key,
-                                     DecodeStatus* status) {
-  std::size_t consumed = 0;
-  auto view = decode_prefix_view(buf, &consumed, key, status);
-  if (view && consumed != buf.size()) {
-    // Strict mode: trailing bytes after the one frame are a malformation.
-    return fail<FrameView>(status, DecodeStatus::Malformed);
-  }
+  auto view = decode_view(buf.first(*extent), key, status);
+  if (view) *consumed = *extent;
   return view;
 }
 

@@ -97,6 +97,9 @@ struct FrameView {
   std::uint8_t generation = 0;
   std::uint32_t connection_id = 0;
   std::span<const std::uint8_t> payload;
+  /// True when the frame's tag was verified under a key (decode with a
+  /// key and status Ok); a keyed Receiver refuses views without it.
+  bool authenticated = false;
 };
 
 /// Serialize a share frame. Throws PreconditionError when the payload
@@ -136,13 +139,20 @@ struct FrameMeta {
 /// Write the header (and generation byte) of a frame into `dst` and
 /// return the offset where the caller must place `payload_len` payload
 /// bytes. `dst` must hold the full encoded_size(); in keyed mode the
-/// caller finishes the frame with seal_frame() AFTER the payload is in
+/// caller finishes the frame with seal_frames() AFTER the payload is in
 /// place — the tag covers it.
 std::size_t encode_header_into(const FrameMeta& meta, std::size_t payload_len,
                                std::span<std::uint8_t> dst, bool keyed);
 
-/// Compute the SipHash tag over everything before the trailing kTagSize
-/// bytes of `dst` (the complete frame) and write it there.
+/// Seal a batch of complete keyed frames: compute each frame's SipHash
+/// tag over everything before its trailing kTagSize bytes and write it
+/// there. One crypto::siphash24_lanes() pass tags the whole batch (a
+/// packet's m equal-size shares fill the lanes exactly); every tag is
+/// byte-identical to scalar siphash24 over that frame's body.
+void seal_frames(std::span<const std::span<std::uint8_t>> frames,
+                 const crypto::SipHashKey& key);
+
+/// seal_frames() on a batch of one.
 void seal_frame(std::span<std::uint8_t> dst, const crypto::SipHashKey& key);
 
 enum class DecodeStatus {
@@ -187,8 +197,20 @@ enum class DecodeStatus {
     std::span<const std::uint8_t> buf, std::size_t* consumed,
     const crypto::SipHashKey* key = nullptr, DecodeStatus* status = nullptr);
 
-/// Strict zero-copy decode: exactly one frame in `buf` (trailing bytes
-/// are a malformation), payload viewed in place.
+/// Batch decode, the live receive path: frames[i] must hold exactly one
+/// frame (trailing bytes are a malformation); views[i] gets its fields
+/// with the payload viewed in place and status[i] the verdict. views[i]
+/// is meaningful only where status[i] is Ok. Framing runs first, then
+/// every keyed frame of the batch is authenticated in one
+/// crypto::siphash24_lanes() pass, so a tampered, truncated,
+/// unauthenticated or wrong-key frame fails alone and its neighbours
+/// still decode. views and status must be frames.size() long.
+void decode_views(std::span<const std::span<const std::uint8_t>> frames,
+                  const crypto::SipHashKey* key, std::span<FrameView> views,
+                  std::span<DecodeStatus> status);
+
+/// decode_views() on a batch of one: strict zero-copy decode of exactly
+/// one frame in `buf`.
 [[nodiscard]] std::optional<FrameView> decode_view(
     std::span<const std::uint8_t> buf, const crypto::SipHashKey* key = nullptr,
     DecodeStatus* status = nullptr);
@@ -198,7 +220,8 @@ enum class DecodeStatus {
 /// frame extent (header + extension + payload + tag) WITHOUT copying the
 /// payload or checking authentication. This is the datagram-split
 /// primitive for the batched live transport: splitting a coalesced
-/// datagram must not allocate, and auth stays the keyed Receiver's job.
+/// datagram must not allocate, and the endpoint authenticates the split
+/// frames afterwards, a receive batch at a time, with decode_views().
 /// nullopt when the head is not a complete well-formed frame.
 [[nodiscard]] std::optional<std::size_t> frame_extent(
     std::span<const std::uint8_t> buf) noexcept;

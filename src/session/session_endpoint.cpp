@@ -72,6 +72,13 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
   }
   budget_bytes_per_s_ *= config_.limits.admission_headroom;
 
+  // Every flow's receiver is keyed alike (a caller-set receiver key wins
+  // over the wire key), so one key authenticates whole receive batches
+  // before the demux.
+  rx_key_ = config_.receiver.auth_key ? config_.receiver.auth_key
+                                      : config_.auth_key;
+  rx_views_.reserve(config_.recv_batch * transport::UdpChannel::kFramesPerSlot);
+  rx_status_.reserve(rx_views_.capacity());
   channels_.reserve(config_.channels.size());
   write_interest_.assign(config_.channels.size(), false);
   for (std::size_t i = 0; i < config_.channels.size(); ++i) {
@@ -83,9 +90,10 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
     auto ch = std::make_unique<transport::UdpChannel>(
         spec.config, rng_.fork(), timeline_, *pool_, port, spec.name,
         config_.max_datagram_bytes, config_.send_batch, config_.recv_batch);
-    ch->set_on_frame([this, i](std::span<const std::uint8_t> frame) {
-      on_share_frame(i, frame);
-    });
+    ch->set_on_batch(
+        [this, i](std::span<const std::span<const std::uint8_t>> frames) {
+          on_share_batch(i, frames);
+        });
     poller_.add(ch->rx_fd(), /*want_read=*/true, /*want_write=*/false);
     poller_.add(ch->tx_fd(), /*want_read=*/false, /*want_write=*/false);
     fd_to_channel_[ch->rx_fd()] = i;
@@ -103,9 +111,12 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
         config_.reliability.feedback_channel, rng_.fork(), timeline_, *pool_,
         fb_port, "feedback", config_.max_datagram_bytes, config_.send_batch,
         config_.recv_batch);
-    feedback_ch_->set_on_frame([this](std::span<const std::uint8_t> datagram) {
-      on_feedback_datagram(datagram, now_ns());
-    });
+    feedback_ch_->set_on_batch(
+        [this](std::span<const std::span<const std::uint8_t>> datagrams) {
+          for (const auto datagram : datagrams) {
+            on_feedback_datagram(datagram, now_ns());
+          }
+        });
     poller_.add(feedback_ch_->rx_fd(), /*want_read=*/true,
                 /*want_write=*/false);
     poller_.add(feedback_ch_->tx_fd(), /*want_read=*/false,
@@ -197,7 +208,7 @@ std::optional<std::uint32_t> SessionEndpoint::open_flow(
   proto::ReceiverConfig rc = config_.receiver;
   rc.memory_limit_bytes = config_.limits.per_flow_memory_bytes;
   rc.arena = pool_.get();
-  if (config_.auth_key && !rc.auth_key) rc.auth_key = config_.auth_key;
+  rc.auth_key = rx_key_;
 
   auto flow = std::make_unique<Flow>(
       cid, params, price, timeline_, std::move(rc),
@@ -421,9 +432,17 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
   }
   if (fast) {
     sss::split_into(payload, k, tx_spans_, split_scratch_, rng_);
+    if (keyed) {
+      // As LiveEndpoint::dispatch: the payload windows are spent, the
+      // vector now names the m whole frames, one lane pass tags them.
+      for (int j = 0; j < m; ++j) {
+        const auto idx = static_cast<std::size_t>(j);
+        tx_spans_[idx] = tx_slots_[idx].span();
+      }
+      proto::seal_frames(tx_spans_, *config_.auth_key);
+    }
     for (int j = 0; j < m; ++j) {
       const auto idx = static_cast<std::size_t>(j);
-      if (keyed) proto::seal_frame(tx_slots_[idx].span(), *config_.auth_key);
       const auto ch = static_cast<std::size_t>(decision.channels[idx]);
       ++flow.sender_stats.shares_sent;
       if (!channels_[ch]->try_send(std::move(tx_slots_[idx]), now)) {
@@ -555,32 +574,43 @@ void SessionEndpoint::arm_rto(Flow& flow) {
   });
 }
 
-void SessionEndpoint::on_share_frame(std::size_t channel,
-                                     std::span<const std::uint8_t> frame) {
-  proto::DecodeStatus status = proto::DecodeStatus::Ok;
-  // Framing-only peek (no key): route on the connection id, then let the
-  // owning flow's receiver do its own (keyed) decode and accounting.
-  const auto view = proto::decode_view(frame, nullptr, &status);
-  if (!view) {
-    ++stats_.frames_undecodable;
-    return;
+void SessionEndpoint::on_share_batch(
+    std::size_t channel, std::span<const std::span<const std::uint8_t>> frames) {
+  // One lane pass frames and authenticates the whole batch BEFORE the
+  // demux: the connection id is only trusted once its frame's tag is,
+  // so a forged frame reaches no flow — not its receiver, not its
+  // per-channel report counters.
+  rx_views_.resize(frames.size());
+  rx_status_.resize(frames.size());
+  proto::decode_views(frames, rx_key_ ? &*rx_key_ : nullptr, rx_views_,
+                      rx_status_);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (rx_status_[i] == proto::DecodeStatus::AuthFailed) {
+      ++stats_.frames_auth_failed;
+      continue;
+    }
+    if (rx_status_[i] != proto::DecodeStatus::Ok) {
+      ++stats_.frames_undecodable;
+      continue;
+    }
+    const proto::FrameView& view = rx_views_[i];
+    if (view.connection_id == 0) {
+      // The single-flow encoding has no owner here; a session endpoint
+      // drops it rather than guess (pre-session peers need LiveEndpoint).
+      ++stats_.frames_without_connection;
+      continue;
+    }
+    const auto it = flows_.find(view.connection_id);
+    if (it == flows_.end()) {
+      // Late shares of a closed flow, or an unknown id.
+      ++stats_.frames_unknown_connection;
+      continue;
+    }
+    Flow& flow = *it->second;
+    if (flow.builder) flow.builder->on_channel_frame(channel, true);
+    ++stats_.frames_demuxed;
+    flow.receiver.on_frame(rx_status_[i], view);
   }
-  if (view->connection_id == 0) {
-    // The single-flow encoding has no owner here; a session endpoint
-    // drops it rather than guess (pre-session peers need LiveEndpoint).
-    ++stats_.frames_without_connection;
-    return;
-  }
-  const auto it = flows_.find(view->connection_id);
-  if (it == flows_.end()) {
-    // Late shares of a closed flow, or a forged/unknown id.
-    ++stats_.frames_unknown_connection;
-    return;
-  }
-  Flow& flow = *it->second;
-  if (flow.builder) flow.builder->on_channel_frame(channel, true);
-  ++stats_.frames_demuxed;
-  flow.receiver.on_frame(frame);
 }
 
 void SessionEndpoint::on_delivered(std::uint32_t cid, std::uint64_t id,
@@ -876,6 +906,7 @@ void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
   add("mcss_session_queue_rejects", stats_.queue_rejects);
   add("mcss_session_frames_demuxed", stats_.frames_demuxed);
   add("mcss_session_frames_undecodable", stats_.frames_undecodable);
+  add("mcss_session_frames_auth_failed", stats_.frames_auth_failed);
   add("mcss_session_frames_without_connection",
       stats_.frames_without_connection);
   add("mcss_session_frames_unknown_connection",
@@ -906,6 +937,9 @@ void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
   // LiveEndpoint::publish_metrics.
   proto::SenderStats sender_total;
   proto::ReceiverStats receiver_total;
+  // The session authenticates for its receivers, so forgeries it drops
+  // count as receiver auth failures, as LiveEndpoint's receiver does.
+  receiver_total.auth_failures = stats_.frames_auth_failed;
   for (const auto& [cid, flow] : flows_) {
     (void)cid;
     const proto::SenderStats& s = flow->sender_stats;

@@ -156,13 +156,15 @@ struct SessionStats {
   std::uint64_t packets_sent = 0;
   std::uint64_t packets_delivered = 0;
   std::uint64_t queue_rejects = 0;  ///< send() on a full per-flow queue
-  /// RX demux outcomes. Frames whose head fails share framing cannot be
+  /// RX demux outcomes. Frames that fail share framing (undecodable) or,
+  /// keyed, authentication (auth_failed: a bad or missing tag) cannot be
   /// attributed to any flow and are counted here only; frames without a
   /// connection id (the single-flow encoding) and frames for ids not in
-  /// the table (late shares of a closed flow, or forgeries) are dropped
-  /// before any receiver sees them.
+  /// the table (late shares of a closed flow, or unkeyed forgeries) are
+  /// dropped before any receiver sees them.
   std::uint64_t frames_demuxed = 0;
   std::uint64_t frames_undecodable = 0;
+  std::uint64_t frames_auth_failed = 0;
   std::uint64_t frames_without_connection = 0;
   std::uint64_t frames_unknown_connection = 0;
   /// Feedback demux outcomes, same policy as frames.
@@ -248,6 +250,10 @@ class SessionEndpoint {
   [[nodiscard]] const transport::Poller& poller() const noexcept {
     return poller_;
   }
+  /// Share channel i (test hook: its RX port takes injected frames).
+  [[nodiscard]] const transport::UdpChannel& channel(std::size_t i) const {
+    return *channels_.at(i);
+  }
 
   /// Per-flow introspection for tests and benches; null/0 when `cid` is
   /// not an open flow.
@@ -316,7 +322,11 @@ class SessionEndpoint {
                 const proto::ShareDecision& decision, std::int64_t now);
   void resend(std::uint32_t cid, std::uint64_t id, std::uint8_t generation,
               const std::vector<std::uint8_t>& payload, int k);
-  void on_share_frame(std::size_t channel, std::span<const std::uint8_t> frame);
+  /// One receive batch from share channel `channel`: decode and
+  /// authenticate it in one lane pass, then demux each verified frame
+  /// to its flow's receiver.
+  void on_share_batch(std::size_t channel,
+                      std::span<const std::span<const std::uint8_t>> frames);
   void on_delivered(std::uint32_t cid, std::uint64_t id,
                     std::vector<std::uint8_t> payload);
   /// (Re)arm the flow's RTO timer at its manager's next deadline;
@@ -397,6 +407,12 @@ class SessionEndpoint {
   std::vector<std::span<std::uint8_t>> tx_spans_;
   std::vector<std::uint8_t> split_scratch_;
   std::vector<std::uint8_t> report_datagram_;
+  /// Key every flow's receiver carries; receive batches are verified
+  /// under it before the demux. Unset = unkeyed.
+  std::optional<crypto::SipHashKey> rx_key_;
+  /// Receive-batch decode results, reserved for the largest batch.
+  std::vector<proto::FrameView> rx_views_;
+  std::vector<proto::DecodeStatus> rx_status_;
 
   /// Destroyed FIRST (declared last): per-flow receivers release arena
   /// slots into pool_ and cancel their eviction timers while timeline_

@@ -106,6 +106,8 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
         if (deliver_) deliver_(id, std::move(payload));
       });
 
+  rx_views_.reserve(config_.recv_batch * UdpChannel::kFramesPerSlot);
+  rx_status_.reserve(rx_views_.capacity());
   channels_.reserve(config_.channels.size());
   write_interest_.assign(config_.channels.size(), false);
   for (std::size_t i = 0; i < config_.channels.size(); ++i) {
@@ -117,18 +119,10 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
     auto ch = std::make_unique<UdpChannel>(
         spec.config, rng_.fork(), timeline_, *pool_, port, spec.name,
         config_.max_datagram_bytes, config_.send_batch, config_.recv_batch);
-    ch->set_on_frame([this, i](std::span<const std::uint8_t> frame) {
-      if (builder_) {
-        // Classify for the per-channel report counters the way the
-        // receiver will: a parseable head is a share frame, anything
-        // else is an undecodable blob the channel mangled.
-        builder_->on_channel_frame(i,
-                                   proto::frame_extent(frame).has_value());
-      }
-      // Span straight from the receive slot: the receiver copies only
-      // the share payload it retains.
-      receiver_.on_frame(frame);
-    });
+    ch->set_on_batch(
+        [this, i](std::span<const std::span<const std::uint8_t>> frames) {
+          on_share_batch(i, frames);
+        });
     poller_.add(ch->rx_fd(), /*want_read=*/true, /*want_write=*/false);
     poller_.add(ch->tx_fd(), /*want_read=*/false, /*want_write=*/false);
     fd_to_channel_[ch->rx_fd()] = i;
@@ -161,13 +155,17 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
         config_.reliability.feedback_channel, rng_.fork(), timeline_, *pool_,
         fb_port, "feedback", config_.max_datagram_bytes, config_.send_batch,
         config_.recv_batch);
-    feedback_ch_->set_on_frame([this](std::span<const std::uint8_t> datagram) {
-      manager_->on_report_datagram(datagram, now_ns(),
-                                   config_.reliability.report_auth_key
-                                       ? &*config_.reliability.report_auth_key
-                                       : nullptr);
-      fold_closed();
-    });
+    feedback_ch_->set_on_batch(
+        [this](std::span<const std::span<const std::uint8_t>> datagrams) {
+          for (const auto datagram : datagrams) {
+            manager_->on_report_datagram(
+                datagram, now_ns(),
+                config_.reliability.report_auth_key
+                    ? &*config_.reliability.report_auth_key
+                    : nullptr);
+          }
+          fold_closed();
+        });
     poller_.add(feedback_ch_->rx_fd(), /*want_read=*/true,
                 /*want_write=*/false);
     poller_.add(feedback_ch_->tx_fd(), /*want_read=*/false,
@@ -361,9 +359,17 @@ void LiveEndpoint::dispatch(std::vector<std::uint8_t> payload,
   }
   if (fast) {
     sss::split_into(payload, k, tx_spans_, split_scratch_, rng_);
+    if (keyed) {
+      // The payload windows are spent: the same vector now names the m
+      // whole frames, and one lane pass tags them all.
+      for (int j = 0; j < m; ++j) {
+        const auto idx = static_cast<std::size_t>(j);
+        tx_spans_[idx] = tx_slots_[idx].span();
+      }
+      proto::seal_frames(tx_spans_, *config_.auth_key);
+    }
     for (int j = 0; j < m; ++j) {
       const auto idx = static_cast<std::size_t>(j);
-      if (keyed) proto::seal_frame(tx_slots_[idx].span(), *config_.auth_key);
       const auto ch_index =
           static_cast<std::size_t>(decision.channels[idx]);
       ++sender_stats_.shares_sent;
@@ -430,6 +436,23 @@ bool LiveEndpoint::encode_and_send(const proto::ShareFrame& frame,
   // never copied again until the kernel gathers them into a datagram.
   proto::encode_into(frame, slot.span(), key);
   return channel.try_send(std::move(slot), now);
+}
+
+void LiveEndpoint::on_share_batch(
+    std::size_t channel, std::span<const std::span<const std::uint8_t>> frames) {
+  rx_views_.resize(frames.size());
+  rx_status_.resize(frames.size());
+  proto::decode_views(frames, receiver_.auth_key(), rx_views_, rx_status_);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    // Credit the per-channel report counters only after authentication:
+    // a forged frame is undecodable, never a received share, so it
+    // cannot hide this channel's loss from the sender's estimate.
+    if (builder_) {
+      builder_->on_channel_frame(channel,
+                                 rx_status_[i] == proto::DecodeStatus::Ok);
+    }
+    receiver_.on_frame(rx_status_[i], rx_views_[i]);
+  }
 }
 
 void LiveEndpoint::update_write_interest() {

@@ -6,8 +6,8 @@
 // proto::Receiver. Source packets go scheduler -> sss::split ->
 // wire::encode -> UdpChannel::try_send; the pump loop parks in
 // Poller::wait until a socket turns readable/writable or the next timer
-// is due; received datagrams come back through wire::decode_prefix and
-// into the unmodified Receiver.
+// is due; each receive batch is framed and authenticated in one
+// wire::decode_views pass and fed frame by frame into the Receiver.
 //
 // Reusing the simulator's Receiver verbatim is deliberate — its
 // reassembly timeouts, memory cap, and duplicate suppression are the
@@ -203,6 +203,11 @@ class LiveEndpoint {
   void dispatch(std::vector<std::uint8_t> payload,
                 const proto::ShareDecision& decision, std::int64_t now);
   void handle_events(std::int64_t now);
+  /// One receive batch from share channel `channel`: decode and
+  /// authenticate it in one lane pass, then credit the per-channel
+  /// report counters and feed the receiver each frame's verdict.
+  void on_share_batch(std::size_t channel,
+                      std::span<const std::span<const std::uint8_t>> frames);
   void update_write_interest();
   /// Build, encode and send one report now.
   void send_report(std::int64_t now);
@@ -270,6 +275,9 @@ class LiveEndpoint {
   std::vector<util::FrameRef> tx_slots_;
   std::vector<std::span<std::uint8_t>> tx_spans_;
   std::vector<std::uint8_t> split_scratch_;
+  /// Receive-batch decode results, reserved for the largest batch.
+  std::vector<proto::FrameView> rx_views_;
+  std::vector<proto::DecodeStatus> rx_status_;
 };
 
 }  // namespace mcss::transport

@@ -93,6 +93,7 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng,
   tx_msgs_.resize(send_batch_);
   tx_takes_.resize(send_batch_);
   tx_iovs_.resize(ring_.size());
+  rx_frames_.reserve(recv_batch_ * kFramesPerSlot);
   if (recv_batch_ > 1) {
     rx_slots_.reserve(recv_batch_);
     rx_msgs_.resize(recv_batch_);
@@ -387,8 +388,10 @@ void UdpChannel::on_readable_batched() {
       if (n == 0) continue;  // zero-length datagram carries nothing
       ++stats_.datagrams_received;
       stats_.bytes_received += n;
-      split_and_forward({rx_slots_[i].data(), n});
+      split_into_batch({rx_slots_[i].data(), n});
     }
+    // The next recv_many refills these slots: the batch goes up now.
+    forward_batch();
     if (batch.completed < recv_batch_) return;  // queue drained mid-batch
   }
 }
@@ -412,31 +415,39 @@ void UdpChannel::on_readable_legacy() {
     if (n == 0) continue;
     ++stats_.datagrams_received;
     stats_.bytes_received += n;
-    split_and_forward({buf.data(), n});
+    split_into_batch({buf.data(), n});
+    forward_batch();
   }
 }
 
-void UdpChannel::split_and_forward(std::span<const std::uint8_t> datagram) {
+void UdpChannel::split_into_batch(std::span<const std::uint8_t> datagram) {
   // Split the datagram back into frames in place. Framing only (no key):
-  // the keyed proto::Receiver upstream re-decodes each frame and owns
-  // the malformed/auth-failure accounting, so a tampered frame is
-  // counted exactly once, by the component the tests assert on.
+  // the endpoint authenticates the whole batch afterwards and owns the
+  // malformed/auth-failure accounting, so a tampered frame is counted
+  // exactly once.
   std::span<const std::uint8_t> rest = datagram;
   while (!rest.empty()) {
+    if (rx_frames_.size() == rx_frames_.capacity()) forward_batch();
     const auto extent = proto::frame_extent(rest);
     if (extent.has_value()) {
       ++stats_.frames_forwarded;
-      if (on_frame_) on_frame_(rest.first(*extent));
+      rx_frames_.push_back(rest.first(*extent));
       rest = rest.subspan(*extent);
     } else {
-      // Undecodable head: forward the remainder whole so the receiver
+      // Undecodable head: forward the remainder whole so the endpoint
       // sees (and counts) the malformation, then move to the next
       // datagram — frame boundaries inside garbage are unknowable.
       ++stats_.unparsed_forwarded;
-      if (on_frame_) on_frame_(rest);
+      rx_frames_.push_back(rest);
       break;
     }
   }
+}
+
+void UdpChannel::forward_batch() {
+  if (rx_frames_.empty()) return;
+  if (on_batch_) on_batch_(rx_frames_);
+  rx_frames_.clear();
 }
 
 }  // namespace mcss::transport

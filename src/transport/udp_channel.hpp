@@ -20,9 +20,11 @@
 //     -> one recvmmsg(2) fills up to recv_batch persistent pool slots;
 //        repeat until the socket drains
 //     -> wire::frame_extent() splits each datagram back into frames IN
-//        PLACE (framing only, no copy), forwarding spans upward so a
-//        keyed proto::Receiver keeps sole authority over auth/malformed
-//        accounting and copies only the payloads it retains
+//        PLACE (framing only, no copy), and the frames of the whole
+//        recvmmsg go upward as ONE batch of spans, before the slots are
+//        reused: the endpoint authenticates the batch in one multi-lane
+//        SipHash pass (proto::decode_views) and its receivers copy only
+//        the payloads they retain
 //
 // After pool warmup the whole path — release, coalesce, sendmmsg,
 // recvmmsg, split, forward — performs zero heap allocations; the
@@ -73,12 +75,19 @@ struct UdpChannelStats {
 
 class UdpChannel {
  public:
-  /// Receives the raw bytes of one frame (or one undecodable datagram
-  /// tail) from the RX socket. The span views a pool receive slot and is
-  /// only valid for the duration of the call — consumers that retain
-  /// bytes must copy them (proto::Receiver copies exactly the payload it
-  /// stores, nothing else).
-  using FrameFn = std::function<void(std::span<const std::uint8_t>)>;
+  /// Receives one receive batch: the raw bytes of every frame (and every
+  /// undecodable datagram tail) split from the datagrams of one
+  /// recvmmsg, or from one datagram on the unbatched path. A recvmmsg
+  /// that splits into more than recv_batch * kFramesPerSlot frames
+  /// arrives as several calls. The spans view pool receive slots and are only valid
+  /// for the duration of the call (it fires before the slots are
+  /// reused) — consumers that retain bytes must copy them.
+  using BatchFn =
+      std::function<void(std::span<const std::span<const std::uint8_t>>)>;
+
+  /// Frames per batch callback, per pinned receive slot (a 1400-byte
+  /// datagram of 128-byte shares carries about ten).
+  static constexpr std::size_t kFramesPerSlot = 16;
 
   /// Binds the RX socket to 127.0.0.1:`rx_port` (0 = ephemeral) and
   /// connects an ephemeral TX socket to it. `rng` seeds the impairment's
@@ -97,7 +106,7 @@ class UdpChannel {
   UdpChannel& operator=(const UdpChannel&) = delete;
   ~UdpChannel();
 
-  void set_on_frame(FrameFn fn) { on_frame_ = std::move(fn); }
+  void set_on_batch(BatchFn fn) { on_batch_ = std::move(fn); }
 
   /// Offer a pool-backed frame at monotonic time `now_ns`. False = tail
   /// drop at the impairment queue (mirrors SimChannel::try_send).
@@ -183,7 +192,10 @@ class UdpChannel {
   void flush_legacy(std::int64_t now_ns);
   void on_readable_batched();
   void on_readable_legacy();
-  void split_and_forward(std::span<const std::uint8_t> datagram);
+  /// Split one datagram into frames, appending them to the pending batch.
+  void split_into_batch(std::span<const std::uint8_t> datagram);
+  /// Hand the pending batch upward and clear it.
+  void forward_batch();
   void arm_retry();
   void retire_front_frames(std::size_t frames, std::int64_t now_ns, bool sent);
   [[nodiscard]] Pending& ring_at(std::size_t i) noexcept {
@@ -199,7 +211,7 @@ class UdpChannel {
   net::Simulator& timeline_;
   util::FramePool& pool_;
   Impairment impair_;
-  FrameFn on_frame_;
+  BatchFn on_batch_;
 
   /// Frames released by the impairment, not yet accepted by the kernel.
   /// Fixed-capacity ring (bounded by pool capacity plus duplicates), so
@@ -217,6 +229,9 @@ class UdpChannel {
   std::vector<mmsghdr> rx_msgs_;
   std::vector<iovec> rx_iovs_;
   std::vector<util::FrameRef> rx_slots_;      ///< pool slots pinned for RX reuse
+  /// Frames split from the current receive batch; capacity fixed at
+  /// construction (full = forward early), so splitting never allocates.
+  std::vector<std::span<const std::uint8_t>> rx_frames_;
   std::vector<std::int64_t> last_flush_release_ns_;
 
   /// EAGAIN recovery: EPOLLOUT is the primary wake-up, but a timer

@@ -8,6 +8,7 @@
 #include <bit>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -729,7 +730,8 @@ struct ReliableTestbed {
   ReliableTestbed(std::vector<net::ChannelConfig> configs,
                   net::ChannelConfig feedback_config,
                   std::unique_ptr<proto::ShareScheduler> scheduler,
-                  ReliableLinkConfig link_config, std::uint64_t seed) {
+                  ReliableLinkConfig link_config, std::uint64_t seed,
+                  std::optional<crypto::SipHashKey> wire_key = std::nullopt) {
     Rng seeder(seed);
     std::vector<net::SimChannel*> raw;
     for (auto& cfg : configs) {
@@ -739,9 +741,12 @@ struct ReliableTestbed {
     }
     feedback = std::make_unique<net::SimChannel>(sim, feedback_config,
                                                  seeder.fork());
-    receiver = std::make_unique<proto::Receiver>(sim);
-    sender = std::make_unique<proto::Sender>(sim, raw, std::move(scheduler),
-                                             seeder.fork());
+    proto::ReceiverConfig rx_config;
+    rx_config.auth_key = wire_key;
+    receiver = std::make_unique<proto::Receiver>(sim, rx_config);
+    sender = std::make_unique<proto::Sender>(
+        sim, raw, std::move(scheduler), seeder.fork(), /*cpu=*/nullptr,
+        proto::SenderConfig{.auth_key = wire_key});
     link = std::make_unique<ReliableLink>(sim, *sender, *receiver, raw,
                                           *feedback, std::move(link_config),
                                           seeder.fork());
@@ -907,6 +912,32 @@ TEST(ReliableLink, AuthenticatedReportsRejectForgeries) {
   t.sim.run_until(net::from_seconds(0.5));
   EXPECT_EQ(t.link->manager().stats().reports_auth_failed, 1u);
   EXPECT_GT(t.link->manager().stats().reports_received, 0u);
+  EXPECT_EQ(t.delivered.size(), 1u);
+}
+
+TEST(ReliableLink, KeyedLinkCountsForgedFramesUndecodable) {
+  // A share frame tagged under the wrong key is authenticated before the
+  // per-channel counters see it: it arrives on channel 0 but counts as
+  // undecodable there, so it cannot hide loss from the sender's estimate.
+  ReliableTestbed t(lossy_channels(2, 0.0), {.rate_bps = 10e6},
+                    std::make_unique<proto::DynamicScheduler>(2.0, 2.0, 2),
+                    arq_config(), /*seed=*/9, kKey);
+  (void)t.sender->send({1, 2, 3});
+  t.sim.schedule_at(net::from_millis(5), [&t] {
+    proto::ShareFrame forged;
+    forged.packet_id = 7;
+    forged.k = 2;
+    forged.share_index = 1;
+    forged.payload = {9, 9, 9};
+    const crypto::SipHashKey wrong{};
+    (void)t.channels[0]->try_send(proto::encode(forged, &wrong));
+  });
+  t.sim.run_until(net::from_seconds(0.5));
+  const auto report = t.link->builder().build(t.sim.now());
+  ASSERT_EQ(report.channels.size(), 2u);
+  EXPECT_EQ(report.channels[0], (ChannelCounters{2, 1}));
+  EXPECT_EQ(report.channels[1], (ChannelCounters{1, 0}));
+  EXPECT_EQ(t.receiver->stats().auth_failures, 1u);
   EXPECT_EQ(t.delivered.size(), 1u);
 }
 

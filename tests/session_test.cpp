@@ -18,6 +18,9 @@
 #include "feedback/report.hpp"
 #include "feedback/retransmit.hpp"
 #include "net/sim_time.hpp"
+#include "obs/metrics.hpp"
+#include "protocol/wire.hpp"
+#include "transport/udp_socket.hpp"
 #include "util/rng.hpp"
 
 namespace mcss {
@@ -98,6 +101,81 @@ TEST(Session, SingleFlowDeliversThroughSessionLayer) {
   ASSERT_NE(rx, nullptr);
   EXPECT_EQ(rx->stats().packets_delivered, static_cast<std::uint64_t>(kPackets));
   EXPECT_EQ(rx->stats().auth_failures, 0u);
+}
+
+TEST(Session, ForgedFramesOnOneChannelAreNotCreditedToItsReport) {
+  // An injector fires well-formed share frames carrying a live flow's
+  // connection id but a tag under the wrong key at channel 0. They must
+  // be authenticated before the demux: counted as auth failures by the
+  // session (and published as the receivers' auth-failure total), never
+  // credited to the flow's per-channel report counters (which feed the
+  // sender's loss estimate) nor handed to its receiver.
+  SessionConfig config = clean_config();
+  config.auth_key = crypto::SipHashKey{{1, 2, 3, 4}};
+  config.reliability.enabled = true;
+  config.reliability.report_interval_ns = 2'000'000;
+  config.limits.max_queue_packets = 64;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const auto cid = ep.open_flow();
+  ASSERT_TRUE(cid.has_value());
+
+  const crypto::SipHashKey wrong{{4, 3, 2, 1}};
+  transport::UdpSocket injector = transport::UdpSocket::bound_loopback(0);
+  injector.connect_loopback(ep.channel(0).rx_port());
+  constexpr std::uint64_t kForged = 40;
+  for (std::uint64_t i = 0; i < kForged; ++i) {
+    proto::ShareFrame forged;
+    forged.packet_id = 1000 + i;
+    forged.k = 2;
+    forged.share_index = 1;
+    forged.connection_id = *cid;
+    forged.payload = pattern_payload(64, 0xEE);
+    ASSERT_EQ(injector.send(proto::encode(forged, &wrong)),
+              transport::UdpSocket::IoResult::Ok);
+  }
+  ASSERT_TRUE(run_until(ep, [&] {
+    return ep.stats().frames_auth_failed + ep.stats().frames_undecodable +
+               ep.stats().frames_demuxed >=
+           kForged;
+  }));
+
+  // Real traffic afterwards, so later reports carry the counters.
+  constexpr std::size_t kPackets = 20;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    ASSERT_TRUE(ep.send(*cid, pattern_payload(96, static_cast<std::uint8_t>(i))));
+  }
+  feedback::RetransmitManager* manager = ep.flow_manager(*cid);
+  ASSERT_NE(manager, nullptr);
+  ASSERT_TRUE(run_until(ep, [&] {
+    return delivered == kPackets && manager->outstanding() == 0;
+  }));
+
+  EXPECT_EQ(ep.stats().frames_auth_failed, kForged);
+  EXPECT_EQ(ep.stats().frames_undecodable, 0u);
+  const auto& channels = manager->channel_telemetry();
+  ASSERT_EQ(channels.size(), ep.num_channels());
+  std::uint64_t received = 0;
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    // Clean loopback: every reported arrival is a share the sender sent.
+    EXPECT_LE(channels[c].frames_received, channels[c].shares_sent)
+        << "channel " << c;
+    EXPECT_EQ(channels[c].frames_undecodable, 0u) << "channel " << c;
+    received += channels[c].frames_received;
+  }
+  EXPECT_GT(received, 0u);
+  const proto::Receiver* rx = ep.flow_receiver(*cid);
+  ASSERT_NE(rx, nullptr);
+  EXPECT_EQ(rx->stats().auth_failures, 0u) << "forgeries never reach it";
+  EXPECT_EQ(rx->stats().packets_delivered, kPackets);
+  obs::Registry registry;
+  ep.publish_metrics(registry);
+  const auto metrics = registry.snapshot();
+  EXPECT_EQ(metrics.counter_value("mcss_session_frames_auth_failed"), kForged);
+  EXPECT_EQ(metrics.counter_value("mcss_receiver_auth_failures"), kForged);
 }
 
 TEST(Session, FlowsWithEqualPacketIdsNeverMix) {

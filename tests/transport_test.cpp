@@ -588,10 +588,12 @@ TEST(Impairment, SharedLinkLossCorrelatesDropsAcrossChannels) {
 
 // ---------------------------------------------------------- udp channel
 
-/// Span consumer that materializes each forwarded frame for comparison.
-UdpChannel::FrameFn collect_into(std::vector<std::vector<std::uint8_t>>& got) {
-  return [&got](std::span<const std::uint8_t> f) {
-    got.emplace_back(f.begin(), f.end());
+using FrameBatch = std::span<const std::span<const std::uint8_t>>;
+
+/// Batch consumer that materializes each forwarded frame for comparison.
+UdpChannel::BatchFn collect_into(std::vector<std::vector<std::uint8_t>>& got) {
+  return [&got](FrameBatch frames) {
+    for (const auto f : frames) got.emplace_back(f.begin(), f.end());
   };
 }
 
@@ -602,7 +604,7 @@ TEST(UdpChannel, CoalescesOnBackpressureAndSplitsFramesOnReceive) {
   cfg.rate_bps = 1e12;
   UdpChannel ch(cfg, Rng(3), timeline, pool, /*rx_port=*/0, "test");
   std::vector<std::vector<std::uint8_t>> got;
-  ch.set_on_frame(collect_into(got));
+  ch.set_on_batch(collect_into(got));
 
   std::vector<std::vector<std::uint8_t>> sent;
   for (std::uint8_t i = 1; i <= 3; ++i) {
@@ -645,7 +647,7 @@ TEST(UdpChannel, UndecodableDatagramIsForwardedWholeForAccounting) {
   ChannelConfig cfg;
   UdpChannel ch(cfg, Rng(3), timeline, pool, 0, "junk");
   std::vector<std::vector<std::uint8_t>> got;
-  ch.set_on_frame(collect_into(got));
+  ch.set_on_batch(collect_into(got));
 
   UdpSocket attacker = UdpSocket::bound_loopback(0);
   attacker.connect_loopback(ch.rx_port());
@@ -678,7 +680,7 @@ TEST(UdpChannel, ShortSendmmsgRetiresTheHeadAndResendsTheTail) {
   cfg.rate_bps = 1e15;  // transparent: releases happen inside try_send
   UdpChannel ch(cfg, Rng(5), timeline, pool, 0, "short");
   std::vector<std::vector<std::uint8_t>> got;
-  ch.set_on_frame(collect_into(got));
+  ch.set_on_batch(collect_into(got));
 
   for (std::uint64_t i = 1; i <= 5; ++i) {
     ASSERT_TRUE(ch.try_send(
@@ -710,7 +712,7 @@ TEST(UdpChannel, EagainOnSlotZeroParksTheWholeBatch) {
   cfg.rate_bps = 1e15;
   UdpChannel ch(cfg, Rng(5), timeline, pool, 0, "slot0");
   std::size_t frames_seen = 0;
-  ch.set_on_frame([&](std::span<const std::uint8_t>) { ++frames_seen; });
+  ch.set_on_batch([&](FrameBatch frames) { frames_seen += frames.size(); });
 
   for (std::uint64_t i = 1; i <= 4; ++i) {
     ASSERT_TRUE(ch.try_send(
@@ -732,7 +734,7 @@ TEST(UdpChannel, EagainMidBatchRetiresTheHeadAndParksTheTail) {
   ChannelConfig cfg;
   cfg.rate_bps = 1e15;
   UdpChannel ch(cfg, Rng(5), timeline, pool, 0, "slotk");
-  ch.set_on_frame([](std::span<const std::uint8_t>) {});
+  ch.set_on_batch([](FrameBatch) {});
 
   for (std::uint64_t i = 1; i <= 5; ++i) {
     ASSERT_TRUE(ch.try_send(
@@ -760,7 +762,11 @@ TEST(UdpChannel, RecvmmsgDrainsBurstsLargerThanTheBatch) {
   UdpChannel ch(cfg, Rng(7), timeline, pool, 0, "burst", 1400,
                 /*send_batch=*/32, /*recv_batch=*/4);
   std::vector<std::vector<std::uint8_t>> got;
-  ch.set_on_frame(collect_into(got));
+  std::size_t batches = 0;
+  ch.set_on_batch([&, collect = collect_into(got)](FrameBatch frames) {
+    ++batches;
+    collect(frames);
+  });
 
   UdpSocket peer = UdpSocket::bound_loopback(0);
   peer.connect_loopback(ch.rx_port());
@@ -776,6 +782,9 @@ TEST(UdpChannel, RecvmmsgDrainsBurstsLargerThanTheBatch) {
   // 10 datagrams through 4-deep recvmmsg: at least three kernel visits,
   // far fewer than the 10 the unbatched path would make.
   EXPECT_GE(ch.syscalls_recv(), 3u);
+  // One callback per recvmmsg that returned datagrams, not one per frame.
+  EXPECT_GE(batches, 3u);
+  EXPECT_LE(batches, ch.syscalls_recv());
 }
 
 TEST(UdpChannel, PoolExhaustionUnderStormDegradesToDropWithStat) {
@@ -786,7 +795,7 @@ TEST(UdpChannel, PoolExhaustionUnderStormDegradesToDropWithStat) {
   cfg.rate_bps = 1e15;
   UdpChannel ch(cfg, Rng(9), timeline, pool, 0, "storm", 1400,
                 /*send_batch=*/32, /*recv_batch=*/2);
-  ch.set_on_frame([](std::span<const std::uint8_t>) {});
+  ch.set_on_batch([](FrameBatch) {});
 
   const auto frame = big_frame_bytes(1);
   std::size_t accepted = 0;
@@ -811,7 +820,7 @@ TEST(UdpChannel, WholeBatchDepartureKeepsPerFrameReleaseStamps) {
   ChannelConfig cfg;
   cfg.rate_bps = 8e6;  // 1000 bytes = 1 ms on the serializer
   UdpChannel ch(cfg, Rng(11), timeline, pool, 0, "stamps");
-  ch.set_on_frame([](std::span<const std::uint8_t>) {});
+  ch.set_on_batch([](FrameBatch) {});
 
   for (std::uint8_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(ch.try_send(make_frame(pool, 1000, i), 0));
@@ -837,9 +846,8 @@ TEST(UdpChannel, SteadyStateFastPathDoesNotAllocateAfterWarmup) {
   cfg.rate_bps = 1e15;  // transparent channel: no timeline, no closures
   UdpChannel ch(cfg, Rng(13), timeline, pool, 0, "hot");
   std::size_t frames_seen = 0;
-  ch.set_on_frame([&frames_seen](std::span<const std::uint8_t>) {
-    ++frames_seen;
-  });
+  ch.set_on_batch(
+      [&frames_seen](FrameBatch frames) { frames_seen += frames.size(); });
   const auto frame = big_frame_bytes(42);
 
   // One round = stage 8 frames into pool slots, one sendmmsg out, drain
@@ -1139,6 +1147,52 @@ TEST(LiveEndpoint, KeyedReceiverSurvivesAMalformedDatagramStorm) {
   EXPECT_EQ(rs.packets_delivered, 30u);
   EXPECT_GT(rs.malformed_frames, 0u) << "junk datagrams must be counted";
   EXPECT_GT(rs.auth_failures, 0u) << "wrong-key frames must be counted";
+}
+
+TEST(LiveEndpoint, ForgedFramesAreReportedUndecodableNotDecodable) {
+  // Well-formed frames under the wrong key at channel 0: the per-channel
+  // report counters classify them after authentication, so each arrives
+  // as undecodable — before, any parseable head counted as a decodable
+  // share.
+  const crypto::SipHashKey good_key{1, 2, 3, 4};
+  const crypto::SipHashKey bad_key{4, 3, 2, 1};
+  LiveConfig cfg = clean_config(3, 100.0, 37);
+  cfg.auth_key = good_key;
+  cfg.reliability.enabled = true;
+  cfg.reliability.report_interval_ns = 2'000'000;
+  LiveEndpoint ep(std::move(cfg));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint64_t, std::vector<std::uint8_t>) { ++delivered; });
+
+  UdpSocket injector = UdpSocket::bound_loopback(0);
+  injector.connect_loopback(ep.channel(0).rx_port());
+  constexpr std::uint64_t kForged = 25;
+  for (std::uint64_t i = 0; i < kForged; ++i) {
+    proto::ShareFrame forged;
+    forged.packet_id = 5000 + i;
+    forged.k = 2;
+    forged.share_index = 1;
+    forged.payload = std::vector<std::uint8_t>(64, 0xEE);
+    ASSERT_EQ(injector.send(proto::encode(forged, &bad_key)),
+              UdpSocket::IoResult::Ok);
+  }
+  run_until(ep, 2000,
+            [&] { return ep.receiver().stats().auth_failures >= kForged; });
+  ASSERT_EQ(ep.receiver().stats().auth_failures, kForged);
+
+  // Real traffic afterwards, so later reports carry the counters.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(ep.send(std::vector<std::uint8_t>(96, 0x11)));
+  }
+  auto* manager = ep.retransmit_manager();
+  ASSERT_NE(manager, nullptr);
+  run_until(ep, 5000,
+            [&] { return delivered >= 10 && manager->outstanding() == 0; });
+  ASSERT_EQ(delivered, 10u);
+  const auto& channels = manager->channel_telemetry();
+  EXPECT_EQ(channels[0].frames_undecodable, kForged);
+  EXPECT_EQ(channels[1].frames_undecodable, 0u);
+  EXPECT_EQ(channels[2].frames_undecodable, 0u);
 }
 
 TEST(LiveEndpoint, SeededImpairedRunMatchesConfiguredLossAndDelay) {
