@@ -3,9 +3,11 @@
 // These are not paper figures; they document the cost of each building
 // block: field arithmetic, Shamir split/reconstruct across (k, m), the
 // subset-metric evaluations (DP vs the paper's literal exponential sums),
-// the schedule LPs, wire codec, dithering, raw simulator throughput, and
-// the timer-queue costs the live pump loop pays.
+// the schedule LPs, wire codec, dithering, raw simulator throughput, the
+// timer-queue costs the live pump loop pays, and the kernel cost of a
+// share datagram on loopback UDP.
 #include <benchmark/benchmark.h>
+#include <sys/socket.h>
 
 #include <string>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "sss/shamir.hpp"
 #include "sss/shamir16.hpp"
 #include "sss/xor_sharing.hpp"
+#include "transport/udp_socket.hpp"
 #include "util/poisson_binomial.hpp"
 #include "util/rng.hpp"
 #include "workload/setups.hpp"
@@ -493,6 +496,97 @@ BENCHMARK(BM_TimerQueueScheduleCancel)
     ->Arg(1'000)
     ->Arg(100'000)
     ->Arg(1'000'000);
+
+// ---------------------------------------------------------------- transport
+//
+// The live path's kernel cost per share datagram. One iteration sends a
+// run of `run` equal datagrams of `bytes` in one sendmmsg — one message
+// per datagram (plain), or the whole run as one UDP_SEGMENT message the
+// kernel cuts back into the same datagrams (gso) — and drains them with
+// 32-deep recvmmsg. cpu_ns_per_datagram is thread CPU (user + kernel;
+// loopback delivery runs on the sending thread) per datagram, send and
+// receive together. Registered as BM_UdpLoopback/<plain|gso>/<bytes>/<run>;
+// the gso rows only where the kernel supports UDP_SEGMENT.
+
+void BM_UdpLoopback(benchmark::State& state, bool gso, std::size_t bytes,
+                    std::size_t run) {
+  transport::UdpSocket rx = transport::UdpSocket::bound_loopback(0);
+  transport::UdpSocket tx = transport::UdpSocket::bound_loopback(0);
+  tx.connect_loopback(rx.local_port());
+  tx.set_send_buffer(4 << 20);
+  rx.set_recv_buffer(4 << 20);
+
+  std::vector<std::uint8_t> payload(bytes * run, 0x5a);
+  std::vector<iovec> tx_iovs(run);
+  std::vector<mmsghdr> tx_msgs(run);
+  for (std::size_t i = 0; i < run; ++i) {
+    tx_iovs[i] = {payload.data() + i * bytes, bytes};
+    tx_msgs[i] = {};
+    tx_msgs[i].msg_hdr.msg_iov = &tx_iovs[i];
+    tx_msgs[i].msg_hdr.msg_iovlen = 1;
+  }
+  transport::UdpSocket::SegmentCmsg control{};
+  std::size_t messages = run;
+  if (gso) {
+    tx_msgs[0].msg_hdr.msg_iovlen = run;
+    transport::UdpSocket::set_segment_size(
+        tx_msgs[0].msg_hdr, control, static_cast<std::uint16_t>(bytes));
+    messages = 1;
+  }
+
+  constexpr std::size_t kRecvBatch = 32;
+  std::vector<std::uint8_t> slots(kRecvBatch * 2048);
+  std::vector<iovec> rx_iovs(kRecvBatch);
+  std::vector<mmsghdr> rx_msgs(kRecvBatch);
+  for (std::size_t i = 0; i < kRecvBatch; ++i) {
+    rx_iovs[i] = {slots.data() + i * 2048, 2048};
+    rx_msgs[i] = {};
+    rx_msgs[i].msg_hdr.msg_iov = &rx_iovs[i];
+    rx_msgs[i].msg_hdr.msg_iovlen = 1;
+  }
+
+  for (auto _ : state) {
+    const auto sent = tx.send_many({tx_msgs.data(), messages});
+    if (sent.completed != messages) {
+      state.SkipWithError("sendmmsg fell short");
+      break;
+    }
+    std::size_t received = 0;
+    while (received < run) {
+      received += rx.recv_many(rx_msgs).completed;
+    }
+    benchmark::DoNotOptimize(received);
+  }
+  // A rate counter divides by CPU seconds and kInvert flips it, so
+  // datagrams * 1e-9 reads back as CPU nanoseconds per datagram.
+  const auto datagrams =
+      state.iterations() * static_cast<benchmark::IterationCount>(run);
+  state.counters["cpu_ns_per_datagram"] = benchmark::Counter(
+      static_cast<double>(datagrams) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(datagrams);
+  state.SetLabel(gso ? "gso" : "plain");
+}
+
+const bool kUdpLoopbackRegistered = [] {
+  const bool kernel_segments =
+      transport::UdpSocket::bound_loopback(0).max_segments() > 1;
+  for (const bool gso : {false, true}) {
+    if (gso && !kernel_segments) continue;
+    for (const std::size_t bytes : {std::size_t{1494}, std::size_t{1360}}) {
+      for (const std::size_t run : {std::size_t{2}, std::size_t{3},
+                                    std::size_t{9}, std::size_t{32}}) {
+        const std::string name = std::string("BM_UdpLoopback/") +
+                                 (gso ? "gso/" : "plain/") +
+                                 std::to_string(bytes) + "/" +
+                                 std::to_string(run);
+        benchmark::RegisterBenchmark(name.c_str(), BM_UdpLoopback, gso, bytes,
+                                     run);
+      }
+    }
+  }
+  return true;
+}();
 
 // ---------------------------------------------------------------- obs
 //

@@ -23,7 +23,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -73,6 +75,19 @@ std::string backend_name(transport::Poller::Backend b) {
     case transport::Poller::Backend::Epoll: return "epoll";
     case transport::Poller::Backend::Poll: return "poll";
     case transport::Poller::Backend::Uring: return "uring";
+  }
+  return "unknown";
+}
+
+/// The host CPU's model name, recorded beside the core count so every
+/// number in BENCH_live.json names the machine that produced it.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(": ");
+    if (colon != std::string::npos) return line.substr(colon + 2);
   }
   return "unknown";
 }
@@ -476,6 +491,9 @@ int main(int argc, char** argv) {
 
   obs::JsonRow doc;
   doc.field("bench", "live_eval")
+      .field("host_cores", static_cast<std::uint64_t>(
+                               std::max(1u, std::thread::hardware_concurrency())))
+      .field("cpu_model", cpu_model())
       .field("transport", "udp-loopback")
       .field("packet_bytes", static_cast<std::uint64_t>(kPacketBytes))
       .field("poller_backend", backend_name(transport::Poller::default_backend()))

@@ -6,9 +6,11 @@
 #
 # The script runs the kernel + Shamir benchmarks (the hot path the
 # region-arithmetic layer optimizes), the SipHash tag cases (scalar
-# BM_SipHash and the per-tier BM_SipHashLanes, four messages per pass)
-# and the timer-queue cases (next deadline and schedule/cancel with
-# 1k..1M armed timers), reduces
+# BM_SipHash and the per-tier BM_SipHashLanes, four messages per pass),
+# the timer-queue cases (next deadline and schedule/cancel with
+# 1k..1M armed timers) and the loopback UDP cases (BM_UdpLoopback,
+# plain sendmmsg vs one UDP_SEGMENT message per run, with their CPU
+# nanoseconds per datagram), reduces
 # google-benchmark's JSON to
 # a compact {name: {ns, mb_per_s}} map, and merges it into the output
 # file under "current" while preserving the committed "baseline" block
@@ -29,7 +31,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 "$bench_bin" \
-  --benchmark_filter='BM_Gf|BM_RngFill|BM_Shamir(Split|Reconstruct)|BM_XorSplit|BM_SipHash|BM_SipHashLanes|BM_TimerQueue' \
+  --benchmark_filter='BM_Gf|BM_RngFill|BM_Shamir(Split|Reconstruct)|BM_XorSplit|BM_SipHash|BM_SipHashLanes|BM_TimerQueue|BM_UdpLoopback' \
   --benchmark_format=json >"$raw"
 
 python3 - "$raw" "$out" <<'PY'
@@ -43,6 +45,8 @@ for b in raw["benchmarks"]:
     entry = {"ns": round(b["real_time"], 1)}
     if "bytes_per_second" in b:
         entry["mb_per_s"] = round(b["bytes_per_second"] / 1e6, 1)
+    if "cpu_ns_per_datagram" in b:
+        entry["cpu_ns_per_datagram"] = round(b["cpu_ns_per_datagram"], 1)
     if b.get("label"):
         entry["kernel"] = b["label"]
     current[b["name"]] = entry

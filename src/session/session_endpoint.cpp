@@ -978,6 +978,7 @@ void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
   if (feedback_ch_) all_channels.push_back(feedback_ch_.get());
   for (const transport::UdpChannel* ch : all_channels) {
     net::publish(registry, ch->impair_stats());
+    transport::publish(registry, ch->stats());
   }
 
   const util::FramePool::Stats& ps = pool_->stats();

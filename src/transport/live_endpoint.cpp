@@ -634,7 +634,6 @@ void LiveEndpoint::publish_metrics(obs::Registry& registry) const {
            reports_dropped_at_channel_);
   }
 
-  UdpChannelStats sockets;
   std::uint64_t syscalls = poller_.wait_calls();
   std::vector<const UdpChannel*> all_channels;
   all_channels.reserve(channels_.size() + 1);
@@ -642,44 +641,12 @@ void LiveEndpoint::publish_metrics(obs::Registry& registry) const {
   if (feedback_ch_) all_channels.push_back(feedback_ch_.get());
   for (const UdpChannel* ch : all_channels) {
     net::publish(registry, ch->impair_stats());
-    const UdpChannelStats& s = ch->stats();
-    sockets.datagrams_sent += s.datagrams_sent;
-    sockets.datagrams_received += s.datagrams_received;
-    sockets.bytes_sent += s.bytes_sent;
-    sockets.bytes_received += s.bytes_received;
-    sockets.frames_coalesced += s.frames_coalesced;
-    sockets.send_wouldblock += s.send_wouldblock;
-    sockets.send_retries += s.send_retries;
-    sockets.send_refused += s.send_refused;
-    sockets.send_errors += s.send_errors;
-    sockets.sendmmsg_short += s.sendmmsg_short;
-    sockets.recv_refused += s.recv_refused;
-    sockets.recv_errors += s.recv_errors;
-    sockets.recv_truncated += s.recv_truncated;
-    sockets.frames_forwarded += s.frames_forwarded;
-    sockets.unparsed_forwarded += s.unparsed_forwarded;
-    sockets.frames_dropped_pool += s.frames_dropped_pool;
+    publish(registry, ch->stats());
     syscalls += ch->syscalls_send() + ch->syscalls_recv();
   }
   const auto add = [&](std::string_view name, std::uint64_t value) {
     registry.add(registry.counter(name), value);
   };
-  add("mcss_live_datagrams_sent", sockets.datagrams_sent);
-  add("mcss_live_datagrams_received", sockets.datagrams_received);
-  add("mcss_live_bytes_sent", sockets.bytes_sent);
-  add("mcss_live_bytes_received", sockets.bytes_received);
-  add("mcss_live_frames_coalesced", sockets.frames_coalesced);
-  add("mcss_live_send_wouldblock", sockets.send_wouldblock);
-  add("mcss_live_send_retries", sockets.send_retries);
-  add("mcss_live_send_refused", sockets.send_refused);
-  add("mcss_live_send_errors", sockets.send_errors);
-  add("mcss_live_sendmmsg_short", sockets.sendmmsg_short);
-  add("mcss_live_recv_refused", sockets.recv_refused);
-  add("mcss_live_recv_errors", sockets.recv_errors);
-  add("mcss_live_recv_truncated", sockets.recv_truncated);
-  add("mcss_live_frames_forwarded", sockets.frames_forwarded);
-  add("mcss_live_unparsed_forwarded", sockets.unparsed_forwarded);
-  add("mcss_live_frames_dropped_pool", sockets.frames_dropped_pool);
 
   // The bench's syscalls_per_packet numerator: every kernel crossing the
   // transport makes — send/sendmmsg, recv/recvmmsg, and poller waits.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "net/sim_time.hpp"
@@ -29,8 +31,9 @@ obs::HistogramId tx_queue_wait_hist() {
   return id;
 }
 
-/// Datagrams moved per sendmmsg/recvmmsg that moved any — the batching
-/// efficiency distribution (1 = the syscall carried a single datagram).
+/// Wire datagrams moved per sendmmsg/recvmmsg that moved any — the
+/// batching efficiency distribution (1 = the syscall carried a single
+/// datagram). A segmented message counts every datagram it carries.
 obs::HistogramId send_batch_hist() {
   static const obs::HistogramId id = obs::Registry::global().histogram(
       "mcss_transport_send_batch_datagrams", obs::exp_bounds(1.0, 2.0, 8));
@@ -44,6 +47,30 @@ obs::HistogramId recv_batch_hist() {
 }
 
 }  // namespace
+
+void publish(obs::Registry& registry, const UdpChannelStats& stats) {
+  const auto add = [&](std::string_view name, std::uint64_t value) {
+    registry.add(registry.counter(name), value);
+  };
+  add("mcss_live_datagrams_sent", stats.datagrams_sent);
+  add("mcss_live_datagrams_received", stats.datagrams_received);
+  add("mcss_live_bytes_sent", stats.bytes_sent);
+  add("mcss_live_bytes_received", stats.bytes_received);
+  add("mcss_live_frames_coalesced", stats.frames_coalesced);
+  add("mcss_live_send_wouldblock", stats.send_wouldblock);
+  add("mcss_live_send_retries", stats.send_retries);
+  add("mcss_live_send_refused", stats.send_refused);
+  add("mcss_live_send_errors", stats.send_errors);
+  add("mcss_live_sendmmsg_short", stats.sendmmsg_short);
+  add("mcss_live_gso_messages", stats.gso_messages);
+  add("mcss_live_gso_segments", stats.gso_segments);
+  add("mcss_live_recv_refused", stats.recv_refused);
+  add("mcss_live_recv_errors", stats.recv_errors);
+  add("mcss_live_recv_truncated", stats.recv_truncated);
+  add("mcss_live_frames_forwarded", stats.frames_forwarded);
+  add("mcss_live_unparsed_forwarded", stats.unparsed_forwarded);
+  add("mcss_live_frames_dropped_pool", stats.frames_dropped_pool);
+}
 
 UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng,
                        net::Simulator& timeline, util::FramePool& pool, std::uint16_t rx_port,
@@ -91,7 +118,8 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng,
   ring_.resize(2 * pool_.capacity() + 4);
   last_flush_release_ns_.reserve(ring_.size());
   tx_msgs_.resize(send_batch_);
-  tx_takes_.resize(send_batch_);
+  tx_runs_.resize(send_batch_);
+  tx_cmsgs_.resize(send_batch_);
   tx_iovs_.resize(ring_.size());
   rx_frames_.reserve(recv_batch_ * kFramesPerSlot);
   if (recv_batch_ > 1) {
@@ -200,13 +228,19 @@ void UdpChannel::retire_front_frames(std::size_t frames, std::int64_t now_ns,
 }
 
 void UdpChannel::flush_batched(std::int64_t now_ns) {
+  const std::size_t max_segments = tx_.max_segments();
   while (ring_count_ > 0) {
     // Build up to send_batch_ datagrams: greedy head-first coalescing,
     // each frame an iovec pointing straight into its pool slot — the
-    // kernel gathers, we never assemble.
+    // kernel gathers, we never assemble. A datagram no longer than the
+    // open run's segment size joins that run's message; a shorter one
+    // closes the run, so the kernel's segment boundaries are exactly the
+    // datagram boundaries.
     std::size_t iov_idx = 0;
     std::size_t frame_idx = 0;
-    unsigned ndg = 0;
+    std::size_t ndg = 0;
+    unsigned nmsg = 0;
+    bool run_open = false;  // the last message may take another segment
     while (ndg < send_batch_ && frame_idx < ring_count_) {
       const std::size_t start_iov = iov_idx;
       // The head frame always goes (even if it alone exceeds the budget
@@ -228,27 +262,60 @@ void UdpChannel::flush_batched(std::int64_t now_ns) {
         ++iov_idx;
         ++take;
       }
-      mmsghdr& m = tx_msgs_[ndg];
-      std::memset(&m.msg_hdr, 0, sizeof(m.msg_hdr));
-      m.msg_hdr.msg_iov = &tx_iovs_[start_iov];
-      m.msg_hdr.msg_iovlen = take;
-      m.msg_len = 0;
-      tx_takes_[ndg] = take;
+      TxMessage* run = nmsg > 0 ? &tx_runs_[nmsg - 1] : nullptr;
+      if (run_open && total <= run->segment_bytes &&
+          run->segments < max_segments &&
+          run->bytes + total <= UdpSocket::kMaxMessageBytes &&
+          run->frames + take <= static_cast<std::size_t>(IOV_MAX)) {
+        run->frames += take;
+        ++run->segments;
+        run->bytes += total;
+        run_open = total == run->segment_bytes;
+      } else {
+        tx_runs_[nmsg++] = {.first_iov = start_iov,
+                            .frames = take,
+                            .segments = 1,
+                            .bytes = total,
+                            .segment_bytes = total};
+        run_open = max_segments > 1;
+      }
       ++ndg;
       frame_idx += take;
     }
+    for (unsigned i = 0; i < nmsg; ++i) {
+      const TxMessage& run = tx_runs_[i];
+      mmsghdr& m = tx_msgs_[i];
+      std::memset(&m.msg_hdr, 0, sizeof(m.msg_hdr));
+      m.msg_hdr.msg_iov = &tx_iovs_[run.first_iov];
+      m.msg_hdr.msg_iovlen = run.frames;
+      m.msg_len = 0;
+      if (run.segments > 1) {
+        // Two or more segments stay within 65507 bytes, so the segment
+        // size fits the option's 16 bits.
+        UdpSocket::set_segment_size(
+            m.msg_hdr, tx_cmsgs_[i],
+            static_cast<std::uint16_t>(run.segment_bytes));
+      }
+    }
 
-    const auto batch = tx_.send_many({tx_msgs_.data(), ndg});
+    const auto batch = tx_.send_many({tx_msgs_.data(), nmsg});
     if (batch.completed > 0) {
+      std::size_t wire_datagrams = 0;
       for (unsigned i = 0; i < batch.completed; ++i) {
-        ++stats_.datagrams_sent;
+        const TxMessage& run = tx_runs_[i];
+        wire_datagrams += run.segments;
+        stats_.datagrams_sent += run.segments;
         stats_.bytes_sent += tx_msgs_[i].msg_len;
-        stats_.frames_coalesced += tx_takes_[i] - 1;
-        retire_front_frames(tx_takes_[i], now_ns, /*sent=*/true);
+        stats_.frames_coalesced += run.frames - run.segments;
+        if (run.segments > 1) {
+          ++stats_.gso_messages;
+          stats_.gso_segments += run.segments;
+        }
+        retire_front_frames(run.frames, now_ns, /*sent=*/true);
       }
       if (obs::metrics_enabled()) {
         obs::Registry::global().observe(
-            send_batch_hist(), static_cast<double>(batch.completed));
+            send_batch_hist(), static_cast<double>(wire_datagrams));
       }
       // The kernel accepted datagrams, so the congestion episode is
       // over; the next one starts from the base wait.
@@ -256,7 +323,7 @@ void UdpChannel::flush_batched(std::int64_t now_ns) {
     }
     switch (batch.result) {
       case UdpSocket::IoResult::Ok:
-        if (batch.completed == ndg) continue;  // full batch; maybe more
+        if (batch.completed == nmsg) continue;  // full batch; maybe more
         // Short return: a mid-batch slot failed. Per sendmmsg(2) the
         // error surfaces as the HEAD errno of the next call, so just
         // loop — the requeued tail goes out again and the verdict
@@ -277,14 +344,14 @@ void UdpChannel::flush_batched(std::int64_t now_ns) {
         return;
       case UdpSocket::IoResult::Refused:
         // ICMP port unreachable from an earlier datagram, charged to the
-        // head: best-effort loss, not an error. The shares are gone; the
-        // threshold scheme absorbs it.
+        // head message: best-effort loss, not an error. The shares are
+        // gone; the threshold scheme absorbs it.
         ++stats_.send_refused;
-        retire_front_frames(tx_takes_[0], now_ns, /*sent=*/false);
+        retire_front_frames(tx_runs_[0].frames, now_ns, /*sent=*/false);
         continue;
       case UdpSocket::IoResult::Error:
         ++stats_.send_errors;
-        retire_front_frames(tx_takes_[0], now_ns, /*sent=*/false);
+        retire_front_frames(tx_runs_[0].frames, now_ns, /*sent=*/false);
         continue;
     }
   }

@@ -11,11 +11,18 @@
 //     -> pending ring (pool-backed frames the shim has released, each
 //        carrying its own release stamp)
 //     -> flush(): greedy-coalesce frames into datagrams of
-//        <= max_datagram_bytes as iovec GATHERS (no assembly copy), then
-//        one sendmmsg(2) moves up to send_batch datagrams; a short
-//        return retires only the completed datagrams and requeues the
-//        tail; EAGAIN parks everything until the poller reports
-//        writability; ECONNREFUSED counts as loss
+//        <= max_datagram_bytes as iovec GATHERS (no assembly copy), up
+//        to send_batch datagrams; merge each run of consecutive
+//        equal-size datagrams into ONE message with a UDP_SEGMENT cmsg
+//        (only the run's last datagram may be shorter, and a shorter one
+//        ends the run; <= 64 segments and <= 65507 bytes), and move
+//        every message with one sendmmsg(2). The kernel cuts a message
+//        where the coalescer cut, so the wire carries the same
+//        datagrams with one stack traversal per run. A short return
+//        retires only the completed messages and requeues the tail;
+//        EAGAIN parks everything until the poller reports writability;
+//        ECONNREFUSED loses the head message. Without kernel
+//        UDP_SEGMENT support every run is one datagram
 //   on_readable()                            receiver side
 //     -> one recvmmsg(2) fills up to recv_batch persistent pool slots;
 //        repeat until the socket drains
@@ -65,6 +72,8 @@ struct UdpChannelStats {
   std::uint64_t send_refused = 0;       ///< ECONNREFUSED (counted as loss)
   std::uint64_t send_errors = 0;        ///< other errno (datagram dropped)
   std::uint64_t sendmmsg_short = 0;     ///< batch cut short mid-way (tail requeued)
+  std::uint64_t gso_messages = 0;       ///< UDP_SEGMENT messages sent (runs >= 2)
+  std::uint64_t gso_segments = 0;       ///< wire datagrams those messages carried
   std::uint64_t recv_refused = 0;       ///< pending ICMP error drained
   std::uint64_t recv_errors = 0;
   std::uint64_t recv_truncated = 0;     ///< datagram overflowed its pool slot
@@ -72,6 +81,10 @@ struct UdpChannelStats {
   std::uint64_t unparsed_forwarded = 0; ///< undecodable tails handed upward
   std::uint64_t frames_dropped_pool = 0;///< pool/ring exhausted (tail drop)
 };
+
+/// Add one channel's socket counters to the mcss_live_* series (call it
+/// per channel; the registry sums them).
+void publish(obs::Registry& registry, const UdpChannelStats& stats);
 
 class UdpChannel {
  public:
@@ -93,8 +106,9 @@ class UdpChannel {
   /// connects an ephemeral TX socket to it. `rng` seeds the impairment's
   /// private loss/jitter stream; the timeline (the endpoint's timer
   /// queue) and pool are shared across channels and must outlive the
-  /// channel. `send_batch` caps datagrams
-  /// per sendmmsg, `recv_batch` caps datagrams per recvmmsg (and is the
+  /// channel. `send_batch` caps wire datagrams per sendmmsg (however
+  /// many messages segmentation packs them into), `recv_batch` caps
+  /// datagrams per recvmmsg (and is the
   /// number of receive slots pinned from the pool for this channel's
   /// lifetime); send_batch == 1 selects the legacy unbatched path.
   UdpChannel(net::ChannelConfig config, Rng rng, net::Simulator& timeline,
@@ -169,8 +183,8 @@ class UdpChannel {
     return rx_.syscalls_recv();
   }
 
-  /// Test hooks: the underlying sockets (e.g. inject_wouldblock, tiny
-  /// SO_SNDBUF).
+  /// Test hooks: the underlying sockets (e.g. inject_wouldblock,
+  /// inject_no_segmentation, tiny SO_SNDBUF).
   [[nodiscard]] UdpSocket& tx_socket() noexcept { return tx_; }
   [[nodiscard]] UdpSocket& rx_socket() noexcept { return rx_; }
   /// Release stamps of the frames retired by the most recent flush(), in
@@ -185,6 +199,17 @@ class UdpChannel {
   struct Pending {
     util::FrameRef ref;
     std::int64_t release_ns = 0;
+  };
+
+  /// One sendmmsg message as built: `segments` datagrams of
+  /// `segment_bytes` (the last may be shorter) gathering `frames`
+  /// consecutive iovecs, one per frame.
+  struct TxMessage {
+    std::size_t first_iov = 0;
+    std::size_t frames = 0;
+    std::size_t segments = 0;
+    std::size_t bytes = 0;
+    std::size_t segment_bytes = 0;
   };
 
   void release(util::FrameRef frame, std::int64_t release_ns);
@@ -225,7 +250,8 @@ class UdpChannel {
   /// constructor: flush() and on_readable() re-fill these in place.
   std::vector<mmsghdr> tx_msgs_;
   std::vector<iovec> tx_iovs_;
-  std::vector<std::size_t> tx_takes_;   ///< frames per built datagram
+  std::vector<TxMessage> tx_runs_;      ///< per built message
+  std::vector<UdpSocket::SegmentCmsg> tx_cmsgs_;  ///< per built message
   std::vector<mmsghdr> rx_msgs_;
   std::vector<iovec> rx_iovs_;
   std::vector<util::FrameRef> rx_slots_;      ///< pool slots pinned for RX reuse

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/udp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -48,6 +49,13 @@ UdpSocket UdpSocket::bound_loopback(std::uint16_t port) {
       0) {
     throw_errno("bind(127.0.0.1)");
   }
+  // A kernel that knows UDP_SEGMENT answers the getsockopt (0 = no
+  // segment size set yet); one that does not fails with ENOPROTOOPT.
+  int gso_size = 0;
+  socklen_t gso_len = sizeof(gso_size);
+  if (::getsockopt(s.fd_, SOL_UDP, UDP_SEGMENT, &gso_size, &gso_len) == 0) {
+    s.max_segments_ = kMaxSegments;
+  }
   return s;
 }
 
@@ -55,12 +63,14 @@ UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
+    max_segments_ = other.max_segments_;
     inject_wouldblock_ = other.inject_wouldblock_;
     inject_accept_limit_ = other.inject_accept_limit_;
     inject_accept_armed_ = other.inject_accept_armed_;
     syscalls_send_ = other.syscalls_send_;
     syscalls_recv_ = other.syscalls_recv_;
     other.fd_ = -1;
+    other.max_segments_ = 1;
     other.inject_wouldblock_ = 0;
     other.inject_accept_limit_ = 0;
     other.inject_accept_armed_ = false;
@@ -108,6 +118,17 @@ UdpSocket::IoResult UdpSocket::send(std::span<const std::uint8_t> datagram) {
     if (errno == ECONNREFUSED) return IoResult::Refused;
     return IoResult::Error;
   }
+}
+
+void UdpSocket::set_segment_size(msghdr& hdr, SegmentCmsg& control,
+                                 std::uint16_t segment_bytes) noexcept {
+  hdr.msg_control = control.buf;
+  hdr.msg_controllen = sizeof(control.buf);
+  cmsghdr* c = CMSG_FIRSTHDR(&hdr);
+  c->cmsg_level = SOL_UDP;
+  c->cmsg_type = UDP_SEGMENT;
+  c->cmsg_len = CMSG_LEN(sizeof(segment_bytes));
+  std::memcpy(CMSG_DATA(c), &segment_bytes, sizeof(segment_bytes));
 }
 
 UdpSocket::BatchResult UdpSocket::send_many(std::span<mmsghdr> msgs) {

@@ -15,10 +15,16 @@
 // Tests can inject WouldBlock deterministically (inject_wouldblock):
 // loopback drains so fast that a real EAGAIN is timing-dependent, but
 // the backpressure path must be exercised on every CI run.
+//
+// UDP segmentation offload (UDP_SEGMENT, Linux 4.18+) is probed once per
+// socket: max_segments() is kMaxSegments where the kernel takes the
+// option and 1 where it does not, and inject_no_segmentation() models
+// the latter on any kernel.
 #pragma once
 
 #include <sys/socket.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -75,14 +81,34 @@ class UdpSocket {
   [[nodiscard]] IoResult recv(std::span<std::uint8_t> buf,
                               std::size_t* received);
 
-  /// Send up to msgs.size() datagrams in one sendmmsg(2). The caller owns
-  /// the mmsghdr/iovec arrays (persistent, reused across calls — this
-  /// layer allocates nothing). Error mapping matches send(): a failure on
-  /// the FIRST datagram surfaces as {WouldBlock|Refused|Error, 0}; a
-  /// failure on a later slot makes the kernel stop and return the count
-  /// sent so far — reported here as {Ok, n<size}, with the slot's errno
-  /// surfacing at the head of the next call. msg_len is filled per sent
-  /// datagram (UDP never short-writes, so it is informational).
+  /// Segments one UDP_SEGMENT message may carry (the kernel's
+  /// UDP_MAX_SEGMENTS floor across versions), and the payload bytes one
+  /// IPv4 UDP datagram — and so one segmented message — may hold.
+  static constexpr std::size_t kMaxSegments = 64;
+  static constexpr std::size_t kMaxMessageBytes = 65507;
+
+  /// Control buffer for one message's UDP_SEGMENT cmsg.
+  union SegmentCmsg {
+    char buf[CMSG_SPACE(sizeof(std::uint16_t))];
+    cmsghdr align;
+  };
+
+  /// Point `hdr`'s control data at `control`, filled with a UDP_SEGMENT
+  /// cmsg: send_many() then has the kernel cut the message into
+  /// datagrams of `segment_bytes` (the last may be shorter).
+  static void set_segment_size(msghdr& hdr, SegmentCmsg& control,
+                               std::uint16_t segment_bytes) noexcept;
+
+  /// Send up to msgs.size() messages in one sendmmsg(2). The caller owns
+  /// the mmsghdr/iovec/cmsg arrays (persistent, reused across calls —
+  /// this layer allocates nothing). A message is one datagram, or, with a
+  /// UDP_SEGMENT cmsg, a run of datagrams the kernel cuts at the segment
+  /// size. Error mapping matches send(): a failure on the FIRST message
+  /// surfaces as {WouldBlock|Refused|Error, 0}; a failure on a later slot
+  /// makes the kernel stop and return the count sent so far — reported
+  /// here as {Ok, n<size}, with the slot's errno surfacing at the head of
+  /// the next call. msg_len is filled per sent message (UDP never
+  /// short-writes, so it is the message's whole payload).
   [[nodiscard]] BatchResult send_many(std::span<mmsghdr> msgs);
 
   /// Receive up to msgs.size() datagrams in one recvmmsg(2). Each
@@ -116,7 +142,7 @@ class UdpSocket {
   /// modelling EAGAIN on slot 0.
   void inject_wouldblock(int count) noexcept { inject_wouldblock_ = count; }
 
-  /// Make the next send_many() really send only the first `k` datagrams
+  /// Make the next send_many() really send only the first `k` messages
   /// and return short ({Ok, k}), as the kernel does when a mid-batch slot
   /// fails — a real short return needs a timing-dependent mid-batch
   /// EAGAIN, but the requeue-the-tail path must run on every CI run.
@@ -126,8 +152,20 @@ class UdpSocket {
     inject_accept_armed_ = true;
   }
 
+  /// Segments per UDP_SEGMENT message this socket may send: kMaxSegments
+  /// when the kernel accepted the option at construction, else 1 (no
+  /// segmentation — every message is one datagram).
+  [[nodiscard]] std::size_t max_segments() const noexcept {
+    return max_segments_;
+  }
+
+  /// Model a kernel without UDP_SEGMENT: max_segments() reads 1 from now
+  /// on, so callers send one datagram per message.
+  void inject_no_segmentation() noexcept { max_segments_ = 1; }
+
  private:
   int fd_ = -1;
+  std::size_t max_segments_ = 1;
   int inject_wouldblock_ = 0;
   int inject_accept_limit_ = 0;
   bool inject_accept_armed_ = false;

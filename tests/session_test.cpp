@@ -178,6 +178,49 @@ TEST(Session, ForgedFramesOnOneChannelAreNotCreditedToItsReport) {
   EXPECT_EQ(metrics.counter_value("mcss_receiver_auth_failures"), kForged);
 }
 
+TEST(Session, PublishesSocketCountersForItsChannels) {
+  // Unpaced lanes release a whole burst at once, so each channel's share
+  // datagrams leave as runs of equal size: segmented messages where the
+  // kernel supports UDP_SEGMENT.
+  SessionConfig config = clean_config(3, 1e12);
+  config.limits.max_queue_packets = 64;
+  config.limits.per_flow_memory_bytes = 1u << 20;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const auto cid = ep.open_flow();
+  ASSERT_TRUE(cid.has_value());
+  constexpr std::size_t kPackets = 64;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    ASSERT_TRUE(ep.send(*cid, pattern_payload(1200, static_cast<std::uint8_t>(i))));
+  }
+  ASSERT_TRUE(run_until(ep, [&] { return delivered == kPackets; }));
+
+  std::uint64_t sent = 0;
+  std::uint64_t segments = 0;
+  for (std::size_t c = 0; c < ep.num_channels(); ++c) {
+    sent += ep.channel(c).stats().datagrams_sent;
+    segments += ep.channel(c).stats().gso_segments;
+  }
+  obs::Registry registry;
+  ep.publish_metrics(registry);
+  const auto metrics = registry.snapshot();
+  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(metrics.counter_value("mcss_live_datagrams_sent"), sent);
+  EXPECT_EQ(metrics.counter_value("mcss_live_gso_segments"), segments);
+  const std::uint64_t messages =
+      metrics.counter_value("mcss_live_gso_messages");
+  if (transport::UdpSocket::bound_loopback(0).max_segments() > 1) {
+    EXPECT_GT(messages, 0u);
+    EXPECT_GE(segments, 2 * messages) << "every segmented message is a run";
+    EXPECT_LE(segments, sent);
+  } else {
+    EXPECT_EQ(messages, 0u);
+  }
+}
+
 TEST(Session, FlowsWithEqualPacketIdsNeverMix) {
   // Both flows number their packets 1..N; if demux ever leaked a share
   // across flows, the mixed reassembly would surface as conflicting

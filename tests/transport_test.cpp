@@ -3,6 +3,7 @@
 // unprivileged loopback, no netem, no fixed ports (everything binds
 // ephemeral so suites can run in parallel).
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <algorithm>
 #include <atomic>
@@ -11,10 +12,12 @@
 #include <cstring>
 #include <new>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/sim_channel.hpp"
 #include "net/simulator.hpp"
+#include "obs/metrics.hpp"
 #include "protocol/receiver.hpp"
 #include "protocol/wire.hpp"
 #include "sss/shamir.hpp"
@@ -679,6 +682,9 @@ TEST(UdpChannel, ShortSendmmsgRetiresTheHeadAndResendsTheTail) {
   ChannelConfig cfg;
   cfg.rate_bps = 1e15;  // transparent: releases happen inside try_send
   UdpChannel ch(cfg, Rng(5), timeline, pool, 0, "short");
+  // Five equal datagrams would share one segmented message; this test
+  // pins the per-datagram short return, so model a kernel without it.
+  ch.tx_socket().inject_no_segmentation();
   std::vector<std::vector<std::uint8_t>> got;
   ch.set_on_batch(collect_into(got));
 
@@ -734,6 +740,7 @@ TEST(UdpChannel, EagainMidBatchRetiresTheHeadAndParksTheTail) {
   ChannelConfig cfg;
   cfg.rate_bps = 1e15;
   UdpChannel ch(cfg, Rng(5), timeline, pool, 0, "slotk");
+  ch.tx_socket().inject_no_segmentation();  // one datagram per message
   ch.set_on_batch([](FrameBatch) {});
 
   for (std::uint64_t i = 1; i <= 5; ++i) {
@@ -753,6 +760,241 @@ TEST(UdpChannel, EagainMidBatchRetiresTheHeadAndParksTheTail) {
   ch.on_writable(0);
   EXPECT_EQ(ch.stats().datagrams_sent, 5u);
   EXPECT_FALSE(ch.wants_write());
+}
+
+/// A well-formed (unkeyed) share frame of exactly `bytes` on the wire.
+std::vector<std::uint8_t> frame_of_size(std::uint64_t id, std::size_t bytes) {
+  proto::ShareFrame frame;
+  frame.packet_id = id;
+  frame.k = 2;
+  frame.share_index = 1;
+  frame.payload.resize(bytes - proto::kHeaderSize);
+  for (std::size_t i = 0; i < frame.payload.size(); ++i) {
+    frame.payload[i] = static_cast<std::uint8_t>(id * 31 + i);
+  }
+  auto wire = proto::encode(frame);
+  MCSS_ENSURE(wire.size() == bytes, "frame_of_size: unexpected overhead");
+  return wire;
+}
+
+/// True when this kernel segments UDP_SEGMENT messages; tests of the
+/// message layout skip elsewhere (the plain loop is covered regardless).
+bool kernel_segments() {
+  return UdpSocket::bound_loopback(0).max_segments() > 1;
+}
+
+/// Offer every frame at t=0 through a transparent channel.
+void offer_all(UdpChannel& ch,
+               const std::vector<std::vector<std::uint8_t>>& frames) {
+  for (const auto& f : frames) {
+    ASSERT_TRUE(ch.try_send(std::span<const std::uint8_t>(f), 0));
+  }
+}
+
+TEST(UdpChannel, SegmentedAndPlainSendsDeliverTheSameFramesInOrder) {
+  // A mix that yields runs of equal datagrams, coalesced datagrams of
+  // small frames, and lone odd sizes. The receiver must see the same
+  // frames, in the same order, whether runs leave as segmented messages
+  // or one datagram per message.
+  std::vector<std::vector<std::uint8_t>> sent;
+  const std::size_t sizes[] = {1494, 1494, 1494, 700, 700, 128, 128, 128,
+                               1494, 1360, 1360, 1360, 1494, 90,  1494};
+  std::uint64_t id = 1;
+  for (int round = 0; round < 3; ++round) {
+    for (const std::size_t size : sizes) sent.push_back(frame_of_size(id++, size));
+  }
+
+  const auto run = [&](bool segmentation) {
+    net::Simulator timeline;
+    FramePool pool(2048, 96);
+    ChannelConfig cfg;
+    cfg.rate_bps = 1e15;
+    UdpChannel ch(cfg, Rng(21), timeline, pool, 0, "mix");
+    if (!segmentation) ch.tx_socket().inject_no_segmentation();
+    std::vector<std::vector<std::uint8_t>> got;
+    ch.set_on_batch(collect_into(got));
+    offer_all(ch, sent);
+    ch.flush(0);
+    EXPECT_FALSE(ch.wants_write());
+    for (int spins = 0; spins < 5000 && got.size() < sent.size(); ++spins) {
+      ch.on_readable();
+    }
+    EXPECT_EQ(got, sent) << (segmentation ? "segmented" : "plain");
+    return ch.stats();
+  };
+  const UdpChannelStats plain = run(false);
+  const UdpChannelStats segmented = run(true);
+  EXPECT_EQ(plain.gso_messages, 0u);
+  if (kernel_segments()) {
+    EXPECT_GT(segmented.gso_messages, 0u);
+  }
+  // Same datagrams on the wire, so the same wire counters.
+  EXPECT_EQ(segmented.datagrams_sent, plain.datagrams_sent);
+  EXPECT_EQ(segmented.bytes_sent, plain.bytes_sent);
+  EXPECT_EQ(segmented.frames_coalesced, plain.frames_coalesced);
+  EXPECT_EQ(segmented.datagrams_received, plain.datagrams_received);
+  EXPECT_EQ(segmented.datagrams_received, segmented.datagrams_sent);
+}
+
+TEST(UdpChannel, ShorterDatagramEndsARunAndLongerNeverJoins) {
+  if (!kernel_segments()) GTEST_SKIP() << "kernel lacks UDP_SEGMENT";
+  net::Simulator timeline;
+  FramePool pool(2048, 64);
+  ChannelConfig cfg;
+  cfg.rate_bps = 1e15;
+  UdpChannel ch(cfg, Rng(23), timeline, pool, 0, "runs");
+  std::vector<std::vector<std::uint8_t>> got;
+  ch.set_on_batch(collect_into(got));
+
+  // [1494, 1494, 800, 1494] -> {1494, 1494, 800} and {1494}: the 800 B
+  // datagram is the first run's short tail, and the 1494 after it
+  // starts a new message.
+  const std::vector<std::vector<std::uint8_t>> sent = {
+      frame_of_size(1, 1494), frame_of_size(2, 1494), frame_of_size(3, 800),
+      frame_of_size(4, 1494)};
+  offer_all(ch, sent);
+  // Send only the head message, then park the tail: the counters then
+  // show exactly what the head message carried.
+  ch.tx_socket().inject_accept_limit(1);
+  ch.tx_socket().inject_wouldblock(1);
+  ch.flush(0);
+  EXPECT_EQ(ch.syscalls_send(), 1u);
+  EXPECT_EQ(ch.stats().datagrams_sent, 3u);
+  EXPECT_EQ(ch.stats().bytes_sent, 1494u + 1494u + 800u);
+  EXPECT_EQ(ch.stats().gso_messages, 1u);
+  EXPECT_EQ(ch.stats().gso_segments, 3u);
+  EXPECT_TRUE(ch.wants_write());
+  ch.on_writable(0);
+  EXPECT_EQ(ch.stats().datagrams_sent, 4u);
+  EXPECT_EQ(ch.stats().gso_messages, 1u) << "{1494} is a plain datagram";
+
+  // [800, 1494, 1494]: a longer datagram never joins the 800 B run.
+  const std::vector<std::vector<std::uint8_t>> more = {
+      frame_of_size(5, 800), frame_of_size(6, 1494), frame_of_size(7, 1494)};
+  offer_all(ch, more);
+  ch.tx_socket().inject_accept_limit(1);
+  ch.flush(0);
+  EXPECT_EQ(ch.stats().datagrams_sent, 7u);
+  EXPECT_EQ(ch.stats().sendmmsg_short, 2u);
+  EXPECT_EQ(ch.stats().gso_messages, 2u);
+  EXPECT_EQ(ch.stats().gso_segments, 5u) << "{800} then {1494, 1494}";
+
+  for (int spins = 0; spins < 5000 && got.size() < 7; ++spins) {
+    ch.on_readable();
+  }
+  // The kernel cut every message at the coalescer's boundaries.
+  EXPECT_EQ(ch.stats().datagrams_received, 7u);
+  ASSERT_EQ(got.size(), 7u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(got[i], sent[i]);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(got[4 + i], more[i]);
+}
+
+TEST(UdpChannel, SegmentedRunsStopAt64Segments65507BytesAndIovMax) {
+  if (!kernel_segments()) GTEST_SKIP() << "kernel lacks UDP_SEGMENT";
+  // `count` frames of `bytes` coalesced into datagrams of at most
+  // `datagram` bytes, all built for one sendmmsg (send_batch exceeds the
+  // frame count, so release() never flushes early).
+  const auto send_equal = [](std::size_t bytes, std::size_t count,
+                             std::size_t datagram) {
+    net::Simulator timeline;
+    FramePool pool(2048, count + 40);
+    ChannelConfig cfg;
+    cfg.rate_bps = 1e15;
+    UdpChannel ch(cfg, Rng(25), timeline, pool, 0, "caps", datagram,
+                  /*send_batch=*/count + 1, /*recv_batch=*/32);
+    ch.set_on_batch([](FrameBatch) {});
+    for (std::uint64_t i = 1; i <= count; ++i) {
+      EXPECT_TRUE(ch.try_send(
+          std::span<const std::uint8_t>(frame_of_size(i, bytes)), 0));
+    }
+    ch.flush(0);
+    EXPECT_EQ(ch.syscalls_send(), 1u);
+    EXPECT_EQ(ch.stats().send_errors, 0u);
+    EXPECT_EQ(ch.stats().datagrams_sent, ch.stats().gso_segments);
+    return ch.stats();
+  };
+  // 100 x 200 B, one per datagram: the segment cap splits the run 64 + 36.
+  const UdpChannelStats small = send_equal(200, 100, 200);
+  EXPECT_EQ(small.gso_messages, 2u);
+  EXPECT_EQ(small.gso_segments, 100u);
+  // 100 x 1400 B: 46 segments is the most under 65507 bytes, so 46 + 46 + 8.
+  const UdpChannelStats large = send_equal(1400, 100, 1400);
+  EXPECT_EQ(large.gso_messages, 3u);
+  EXPECT_EQ(large.gso_segments, 100u);
+  // 1120 x 40 B, 35 per datagram: 32 datagrams would gather 1120 iovecs,
+  // past IOV_MAX (1024), so the run splits 29 + 3.
+  const UdpChannelStats tiny = send_equal(40, 1120, 1400);
+  EXPECT_EQ(tiny.datagrams_sent, 32u);
+  EXPECT_EQ(tiny.gso_messages, 2u);
+}
+
+TEST(UdpChannel, SendBatchHistogramCountsWireDatagrams) {
+  // Five equal datagrams leave as one segmented message where the
+  // kernel supports it; the histogram must still read five datagrams
+  // for that sendmmsg, not one message.
+  const bool was = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const auto batch_hist = [] {
+    for (const auto& h : obs::Registry::global().snapshot().histograms) {
+      if (h.name == "mcss_transport_send_batch_datagrams") {
+        return std::pair{h.count, h.sum};
+      }
+    }
+    return std::pair{std::uint64_t{0}, 0.0};
+  };
+  net::Simulator timeline;
+  FramePool pool(2048, 64);
+  ChannelConfig cfg;
+  cfg.rate_bps = 1e15;
+  UdpChannel ch(cfg, Rng(29), timeline, pool, 0, "hist");
+  ch.set_on_batch([](FrameBatch) {});
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(ch.try_send(
+        std::span<const std::uint8_t>(frame_of_size(i, 1494)), 0));
+  }
+  const auto before = batch_hist();
+  ch.flush(0);
+  const auto after = batch_hist();
+  obs::set_metrics_enabled(was);
+  EXPECT_EQ(ch.syscalls_send(), 1u);
+  EXPECT_EQ(after.first - before.first, 1u) << "one sendmmsg";
+  EXPECT_EQ(after.second - before.second, 5.0) << "five wire datagrams";
+}
+
+TEST(UdpChannel, RefusedHeadMessageRetiresOnlyItsFrames) {
+  if (!kernel_segments()) GTEST_SKIP() << "kernel lacks UDP_SEGMENT";
+  net::Simulator timeline;
+  FramePool pool(2048, 64);
+  ChannelConfig cfg;
+  cfg.rate_bps = 1e15;
+  UdpChannel ch(cfg, Rng(27), timeline, pool, 0, "refused");
+  // Close the receiver: the next datagram draws an ICMP port
+  // unreachable, which the kernel charges to the following send.
+  ch.rx_socket() = UdpSocket();
+  ASSERT_TRUE(ch.try_send(
+      std::span<const std::uint8_t>(frame_of_size(1, 600)), 0));
+  ch.flush(0);
+  ASSERT_EQ(ch.stats().datagrams_sent, 1u);
+  pollfd pfd{ch.tx_fd(), POLLOUT, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 1000), 1);
+  ASSERT_NE(pfd.revents & POLLERR, 0) << "no ICMP error pending";
+
+  // {1000 x3} then {1200 x2}: the refusal lands on the head message.
+  for (std::uint64_t i = 2; i <= 4; ++i) {
+    ASSERT_TRUE(ch.try_send(
+        std::span<const std::uint8_t>(frame_of_size(i, 1000)), 0));
+  }
+  for (std::uint64_t i = 5; i <= 6; ++i) {
+    ASSERT_TRUE(ch.try_send(
+        std::span<const std::uint8_t>(frame_of_size(i, 1200)), 0));
+  }
+  ch.flush(0);
+  EXPECT_EQ(ch.stats().send_refused, 1u);
+  EXPECT_EQ(ch.stats().datagrams_sent, 3u) << "the head's 3 frames are lost";
+  EXPECT_EQ(ch.stats().gso_messages, 1u);
+  EXPECT_EQ(ch.stats().gso_segments, 2u);
+  EXPECT_FALSE(ch.wants_write());
+  EXPECT_EQ(ch.stats().send_errors, 0u);
 }
 
 TEST(UdpChannel, RecvmmsgDrainsBurstsLargerThanTheBatch) {
