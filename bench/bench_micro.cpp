@@ -503,18 +503,23 @@ BENCHMARK(BM_TimerQueueScheduleCancel)
 // run of `run` equal datagrams of `bytes` in one sendmmsg — one message
 // per datagram (plain), or the whole run as one UDP_SEGMENT message the
 // kernel cuts back into the same datagrams (gso) — and drains them with
-// 32-deep recvmmsg. cpu_ns_per_datagram is thread CPU (user + kernel;
-// loopback delivery runs on the sending thread) per datagram, send and
-// receive together. Registered as BM_UdpLoopback/<plain|gso>/<bytes>/<run>;
-// the gso rows only where the kernel supports UDP_SEGMENT.
+// 32-deep recvmmsg into 2 KiB slots. gso+gro sends as gso, but the
+// receiver sets UDP_GRO: the run arrives as one entry, read into 4
+// entries of 64 KiB and counted by the segment size its cmsg carries.
+// cpu_ns_per_datagram is thread CPU (user + kernel; loopback delivery
+// runs on the sending thread) per datagram, send and receive together.
+// Registered as BM_UdpLoopback/<plain|gso|gso+gro>/<bytes>/<run>; the
+// gso rows only where the kernel supports UDP_SEGMENT, and the gso+gro
+// rows only where it also takes UDP_GRO.
 
-void BM_UdpLoopback(benchmark::State& state, bool gso, std::size_t bytes,
-                    std::size_t run) {
+void BM_UdpLoopback(benchmark::State& state, bool gso, bool gro,
+                    std::size_t bytes, std::size_t run) {
   transport::UdpSocket rx = transport::UdpSocket::bound_loopback(0);
   transport::UdpSocket tx = transport::UdpSocket::bound_loopback(0);
   tx.connect_loopback(rx.local_port());
   tx.set_send_buffer(4 << 20);
   rx.set_recv_buffer(4 << 20);
+  if (gro) rx.enable_receive_offload();
 
   std::vector<std::uint8_t> payload(bytes * run, 0x5a);
   std::vector<iovec> tx_iovs(run);
@@ -534,15 +539,18 @@ void BM_UdpLoopback(benchmark::State& state, bool gso, std::size_t bytes,
     messages = 1;
   }
 
-  constexpr std::size_t kRecvBatch = 32;
-  std::vector<std::uint8_t> slots(kRecvBatch * 2048);
-  std::vector<iovec> rx_iovs(kRecvBatch);
-  std::vector<mmsghdr> rx_msgs(kRecvBatch);
-  for (std::size_t i = 0; i < kRecvBatch; ++i) {
-    rx_iovs[i] = {slots.data() + i * 2048, 2048};
+  const std::size_t entries = gro ? 4 : 32;
+  const std::size_t entry_bytes = gro ? std::size_t{64} << 10 : 2048;
+  std::vector<std::uint8_t> slots(entries * entry_bytes);
+  std::vector<iovec> rx_iovs(entries);
+  std::vector<mmsghdr> rx_msgs(entries);
+  std::vector<transport::UdpSocket::RecvCmsg> rx_controls(entries);
+  for (std::size_t i = 0; i < entries; ++i) {
+    rx_iovs[i] = {slots.data() + i * entry_bytes, entry_bytes};
     rx_msgs[i] = {};
     rx_msgs[i].msg_hdr.msg_iov = &rx_iovs[i];
     rx_msgs[i].msg_hdr.msg_iovlen = 1;
+    if (gro) rx_msgs[i].msg_hdr.msg_control = rx_controls[i].buf;
   }
 
   for (auto _ : state) {
@@ -553,7 +561,23 @@ void BM_UdpLoopback(benchmark::State& state, bool gso, std::size_t bytes,
     }
     std::size_t received = 0;
     while (received < run) {
-      received += rx.recv_many(rx_msgs).completed;
+      if (!gro) {
+        received += rx.recv_many(rx_msgs).completed;
+        continue;
+      }
+      for (std::size_t i = 0; i < entries; ++i) {
+        rx_msgs[i].msg_hdr.msg_controllen = sizeof(rx_controls[i].buf);
+      }
+      const unsigned n = rx.recv_many(rx_msgs).completed;
+      for (unsigned i = 0; i < n; ++i) {
+        const std::size_t len = rx_msgs[i].msg_len;
+        const std::size_t segment = transport::UdpSocket::read_recv_cmsgs(
+                                        rx_msgs[i].msg_hdr)
+                                        .segment_bytes;
+        received += segment != 0 && segment < len
+                        ? (len + segment - 1) / segment
+                        : 1;
+      }
     }
     benchmark::DoNotOptimize(received);
   }
@@ -565,23 +589,33 @@ void BM_UdpLoopback(benchmark::State& state, bool gso, std::size_t bytes,
       static_cast<double>(datagrams) * 1e-9,
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
   state.SetItemsProcessed(datagrams);
-  state.SetLabel(gso ? "gso" : "plain");
+  state.SetLabel(gro ? "gso+gro" : gso ? "gso" : "plain");
 }
 
 const bool kUdpLoopbackRegistered = [] {
   const bool kernel_segments =
       transport::UdpSocket::bound_loopback(0).max_segments() > 1;
-  for (const bool gso : {false, true}) {
-    if (gso && !kernel_segments) continue;
+  transport::UdpSocket probe = transport::UdpSocket::bound_loopback(0);
+  probe.enable_receive_offload();
+  const bool kernel_gro = kernel_segments && probe.gro();
+  const struct {
+    const char* name;
+    bool gso;
+    bool gro;
+    bool supported;
+  } modes[] = {{"plain", false, false, true},
+               {"gso", true, false, kernel_segments},
+               {"gso+gro", true, true, kernel_gro}};
+  for (const auto& mode : modes) {
+    if (!mode.supported) continue;
     for (const std::size_t bytes : {std::size_t{1494}, std::size_t{1360}}) {
       for (const std::size_t run : {std::size_t{2}, std::size_t{3},
                                     std::size_t{9}, std::size_t{32}}) {
-        const std::string name = std::string("BM_UdpLoopback/") +
-                                 (gso ? "gso/" : "plain/") +
-                                 std::to_string(bytes) + "/" +
+        const std::string name = std::string("BM_UdpLoopback/") + mode.name +
+                                 "/" + std::to_string(bytes) + "/" +
                                  std::to_string(run);
-        benchmark::RegisterBenchmark(name.c_str(), BM_UdpLoopback, gso, bytes,
-                                     run);
+        benchmark::RegisterBenchmark(name.c_str(), BM_UdpLoopback, mode.gso,
+                                     mode.gro, bytes, run);
       }
     }
   }

@@ -8,14 +8,14 @@
 # region-arithmetic layer optimizes), the SipHash tag cases (scalar
 # BM_SipHash and the per-tier BM_SipHashLanes, four messages per pass),
 # the timer-queue cases (next deadline and schedule/cancel with
-# 1k..1M armed timers) and the loopback UDP cases (BM_UdpLoopback,
-# plain sendmmsg vs one UDP_SEGMENT message per run, with their CPU
-# nanoseconds per datagram), reduces
-# google-benchmark's JSON to
-# a compact {name: {ns, mb_per_s}} map, and merges it into the output
-# file under "current" while preserving the committed "baseline" block
-# (the seed scalar-path numbers). See EXPERIMENTS.md ("Microbenchmarks")
-# for when to re-record.
+# 1k..1M armed timers) and the loopback UDP cases (BM_UdpLoopback:
+# plain sendmmsg, one UDP_SEGMENT message per run, and that message
+# received whole with UDP_GRO, with their CPU nanoseconds per datagram),
+# reduces google-benchmark's JSON to a compact {name: {ns, mb_per_s}}
+# map plus a udp_cpu_ns_per_datagram table ({bytes/run: {mode: ns}}),
+# and merges both into the output file under "current" while preserving
+# the committed "baseline" block (the seed scalar-path numbers). See
+# EXPERIMENTS.md ("Microbenchmarks") for when to re-record.
 set -euo pipefail
 
 build_dir="${1:-build}"
@@ -31,7 +31,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 "$bench_bin" \
-  --benchmark_filter='BM_Gf|BM_RngFill|BM_Shamir(Split|Reconstruct)|BM_XorSplit|BM_SipHash|BM_SipHashLanes|BM_TimerQueue|BM_UdpLoopback' \
+  --benchmark_filter='BM_Gf|BM_RngFill|BM_Shamir(Split|Reconstruct)|BM_XorSplit|BM_SipHash|BM_SipHashLanes|BM_TimerQueue|BM_UdpLoopback/(plain|gso|gso\+gro)/' \
   --benchmark_format=json >"$raw"
 
 python3 - "$raw" "$out" <<'PY'
@@ -41,7 +41,11 @@ raw_path, out_path = sys.argv[1], sys.argv[2]
 raw = json.load(open(raw_path))
 
 current = {}
+udp = {}
 for b in raw["benchmarks"]:
+    if b["name"].startswith("BM_UdpLoopback/") and "cpu_ns_per_datagram" in b:
+        _, mode, size, run = b["name"].split("/")
+        udp.setdefault(f"{size}/{run}", {})[mode] = round(b["cpu_ns_per_datagram"], 1)
     entry = {"ns": round(b["real_time"], 1)}
     if "bytes_per_second" in b:
         entry["mb_per_s"] = round(b["bytes_per_second"] / 1e6, 1)
@@ -70,6 +74,7 @@ doc["current"] = {
                    ("num_cpus", "mhz_per_cpu", "library_build_type")},
                 "nproc": len(os.sched_getaffinity(0))},
     "benchmarks": current,
+    "udp_cpu_ns_per_datagram": udp,
 }
 json.dump(doc, open(out_path, "w"), indent=2, sort_keys=True)
 print(f"wrote {out_path} ({len(current)} benchmarks, commit {commit})")

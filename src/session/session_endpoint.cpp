@@ -47,10 +47,10 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
                 "the port range would wrap");
   }
 
-  // One arena for everything: TX encode slots, RX receive pins, frames
-  // parked at the impairment serializer, and per-flow reassembly
-  // partials. The auto-size adds partial slack beyond LiveEndpoint's
-  // because flows borrow slots for as long as a partial is open.
+  // One arena for everything: TX encode slots, frames parked at the
+  // impairment serializer, and per-flow reassembly partials. The
+  // auto-size adds partial slack beyond LiveEndpoint's because flows
+  // borrow slots for as long as a partial is open.
   {
     const std::size_t slot_bytes =
         config_.pool_slot_bytes != 0
@@ -976,10 +976,15 @@ void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
   all_channels.reserve(channels_.size() + 1);
   for (const auto& ch : channels_) all_channels.push_back(ch.get());
   if (feedback_ch_) all_channels.push_back(feedback_ch_.get());
+  std::uint64_t syscalls = poller_.wait_calls();
   for (const transport::UdpChannel* ch : all_channels) {
     net::publish(registry, ch->impair_stats());
     transport::publish(registry, ch->stats());
+    syscalls += ch->syscalls_send() + ch->syscalls_recv();
   }
+  // Every kernel crossing the transport makes (send/sendmmsg,
+  // recv/recvmmsg, poller waits), the sum LiveEndpoint publishes.
+  add("mcss_transport_syscalls_total", syscalls);
 
   const util::FramePool::Stats& ps = pool_->stats();
   add("mcss_session_pool_acquired", ps.acquired);

@@ -14,7 +14,7 @@
 //   Poller (all sockets)                packet-id space + send queue
 //   net::Simulator timeline (RTO,       DynamicScheduler (dither state)
 //     impairment, report, eviction)     proto::Receiver (reassembly)
-//   FramePool (TX/RX/partial slots)     feedback::ReportBuilder
+//   FramePool (TX/partial slots)        feedback::ReportBuilder
 //   UdpChannels + feedback lane         feedback::RetransmitManager
 //
 // Flows are keyed by the wire header's connection id (wire.hpp flag bit
@@ -369,8 +369,8 @@ class SessionEndpoint {
   std::int64_t epoch_ns_;
   transport::Poller poller_;
   /// Before timeline_/channels_/flows_: every FrameRef alive at
-  /// destruction (receive pins, impairment closures pending on the
-  /// timeline, per-flow partials) must release into a live pool.
+  /// destruction (impairment closures pending on the timeline, per-flow
+  /// partials) must release into a live pool.
   std::unique_ptr<util::FramePool> pool_;
   /// The endpoint's only timer queue, shared by every channel and flow;
   /// now() is now_ns(), advanced once per run_for iteration.

@@ -63,8 +63,8 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
   }
 
   // One arena for every channel: TX frames are encoded straight into
-  // slots, RX pins recv_batch slots per channel. Auto-sizing leaves
-  // ample slack for frames parked at the impairment serializer.
+  // slots (receives land in each channel's own entries). Auto-sizing
+  // leaves ample slack for frames parked at the impairment serializer.
   {
     const std::size_t slot_bytes =
         config_.pool_slot_bytes != 0
@@ -82,8 +82,8 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
   // slots, so steady-state RX appends never touch the heap.
   receiver_.set_arena(pool_.get());
   // On the uring backend, pre-register the arena with the ring
-  // (IORING_REGISTER_BUFFERS) so the pages RX slots live in are pinned
-  // once instead of per syscall; epoll/poll ignore this.
+  // (IORING_REGISTER_BUFFERS) for a fixed-buffer path; epoll/poll
+  // ignore this.
   poller_.register_buffers({pool_->arena_data(), pool_->arena_bytes()});
 
   scheduler_ = config_.scheduler

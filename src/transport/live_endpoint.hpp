@@ -111,7 +111,7 @@ struct LiveConfig {
   std::size_t send_batch = batch_from_env(32);
   std::size_t recv_batch = batch_from_env(32);
   /// FramePool sizing. 0 = auto: slots from channel count and batch
-  /// depths (receive pins + transmit in flight, with slack), slot bytes
+  /// depths (receive batch + transmit in flight, with slack), slot bytes
   /// from max_datagram_bytes. Every share frame must fit one slot;
   /// larger frames are dropped-with-stat, so raise pool_slot_bytes when
   /// sending payloads beyond the defaults.
@@ -225,8 +225,8 @@ class LiveEndpoint {
   std::int64_t epoch_ns_;
   Poller poller_;
   /// Declared before timeline_ and channels_: every FrameRef still
-  /// alive at destruction — receive pins, parked frames, and impairment
-  /// closures pending on the timeline — must release into a live pool.
+  /// alive at destruction — parked frames and impairment closures
+  /// pending on the timeline — must release into a live pool.
   std::unique_ptr<util::FramePool> pool_;
   /// The endpoint's only timer queue; now() is now_ns().
   net::Simulator timeline_;

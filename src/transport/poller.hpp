@@ -72,8 +72,8 @@ class Poller {
 
   /// Hand a contiguous buffer arena (the FramePool) to the backend.
   /// Only the uring backend does anything with it
-  /// (IORING_REGISTER_BUFFERS, pre-pinning the pages the RX slots live
-  /// in); epoll/poll ignore it. Returns whether a registration took.
+  /// (IORING_REGISTER_BUFFERS, pre-pinning the arena's pages); epoll/poll
+  /// ignore it. Returns whether a registration took.
   bool register_buffers(std::span<const std::uint8_t> arena) noexcept;
 
  private:

@@ -4,6 +4,7 @@
 #include <array>
 #include <climits>
 #include <cstring>
+#include <memory>
 #include <string_view>
 #include <utility>
 
@@ -33,7 +34,8 @@ obs::HistogramId tx_queue_wait_hist() {
 
 /// Wire datagrams moved per sendmmsg/recvmmsg that moved any — the
 /// batching efficiency distribution (1 = the syscall carried a single
-/// datagram). A segmented message counts every datagram it carries.
+/// datagram). A segmented message, or a received GRO burst, counts every
+/// datagram it carries.
 obs::HistogramId send_batch_hist() {
   static const obs::HistogramId id = obs::Registry::global().histogram(
       "mcss_transport_send_batch_datagrams", obs::exp_bounds(1.0, 2.0, 8));
@@ -67,6 +69,9 @@ void publish(obs::Registry& registry, const UdpChannelStats& stats) {
   add("mcss_live_recv_refused", stats.recv_refused);
   add("mcss_live_recv_errors", stats.recv_errors);
   add("mcss_live_recv_truncated", stats.recv_truncated);
+  add("mcss_live_gro_messages", stats.gro_messages);
+  add("mcss_live_gro_segments", stats.gro_segments);
+  add("mcss_live_rx_kernel_drops", stats.recv_kernel_drops);
   add("mcss_live_frames_forwarded", stats.frames_forwarded);
   add("mcss_live_unparsed_forwarded", stats.unparsed_forwarded);
   add("mcss_live_frames_dropped_pool", stats.frames_dropped_pool);
@@ -114,7 +119,7 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng,
   // Every allocation the steady state needs happens HERE, once. The ring
   // bound is every pool slot in flight at once, duplicated (the
   // impairment's duplicate knob shares slots between two pending
-  // entries), plus slack for the RX pins not being in the ring.
+  // entries), plus a little slack.
   ring_.resize(2 * pool_.capacity() + 4);
   last_flush_release_ns_.reserve(ring_.size());
   tx_msgs_.resize(send_batch_);
@@ -123,19 +128,25 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng,
   tx_iovs_.resize(ring_.size());
   rx_frames_.reserve(recv_batch_ * kFramesPerSlot);
   if (recv_batch_ > 1) {
-    rx_slots_.reserve(recv_batch_);
-    rx_msgs_.resize(recv_batch_);
-    rx_iovs_.resize(recv_batch_);
-    for (std::size_t i = 0; i < recv_batch_; ++i) {
-      util::FrameRef slot = pool_.acquire();
-      MCSS_ENSURE(slot,
-                  "frame pool too small to pin this channel's receive slots");
-      rx_iovs_[i].iov_base = slot.data();
-      rx_iovs_[i].iov_len = pool_.slot_bytes();
+    // With UDP_GRO a few large entries each take a whole burst; without
+    // it, each entry is one datagram of at most a pool slot. Either way
+    // one uninitialised block, so only the pages the kernel writes
+    // become resident.
+    rx_.enable_receive_offload();
+    rx_entries_ = rx_.gro() ? std::min(recv_batch_, kGroEntries) : recv_batch_;
+    const std::size_t entry_bytes =
+        rx_.gro() ? kGroEntryBytes : pool_.slot_bytes();
+    rx_buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(rx_entries_ *
+                                                             entry_bytes);
+    rx_msgs_.resize(rx_entries_);
+    rx_iovs_.resize(rx_entries_);
+    rx_cmsgs_.resize(rx_entries_);
+    for (std::size_t i = 0; i < rx_entries_; ++i) {
+      rx_iovs_[i] = {rx_buf_.get() + i * entry_bytes, entry_bytes};
       std::memset(&rx_msgs_[i].msg_hdr, 0, sizeof(rx_msgs_[i].msg_hdr));
       rx_msgs_[i].msg_hdr.msg_iov = &rx_iovs_[i];
       rx_msgs_[i].msg_hdr.msg_iovlen = 1;
-      rx_slots_.push_back(std::move(slot));
+      rx_msgs_[i].msg_hdr.msg_control = rx_cmsgs_[i].buf;
     }
   }
 }
@@ -425,7 +436,11 @@ void UdpChannel::on_readable() {
 
 void UdpChannel::on_readable_batched() {
   for (;;) {
-    const auto batch = rx_.recv_many({rx_msgs_.data(), recv_batch_});
+    // The kernel shrinks msg_controllen to the cmsgs it wrote.
+    for (std::size_t i = 0; i < rx_entries_; ++i) {
+      rx_msgs_[i].msg_hdr.msg_controllen = sizeof(rx_cmsgs_[i].buf);
+    }
+    const auto batch = rx_.recv_many({rx_msgs_.data(), rx_entries_});
     switch (batch.result) {
       case UdpSocket::IoResult::Ok:
         break;
@@ -438,28 +453,51 @@ void UdpChannel::on_readable_batched() {
         ++stats_.recv_errors;
         return;
     }
-    if (obs::metrics_enabled() && batch.completed > 0) {
-      obs::Registry::global().observe(recv_batch_hist(),
-                                      static_cast<double>(batch.completed));
-    }
+    std::size_t wire_datagrams = 0;
     for (unsigned i = 0; i < batch.completed; ++i) {
       const mmsghdr& m = rx_msgs_[i];
+      const UdpSocket::RecvMeta meta = UdpSocket::read_recv_cmsgs(m.msg_hdr);
+      if (meta.has_kernel_drops) stats_.recv_kernel_drops = meta.kernel_drops;
       if ((m.msg_hdr.msg_flags & MSG_TRUNC) != 0) {
-        // Datagram overflowed its pool slot: the tail is gone and frame
-        // boundaries with it. Count and drop; slots are sized for the
-        // endpoint's own datagrams, so this flags a mis-sized pool.
+        // Datagram (or burst) overflowed its entry: the tail is gone and
+        // frame boundaries with it. Count and drop; entries are sized
+        // for the endpoint's own traffic, so this flags a mis-sized pool.
+        ++wire_datagrams;
         ++stats_.recv_truncated;
         continue;
       }
       const std::size_t n = m.msg_len;
-      if (n == 0) continue;  // zero-length datagram carries nothing
-      ++stats_.datagrams_received;
+      if (n == 0) {
+        ++wire_datagrams;
+        continue;  // zero-length datagram carries nothing
+      }
+      // A GRO entry holds datagrams of segment_bytes, the last possibly
+      // shorter; cut it where the sender's kernel cut. Any other entry
+      // is one datagram.
+      const std::size_t segment =
+          meta.segment_bytes != 0 && meta.segment_bytes < n
+              ? meta.segment_bytes
+              : n;
+      const std::size_t segments = (n + segment - 1) / segment;
+      if (segments > 1) {
+        ++stats_.gro_messages;
+        stats_.gro_segments += segments;
+      }
+      wire_datagrams += segments;
+      stats_.datagrams_received += segments;
       stats_.bytes_received += n;
-      split_into_batch({rx_slots_[i].data(), n});
+      const auto* data = static_cast<const std::uint8_t*>(rx_iovs_[i].iov_base);
+      for (std::size_t off = 0; off < n; off += segment) {
+        split_into_batch({data + off, std::min(segment, n - off)});
+      }
     }
-    // The next recv_many refills these slots: the batch goes up now.
+    if (obs::metrics_enabled() && wire_datagrams > 0) {
+      obs::Registry::global().observe(recv_batch_hist(),
+                                      static_cast<double>(wire_datagrams));
+    }
+    // The next recv_many refills these entries: the batch goes up now.
     forward_batch();
-    if (batch.completed < recv_batch_) return;  // queue drained mid-batch
+    if (batch.completed < rx_entries_) return;  // queue drained mid-batch
   }
 }
 

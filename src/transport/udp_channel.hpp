@@ -24,14 +24,23 @@
 //        ECONNREFUSED loses the head message. Without kernel
 //        UDP_SEGMENT support every run is one datagram
 //   on_readable()                            receiver side
-//     -> one recvmmsg(2) fills up to recv_batch persistent pool slots;
-//        repeat until the socket drains
-//     -> wire::frame_extent() splits each datagram back into frames IN
-//        PLACE (framing only, no copy), and the frames of the whole
-//        recvmmsg go upward as ONE batch of spans, before the slots are
-//        reused: the endpoint authenticates the batch in one multi-lane
-//        SipHash pass (proto::decode_views) and its receivers copy only
-//        the payloads they retain
+//     -> one recvmmsg(2) fills the channel's own receive entries (one
+//        buffer allocated at construction; no pool slots); repeat until
+//        the socket drains. Where the kernel takes UDP_GRO, a segmented
+//        burst arrives whole as ONE entry with a UDP_GRO cmsg carrying
+//        the segment size, and there are min(recv_batch, kGroEntries)
+//        entries of kGroEntryBytes: recv_batch caps entries, not
+//        datagrams. Without UDP_GRO there are recv_batch entries of one
+//        pool slot's size, each one datagram: recv_batch caps datagrams
+//     -> each entry is cut at its segment size back into the sender's
+//        datagrams (an entry with no UDP_GRO cmsg is one), and
+//        wire::frame_extent() splits each datagram into frames IN PLACE
+//        (framing only, no copy). The frames of the whole recvmmsg go
+//        upward as ONE batch of spans, before the entries are reused:
+//        the endpoint authenticates the batch in one multi-lane SipHash
+//        pass (proto::decode_views) and its receivers copy only the
+//        payloads they retain. GRO on or off, the same frames go up in
+//        the same order, and the wire counters count datagrams
 //
 // After pool warmup the whole path — release, coalesce, sendmmsg,
 // recvmmsg, split, forward — performs zero heap allocations; the
@@ -46,6 +55,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,7 +86,10 @@ struct UdpChannelStats {
   std::uint64_t gso_segments = 0;       ///< wire datagrams those messages carried
   std::uint64_t recv_refused = 0;       ///< pending ICMP error drained
   std::uint64_t recv_errors = 0;
-  std::uint64_t recv_truncated = 0;     ///< datagram overflowed its pool slot
+  std::uint64_t recv_truncated = 0;     ///< datagram overflowed its entry
+  std::uint64_t gro_messages = 0;       ///< UDP_GRO entries received (bursts >= 2)
+  std::uint64_t gro_segments = 0;       ///< wire datagrams those entries held
+  std::uint64_t recv_kernel_drops = 0;  ///< latest SO_RXQ_OVFL count (socket total)
   std::uint64_t frames_forwarded = 0;   ///< parsed frames handed upward
   std::uint64_t unparsed_forwarded = 0; ///< undecodable tails handed upward
   std::uint64_t frames_dropped_pool = 0;///< pool/ring exhausted (tail drop)
@@ -92,15 +105,27 @@ class UdpChannel {
   /// undecodable datagram tail) split from the datagrams of one
   /// recvmmsg, or from one datagram on the unbatched path. A recvmmsg
   /// that splits into more than recv_batch * kFramesPerSlot frames
-  /// arrives as several calls. The spans view pool receive slots and are only valid
-  /// for the duration of the call (it fires before the slots are
-  /// reused) — consumers that retain bytes must copy them.
+  /// arrives as several calls. The spans view receive entries and are
+  /// only valid for the duration of the call (it fires before the
+  /// entries are reused) — consumers that retain bytes must copy them.
   using BatchFn =
       std::function<void(std::span<const std::span<const std::uint8_t>>)>;
 
-  /// Frames per batch callback, per pinned receive slot (a 1400-byte
+  /// Frames per batch callback, per unit of recv_batch (a 1400-byte
   /// datagram of 128-byte shares carries about ten).
   static constexpr std::size_t kFramesPerSlot = 16;
+
+  /// With UDP_GRO: receive entries per recvmmsg (when recv_batch is at
+  /// least this), and the bytes of each. An entry holds a whole burst of
+  /// up to UdpSocket::kMaxSegments datagrams and kMaxMessageBytes bytes.
+  /// The entries are allocated uninitialised, so only the pages the
+  /// kernel writes become resident. Four, not recv_batch: where more
+  /// than four entries queue up they hold bursts, not single datagrams,
+  /// so each extra entry would keep up to 16 pages resident for
+  /// recvmmsg calls that cost no measurable CPU (EXPERIMENTS.md,
+  /// "Receive offload").
+  static constexpr std::size_t kGroEntries = 4;
+  static constexpr std::size_t kGroEntryBytes = 64 << 10;
 
   /// Binds the RX socket to 127.0.0.1:`rx_port` (0 = ephemeral) and
   /// connects an ephemeral TX socket to it. `rng` seeds the impairment's
@@ -108,9 +133,11 @@ class UdpChannel {
   /// queue) and pool are shared across channels and must outlive the
   /// channel. `send_batch` caps wire datagrams per sendmmsg (however
   /// many messages segmentation packs them into), `recv_batch` caps
-  /// datagrams per recvmmsg (and is the
-  /// number of receive slots pinned from the pool for this channel's
-  /// lifetime); send_batch == 1 selects the legacy unbatched path.
+  /// receive entries per recvmmsg: with UDP_GRO, min(recv_batch,
+  /// kGroEntries) entries of kGroEntryBytes; without, recv_batch
+  /// entries of pool.slot_bytes(), one datagram each. The entries are
+  /// the channel's own; it takes no pool slots to receive.
+  /// send_batch == 1 selects the legacy unbatched path.
   UdpChannel(net::ChannelConfig config, Rng rng, net::Simulator& timeline,
              util::FramePool& pool, std::uint16_t rx_port, std::string name = {},
              std::size_t max_datagram_bytes = 1400,
@@ -184,9 +211,10 @@ class UdpChannel {
   }
 
   /// Test hooks: the underlying sockets (e.g. inject_wouldblock,
-  /// inject_no_segmentation, tiny SO_SNDBUF).
+  /// inject_no_segmentation, inject_no_gro, tiny SO_SNDBUF).
   [[nodiscard]] UdpSocket& tx_socket() noexcept { return tx_; }
   [[nodiscard]] UdpSocket& rx_socket() noexcept { return rx_; }
+  [[nodiscard]] const UdpSocket& rx_socket() const noexcept { return rx_; }
   /// Release stamps of the frames retired by the most recent flush(), in
   /// send order — lets tests pin that a batch leaving in ONE sendmmsg
   /// still carries per-frame (distinct) departure times.
@@ -254,7 +282,9 @@ class UdpChannel {
   std::vector<UdpSocket::SegmentCmsg> tx_cmsgs_;  ///< per built message
   std::vector<mmsghdr> rx_msgs_;
   std::vector<iovec> rx_iovs_;
-  std::vector<util::FrameRef> rx_slots_;      ///< pool slots pinned for RX reuse
+  std::vector<UdpSocket::RecvCmsg> rx_cmsgs_;  ///< per receive entry
+  std::size_t rx_entries_ = 0;                 ///< entries per recvmmsg
+  std::unique_ptr<std::uint8_t[]> rx_buf_;     ///< the entries, back to back
   /// Frames split from the current receive batch; capacity fixed at
   /// construction (full = forward early), so splitting never allocates.
   std::vector<std::span<const std::uint8_t>> rx_frames_;

@@ -64,6 +64,7 @@ UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
     max_segments_ = other.max_segments_;
+    gro_ = other.gro_;
     inject_wouldblock_ = other.inject_wouldblock_;
     inject_accept_limit_ = other.inject_accept_limit_;
     inject_accept_armed_ = other.inject_accept_armed_;
@@ -71,6 +72,7 @@ UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
     syscalls_recv_ = other.syscalls_recv_;
     other.fd_ = -1;
     other.max_segments_ = 1;
+    other.gro_ = false;
     other.inject_wouldblock_ = 0;
     other.inject_accept_limit_ = 0;
     other.inject_accept_armed_ = false;
@@ -165,6 +167,35 @@ UdpSocket::BatchResult UdpSocket::send_many(std::span<mmsghdr> msgs) {
     if (errno == ECONNREFUSED) return {IoResult::Refused, 0};
     return {IoResult::Error, 0};
   }
+}
+
+void UdpSocket::enable_receive_offload() noexcept {
+  const int on = 1;
+  gro_ = ::setsockopt(fd_, SOL_UDP, UDP_GRO, &on, sizeof(on)) == 0;
+  (void)::setsockopt(fd_, SOL_SOCKET, SO_RXQ_OVFL, &on, sizeof(on));
+}
+
+void UdpSocket::inject_no_gro() noexcept {
+  const int off = 0;
+  (void)::setsockopt(fd_, SOL_UDP, UDP_GRO, &off, sizeof(off));
+  gro_ = false;
+}
+
+UdpSocket::RecvMeta UdpSocket::read_recv_cmsgs(const msghdr& hdr) noexcept {
+  RecvMeta meta;
+  for (const cmsghdr* c = CMSG_FIRSTHDR(&hdr); c != nullptr;
+       c = CMSG_NXTHDR(const_cast<msghdr*>(&hdr), const_cast<cmsghdr*>(c))) {
+    if (c->cmsg_level == SOL_UDP && c->cmsg_type == UDP_GRO) {
+      int segment_bytes = 0;
+      std::memcpy(&segment_bytes, CMSG_DATA(c), sizeof(segment_bytes));
+      meta.segment_bytes =
+          segment_bytes > 0 ? static_cast<std::size_t>(segment_bytes) : 0;
+    } else if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SO_RXQ_OVFL) {
+      std::memcpy(&meta.kernel_drops, CMSG_DATA(c), sizeof(meta.kernel_drops));
+      meta.has_kernel_drops = true;
+    }
+  }
+  return meta;
 }
 
 UdpSocket::BatchResult UdpSocket::recv_many(std::span<mmsghdr> msgs) {

@@ -19,7 +19,11 @@
 // UDP segmentation offload (UDP_SEGMENT, Linux 4.18+) is probed once per
 // socket: max_segments() is kMaxSegments where the kernel takes the
 // option and 1 where it does not, and inject_no_segmentation() models
-// the latter on any kernel.
+// the latter on any kernel. Its receive twin, UDP_GRO (Linux 5.0+), is
+// asked for by enable_receive_offload(): a burst sent as one segmented
+// message then arrives as one recvmmsg entry whose RecvCmsg carries the
+// segment size. gro() reports whether the kernel took it, and
+// inject_no_gro() turns it back off.
 #pragma once
 
 #include <sys/socket.h>
@@ -99,6 +103,29 @@ class UdpSocket {
   static void set_segment_size(msghdr& hdr, SegmentCmsg& control,
                                std::uint16_t segment_bytes) noexcept;
 
+  /// Control buffer for one received message: room for a UDP_GRO cmsg
+  /// (the burst's segment size) and an SO_RXQ_OVFL cmsg (the socket's
+  /// drop count).
+  union RecvCmsg {
+    char buf[CMSG_SPACE(sizeof(int)) + CMSG_SPACE(sizeof(std::uint32_t))];
+    cmsghdr align;
+  };
+
+  /// What one received message's control data carried.
+  struct RecvMeta {
+    /// UDP_GRO segment size: the message is a burst of datagrams of this
+    /// size (the last may be shorter). 0 when no UDP_GRO cmsg came.
+    std::size_t segment_bytes = 0;
+    /// SO_RXQ_OVFL: datagrams the kernel had dropped on this socket when
+    /// the message was queued. The kernel sends it only once nonzero.
+    bool has_kernel_drops = false;
+    std::uint32_t kernel_drops = 0;
+  };
+
+  /// Parse a received message's control data (msg_controllen as
+  /// recvmmsg left it).
+  [[nodiscard]] static RecvMeta read_recv_cmsgs(const msghdr& hdr) noexcept;
+
   /// Send up to msgs.size() messages in one sendmmsg(2). The caller owns
   /// the mmsghdr/iovec/cmsg arrays (persistent, reused across calls —
   /// this layer allocates nothing). A message is one datagram, or, with a
@@ -111,12 +138,15 @@ class UdpSocket {
   /// short-writes, so it is the message's whole payload).
   [[nodiscard]] BatchResult send_many(std::span<mmsghdr> msgs);
 
-  /// Receive up to msgs.size() datagrams in one recvmmsg(2). Each
+  /// Receive up to msgs.size() messages in one recvmmsg(2). Each
   /// mmsghdr's iovec must point at a receive slot; on return, slot i of
   /// the first `completed` has msg_len bytes (check msg_flags & MSG_TRUNC
-  /// for oversized datagrams). {WouldBlock, 0} when nothing is queued;
-  /// {Ok, n<size} means the queue drained mid-batch (no need to call
-  /// again until the poller reports readable).
+  /// for oversized datagrams). A message is one datagram, or, with
+  /// UDP_GRO on, a whole segmented burst: point msg_control at a
+  /// RecvCmsg (msg_controllen reset before every call) and read the
+  /// segment size with read_recv_cmsgs(). {WouldBlock, 0} when nothing
+  /// is queued; {Ok, n<size} means the queue drained mid-batch (no need
+  /// to call again until the poller reports readable).
   [[nodiscard]] BatchResult recv_many(std::span<mmsghdr> msgs);
 
   /// Syscalls actually issued (send/sendmmsg and recv/recvmmsg that
@@ -163,9 +193,23 @@ class UdpSocket {
   /// on, so callers send one datagram per message.
   void inject_no_segmentation() noexcept { max_segments_ = 1; }
 
+  /// Set UDP_GRO (bursts arrive whole) and SO_RXQ_OVFL (drop counts ride
+  /// on received messages) on this socket, best effort: a kernel that
+  /// refuses either option just leaves it off. For receivers that read
+  /// control data with recv_many(); recv() ignores it.
+  void enable_receive_offload() noexcept;
+
+  /// True when the kernel accepted UDP_GRO in enable_receive_offload().
+  [[nodiscard]] bool gro() const noexcept { return gro_; }
+
+  /// Model a kernel without UDP_GRO: set the option back to 0, so the
+  /// kernel cuts every burst into datagrams again, and gro() reads false.
+  void inject_no_gro() noexcept;
+
  private:
   int fd_ = -1;
   std::size_t max_segments_ = 1;
+  bool gro_ = false;
   int inject_wouldblock_ = 0;
   int inject_accept_limit_ = 0;
   bool inject_accept_armed_ = false;

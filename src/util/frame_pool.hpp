@@ -1,19 +1,20 @@
 // Fixed-slab frame arena for the batched datagram fast path.
 //
-// Every byte buffer on the live transport's hot path — encoded share
-// frames waiting behind the impairment serializer, datagrams parked on a
-// full kernel buffer, recvmmsg receive slots, and the protocol
-// receiver's reassembly partials — lives in one of these pools instead
-// of an ad-hoc std::vector. (The pool started life in mcss::transport;
-// it moved down to util when proto::Receiver grew arena-backed partial
-// storage, since protocol sits below transport in the layering.) The
-// design is the classic fixed-size allocator (netsim's Alloc/mem.h
-// idiom): one contiguous arena carved into equal slots, a singly-linked
-// freelist threaded through the slot headers, O(1) acquire/release, and
-// no malloc after construction. Exhaustion is a *policy*, not an error: acquire()
-// returns a null FrameRef, the caller drops the frame and bumps a stat,
-// and the transport degrades exactly like a full qdisc — never by
-// falling back to heap allocation on the hot path.
+// The live transport's hot-path byte buffers — encoded share frames
+// waiting behind the impairment serializer, datagrams parked on a full
+// kernel buffer, and the protocol receiver's reassembly partials — live
+// in one of these pools instead of an ad-hoc std::vector (each channel
+// receives into its own block of recvmmsg entries). (The pool started
+// life in mcss::transport; it moved down to util when proto::Receiver
+// grew arena-backed partial storage, since protocol sits below transport
+// in the layering.) The design is the classic fixed-size allocator
+// (netsim's Alloc/mem.h idiom): one contiguous arena carved into equal
+// slots, a singly-linked freelist threaded through the slot headers,
+// O(1) acquire/release, and no malloc after construction. Exhaustion is
+// a *policy*, not an error: acquire() returns a null FrameRef, the
+// caller drops the frame and bumps a stat, and the transport degrades
+// exactly like a full qdisc — never by falling back to heap allocation
+// on the hot path.
 //
 // FrameRef is a ref-counted handle (copying bumps a plain counter; the
 // pool is single-event-loop property, so counts are not atomic). The

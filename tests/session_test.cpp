@@ -181,7 +181,8 @@ TEST(Session, ForgedFramesOnOneChannelAreNotCreditedToItsReport) {
 TEST(Session, PublishesSocketCountersForItsChannels) {
   // Unpaced lanes release a whole burst at once, so each channel's share
   // datagrams leave as runs of equal size: segmented messages where the
-  // kernel supports UDP_SEGMENT.
+  // kernel supports UDP_SEGMENT, received as GRO entries where it takes
+  // UDP_GRO.
   SessionConfig config = clean_config(3, 1e12);
   config.limits.max_queue_packets = 64;
   config.limits.per_flow_memory_bytes = 1u << 20;
@@ -198,11 +199,22 @@ TEST(Session, PublishesSocketCountersForItsChannels) {
   }
   ASSERT_TRUE(run_until(ep, [&] { return delivered == kPackets; }));
 
+  // No reliability, so no feedback lane: the share channels and the
+  // poller make every kernel crossing.
   std::uint64_t sent = 0;
   std::uint64_t segments = 0;
+  std::uint64_t received = 0;
+  std::uint64_t gro_segments = 0;
+  std::uint64_t syscalls = ep.poller().wait_calls();
+  bool gro = true;
   for (std::size_t c = 0; c < ep.num_channels(); ++c) {
-    sent += ep.channel(c).stats().datagrams_sent;
-    segments += ep.channel(c).stats().gso_segments;
+    const transport::UdpChannel& ch = ep.channel(c);
+    sent += ch.stats().datagrams_sent;
+    segments += ch.stats().gso_segments;
+    received += ch.stats().datagrams_received;
+    gro_segments += ch.stats().gro_segments;
+    syscalls += ch.syscalls_send() + ch.syscalls_recv();
+    gro = gro && ch.rx_socket().gro();
   }
   obs::Registry registry;
   ep.publish_metrics(registry);
@@ -210,14 +222,28 @@ TEST(Session, PublishesSocketCountersForItsChannels) {
   EXPECT_GT(sent, 0u);
   EXPECT_EQ(metrics.counter_value("mcss_live_datagrams_sent"), sent);
   EXPECT_EQ(metrics.counter_value("mcss_live_gso_segments"), segments);
+  EXPECT_EQ(metrics.counter_value("mcss_live_datagrams_received"), received);
+  EXPECT_EQ(metrics.counter_value("mcss_live_gro_segments"), gro_segments);
+  EXPECT_EQ(metrics.counter_value("mcss_live_rx_kernel_drops"), 0u);
+  EXPECT_EQ(metrics.counter_value("mcss_transport_syscalls_total"), syscalls);
   const std::uint64_t messages =
       metrics.counter_value("mcss_live_gso_messages");
+  const std::uint64_t gro_messages =
+      metrics.counter_value("mcss_live_gro_messages");
   if (transport::UdpSocket::bound_loopback(0).max_segments() > 1) {
     EXPECT_GT(messages, 0u);
     EXPECT_GE(segments, 2 * messages) << "every segmented message is a run";
     EXPECT_LE(segments, sent);
   } else {
     EXPECT_EQ(messages, 0u);
+  }
+  // Where the RX sockets take UDP_GRO, the runs arrive as GRO entries.
+  if (gro && messages > 0) {
+    EXPECT_GT(gro_messages, 0u);
+    EXPECT_GE(gro_segments, 2 * gro_messages) << "every GRO entry is a run";
+    EXPECT_LE(gro_segments, received);
+  } else {
+    EXPECT_EQ(gro_messages, 0u);
   }
 }
 

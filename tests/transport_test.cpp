@@ -783,6 +783,13 @@ bool kernel_segments() {
   return UdpSocket::bound_loopback(0).max_segments() > 1;
 }
 
+/// True when this kernel delivers segmented bursts whole (UDP_GRO).
+bool kernel_gro() {
+  UdpSocket s = UdpSocket::bound_loopback(0);
+  s.enable_receive_offload();
+  return s.gro();
+}
+
 /// Offer every frame at t=0 through a transparent channel.
 void offer_all(UdpChannel& ch,
                const std::vector<std::vector<std::uint8_t>>& frames) {
@@ -795,7 +802,8 @@ TEST(UdpChannel, SegmentedAndPlainSendsDeliverTheSameFramesInOrder) {
   // A mix that yields runs of equal datagrams, coalesced datagrams of
   // small frames, and lone odd sizes. The receiver must see the same
   // frames, in the same order, whether runs leave as segmented messages
-  // or one datagram per message.
+  // or one datagram per message, and whether a segmented run arrives
+  // whole (UDP_GRO) or cut back into datagrams by the kernel.
   std::vector<std::vector<std::uint8_t>> sent;
   const std::size_t sizes[] = {1494, 1494, 1494, 700, 700, 128, 128, 128,
                                1494, 1360, 1360, 1360, 1494, 90,  1494};
@@ -804,13 +812,14 @@ TEST(UdpChannel, SegmentedAndPlainSendsDeliverTheSameFramesInOrder) {
     for (const std::size_t size : sizes) sent.push_back(frame_of_size(id++, size));
   }
 
-  const auto run = [&](bool segmentation) {
+  const auto run = [&](bool segmentation, bool gro) {
     net::Simulator timeline;
     FramePool pool(2048, 96);
     ChannelConfig cfg;
     cfg.rate_bps = 1e15;
     UdpChannel ch(cfg, Rng(21), timeline, pool, 0, "mix");
     if (!segmentation) ch.tx_socket().inject_no_segmentation();
+    if (!gro) ch.rx_socket().inject_no_gro();
     std::vector<std::vector<std::uint8_t>> got;
     ch.set_on_batch(collect_into(got));
     offer_all(ch, sent);
@@ -819,20 +828,34 @@ TEST(UdpChannel, SegmentedAndPlainSendsDeliverTheSameFramesInOrder) {
     for (int spins = 0; spins < 5000 && got.size() < sent.size(); ++spins) {
       ch.on_readable();
     }
-    EXPECT_EQ(got, sent) << (segmentation ? "segmented" : "plain");
+    EXPECT_EQ(got, sent) << (segmentation ? "segmented" : "plain")
+                         << (gro ? " gro" : " kernel-cut");
     return ch.stats();
   };
-  const UdpChannelStats plain = run(false);
-  const UdpChannelStats segmented = run(true);
+  const UdpChannelStats plain = run(false, true);
+  const UdpChannelStats cut = run(true, false);
+  const UdpChannelStats segmented = run(true, true);
   EXPECT_EQ(plain.gso_messages, 0u);
+  EXPECT_EQ(plain.gro_messages, 0u);
+  EXPECT_EQ(cut.gro_messages, 0u);
   if (kernel_segments()) {
     EXPECT_GT(segmented.gso_messages, 0u);
+    if (kernel_gro()) {
+      // Each segmented message arrives as one entry.
+      EXPECT_EQ(segmented.gro_messages, segmented.gso_messages);
+      EXPECT_EQ(segmented.gro_segments, segmented.gso_segments);
+    }
   }
   // Same datagrams on the wire, so the same wire counters.
-  EXPECT_EQ(segmented.datagrams_sent, plain.datagrams_sent);
-  EXPECT_EQ(segmented.bytes_sent, plain.bytes_sent);
-  EXPECT_EQ(segmented.frames_coalesced, plain.frames_coalesced);
-  EXPECT_EQ(segmented.datagrams_received, plain.datagrams_received);
+  for (const UdpChannelStats& s : {cut, segmented}) {
+    EXPECT_EQ(s.datagrams_sent, plain.datagrams_sent);
+    EXPECT_EQ(s.bytes_sent, plain.bytes_sent);
+    EXPECT_EQ(s.frames_coalesced, plain.frames_coalesced);
+    EXPECT_EQ(s.datagrams_received, plain.datagrams_received);
+    EXPECT_EQ(s.bytes_received, plain.bytes_received);
+    EXPECT_EQ(s.frames_forwarded, plain.frames_forwarded);
+    EXPECT_EQ(s.recv_truncated, 0u);
+  }
   EXPECT_EQ(segmented.datagrams_received, segmented.datagrams_sent);
 }
 
@@ -997,6 +1020,187 @@ TEST(UdpChannel, RefusedHeadMessageRetiresOnlyItsFrames) {
   EXPECT_EQ(ch.stats().send_errors, 0u);
 }
 
+/// Send `pieces`, back to back, from `peer` as ONE UDP_SEGMENT message
+/// the kernel cuts every `segment_bytes`.
+void send_burst(UdpSocket& peer,
+                const std::vector<std::vector<std::uint8_t>>& pieces,
+                std::size_t segment_bytes) {
+  std::vector<iovec> iovs;
+  for (const auto& p : pieces) {
+    iovs.push_back({const_cast<std::uint8_t*>(p.data()), p.size()});
+  }
+  mmsghdr msg{};
+  msg.msg_hdr.msg_iov = iovs.data();
+  msg.msg_hdr.msg_iovlen = iovs.size();
+  UdpSocket::SegmentCmsg control{};
+  UdpSocket::set_segment_size(msg.msg_hdr, control,
+                              static_cast<std::uint16_t>(segment_bytes));
+  const auto sent = peer.send_many({&msg, 1});
+  ASSERT_EQ(sent.result, UdpSocket::IoResult::Ok);
+  ASSERT_EQ(sent.completed, 1u);
+}
+
+TEST(UdpChannel, GarbageSegmentInABurstCountsAsWithoutGro) {
+  if (!kernel_segments()) GTEST_SKIP() << "kernel lacks UDP_SEGMENT";
+  // Segments of 600 B: {f1 f2} {garbage} {f3 f4} {f5}. The garbage
+  // segment goes up whole as one unparsed tail, and the segments after
+  // it still parse, whether the kernel or the channel cuts the burst.
+  const std::vector<std::vector<std::uint8_t>> pieces = {
+      frame_of_size(1, 300), frame_of_size(2, 300),
+      std::vector<std::uint8_t>(600, 0xEE),
+      frame_of_size(3, 300), frame_of_size(4, 300), frame_of_size(5, 300)};
+  const auto run = [&](bool gro) {
+    net::Simulator timeline;
+    FramePool pool(2048, 64);
+    ChannelConfig cfg;
+    UdpChannel ch(cfg, Rng(33), timeline, pool, 0, "hostile");
+    if (!gro) ch.rx_socket().inject_no_gro();
+    std::vector<std::vector<std::uint8_t>> got;
+    ch.set_on_batch(collect_into(got));
+    UdpSocket peer = UdpSocket::bound_loopback(0);
+    peer.connect_loopback(ch.rx_port());
+    send_burst(peer, pieces, 600);
+    for (int spins = 0; spins < 5000 && got.size() < pieces.size(); ++spins) {
+      ch.on_readable();
+    }
+    EXPECT_EQ(got, pieces) << (gro ? "gro" : "kernel-segmented");
+    return ch.stats();
+  };
+  const UdpChannelStats off = run(false);
+  const UdpChannelStats on = run(true);
+  for (const UdpChannelStats& s : {off, on}) {
+    EXPECT_EQ(s.frames_forwarded, 5u);
+    EXPECT_EQ(s.unparsed_forwarded, 1u);
+    EXPECT_EQ(s.datagrams_received, 4u);
+    EXPECT_EQ(s.bytes_received, 2100u);
+  }
+  EXPECT_EQ(off.gro_messages, 0u);
+  if (kernel_gro()) {
+    EXPECT_EQ(on.gro_messages, 1u);
+    EXPECT_EQ(on.gro_segments, 4u);
+  }
+}
+
+TEST(UdpChannel, Largest64SegmentBurstsAreReceivedWhole) {
+  if (!kernel_segments() || !kernel_gro()) {
+    GTEST_SKIP() << "kernel lacks UDP_SEGMENT or UDP_GRO";
+  }
+  // Each burst is sent alone and must come up whole and untruncated:
+  // `entries` GRO entries holding its 64 segments.
+  const auto receive_burst = [](const auto& pieces, std::size_t segment_bytes) {
+    net::Simulator timeline;
+    FramePool pool(2048, 64);
+    ChannelConfig cfg;
+    UdpChannel ch(cfg, Rng(35), timeline, pool, 0, "largest");
+    std::vector<std::vector<std::uint8_t>> got;
+    ch.set_on_batch(collect_into(got));
+    UdpSocket peer = UdpSocket::bound_loopback(0);
+    peer.connect_loopback(ch.rx_port());
+    send_burst(peer, pieces, segment_bytes);
+    for (int spins = 0; spins < 5000 && got.size() < pieces.size(); ++spins) {
+      ch.on_readable();
+    }
+    EXPECT_EQ(got, pieces);
+    EXPECT_EQ(ch.stats().recv_truncated, 0u);
+    EXPECT_EQ(ch.stats().datagrams_received, 64u);
+    return ch.stats();
+  };
+  // 64 x 1023 B = 65472 bytes: one entry.
+  std::vector<std::vector<std::uint8_t>> fits;
+  for (std::uint64_t i = 1; i <= 64; ++i) {
+    fits.push_back(frame_of_size(i, 1023));
+  }
+  const UdpChannelStats one = receive_burst(fits, 1023);
+  EXPECT_EQ(one.gro_messages, 1u);
+  EXPECT_EQ(one.gro_segments, 64u);
+  EXPECT_EQ(one.bytes_received, 65472u);
+  // 63 x 1024 B + 995 B = 65507 bytes, the most one message may carry.
+  // Loopback's 64 KiB GSO limit counts the link, IP and UDP headers, so
+  // its kernel cuts bursts over 65493 bytes on send; elsewhere the burst
+  // may arrive as one entry. Either way it comes up whole.
+  std::vector<std::vector<std::uint8_t>> largest;
+  for (std::uint64_t i = 1; i <= 63; ++i) {
+    largest.push_back(frame_of_size(i, 1024));
+  }
+  largest.push_back(frame_of_size(64, 995));
+  const UdpChannelStats most = receive_burst(largest, 1024);
+  EXPECT_EQ(most.bytes_received, UdpSocket::kMaxMessageBytes);
+  EXPECT_EQ(most.gro_segments, 64 * most.gro_messages);
+}
+
+TEST(UdpChannel, RecvBatchHistogramCountsWireDatagrams) {
+  // Five equal datagrams arrive as one GRO entry where the kernel takes
+  // UDP_GRO; the histogram must still read five datagrams for that
+  // recvmmsg, as the send side does.
+  const bool was = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const auto batch_hist = [] {
+    for (const auto& h : obs::Registry::global().snapshot().histograms) {
+      if (h.name == "mcss_transport_recv_batch_datagrams") {
+        return std::pair{h.count, h.sum};
+      }
+    }
+    return std::pair{std::uint64_t{0}, 0.0};
+  };
+  net::Simulator timeline;
+  FramePool pool(2048, 64);
+  ChannelConfig cfg;
+  cfg.rate_bps = 1e15;
+  UdpChannel ch(cfg, Rng(39), timeline, pool, 0, "rxhist");
+  std::size_t frames_seen = 0;
+  ch.set_on_batch([&](FrameBatch frames) { frames_seen += frames.size(); });
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(ch.try_send(
+        std::span<const std::uint8_t>(frame_of_size(i, 1494)), 0));
+  }
+  ch.flush(0);
+  const auto before = batch_hist();
+  for (int spins = 0; spins < 5000 && frames_seen < 5; ++spins) {
+    ch.on_readable();
+  }
+  const auto after = batch_hist();
+  obs::set_metrics_enabled(was);
+  ASSERT_EQ(frames_seen, 5u);
+  EXPECT_EQ(after.second - before.second, 5.0) << "five wire datagrams";
+  if (kernel_segments() && kernel_gro()) {
+    EXPECT_EQ(after.first - before.first, 1u) << "one recvmmsg";
+  }
+}
+
+TEST(UdpChannel, KernelDropCountMatchesWhatTheSocketLost) {
+  net::Simulator timeline;
+  FramePool pool(2048, 128);
+  ChannelConfig cfg;
+  cfg.rate_bps = 1e15;
+  UdpChannel ch(cfg, Rng(37), timeline, pool, 0, "drops");
+  // One datagram per message, into the smallest receive buffer the
+  // kernel allows: most of a 64-datagram burst cannot be queued.
+  ch.tx_socket().inject_no_segmentation();
+  ch.rx_socket().set_recv_buffer(1);
+  ch.set_on_batch([](FrameBatch) {});
+  for (std::uint64_t i = 1; i <= 64; ++i) {
+    ASSERT_TRUE(ch.try_send(
+        std::span<const std::uint8_t>(big_frame_bytes(i)), 0));
+  }
+  ch.flush(0);
+  ASSERT_EQ(ch.stats().datagrams_sent, 64u);
+  for (int spins = 0; spins < 10; ++spins) ch.on_readable();
+  // The kernel stamps its drop count on datagrams queued after the
+  // drops, so one more datagram carries the total.
+  const std::uint64_t before = ch.stats().datagrams_received;
+  ASSERT_TRUE(ch.try_send(
+      std::span<const std::uint8_t>(big_frame_bytes(65)), 0));
+  ch.flush(0);
+  for (int spins = 0; spins < 5000 && ch.stats().datagrams_received == before;
+       ++spins) {
+    ch.on_readable();
+  }
+  const UdpChannelStats& s = ch.stats();
+  ASSERT_EQ(s.datagrams_received, before + 1);
+  EXPECT_GT(s.recv_kernel_drops, 0u);
+  EXPECT_EQ(s.recv_kernel_drops, s.datagrams_sent - s.datagrams_received);
+}
+
 TEST(UdpChannel, RecvmmsgDrainsBurstsLargerThanTheBatch) {
   net::Simulator timeline;
   FramePool pool(2048, 32);
@@ -1031,34 +1235,35 @@ TEST(UdpChannel, RecvmmsgDrainsBurstsLargerThanTheBatch) {
 
 TEST(UdpChannel, PoolExhaustionUnderStormDegradesToDropWithStat) {
   net::Simulator timeline;
-  // 6 slots; the channel pins 2 for its receive batch, leaving 4 for TX.
+  // 6 slots, all for TX: the channel receives into its own entries.
   FramePool pool(2048, 6);
   ChannelConfig cfg;
   cfg.rate_bps = 1e15;
   UdpChannel ch(cfg, Rng(9), timeline, pool, 0, "storm", 1400,
                 /*send_batch=*/32, /*recv_batch=*/2);
   ch.set_on_batch([](FrameBatch) {});
+  EXPECT_EQ(pool.available(), 6u);
 
   const auto frame = big_frame_bytes(1);
   std::size_t accepted = 0;
   for (int i = 0; i < 10; ++i) {
     if (ch.try_send(std::span<const std::uint8_t>(frame), 0)) ++accepted;
   }
-  EXPECT_EQ(accepted, 4u) << "exactly the free slots";
-  EXPECT_EQ(ch.stats().frames_dropped_pool, 6u);
-  EXPECT_EQ(pool.stats().exhausted, 6u);
+  EXPECT_EQ(accepted, 6u) << "exactly the free slots";
+  EXPECT_EQ(ch.stats().frames_dropped_pool, 4u);
+  EXPECT_EQ(pool.stats().exhausted, 4u);
   EXPECT_EQ(pool.available(), 0u);
 
   // Flushing returns the slots; the channel recovers without help.
   ch.flush(0);
-  EXPECT_EQ(ch.stats().datagrams_sent, 4u);
-  EXPECT_EQ(pool.available(), 4u);
+  EXPECT_EQ(ch.stats().datagrams_sent, 6u);
+  EXPECT_EQ(pool.available(), 6u);
   EXPECT_TRUE(ch.try_send(std::span<const std::uint8_t>(frame), 0));
 }
 
 TEST(UdpChannel, WholeBatchDepartureKeepsPerFrameReleaseStamps) {
   net::Simulator timeline;
-  FramePool pool(2048, 40);  // 32 pinned receive slots + TX headroom
+  FramePool pool(2048, 40);  // TX slots; receives use the channel's entries
   ChannelConfig cfg;
   cfg.rate_bps = 8e6;  // 1000 bytes = 1 ms on the serializer
   UdpChannel ch(cfg, Rng(11), timeline, pool, 0, "stamps");
@@ -1093,7 +1298,7 @@ TEST(UdpChannel, SteadyStateFastPathDoesNotAllocateAfterWarmup) {
   const auto frame = big_frame_bytes(42);
 
   // One round = stage 8 frames into pool slots, one sendmmsg out, drain
-  // the RX socket through the pinned recvmmsg slots.
+  // the RX socket through the channel's recvmmsg entries.
   const auto round = [&](std::int64_t t, std::size_t expect_seen) {
     for (int i = 0; i < 8; ++i) {
       (void)ch.try_send(std::span<const std::uint8_t>(frame), t);
