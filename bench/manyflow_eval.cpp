@@ -18,8 +18,9 @@
 //   - a sweep point with >= 10k concurrent flows sustains its target
 //     population through churn,
 //   - p99 setup latency stays under 5 ms at every point,
-//   - memory per flow at the largest point stays under the configured
-//     per-flow receiver cap (the degradation budget),
+//   - memory per flow at the largest point stays under 4 KiB (a flow
+//     with its first packet in flight holds about 2 KB; DESIGN.md,
+//     "Per-flow state"),
 //   - single-flow ARQ THROUGH THE SESSION LAYER still delivers >= 99.9%
 //     on 10%-lossy channels (the reliability_eval gate, session path),
 //   - the runtime telemetry plane costs <= 5% sustained throughput at
@@ -463,8 +464,9 @@ int main(int argc, char** argv) {
   if (sweep.empty() || sweep.back() != max_flows) sweep.push_back(max_flows);
 
   constexpr double kP99SetupGateS = 0.005;      // 5 ms on a shared CI host
-  const std::size_t mem_gate_bytes =
-      session::SessionLimits{}.per_flow_memory_bytes;
+  // About twice what a flow holds at the ramp's end: room for allocator
+  // and host variation, but a doubling of per-flow state fails.
+  constexpr std::size_t mem_gate_bytes = 4096;
 
   std::printf("manyflow_eval: session-layer flow sweep with churn\n");
   std::printf("%10s %10s %12s %12s %12s %10s %8s\n", "target", "sustained",

@@ -3,10 +3,10 @@
 # ReMICSS flows with PCS-style churn on one SessionEndpoint over real
 # loopback UDP, reporting flows/sec, p99 setup latency, and memory per
 # flow. The bench's own gates (>= 10k flows sustained through churn,
-# p99 setup <= 5 ms, mem/flow under the per-flow receiver cap at the
-# largest point, single-flow ARQ delivery >= 99.9% through the session
-# layer) make it exit nonzero on regression, so this script doubles as
-# the CI manyflow check. The JSON lands at <output-json> with run
+# p99 setup <= 5 ms, mem/flow <= 4 KiB at the largest point,
+# single-flow ARQ delivery >= 99.9% through the session layer) make it
+# exit nonzero on regression, so this script doubles as the CI manyflow
+# check. The JSON lands at <output-json> with run
 # metadata merged in under "_meta".
 #
 # The sweep ceiling can be lowered for constrained hosts with

@@ -71,7 +71,7 @@ std::optional<proto::ShareDecision> ProactiveScheduler::next(
       return std::nullopt;  // wait for the full plan to be writable
     }
   }
-  return proto::ShareDecision{plan_.k, plan_.channels};
+  return proto::ShareDecision{plan_.k, proto::ChannelList(plan_.channels)};
 }
 
 }  // namespace mcss::feedback

@@ -6,7 +6,8 @@
 
 namespace mcss::feedback {
 
-ReportBuilder::ReportBuilder(ReportBuilderConfig config) : config_(config) {
+ReportBuilder::ReportBuilder(ReportBuilderConfig config)
+    : config_(config), delays_(config.max_delay_samples) {
   MCSS_ENSURE(config_.num_channels >= 1 &&
                   config_.num_channels <= kMaxReportChannels,
               "report builder needs 1..32 channels");
@@ -15,12 +16,11 @@ ReportBuilder::ReportBuilder(ReportBuilderConfig config) : config_(config) {
               "SACK window out of range");
   MCSS_ENSURE(config_.max_delay_samples <= kMaxDelaySamples,
               "delay ring exceeds the wire limit");
-  sack_.assign(config_.sack_window_words, 0);
-  channels_.assign(config_.num_channels, {});
 }
 
 void ReportBuilder::on_channel_frame(std::size_t channel, bool decodable) {
-  MCSS_ENSURE(channel < channels_.size(), "channel index out of range");
+  MCSS_ENSURE(channel < config_.num_channels, "channel index out of range");
+  if (channels_.empty()) channels_.assign(config_.num_channels, {});
   ++channels_[channel].frames_received;
   if (!decodable) ++channels_[channel].frames_undecodable;
 }
@@ -28,6 +28,7 @@ void ReportBuilder::on_channel_frame(std::size_t channel, bool decodable) {
 void ReportBuilder::on_delivered(std::uint64_t packet_id,
                                  std::int64_t recv_time_ns) {
   ++packets_delivered_;
+  if (sack_.empty()) sack_.assign(config_.sack_window_words, 0);
   if (packet_id >= sack_base_) {
     advance_window(packet_id);
     const std::uint64_t offset = packet_id - sack_base_;
@@ -46,7 +47,7 @@ void ReportBuilder::on_delivered(std::uint64_t packet_id,
       ++delay_samples_clamped_;
     }
     last_recv_time_ns_ = recv_time_ns;
-    if (delays_.size() >= config_.max_delay_samples) delays_.pop_front();
+    if (delays_.full()) delays_.pop_front();
     delays_.push_back({packet_id, recv_time_ns});
   }
 }
@@ -74,9 +75,16 @@ ReceiverReport ReportBuilder::build(std::int64_t now_ns) {
   report.packets_delivered = packets_delivered_;
   reported_delivered_ = packets_delivered_;
   report.sack_base = sack_base_;
+  // Before the first delivery / frame the members are still empty; the
+  // resize fills in the all-zero window and counters they stand for.
   report.sack = sack_;
+  report.sack.resize(config_.sack_window_words);
   report.channels = channels_;
-  report.delays.assign(delays_.begin(), delays_.end());
+  report.channels.resize(config_.num_channels);
+  report.delays.reserve(delays_.size());
+  for (std::size_t i = 0; i < delays_.size(); ++i) {
+    report.delays.push_back(delays_[i]);
+  }
   delays_.clear();
   return report;
 }
@@ -85,7 +93,7 @@ bool ReportBuilder::acked(std::uint64_t packet_id) const noexcept {
   if (packet_id < sack_base_) return false;
   const std::uint64_t offset = packet_id - sack_base_;
   const std::size_t word = static_cast<std::size_t>(offset / 64);
-  if (word >= sack_.size()) return false;
+  if (word >= sack_.size()) return false;  // also before any delivery
   return (sack_[word] >> (offset % 64)) & 1u;
 }
 

@@ -9,16 +9,22 @@
 //   - a bounded newest-first ring of (packet id, delivery time) delay
 //     samples, drained into each report.
 //
+// A builder that has seen no traffic holds no heap: the SACK words and
+// channel counters are allocated by the first frame or delivery, and the
+// delay ring by its first sample (a session endpoint keeps one builder
+// per flow). Reports built before that carry the same all-zero window
+// and counters.
+//
 // The builder is transport-agnostic: the sim glue (ReliableLink) and the
 // live endpoint both feed it and periodically call build().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "feedback/report.hpp"
+#include "util/ring.hpp"
 
 namespace mcss::feedback {
 
@@ -70,6 +76,12 @@ class ReportBuilder {
   [[nodiscard]] std::uint64_t delay_samples_clamped() const noexcept {
     return delay_samples_clamped_;
   }
+  /// Heap bytes the builder holds (SACK words, counters, delay ring).
+  [[nodiscard]] std::size_t heap_bytes() const noexcept {
+    return sack_.capacity() * sizeof(std::uint64_t) +
+           channels_.capacity() * sizeof(ChannelCounters) +
+           delays_.heap_bytes();
+  }
 
  private:
   void advance_window(std::uint64_t packet_id);
@@ -79,9 +91,11 @@ class ReportBuilder {
   std::uint64_t packets_delivered_ = 0;
   std::uint64_t reported_delivered_ = 0;  ///< packets_delivered_ at build()
   std::uint64_t sack_base_ = 1;  // packet ids start at 1
+  /// Empty until the first delivery, then sack_window_words words.
   std::vector<std::uint64_t> sack_;
+  /// Empty until the first frame, then num_channels counters.
   std::vector<ChannelCounters> channels_;
-  std::deque<DelaySample> delays_;
+  util::Ring<DelaySample> delays_;
   std::int64_t last_recv_time_ns_ = 0;
   std::uint64_t delay_samples_clamped_ = 0;
 };

@@ -59,9 +59,13 @@ void Receiver::publish_metrics(obs::Registry& registry) const {
 
 Receiver::Receiver(net::Simulator& sim, ReceiverConfig config,
                    net::CpuModel* cpu)
-    : sim_(sim), config_(config), cpu_(cpu) {
+    : sim_(sim),
+      config_(config),
+      cpu_(cpu),
+      completed_order_(config.completed_history) {
   MCSS_ENSURE(config_.reassembly_timeout > 0, "timeout must be positive");
   MCSS_ENSURE(config_.memory_limit_bytes > 0, "memory limit must be positive");
+  if (cpu_ != nullptr) alive_ = std::make_shared<bool>(true);
 }
 
 Receiver::~Receiver() {
@@ -69,7 +73,7 @@ Receiver::~Receiver() {
   // come and go): take back every eviction timer still parked there, and
   // let deferred deliveries, which hold the token, stand down.
   for (const auto& [id, partial] : partials_) sim_.cancel(partial.eviction);
-  *alive_ = false;
+  if (alive_) *alive_ = false;
 }
 
 void Receiver::set_arena(util::FramePool* arena) {
@@ -298,7 +302,7 @@ void Receiver::complete(std::uint64_t id, Partial& partial) {
   if (deliver_) {
     if (done <= sim_.now()) {
       deliver_(id, std::move(payload));
-    } else {
+    } else {  // only with a CpuModel, so alive_ is set
       sim_.schedule_at(
           done, [this, alive = alive_, id, p = std::move(payload)]() mutable {
             if (!*alive) return;
@@ -345,12 +349,13 @@ bool Receiver::make_room(std::size_t incoming_bytes,
 }
 
 void Receiver::remember_completed(std::uint64_t id) {
-  completed_.insert(id);
-  completed_order_.push_back(id);
-  while (completed_order_.size() > config_.completed_history) {
+  if (config_.completed_history == 0) return;
+  if (completed_order_.full()) {
     completed_.erase(completed_order_.front());
     completed_order_.pop_front();
   }
+  completed_.insert(id);
+  completed_order_.push_back(id);
 }
 
 }  // namespace mcss::proto

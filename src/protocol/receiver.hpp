@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <memory>
@@ -26,6 +25,7 @@
 #include "protocol/wire.hpp"
 #include "sss/share.hpp"
 #include "util/frame_pool.hpp"
+#include "util/ring.hpp"
 
 namespace mcss::obs {
 class Registry;
@@ -145,6 +145,11 @@ class Receiver {
   [[nodiscard]] std::size_t tracked_partials() const noexcept {
     return creation_order_.size();
   }
+  /// Heap bytes of the completed-id history ring (0 before the first
+  /// delivery; it grows toward completed_history as ids complete).
+  [[nodiscard]] std::size_t history_heap_bytes() const noexcept {
+    return completed_order_.heap_bytes();
+  }
 
  private:
   struct Partial {
@@ -197,15 +202,15 @@ class Receiver {
   std::list<std::uint64_t> creation_order_;  // for oldest-first eviction
   std::size_t buffered_bytes_ = 0;
   std::unordered_set<std::uint64_t> completed_;
-  std::deque<std::uint64_t> completed_order_;
+  /// Completion order of completed_, capped at completed_history.
+  util::Ring<std::uint64_t> completed_order_;
   ReceiverStats stats_;
   /// Liveness token captured by CpuModel deferred-delivery timers, which
-  /// are not tracked by handle: with the session layer many receivers
-  /// share one long-lived timeline, and a receiver destroyed with a
-  /// delivery pending (flow teardown) must make it a no-op, not a
-  /// use-after-free. Eviction timers need no token: the destructor
-  /// cancels them.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// are not tracked by handle: a receiver destroyed with a delivery
+  /// pending must make it a no-op, not a use-after-free. Only a receiver
+  /// with a CpuModel defers deliveries, so only it has a token. Eviction
+  /// timers need none: the destructor cancels them.
+  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace mcss::proto

@@ -1,13 +1,32 @@
 #include "protocol/scheduler.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "util/ensure.hpp"
 #include "util/subset.hpp"
 
 namespace mcss::proto {
+
+// ------------------------------------------------------------ ChannelList
+
+ChannelList::ChannelList(std::span<const int> channels) {
+  for (const int ch : channels) push_back(ch);
+}
+
+void ChannelList::push_back(int channel) {
+  MCSS_ENSURE(size_ < kCapacity, "more than 32 channels in one decision");
+  channels_[size_++] = channel;
+}
+
+void ChannelList::truncate(std::size_t n) {
+  MCSS_ENSURE(n <= size_, "truncate beyond the list");
+  size_ = n;
+}
+
+bool operator==(const ChannelList& a, std::span<const int> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
 
 // ---------------------------------------------------------------- Dynamic
 
@@ -20,7 +39,7 @@ std::optional<ShareDecision> DynamicScheduler::next(
   const int m = pending_->m;
 
   // Ready channels sorted by least backlog (ties by index for determinism).
-  std::vector<int> ready;
+  ChannelList ready;
   for (int i = 0; i < static_cast<int>(channels.size()); ++i) {
     if (channels[static_cast<std::size_t>(i)].ready) ready.push_back(i);
   }
@@ -35,9 +54,9 @@ std::optional<ShareDecision> DynamicScheduler::next(
     const net::SimTime bb = channels[static_cast<std::size_t>(b)].backlog;
     return ba != bb ? ba < bb : a < b;
   });
-  ready.resize(static_cast<std::size_t>(m));
+  ready.truncate(static_cast<std::size_t>(m));
 
-  ShareDecision d{pending_->k, std::move(ready)};
+  ShareDecision d{pending_->k, ready};
   pending_.reset();
   return d;
 }
@@ -63,7 +82,8 @@ std::optional<ShareDecision> StaticScheduler::next(
   // Oldest parked decision whose subset has become writable goes first.
   for (std::size_t i = 0; i < parked_.size(); ++i) {
     if (dispatchable(parked_[i])) {
-      ShareDecision d{parked_[i].k, mask_members(parked_[i].channels)};
+      ShareDecision d{parked_[i].k,
+                      ChannelList(mask_members(parked_[i].channels))};
       parked_.erase(parked_.begin() + static_cast<std::ptrdiff_t>(i));
       ++stats_.parked_dispatched;
       return d;
@@ -78,7 +98,7 @@ std::optional<ShareDecision> StaticScheduler::next(
   for (std::size_t draw = 0; draw < pool_limit_; ++draw) {
     const ScheduleEntry e = schedule_.sample(rng_);
     if (dispatchable(e)) {
-      return ShareDecision{e.k, mask_members(e.channels)};
+      return ShareDecision{e.k, ChannelList(mask_members(e.channels))};
     }
     if (parked_.size() >= pool_limit_) {
       parked_.erase(parked_.begin());
@@ -105,8 +125,7 @@ std::optional<ShareDecision> FixedScheduler::next(
   }
   ShareDecision d;
   d.k = k_;
-  d.channels.resize(static_cast<std::size_t>(num_channels_));
-  std::iota(d.channels.begin(), d.channels.end(), 0);
+  for (int i = 0; i < num_channels_; ++i) d.channels.push_back(i);
   return d;
 }
 

@@ -16,6 +16,8 @@
 //                          or courier-mode threshold schemes (k < n)
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <span>
@@ -38,11 +40,47 @@ struct ChannelView {
   net::SimTime backlog = 0;    ///< time to drain what is already queued
 };
 
+/// Channel indices held inline. A sender has at most kCapacity channels
+/// (the width of the uint32_t channel masks), so a decision never
+/// touches the heap.
+class ChannelList {
+ public:
+  static constexpr std::size_t kCapacity = 32;
+
+  ChannelList() = default;
+  explicit ChannelList(std::span<const int> channels);
+
+  void push_back(int channel);
+  /// Keep the first n entries (n <= size()).
+  void truncate(std::size_t n);
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] int operator[](std::size_t i) const noexcept {
+    return channels_[i];
+  }
+  [[nodiscard]] int* begin() noexcept { return channels_.data(); }
+  [[nodiscard]] int* end() noexcept { return channels_.data() + size_; }
+  [[nodiscard]] const int* begin() const noexcept { return channels_.data(); }
+  [[nodiscard]] const int* end() const noexcept {
+    return channels_.data() + size_;
+  }
+  // NOLINTNEXTLINE(google-explicit-constructor): a list is a span.
+  operator std::span<const int>() const noexcept {
+    return {channels_.data(), size_};
+  }
+
+  friend bool operator==(const ChannelList& a, std::span<const int> b);
+
+ private:
+  std::array<int, kCapacity> channels_{};
+  std::size_t size_ = 0;
+};
+
 /// The decision for one packet: threshold and the channel indices that
 /// will each carry exactly one share (|channels| = m).
 struct ShareDecision {
   int k = 1;
-  std::vector<int> channels;
+  ChannelList channels;
 };
 
 /// Strategy interface. next() may return nullopt, meaning "no acceptable

@@ -22,13 +22,22 @@ namespace {
 constexpr std::size_t kPricedOverhead =
     proto::kHeaderSize + proto::kConnectionIdSize + proto::kTagSize;
 
+/// A send stamp whose packet was delivered (stamps are never negative).
+constexpr std::int64_t kDelivered = -1;
+
+/// open_flow() costs kept for setup_latency_seconds(), and their seed.
+constexpr std::size_t kSetupLatencySamples = 4096;
+constexpr std::uint64_t kSetupLatencySeed = 1;
+
 }  // namespace
 
 SessionEndpoint::SessionEndpoint(SessionConfig config)
     : config_(std::move(config)),
       epoch_ns_(transport::monotonic_ns()),
       poller_(config_.poller_backend),
-      rng_(config_.seed) {
+      rng_(config_.seed),
+      setup_latency_(PercentileTracker::reservoir(kSetupLatencySamples,
+                                                  kSetupLatencySeed)) {
   MCSS_ENSURE(!config_.channels.empty(), "session endpoint needs channels");
   MCSS_ENSURE(config_.channels.size() <= 32, "at most 32 channels");
   MCSS_ENSURE(config_.send_batch >= 1 && config_.recv_batch >= 1,
@@ -210,22 +219,25 @@ std::optional<std::uint32_t> SessionEndpoint::open_flow(
   rc.arena = pool_.get();
   rc.auth_key = rx_key_;
 
-  auto flow = std::make_unique<Flow>(
-      cid, params, price, timeline_, std::move(rc),
-      params.kappa.value_or(config_.kappa), params.mu.value_or(config_.mu),
-      static_cast<int>(channels_.size()), now_ns());
-  flow->receiver.set_deliver(
+  Flow& flow =
+      flows_
+          .try_emplace(cid, cid, params, price, timeline_, std::move(rc),
+                       params.kappa.value_or(config_.kappa),
+                       params.mu.value_or(config_.mu),
+                       static_cast<int>(channels_.size()),
+                       config_.limits.max_queue_packets, now_ns())
+          .first->second;
+  flow.receiver.set_deliver(
       [this, cid](std::uint64_t id, std::vector<std::uint8_t> payload) {
         on_delivered(cid, id, std::move(payload));
       });
   if (config_.reliability.enabled) {
-    flow->builder.emplace(feedback::ReportBuilderConfig{
+    flow.builder.emplace(feedback::ReportBuilderConfig{
         .num_channels = channels_.size(),
         .sack_window_words = config_.reliability.sack_window_words,
         .max_delay_samples = config_.reliability.max_delay_samples});
-    flow->manager = std::make_unique<feedback::RetransmitManager>(
-        config_.reliability.retransmit, rng_.fork());
-    flow->manager->set_retransmit(
+    flow.manager.emplace(config_.reliability.retransmit, rng_.fork());
+    flow.manager->set_retransmit(
         [this, cid](std::uint64_t id, std::uint8_t generation,
                     const std::vector<std::uint8_t>& payload, int k) {
           resend(cid, id, generation, payload, k);
@@ -234,7 +246,6 @@ std::optional<std::uint32_t> SessionEndpoint::open_flow(
 
   admitted_bytes_per_s_ += price;
   ++stats_.flows_opened;
-  flows_.emplace(cid, std::move(flow));
   const std::int64_t setup_ns = transport::monotonic_ns() - t0;
   setup_latency_.add(static_cast<double>(setup_ns) / 1e9);
   if (obs::metrics_enabled()) {
@@ -249,7 +260,7 @@ std::optional<std::uint32_t> SessionEndpoint::open_flow(
 bool SessionEndpoint::close_flow(std::uint32_t cid) {
   const auto it = flows_.find(cid);
   if (it == flows_.end()) return false;
-  Flow& flow = *it->second;
+  Flow& flow = it->second;
   // Cancel-by-handle keeps the shared timeline from firing into freed
   // per-flow state; the Receiver's destructor cancels its eviction
   // timers the same way.
@@ -268,11 +279,11 @@ bool SessionEndpoint::send(std::uint32_t cid,
                            std::vector<std::uint8_t> payload) {
   const auto it = flows_.find(cid);
   if (it == flows_.end()) return false;
-  Flow& flow = *it->second;
+  Flow& flow = it->second;
   ++flow.sender_stats.packets_offered;
   MCSS_ENSURE(payload.size() <= proto::kMaxPayload,
               "packet exceeds maximum payload");
-  if (flow.queue.size() >= config_.limits.max_queue_packets) {
+  if (flow.queue.full()) {
     ++flow.sender_stats.packets_rejected;
     ++stats_.queue_rejects;
     return false;
@@ -385,16 +396,18 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
   flow.sender_stats.sum_k += k;
   flow.sender_stats.sum_m += m;
   ++stats_.packets_sent;
-  flow.sent_at_ns[id] = now;
-  flow.sent_order.push_back({id, now});
-  // Amortized stamp pruning: forget sends the flow's receiver can no
-  // longer deliver, so a lossy flow's join map stays bounded.
+  // Amortized stamp pruning: forget delivered sends and sends the flow's
+  // receiver can no longer deliver, so a lossy flow's stamp ring stays
+  // bounded. Pruning first lets a warm ring take the new stamp in place.
   const std::int64_t horizon =
       now - 4 * std::max<std::int64_t>(config_.receiver.reassembly_timeout, 1);
-  while (!flow.sent_order.empty() && flow.sent_order.front().second < horizon) {
-    flow.sent_at_ns.erase(flow.sent_order.front().first);
-    flow.sent_order.pop_front();
+  while (!flow.sent_ns.empty() && (flow.sent_ns.front() == kDelivered ||
+                                   flow.sent_ns.front() < horizon)) {
+    flow.sent_ns.pop_front();
+    ++flow.sent_base;
   }
+  if (flow.sent_ns.empty()) flow.sent_base = id;
+  flow.sent_ns.push_back(now);
   if (flow.manager) {
     flow.manager->on_packet_sent(id, k, payload, decision.channels, now);
     arm_rto(flow);
@@ -491,7 +504,7 @@ void SessionEndpoint::resend(std::uint32_t cid, std::uint64_t id,
                              const std::vector<std::uint8_t>& payload, int k) {
   const auto it = flows_.find(cid);
   if (it == flows_.end()) return;
-  Flow& flow = *it->second;
+  Flow& flow = it->second;
   const std::int64_t now = now_ns();
   const int n = static_cast<int>(channels_.size());
   const int m = std::min(n, k + config_.reliability.retransmit_extra);
@@ -566,7 +579,7 @@ void SessionEndpoint::arm_rto(Flow& flow) {
   flow.rto_timer = transport::schedule_wall(timeline_, when, [this, cid] {
     const auto it = flows_.find(cid);
     if (it == flows_.end()) return;
-    Flow& f = *it->second;
+    Flow& f = it->second;
     f.rto_timer = {};
     f.manager->advance(now_ns());
     fold_closed(f);
@@ -606,7 +619,7 @@ void SessionEndpoint::on_share_batch(
       ++stats_.frames_unknown_connection;
       continue;
     }
-    Flow& flow = *it->second;
+    Flow& flow = it->second;
     if (flow.builder) flow.builder->on_channel_frame(channel, true);
     ++stats_.frames_demuxed;
     flow.receiver.on_frame(rx_status_[i], view);
@@ -617,18 +630,18 @@ void SessionEndpoint::on_delivered(std::uint32_t cid, std::uint64_t id,
                                    std::vector<std::uint8_t> payload) {
   const auto it = flows_.find(cid);
   if (it == flows_.end()) return;
-  Flow& flow = *it->second;
-  const auto sent = flow.sent_at_ns.find(id);
-  if (sent != flow.sent_at_ns.end()) {
-    const double delay_s = net::to_seconds(now_ns() - sent->second);
-    delay_.add(delay_s);
-    if (obs::metrics_enabled()) {
-      obs::Registry& registry = obs::Registry::global();
-      static const obs::HistogramId delay_id = registry.histogram(
-          "mcss_session_e2e_delay_seconds", obs::exp_bounds(1e-4, 2.0, 20));
-      registry.observe(delay_id, delay_s);
+  Flow& flow = it->second;
+  if (id >= flow.sent_base && id - flow.sent_base < flow.sent_ns.size()) {
+    std::int64_t& sent = flow.sent_ns[id - flow.sent_base];
+    if (sent != kDelivered) {
+      if (obs::metrics_enabled()) {
+        obs::Registry& registry = obs::Registry::global();
+        static const obs::HistogramId delay_id = registry.histogram(
+            "mcss_session_e2e_delay_seconds", obs::exp_bounds(1e-4, 2.0, 20));
+        registry.observe(delay_id, net::to_seconds(now_ns() - sent));
+      }
+      sent = kDelivered;  // leaves the ring at the next dispatch
     }
-    flow.sent_at_ns.erase(sent);
   }
   ++stats_.packets_delivered;
   if (flow.builder) {
@@ -711,7 +724,7 @@ void SessionEndpoint::on_feedback_datagram(
       ++stats_.reports_unknown_connection;
       continue;
     }
-    Flow& flow = *it->second;
+    Flow& flow = it->second;
     if (!flow.manager) continue;
     // The demux is the cross-flow safety property: this report reaches
     // ONLY its own flow's manager, so its SACK bits can never ack (and
@@ -803,23 +816,33 @@ void SessionEndpoint::handle_events(std::int64_t now) {
 const proto::Receiver* SessionEndpoint::flow_receiver(
     std::uint32_t cid) const {
   const auto it = flows_.find(cid);
-  return it != flows_.end() ? &it->second->receiver : nullptr;
+  return it != flows_.end() ? &it->second.receiver : nullptr;
 }
 
 feedback::RetransmitManager* SessionEndpoint::flow_manager(std::uint32_t cid) {
   const auto it = flows_.find(cid);
-  return it != flows_.end() ? it->second->manager.get() : nullptr;
+  if (it == flows_.end() || !it->second.manager) return nullptr;
+  return &*it->second.manager;
 }
 
 std::size_t SessionEndpoint::flow_queued_packets(std::uint32_t cid) const {
   const auto it = flows_.find(cid);
-  return it != flows_.end() ? it->second->queue.size() : 0;
+  return it != flows_.end() ? it->second.queue.size() : 0;
 }
 
 const proto::SenderStats* SessionEndpoint::flow_sender_stats(
     std::uint32_t cid) const {
   const auto it = flows_.find(cid);
-  return it != flows_.end() ? &it->second->sender_stats : nullptr;
+  return it != flows_.end() ? &it->second.sender_stats : nullptr;
+}
+
+std::size_t SessionEndpoint::flow_heap_bytes(std::uint32_t cid) const {
+  const auto it = flows_.find(cid);
+  if (it == flows_.end()) return 0;
+  const Flow& flow = it->second;
+  return flow.queue.heap_bytes() + flow.sent_ns.heap_bytes() +
+         flow.receiver.history_heap_bytes() +
+         (flow.builder ? flow.builder->heap_bytes() : 0);
 }
 
 void SessionEndpoint::fold_closed(Flow& flow) {
@@ -844,7 +867,7 @@ bool SessionEndpoint::probe_flow(std::uint32_t cid,
                                  obs::runtime::FlowSample& out) const {
   const auto it = flows_.find(cid);
   if (it == flows_.end()) return false;  // closed since collection
-  const Flow& flow = *it->second;
+  const Flow& flow = it->second;
   out.cid = cid;
   out.queued_packets = flow.queue.size();
   out.receiver_bytes = flow.receiver.buffered_bytes();
@@ -942,7 +965,7 @@ void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
   receiver_total.auth_failures = stats_.frames_auth_failed;
   for (const auto& [cid, flow] : flows_) {
     (void)cid;
-    const proto::SenderStats& s = flow->sender_stats;
+    const proto::SenderStats& s = flow.sender_stats;
     sender_total.packets_offered += s.packets_offered;
     sender_total.packets_rejected += s.packets_rejected;
     sender_total.packets_sent += s.packets_sent;
@@ -952,7 +975,7 @@ void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
     sender_total.shares_dropped_at_channel += s.shares_dropped_at_channel;
     sender_total.sum_k += s.sum_k;
     sender_total.sum_m += s.sum_m;
-    const proto::ReceiverStats& r = flow->receiver.stats();
+    const proto::ReceiverStats& r = flow.receiver.stats();
     receiver_total.frames_received += r.frames_received;
     receiver_total.malformed_frames += r.malformed_frames;
     receiver_total.auth_failures += r.auth_failures;

@@ -11,11 +11,20 @@
 //
 //   shared, one per endpoint            per-flow, in the flow table
 //   ---------------------------         --------------------------------
-//   Poller (all sockets)                packet-id space + send queue
-//   net::Simulator timeline (RTO,       DynamicScheduler (dither state)
-//     impairment, report, eviction)     proto::Receiver (reassembly)
-//   FramePool (TX/partial slots)        feedback::ReportBuilder
-//   UdpChannels + feedback lane         feedback::RetransmitManager
+//   Poller (all sockets)                packet-id space, send-queue and
+//   net::Simulator timeline (RTO,         send-stamp rings
+//     impairment, report, eviction)     DynamicScheduler (dither state)
+//   FramePool (TX/partial slots)        proto::Receiver (reassembly)
+//   UdpChannels + feedback lane         feedback::ReportBuilder (ARQ)
+//                                       feedback::RetransmitManager (ARQ)
+//
+// A flow is one node of the flow table with everything above inline, and
+// its heap use follows what it holds. The send queue, the send stamps,
+// the receiver's completed-id history and the report builder's delay
+// samples are util::Ring FIFOs that allocate on their first push and
+// grow up to their existing limits, so a flow that has neither sent nor
+// received costs its node and nothing else (DESIGN.md, "Per-flow state",
+// has the byte table).
 //
 // Flows are keyed by the wire header's connection id (wire.hpp flag bit
 // 2): every share and every receiver report carries the owning flow's
@@ -58,7 +67,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -77,6 +85,7 @@
 #include "transport/live_endpoint.hpp"
 #include "transport/poller.hpp"
 #include "transport/udp_channel.hpp"
+#include "util/ring.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -239,11 +248,11 @@ class SessionEndpoint {
     return budget_bytes_per_s_;
   }
   /// open_flow() wall-clock cost (seconds) — the bench's setup latency.
+  /// A fixed-size seeded reservoir: a long-lived endpoint opens millions
+  /// of flows, and percentiles need a sample, not every open.
   [[nodiscard]] PercentileTracker& setup_latency_seconds() noexcept {
     return setup_latency_;
   }
-  /// End-to-end packet delay samples (seconds) across all flows.
-  [[nodiscard]] PercentileTracker& delay_seconds() noexcept { return delay_; }
   [[nodiscard]] const util::FramePool& pool() const noexcept {
     return *pool_;
   }
@@ -262,6 +271,9 @@ class SessionEndpoint {
   [[nodiscard]] std::size_t flow_queued_packets(std::uint32_t cid) const;
   [[nodiscard]] const proto::SenderStats* flow_sender_stats(
       std::uint32_t cid) const;
+  /// Heap bytes `cid`'s rings and report builder hold (0 when unknown):
+  /// zero for a flow that has not sent or received yet.
+  [[nodiscard]] std::size_t flow_heap_bytes(std::uint32_t cid) const;
 
   /// Publish session, per-channel, pool, and aggregated per-flow
   /// counters into the registry (end-of-run hook). Session-level
@@ -278,12 +290,14 @@ class SessionEndpoint {
   struct Flow {
     Flow(std::uint32_t id, const FlowParams& p, double bytes_per_s,
          net::Simulator& timeline, proto::ReceiverConfig rc, double kappa,
-         double mu, int num_channels, std::int64_t opened)
+         double mu, int num_channels, std::size_t max_queue,
+         std::int64_t opened)
         : cid(id),
           params(p),
           admitted_bytes_per_s(bytes_per_s),
           scheduler(kappa, mu, num_channels),
           receiver(timeline, std::move(rc)),
+          queue(max_queue),
           opened_ns(opened) {}
 
     std::uint32_t cid;
@@ -292,14 +306,17 @@ class SessionEndpoint {
     proto::DynamicScheduler scheduler;
     proto::Receiver receiver;
     std::optional<feedback::ReportBuilder> builder;
-    std::unique_ptr<feedback::RetransmitManager> manager;
+    std::optional<feedback::RetransmitManager> manager;
 
-    std::deque<std::vector<std::uint8_t>> queue;
+    util::Ring<std::vector<std::uint8_t>> queue;
     std::uint64_t next_packet_id = 1;
     proto::SenderStats sender_stats;
-    /// Send stamps for the delay join, pruned oldest-first on dispatch.
-    std::unordered_map<std::uint64_t, std::int64_t> sent_at_ns;
-    std::deque<std::pair<std::uint64_t, std::int64_t>> sent_order;
+    /// Send stamps for the delay histogram: sent_ns[i] is the stamp of
+    /// packet sent_base + i (ids are dense per flow), marked once its
+    /// delivery read it. Each dispatch drops front stamps that are
+    /// marked or older than four reassembly timeouts.
+    util::Ring<std::int64_t> sent_ns;
+    std::uint64_t sent_base = 1;
 
     /// Intrusive ready list (flows with queued packets), round-robin.
     Flow* ready_prev = nullptr;
@@ -388,7 +405,6 @@ class SessionEndpoint {
   double admitted_bytes_per_s_ = 0.0;
   std::uint32_t next_cid_ = 1;
   PercentileTracker setup_latency_;
-  PercentileTracker delay_;
 
   Flow* ready_head_ = nullptr;
   Flow* ready_tail_ = nullptr;
@@ -416,8 +432,9 @@ class SessionEndpoint {
 
   /// Destroyed FIRST (declared last): per-flow receivers release arena
   /// slots into pool_ and cancel their eviction timers while timeline_
-  /// still exists.
-  std::unordered_map<std::uint32_t, std::unique_ptr<Flow>> flows_;
+  /// still exists. Flows live in the nodes, whose addresses survive
+  /// rehashing (the ready and report lists link them by pointer).
+  std::unordered_map<std::uint32_t, Flow> flows_;
 };
 
 }  // namespace mcss::session

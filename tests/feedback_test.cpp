@@ -349,6 +349,32 @@ TEST(ReportBuilder, DelayRingKeepsNewestSamples) {
   EXPECT_EQ(r.delays.back().packet_id, 10u);  // newest
 }
 
+TEST(ReportBuilder, IdleBuilderHoldsNoHeapAndReportsTheSameZeros) {
+  // A session keeps one builder per flow: until traffic arrives it must
+  // hold nothing, yet report the full zero window and counters.
+  ReportBuilder builder({.num_channels = 3, .sack_window_words = 16});
+  EXPECT_EQ(builder.heap_bytes(), 0u);
+  EXPECT_FALSE(builder.acked(1));
+  const auto r = builder.build(50);
+  EXPECT_EQ(r.sack, std::vector<std::uint64_t>(16, 0));
+  ASSERT_EQ(r.channels.size(), 3u);
+  for (const auto& c : r.channels) EXPECT_EQ(c, (ChannelCounters{0, 0}));
+  EXPECT_TRUE(r.delays.empty());
+  EXPECT_EQ(builder.heap_bytes(), 0u);
+
+  builder.on_channel_frame(2, true);
+  builder.on_delivered(1, 60);
+  EXPECT_GT(builder.heap_bytes(), 0u);
+  const auto r2 = builder.build(70);
+  EXPECT_TRUE(r2.acked(1));
+  EXPECT_EQ(r2.sack.size(), 16u);
+  EXPECT_EQ(r2.channels[2], (ChannelCounters{1, 0}));
+  EXPECT_EQ(r2.channels[0], (ChannelCounters{0, 0}));
+  ASSERT_EQ(r2.delays.size(), 1u);
+  EXPECT_EQ(r2.delays[0], (DelaySample{1, 60}));
+  EXPECT_THROW(builder.on_channel_frame(3, true), PreconditionError);
+}
+
 // -------------------------------------------------------- RetransmitManager
 
 ReceiverReport ack_report(std::uint64_t seq, std::uint64_t sack_base,

@@ -186,6 +186,27 @@ TEST(FixedScheduler, RequiresAllChannels) {
   EXPECT_EQ(d->channels, (std::vector<int>{0, 1, 2}));
 }
 
+TEST(ChannelList, HoldsUpToThirtyTwoChannelsInline) {
+  // A decision over every one of 32 channels (the exposure-mask width)
+  // fits inline; a 33rd is refused rather than spilled to the heap.
+  std::vector<ChannelView> views(32, ChannelView{true, 0});
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    views[i].backlog = static_cast<net::SimTime>(32 - i);
+  }
+  DynamicScheduler sched(32.0, 32.0, 32);
+  const auto d = sched.next(views);
+  ASSERT_TRUE(d.has_value());
+  ASSERT_EQ(d->channels.size(), 32u);
+  EXPECT_EQ(d->channels[0], 31);  // least backlog first
+  EXPECT_EQ(d->channels[31], 0);
+
+  ChannelList list = d->channels;
+  EXPECT_THROW(list.push_back(32), PreconditionError);
+  list.truncate(2);
+  EXPECT_EQ(list, (std::vector<int>{31, 30}));
+  EXPECT_FALSE(list == (std::vector<int>{31}));
+}
+
 // ---------------------------------------------------------------- end to end
 
 TEST(EndToEnd, SinglePacketRoundtrip) {
@@ -631,6 +652,46 @@ TEST(Receiver, CompletedHistoryIsBounded) {
   rx.on_frame(encode(f));
   EXPECT_EQ(rx.stats().late_shares, 1u);
   EXPECT_EQ(rx.stats().packets_delivered, 7u);
+}
+
+TEST(Receiver, CompletedHistoryGrowsWithUseNotWithItsCap) {
+  net::Simulator sim;
+  ReceiverConfig cfg;
+  cfg.completed_history = 65'536;
+  Receiver rx(sim, cfg);
+  rx.set_deliver([](std::uint64_t, std::vector<std::uint8_t>) {});
+  EXPECT_EQ(rx.history_heap_bytes(), 0u);
+
+  ShareFrame f;
+  f.k = 1;
+  f.payload = {7};
+  f.share_index = 1;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    f.packet_id = id;
+    rx.on_frame(encode(f));
+  }
+  EXPECT_EQ(rx.history_heap_bytes(), 4 * sizeof(std::uint64_t));
+  f.packet_id = 2;
+  rx.on_frame(encode(f));
+  EXPECT_EQ(rx.stats().late_shares, 1u);
+}
+
+TEST(Receiver, ZeroCompletedHistoryRemembersNothing) {
+  net::Simulator sim;
+  ReceiverConfig cfg;
+  cfg.completed_history = 0;
+  Receiver rx(sim, cfg);
+  rx.set_deliver([](std::uint64_t, std::vector<std::uint8_t>) {});
+  ShareFrame f;
+  f.packet_id = 9;
+  f.k = 1;
+  f.payload = {7};
+  f.share_index = 1;
+  rx.on_frame(encode(f));
+  rx.on_frame(encode(f));
+  EXPECT_EQ(rx.stats().late_shares, 0u);
+  EXPECT_EQ(rx.stats().packets_delivered, 2u);
+  EXPECT_EQ(rx.history_heap_bytes(), 0u);
 }
 
 TEST(Receiver, DuplicateAndLateShareAccounting) {

@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <vector>
 
 #include "feedback/report.hpp"
@@ -22,6 +25,52 @@
 #include "protocol/wire.hpp"
 #include "transport/udp_socket.hpp"
 #include "util/rng.hpp"
+
+// ---- allocation-counting hook ----------------------------------------
+//
+// As in transport_test.cpp: replacing the global allocator is
+// binary-wide, so counting is gated on a flag the allocation tests flip
+// around their measured region.
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<std::uint64_t> g_allocs{0};
+
+/// Counts the operator new calls made while it is alive.
+class AllocCounter {
+ public:
+  AllocCounter() {
+    g_allocs.store(0);
+    g_count_allocs.store(true);
+  }
+  ~AllocCounter() { g_count_allocs.store(false); }
+  AllocCounter(const AllocCounter&) = delete;
+  AllocCounter& operator=(const AllocCounter&) = delete;
+  [[nodiscard]] std::uint64_t count() const { return g_allocs.load(); }
+};
+}  // namespace
+
+// noinline keeps GCC from pairing an inlined free() against new
+// expressions elsewhere and warning about a mismatch that is not one.
+#define MCSS_TEST_NOINLINE __attribute__((noinline))
+
+MCSS_TEST_NOINLINE void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+MCSS_TEST_NOINLINE void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+MCSS_TEST_NOINLINE void operator delete(void* p) noexcept { std::free(p); }
+MCSS_TEST_NOINLINE void operator delete[](void* p) noexcept { std::free(p); }
+MCSS_TEST_NOINLINE void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+MCSS_TEST_NOINLINE void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mcss {
 namespace {
@@ -578,6 +627,108 @@ TEST(Session, TeardownBetweenArmAndFireIsSafe) {
   ep.run_for(300'000'000);
   EXPECT_FALSE(ep.close_flow(*cid));  // already gone
   EXPECT_EQ(ep.stats().flows_closed, 1u);
+}
+
+TEST(Session, OpenFlowAllocatesOnlyItsTableNodeOnAWarmEndpoint) {
+  // The churn shape: ARQ on, 64 B packets, one packet per flow, flows
+  // replaced while the population stays up. Opening a flow used to make
+  // 14 allocations (the flow object, a deque map and node for each of
+  // four queues, the report builder's vectors, the retransmit manager, a
+  // liveness token); now it is the flow table's node, plus an occasional
+  // rehash of the table.
+  SessionConfig config = clean_config(3, 2e9);
+  config.reliability.enabled = true;
+  config.limits.max_flows = 4096;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  FlowParams params;
+  params.rate_pps = 2.0;
+  params.payload_bytes = 64;
+
+  // Warm the endpoint: a population that has sent, delivered and been
+  // acked, then half of it replaced.
+  std::vector<std::uint32_t> open;
+  for (int i = 0; i < 1000; ++i) {
+    const auto cid = ep.open_flow(params);
+    ASSERT_TRUE(cid.has_value());
+    open.push_back(*cid);
+    ASSERT_TRUE(ep.send(*cid, pattern_payload(64, static_cast<std::uint8_t>(i))));
+    if (i % 100 == 99) ep.run_for(1'000'000);
+  }
+  ASSERT_TRUE(run_until(ep, [&] { return delivered == 1000; }));
+  for (std::size_t i = 0; i < 500; ++i) ASSERT_TRUE(ep.close_flow(open[2 * i]));
+
+  constexpr std::size_t kOpens = 1000;
+  std::vector<std::uint32_t> opened;
+  opened.reserve(kOpens);
+  std::uint64_t allocations = 0;
+  {
+    const AllocCounter counter;
+    for (std::size_t i = 0; i < kOpens; ++i) {
+      const auto cid = ep.open_flow(params);
+      if (!cid) break;
+      opened.push_back(*cid);
+    }
+    allocations = counter.count();
+  }
+  ASSERT_EQ(opened.size(), kOpens);
+  EXPECT_LE(allocations, 3 * kOpens)
+      << static_cast<double>(allocations) / kOpens << " allocations per open";
+
+  // A just-opened flow holds no heap: its rings and report builder
+  // allocate on first use.
+  for (const std::uint32_t cid : opened) {
+    ASSERT_EQ(ep.flow_heap_bytes(cid), 0u) << "flow " << cid;
+  }
+  // First use allocates, and the flow still delivers.
+  const std::uint32_t probe = opened.front();
+  ASSERT_TRUE(ep.send(probe, pattern_payload(64, 0x77)));
+  EXPECT_GT(ep.flow_heap_bytes(probe), 0u);
+  ASSERT_TRUE(run_until(ep, [&] { return delivered == 1001; }));
+}
+
+TEST(Session, WarmSendAndDispatchDoNotAllocate) {
+  // Reliability off, transparent channels (no serializer timers): once a
+  // flow is warm, send() -> pump -> scheduler -> dispatch -> split into
+  // pool slots -> sendmmsg touches the heap for nothing but the payload
+  // vector the caller hands in (built outside the counted region).
+  SessionEndpoint ep(clean_config(3, 1e15));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const auto cid = ep.open_flow();
+  ASSERT_TRUE(cid.has_value());
+
+  // Warm-up: a full queue at once, so the queue and send-stamp rings
+  // reach the depth the measured sends use.
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(ep.send(*cid, pattern_payload(256, static_cast<std::uint8_t>(i))));
+  }
+  ASSERT_TRUE(run_until(ep, [&] { return delivered == 16; }));
+
+  constexpr int kSends = 8;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (int i = 0; i < kSends; ++i) {
+    payloads.push_back(pattern_payload(256, static_cast<std::uint8_t>(0x40 + i)));
+  }
+  const std::uint64_t sent_before = ep.stats().packets_sent;
+  std::uint64_t allocations = 0;
+  {
+    const AllocCounter counter;
+    for (auto& payload : payloads) {
+      if (!ep.send(*cid, std::move(payload))) break;
+      ep.run_for(0);  // one loop turn: pump, dispatch, flush; no wait
+    }
+    allocations = counter.count();
+  }
+  ASSERT_EQ(ep.stats().packets_sent - sent_before, std::uint64_t{kSends});
+  EXPECT_EQ(allocations, 0u)
+      << "the warm session send path must not touch the heap";
+  ASSERT_TRUE(run_until(ep, [&] { return delivered == 16 + kSends; }));
 }
 
 TEST(Session, ManyflowChurnSoak) {

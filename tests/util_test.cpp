@@ -1,5 +1,5 @@
 // Tests for src/util: rng, stats, subset helpers, Poisson binomial,
-// backoff.
+// backoff, ring.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,6 +11,7 @@
 #include "util/ensure.hpp"
 #include "util/link_risk.hpp"
 #include "util/poisson_binomial.hpp"
+#include "util/ring.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/subset.hpp"
@@ -608,6 +609,72 @@ TEST(LinkRisk, MonteCarloAgreesWithExactEnumeration) {
     EXPECT_NEAR(sampled, correlated_subset_risk(w, paths, k), 0.01)
         << "k=" << k;
   }
+}
+
+// ---------------------------------------------------------------- Ring
+
+TEST(Ring, HoldsNoHeapUntilTheFirstPush) {
+  util::Ring<std::uint64_t> ring(65'536);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.heap_bytes(), 0u);
+  ring.push_back(1);
+  ring.push_back(2);
+  ring.push_back(3);
+  // Geometric growth from one slot, not the cap: three entries, four slots.
+  EXPECT_EQ(ring.heap_bytes(), 4 * sizeof(std::uint64_t));
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.heap_bytes(), 4 * sizeof(std::uint64_t));  // kept
+}
+
+TEST(Ring, StaysFifoAcrossWrapAndGrowth) {
+  util::Ring<int> ring(16);
+  std::vector<int> model;
+  int next = 0;
+  Rng rng(5);
+  for (int step = 0; step < 2000; ++step) {
+    if (!ring.full() && (model.empty() || rng.uniform() < 0.55)) {
+      ring.push_back(next);
+      model.push_back(next);
+      ++next;
+    } else {
+      ASSERT_EQ(ring.front(), model.front());
+      ring.pop_front();
+      model.erase(model.begin());
+    }
+    ASSERT_EQ(ring.size(), model.size());
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(ring[i], model[i]) << "step " << step << " index " << i;
+    }
+  }
+  EXPECT_LE(ring.heap_bytes(), 16 * sizeof(int));  // never past the cap
+}
+
+TEST(Ring, PushOntoAFullRingIsRefused) {
+  util::Ring<int> ring(2);
+  ring.push_back(1);
+  ring.push_back(2);
+  EXPECT_TRUE(ring.full());
+  EXPECT_THROW(ring.push_back(3), PreconditionError);
+  util::Ring<int> none(0);
+  EXPECT_TRUE(none.full());
+  EXPECT_THROW(none.push_back(1), PreconditionError);
+  EXPECT_EQ(none.heap_bytes(), 0u);
+}
+
+TEST(Ring, PopReleasesWhatTheEntryOwns) {
+  util::Ring<std::vector<std::uint8_t>> ring(4);
+  ring.push_back(std::vector<std::uint8_t>(1000, 7));
+  ring.push_back(std::vector<std::uint8_t>(10, 8));
+  std::vector<std::uint8_t> head = std::move(ring.front());
+  EXPECT_EQ(head.size(), 1000u);
+  ring.pop_front();
+  EXPECT_EQ(ring.front().size(), 10u);
+  ring.pop_front();
+  // A ring of 2 slots whose entries own nothing now: push reuses them.
+  ring.push_back({});
+  EXPECT_TRUE(ring.front().empty());
+  EXPECT_EQ(ring.front().capacity(), 0u);
 }
 
 }  // namespace
