@@ -1,6 +1,7 @@
 // live_eval: the Section VI comparison, but over real sockets.
 //
-// Runs ReMICSS through the live loopback transport (src/transport) on
+// Runs ReMICSS through the live loopback transport (one flow on a
+// session::SessionEndpoint over src/transport's UDP channels) on
 // the paper's five-channel setups — Diverse rates, Lossy, Delayed — with
 // the userspace impairment shim playing the role of htb + netem, and
 // compares what was measured against what the model predicts:
@@ -22,6 +23,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -38,7 +40,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "transport/live_endpoint.hpp"
+#include "session/session_endpoint.hpp"
 #include "util/rng.hpp"
 #include "workload/setups.hpp"
 
@@ -70,15 +72,6 @@ std::uint64_t cycle_now() {
 #endif
 }
 
-std::string backend_name(transport::Poller::Backend b) {
-  switch (b) {
-    case transport::Poller::Backend::Epoll: return "epoll";
-    case transport::Poller::Backend::Poll: return "poll";
-    case transport::Poller::Backend::Uring: return "uring";
-  }
-  return "unknown";
-}
-
 /// The host CPU's model name, recorded beside the core count so every
 /// number in BENCH_live.json names the machine that produced it.
 std::string cpu_model() {
@@ -94,7 +87,7 @@ std::string cpu_model() {
 
 /// Every kernel crossing the endpoint made: poller waits plus per-channel
 /// send/sendmmsg and recv/recvmmsg calls.
-std::uint64_t total_syscalls(transport::LiveEndpoint& ep) {
+std::uint64_t total_syscalls(const session::SessionEndpoint& ep) {
   std::uint64_t total = ep.poller().wait_calls();
   for (std::size_t i = 0; i < ep.num_channels(); ++i) {
     total += ep.channel(i).syscalls_send() + ep.channel(i).syscalls_recv();
@@ -117,25 +110,61 @@ struct LiveResult {
   std::string channel_rows_json;  ///< per-channel measured vs configured
 };
 
+/// The endpoint settings both runs share: one flow whose receiver keeps
+/// the default 8 MiB reassembly budget, and a send queue of `queue`.
+session::SessionConfig one_flow_config(std::size_t queue, std::uint64_t seed) {
+  session::SessionConfig cfg;
+  cfg.kappa = kKappa;
+  cfg.mu = kMu;
+  cfg.seed = seed;
+  cfg.limits.per_flow_memory_bytes = proto::ReceiverConfig{}.memory_limit_bytes;
+  cfg.limits.max_queue_packets = queue;
+  cfg.port_base = session::port_base_from_env(0);
+  return cfg;
+}
+
+/// Opens the run's one flow. Admission only prices a flow, it does not
+/// shape it, so the default declaration serves every offered load.
+std::uint32_t open_one_flow(session::SessionEndpoint& ep) {
+  const auto cid = ep.open_flow();
+  if (!cid) {
+    std::fprintf(stderr, "live_eval: the endpoint refused its one flow\n");
+    std::exit(1);
+  }
+  return *cid;
+}
+
+/// Send stamps for the delay columns. Packet ids are dense per flow from
+/// 1 in send order, so accepted send i becomes packet i + 1, and a
+/// packet's delay runs from its send() to its delivery.
+struct SendStamps {
+  std::vector<std::int64_t> sent_ns;
+  PercentileTracker delay_s;
+
+  void on_sent(std::int64_t now) { sent_ns.push_back(now); }
+  void on_delivered(std::uint64_t id, std::int64_t now) {
+    delay_s.add(static_cast<double>(now - sent_ns[id - 1]) / 1e9);
+  }
+};
+
 LiveResult run_live(const workload::Setup& setup, double offered_pps,
                     double seconds, std::uint64_t seed) {
-  transport::LiveConfig cfg;
+  session::SessionConfig cfg = one_flow_config(1024, seed);
   for (std::size_t i = 0; i < setup.channels.size(); ++i) {
     cfg.channels.push_back(
         {setup.channels[i], setup.name + "/" + std::to_string(i)});
   }
-  cfg.kappa = kKappa;
-  cfg.mu = kMu;
-  cfg.seed = seed;
-  cfg.max_queue_packets = 1024;
-  cfg.port_base = transport::port_base_from_env(0);
-  transport::LiveEndpoint ep(std::move(cfg));
+  session::SessionEndpoint ep(std::move(cfg));
+  const std::uint32_t cid = open_one_flow(ep);
 
   std::uint64_t delivered_bytes = 0;
   std::uint64_t delivered_packets = 0;
-  ep.set_deliver([&](std::uint64_t, std::vector<std::uint8_t> payload) {
+  SendStamps stamps;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t id,
+                     std::vector<std::uint8_t> payload) {
     ++delivered_packets;
     delivered_bytes += payload.size();
+    stamps.on_delivered(id, ep.now_ns());
   });
 
   Rng payload_rng(seed ^ 0x9e3779b9ULL);
@@ -153,7 +182,8 @@ LiveResult run_live(const workload::Setup& setup, double offered_pps,
     // Paced offered load, catching up if the loop fell behind.
     while (next_send <= ep.now_ns() && next_send < t_end) {
       payload_rng.fill(payload);
-      (void)ep.send(payload);
+      const std::int64_t now = ep.now_ns();
+      if (ep.send(cid, payload)) stamps.on_sent(now);
       next_send += interval_ns;
     }
     // The clock may pass next_send between the pacing check and here;
@@ -168,7 +198,7 @@ LiveResult run_live(const workload::Setup& setup, double offered_pps,
   const std::uint64_t cycles_elapsed = cycle_now() - cycles_start;
 
   LiveResult r;
-  const auto& ss = ep.sender_stats();
+  const proto::SenderStats& ss = *ep.flow_sender_stats(cid);
   r.packets_sent = ss.packets_sent;
   r.packets_delivered = delivered_packets;
   r.offered_mbps = offered_pps * static_cast<double>(kPacketBytes) * 8.0 / 1e6;
@@ -179,8 +209,8 @@ LiveResult run_live(const workload::Setup& setup, double offered_pps,
           ? 0.0
           : 1.0 - static_cast<double>(delivered_packets) /
                       static_cast<double>(ss.packets_sent);
-  r.median_delay_s = ep.delay_seconds().median();
-  r.p95_delay_s = ep.delay_seconds().percentile(95.0);
+  r.median_delay_s = stamps.delay_s.median();
+  r.p95_delay_s = stamps.delay_s.percentile(95.0);
   r.achieved_kappa = ss.achieved_kappa();
   r.achieved_mu = ss.achieved_mu();
   // Whole-loop accounting: the numerators cover scheduling, splitting,
@@ -244,7 +274,7 @@ struct FastpathResult {
 /// so mbps here is throughput per core.
 FastpathResult run_fastpath(std::size_t batch, int packets,
                             std::uint64_t seed) {
-  transport::LiveConfig cfg;
+  session::SessionConfig cfg = one_flow_config(4096, seed);
   net::ChannelConfig clean;
   clean.rate_bps = 1e12;
   clean.loss = 0.0;
@@ -253,21 +283,18 @@ FastpathResult run_fastpath(std::size_t batch, int packets,
   for (int i = 0; i < 4; ++i) {
     cfg.channels.push_back({clean, "fast" + std::to_string(i)});
   }
-  cfg.kappa = kKappa;
-  cfg.mu = kMu;
-  cfg.seed = seed;
-  cfg.max_queue_packets = 4096;
   cfg.send_batch = batch;
   cfg.recv_batch = batch;
   // Deep arena so the pool's dispatch backpressure sits above the bench
   // window — this run measures the syscall path, not slot recycling.
   cfg.pool_slots = 8192;
-  cfg.port_base = transport::port_base_from_env(0);
-  transport::LiveEndpoint ep(std::move(cfg));
+  session::SessionEndpoint ep(std::move(cfg));
+  const std::uint32_t cid = open_one_flow(ep);
 
   std::uint64_t delivered_bytes = 0;
   std::uint64_t delivered_packets = 0;
-  ep.set_deliver([&](std::uint64_t, std::vector<std::uint8_t> payload) {
+  ep.set_deliver([&](std::uint32_t, std::uint64_t,
+                     std::vector<std::uint8_t> payload) {
     ++delivered_packets;
     delivered_bytes += payload.size();
   });
@@ -287,7 +314,7 @@ FastpathResult run_fastpath(std::size_t batch, int packets,
          ep.now_ns() < budget_end) {
     while (sent < packets &&
            static_cast<std::uint64_t>(sent) < delivered_packets + kWindow &&
-           ep.send(payload)) {
+           ep.send(cid, payload)) {
       ++sent;
     }
     // Short slices so the window refills as soon as deliveries land —
@@ -496,7 +523,6 @@ int main(int argc, char** argv) {
       .field("cpu_model", cpu_model())
       .field("transport", "udp-loopback")
       .field("packet_bytes", static_cast<std::uint64_t>(kPacketBytes))
-      .field("poller_backend", backend_name(transport::Poller::default_backend()))
       .field_raw("setups", setups_json)
       .field_raw("fastpath", fastpath_json);
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {

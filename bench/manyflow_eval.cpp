@@ -109,6 +109,10 @@ struct SweepResult {
   std::uint64_t packets_delivered = 0;
   double delivered_fraction = 0.0;
   std::uint64_t frames_unknown_connection = 0;
+  /// Report datagrams the feedback lane refused, and retransmissions by
+  /// the flows still open at the end (churned flows take theirs along).
+  std::uint64_t reports_dropped_at_channel = 0;
+  std::uint64_t packets_retransmitted = 0;
 };
 
 SweepResult run_sweep_point(std::size_t target, std::uint64_t seed) {
@@ -197,6 +201,12 @@ SweepResult run_sweep_point(std::size_t target, std::uint64_t seed) {
           : static_cast<double>(r.packets_delivered) /
                 static_cast<double>(r.packets_sent);
   r.frames_unknown_connection = ep.stats().frames_unknown_connection;
+  r.reports_dropped_at_channel = ep.stats().reports_dropped_at_channel;
+  for (const std::uint32_t cid : open) {
+    if (const auto* ss = ep.flow_sender_stats(cid)) {
+      r.packets_retransmitted += ss->packets_retransmitted;
+    }
+  }
   if (obs::metrics_enabled()) ep.publish_metrics(obs::Registry::global());
   return r;
 }
@@ -469,17 +479,20 @@ int main(int argc, char** argv) {
   constexpr std::size_t mem_gate_bytes = 4096;
 
   std::printf("manyflow_eval: session-layer flow sweep with churn\n");
-  std::printf("%10s %10s %12s %12s %12s %10s %8s\n", "target", "sustained",
-              "flows/sec", "p99 setup", "mem/flow", "delivered", "churn");
+  std::printf("%10s %10s %12s %12s %12s %10s %8s %8s %9s\n", "target",
+              "sustained", "flows/sec", "p99 setup", "mem/flow", "delivered",
+              "churn", "retx", "rep.drop");
 
   std::vector<SweepResult> results;
   for (const std::size_t n : sweep) {
     SweepResult r = run_sweep_point(n, /*seed=*/17);
-    std::printf("%10zu %10zu %12.0f %10.1fus %10.0fB %9.1f%% %8llu\n",
+    std::printf("%10zu %10zu %12.0f %10.1fus %10.0fB %9.1f%% %8llu %8llu %9llu\n",
                 r.target_flows, r.sustained_flows, r.flows_per_sec,
                 r.p99_setup_s * 1e6, r.mem_per_flow_bytes,
                 r.delivered_fraction * 100.0,
-                static_cast<unsigned long long>(r.churned));
+                static_cast<unsigned long long>(r.churned),
+                static_cast<unsigned long long>(r.packets_retransmitted),
+                static_cast<unsigned long long>(r.reports_dropped_at_channel));
     results.push_back(std::move(r));
   }
 
@@ -566,7 +579,9 @@ int main(int argc, char** argv) {
         .field("packets_sent", r.packets_sent)
         .field("packets_delivered", r.packets_delivered)
         .field("delivered_fraction", r.delivered_fraction)
-        .field("frames_unknown_connection", r.frames_unknown_connection);
+        .field("frames_unknown_connection", r.frames_unknown_connection)
+        .field("reports_dropped_at_channel", r.reports_dropped_at_channel)
+        .field("packets_retransmitted", r.packets_retransmitted);
     if (i != 0) rows += ",";
     rows += row.str();
   }

@@ -1,7 +1,8 @@
 // live_loopback: smallest possible live-transport demo.
 //
-// Runs ReMICSS over five real loopback UDP sockets for a couple of
-// seconds and prints what happened. Environment knobs:
+// Runs one ReMICSS flow on a session endpoint over five real loopback
+// UDP channels for a couple of seconds and prints what happened.
+// Environment knobs:
 //
 //   MCSS_LIVE_IMPAIR     which Section VI channel mix to impose:
 //                        none | identical | diverse | lossy | delayed
@@ -16,8 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "transport/live_endpoint.hpp"
+#include "session/session_endpoint.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "workload/setups.hpp"
 
 int main(int argc, char** argv) {
@@ -51,27 +53,39 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  transport::LiveConfig cfg;
+  session::SessionConfig cfg;
   for (std::size_t i = 0; i < setup.channels.size(); ++i) {
     cfg.channels.push_back({setup.channels[i], "ch" + std::to_string(i)});
   }
   cfg.kappa = 2.0;
   cfg.mu = 3.0;
   cfg.seed = 7;
-  cfg.port_base = transport::port_base_from_env(0);
-  transport::LiveEndpoint ep(std::move(cfg));
+  cfg.port_base = session::port_base_from_env(0);
+  const std::uint16_t port_base = cfg.port_base;
+  session::SessionEndpoint ep(std::move(cfg));
+  const auto cid = ep.open_flow();
+  if (!cid) {
+    std::fprintf(stderr, "the endpoint refused the flow\n");
+    return 1;
+  }
 
   std::printf("live ReMICSS on %zu loopback channels (%s impairment), "
               "kappa=2 mu=3, %.1fs\n",
               ep.num_channels(), impair.c_str(), seconds);
-  if (cfg.port_base != 0) {
-    std::printf("rx ports start at %u\n", cfg.port_base);
+  if (port_base != 0) {
+    std::printf("rx ports start at %u\n", port_base);
   }
 
+  // Packet ids are dense from 1 in send order, so accepted send i is
+  // packet i + 1: its delay runs from send() to delivery.
+  std::vector<std::int64_t> sent_ns;
+  PercentileTracker delay_s;
   std::uint64_t delivered = 0, delivered_bytes = 0;
-  ep.set_deliver([&](std::uint64_t, std::vector<std::uint8_t> payload) {
+  ep.set_deliver([&](std::uint32_t, std::uint64_t id,
+                     std::vector<std::uint8_t> payload) {
     ++delivered;
     delivered_bytes += payload.size();
+    delay_s.add(static_cast<double>(ep.now_ns() - sent_ns[id - 1]) / 1e9);
   });
 
   // Offer ~2000 packets/s of 512-byte packets, paced.
@@ -84,15 +98,16 @@ int main(int argc, char** argv) {
   while (ep.now_ns() < t_end) {
     while (next_send <= ep.now_ns() && next_send < t_end) {
       rng.fill(payload);
-      (void)ep.send(payload);
+      const std::int64_t now = ep.now_ns();
+      if (ep.send(*cid, payload)) sent_ns.push_back(now);
       next_send += interval_ns;
     }
     ep.run_for(2'000'000);
   }
   ep.run_for(100'000'000);  // drain
 
-  const auto& ss = ep.sender_stats();
-  const auto& rs = ep.receiver().stats();
+  const auto& ss = *ep.flow_sender_stats(*cid);
+  const auto& rs = ep.flow_receiver(*cid)->stats();
   std::printf("\nsent      %llu packets (%llu shares, achieved kappa %.2f"
               " mu %.2f)\n",
               static_cast<unsigned long long>(ss.packets_sent),
@@ -106,13 +121,12 @@ int main(int argc, char** argv) {
                   : 100.0 * (1.0 - static_cast<double>(delivered) /
                                        static_cast<double>(ss.packets_sent)));
   std::printf("delay     %.3f ms median, %.3f ms p99\n",
-              ep.delay_seconds().median() * 1e3,
-              ep.delay_seconds().percentile(99.0) * 1e3);
+              delay_s.median() * 1e3, delay_s.percentile(99.0) * 1e3);
   std::printf("receiver  %llu dup shares, %llu late, %llu malformed, "
               "%llu timeouts\n",
               static_cast<unsigned long long>(rs.duplicate_shares),
               static_cast<unsigned long long>(rs.late_shares),
-              static_cast<unsigned long long>(rs.malformed_frames),
+              static_cast<unsigned long long>(ep.stats().frames_undecodable),
               static_cast<unsigned long long>(rs.packets_evicted_timeout));
   for (std::size_t i = 0; i < ep.num_channels(); ++i) {
     const auto& is = ep.channel(i).impair_stats();

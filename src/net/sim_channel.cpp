@@ -30,8 +30,6 @@ void publish(obs::Registry& registry, const ChannelStats& stats) {
   add("mcss_channel_frames_dropped_queue", stats.frames_dropped_queue);
   add("mcss_channel_frames_dropped_loss", stats.frames_dropped_loss);
   add("mcss_channel_frames_dropped_outage", stats.frames_dropped_outage);
-  add("mcss_channel_frames_dropped_shared_link",
-      stats.frames_dropped_shared_link);
   add("mcss_channel_frames_delivered", stats.frames_delivered);
   add("mcss_channel_frames_corrupted", stats.frames_corrupted);
   add("mcss_channel_frames_duplicated", stats.frames_duplicated);

@@ -56,10 +56,6 @@ struct ChannelStats {
   std::uint64_t frames_dropped_queue = 0;  ///< tail drops (queue full)
   std::uint64_t frames_dropped_loss = 0;   ///< netem-style random loss
   std::uint64_t frames_dropped_outage = 0; ///< sent while the channel was down
-  /// Dropped by a SHARED link's loss burst (the live Impairment's
-  /// transport::SharedLinkLoss mode; always 0 for SimChannel, whose
-  /// routed counterpart counts these per topo::SimLink instead).
-  std::uint64_t frames_dropped_shared_link = 0;
   std::uint64_t frames_delivered = 0;
   std::uint64_t frames_corrupted = 0;
   std::uint64_t frames_duplicated = 0;

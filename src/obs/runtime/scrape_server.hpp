@@ -5,8 +5,7 @@
 // about transport::Poller (obs sits below transport in the layer
 // stack): instead the owning event loop wires three fd hooks that
 // mirror Poller's add/modify/remove signatures and forwards readiness
-// events here via on_event(). That one indirection makes the server
-// work unchanged on the epoll, poll(2), and io_uring backends.
+// events here via on_event().
 //
 // Protocol surface is the minimum a scraper needs: HTTP/1.0 GET,
 // Connection: close, Content-Length always present. Anything fancier

@@ -1,6 +1,7 @@
 #include "session/session_endpoint.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <utility>
 
 #include "feedback/report.hpp"
@@ -31,10 +32,18 @@ constexpr std::uint64_t kSetupLatencySeed = 1;
 
 }  // namespace
 
+std::uint16_t port_base_from_env(std::uint16_t fallback) {
+  const char* env = std::getenv("MCSS_LIVE_PORT_BASE");
+  if (env == nullptr || *env == '\0') return fallback;
+  char* end = nullptr;
+  const unsigned long v = std::strtoul(env, &end, 10);
+  if (end == env || *end != '\0' || v > 65535) return fallback;
+  return static_cast<std::uint16_t>(v);
+}
+
 SessionEndpoint::SessionEndpoint(SessionConfig config)
     : config_(std::move(config)),
       epoch_ns_(transport::monotonic_ns()),
-      poller_(config_.poller_backend),
       rng_(config_.seed),
       setup_latency_(PercentileTracker::reservoir(kSetupLatencySamples,
                                                   kSetupLatencySeed)) {
@@ -46,8 +55,9 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
   MCSS_ENSURE(config_.limits.admission_headroom > 0.0,
               "admission headroom must be positive");
   if (config_.port_base != 0) {
-    // Same wraparound guard as LiveEndpoint: channel i binds
-    // port_base + i plus one feedback lane when reliability is on.
+    // Channel i binds port_base + i, plus one feedback lane when
+    // reliability is on. uint16_t arithmetic would otherwise wrap
+    // silently and bind a channel at a low port (or 0 = ephemeral).
     const std::size_t last_lane = config_.channels.size() -
                                   (config_.reliability.enabled ? 0 : 1);
     MCSS_ENSURE(static_cast<std::size_t>(config_.port_base) + last_lane <=
@@ -58,8 +68,8 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
 
   // One arena for everything: TX encode slots, frames parked at the
   // impairment serializer, and per-flow reassembly partials. The
-  // auto-size adds partial slack beyond LiveEndpoint's because flows
-  // borrow slots for as long as a partial is open.
+  // auto-size leaves slack for partials, because flows borrow slots for
+  // as long as a partial is open.
   {
     const std::size_t slot_bytes =
         config_.pool_slot_bytes != 0
@@ -73,7 +83,6 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
             : lanes * (config_.recv_batch + 4 * config_.send_batch) + 256;
     pool_ = std::make_unique<util::FramePool>(slot_bytes, slots);
   }
-  poller_.register_buffers({pool_->arena_data(), pool_->arena_bytes()});
 
   budget_bytes_per_s_ = 0.0;
   for (const auto& spec : config_.channels) {
@@ -412,91 +421,7 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
     flow.manager->on_packet_sent(id, k, payload, decision.channels, now);
     arm_rto(flow);
   }
-
-  // Same split-into-slot fast path as LiveEndpoint::dispatch, with the
-  // flow's connection id in every header. Falls back to the vector path
-  // when the pool cannot cover the fan-out or a frame outgrows a slot.
-  const bool keyed = config_.auth_key.has_value();
-  const std::size_t need =
-      proto::encoded_size(payload.size(), 0, keyed, flow.cid);
-  bool fast = need <= pool_->slot_bytes();
-  if (fast) {
-    tx_slots_.clear();
-    tx_spans_.clear();
-    for (int j = 0; j < m; ++j) {
-      util::FrameRef slot = pool_->acquire();
-      if (!slot) {
-        fast = false;
-        tx_slots_.clear();
-        tx_spans_.clear();
-        break;
-      }
-      slot.resize(need);
-      proto::FrameMeta meta;
-      meta.packet_id = id;
-      meta.k = static_cast<std::uint8_t>(k);
-      meta.share_index = static_cast<std::uint8_t>(j + 1);
-      meta.connection_id = flow.cid;
-      const std::size_t off =
-          proto::encode_header_into(meta, payload.size(), slot.span(), keyed);
-      tx_spans_.push_back(slot.span().subspan(off, payload.size()));
-      tx_slots_.push_back(std::move(slot));
-    }
-  }
-  if (fast) {
-    sss::split_into(payload, k, tx_spans_, split_scratch_, rng_);
-    if (keyed) {
-      // As LiveEndpoint::dispatch: the payload windows are spent, the
-      // vector now names the m whole frames, one lane pass tags them.
-      for (int j = 0; j < m; ++j) {
-        const auto idx = static_cast<std::size_t>(j);
-        tx_spans_[idx] = tx_slots_[idx].span();
-      }
-      proto::seal_frames(tx_spans_, *config_.auth_key);
-    }
-    for (int j = 0; j < m; ++j) {
-      const auto idx = static_cast<std::size_t>(j);
-      const auto ch = static_cast<std::size_t>(decision.channels[idx]);
-      ++flow.sender_stats.shares_sent;
-      if (!channels_[ch]->try_send(std::move(tx_slots_[idx]), now)) {
-        ++flow.sender_stats.shares_dropped_at_channel;
-      }
-    }
-    tx_slots_.clear();
-    tx_spans_.clear();
-    return;
-  }
-
-  auto shares = sss::split(payload, k, m, rng_);
-  const crypto::SipHashKey* key =
-      config_.auth_key ? &*config_.auth_key : nullptr;
-  for (int j = 0; j < m; ++j) {
-    proto::ShareFrame frame;
-    frame.packet_id = id;
-    frame.k = static_cast<std::uint8_t>(k);
-    frame.share_index = shares[static_cast<std::size_t>(j)].index;
-    frame.connection_id = flow.cid;
-    frame.payload = std::move(shares[static_cast<std::size_t>(j)].data);
-    const auto ch = static_cast<std::size_t>(
-        decision.channels[static_cast<std::size_t>(j)]);
-    ++flow.sender_stats.shares_sent;
-    const std::size_t frame_need = proto::encoded_size(frame, keyed);
-    if (frame_need > pool_->slot_bytes()) {
-      ++stats_.pool_oversize_drops;
-      ++flow.sender_stats.shares_dropped_at_channel;
-      continue;
-    }
-    util::FrameRef slot = pool_->acquire();
-    if (!slot) {
-      ++flow.sender_stats.shares_dropped_at_channel;
-      continue;
-    }
-    slot.resize(frame_need);
-    proto::encode_into(frame, slot.span(), key);
-    if (!channels_[ch]->try_send(std::move(slot), now)) {
-      ++flow.sender_stats.shares_dropped_at_channel;
-    }
-  }
+  emit(flow, id, /*generation=*/0, k, decision.channels, payload, now);
 }
 
 void SessionEndpoint::resend(std::uint32_t cid, std::uint64_t id,
@@ -505,57 +430,90 @@ void SessionEndpoint::resend(std::uint32_t cid, std::uint64_t id,
   const auto it = flows_.find(cid);
   if (it == flows_.end()) return;
   Flow& flow = it->second;
-  const std::int64_t now = now_ns();
   const int n = static_cast<int>(channels_.size());
   const int m = std::min(n, k + config_.reliability.retransmit_extra);
   const std::uint32_t exposure = flow.manager->exposure_mask(id).value_or(0);
 
-  // Privacy-aware channel choice, as LiveEndpoint::resend: channels the
-  // adversary model already counts as exposed first, then by index.
-  std::vector<int> order(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const bool ea = (exposure >> a) & 1u;
-    const bool eb = (exposure >> b) & 1u;
-    if (ea != eb) return ea;
-    return a < b;
-  });
-  order.resize(static_cast<std::size_t>(m));
+  // Privacy-aware channel choice: channels the adversary model already
+  // counts as exposed first (free for it), then unexposed ones, each in
+  // index order — ReliableLink's order with an empty risk vector.
+  proto::ChannelList order;
+  for (int i = 0; i < n; ++i) {
+    if ((exposure >> i) & 1u) order.push_back(i);
+  }
+  for (int i = 0; i < n; ++i) {
+    if (((exposure >> i) & 1u) == 0) order.push_back(i);
+  }
+  order.truncate(static_cast<std::size_t>(m));
 
   ++flow.sender_stats.packets_retransmitted;
+  emit(flow, id, generation, k, order, payload, now_ns());
+  flow.manager->note_exposure(id, std::as_const(order));
+}
+
+void SessionEndpoint::emit(Flow& flow, std::uint64_t id,
+                           std::uint8_t generation, int k,
+                           const proto::ChannelList& channels,
+                           std::span<const std::uint8_t> payload,
+                           std::int64_t now) {
+  const auto m = static_cast<std::uint64_t>(channels.size());
+  if (generation == 0) {
+    flow.sender_stats.shares_sent += m;
+  } else {
+    flow.sender_stats.shares_retransmitted += m;
+  }
   const bool keyed = config_.auth_key.has_value();
-  const crypto::SipHashKey* key =
-      config_.auth_key ? &*config_.auth_key : nullptr;
-  auto shares = sss::split(payload, k, m, rng_);
-  for (int j = 0; j < m; ++j) {
-    proto::ShareFrame frame;
-    frame.packet_id = id;
-    frame.k = static_cast<std::uint8_t>(k);
-    frame.share_index = shares[static_cast<std::size_t>(j)].index;
-    frame.generation = generation;
-    frame.connection_id = cid;
-    frame.payload = std::move(shares[static_cast<std::size_t>(j)].data);
-    const auto ch =
-        static_cast<std::size_t>(order[static_cast<std::size_t>(j)]);
-    ++flow.sender_stats.shares_retransmitted;
-    const std::size_t need = proto::encoded_size(frame, keyed);
-    if (need > pool_->slot_bytes()) {
-      ++stats_.pool_oversize_drops;
-      ++flow.sender_stats.shares_dropped_at_channel;
-      continue;
-    }
+  const std::size_t need =
+      proto::encoded_size(payload.size(), generation, keyed, flow.cid);
+  if (need > pool_->slot_bytes()) {
+    // A frame too large for the arena cannot travel the pooled path;
+    // degrade is drop-with-stat (size the pool for your payloads).
+    stats_.pool_oversize_drops += m;
+    flow.sender_stats.shares_dropped_at_channel += m;
+    return;
+  }
+  tx_slots_.clear();
+  tx_spans_.clear();
+  for (std::size_t j = 0; j < channels.size(); ++j) {
     util::FrameRef slot = pool_->acquire();
-    if (!slot) {
-      ++flow.sender_stats.shares_dropped_at_channel;
-      continue;
-    }
+    if (!slot) break;  // only a retransmission runs outside the pump's gate
     slot.resize(need);
-    proto::encode_into(frame, slot.span(), key);
-    if (!channels_[ch]->try_send(std::move(slot), now)) {
+    proto::FrameMeta meta;
+    meta.packet_id = id;
+    meta.k = static_cast<std::uint8_t>(k);
+    meta.share_index = static_cast<std::uint8_t>(j + 1);
+    meta.generation = generation;
+    meta.connection_id = flow.cid;
+    const std::size_t off =
+        proto::encode_header_into(meta, payload.size(), slot.span(), keyed);
+    tx_spans_.push_back(slot.span().subspan(off, payload.size()));
+    tx_slots_.push_back(std::move(slot));
+  }
+  // Shares that got no slot are lost. Fewer than k cannot reconstruct,
+  // so then none is sent (the acquired slots return to the pool).
+  const std::size_t got =
+      tx_slots_.size() >= static_cast<std::size_t>(k) ? tx_slots_.size() : 0;
+  flow.sender_stats.shares_dropped_at_channel += m - got;
+  if (got == 0) {
+    tx_slots_.clear();
+    tx_spans_.clear();
+    return;
+  }
+  sss::split_into(payload, k, tx_spans_, split_scratch_, rng_);
+  if (keyed) {
+    // The payload windows are spent: the same vector now names the whole
+    // frames, and one lane pass tags them all.
+    for (std::size_t j = 0; j < got; ++j) tx_spans_[j] = tx_slots_[j].span();
+    proto::seal_frames(tx_spans_, *config_.auth_key);
+  }
+  for (std::size_t j = 0; j < got; ++j) {
+    const auto ch = static_cast<std::size_t>(channels[j]);
+    if (!channels_[ch]->try_send(std::move(tx_slots_[j]), now)) {
       ++flow.sender_stats.shares_dropped_at_channel;
     }
   }
-  flow.manager->note_exposure(id, order);
+  tx_slots_.clear();
+  tx_spans_.clear();
 }
 
 void SessionEndpoint::arm_rto(Flow& flow) {
@@ -608,8 +566,8 @@ void SessionEndpoint::on_share_batch(
     }
     const proto::FrameView& view = rx_views_[i];
     if (view.connection_id == 0) {
-      // The single-flow encoding has no owner here; a session endpoint
-      // drops it rather than guess (pre-session peers need LiveEndpoint).
+      // Every flow's frames carry its id (cids start at 1); a frame
+      // without one has no owner here and is dropped rather than guessed.
       ++stats_.frames_without_connection;
       continue;
     }
@@ -956,12 +914,11 @@ void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
                budget_bytes_per_s_);
 
   // Aggregate the per-flow protocol counters (flows are too many to
-  // publish individually) plus the shared substrate, mirroring
-  // LiveEndpoint::publish_metrics.
+  // publish individually) plus the shared substrate.
   proto::SenderStats sender_total;
   proto::ReceiverStats receiver_total;
   // The session authenticates for its receivers, so forgeries it drops
-  // count as receiver auth failures, as LiveEndpoint's receiver does.
+  // count as receiver auth failures.
   receiver_total.auth_failures = stats_.frames_auth_failed;
   for (const auto& [cid, flow] : flows_) {
     (void)cid;
@@ -1005,8 +962,8 @@ void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
     transport::publish(registry, ch->stats());
     syscalls += ch->syscalls_send() + ch->syscalls_recv();
   }
-  // Every kernel crossing the transport makes (send/sendmmsg,
-  // recv/recvmmsg, poller waits), the sum LiveEndpoint publishes.
+  // Every kernel crossing the transport makes: send/sendmmsg,
+  // recv/recvmmsg, and poller waits.
   add("mcss_transport_syscalls_total", syscalls);
 
   const util::FramePool::Stats& ps = pool_->stats();

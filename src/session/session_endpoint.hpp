@@ -1,13 +1,12 @@
 // SessionEndpoint: multiplex many independent ReMICSS flows over one
 // shared channel set.
 //
-// The ROADMAP north-star host terminates a large churning population of
-// secret-sharing sessions — the multicast / many-receiver shape of
-// "Two-Multicast Channel with Confidential Messages" — on ONE endpoint.
-// LiveEndpoint's machinery (UdpChannels behind a Poller, a wall-clock
-// net::Simulator as the timer queue, a FramePool arena) is exactly the
-// right substrate, but all of its protocol state is singular. This layer
-// keeps the substrate singular and makes the protocol state per-flow:
+// The one live endpoint: ReMICSS over real UDP sockets, for one flow or
+// for a large churning population of secret-sharing sessions — the
+// multicast / many-receiver shape of "Two-Multicast Channel with
+// Confidential Messages". The substrate is singular (UdpChannels behind
+// an epoll Poller, a wall-clock net::Simulator as the one timer queue, a
+// FramePool arena); the protocol state is per-flow:
 //
 //   shared, one per endpoint            per-flow, in the flow table
 //   ---------------------------         --------------------------------
@@ -71,18 +70,19 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "crypto/siphash.hpp"
 #include "feedback/report_builder.hpp"
 #include "feedback/retransmit.hpp"
+#include "net/sim_channel.hpp"
 #include "net/simulator.hpp"
 #include "obs/runtime/telemetry.hpp"
 #include "protocol/receiver.hpp"
 #include "protocol/scheduler.hpp"
 #include "protocol/sender.hpp"
-#include "transport/live_endpoint.hpp"
 #include "transport/poller.hpp"
 #include "transport/udp_channel.hpp"
 #include "util/ring.hpp"
@@ -94,6 +94,38 @@ class Registry;
 }
 
 namespace mcss::session {
+
+struct ChannelSpec {
+  net::ChannelConfig config;
+  std::string name;
+};
+
+/// Reliability add-on: a feedback UdpChannel carries coalesced receiver
+/// reports back to the sender side, whose per-flow RetransmitManagers
+/// ack, learn RTT, and retransmit on RTO timers.
+struct ReliabilityConfig {
+  bool enabled = false;
+  feedback::RetransmitConfig retransmit;
+  /// ReportBuilder sizing (num_channels is filled in by the endpoint).
+  std::size_t sack_window_words = 16;
+  std::size_t max_delay_samples = 64;
+  std::int64_t report_interval_ns = 20'000'000;
+  /// Shares beyond k on each retransmission.
+  int retransmit_extra = 1;
+  /// Impairment of the report path (feedback can be lossy too). The
+  /// default is a clean fast lane, 10 Gbps with a 4 MiB queue: a report
+  /// tick offers every reporting flow's report at once, about 280 B
+  /// each, so it holds one tick of some 15k flows (100 Mbps / 64 KiB
+  /// overflowed from 278).
+  net::ChannelConfig feedback_channel{.rate_bps = 10e9,
+                                      .queue_capacity_bytes = 4u << 20};
+  /// Tag reports with SipHash; unauthenticated/tampered ones are
+  /// rejected and counted.
+  std::optional<crypto::SipHashKey> report_auth_key;
+};
+
+/// MCSS_LIVE_PORT_BASE as uint16, or `fallback` when unset/unparsable.
+[[nodiscard]] std::uint16_t port_base_from_env(std::uint16_t fallback = 0);
 
 /// What a flow declares at admission time. The endpoint prices the flow
 /// from these and holds the reservation until close_flow().
@@ -124,12 +156,13 @@ struct SessionLimits {
 };
 
 struct SessionConfig {
-  std::vector<transport::LiveChannelSpec> channels;
+  std::vector<ChannelSpec> channels;
   /// Session-default DynamicScheduler targets (per-flow dither state).
   double kappa = 2.0;
   double mu = 3.0;
-  /// First RX port; channel i binds port_base + i (+ feedback lane), 0 =
-  /// ephemeral. Validated against uint16 wraparound like LiveConfig.
+  /// First RX port; channel i binds port_base + i (+ feedback lane at
+  /// port_base + n), 0 = ephemeral (port_base_from_env() honors
+  /// MCSS_LIVE_PORT_BASE). A range that would wrap past 65535 is refused.
   std::uint16_t port_base = 0;
   /// When set, frames carry SipHash tags and per-flow receivers are keyed.
   std::optional<crypto::SipHashKey> auth_key;
@@ -138,15 +171,17 @@ struct SessionConfig {
   proto::ReceiverConfig receiver;
   std::uint64_t seed = 1;
   std::size_t max_datagram_bytes = 1400;
-  transport::Poller::Backend poller_backend =
-      transport::Poller::default_backend();
-  /// Reuses the live endpoint's reliability knobs: retransmit config,
-  /// report interval, feedback channel impairment, report auth key.
-  transport::LiveReliabilityConfig reliability;
+  ReliabilityConfig reliability;
   SessionLimits limits;
-  std::size_t send_batch = transport::batch_from_env(32);
-  std::size_t recv_batch = transport::batch_from_env(32);
-  /// FramePool sizing, 0 = auto (as LiveConfig, plus slack for partials).
+  /// Datagrams per sendmmsg / recvmmsg. 1 = the unbatched path (one
+  /// syscall per datagram), bench/live_eval's before/after baseline.
+  std::size_t send_batch = 32;
+  std::size_t recv_batch = 32;
+  /// FramePool sizing. 0 = auto: slots from channel count and batch
+  /// depths plus slack for reassembly partials, slot bytes from
+  /// max_datagram_bytes. A share frame larger than a slot is dropped and
+  /// counted (pool_oversize_drops), so raise pool_slot_bytes when
+  /// sending payloads beyond the defaults.
   std::size_t pool_slots = 0;
   std::size_t pool_slot_bytes = 0;
   /// Runtime telemetry plane (scrape server + sampler + privacy
@@ -185,7 +220,8 @@ struct SessionStats {
   std::uint64_t reports_auth_failed = 0;
   std::uint64_t reports_without_connection = 0;
   std::uint64_t reports_unknown_connection = 0;
-  /// Dispatch backpressure (mirrors LiveEndpoint's counters).
+  /// Dispatch backpressure: pump rounds parked for pool headroom or for
+  /// no writable channel, and share frames larger than a pool slot.
   std::uint64_t pool_defers = 0;
   std::uint64_t schedule_defers = 0;
   std::uint64_t pool_oversize_drops = 0;
@@ -259,8 +295,12 @@ class SessionEndpoint {
   [[nodiscard]] const transport::Poller& poller() const noexcept {
     return poller_;
   }
-  /// Share channel i (test hook: its RX port takes injected frames).
+  /// Share channel i (test hook: its RX port takes injected frames, and
+  /// its sockets take injected EAGAIN and buffer sizes).
   [[nodiscard]] const transport::UdpChannel& channel(std::size_t i) const {
+    return *channels_.at(i);
+  }
+  [[nodiscard]] transport::UdpChannel& channel(std::size_t i) {
     return *channels_.at(i);
   }
 
@@ -339,6 +379,15 @@ class SessionEndpoint {
                 const proto::ShareDecision& decision, std::int64_t now);
   void resend(std::uint32_t cid, std::uint64_t id, std::uint8_t generation,
               const std::vector<std::uint8_t>& payload, int k);
+  /// The one share-emit path, for first sends and retransmissions: one
+  /// pool slot per share, headers written first, sss::split_into
+  /// computes the share bytes straight into the slots, one lane pass
+  /// seals them when keyed, and share j goes to channels[j]. A frame
+  /// larger than a slot, or a share that gets no slot, is dropped and
+  /// counted in the flow's shares_dropped_at_channel.
+  void emit(Flow& flow, std::uint64_t id, std::uint8_t generation, int k,
+            const proto::ChannelList& channels,
+            std::span<const std::uint8_t> payload, std::int64_t now);
   /// One receive batch from share channel `channel`: decode and
   /// authenticate it in one lane pass, then demux each verified frame
   /// to its flow's receiver.

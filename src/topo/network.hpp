@@ -8,7 +8,7 @@
 // proto::Sender / proto::Receiver / feedback::ReliableLink drive a
 // routed topology exactly as they drive flat SimChannels.
 //
-// Backends:
+// Engines:
 //
 //   Network(Simulator&, ...)             every link schedules on one
 //                                        sequential simulator.

@@ -73,13 +73,6 @@ bool Impairment::offer(util::FrameRef frame, std::int64_t now_ns) {
 
 void Impairment::depart(util::FrameRef frame, std::int64_t departure_ns) {
   queued_bytes_ -= frame.size();
-  // Shared-link burst loss first: the shared chain advances on the
-  // departure clock, so channels subscribed to one link drop together
-  // inside the same bad sojourn (see transport/shared_link_loss.hpp).
-  if (shared_ != nullptr && shared_->should_drop(departure_ns)) {
-    ++stats_.frames_dropped_shared_link;
-    return;
-  }
   // netem-equivalent loss: decided as the frame leaves the serializer,
   // with the same draw order as SimChannel so the two impairment paths
   // stay behaviorally interchangeable.

@@ -32,7 +32,6 @@
 
 #include "net/sim_channel.hpp"
 #include "net/simulator.hpp"
-#include "transport/shared_link_loss.hpp"
 #include "util/frame_pool.hpp"
 #include "util/rng.hpp"
 
@@ -68,17 +67,6 @@ class Impairment {
   /// with draw order identical to the scheduled path.
   bool offer(util::FrameRef frame, std::int64_t now_ns);
 
-  /// Shared-link loss mode: route this channel over `shared` (a link
-  /// its path shares with other channels). Consulted at serializer
-  /// departure, BEFORE the private Bernoulli loss, so drops correlate
-  /// across every Impairment subscribed to the same instance — the
-  /// live mirror of a topo shared link. Pass nullptr to detach; the
-  /// instance must outlive the channel. Not owned.
-  void set_shared_loss(SharedLinkLoss* shared) noexcept { shared_ = shared; }
-  [[nodiscard]] SharedLinkLoss* shared_loss() const noexcept {
-    return shared_;
-  }
-
   /// epoll-style writability: backlog below the watermark (mirrors
   /// SimChannel::ready()).
   [[nodiscard]] bool ready() const noexcept {
@@ -109,7 +97,6 @@ class Impairment {
   Rng rng_;
   net::Simulator& timeline_;
   ReleaseFn release_;
-  SharedLinkLoss* shared_ = nullptr;  ///< optional, not owned
   std::size_t watermark_ = 0;
   std::size_t queued_bytes_ = 0;          ///< offered, not yet departed
   std::int64_t serializer_free_at_ = 0;   ///< monotonic ns

@@ -1,25 +1,12 @@
 #include "transport/poller.hpp"
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
 #include <system_error>
 
-#include "transport/uring_poller.hpp"
 #include "util/ensure.hpp"
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define MCSS_HAVE_EPOLL 1
-#else
-#define MCSS_HAVE_EPOLL 0
-#endif
 
 namespace mcss::transport {
 
@@ -29,190 +16,60 @@ namespace {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
+/// Ready events taken per epoll_wait; more stay queued for the next one.
+constexpr std::size_t kMaxEvents = 64;
+
+void control(int epfd, int op, int fd, bool want_read, bool want_write,
+             const char* what) {
+  epoll_event ev{};
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epfd, op, fd, &ev) < 0) throw_errno(what);
+}
+
 }  // namespace
 
-struct Poller::Impl {
-  // epoll state
-  int epfd = -1;
-#if MCSS_HAVE_EPOLL
-  std::vector<epoll_event> ready;
-#endif
-  // io_uring state (null unless backend is Uring)
-  std::unique_ptr<UringCore> uring;
-  // poll state
-  std::vector<pollfd> fds;
-
-  [[nodiscard]] std::vector<pollfd>::iterator find(int fd) {
-    return std::find_if(fds.begin(), fds.end(),
-                        [fd](const pollfd& p) { return p.fd == fd; });
-  }
-};
-
-Poller::Backend Poller::default_backend() {
-#if MCSS_HAVE_EPOLL
-  const char* forced = std::getenv("MCSS_LIVE_POLLER");
-  if (forced != nullptr && std::strcmp(forced, "poll") == 0) {
-    return Backend::Poll;
-  }
-  if (forced != nullptr && std::strcmp(forced, "uring") == 0) {
-    return Backend::Uring;
-  }
-  return Backend::Epoll;
-#else
-  return Backend::Poll;
-#endif
+Poller::Poller() : ready_(kMaxEvents) {
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epfd_ < 0) throw_errno("epoll_create1");
 }
 
-Poller::Poller(Backend backend)
-    : backend_(backend), impl_(std::make_unique<Impl>()) {
-  if (backend_ == Backend::Uring) {
-    try {
-      impl_->uring = std::make_unique<UringCore>();
-    } catch (const std::exception& e) {
-      // Graceful degrade: a kernel refusing io_uring (seccomp ENOSYS,
-      // EPERM, memlock) must not kill the endpoint — run on epoll and
-      // say so once, visibly.
-#if MCSS_HAVE_EPOLL
-      backend_ = Backend::Epoll;
-#else
-      backend_ = Backend::Poll;
-#endif
-      std::fprintf(stderr,
-                   "mcss: io_uring poller unavailable (%s); "
-                   "falling back to %s\n",
-                   e.what(), backend_ == Backend::Epoll ? "epoll" : "poll");
-    }
-  }
-#if MCSS_HAVE_EPOLL
-  if (backend_ == Backend::Epoll) {
-    impl_->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (impl_->epfd < 0) throw_errno("epoll_create1");
-  }
-#else
-  MCSS_ENSURE(backend_ != Backend::Epoll, "epoll backend requires Linux");
-  if (backend_ != Backend::Uring) {
-    MCSS_ENSURE(backend_ == Backend::Poll, "unknown poller backend");
-  }
-#endif
-}
-
-Poller::~Poller() {
-  if (impl_->epfd >= 0) ::close(impl_->epfd);
-}
+Poller::~Poller() { ::close(epfd_); }
 
 void Poller::add(int fd, bool want_read, bool want_write) {
   MCSS_ENSURE(fd >= 0, "adding an invalid fd");
-  if (backend_ == Backend::Uring) {
-    impl_->uring->add(fd, want_read, want_write);
-    return;
-  }
-#if MCSS_HAVE_EPOLL
-  if (backend_ == Backend::Epoll) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(impl_->epfd, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      throw_errno("epoll_ctl(ADD)");
-    }
-    return;
-  }
-#endif
-  MCSS_ENSURE(impl_->find(fd) == impl_->fds.end(), "fd already registered");
-  pollfd p{};
-  p.fd = fd;
-  p.events = static_cast<short>((want_read ? POLLIN : 0) |
-                                (want_write ? POLLOUT : 0));
-  impl_->fds.push_back(p);
+  control(epfd_, EPOLL_CTL_ADD, fd, want_read, want_write, "epoll_ctl(ADD)");
 }
 
 void Poller::modify(int fd, bool want_read, bool want_write) {
-  if (backend_ == Backend::Uring) {
-    impl_->uring->modify(fd, want_read, want_write);
-    return;
-  }
-#if MCSS_HAVE_EPOLL
-  if (backend_ == Backend::Epoll) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(impl_->epfd, EPOLL_CTL_MOD, fd, &ev) < 0) {
-      throw_errno("epoll_ctl(MOD)");
-    }
-    return;
-  }
-#endif
-  const auto it = impl_->find(fd);
-  MCSS_ENSURE(it != impl_->fds.end(), "modifying an unregistered fd");
-  it->events = static_cast<short>((want_read ? POLLIN : 0) |
-                                  (want_write ? POLLOUT : 0));
+  control(epfd_, EPOLL_CTL_MOD, fd, want_read, want_write, "epoll_ctl(MOD)");
 }
 
 void Poller::remove(int fd) {
-  if (backend_ == Backend::Uring) {
-    impl_->uring->remove(fd);
-    return;
-  }
-#if MCSS_HAVE_EPOLL
-  if (backend_ == Backend::Epoll) {
-    epoll_event ev{};  // non-null for pre-2.6.9 kernels, per epoll_ctl(2)
-    if (::epoll_ctl(impl_->epfd, EPOLL_CTL_DEL, fd, &ev) < 0) {
-      throw_errno("epoll_ctl(DEL)");
-    }
-    return;
-  }
-#endif
-  const auto it = impl_->find(fd);
-  MCSS_ENSURE(it != impl_->fds.end(), "removing an unregistered fd");
-  impl_->fds.erase(it);
+  // The event argument is ignored for DEL but must be non-null on
+  // pre-2.6.9 kernels, per epoll_ctl(2).
+  control(epfd_, EPOLL_CTL_DEL, fd, false, false, "epoll_ctl(DEL)");
 }
 
 std::size_t Poller::wait(int timeout_ms, std::vector<Event>& out) {
   out.clear();
   ++wait_calls_;
-  if (backend_ == Backend::Uring) {
-    return impl_->uring->wait(timeout_ms, out);
-  }
-#if MCSS_HAVE_EPOLL
-  if (backend_ == Backend::Epoll) {
-    impl_->ready.resize(64);
-    int n;
-    do {
-      n = ::epoll_wait(impl_->epfd, impl_->ready.data(),
-                       static_cast<int>(impl_->ready.size()), timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) throw_errno("epoll_wait");
-    for (int i = 0; i < n; ++i) {
-      const epoll_event& ev = impl_->ready[static_cast<std::size_t>(i)];
-      Event e;
-      e.fd = ev.data.fd;
-      e.readable = (ev.events & EPOLLIN) != 0;
-      e.writable = (ev.events & EPOLLOUT) != 0;
-      e.error = (ev.events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(e);
-    }
-    return out.size();
-  }
-#endif
   int n;
   do {
-    n = ::poll(impl_->fds.data(), impl_->fds.size(), timeout_ms);
+    n = ::epoll_wait(epfd_, ready_.data(), static_cast<int>(ready_.size()),
+                     timeout_ms);
   } while (n < 0 && errno == EINTR);
-  if (n < 0) throw_errno("poll");
-  for (const pollfd& p : impl_->fds) {
-    if (p.revents == 0) continue;
+  if (n < 0) throw_errno("epoll_wait");
+  for (int i = 0; i < n; ++i) {
+    const epoll_event& ev = ready_[static_cast<std::size_t>(i)];
     Event e;
-    e.fd = p.fd;
-    e.readable = (p.revents & POLLIN) != 0;
-    e.writable = (p.revents & POLLOUT) != 0;
-    e.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    e.fd = ev.data.fd;
+    e.readable = (ev.events & EPOLLIN) != 0;
+    e.writable = (ev.events & EPOLLOUT) != 0;
+    e.error = (ev.events & (EPOLLERR | EPOLLHUP)) != 0;
     out.push_back(e);
   }
   return out.size();
-}
-
-bool Poller::register_buffers(std::span<const std::uint8_t> arena) noexcept {
-  if (backend_ != Backend::Uring) return false;
-  return impl_->uring->register_buffers(arena.data(), arena.size());
 }
 
 }  // namespace mcss::transport

@@ -49,8 +49,7 @@
 // send_batch == 1 selects the LEGACY path deliberately: one send()/
 // recv() per datagram with assembly and per-frame materialization,
 // byte-compatible with the pre-batching transport. bench/live_eval uses
-// it as the honest before/after baseline, and it is the fallback story
-// if batching ever misbehaves (MCSS_LIVE_BATCH=1).
+// it as the honest before/after baseline.
 #pragma once
 
 #include <cstdint>

@@ -19,10 +19,7 @@
 // FrameRef is a ref-counted handle (copying bumps a plain counter; the
 // pool is single-event-loop property, so counts are not atomic). The
 // impairment's duplicate knob and a parked TX batch can thus alias one
-// slot without copying bytes. The arena is one mmap-able block on
-// purpose: the io_uring poller backend registers it with
-// IORING_REGISTER_BUFFERS so fixed-buffer reads can target slots
-// directly.
+// slot without copying bytes.
 #pragma once
 
 #include <cstddef>
@@ -115,7 +112,7 @@ class FramePool {
   }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  /// The contiguous arena, for IORING_REGISTER_BUFFERS.
+  /// The contiguous arena every slot lives in.
   [[nodiscard]] std::uint8_t* arena_data() noexcept { return arena_.data(); }
   [[nodiscard]] std::size_t arena_bytes() const noexcept {
     return arena_.size();

@@ -695,7 +695,7 @@ TEST(ReportBuilder, RegressingDeliveryStampsAreClampedMonotone) {
 
 // ------------------------------------------------- end-to-end session
 
-TEST(SessionTelemetry, LiveEndpointServesAllRoutes) {
+TEST(SessionTelemetry, EndpointServesAllRoutes) {
   MetricsGuard guard(false);  // the plane enables metrics itself
   session::SessionConfig config;
   net::ChannelConfig clean;

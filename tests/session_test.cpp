@@ -16,6 +16,8 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "feedback/report.hpp"
@@ -24,7 +26,9 @@
 #include "obs/metrics.hpp"
 #include "protocol/wire.hpp"
 #include "transport/udp_socket.hpp"
+#include "util/ensure.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 // ---- allocation-counting hook ----------------------------------------
 //
@@ -93,7 +97,7 @@ SessionConfig clean_config(std::size_t num_channels = 3,
   for (std::size_t i = 0; i < num_channels; ++i) {
     net::ChannelConfig ch;
     ch.rate_bps = rate_bps;
-    transport::LiveChannelSpec spec;
+    session::ChannelSpec spec;
     spec.config = ch;
     spec.name = "ch" + std::to_string(i);
     config.channels.push_back(std::move(spec));
@@ -146,6 +150,7 @@ TEST(Session, SingleFlowDeliversThroughSessionLayer) {
   EXPECT_GT(ep.stats().frames_demuxed, 0u);
   EXPECT_EQ(ep.stats().frames_unknown_connection, 0u);
   EXPECT_EQ(ep.stats().frames_without_connection, 0u);
+  EXPECT_EQ(ep.stats().frames_undecodable, 0u);
   const proto::Receiver* rx = ep.flow_receiver(*cid);
   ASSERT_NE(rx, nullptr);
   EXPECT_EQ(rx->stats().packets_delivered, static_cast<std::uint64_t>(kPackets));
@@ -550,12 +555,11 @@ TEST(Session, UnloadedPacketIsDeliveredWellUnderAMillisecond) {
   EXPECT_LT(latency_ms[latency_ms.size() / 2], 0.5);
 }
 
-TEST(Session, EarlyReportsKeepTheSackWindowAheadOfDeliveries) {
-  // Far more than one SACK window (16 words = 1024 ids) is delivered
-  // inside one report interval. Without a report at half a window, the
-  // periodic report finds the oldest ids already slid out of its window;
-  // they are never acked and time out into retransmissions.
-  SessionConfig config = clean_config(3, 1e9);
+/// Far more than one SACK window (16 words = 1024 ids) is delivered
+/// inside one report interval. Without a report at half a window, the
+/// periodic report finds the oldest ids already slid out of its window;
+/// they are never acked and time out into retransmissions.
+void expect_early_reports_keep_sack_window_ahead(SessionConfig config) {
   config.reliability.enabled = true;
   config.reliability.report_interval_ns = 400'000'000;
   config.reliability.retransmit.initial_rto_ns = 650'000'000;
@@ -595,6 +599,19 @@ TEST(Session, EarlyReportsKeepTheSackWindowAheadOfDeliveries) {
   EXPECT_EQ(manager->stats().retransmits, 0u);
   EXPECT_EQ(manager->stats().packets_acked, kPackets);
   EXPECT_EQ(manager->outstanding(), 0u);
+}
+
+TEST(Session, EarlyReportsKeepTheSackWindowAheadOfDeliveries) {
+  expect_early_reports_keep_sack_window_ahead(clean_config(3, 1e9));
+}
+
+TEST(Session, EarlyReportsKeepTheSackWindowAheadOnAKeyedEndpoint) {
+  // The same run with every share tagged: the batched authentication
+  // pass on receive must not hold deliveries (and so reports) back.
+  SessionConfig config = clean_config(3, 1e9);
+  config.auth_key = crypto::SipHashKey{{1, 2, 3, 4}};
+  config.seed = 83;
+  expect_early_reports_keep_sack_window_ahead(std::move(config));
 }
 
 TEST(Session, TeardownBetweenArmAndFireIsSafe) {
@@ -797,6 +814,491 @@ TEST(Session, ManyflowChurnSoak) {
   for (const auto cid : open) ASSERT_TRUE(ep.close_flow(cid));
   EXPECT_EQ(ep.num_flows(), 0u);
   ep.run_for(50'000'000);  // let every orphaned timer fire as a no-op
+}
+
+// ------------------------------------------------ one flow, real sockets
+//
+// The single-flow shape bench/live_eval and examples/live_loopback run:
+// one open flow on an endpoint, over real loopback sockets.
+
+/// Opens the endpoint's one flow; a refusal fails the test.
+std::uint32_t open_one_flow(SessionEndpoint& ep) {
+  const auto cid = ep.open_flow();
+  MCSS_ENSURE(cid.has_value(), "the endpoint refused the test's flow");
+  return *cid;
+}
+
+/// Two-channel config: every packet goes 2-of-2.
+SessionConfig two_channel_config(double rate_bps) {
+  SessionConfig config = clean_config(2, rate_bps);
+  config.kappa = 2.0;
+  config.mu = 2.0;
+  return config;
+}
+
+TEST(Session, DeliversAllPacketsOverCleanLoopback) {
+  SessionConfig config = clean_config(3, 100e6);
+  config.seed = 11;
+  config.limits.max_queue_packets = 64;
+  SessionEndpoint ep(std::move(config));
+  std::map<std::uint64_t, std::vector<std::uint8_t>> delivered;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t id,
+                     std::vector<std::uint8_t> payload) {
+    delivered[id] = std::move(payload);
+  });
+  const std::uint32_t cid = open_one_flow(ep);
+
+  Rng rng(99);
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (int i = 0; i < 50; ++i) {
+    std::vector<std::uint8_t> payload(128);
+    rng.fill(payload);
+    payloads.push_back(payload);
+    ASSERT_TRUE(ep.send(cid, std::move(payload)));
+  }
+  ASSERT_TRUE(run_until(ep, [&] { return delivered.size() == 50; }, 5000));
+
+  // Packet ids are assigned in send order starting at 1.
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    ASSERT_TRUE(delivered.count(i + 1));
+    EXPECT_EQ(delivered[i + 1], payloads[i]) << "packet " << i + 1;
+  }
+  const proto::SenderStats* sender = ep.flow_sender_stats(cid);
+  ASSERT_NE(sender, nullptr);
+  EXPECT_EQ(sender->packets_sent, 50u);
+  EXPECT_EQ(ep.flow_receiver(cid)->stats().packets_delivered, 50u);
+  EXPECT_EQ(ep.stats().packets_delivered, 50u);
+  EXPECT_EQ(ep.stats().frames_undecodable, 0u);
+}
+
+TEST(Session, FramesWithoutAConnectionIdAreNeverCredited) {
+  // Frames without a connection id at channel 0: wrong-key ones fail
+  // authentication, correctly keyed ones have no flow to go to. Neither
+  // kind is counted by any flow's per-channel report as a share received
+  // or as an undecodable frame.
+  const crypto::SipHashKey good_key{1, 2, 3, 4};
+  const crypto::SipHashKey bad_key{4, 3, 2, 1};
+  SessionConfig config = clean_config(3, 100e6);
+  config.seed = 37;
+  config.auth_key = good_key;
+  config.reliability.enabled = true;
+  config.reliability.report_interval_ns = 2'000'000;
+  config.limits.max_queue_packets = 64;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const std::uint32_t cid = open_one_flow(ep);
+
+  transport::UdpSocket injector = transport::UdpSocket::bound_loopback(0);
+  injector.connect_loopback(ep.channel(0).rx_port());
+  constexpr std::uint64_t kForged = 25;
+  for (std::uint64_t i = 0; i < kForged; ++i) {
+    proto::ShareFrame frame;
+    frame.packet_id = 5000 + i;
+    frame.k = 2;
+    frame.share_index = 1;
+    frame.payload = std::vector<std::uint8_t>(64, 0xEE);
+    ASSERT_EQ(injector.send(proto::encode(frame, &bad_key)),
+              transport::UdpSocket::IoResult::Ok);
+    ASSERT_EQ(injector.send(proto::encode(frame, &good_key)),
+              transport::UdpSocket::IoResult::Ok);
+  }
+  ASSERT_TRUE(run_until(ep, [&] {
+    return ep.stats().frames_auth_failed + ep.stats().frames_undecodable +
+               ep.stats().frames_without_connection >=
+           2 * kForged;
+  }));
+  EXPECT_EQ(ep.stats().frames_auth_failed, kForged);
+  EXPECT_EQ(ep.stats().frames_without_connection, kForged);
+
+  // Real traffic afterwards, so later reports carry the counters.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(ep.send(cid, pattern_payload(96, 0x11)));
+  }
+  feedback::RetransmitManager* manager = ep.flow_manager(cid);
+  ASSERT_NE(manager, nullptr);
+  ASSERT_TRUE(run_until(ep, [&] {
+    return delivered == 10 && manager->outstanding() == 0;
+  }, 5000));
+  const auto& channels = manager->channel_telemetry();
+  ASSERT_EQ(channels.size(), ep.num_channels());
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    EXPECT_LE(channels[c].frames_received, channels[c].shares_sent)
+        << "channel " << c;
+    EXPECT_EQ(channels[c].frames_undecodable, 0u) << "channel " << c;
+  }
+  EXPECT_EQ(ep.flow_receiver(cid)->stats().packets_delivered, 10u);
+  EXPECT_EQ(ep.flow_receiver(cid)->stats().auth_failures, 0u);
+}
+
+TEST(Session, PortBaseWraparoundIsRejectedAtSetup) {
+  // Channel i binds port_base + i with uint16_t arithmetic, so a high
+  // base would silently wrap to a low port. The endpoint must refuse the
+  // configuration up front instead.
+  {
+    SessionConfig config = clean_config();
+    config.port_base = 65534;  // lanes at 65534, 65535, 65536 -> wrap
+    EXPECT_THROW((void)SessionEndpoint(std::move(config)), PreconditionError);
+  }
+  {
+    // Boundary: the LAST channel exactly at 65535 is fine.
+    SessionConfig config = clean_config();
+    config.port_base = 65533;  // lanes at 65533, 65534, 65535
+    EXPECT_NO_THROW((void)SessionEndpoint(std::move(config)));
+  }
+  {
+    // Reliability adds a feedback lane at port_base + n: a base that
+    // fits the share channels alone must still be refused.
+    SessionConfig config = clean_config();
+    config.port_base = 65533;
+    config.reliability.enabled = true;  // feedback lane at 65536 -> wrap
+    EXPECT_THROW((void)SessionEndpoint(std::move(config)), PreconditionError);
+  }
+  {
+    SessionConfig config = clean_config();
+    config.port_base = 65532;  // shares 65532..65534, feedback 65535
+    config.reliability.enabled = true;
+    EXPECT_NO_THROW((void)SessionEndpoint(std::move(config)));
+  }
+}
+
+TEST(Session, PortBaseFromEnvParsesAndFallsBack) {
+  ASSERT_EQ(::unsetenv("MCSS_LIVE_PORT_BASE"), 0);
+  EXPECT_EQ(session::port_base_from_env(0), 0);
+  EXPECT_EQ(session::port_base_from_env(4000), 4000);
+  ASSERT_EQ(::setenv("MCSS_LIVE_PORT_BASE", "23456", 1), 0);
+  EXPECT_EQ(session::port_base_from_env(0), 23456);
+  ASSERT_EQ(::setenv("MCSS_LIVE_PORT_BASE", "not-a-port", 1), 0);
+  EXPECT_EQ(session::port_base_from_env(4000), 4000);
+  ASSERT_EQ(::setenv("MCSS_LIVE_PORT_BASE", "70000", 1), 0);
+  EXPECT_EQ(session::port_base_from_env(4000), 4000);
+  ASSERT_EQ(::unsetenv("MCSS_LIVE_PORT_BASE"), 0);
+}
+
+TEST(Session, InjectedEagainBackpressureDoesNotWedgeTheChannel) {
+  SessionConfig config = clean_config(3, 50e6);
+  config.limits.max_queue_packets = 64;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const std::uint32_t cid = open_one_flow(ep);
+  for (std::size_t i = 0; i < ep.num_channels(); ++i) {
+    ep.channel(i).tx_socket().inject_wouldblock(3);
+  }
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(ep.send(cid, pattern_payload(100, 0x33)));
+  }
+  ASSERT_TRUE(run_until(ep, [&] { return delivered == 20; }, 5000));
+  std::uint64_t wouldblock = 0;
+  for (std::size_t i = 0; i < ep.num_channels(); ++i) {
+    wouldblock += ep.channel(i).stats().send_wouldblock;
+    EXPECT_FALSE(ep.channel(i).wants_write());
+  }
+  EXPECT_GT(wouldblock, 0u);
+}
+
+TEST(Session, KeyedEndpointSurvivesAMalformedDatagramStorm) {
+  // The storm: junk bytes, and well-formed frames carrying the flow's
+  // connection id but tagged under the wrong key, fired at every RX port
+  // while legitimate traffic flows.
+  const crypto::SipHashKey good_key{1, 2,  3,  4,  5,  6,  7,  8,
+                                    9, 10, 11, 12, 13, 14, 15, 16};
+  const crypto::SipHashKey bad_key{16, 15, 14, 13, 12, 11, 10, 9,
+                                   8,  7,  6,  5,  4,  3,  2,  1};
+  SessionConfig config = two_channel_config(100e6);
+  config.auth_key = good_key;
+  config.limits.max_queue_packets = 64;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const std::uint32_t cid = open_one_flow(ep);
+
+  std::vector<transport::UdpSocket> attackers;
+  for (std::size_t i = 0; i < ep.num_channels(); ++i) {
+    transport::UdpSocket s = transport::UdpSocket::bound_loopback(0);
+    s.connect_loopback(ep.channel(i).rx_port());
+    attackers.push_back(std::move(s));
+  }
+  proto::ShareFrame forged;
+  forged.packet_id = 7777;
+  forged.k = 2;
+  forged.share_index = 1;
+  forged.connection_id = cid;
+  forged.payload = std::vector<std::uint8_t>(32, 0xEE);
+  const auto forged_bytes = proto::encode(forged, &bad_key);
+  Rng rng(1234);
+
+  for (int round = 0; round < 10; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(ep.send(cid, pattern_payload(96, 0x11)));
+    }
+    for (auto& attacker : attackers) {
+      std::vector<std::uint8_t> junk(48);
+      rng.fill(junk);
+      ASSERT_EQ(attacker.send(junk), transport::UdpSocket::IoResult::Ok);
+      ASSERT_EQ(attacker.send(forged_bytes),
+                transport::UdpSocket::IoResult::Ok);
+    }
+    ep.run_for(10'000'000);
+  }
+  ASSERT_TRUE(run_until(ep, [&] { return delivered >= 30; }, 5000));
+
+  EXPECT_EQ(delivered, 30u);
+  EXPECT_EQ(ep.flow_receiver(cid)->stats().packets_delivered, 30u);
+  EXPECT_GT(ep.stats().frames_undecodable, 0u)
+      << "junk datagrams must be counted";
+  EXPECT_GT(ep.stats().frames_auth_failed, 0u)
+      << "wrong-key frames must be counted";
+  EXPECT_EQ(ep.flow_receiver(cid)->stats().auth_failures, 0u)
+      << "forgeries never reach the flow";
+}
+
+TEST(Session, SeededImpairedRunMatchesConfiguredLossAndDelay) {
+  // Five impaired channels in the Section VI style: diverse rates, loss,
+  // and delay. Measured per-channel loss must track the Bernoulli
+  // parameter; end-to-end delay must be bounded by the channel delays.
+  const double rates_mbps[5] = {20, 20, 40, 40, 80};
+  const double losses[5] = {0.05, 0.10, 0.02, 0.08, 0.0};
+  const std::int64_t delays_ns[5] = {2'000'000, 4'000'000, 6'000'000,
+                                     8'000'000, 10'000'000};
+  SessionConfig config;
+  for (int i = 0; i < 5; ++i) {
+    net::ChannelConfig ch;
+    ch.rate_bps = rates_mbps[i] * 1e6;
+    ch.loss = losses[i];
+    ch.delay = delays_ns[i];
+    config.channels.push_back({ch, "impaired" + std::to_string(i)});
+  }
+  config.seed = 77;
+  config.limits.max_queue_packets = 1024;
+  config.limits.per_flow_memory_bytes = 8u << 20;
+  SessionEndpoint ep(std::move(config));
+  const std::uint32_t cid = open_one_flow(ep);
+  // Packet ids are dense from 1 in send order, so accepted send i is
+  // packet i + 1; its delay runs from send() to delivery.
+  std::vector<std::int64_t> sent_ns;
+  PercentileTracker delay;
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t id,
+                     std::vector<std::uint8_t>) {
+    ++delivered;
+    delay.add(static_cast<double>(ep.now_ns() - sent_ns[id - 1]) / 1e9);
+  });
+
+  // Enough packets that even the least-preferred channel decides a few
+  // hundred frames — at n >= 200 draws, the 0.06 tolerance sits beyond
+  // 3 sigma of a Bernoulli(0.10) estimate.
+  const int kPackets = 600;
+  for (int i = 0; i < kPackets; ++i) {
+    sent_ns.push_back(ep.now_ns());
+    ASSERT_TRUE(ep.send(cid, pattern_payload(256, 0x77)));
+  }
+  // A few packets may legitimately lose > m - k shares, so do not wait
+  // for a full house — settle for all-but-a-handful, then drain.
+  run_until(ep, [&] {
+    return delivered + 15 >= static_cast<std::size_t>(kPackets);
+  }, 6000);
+  ep.run_for(30'000'000);  // let the last delayed shares land
+
+  // k=2-of-m=3 over <=10% lossy channels: requiring >=90% end-to-end
+  // delivery leaves a wide margin (the expected failure rate is <1%).
+  EXPECT_GE(delivered, static_cast<std::size_t>(kPackets * 9 / 10));
+
+  for (std::size_t i = 0; i < ep.num_channels(); ++i) {
+    const auto& s = ep.channel(i).impair_stats();
+    const std::uint64_t decided = s.frames_dropped_loss + s.frames_delivered;
+    if (decided < 200) continue;  // too few samples to judge
+    const double measured =
+        static_cast<double>(s.frames_dropped_loss) / static_cast<double>(decided);
+    EXPECT_NEAR(measured, losses[i], 0.06) << "channel " << i;
+  }
+
+  ASSERT_GT(delay.count(), 0u);
+  // A packet needs k=2 shares, so its delay is at least the second-share
+  // channel delay; the fastest pair is 2 ms + 4 ms -> >= ~2 ms. Loopback
+  // scheduling noise and the wait in the send queue (all 600 packets are
+  // offered at once, about 20 ms of channel time) only add. Upper bound:
+  // slowest channel plus ample pacing slack.
+  EXPECT_GE(delay.percentile(10.0), 0.0015);
+  EXPECT_LE(delay.median(), 0.060);
+}
+
+TEST(Session, TinyKernelBuffersDoNotWedgeTheLoop) {
+  SessionConfig config = two_channel_config(200e6);
+  config.limits.max_queue_packets = 512;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const std::uint32_t cid = open_one_flow(ep);
+  for (std::size_t i = 0; i < ep.num_channels(); ++i) {
+    // The kernel clamps these to its floor (~2 KB), still small enough to
+    // pressure a burst of coalesced datagrams.
+    ep.channel(i).tx_socket().set_send_buffer(1);
+    ep.channel(i).rx_socket().set_recv_buffer(1);
+  }
+  const int kPackets = 200;
+  for (int i = 0; i < kPackets; ++i) {
+    ASSERT_TRUE(ep.send(cid, pattern_payload(512, 0x9C)));
+  }
+  run_until(ep, [&] {
+    return ep.flow_queued_packets(cid) == 0 &&
+           delivered >= static_cast<std::size_t>(kPackets) * 8 / 10;
+  }, 3000);
+  ep.run_for(20'000'000);
+
+  // Datagrams may be dropped at the tiny receive buffer (that is loss,
+  // which the protocol absorbs); the loop itself must make progress and
+  // the books must balance.
+  EXPECT_EQ(ep.flow_sender_stats(cid)->packets_sent,
+            static_cast<std::uint64_t>(kPackets));
+  EXPECT_GT(delivered, 0u);
+  EXPECT_LE(delivered, static_cast<std::size_t>(kPackets));
+  for (std::size_t i = 0; i < ep.num_channels(); ++i) {
+    EXPECT_EQ(ep.channel(i).stats().send_errors, 0u) << "channel " << i;
+  }
+}
+
+TEST(Session, UnbatchedModeStillDelivers) {
+  // send_batch = recv_batch = 1 is the pre-batching transport, kept as
+  // bench/live_eval's before/after baseline.
+  SessionConfig config = two_channel_config(100e6);
+  config.send_batch = 1;
+  config.recv_batch = 1;
+  config.limits.max_queue_packets = 64;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const std::uint32_t cid = open_one_flow(ep);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(ep.send(cid, pattern_payload(96, 0x2F)));
+  }
+  ASSERT_TRUE(run_until(ep, [&] { return delivered == 20; }, 3000));
+  EXPECT_EQ(ep.stats().frames_undecodable, 0u);
+}
+
+TEST(Session, SyscallAndPoolAccountingIsPopulated) {
+  SessionConfig config = two_channel_config(100e6);
+  config.limits.max_queue_packets = 64;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const std::uint32_t cid = open_one_flow(ep);
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(ep.send(cid, pattern_payload(128, 0x3C)));
+  }
+  ASSERT_TRUE(run_until(ep, [&] { return delivered == 30; }, 3000));
+
+  EXPECT_GT(ep.poller().wait_calls(), 0u);
+  std::uint64_t socket_calls = 0;
+  std::uint64_t datagrams = 0;
+  for (std::size_t i = 0; i < ep.num_channels(); ++i) {
+    socket_calls +=
+        ep.channel(i).syscalls_send() + ep.channel(i).syscalls_recv();
+    datagrams += ep.channel(i).stats().datagrams_sent;
+  }
+  EXPECT_GT(socket_calls, 0u);
+  EXPECT_GT(datagrams, 0u);
+  // Every TX frame was encoded straight into the shared arena.
+  EXPECT_GT(ep.pool().stats().acquired, 0u);
+  EXPECT_EQ(ep.pool().stats().exhausted, 0u) << "auto-sizing left slack";
+  EXPECT_GT(ep.pool().stats().high_water, 0u);
+}
+
+TEST(Session, ReliabilityRecoversLossesOverRealSockets) {
+  // End-to-end ARQ over real UDP loopback: lossy forward channels with
+  // zero share slack (kappa = mu = 2), a lossy feedback channel, and the
+  // flow's RetransmitManager repairing the difference.
+  SessionConfig config = clean_config(3, 50e6);
+  for (auto& spec : config.channels) spec.config.loss = 0.05;
+  config.kappa = 2.0;
+  config.mu = 2.0;
+  config.seed = 61;
+  config.limits.max_queue_packets = 64;
+  config.reliability.enabled = true;
+  config.reliability.retransmit.max_retransmits = 6;
+  config.reliability.retransmit.initial_rto_ns = 60'000'000;
+  config.reliability.retransmit.min_rto_ns = 30'000'000;
+  config.reliability.report_interval_ns = 10'000'000;
+  config.reliability.feedback_channel.loss = 0.05;
+  SessionEndpoint ep(std::move(config));
+
+  std::map<std::uint64_t, std::vector<std::uint8_t>> delivered;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t id,
+                     std::vector<std::uint8_t> payload) {
+    delivered[id] = std::move(payload);
+  });
+  const std::uint32_t cid = open_one_flow(ep);
+  Rng rng(7);
+  constexpr std::size_t kPackets = 60;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    std::vector<std::uint8_t> payload(256);
+    rng.fill(payload);
+    payloads.push_back(payload);
+    ASSERT_TRUE(ep.send(cid, std::move(payload)));
+  }
+  // With 5% loss per share and no slack, ~10% of packets need a repair;
+  // six retransmission rounds make residual failure negligible.
+  ASSERT_TRUE(run_until(ep, [&] { return delivered.size() == kPackets; },
+                        15000));
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    EXPECT_EQ(delivered[i + 1], payloads[i]) << "packet " << i + 1;
+  }
+  const feedback::RetransmitStats& stats = ep.flow_manager(cid)->stats();
+  EXPECT_GT(ep.stats().reports_sent, 0u);
+  EXPECT_GT(stats.reports_received, 0u);
+  EXPECT_GT(stats.packets_acked, 0u);
+  // Realized exposure can only widen relative to the initial dispatch.
+  EXPECT_GE(stats.exposure_channel_sum, stats.initial_channel_sum);
+}
+
+TEST(Session, DefaultFeedbackLaneCarriesACoalescedReportBurst) {
+  // 278 flows each deliver one packet inside the first 20 ms report
+  // interval, so the tick offers all 278 reports, coalesced into
+  // datagrams of up to 1400 B, to the feedback lane at once. 278 is the
+  // smallest population whose burst overflowed the old default lane
+  // (100 Mbps, 64 KiB queue): the dropped datagram left its flows'
+  // packets unacked until their 200 ms RTO retransmitted them.
+  constexpr std::size_t kFlows = 278;
+  SessionConfig config = clean_config(3, 2e9);
+  config.reliability.enabled = true;
+  config.limits.max_flows = kFlows;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  FlowParams params;
+  params.rate_pps = 2.0;
+  params.payload_bytes = 64;
+  std::vector<std::uint32_t> cids;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const auto cid = ep.open_flow(params);
+    ASSERT_TRUE(cid.has_value());
+    cids.push_back(*cid);
+    ASSERT_TRUE(ep.send(*cid, pattern_payload(64, static_cast<std::uint8_t>(i))));
+  }
+  ASSERT_TRUE(run_until(ep, [&] { return delivered == kFlows; }));
+  ep.run_for(300'000'000);  // the report tick, then past every RTO
+
+  EXPECT_EQ(ep.stats().reports_dropped_at_channel, 0u);
+  std::uint64_t retransmits = 0;
+  for (const std::uint32_t cid : cids) {
+    retransmits += ep.flow_sender_stats(cid)->packets_retransmitted;
+  }
+  EXPECT_EQ(retransmits, 0u);
 }
 
 }  // namespace
