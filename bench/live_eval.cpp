@@ -10,6 +10,13 @@
 //   loss   measured end-to-end loss vs the IV-D LP loss at max rate
 //   delay  measured packet delay vs the IV-D LP expected delay
 //
+// Two passes over the setups. The paced pass offers 0.9x the optimum
+// (the paper's "at the rate measured in the rate experiment"). The
+// saturating pass offers 1.2x on Identical, Diverse, Lossy and Delayed,
+// so the channels, not the offered load, bound goodput: that is the
+// paper's headline, ReMICSS within 3-4% of the Theorem 4 optimum, and
+// its gate is >= 0.96x the optimum on Identical and Diverse.
+//
 //   live_eval [--obs] [--seconds S] [--out BENCH_live.json]
 //
 // Results go to stdout as a table and to --out as JSON (schema below).
@@ -57,6 +64,13 @@ constexpr std::size_t kPacketBytes = 1470;  // iperf-style datagram
 constexpr std::size_t kFastpathBytes = 128;
 constexpr double kKappa = 2.0;
 constexpr double kMu = 3.0;
+/// Saturating pass: offered load as a multiple of the Theorem 4 rate,
+/// the send queue, the goodput gate (the paper's 3-4% from optimal),
+/// and the per-channel rate of the Identical setup (as in fig3).
+constexpr double kSaturateLoad = 1.2;
+constexpr std::size_t kSaturateQueue = 64;
+constexpr double kSaturateGate = 0.96;
+constexpr double kIdenticalMbps = 100.0;
 
 /// Cycle counter for the cycles_per_byte column. On x86 this is the TSC;
 /// elsewhere it falls back to the endpoint-independent steady clock in
@@ -98,6 +112,10 @@ std::uint64_t total_syscalls(const session::SessionEndpoint& ep) {
 struct LiveResult {
   double offered_mbps = 0.0;
   double measured_mbps = 0.0;
+  /// Goodput over the last 3/4 of the sending time, counting only what
+  /// was delivered in it: the steady rate, without the pipeline filling
+  /// at the start or the queue draining after the end.
+  double steady_mbps = 0.0;
   double loss_fraction = 0.0;
   double median_delay_s = 0.0;
   double p95_delay_s = 0.0;
@@ -134,6 +152,34 @@ std::uint32_t open_one_flow(session::SessionEndpoint& ep) {
   return *cid;
 }
 
+/// What the model predicts for a setup at kMu: the Theorem 4 optimum and
+/// the IV-D LP's loss and delay at that rate (-1 when the LP fails).
+struct Model {
+  double optimal_pps = 0.0;
+  double optimal_mbps = 0.0;
+  double lp_loss = -1.0;
+  double lp_delay_s = -1.0;
+};
+
+Model solve_model(const workload::Setup& setup) {
+  const ChannelSet channels = setup.to_model(kPacketBytes);
+  Model m;
+  m.optimal_pps = optimal_rate(channels, kMu);
+  m.optimal_mbps =
+      m.optimal_pps * static_cast<double>(kPacketBytes) * 8.0 / 1e6;
+  const auto solve = [&](Objective objective) {
+    const auto r =
+        solve_schedule_lp(channels, {.objective = objective,
+                                     .kappa = kKappa,
+                                     .mu = kMu,
+                                     .rate = RateConstraint::MaxRate});
+    return r.status == lp::Status::Optimal ? r.objective_value : -1.0;
+  };
+  m.lp_loss = solve(Objective::Loss);
+  m.lp_delay_s = solve(Objective::Delay);
+  return m;
+}
+
 /// Send stamps for the delay columns. Packet ids are dense per flow from
 /// 1 in send order, so accepted send i becomes packet i + 1, and a
 /// packet's delay runs from its send() to its delivery.
@@ -148,8 +194,8 @@ struct SendStamps {
 };
 
 LiveResult run_live(const workload::Setup& setup, double offered_pps,
-                    double seconds, std::uint64_t seed) {
-  session::SessionConfig cfg = one_flow_config(1024, seed);
+                    double seconds, std::uint64_t seed, std::size_t queue) {
+  session::SessionConfig cfg = one_flow_config(queue, seed);
   for (std::size_t i = 0; i < setup.channels.size(); ++i) {
     cfg.channels.push_back(
         {setup.channels[i], setup.name + "/" + std::to_string(i)});
@@ -157,14 +203,20 @@ LiveResult run_live(const workload::Setup& setup, double offered_pps,
   session::SessionEndpoint ep(std::move(cfg));
   const std::uint32_t cid = open_one_flow(ep);
 
+  const std::int64_t start = ep.now_ns();
+  const std::int64_t t_end = start + static_cast<std::int64_t>(seconds * 1e9);
+  const std::int64_t steady_from = start + (t_end - start) / 4;
   std::uint64_t delivered_bytes = 0;
   std::uint64_t delivered_packets = 0;
+  std::uint64_t steady_bytes = 0;
   SendStamps stamps;
   ep.set_deliver([&](std::uint32_t, std::uint64_t id,
                      std::vector<std::uint8_t> payload) {
+    const std::int64_t now = ep.now_ns();
     ++delivered_packets;
     delivered_bytes += payload.size();
-    stamps.on_delivered(id, ep.now_ns());
+    if (now >= steady_from && now < t_end) steady_bytes += payload.size();
+    stamps.on_delivered(id, now);
   });
 
   Rng payload_rng(seed ^ 0x9e3779b9ULL);
@@ -172,10 +224,7 @@ LiveResult run_live(const workload::Setup& setup, double offered_pps,
 
   const std::int64_t interval_ns =
       static_cast<std::int64_t>(1e9 / offered_pps);
-  const std::int64_t t_end =
-      ep.now_ns() + static_cast<std::int64_t>(seconds * 1e9);
-  std::int64_t next_send = ep.now_ns();
-  const std::int64_t start = ep.now_ns();
+  std::int64_t next_send = start;
   const std::uint64_t cycles_start = cycle_now();
 
   while (ep.now_ns() < t_end) {
@@ -204,6 +253,8 @@ LiveResult run_live(const workload::Setup& setup, double offered_pps,
   r.offered_mbps = offered_pps * static_cast<double>(kPacketBytes) * 8.0 / 1e6;
   r.measured_mbps = static_cast<double>(delivered_bytes) * 8.0 /
                     (static_cast<double>(sending_elapsed) / 1e9) / 1e6;
+  r.steady_mbps = static_cast<double>(steady_bytes) * 8.0 /
+                  (static_cast<double>(t_end - steady_from) / 1e9) / 1e6;
   r.loss_fraction =
       ss.packets_sent == 0
           ? 0.0
@@ -381,43 +432,26 @@ int main(int argc, char** argv) {
   bool all_pass = true;
   std::uint64_t seed = 4242;
   for (const auto& setup : setups) {
-    const ChannelSet model = setup.to_model(kPacketBytes);
-    const double optimal_pps = optimal_rate(model, kMu);
-    const double optimal_mbps =
-        optimal_pps * static_cast<double>(kPacketBytes) * 8.0 / 1e6;
-    const auto lp_loss =
-        solve_schedule_lp(model, {.objective = Objective::Loss,
-                                  .kappa = kKappa,
-                                  .mu = kMu,
-                                  .rate = RateConstraint::MaxRate});
-    const auto lp_delay =
-        solve_schedule_lp(model, {.objective = Objective::Delay,
-                                  .kappa = kKappa,
-                                  .mu = kMu,
-                                  .rate = RateConstraint::MaxRate});
-    const double predicted_loss =
-        lp_loss.status == lp::Status::Optimal ? lp_loss.objective_value : -1.0;
-    const double predicted_delay =
-        lp_delay.status == lp::Status::Optimal ? lp_delay.objective_value
-                                               : -1.0;
+    const Model model = solve_model(setup);
 
     // Paper methodology: measure "at the rate measured in the rate
     // experiment" — offer just under the model optimum.
-    const LiveResult r = run_live(setup, 0.9 * optimal_pps, seconds, seed++);
+    const LiveResult r =
+        run_live(setup, 0.9 * model.optimal_pps, seconds, seed++, 1024);
 
     std::printf("%-9s %8.1f  %9.1f  %8.3f  %10.3f  %11.3f  %12.3f  %6.3f"
                 "  %5.2f  %4.2f  %7.2f  %5.0f\n",
-                setup.name.c_str(), optimal_mbps, r.measured_mbps,
-                predicted_loss * 100.0, r.loss_fraction * 100.0,
-                predicted_delay * 1e3, r.median_delay_s * 1e3,
+                setup.name.c_str(), model.optimal_mbps, r.measured_mbps,
+                model.lp_loss * 100.0, r.loss_fraction * 100.0,
+                model.lp_delay_s * 1e3, r.median_delay_s * 1e3,
                 r.p95_delay_s * 1e3, r.achieved_kappa, r.achieved_mu,
                 r.syscalls_per_packet, r.cycles_per_byte);
 
     // Loose live gates: the transport must carry a meaningful fraction
     // of the offered load, loss must stay in the LP's neighborhood, and
     // delay must not explode past the slowest configured channel path.
-    const bool pass = r.measured_mbps > 0.5 * (0.9 * optimal_mbps) &&
-                      r.loss_fraction < predicted_loss + 0.08 &&
+    const bool pass = r.measured_mbps > 0.5 * (0.9 * model.optimal_mbps) &&
+                      r.loss_fraction < model.lp_loss + 0.08 &&
                       r.median_delay_s < 0.200;
     if (!pass) all_pass = false;
 
@@ -426,9 +460,9 @@ int main(int argc, char** argv) {
         .field("kappa", kKappa)
         .field("mu", kMu)
         .field("seconds", seconds)
-        .field("optimal_mbps", optimal_mbps)
-        .field("lp_loss", predicted_loss)
-        .field("lp_delay_s", predicted_delay)
+        .field("optimal_mbps", model.optimal_mbps)
+        .field("lp_loss", model.lp_loss)
+        .field("lp_delay_s", model.lp_delay_s)
         .field("offered_mbps", r.offered_mbps)
         .field("measured_mbps", r.measured_mbps)
         .field("measured_loss", r.loss_fraction)
@@ -446,6 +480,56 @@ int main(int argc, char** argv) {
     setups_json += row.str();
   }
   setups_json += "]";
+
+  // Saturating rows: 1.2x the optimum, so the channels bound goodput.
+  // The send queue is short (kSaturateQueue packets) because the excess
+  // is refused at send() by design; a deep queue would only add its own
+  // length to every packet's delay.
+  const workload::Setup saturating[] = {
+      workload::identical_setup(kIdenticalMbps), workload::diverse_setup(),
+      workload::lossy_setup(), workload::delayed_setup()};
+  std::printf("# saturating: %.1fx the Theorem 4 rate, queue %zu packets;"
+              " gate >= %.2fx optimum on Identical and Diverse\n",
+              kSaturateLoad, kSaturateQueue, kSaturateGate);
+  std::printf("setup     opt_mbps  offered  meas_mbps  frac_opt"
+              "  lp_delay_ms  med_delay_ms  p95_ms  sys/pkt  gate\n");
+  std::string saturating_json = "[";
+  for (const auto& setup : saturating) {
+    const Model model = solve_model(setup);
+    const LiveResult r = run_live(setup, kSaturateLoad * model.optimal_pps,
+                                  seconds, seed++, kSaturateQueue);
+    const double frac = r.steady_mbps / model.optimal_mbps;
+    const bool gated = setup.name == "Identical" || setup.name == "Diverse";
+    const bool pass = !gated || frac >= kSaturateGate;
+    if (!pass) all_pass = false;
+    std::printf("%-9s %8.1f  %7.1f  %9.1f  %8.3f  %11.3f  %12.3f  %6.3f"
+                "  %7.2f  %s\n",
+                setup.name.c_str(), model.optimal_mbps, r.offered_mbps,
+                r.steady_mbps, frac, model.lp_delay_s * 1e3,
+                r.median_delay_s * 1e3, r.p95_delay_s * 1e3,
+                r.syscalls_per_packet,
+                gated ? (pass ? "PASS" : "FAIL") : "-");
+    obs::JsonRow row;
+    row.field("setup", setup.name)
+        .field("seconds", seconds)
+        .field("send_queue_packets", static_cast<std::uint64_t>(kSaturateQueue))
+        .field("optimal_mbps", model.optimal_mbps)
+        .field("offered_mbps", r.offered_mbps)
+        .field("measured_mbps", r.steady_mbps)
+        .field("rate_frac_opt", frac)
+        .field("lp_delay_s", model.lp_delay_s)
+        .field("median_delay_s", r.median_delay_s)
+        .field("p95_delay_s", r.p95_delay_s)
+        .field("measured_loss", r.loss_fraction)
+        .field("packets_sent", r.packets_sent)
+        .field("packets_delivered", r.packets_delivered)
+        .field("syscalls_per_packet", r.syscalls_per_packet)
+        .field("gated", gated)
+        .field("pass", pass);
+    if (saturating_json.size() > 1) saturating_json += ",";
+    saturating_json += row.str();
+  }
+  saturating_json += "]";
 
   // Fast-path before/after: the legacy batch=1 path (one syscall per
   // datagram, assembly copies) against the batched sendmmsg/recvmmsg +
@@ -524,6 +608,7 @@ int main(int argc, char** argv) {
       .field("transport", "udp-loopback")
       .field("packet_bytes", static_cast<std::uint64_t>(kPacketBytes))
       .field_raw("setups", setups_json)
+      .field_raw("saturating", saturating_json)
       .field_raw("fastpath", fastpath_json);
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f, "%s\n", doc.str().c_str());

@@ -108,6 +108,12 @@ class DynamicScheduler final : public ShareScheduler {
   [[nodiscard]] std::optional<ShareDecision> next(
       std::span<const ChannelView> channels) override;
 
+  /// Ready channels the deferred decision waits for: its m after next()
+  /// returned nullopt, 0 when no decision is pending.
+  [[nodiscard]] int pending_m() const noexcept {
+    return pending_ ? pending_->m : 0;
+  }
+
  private:
   KappaMuDither dither_;
   std::optional<KmPair> pending_;

@@ -1,6 +1,7 @@
 #include "session/session_endpoint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <utility>
 
@@ -25,6 +26,23 @@ constexpr std::size_t kPricedOverhead =
 
 /// A send stamp whose packet was delivered (stamps are never negative).
 constexpr std::int64_t kDelivered = -1;
+
+/// A loop blocked on channel readiness wakes when enough not-ready
+/// channels have fallen below their watermarks, but for each no earlier
+/// than this long before its serializer runs idle: a slow channel with
+/// a deep watermark then takes several shares per wake-up instead of
+/// one per departure, and still never runs dry (EXPERIMENTS.md, "Wake
+/// precision", has the sweep).
+constexpr std::int64_t kUnblockMarginNs = 1'000'000;
+
+/// A blocked loop sleeps this long when it can: each wake dispatches
+/// what the channels have room for, and at saturation every wake costs
+/// its own small sendmmsg per channel, so fewer, fuller wakes save CPU.
+/// It wakes earlier, kIdleLeadNs before fewer than m serializers (the
+/// blocked decision's m) would still be busy, and never before the
+/// channels it needs are ready (EXPERIMENTS.md, "Wake precision").
+constexpr std::int64_t kMinBlockedWaitNs = 700'000;
+constexpr std::int64_t kIdleLeadNs = 150'000;
 
 /// open_flow() costs kept for setup_latency_seconds(), and their seed.
 constexpr std::size_t kSetupLatencySamples = 4096;
@@ -360,7 +378,7 @@ void SessionEndpoint::unlink_report(Flow& flow) {
   flow.in_report = false;
 }
 
-void SessionEndpoint::pump(std::int64_t now) {
+int SessionEndpoint::pump(std::int64_t now) {
   std::size_t budget = config_.limits.max_dispatch_per_pump;
   while (ready_head_ != nullptr && budget > 0) {
     // Pool backpressure: a dispatch fans out to at most one share per
@@ -368,7 +386,7 @@ void SessionEndpoint::pump(std::int64_t now) {
     // the ready list) and let departures free slots.
     if (pool_->available() < channels_.size()) {
       ++stats_.pool_defers;
-      return;
+      return 0;
     }
     view_scratch_.resize(channels_.size());
     for (std::size_t i = 0; i < channels_.size(); ++i) {
@@ -378,10 +396,11 @@ void SessionEndpoint::pump(std::int64_t now) {
     Flow& flow = *ready_head_;
     const auto decision = flow.scheduler.next(view_scratch_);
     if (!decision) {
-      // DynamicScheduler defers only when no channel is writable — a
-      // condition shared by every flow, so stop the round entirely.
+      // DynamicScheduler defers only when too few channels are
+      // writable — a condition shared by every flow, so stop the round
+      // entirely.
       ++stats_.schedule_defers;
-      return;
+      return flow.scheduler.pending_m();
     }
     std::vector<std::uint8_t> payload = std::move(flow.queue.front());
     flow.queue.pop_front();
@@ -391,6 +410,45 @@ void SessionEndpoint::pump(std::int64_t now) {
     dispatch(flow, std::move(payload), *decision, now);
     --budget;
   }
+  return 0;
+}
+
+std::optional<std::int64_t> SessionEndpoint::channels_unblock_at(
+    int wanted, std::int64_t now) const {
+  std::array<std::int64_t, 32> unblock{};  // at most 32 channels
+  std::array<std::int64_t, 32> idle{};
+  std::size_t known = 0;
+  std::size_t busy = 0;
+  int ready = 0;
+  for (const auto& ch : channels_) {
+    if (ch->ready(now)) ++ready;
+    if (const auto t = ch->unblocks_at(kUnblockMarginNs)) {
+      unblock[known++] = *t;
+    }
+    if (const std::int64_t t = ch->idle_at(); t > now) idle[busy++] = t;
+  }
+  const auto nth = [](auto& v, std::size_t count, std::size_t n) {
+    const auto at = v.begin() + static_cast<std::ptrdiff_t>(n);
+    std::nth_element(v.begin(), at,
+                     v.begin() + static_cast<std::ptrdiff_t>(count));
+    return *at;
+  };
+  // The flush after the pump can leave enough channels ready already;
+  // otherwise the work moves once enough of the rest can.
+  std::int64_t can_move = now;
+  if (ready < wanted) {
+    if (known == 0) return std::nullopt;
+    const auto needed = static_cast<std::size_t>(wanted - ready);
+    can_move = nth(unblock, known, std::min(known, needed) - 1);
+  }
+  // Sleep on while `wanted` serializers stay busy, up to the minimum.
+  const auto m = static_cast<std::size_t>(wanted);
+  std::int64_t latest = now;
+  if (busy >= m) {
+    latest = std::min(now + kMinBlockedWaitNs,
+                      nth(idle, busy, m - 1) - kIdleLeadNs);
+  }
+  return std::max(can_move, latest);
 }
 
 void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
@@ -725,7 +783,7 @@ void SessionEndpoint::run_for(std::int64_t wall_ns) {
     // start — no per-flow manager scan anywhere.
     timeline_.run_until(now);
     handle_events(now);
-    pump(now);
+    const int wanted = pump(now);
     for (const auto& ch : channels_) ch->flush(now);
     if (feedback_ch_) feedback_ch_->flush(now);
     update_write_interest();
@@ -737,10 +795,14 @@ void SessionEndpoint::run_for(std::int64_t wall_ns) {
 
     // A fresh read, not `now`: a timer the pump or flush above armed
     // may already be due, and it must not wait out a rounded-up 1 ms.
+    // Only queued work blocked on channel readiness gets a wake-up to
+    // the nanosecond; pool and budget stops, idle loops and every timer
+    // keep whole-ms waits.
     const std::int64_t wait_start = now_ns();
-    const transport::PollWait wait =
-        transport::plan_wait(timeline_, wait_start, deadline);
-    poller_.wait(wait.timeout_ms, events_);
+    const transport::PollWait wait = transport::plan_wait(
+        timeline_, wait_start, deadline,
+        wanted > 0 ? channels_unblock_at(wanted, wait_start) : std::nullopt);
+    poller_.wait(wait.timeout_ns, events_);
     if (telemetry_) {
       telemetry_->health().on_wait(wait_start, wait.wake_ns, now_ns());
     }

@@ -374,7 +374,20 @@ class SessionEndpoint {
     std::int64_t opened_ns = 0;
   };
 
-  void pump(std::int64_t now);
+  /// Dispatch queued packets round-robin. Returns the m of the head
+  /// flow's decision when it stopped because the scheduler found fewer
+  /// than m ready channels; 0 when it stopped for any other reason
+  /// (queues empty, pool headroom, per-pump budget).
+  int pump(std::int64_t now);
+  /// When a loop blocked at `now` on a decision wanting `wanted` ready
+  /// channels should wake: once enough can take shares (now, if enough
+  /// are ready; else the n-th earliest unblocks_at() among the not-ready
+  /// channels, the latest known one when fewer can say), and as late as
+  /// it can after that, up to kMinBlockedWaitNs, while `wanted`
+  /// serializers are still busy. nullopt when too few channels are
+  /// ready and none of the rest can say (blocked by its kernel buffer).
+  [[nodiscard]] std::optional<std::int64_t> channels_unblock_at(
+      int wanted, std::int64_t now) const;
   void dispatch(Flow& flow, std::vector<std::uint8_t> payload,
                 const proto::ShareDecision& decision, std::int64_t now);
   void resend(std::uint32_t cid, std::uint64_t id, std::uint8_t generation,

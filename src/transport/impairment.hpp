@@ -23,16 +23,30 @@
 // impaired by the same arithmetic, so bench/live_eval can compare
 // measured against LP-predicted exactly as Section VI does against the
 // testbed.
+//
+// The shim holds its in-flight frames itself, in two stages, and keeps
+// at most one timeline event armed per stage (a closure over `this`
+// only, so arming one allocates nothing):
+//
+//   serializer  FIFO of (departure stamp, bytes offered through this
+//               frame, frame). Departure stamps are charged at offer
+//               time and rise monotonically, so the event sits on the
+//               head. The running byte count answers "when does the
+//               backlog fall below N bytes" with one binary search.
+//   delay line  min-heap on (release stamp, departure order) of departed
+//               frames waiting out delay + jitter; with no jitter the
+//               stamps arrive in order and the heap stays a FIFO.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "net/sim_channel.hpp"
 #include "net/simulator.hpp"
 #include "util/frame_pool.hpp"
+#include "util/ring.hpp"
 #include "util/rng.hpp"
 
 namespace mcss::transport {
@@ -63,8 +77,8 @@ class Impairment {
   /// Fast path: when the serializer is idle and the frame's whole
   /// serialization + delay + jitter charge rounds to zero (a transparent
   /// channel, i.e. the bench's unimpaired configuration), the frame is
-  /// released inline — no timer, no deferred closure, no allocation —
-  /// with draw order identical to the scheduled path.
+  /// released inline — no queueing, no timer — with draw order
+  /// identical to the queued path.
   bool offer(util::FrameRef frame, std::int64_t now_ns);
 
   /// epoll-style writability: backlog below the watermark (mirrors
@@ -72,6 +86,18 @@ class Impairment {
   [[nodiscard]] bool ready() const noexcept {
     return queued_bytes_ < watermark_;
   }
+
+  /// When the serializer backlog first falls below `limit` bytes: the
+  /// departure stamp of the frame whose leaving takes it there, or
+  /// nullopt when it is below already. O(log queued frames).
+  [[nodiscard]] std::optional<std::int64_t> below_at(
+      std::size_t limit) const noexcept;
+
+  /// When the serializer runs idle: the last queued frame's departure.
+  [[nodiscard]] std::int64_t free_at() const noexcept {
+    return serializer_free_at_;
+  }
+  [[nodiscard]] std::size_t watermark() const noexcept { return watermark_; }
 
   /// Time to drain everything at or behind the serializer — the dynamic
   /// scheduler's "least backlog" key (mirrors SimChannel::backlog_time()).
@@ -90,7 +116,26 @@ class Impairment {
   }
 
  private:
+  struct Queued {
+    std::int64_t departure_ns = 0;
+    std::uint64_t through = 0;  ///< serializer bytes offered up to this frame
+    util::FrameRef frame;
+  };
+  struct Delayed {
+    std::int64_t release_ns = 0;
+    std::uint64_t seq = 0;
+    util::FrameRef frame;
+  };
+
+  /// Heap order of the delay line: the earliest release on top, and
+  /// equal stamps in departure order, as the timeline's (time, seq)
+  /// order fired them when each frame had an event of its own.
+  static bool later(const Delayed& a, const Delayed& b) noexcept;
+  /// Timeline events: depart / release every frame due by now().
+  void on_departures();
+  void on_releases();
   void depart(util::FrameRef frame, std::int64_t departure_ns);
+  void arm_release(std::int64_t release_ns);
   [[nodiscard]] std::int64_t serialization_ns(std::size_t bytes) const noexcept;
 
   net::ChannelConfig config_;
@@ -100,6 +145,14 @@ class Impairment {
   std::size_t watermark_ = 0;
   std::size_t queued_bytes_ = 0;          ///< offered, not yet departed
   std::int64_t serializer_free_at_ = 0;   ///< monotonic ns
+  util::Ring<Queued> serializer_;
+  std::uint64_t serializer_through_ = 0;  ///< bytes ever queued at it
+  bool departure_armed_ = false;
+  std::vector<Delayed> delay_line_;       ///< heap, earliest release on top
+  std::uint64_t delay_seq_ = 0;
+  net::EventHandle release_event_;
+  std::int64_t release_armed_at_ = 0;     ///< valid while release_event_ is
+  bool release_armed_ = false;
   net::ChannelStats stats_;
 };
 

@@ -3,7 +3,10 @@
 #include <sys/epoll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
+#include <ctime>
 #include <system_error>
 
 #include "util/ensure.hpp"
@@ -32,6 +35,10 @@ void control(int epfd, int op, int fd, bool want_read, bool want_write,
 Poller::Poller() : ready_(kMaxEvents) {
   epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epfd_ < 0) throw_errno("epoll_create1");
+  // Probe once: a zero-timeout epoll_pwait2 on the still-empty set
+  // returns 0 where the kernel has the call and ENOSYS where it does not.
+  const timespec zero{};
+  ns_timeouts_ = ::epoll_pwait2(epfd_, ready_.data(), 1, &zero, nullptr) >= 0;
 }
 
 Poller::~Poller() { ::close(epfd_); }
@@ -51,15 +58,28 @@ void Poller::remove(int fd) {
   control(epfd_, EPOLL_CTL_DEL, fd, false, false, "epoll_ctl(DEL)");
 }
 
-std::size_t Poller::wait(int timeout_ms, std::vector<Event>& out) {
+std::size_t Poller::wait(std::int64_t timeout_ns, std::vector<Event>& out) {
   out.clear();
   ++wait_calls_;
+  const int max_events = static_cast<int>(ready_.size());
   int n;
-  do {
-    n = ::epoll_wait(epfd_, ready_.data(), static_cast<int>(ready_.size()),
-                     timeout_ms);
-  } while (n < 0 && errno == EINTR);
-  if (n < 0) throw_errno("epoll_wait");
+  if (ns_timeouts_) {
+    const timespec ts{static_cast<time_t>(timeout_ns / 1'000'000'000),
+                      static_cast<long>(timeout_ns % 1'000'000'000)};
+    const timespec* timeout = timeout_ns < 0 ? nullptr : &ts;
+    do {
+      n = ::epoll_pwait2(epfd_, ready_.data(), max_events, timeout, nullptr);
+    } while (n < 0 && errno == EINTR);
+  } else {
+    const int timeout_ms =
+        timeout_ns < 0 ? -1
+                       : static_cast<int>(std::min<std::int64_t>(
+                             (timeout_ns + 999'999) / 1'000'000, INT_MAX));
+    do {
+      n = ::epoll_wait(epfd_, ready_.data(), max_events, timeout_ms);
+    } while (n < 0 && errno == EINTR);
+  }
+  if (n < 0) throw_errno("epoll wait");
   for (int i = 0; i < n; ++i) {
     const epoll_event& ev = ready_[static_cast<std::size_t>(i)];
     Event e;

@@ -173,11 +173,16 @@ bool UdpChannel::ready(std::int64_t now_ns) const noexcept {
   // Bytes parked behind a full kernel buffer count against the watermark
   // exactly as queued-at-the-serializer bytes do: both are backlog the
   // scheduler should steer new shares away from.
-  return impair_.queued_bytes() + pending_out_bytes_ <
-         (impair_.config().ready_watermark_bytes != 0
-              ? impair_.config().ready_watermark_bytes
-              : std::max<std::size_t>(1,
-                                      impair_.config().queue_capacity_bytes / 2));
+  return impair_.queued_bytes() + pending_out_bytes_ < impair_.watermark();
+}
+
+std::optional<std::int64_t> UdpChannel::unblocks_at(
+    std::int64_t margin_ns) const noexcept {
+  if (pending_out_bytes_ >= impair_.watermark()) return std::nullopt;
+  const auto below =
+      impair_.below_at(impair_.watermark() - pending_out_bytes_);
+  if (!below) return std::nullopt;
+  return std::max(*below, impair_.free_at() - margin_ns);
 }
 
 std::int64_t UdpChannel::backlog_ns(std::int64_t now_ns) const noexcept {

@@ -55,6 +55,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -161,6 +162,20 @@ class UdpChannel {
   /// epoll-style writability for the scheduler: impairment backlog plus
   /// socket-parked bytes below the watermark.
   [[nodiscard]] bool ready(std::int64_t now_ns) const noexcept;
+
+  /// When a channel that is not ready() can take shares again: the
+  /// serializer departure that takes its backlog below the watermark,
+  /// but no earlier than `margin_ns` before the serializer runs idle, so
+  /// a wake finds room for more than one share. nullopt when the channel
+  /// is ready, or when bytes parked behind a full kernel buffer keep it
+  /// not ready on their own (EPOLLOUT then wakes the loop).
+  [[nodiscard]] std::optional<std::int64_t> unblocks_at(
+      std::int64_t margin_ns) const noexcept;
+
+  /// When the impairment serializer runs idle (in the past when it is).
+  [[nodiscard]] std::int64_t idle_at() const noexcept {
+    return impair_.free_at();
+  }
 
   /// The dynamic scheduler's "least backlog" key: serializer backlog plus
   /// an estimate for bytes parked behind a full kernel buffer.

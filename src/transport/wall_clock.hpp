@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "net/simulator.hpp"
@@ -42,28 +43,45 @@ inline net::EventHandle schedule_wall(net::Simulator& timeline,
 /// One poller wait of a live loop: when the loop wants to wake, and the
 /// timeout that asks the poller for it.
 struct PollWait {
-  std::int64_t wake_ns;  ///< the earlier of the next timer and the deadline
-  int timeout_ms;
+  std::int64_t wake_ns;     ///< the earliest of next timer, deadline, unblock
+  std::int64_t timeout_ns;  ///< for Poller::wait
 };
 
-/// Plan a wait that ends by `deadline_ns` or when the timeline's next
-/// timer is due. `now_ns` must be a clock read taken just before the
-/// wait, not the loop-top time: a timer the iteration's own pump or flush
-/// armed (a microsecond serializer departure) is then already due and
-/// yields timeout 0 instead of a full millisecond. A timer still in the
-/// future rounds up to whole milliseconds, so a sub-millisecond delay
-/// costs one wake-up rather than a busy poll per release; the timeout is
-/// capped at 100 ms so the loop re-checks its wall deadline regularly.
-[[nodiscard]] inline PollWait plan_wait(const net::Simulator& timeline,
-                                        std::int64_t now_ns,
-                                        std::int64_t deadline_ns) {
+/// Longest single wait, so the loop re-checks its wall deadline.
+inline constexpr std::int64_t kMaxWaitNs = 100'000'000;
+
+/// Plan a wait that ends by `deadline_ns`, when the timeline's next
+/// timer is due, or at `unblock_ns`.
+///
+/// `now_ns` must be a clock read taken just before the wait, not the
+/// loop-top time: a timer the iteration's own pump or flush armed (a
+/// microsecond serializer departure) is then already due and yields
+/// timeout 0 instead of a full millisecond.
+///
+/// Two precisions. A timer or deadline still in the future rounds UP to
+/// whole milliseconds, so an idle or lightly loaded loop pays one wake-up
+/// per millisecond rather than one per serializer departure, and the
+/// timeout is capped at kMaxWaitNs. `unblock_ns` is the exception: set
+/// only while queued work waits for a channel to take shares again, it
+/// is when the first such channel can, and the wait ends there to the
+/// nanosecond. A loop that oversleeps it leaves the channels' serializers
+/// idle with packets queued, which is lost throughput at saturation.
+[[nodiscard]] inline PollWait plan_wait(
+    const net::Simulator& timeline, std::int64_t now_ns,
+    std::int64_t deadline_ns, std::optional<std::int64_t> unblock_ns) {
   std::int64_t wake = deadline_ns;
   if (const auto next = timeline.next_event_time()) {
     wake = std::min(wake, *next);
   }
   const std::int64_t until = std::max<std::int64_t>(wake - now_ns, 0);
-  return {wake, static_cast<int>(std::min<std::int64_t>(
-                    (until + 999'999) / 1'000'000, 100))};
+  const std::int64_t coarse =
+      std::min<std::int64_t>((until + 999'999) / 1'000'000 * 1'000'000,
+                             kMaxWaitNs);
+  if (unblock_ns && *unblock_ns - now_ns < coarse) {
+    return {std::min(wake, *unblock_ns),
+            std::max<std::int64_t>(*unblock_ns - now_ns, 0)};
+  }
+  return {wake, coarse};
 }
 
 }  // namespace mcss::transport

@@ -43,6 +43,9 @@ class Ring {
 
   /// The i-th oldest entry, i < size().
   [[nodiscard]] T& operator[](std::size_t i) noexcept { return buf_[slot(i)]; }
+  [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
+    return buf_[slot(i)];
+  }
   [[nodiscard]] T& front() noexcept { return buf_[head_]; }
 
   void push_back(T value) {

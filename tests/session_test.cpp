@@ -1148,10 +1148,27 @@ TEST(Session, TinyKernelBuffersDoNotWedgeTheLoop) {
   for (int i = 0; i < kPackets; ++i) {
     ASSERT_TRUE(ep.send(cid, pattern_payload(512, 0x9C)));
   }
-  run_until(ep, [&] {
-    return ep.flow_queued_packets(cid) == 0 &&
-           delivered >= static_cast<std::size_t>(kPackets) * 8 / 10;
-  }, 3000);
+  // Wait for what the test checks, not for a delivery share the tiny
+  // receive buffers may never allow: every packet dispatched, the send
+  // queue empty, and every channel flushed (its serializer drained, the
+  // channels have no delay, and nothing parked behind the kernel buffer).
+  const auto flushed = [&](std::size_t i) {
+    const auto& is = ep.channel(i).impair_stats();
+    return is.frames_dropped_loss + is.frames_delivered -
+                   is.frames_duplicated == is.frames_queued &&
+           !ep.channel(i).wants_write();
+  };
+  ASSERT_TRUE(run_until(ep, [&] {
+    if (ep.flow_sender_stats(cid)->packets_sent !=
+            static_cast<std::uint64_t>(kPackets) ||
+        ep.flow_queued_packets(cid) != 0) {
+      return false;
+    }
+    for (std::size_t i = 0; i < ep.num_channels(); ++i) {
+      if (!flushed(i)) return false;
+    }
+    return true;
+  }, 3000));
   ep.run_for(20'000'000);
 
   // Datagrams may be dropped at the tiny receive buffer (that is loss,

@@ -8,10 +8,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -114,22 +117,119 @@ TEST(LiveTimeline, TimerDueBeforeTheFreshReadYieldsTimeoutZero) {
   timeline.run_until(10'000'000);
   timeline.schedule_at(10'001'200, [] {});
   const std::int64_t deadline = 500'000'000;
-  const PollWait stale = plan_wait(timeline, 10'000'000, deadline);
-  EXPECT_EQ(stale.timeout_ms, 1);
-  const PollWait fresh = plan_wait(timeline, 10'002'000, deadline);
-  EXPECT_EQ(fresh.timeout_ms, 0);
+  const PollWait stale =
+      plan_wait(timeline, 10'000'000, deadline, std::nullopt);
+  EXPECT_EQ(stale.timeout_ns, 1'000'000);
+  const PollWait fresh =
+      plan_wait(timeline, 10'002'000, deadline, std::nullopt);
+  EXPECT_EQ(fresh.timeout_ns, 0);
   EXPECT_EQ(fresh.wake_ns, 10'001'200);
   // A timer still in the future keeps whole-millisecond rounding, and
   // the run deadline bounds the wake when it comes first.
-  EXPECT_EQ(plan_wait(timeline, 9'000'000, deadline).timeout_ms, 2);
-  const PollWait by_deadline = plan_wait(timeline, 10'000'000, 10'000'500);
+  EXPECT_EQ(plan_wait(timeline, 9'000'000, deadline, std::nullopt).timeout_ns,
+            2'000'000);
+  const PollWait by_deadline =
+      plan_wait(timeline, 10'000'000, 10'000'500, std::nullopt);
   EXPECT_EQ(by_deadline.wake_ns, 10'000'500);
-  EXPECT_EQ(by_deadline.timeout_ms, 1);
+  EXPECT_EQ(by_deadline.timeout_ns, 1'000'000);
   // Nothing pending: the 100 ms cap keeps the deadline re-checked.
   net::Simulator idle;
-  const PollWait capped = plan_wait(idle, 0, deadline);
+  const PollWait capped = plan_wait(idle, 0, deadline, std::nullopt);
   EXPECT_EQ(capped.wake_ns, deadline);
-  EXPECT_EQ(capped.timeout_ms, 100);
+  EXPECT_EQ(capped.timeout_ns, kMaxWaitNs);
+}
+
+TEST(LiveTimeline, IdlePlanRoundsUpToWholeMilliseconds) {
+  // No blocked work: every future timer rounds up to the next whole
+  // millisecond, however close it is, so light load costs one wake-up
+  // per millisecond rather than one per serializer departure.
+  net::Simulator timeline;
+  timeline.schedule_at(1'234'567, [] {});
+  const PollWait w = plan_wait(timeline, 1'000, 50'000'000, std::nullopt);
+  EXPECT_EQ(w.wake_ns, 1'234'567);
+  EXPECT_EQ(w.timeout_ns, 2'000'000);
+  EXPECT_EQ(w.timeout_ns % 1'000'000, 0);
+  EXPECT_EQ(plan_wait(timeline, 1'234'000, 50'000'000, std::nullopt).timeout_ns,
+            1'000'000);
+  // An unblock time later than the rounded timer changes nothing.
+  const PollWait later = plan_wait(timeline, 1'000, 50'000'000, 9'000'000);
+  EXPECT_EQ(later.wake_ns, 1'234'567);
+  EXPECT_EQ(later.timeout_ns, 2'000'000);
+}
+
+/// A channel on a simulated timeline whose serializer holds five
+/// 1000-byte frames offered at t = 0: at 8 Mbit/s they depart at 1..5 ms
+/// (and release 10 ms later), and with a 2500-byte watermark the channel
+/// is ready again once the third has left (2000 bytes queued).
+struct BlockedChannel {
+  net::Simulator timeline;
+  FramePool pool{2048, 16};
+  UdpChannel ch;
+  static ChannelConfig config() {
+    ChannelConfig c;
+    c.rate_bps = 8e6;
+    c.delay = 10'000'000;
+    c.queue_capacity_bytes = 8000;
+    c.ready_watermark_bytes = 2500;
+    return c;
+  }
+  BlockedChannel() : ch(config(), Rng(3), timeline, pool, 0, "blocked") {
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_TRUE(ch.try_send(make_frame(pool, 1000, 0x11), 0));
+    }
+  }
+};
+
+TEST(LiveTimeline, BlockedPlanEndsAtTheChannelReadyTimeToTheNanosecond) {
+  BlockedChannel b;
+  ASSERT_FALSE(b.ch.ready(0));
+  // Ready once the third frame departs (3 ms); the serializer runs idle
+  // at 5 ms. The wake is the later of the two, with the idle time moved
+  // forward by the margin.
+  EXPECT_EQ(b.ch.unblocks_at(3'000'000), 3'000'000);
+  EXPECT_EQ(b.ch.unblocks_at(1'500'000), 3'500'000);
+  EXPECT_EQ(b.ch.unblocks_at(1'000'000), 4'000'000);
+  EXPECT_EQ(b.ch.unblocks_at(0), 5'000'000);
+
+  // Mid-way through the second millisecond, with the third departure
+  // the next timer: the wait ends exactly at the ready time, not at the
+  // millisecond that timer would round up to.
+  const std::int64_t now = 2'123'457;
+  b.timeline.run_until(now);
+  const auto unblock = b.ch.unblocks_at(3'000'000);
+  ASSERT_EQ(unblock, 3'000'000);
+  const PollWait w = plan_wait(b.timeline, now, 50'000'000, unblock);
+  EXPECT_EQ(w.wake_ns, 3'000'000);
+  EXPECT_EQ(w.timeout_ns, 876'543);
+  // With a 1 ms margin the channel is left alone until 4 ms, so the
+  // rounded departure timer ends the wait first.
+  const PollWait margin =
+      plan_wait(b.timeline, now, 50'000'000, b.ch.unblocks_at(1'000'000));
+  EXPECT_EQ(margin.wake_ns, 3'000'000);
+  EXPECT_EQ(margin.timeout_ns, 1'000'000);
+  // A departure already due but not yet fired ends the wait at once.
+  EXPECT_EQ(plan_wait(b.timeline, 3'100'000, 50'000'000, unblock).timeout_ns,
+            0);
+  // Stepping the timeline to the planned wake makes the channel ready.
+  b.timeline.run_until(*unblock);
+  EXPECT_TRUE(b.ch.ready(*unblock));
+  EXPECT_FALSE(b.ch.unblocks_at(1'000'000).has_value());
+}
+
+TEST(LiveTimeline, ReadyChannelsAddNoPreciseWake) {
+  // A block that no channel explains (pool or budget) must not turn
+  // into a precise wake at `now`: ready channels report no unblock time,
+  // so the plan keeps whole-ms rounding.
+  net::Simulator timeline;
+  FramePool pool(2048, 8);
+  UdpChannel ch(BlockedChannel::config(), Rng(4), timeline, pool, 0, "idle");
+  ASSERT_TRUE(ch.try_send(make_frame(pool, 1000, 0x22), 0));
+  ASSERT_TRUE(ch.ready(0));
+  EXPECT_FALSE(ch.unblocks_at(1'000'000).has_value());
+  const PollWait w = plan_wait(timeline, 10'000, 50'000'000,
+                               ch.unblocks_at(1'000'000));
+  EXPECT_EQ(w.wake_ns, 1'000'000);  // the departure timer
+  EXPECT_EQ(w.timeout_ns, 1'000'000);
 }
 
 // --------------------------------------------------------------- poller
@@ -147,14 +247,14 @@ TEST(Poller, ReportsReadinessAndHonorsInterest) {
   const std::vector<std::uint8_t> ping{1, 2, 3};
   ASSERT_EQ(tx.send(ping), UdpSocket::IoResult::Ok);
   // Loopback delivery is immediate, but give the kernel a timeout anyway.
-  ASSERT_EQ(poller.wait(1000, events), 1u);
+  ASSERT_EQ(poller.wait(1'000'000'000, events), 1u);
   EXPECT_EQ(events[0].fd, rx.fd());
   EXPECT_TRUE(events[0].readable);
   EXPECT_FALSE(events[0].writable);
 
   // A UDP socket with write interest is immediately writable.
   poller.modify(rx.fd(), /*want_read=*/true, /*want_write=*/true);
-  ASSERT_GE(poller.wait(1000, events), 1u);
+  ASSERT_GE(poller.wait(1'000'000'000, events), 1u);
   EXPECT_TRUE(events[0].writable);
 
   poller.remove(rx.fd());
@@ -163,6 +263,68 @@ TEST(Poller, ReportsReadinessAndHonorsInterest) {
   ASSERT_EQ(rx.recv(buf, &n), UdpSocket::IoResult::Ok);
   EXPECT_EQ(n, 3u);
   EXPECT_EQ(poller.wait(0, events), 0u);
+}
+
+TEST(Poller, NanosecondTimeoutWakesWithoutRoundingToMilliseconds) {
+  Poller poller;
+  UdpSocket rx = UdpSocket::bound_loopback(0);
+  poller.add(rx.fd(), /*want_read=*/true, /*want_write=*/false);
+  std::vector<Poller::Event> events;
+  // Kernels since 5.11 take the timeout as a timespec. A 200 us wait on
+  // an idle set then times out after 200 us or a little more; the best
+  // of a few is well under the 1 ms a rounded-up epoll_wait would take.
+  ASSERT_TRUE(poller.ns_timeouts()) << "epoll_pwait2 probe failed";
+  std::int64_t best = INT64_MAX;
+  for (int i = 0; i < 5; ++i) {
+    const std::int64_t t0 = monotonic_ns();
+    EXPECT_EQ(poller.wait(200'000, events), 0u);
+    const std::int64_t took = monotonic_ns() - t0;
+    EXPECT_GE(took, 200'000);
+    best = std::min(best, took);
+  }
+  EXPECT_LT(best, 900'000);
+}
+
+TEST(Poller, EpollWaitFallbackRoundsUpAndReportsTheSameEvents) {
+  UdpSocket rx = UdpSocket::bound_loopback(0);
+  UdpSocket tx = UdpSocket::bound_loopback(0);
+  tx.connect_loopback(rx.local_port());
+  const auto events_of = [&](Poller& poller) {
+    std::vector<Poller::Event> events;
+    poller.add(rx.fd(), /*want_read=*/true, /*want_write=*/false);
+    poller.add(tx.fd(), /*want_read=*/false, /*want_write=*/true);
+    poller.wait(1'000'000'000, events);
+    poller.remove(rx.fd());
+    poller.remove(tx.fd());
+    std::sort(events.begin(), events.end(),
+              [](const Poller::Event& x, const Poller::Event& y) {
+                return x.fd < y.fd;
+              });
+    return events;
+  };
+  ASSERT_EQ(tx.send(std::vector<std::uint8_t>{5, 6}), UdpSocket::IoResult::Ok);
+  Poller precise;
+  Poller fallback;
+  fallback.inject_no_ns_timeouts();
+  EXPECT_FALSE(fallback.ns_timeouts());
+  const auto a = events_of(precise);
+  const auto b = events_of(fallback);
+  ASSERT_EQ(a.size(), 2u);
+  ASSERT_EQ(b.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(b[i].fd, a[i].fd);
+    EXPECT_EQ(b[i].readable, a[i].readable);
+    EXPECT_EQ(b[i].writable, a[i].writable);
+    EXPECT_EQ(b[i].error, a[i].error);
+  }
+  // The fallback's timeout is epoll_wait's whole milliseconds, rounded
+  // up: a 200 us wait on an idle set never ends early.
+  std::vector<Poller::Event> events;
+  Poller idle;
+  idle.inject_no_ns_timeouts();
+  const std::int64_t t0 = monotonic_ns();
+  EXPECT_EQ(idle.wait(200'000, events), 0u);
+  EXPECT_GE(monotonic_ns() - t0, 1'000'000);
 }
 
 // --------------------------------------------------------------- socket
@@ -454,6 +616,90 @@ TEST(Impairment, SeededBernoulliLossLandsNearTheConfiguredRate) {
   const double measured =
       static_cast<double>(s.frames_dropped_loss) / kFrames;
   EXPECT_NEAR(measured, 0.3, 0.05);
+}
+
+/// FNV-1a over one channel's release stream: each released frame's
+/// offer index, release stamp and bytes, in release order.
+struct ReleaseStream {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::uint64_t frames = 0;
+  void mix(const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      hash = (hash ^ b[i]) * 0x100000001b3ULL;
+    }
+  }
+  void on_release(const FrameRef& f, std::int64_t at) {
+    ++frames;
+    mix(&at, sizeof at);
+    mix(f.data(), f.size());
+  }
+};
+
+TEST(Impairment, SeededGoldenRunKeepsOrderStampsAndDraws) {
+  // Two impaired channels on one timeline, every knob on: rate, delay,
+  // jitter (channel a), loss, corrupt, duplicate, tail drop, and stale
+  // offer stamps, advanced in coarse steps as a live loop does. The
+  // per-channel release stream (order, stamps, bytes) and the draw
+  // counts are pinned to the values the one-closure-per-frame shim
+  // produced, so holding frames in the shim changed none of them.
+  net::Simulator timeline;
+  FramePool pool(2048, 1024);
+  ChannelConfig a;
+  a.rate_bps = 20e6;
+  a.delay = 3'000'000;
+  a.jitter = 2'000'000;
+  a.loss = 0.05;
+  a.corrupt = 0.02;
+  a.duplicate = 0.03;
+  a.queue_capacity_bytes = 16 * 1024;
+  ChannelConfig b = a;
+  b.rate_bps = 8e6;
+  b.delay = 1'000'000;
+  b.jitter = 0;
+  b.loss = 0.1;
+  b.corrupt = 0.05;
+  b.duplicate = 0.05;
+  ReleaseStream sa;
+  ReleaseStream sb;
+  Impairment ia(a, Rng(101), timeline,
+                [&](FrameRef f, std::int64_t at) { sa.on_release(f, at); });
+  Impairment ib(b, Rng(202), timeline,
+                [&](FrameRef f, std::int64_t at) { sb.on_release(f, at); });
+  Rng sizes(303);
+  constexpr std::int64_t kStep = 400'000;
+  std::int64_t advanced = 0;
+  for (std::uint32_t i = 0; i < 600; ++i) {
+    const std::int64_t t = static_cast<std::int64_t>(i) * 150'000;
+    // Every seventh offer carries a stamp 0.5 ms stale.
+    const std::int64_t stamp =
+        i % 7 == 0 ? std::max<std::int64_t>(t - 500'000, 0) : t;
+    for (Impairment* imp : {&ia, &ib}) {
+      FrameRef f = make_frame(pool, 100 + sizes.uniform_int(1200),
+                              static_cast<std::uint8_t>(i));
+      std::memcpy(f.data(), &i, sizeof i);
+      (void)imp->offer(std::move(f), stamp);
+    }
+    for (; advanced + kStep <= t; advanced += kStep) {
+      timeline.run_until(advanced + kStep);
+    }
+  }
+  timeline.run_until(advanced + 1'000'000'000);
+  const auto& xa = ia.stats();
+  const auto& xb = ib.stats();
+  EXPECT_EQ(sa.frames, 391u);
+  EXPECT_EQ(sa.hash, 480345876637012839ULL);
+  EXPECT_EQ(sb.frames, 219u);
+  EXPECT_EQ(sb.hash, 16797332648333078857ULL);
+  EXPECT_EQ(xa.frames_dropped_queue, 200u);
+  EXPECT_EQ(xa.frames_dropped_loss, 21u);
+  EXPECT_EQ(xa.frames_corrupted, 6u);
+  EXPECT_EQ(xa.frames_duplicated, 12u);
+  EXPECT_EQ(xb.frames_dropped_queue, 369u);
+  EXPECT_EQ(xb.frames_dropped_loss, 23u);
+  EXPECT_EQ(xb.frames_corrupted, 11u);
+  EXPECT_EQ(xb.frames_duplicated, 11u);
+  EXPECT_EQ(pool.in_use(), 0u);
 }
 
 // ---------------------------------------------------------- udp channel
@@ -1191,6 +1437,54 @@ TEST(UdpChannel, SteadyStateFastPathDoesNotAllocateAfterWarmup) {
   ASSERT_EQ(frames_seen, 64u);
   EXPECT_EQ(g_allocs.load(), 0u)
       << "the warmed-up pool/batch/split path must never touch the heap";
+}
+
+TEST(UdpChannel, WarmImpairedSendDepartReleaseDoesNotAllocate) {
+  // A rate-limited, delayed and jittered channel holds every frame in
+  // its serializer FIFO and delay line with one armed timeline event per
+  // stage (a closure over `this` only). Once warm, try_send -> depart ->
+  // release -> sendmmsg touches the heap for nothing.
+  net::Simulator timeline;
+  FramePool pool(2048, 256);
+  ChannelConfig cfg;
+  cfg.rate_bps = 50e6;  // 16 frames of ~830 B take ~2.1 ms to serialize
+  cfg.delay = 2'000'000;
+  cfg.jitter = 1'000'000;
+  cfg.queue_capacity_bytes = 256 * 1024;
+  UdpChannel ch(cfg, Rng(21), timeline, pool, 0, "impaired");
+  std::size_t frames_seen = 0;
+  ch.set_on_batch(
+      [&frames_seen](FrameBatch frames) { frames_seen += frames.size(); });
+  const auto frame = big_frame_bytes(7);
+
+  // One round = 16 frames offered at once, the timeline stepped like a
+  // live loop (flushing each step) until all have been released, then
+  // the RX socket drained.
+  constexpr std::int64_t kRound = 6'000'000;
+  const auto round = [&](int r) {
+    const std::int64_t t0 = r * kRound;
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_TRUE(ch.try_send(std::span<const std::uint8_t>(frame), t0));
+    }
+    for (std::int64_t t = t0; t < t0 + kRound; t += 250'000) {
+      timeline.run_until(t);
+      ch.flush(t);
+    }
+    const auto expect = static_cast<std::size_t>(r + 1) * 16;
+    for (int spins = 0; spins < 200000 && frames_seen < expect; ++spins) {
+      ch.on_readable();
+    }
+    ASSERT_EQ(frames_seen, expect);
+  };
+
+  for (int r = 0; r < 4; ++r) round(r);  // warmup: rings, heaps, buffers
+  g_allocs.store(0);
+  g_count_allocs.store(true);
+  for (int r = 4; r < 10; ++r) round(r);
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_allocs.load(), 0u)
+      << "a warm impaired channel must not allocate per share";
+  EXPECT_EQ(ch.impair_stats().frames_delivered, 160u);
 }
 
 TEST(Receiver, ArenaReassemblyAppendsDoNotAllocate) {
