@@ -31,7 +31,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 "$bench_bin" \
-  --benchmark_filter='BM_Gf|BM_RngFill|BM_Shamir(Split|Reconstruct)|BM_XorSplit|BM_SipHash|BM_SipHashLanes|BM_TimerQueue|BM_UdpLoopback/(plain|gso|gso\+gro)/' \
+  --benchmark_filter='BM_Gf|BM_RngFill|BM_Shamir(Split|Reconstruct)|BM_SipHash|BM_SipHashLanes|BM_TimerQueue|BM_UdpLoopback/(plain|gso|gso\+gro)/' \
   --benchmark_format=json >"$raw"
 
 python3 - "$raw" "$out" <<'PY'

@@ -120,8 +120,8 @@ struct ClosedPacket {
 };
 
 /// Cumulative per-channel telemetry joining the sender's own send
-/// counts with the receiver's reported arrival counts; the adaptive
-/// controller differentiates these to sense loss without touching
+/// counts with the receiver's reported arrival counts; the difference
+/// is each channel's loss as the receiver saw it, without touching
 /// simulator internals.
 struct ChannelTelemetry {
   std::uint64_t shares_sent = 0;       ///< sender-side, from dispatch

@@ -45,23 +45,6 @@ constexpr MulTables tables = build_mul_tables();
 
 // ------------------------------------------------------------- portable
 
-void mul_buf_portable(Elem* dst, const Elem* src, Elem scalar,
-                      std::size_t n) noexcept {
-  const Elem* row = tables.full[scalar].data();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    dst[i + 0] = row[src[i + 0]];
-    dst[i + 1] = row[src[i + 1]];
-    dst[i + 2] = row[src[i + 2]];
-    dst[i + 3] = row[src[i + 3]];
-    dst[i + 4] = row[src[i + 4]];
-    dst[i + 5] = row[src[i + 5]];
-    dst[i + 6] = row[src[i + 6]];
-    dst[i + 7] = row[src[i + 7]];
-  }
-  for (; i < n; ++i) dst[i] = row[src[i]];
-}
-
 void mul_acc_buf_portable(Elem* dst, const Elem* src, Elem scalar,
                           std::size_t n) noexcept {
   const Elem* row = tables.full[scalar].data();
@@ -83,26 +66,6 @@ void mul_acc_buf_portable(Elem* dst, const Elem* src, Elem scalar,
 
 #ifdef MCSS_GF_BULK_X86
 
-__attribute__((target("ssse3"))) void mul_buf_ssse3(Elem* dst, const Elem* src,
-                                                    Elem scalar,
-                                                    std::size_t n) noexcept {
-  const Elem* nib = tables.nib[scalar].data();
-  const __m128i lo = _mm_load_si128(reinterpret_cast<const __m128i*>(nib));
-  const __m128i hi = _mm_load_si128(reinterpret_cast<const __m128i*>(nib + 16));
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i l = _mm_shuffle_epi8(lo, _mm_and_si128(v, mask));
-    const __m128i h =
-        _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(v, 4), mask));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_xor_si128(l, h));
-  }
-  const Elem* row = tables.full[scalar].data();
-  for (; i < n; ++i) dst[i] = row[src[i]];
-}
-
 __attribute__((target("ssse3"))) void mul_acc_buf_ssse3(
     Elem* dst, const Elem* src, Elem scalar, std::size_t n) noexcept {
   const Elem* nib = tables.nib[scalar].data();
@@ -123,29 +86,6 @@ __attribute__((target("ssse3"))) void mul_acc_buf_ssse3(
   }
   const Elem* row = tables.full[scalar].data();
   for (; i < n; ++i) dst[i] ^= row[src[i]];
-}
-
-__attribute__((target("avx2"))) void mul_buf_avx2(Elem* dst, const Elem* src,
-                                                  Elem scalar,
-                                                  std::size_t n) noexcept {
-  const Elem* nib = tables.nib[scalar].data();
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(nib)));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(nib + 16)));
-  const __m256i mask = _mm256_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i l = _mm256_shuffle_epi8(lo, _mm256_and_si256(v, mask));
-    const __m256i h = _mm256_shuffle_epi8(
-        hi, _mm256_and_si256(_mm256_srli_epi64(v, 4), mask));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(l, h));
-  }
-  const Elem* row = tables.full[scalar].data();
-  for (; i < n; ++i) dst[i] = row[src[i]];
 }
 
 __attribute__((target("avx2"))) void mul_acc_buf_avx2(Elem* dst,
@@ -188,7 +128,6 @@ using KernelFn = void (*)(Elem*, const Elem*, Elem, std::size_t) noexcept;
 
 struct Dispatch {
   Kernel kernel = Kernel::Portable;
-  KernelFn mul = &mul_buf_portable;
   KernelFn mul_acc = &mul_acc_buf_portable;
 };
 
@@ -198,11 +137,9 @@ Dispatch make_dispatch() noexcept {
 #ifdef MCSS_GF_BULK_X86
   switch (d.kernel) {
     case Kernel::Avx2:
-      d.mul = &mul_buf_avx2;
       d.mul_acc = &mul_acc_buf_avx2;
       break;
     case Kernel::Ssse3:
-      d.mul = &mul_buf_ssse3;
       d.mul_acc = &mul_acc_buf_ssse3;
       break;
     case Kernel::Portable:
@@ -214,21 +151,21 @@ Dispatch make_dispatch() noexcept {
 
 const Dispatch dispatch = make_dispatch();
 
-KernelFn forced_fn(Kernel k, bool acc) {
+KernelFn forced_fn(Kernel k) {
   MCSS_ENSURE(kernel_supported(k), "requested GF(256) kernel not supported on this host");
   switch (k) {
 #ifdef MCSS_GF_BULK_X86
     case Kernel::Avx2:
-      return acc ? &mul_acc_buf_avx2 : &mul_buf_avx2;
+      return &mul_acc_buf_avx2;
     case Kernel::Ssse3:
-      return acc ? &mul_acc_buf_ssse3 : &mul_buf_ssse3;
+      return &mul_acc_buf_ssse3;
 #else
     case Kernel::Avx2:
     case Kernel::Ssse3:
 #endif
     case Kernel::Portable:
     default:
-      return acc ? &mul_acc_buf_portable : &mul_buf_portable;
+      return &mul_acc_buf_portable;
   }
 }
 
@@ -257,18 +194,6 @@ bool kernel_supported(Kernel k) noexcept {
   return false;
 }
 
-void mul_buf(Elem* dst, const Elem* src, Elem scalar, std::size_t n) noexcept {
-  if (scalar == 0) {
-    std::memset(dst, 0, n);
-    return;
-  }
-  if (scalar == 1) {
-    if (dst != src) std::memmove(dst, src, n);
-    return;
-  }
-  dispatch.mul(dst, src, scalar, n);
-}
-
 void mul_acc_buf(Elem* dst, const Elem* src, Elem scalar,
                  std::size_t n) noexcept {
   if (scalar == 0) return;
@@ -292,14 +217,9 @@ void xor_buf(Elem* dst, const Elem* src, std::size_t n) noexcept {
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
-void mul_buf(Kernel k, Elem* dst, const Elem* src, Elem scalar,
-             std::size_t n) {
-  forced_fn(k, false)(dst, src, scalar, n);
-}
-
 void mul_acc_buf(Kernel k, Elem* dst, const Elem* src, Elem scalar,
                  std::size_t n) {
-  forced_fn(k, true)(dst, src, scalar, n);
+  forced_fn(k)(dst, src, scalar, n);
 }
 
 std::span<const Elem, 256> mul_row(Elem scalar) noexcept {

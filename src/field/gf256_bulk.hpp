@@ -1,9 +1,8 @@
 // Bulk (region) arithmetic over GF(2^8).
 //
-// Shamir split/reconstruct, XOR sharing, and Gaussian elimination all
-// reduce to two region primitives over byte buffers:
+// Shamir split and reconstruct reduce to one region primitive over byte
+// buffers:
 //
-//   mul_buf:     dst[i]  = scalar * src[i]          (region scale)
 //   mul_acc_buf: dst[i] ^= scalar * src[i]          (GF axpy)
 //
 // The scalar is constant across a whole buffer, so instead of the
@@ -43,9 +42,6 @@ enum class Kernel {
 /// Whether `k` can run on this host (Portable always can).
 [[nodiscard]] bool kernel_supported(Kernel k) noexcept;
 
-/// dst[i] = scalar * src[i] for i in [0, n). dst == src allowed.
-void mul_buf(Elem* dst, const Elem* src, Elem scalar, std::size_t n) noexcept;
-
 /// dst[i] ^= scalar * src[i] for i in [0, n). dst == src allowed.
 void mul_acc_buf(Elem* dst, const Elem* src, Elem scalar,
                  std::size_t n) noexcept;
@@ -53,12 +49,10 @@ void mul_acc_buf(Elem* dst, const Elem* src, Elem scalar,
 /// dst[i] ^= src[i] for i in [0, n) — the scalar == 1 axpy.
 void xor_buf(Elem* dst, const Elem* src, std::size_t n) noexcept;
 
-/// Forced-kernel variants for property tests and benchmarks; throw
+/// Forced-kernel variant for property tests and benchmarks; throws
 /// PreconditionError when `k` is unsupported on this host. Unlike the
-/// auto entry points these never shortcut scalar 0/1, so they exercise
-/// the general table path for every scalar.
-void mul_buf(Kernel k, Elem* dst, const Elem* src, Elem scalar,
-             std::size_t n);
+/// auto entry point it never shortcuts scalar 0/1, so it exercises the
+/// general table path for every scalar.
 void mul_acc_buf(Kernel k, Elem* dst, const Elem* src, Elem scalar,
                  std::size_t n);
 
@@ -66,12 +60,6 @@ void mul_acc_buf(Kernel k, Elem* dst, const Elem* src, Elem scalar,
 [[nodiscard]] std::span<const Elem, 256> mul_row(Elem scalar) noexcept;
 
 /// Span conveniences; sizes must match (dst may equal src).
-inline void mul_buf(std::span<Elem> dst, std::span<const Elem> src,
-                    Elem scalar) noexcept {
-  mul_buf(dst.data(), src.data(), scalar, dst.size() < src.size()
-                                              ? dst.size()
-                                              : src.size());
-}
 inline void mul_acc_buf(std::span<Elem> dst, std::span<const Elem> src,
                         Elem scalar) noexcept {
   mul_acc_buf(dst.data(), src.data(), scalar,

@@ -15,8 +15,8 @@
 //                            may share physical links (src/topo).
 //
 // without knowing which world they are in. The port is deliberately
-// narrow: per-implementation surface (stats, set_loss, outage control,
-// link drill-down) stays on the concrete types, which callers that
+// narrow: per-implementation surface (stats, outage control, link
+// drill-down) stays on the concrete types, which callers that
 // configure or measure a channel keep holding by name.
 #pragma once
 

@@ -55,11 +55,6 @@ SimChannel::SimChannel(Simulator& sim, ChannelConfig config, Rng rng,
                    : std::max<std::size_t>(1, config_.queue_capacity_bytes / 2);
 }
 
-void SimChannel::set_loss(double loss) {
-  MCSS_ENSURE(loss >= 0.0 && loss < 1.0, "channel loss must be in [0, 1)");
-  config_.loss = loss;
-}
-
 SimTime SimChannel::serialization_time(std::size_t bytes) const noexcept {
   const double seconds = static_cast<double>(bytes) * 8.0 / config_.rate_bps;
   return from_seconds(seconds);

@@ -99,10 +99,6 @@ class SimChannel final : public ChannelPort {
     return queued_bytes_ < watermark_;
   }
 
-  /// Change the loss probability mid-run (drifting network conditions;
-  /// the adaptive-control experiments use this). Must stay in [0, 1).
-  void set_loss(double loss);
-
   /// Silent outage control (Blakley's "abnegated courier"): while down,
   /// frames that leave the serializer vanish. The sender keeps seeing a
   /// writable channel — exactly the failure the m - k redundancy margin

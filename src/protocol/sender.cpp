@@ -65,12 +65,6 @@ Sender::Sender(net::Simulator& sim, std::vector<net::ChannelPort*> channels,
   }
 }
 
-void Sender::set_scheduler(std::unique_ptr<ShareScheduler> scheduler) {
-  MCSS_ENSURE(scheduler != nullptr, "scheduler must not be null");
-  scheduler_ = std::move(scheduler);
-  pump();  // the new policy may accept what the old one deferred
-}
-
 bool Sender::send(std::vector<std::uint8_t> payload) {
   ++stats_.packets_offered;
   MCSS_ENSURE(payload.size() <= kMaxPayload, "packet exceeds maximum payload");

@@ -91,10 +91,6 @@ class Sender {
   /// Offer one source packet. Returns false when the send queue is full.
   bool send(std::vector<std::uint8_t> payload);
 
-  /// Swap the share scheduler mid-session (adaptive control). Queued
-  /// packets simply use the new policy; per-packet state is self-contained.
-  void set_scheduler(std::unique_ptr<ShareScheduler> scheduler);
-
   /// Observer for every dispatched packet: (id, k, payload, channel
   /// indices carrying one share each). The reliability layer uses it to
   /// record outstanding packets and their initial channel exposure.

@@ -1,5 +1,6 @@
 #include "sss/shamir.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "field/gf256.hpp"
@@ -129,19 +130,28 @@ void check_shares(std::span<const S> shares) {
   }
 }
 
+using WeightBuf = std::array<gf::Elem, kMaxShares>;
+
+// Lagrange weights at 0 for the shares' abscissae, written to the front
+// of `out`. check_shares has already bounded the call to at most 255
+// distinct nonzero indices, so fixed stack arrays hold both the
+// abscissae and the weights: no heap allocation per packet.
 template <typename S>
-std::vector<gf::Elem> reconstruction_weights(std::span<const S> shares) {
-  std::vector<gf::Elem> xs(shares.size());
-  for (std::size_t i = 0; i < shares.size(); ++i) xs[i] = shares[i].index;
-  std::vector<gf::Elem> weights(shares.size());
-  gf::lagrange_weights_at_zero(xs, weights);
-  return weights;
+std::span<const gf::Elem> reconstruction_weights(std::span<const S> shares,
+                                                 WeightBuf& out) {
+  const std::size_t n = shares.size();
+  WeightBuf xs;
+  for (std::size_t i = 0; i < n; ++i) xs[i] = shares[i].index;
+  gf::lagrange_weights_at_zero(std::span<const gf::Elem>(xs).first(n),
+                               std::span<gf::Elem>(out).first(n));
+  return std::span<const gf::Elem>(out).first(n);
 }
 
 template <typename S>
 std::vector<std::uint8_t> reconstruct_impl(std::span<const S> shares) {
   check_shares(shares);
-  const std::vector<gf::Elem> weights = reconstruction_weights(shares);
+  WeightBuf buf;
+  const auto weights = reconstruction_weights(shares, buf);
 
   // secret = sum_i weight_i * share_i: one region axpy per share.
   const std::size_t len = shares.front().data.size();
@@ -165,7 +175,8 @@ std::vector<std::uint8_t> reconstruct_views(std::span<const ShareView> shares) {
 
 std::vector<std::uint8_t> reconstruct_scalar(std::span<const Share> shares) {
   check_shares(shares);
-  const std::vector<gf::Elem> weights = reconstruction_weights(shares);
+  WeightBuf buf;
+  const auto weights = reconstruction_weights(shares, buf);
 
   const std::size_t len = shares.front().data.size();
   std::vector<std::uint8_t> secret(len);

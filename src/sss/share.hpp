@@ -12,8 +12,7 @@ namespace mcss::sss {
 /// For Shamir sharing, `index` is the nonzero GF(256) abscissa at which the
 /// per-byte polynomials were evaluated; `data` holds one ordinate per secret
 /// byte, so shares are exactly as long as the secret (the information-
-/// theoretic minimum, H(Y) = H(X)). For XOR sharing, `index` is the pad
-/// position and `data` the pad/residual bytes.
+/// theoretic minimum, H(Y) = H(X)).
 struct Share {
   std::uint8_t index = 0;
   std::vector<std::uint8_t> data;

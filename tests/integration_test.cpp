@@ -84,16 +84,15 @@ TEST(Integration, HostileNetworkFullStack) {
   }
 }
 
-TEST(Integration, RemicssOutperformsMicssUnderLoss) {
-  // The paper's core protocol argument, as one assertion: on lossy
-  // channels, best-effort threshold shares (ReMICSS) sustain multiples of
-  // the goodput of reliable n-of-n transport (MICSS), which stalls on
-  // every lost share.
+TEST(Integration, RemicssHoldsGoodputUnderLoss) {
+  // The paper's core protocol argument: on lossy channels, best-effort
+  // threshold shares absorb loss in the m - k margin instead of stalling
+  // on it, so ReMICSS at kappa = 3, mu = 5 keeps close to its ~20 Mbps
+  // goodput ceiling over 5 x 20 Mbps channels at 5% loss, with no
+  // retransmission at all.
   const double loss = 0.05;
   const double duration_s = 2.0;
 
-  // --- ReMICSS at kappa = 3, mu = 5 (same privacy floor as MICSS k=n
-  // against 2-channel adversaries is kappa >= 3; generous to MICSS).
   auto run_remicss = [&] {
     net::Simulator sim;
     Rng root(5);
@@ -125,47 +124,8 @@ TEST(Integration, RemicssOutperformsMicssUnderLoss) {
     return static_cast<double>(bytes) * 8 / duration_s / 1e6;
   };
 
-  // --- MICSS (k = m = 5, reliable ARQ on every share).
-  auto run_micss = [&] {
-    net::Simulator sim;
-    Rng root(6);
-    std::vector<std::unique_ptr<net::SimChannel>> fwd_storage, rev_storage;
-    std::vector<net::SimChannel*> fwd, rev;
-    for (int i = 0; i < 5; ++i) {
-      net::ChannelConfig cfg;
-      cfg.rate_bps = 20e6;
-      cfg.loss = loss;
-      cfg.delay = net::from_millis(1);
-      fwd_storage.push_back(std::make_unique<net::SimChannel>(sim, cfg, root.fork()));
-      fwd.push_back(fwd_storage.back().get());
-      rev_storage.push_back(std::make_unique<net::SimChannel>(sim, cfg, root.fork()));
-      rev.push_back(rev_storage.back().get());
-    }
-    proto::MicssReceiver rx(sim, fwd, rev);
-    std::uint64_t bytes = 0;
-    rx.set_deliver([&](std::uint64_t, std::vector<std::uint8_t> p) {
-      bytes += p.size();
-    });
-    proto::MicssConfig cfg;
-    cfg.rto = net::from_millis(10);
-    cfg.window_packets = 64;
-    proto::MicssSender tx(sim, fwd, rev, root.fork(), cfg);
-    workload::CbrSource source(sim, 100e6, 1470, 0,
-                               net::from_seconds(duration_s),
-                               [&](std::vector<std::uint8_t> p) {
-                                 return tx.send(std::move(p));
-                               });
-    sim.run();
-    return static_cast<double>(bytes) * 8 / duration_s / 1e6;
-  };
-
-  const double remicss_mbps = run_remicss();
-  const double micss_mbps = run_micss();
-  // ReMICSS at mu = 5 over 5 x 20 Mbps: ~20 Mbps goodput ceiling, minus
-  // the l(3, M) symbol loss. MICSS is also ceilinged at ~20 Mbps but
-  // pays ARQ stalls on ~23% of packets (1 - 0.95^5).
-  EXPECT_GT(remicss_mbps, 17.0);
-  EXPECT_GT(remicss_mbps, micss_mbps * 1.15);
+  // ~20 Mbps ceiling minus the l(3, M) symbol loss.
+  EXPECT_GT(run_remicss(), 17.0);
 }
 
 TEST(Integration, PlannerPredictionsHoldEndToEnd) {
@@ -195,16 +155,14 @@ TEST(Integration, PlannerPredictionsHoldEndToEnd) {
   EXPECT_GT(result.achieved_mbps, 0.90 * plan.rate * 1470 * 8 / 1e6);
 }
 
-TEST(Integration, RiskPipelineShiftsScheduleOffHotChannels) {
-  // HMM risk -> model -> max-rate LP: channels flagged by the sensor
-  // stream should carry no more than their rate quota, and the LP should
-  // prefer arrangements where hot channels need co-conspirators.
-  const auto risk_model = risk::ChannelRiskModel::standard();
-  Rng rng(8);
-  std::vector<std::vector<int>> traces(5, std::vector<int>(30, risk::kNoAlert));
-  traces[1].assign(30, risk::kIntrusion);  // channel 1 is hot
+TEST(Integration, RiskVectorShiftsScheduleOffHotChannels) {
+  // Risk vector -> model -> max-rate LP: a channel the operator rates as
+  // likely compromised should carry no more than its rate quota, and the
+  // LP should prefer arrangements where hot channels need
+  // co-conspirators. The model takes z as an input; these values are
+  // what a sensor that flags channel 1 on every sample would report.
   auto setup = workload::lossy_setup();
-  setup.risks = risk::assess_risks(risk_model, traces);
+  setup.risks = {0.005, 0.98, 0.005, 0.005, 0.005};  // channel 1 is hot
   const auto model = setup.to_model(1470);
   ASSERT_GT(model[1].risk, 0.5);
 

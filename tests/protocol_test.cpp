@@ -1,5 +1,5 @@
 // End-to-end tests for the ReMICSS protocol: schedulers, sender, receiver
-// reassembly, loss tolerance, eviction, and the MICSS baseline.
+// reassembly, loss tolerance and eviction.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 
 #include "net/sim_channel.hpp"
 #include "net/simulator.hpp"
-#include "protocol/micss.hpp"
 #include "protocol/receiver.hpp"
 #include "protocol/scheduler.hpp"
 #include "protocol/sender.hpp"
@@ -749,85 +748,6 @@ TEST(Receiver, MalformedFramesAreCounted) {
   rx.on_frame({1, 2, 3});
   EXPECT_EQ(rx.stats().malformed_frames, 1u);
   EXPECT_EQ(rx.pending_packets(), 0u);
-}
-
-// ---------------------------------------------------------------- MICSS
-
-struct MicssTestbed {
-  net::Simulator sim;
-  std::vector<std::unique_ptr<net::SimChannel>> forward;
-  std::vector<std::unique_ptr<net::SimChannel>> reverse;
-  std::unique_ptr<MicssReceiver> receiver;
-  std::unique_ptr<MicssSender> sender;
-  std::map<std::uint64_t, std::vector<std::uint8_t>> delivered;
-
-  explicit MicssTestbed(int n, double loss, std::uint64_t seed = 1,
-                        MicssConfig cfg = {}) {
-    Rng seeder(seed);
-    std::vector<net::SimChannel*> fwd, rev;
-    for (int i = 0; i < n; ++i) {
-      net::ChannelConfig c;
-      c.rate_bps = 50e6;
-      c.loss = loss;
-      c.delay = net::from_millis(1);
-      forward.push_back(std::make_unique<net::SimChannel>(sim, c, seeder.fork()));
-      fwd.push_back(forward.back().get());
-      c.loss = loss;  // acks can be lost too
-      reverse.push_back(std::make_unique<net::SimChannel>(sim, c, seeder.fork()));
-      rev.push_back(reverse.back().get());
-    }
-    receiver = std::make_unique<MicssReceiver>(sim, fwd, rev);
-    receiver->set_deliver([this](std::uint64_t id, std::vector<std::uint8_t> p) {
-      delivered[id] = std::move(p);
-    });
-    sender = std::make_unique<MicssSender>(sim, fwd, rev, seeder.fork(), cfg);
-  }
-};
-
-TEST(Micss, DeliversWithoutLoss) {
-  MicssTestbed t(3, 0.0);
-  const auto payload = pattern_payload(500, 9);
-  ASSERT_TRUE(t.sender->send(payload));
-  t.sim.run();
-  ASSERT_EQ(t.delivered.size(), 1u);
-  EXPECT_EQ(t.delivered.begin()->second, payload);
-  EXPECT_EQ(t.sender->stats().retransmissions, 0u);
-  EXPECT_EQ(t.sender->stats().packets_completed, 1u);
-  EXPECT_EQ(t.sender->in_flight(), 0u);
-}
-
-TEST(Micss, RecoversFromLossViaRetransmission) {
-  MicssConfig cfg;
-  cfg.window_packets = 1024;  // ample: no sends bounce off the window
-  MicssTestbed t(4, 0.15, 7, cfg);
-  const int count = 200;
-  for (int i = 0; i < count; ++i) {
-    t.sim.schedule_at(net::from_millis(static_cast<double>(i)),
-                      [&t] { ASSERT_TRUE(t.sender->send(pattern_payload(300, 2))); });
-  }
-  t.sim.run();
-  // Reliable: EVERYTHING is eventually delivered, at the cost of
-  // retransmissions (15% share loss + ack loss guarantees many).
-  EXPECT_EQ(t.delivered.size(), static_cast<std::size_t>(count));
-  EXPECT_GT(t.sender->stats().retransmissions, 50u);
-  for (const auto& [id, payload] : t.delivered) {
-    EXPECT_EQ(payload, pattern_payload(300, 2));
-  }
-}
-
-TEST(Micss, WindowStallsUnderLoss) {
-  MicssConfig cfg;
-  cfg.window_packets = 2;
-  cfg.rto = net::from_millis(100);
-  MicssTestbed t(3, 0.5, 11, cfg);
-  int accepted = 0;
-  for (int i = 0; i < 50; ++i) {
-    accepted += t.sender->send(pattern_payload(100, 1));
-  }
-  // With a 2-packet window and heavy loss, most immediate sends bounce.
-  EXPECT_LE(accepted, 2);
-  EXPECT_GT(t.sender->stats().packets_rejected, 0u);
-  t.sim.run();
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "protocol/dither.hpp"
-#include "protocol/micss.hpp"
 #include "protocol/wire.hpp"
 #include "util/ensure.hpp"
 
@@ -448,31 +447,6 @@ TEST(WirePrefix, MalformedHeadConsumesNothing) {
   truncated.resize(truncated.size() - 1);
   EXPECT_FALSE(decode_prefix(truncated, &consumed, nullptr, &status).has_value());
   EXPECT_EQ(consumed, 0u);
-}
-
-TEST(Wire, AckRoundtrip) {
-  const AckFrame ack{0xDEADBEEFCAFEF00DULL, 5};
-  const auto back = decode_ack(encode_ack(ack));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->packet_id, ack.packet_id);
-  EXPECT_EQ(back->share_index, ack.share_index);
-}
-
-TEST(Wire, AckRejectsMalformed) {
-  const auto good = encode_ack({1, 1});
-  EXPECT_FALSE(decode_ack(std::vector<std::uint8_t>(5, 0)).has_value());
-  auto bad = good;
-  bad[0] ^= 0xFF;
-  EXPECT_FALSE(decode_ack(bad).has_value());
-  bad = good;
-  bad[10] = 0;  // zero index
-  EXPECT_FALSE(decode_ack(bad).has_value());
-  // A data frame is not an ack.
-  ShareFrame f;
-  f.packet_id = 1;
-  f.k = 1;
-  f.share_index = 1;
-  EXPECT_FALSE(decode_ack(encode(f)).has_value());
 }
 
 // ---------------------------------------------------------------- dither

@@ -3,16 +3,63 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "field/gf256.hpp"
 #include "sss/shamir.hpp"
-#include "sss/xor_sharing.hpp"
 #include "util/ensure.hpp"
 #include "util/rng.hpp"
 #include "util/subset.hpp"
+
+// Global operator new hook: counts allocations while an AllocCounter is
+// alive, so a test can pin how many heap allocations a call makes.
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<std::uint64_t> g_allocs{0};
+
+/// Counts the operator new calls made while it is alive.
+class AllocCounter {
+ public:
+  AllocCounter() {
+    g_allocs.store(0);
+    g_count_allocs.store(true);
+  }
+  ~AllocCounter() { g_count_allocs.store(false); }
+  AllocCounter(const AllocCounter&) = delete;
+  AllocCounter& operator=(const AllocCounter&) = delete;
+  [[nodiscard]] std::uint64_t count() const { return g_allocs.load(); }
+};
+}  // namespace
+
+// noinline keeps GCC from pairing an inlined free() against new
+// expressions elsewhere and warning about a mismatch that is not one.
+#define MCSS_TEST_NOINLINE __attribute__((noinline))
+
+MCSS_TEST_NOINLINE void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+MCSS_TEST_NOINLINE void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+MCSS_TEST_NOINLINE void operator delete(void* p) noexcept { std::free(p); }
+MCSS_TEST_NOINLINE void operator delete[](void* p) noexcept { std::free(p); }
+MCSS_TEST_NOINLINE void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+MCSS_TEST_NOINLINE void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mcss::sss {
 namespace {
@@ -238,68 +285,33 @@ TEST(Shamir, DeterministicGivenSeed) {
   EXPECT_EQ(split(secret, 2, 4, a), split(secret, 2, 4, b));
 }
 
+TEST(Shamir, ReconstructViewsAllocatesOnlyThePayload) {
+  // The receiver reconstructs every packet through reconstruct_views;
+  // its Lagrange weights live on the stack, so the returned payload is
+  // the call's one heap allocation, from k = 1 up to k = 255.
+  for (const auto& [k, len] : {std::pair{1, 1470}, std::pair{3, 1470},
+                               std::pair{8, 128}, std::pair{255, 64}}) {
+    Rng rng(static_cast<std::uint64_t>(k));
+    const auto secret = random_secret(rng, static_cast<std::size_t>(len));
+    const auto shares = split(secret, k, k, rng);
+    std::vector<ShareView> views;
+    for (const Share& sh : shares) views.push_back({sh.index, sh.data});
+    std::vector<std::uint8_t> out;
+    std::uint64_t allocs = 0;
+    {
+      const AllocCounter counter;
+      out = reconstruct_views(views);
+      allocs = counter.count();
+    }
+    EXPECT_EQ(allocs, 1u) << "k=" << k;
+    EXPECT_EQ(out, secret) << "k=" << k;
+  }
+}
+
 TEST(Shamir, DifferentSeedsGiveDifferentShares) {
   const std::vector<std::uint8_t> secret{1, 2, 3, 4};
   Rng a(99), b(100);
   EXPECT_NE(split(secret, 2, 4, a), split(secret, 2, 4, b));
-}
-
-// ---------------------------------------------------------------- XOR sharing
-
-TEST(XorSharing, RoundtripVariousM) {
-  for (int m = 1; m <= 10; ++m) {
-    Rng rng(static_cast<std::uint64_t>(m));
-    const auto secret = random_secret(rng, 128);
-    const auto shares = xor_split(secret, m, rng);
-    ASSERT_EQ(shares.size(), static_cast<std::size_t>(m));
-    EXPECT_EQ(xor_reconstruct(shares), secret);
-  }
-}
-
-TEST(XorSharing, OrderIrrelevant) {
-  Rng rng(11);
-  const auto secret = random_secret(rng, 32);
-  auto shares = xor_split(secret, 5, rng);
-  std::swap(shares[0], shares[4]);
-  std::swap(shares[1], shares[3]);
-  EXPECT_EQ(xor_reconstruct(shares), secret);
-}
-
-TEST(XorSharing, MissingShareGivesGarbage) {
-  Rng rng(12);
-  const auto secret = random_secret(rng, 32);
-  auto shares = xor_split(secret, 4, rng);
-  shares.pop_back();
-  EXPECT_NE(xor_reconstruct(shares), secret);
-}
-
-TEST(XorSharing, SingleShareIsSecretItself) {
-  Rng rng(13);
-  const auto secret = random_secret(rng, 16);
-  const auto shares = xor_split(secret, 1, rng);
-  EXPECT_EQ(shares[0].data, secret);
-}
-
-TEST(XorSharing, PadSharesAreUniformlyDistributed) {
-  // First m-1 shares are raw pads: byte histogram should be flat.
-  Rng rng(14);
-  const auto secret = std::vector<std::uint8_t>(100000, 0xAA);  // constant secret
-  const auto shares = xor_split(secret, 2, rng);
-  std::array<int, 256> hist{};
-  for (const auto b : shares[0].data) hist[b]++;
-  for (const int count : hist) {
-    EXPECT_NEAR(count, 100000 / 256, 150);
-  }
-}
-
-TEST(XorSharing, RejectsBadInput) {
-  Rng rng(15);
-  const auto secret = random_secret(rng, 8);
-  EXPECT_THROW((void)xor_split(secret, 0, rng), PreconditionError);
-  EXPECT_THROW((void)xor_reconstruct(std::vector<Share>{}), PreconditionError);
-  auto shares = xor_split(secret, 3, rng);
-  shares[1].data.pop_back();
-  EXPECT_THROW((void)xor_reconstruct(shares), PreconditionError);
 }
 
 }  // namespace
