@@ -66,7 +66,8 @@ import json, multiprocessing, subprocess, sys
 out_path, doc_path, elapsed = sys.argv[1:4]
 
 try:
-    commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+    # "-dirty" marks numbers measured on uncommitted changes.
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"],
                             capture_output=True, text=True, check=True).stdout.strip()
 except Exception:
     commit = "unknown"

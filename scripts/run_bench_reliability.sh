@@ -65,7 +65,8 @@ out_path, doc_path, threads, seq_s, par_s = sys.argv[1:6]
 seq_s, par_s = float(seq_s), float(par_s)
 
 try:
-    commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+    # "-dirty" marks numbers measured on uncommitted changes.
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"],
                             capture_output=True, text=True, check=True).stdout.strip()
 except Exception:
     commit = "unknown"

@@ -59,7 +59,8 @@ out_path, bench, threads, seq_s, par_s, rows = sys.argv[1:7]
 seq_s, par_s = float(seq_s), float(par_s)
 
 try:
-    commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+    # "-dirty" marks numbers measured on uncommitted changes.
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"],
                             capture_output=True, text=True, check=True).stdout.strip()
 except Exception:
     commit = "unknown"

@@ -66,9 +66,9 @@ inline constexpr std::size_t kMaxDelaySamples = 255;
 
 /// Cumulative per-channel receive counters, as seen at the tap in front
 /// of the reassembling receiver. "Lost" cannot be observed here — the
-/// receiver never sees what never arrived — so the sender derives loss
-/// as its own sent count minus frames_received; frames_undecodable
-/// additionally surfaces arrived-but-corrupted traffic.
+/// receiver never sees what never arrived — so loss is the sender's own
+/// sent count minus frames_received; frames_undecodable additionally
+/// surfaces arrived-but-corrupted traffic.
 struct ChannelCounters {
   std::uint64_t frames_received = 0;
   std::uint64_t frames_undecodable = 0;

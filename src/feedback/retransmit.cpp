@@ -84,10 +84,6 @@ void RetransmitManager::on_packet_sent(std::uint64_t packet_id, int k,
   for (int ch : channels) {
     MCSS_ENSURE(ch >= 0 && ch < 32, "channel index out of range");
     packet.initial_mask |= std::uint32_t{1} << ch;
-    if (static_cast<std::size_t>(ch) >= telemetry_.size()) {
-      telemetry_.resize(static_cast<std::size_t>(ch) + 1);
-    }
-    ++telemetry_[static_cast<std::size_t>(ch)].shares_sent;
   }
   packet.exposure_mask = packet.initial_mask;
   packet.initial_link_mask = links_of(channels);
@@ -108,10 +104,6 @@ void RetransmitManager::note_exposure(std::uint64_t packet_id,
     if (it != outstanding_.end()) {
       it->second.exposure_mask |= std::uint32_t{1} << ch;
     }
-    if (static_cast<std::size_t>(ch) >= telemetry_.size()) {
-      telemetry_.resize(static_cast<std::size_t>(ch) + 1);
-    }
-    ++telemetry_[static_cast<std::size_t>(ch)].shares_sent;
   }
 }
 
@@ -148,14 +140,6 @@ void RetransmitManager::on_report(const ReceiverReport& report,
     return;
   }
   last_report_seq_ = report.seq;
-
-  if (report.channels.size() > telemetry_.size()) {
-    telemetry_.resize(report.channels.size());
-  }
-  for (std::size_t i = 0; i < report.channels.size(); ++i) {
-    telemetry_[i].frames_received = report.channels[i].frames_received;
-    telemetry_[i].frames_undecodable = report.channels[i].frames_undecodable;
-  }
 
   // Delay samples join receiver delivery times with our send stamps.
   // Only never-retransmitted packets contribute (Karn's ambiguity

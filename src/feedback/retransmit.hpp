@@ -119,16 +119,6 @@ struct ClosedPacket {
   std::uint64_t link_exposure_mask = 0;
 };
 
-/// Cumulative per-channel telemetry joining the sender's own send
-/// counts with the receiver's reported arrival counts; the difference
-/// is each channel's loss as the receiver saw it, without touching
-/// simulator internals.
-struct ChannelTelemetry {
-  std::uint64_t shares_sent = 0;       ///< sender-side, from dispatch
-  std::uint64_t frames_received = 0;   ///< receiver-side, from reports
-  std::uint64_t frames_undecodable = 0;
-};
-
 class RetransmitManager {
  public:
   /// Retransmission callback: re-split `payload` (threshold k) under a
@@ -192,11 +182,6 @@ class RetransmitManager {
   [[nodiscard]] std::int64_t current_rto_ns() const noexcept { return rto_ns_; }
   [[nodiscard]] double srtt_s() const noexcept {
     return static_cast<double>(srtt_ns_) / 1e9;
-  }
-
-  [[nodiscard]] const std::vector<ChannelTelemetry>& channel_telemetry()
-      const noexcept {
-    return telemetry_;
   }
 
   /// Realized exposure of a still-outstanding packet.
@@ -264,7 +249,6 @@ class RetransmitManager {
   std::int64_t rttvar_ns_ = 0;
   std::int64_t rto_ns_ = 0;
 
-  std::vector<ChannelTelemetry> telemetry_;
   std::vector<std::uint64_t> channel_link_masks_;  ///< empty = channel mode
   std::vector<ClosedPacket> closed_;
   RetransmitStats stats_;

@@ -20,6 +20,7 @@
 #include "field/gf256.hpp"           // IWYU pragma: export
 #include "lp/simplex.hpp"            // IWYU pragma: export
 #include "net/cpu_model.hpp"         // IWYU pragma: export
+#include "net/link_model.hpp"        // IWYU pragma: export
 #include "net/outage.hpp"            // IWYU pragma: export
 #include "net/sim_channel.hpp"       // IWYU pragma: export
 #include "net/sim_time.hpp"          // IWYU pragma: export

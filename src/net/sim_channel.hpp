@@ -1,14 +1,12 @@
-// A simulated unidirectional network channel.
+// A simulated unidirectional network channel: net::LinkModel driven on
+// simulated time.
 //
-// Equivalent to the paper's testbed configuration: a dedicated wire whose
-// rate is capped by Linux htb and whose loss/delay are injected by netem.
-// The model here is:
-//   - serialization: a frame of B bytes occupies the link for 8B/rate_bps
-//     seconds; frames queue FIFO behind the one being serialized,
-//   - a bounded transmit queue with tail drop (htb's queue),
-//   - independent Bernoulli loss per frame (netem loss),
-//   - constant propagation delay (netem delay), applied after
-//     serialization; frames are delivered in order.
+// The paper's testbed wire, rate capped by htb and impaired by netem;
+// the arithmetic (admission, serialization, netem draws, backlog) is
+// LinkModel's. This class owns the frames and the events: one event per
+// head frame, armed when the frame reaches the head, at the departure
+// stamp the model charged at offer time, and one delivery event per
+// surviving copy. It adds silent outages (set_down) and tracing.
 //
 // "Ready for writing" mirrors epoll semantics on a socket buffer: the
 // channel is writable while its queued backlog is below a watermark.
@@ -18,62 +16,23 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "net/channel_port.hpp"
+#include "net/link_model.hpp"
 #include "net/sim_time.hpp"
 #include "net/simulator.hpp"
 #include "util/rng.hpp"
 
-namespace mcss::obs {
-class Registry;
-}
-
 namespace mcss::net {
-
-/// Static configuration of a simulated channel (one direction).
-struct ChannelConfig {
-  double rate_bps = 100e6;     ///< link rate, bits per second
-  double loss = 0.0;           ///< frame loss probability in [0, 1)
-  SimTime delay = 0;           ///< one-way propagation delay
-  std::size_t queue_capacity_bytes = 64 * 1024;  ///< transmit queue bound
-  /// Writability watermark: ready() while backlog < watermark. Defaults to
-  /// half the queue capacity when 0.
-  std::size_t ready_watermark_bytes = 0;
-
-  // netem's remaining knobs, for the robustness experiments:
-  SimTime jitter = 0;        ///< uniform extra delay in [0, jitter]; allows reordering
-  double corrupt = 0.0;      ///< P(one random bit of the frame is flipped)
-  double duplicate = 0.0;    ///< P(frame is delivered twice)
-};
-
-/// Counters exposed for measurement and tests.
-struct ChannelStats {
-  std::uint64_t frames_offered = 0;    ///< try_send calls
-  std::uint64_t frames_queued = 0;     ///< accepted into the queue
-  std::uint64_t frames_dropped_queue = 0;  ///< tail drops (queue full)
-  std::uint64_t frames_dropped_loss = 0;   ///< netem-style random loss
-  std::uint64_t frames_dropped_outage = 0; ///< sent while the channel was down
-  std::uint64_t frames_delivered = 0;
-  std::uint64_t frames_corrupted = 0;
-  std::uint64_t frames_duplicated = 0;
-  std::uint64_t bytes_delivered = 0;
-  std::uint64_t bytes_queued_total = 0;
-};
-
-/// Add this channel's counter totals into the registry under
-/// mcss_channel_* names. Counters are additive, so publishing several
-/// channels (or calling once per run per channel) aggregates them.
-void publish(obs::Registry& registry, const ChannelStats& stats);
 
 class SimChannel final : public ChannelPort {
  public:
   using DeliverFn = ChannelPort::DeliverFn;
   using WritableFn = ChannelPort::WritableFn;
 
-  /// `rng` seeds this channel's private loss stream.
+  /// `rng` seeds this channel's private netem stream.
   SimChannel(Simulator& sim, ChannelConfig config, Rng rng,
              std::string name = {});
 
@@ -95,9 +54,7 @@ class SimChannel final : public ChannelPort {
   bool try_send(std::vector<std::uint8_t> frame) override;
 
   /// epoll-style writability: backlog below the watermark.
-  [[nodiscard]] bool ready() const noexcept override {
-    return queued_bytes_ < watermark_;
-  }
+  [[nodiscard]] bool ready() const noexcept override { return link_.ready(); }
 
   /// Silent outage control (Blakley's "abnegated courier"): while down,
   /// frames that leave the serializer vanish. The sender keeps seeing a
@@ -108,20 +65,20 @@ class SimChannel final : public ChannelPort {
 
   /// Time needed to drain everything currently queued or in flight on the
   /// serializer — the dynamic scheduler's "least backlog" key.
-  [[nodiscard]] SimTime backlog_time() const noexcept override;
+  [[nodiscard]] SimTime backlog_time() const noexcept override {
+    return link_.backlog(sim_.now(), head_started_);
+  }
 
-  [[nodiscard]] std::size_t queued_bytes() const noexcept { return queued_bytes_; }
-  [[nodiscard]] const ChannelConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const ChannelStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const ChannelStats& stats() const noexcept {
+    return link_.stats();
+  }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
  private:
   void start_transmission();
-  [[nodiscard]] SimTime serialization_time(std::size_t bytes) const noexcept;
 
   Simulator& sim_;
-  ChannelConfig config_;
-  Rng rng_;
+  LinkModel link_;
   std::string name_;
   DeliverFn deliver_;
   WritableFn writable_;
@@ -132,14 +89,12 @@ class SimChannel final : public ChannelPort {
   };
 
   std::deque<QueuedFrame> queue_;
-  std::size_t queued_bytes_ = 0;
-  std::size_t serializing_bytes_ = 0;
-  std::size_t watermark_ = 0;
+  /// A departure event is armed, or the departed frame's callbacks are
+  /// still running (the next head's is armed after them).
   bool transmitting_ = false;
+  bool head_started_ = false;  ///< the head frame's departure event is armed
   bool down_ = false;
   bool was_ready_ = true;
-  SimTime serializer_free_at_ = 0;
-  ChannelStats stats_;
 };
 
 }  // namespace mcss::net

@@ -58,8 +58,8 @@ void Network::build(Rng rng) {
   links_.reserve(topo_.links.size());
   for (std::size_t l = 0; l < topo_.links.size(); ++l) {
     const LinkSpec& spec = topo_.links[l];
-    links_.push_back(std::make_unique<SimLink>(
-        sim_for_node(spec.src), spec, rng.fork(), static_cast<int>(l)));
+    links_.push_back(
+        std::make_unique<SimLink>(sim_for_node(spec.src), spec, rng.fork()));
     const int link_id = static_cast<int>(l);
     links_.back()->set_depart(
         [this, link_id](int channel, std::vector<std::uint8_t> frame) {
@@ -149,12 +149,19 @@ void Network::arrive(int next_link, int channel,
 }
 
 void Network::publish_metrics(obs::Registry& registry) const {
-  for (const auto& link : links_) {
-    publish(registry, link->stats());
-  }
   const auto add = [&](std::string_view name, std::uint64_t value) {
     registry.add(registry.counter(name), value);
   };
+  for (const auto& link : links_) {
+    const net::ChannelStats& s = link->stats();
+    add("mcss_topo_link_frames_offered", s.frames_offered);
+    add("mcss_topo_link_frames_queued", s.frames_queued);
+    add("mcss_topo_link_frames_dropped_queue", s.frames_dropped_queue);
+    add("mcss_topo_link_frames_dropped_loss", s.frames_dropped_loss);
+    add("mcss_topo_link_frames_delivered", s.frames_delivered);
+    add("mcss_topo_link_bytes_delivered", s.bytes_delivered);
+    add("mcss_topo_link_bytes_queued_total", s.bytes_queued_total);
+  }
   add("mcss_topo_frames_forwarded", stats_.frames_forwarded);
   add("mcss_topo_frames_dropped_midpath", stats_.frames_dropped_midpath);
   add("mcss_topo_frames_delivered_end", stats_.frames_delivered_end);

@@ -115,8 +115,8 @@ class Network {
 
   [[nodiscard]] const NetworkStats& stats() const noexcept { return stats_; }
 
-  /// Aggregate every link's counters plus network totals and topology
-  /// gauges into the registry under mcss_topo_* names.
+  /// Aggregate every link's counters (mcss_topo_link_*) plus network
+  /// totals and topology gauges into the registry under mcss_topo_* names.
   void publish_metrics(obs::Registry& registry) const;
 
  private:

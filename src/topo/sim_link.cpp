@@ -1,56 +1,26 @@
 #include "topo/sim_link.hpp"
 
-#include <algorithm>
-#include <string_view>
 #include <utility>
-
-#include "obs/metrics.hpp"
-#include "util/ensure.hpp"
 
 namespace mcss::topo {
 
-void publish(obs::Registry& registry, const LinkStats& stats) {
-  const auto add = [&](std::string_view name, std::uint64_t value) {
-    registry.add(registry.counter(name), value);
-  };
-  add("mcss_topo_link_frames_offered", stats.frames_offered);
-  add("mcss_topo_link_frames_queued", stats.frames_queued);
-  add("mcss_topo_link_frames_dropped_queue", stats.frames_dropped_queue);
-  add("mcss_topo_link_frames_dropped_loss", stats.frames_dropped_loss);
-  add("mcss_topo_link_frames_delivered", stats.frames_delivered);
-  add("mcss_topo_link_bytes_delivered", stats.bytes_delivered);
-  add("mcss_topo_link_bytes_queued_total", stats.bytes_queued_total);
+namespace {
+
+net::ChannelConfig link_config(const LinkSpec& spec) {
+  net::ChannelConfig config;
+  config.rate_bps = spec.rate_bps;
+  config.loss = spec.loss;
+  config.queue_capacity_bytes = spec.queue_capacity_bytes;
+  return config;
 }
 
-SimLink::SimLink(net::Simulator& sim, LinkSpec spec, Rng rng, int id)
-    : sim_(sim), spec_(spec), rng_(rng), id_(id) {
-  MCSS_ENSURE(spec_.rate_bps > 0.0, "link rate must be positive");
-  MCSS_ENSURE(spec_.loss >= 0.0 && spec_.loss < 1.0, "link loss in [0, 1)");
-  MCSS_ENSURE(spec_.queue_capacity_bytes > 0, "queue capacity must be positive");
-  watermark_ = std::max<std::size_t>(1, spec_.queue_capacity_bytes / 2);
-}
+}  // namespace
 
-net::SimTime SimLink::serialization_time(std::size_t bytes) const noexcept {
-  const double seconds = static_cast<double>(bytes) * 8.0 / spec_.rate_bps;
-  return net::from_seconds(seconds);
-}
-
-net::SimTime SimLink::backlog_time() const noexcept {
-  net::SimTime t = std::max<net::SimTime>(0, serializer_free_at_ - sim_.now());
-  t += serialization_time(queued_bytes_ - serializing_bytes_);
-  return t;
-}
+SimLink::SimLink(net::Simulator& sim, const LinkSpec& spec, Rng rng)
+    : sim_(sim), link_(link_config(spec), rng) {}
 
 bool SimLink::try_send(int channel, std::vector<std::uint8_t> frame) {
-  ++stats_.frames_offered;
-  MCSS_ENSURE(!frame.empty(), "cannot send an empty frame");
-  if (queued_bytes_ + frame.size() > spec_.queue_capacity_bytes) {
-    ++stats_.frames_dropped_queue;
-    return false;
-  }
-  queued_bytes_ += frame.size();
-  stats_.bytes_queued_total += frame.size();
-  ++stats_.frames_queued;
+  if (!link_.offer(frame.size(), sim_.now())) return false;
   was_ready_ = ready();
   queue_.push_back({channel, std::move(frame)});
   if (!transmitting_) start_transmission();
@@ -58,28 +28,15 @@ bool SimLink::try_send(int channel, std::vector<std::uint8_t> frame) {
 }
 
 void SimLink::start_transmission() {
-  if (queue_.empty()) {
-    transmitting_ = false;
-    return;
-  }
-  transmitting_ = true;
-  const std::size_t bytes = queue_.front().bytes.size();
-  serializing_bytes_ = bytes;
-  const net::SimTime done = sim_.now() + serialization_time(bytes);
-  serializer_free_at_ = done;
-  sim_.schedule_at(done, [this] {
+  transmitting_ = head_started_ = !queue_.empty();
+  if (!transmitting_) return;
+  sim_.schedule_at(link_.head_departure(), [this] {
     QueuedFrame frame = std::move(queue_.front());
     queue_.pop_front();
-    queued_bytes_ -= frame.bytes.size();
-    serializing_bytes_ = 0;
+    head_started_ = false;
 
-    // netem-equivalent loss: decided as the frame leaves the serializer.
-    if (rng_.bernoulli(spec_.loss)) {
-      ++stats_.frames_dropped_loss;
-    } else {
-      ++stats_.frames_delivered;
-      stats_.bytes_delivered += frame.bytes.size();
-      if (depart_) depart_(frame.channel, std::move(frame.bytes));
+    if (link_.depart(frame.bytes).copies > 0 && depart_) {
+      depart_(frame.channel, std::move(frame.bytes));
     }
 
     if (!was_ready_ && ready()) {

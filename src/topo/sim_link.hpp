@@ -1,18 +1,17 @@
-// One simulated directed link of a routed topology.
-//
-// Mirrors net::SimChannel's arithmetic exactly — FIFO transmit queue
-// with tail drop, 8B/rate serialization, Bernoulli loss decided as the
-// frame leaves the serializer — but differs in two ways a router needs:
+// One simulated directed link of a routed topology: net::LinkModel
+// driven on simulated time, as net::SimChannel drives it, with two
+// differences a router needs:
 //
 //   - frames carry their logical channel id through the queue, so the
 //     owning Network can route each departure to the next hop of THAT
 //     channel's path (several channels multiplex one link, which is
 //     exactly how shared links correlate loss: their frames contend
 //     for the same serializer and the same queue),
-//   - propagation is the owner's job: depart fires at serializer exit
-//     (post-loss), and the Network applies the link delay itself —
-//     schedule_in on the same LP, LogicalProcess::send across LPs —
-//     so one SimLink type serves both DES backends.
+//   - propagation is the owner's job: the model runs with delay 0, depart
+//     fires at serializer exit (post-loss), and the Network applies the
+//     link delay itself — schedule_in on the same LP,
+//     LogicalProcess::send across LPs — so one SimLink type serves both
+//     DES backends.
 //
 // Writability fans out: every channel whose path ENTERS the network on
 // this link subscribes to the not-ready -> ready edge.
@@ -23,31 +22,13 @@
 #include <functional>
 #include <vector>
 
+#include "net/link_model.hpp"
 #include "net/sim_time.hpp"
 #include "net/simulator.hpp"
 #include "topo/topology.hpp"
 #include "util/rng.hpp"
 
-namespace mcss::obs {
-class Registry;
-}
-
 namespace mcss::topo {
-
-/// Counters per link, aggregated into mcss_topo_link_* by publish().
-struct LinkStats {
-  std::uint64_t frames_offered = 0;
-  std::uint64_t frames_queued = 0;
-  std::uint64_t frames_dropped_queue = 0;  ///< tail drop
-  std::uint64_t frames_dropped_loss = 0;
-  std::uint64_t frames_delivered = 0;  ///< left the serializer intact
-  std::uint64_t bytes_delivered = 0;
-  std::uint64_t bytes_queued_total = 0;
-};
-
-/// Add one link's totals into the registry under mcss_topo_link_*
-/// names (additive across links and calls).
-void publish(obs::Registry& registry, const LinkStats& stats);
 
 class SimLink {
  public:
@@ -56,7 +37,7 @@ class SimLink {
   using DepartFn = std::function<void(int channel, std::vector<std::uint8_t>)>;
 
   /// `rng` seeds this link's private loss stream.
-  SimLink(net::Simulator& sim, LinkSpec spec, Rng rng, int id);
+  SimLink(net::Simulator& sim, const LinkSpec& spec, Rng rng);
 
   SimLink(const SimLink&) = delete;
   SimLink& operator=(const SimLink&) = delete;
@@ -72,32 +53,24 @@ class SimLink {
   /// Offer a frame of logical channel `channel`. False = tail drop.
   bool try_send(int channel, std::vector<std::uint8_t> frame);
 
-  /// epoll-style writability: backlog below half the queue capacity
-  /// (SimChannel's default watermark).
-  [[nodiscard]] bool ready() const noexcept {
-    return queued_bytes_ < watermark_;
-  }
+  /// epoll-style writability: backlog below half the queue capacity.
+  [[nodiscard]] bool ready() const noexcept { return link_.ready(); }
 
   /// Serializer drain time for everything queued (propagation delay is
-  /// the owner's, as in SimChannel::backlog_time).
-  [[nodiscard]] net::SimTime backlog_time() const noexcept;
+  /// the owner's).
+  [[nodiscard]] net::SimTime backlog_time() const noexcept {
+    return link_.backlog(sim_.now(), head_started_);
+  }
 
-  [[nodiscard]] int id() const noexcept { return id_; }
-  [[nodiscard]] const LinkSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] const LinkStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t queued_bytes() const noexcept {
-    return queued_bytes_;
+  [[nodiscard]] const net::ChannelStats& stats() const noexcept {
+    return link_.stats();
   }
 
  private:
   void start_transmission();
-  [[nodiscard]] net::SimTime serialization_time(
-      std::size_t bytes) const noexcept;
 
   net::Simulator& sim_;
-  LinkSpec spec_;
-  Rng rng_;
-  int id_ = 0;
+  net::LinkModel link_;
   DepartFn depart_;
   std::vector<std::function<void()>> writable_;
 
@@ -107,13 +80,9 @@ class SimLink {
   };
 
   std::deque<QueuedFrame> queue_;
-  std::size_t queued_bytes_ = 0;
-  std::size_t serializing_bytes_ = 0;
-  std::size_t watermark_ = 0;
-  bool transmitting_ = false;
+  bool transmitting_ = false;  ///< as in net::SimChannel
+  bool head_started_ = false;
   bool was_ready_ = true;
-  net::SimTime serializer_free_at_ = 0;
-  LinkStats stats_;
 };
 
 }  // namespace mcss::topo

@@ -17,8 +17,7 @@
 //                        Poisson binomial.
 //
 // Topology is pure data + math (no simulator); topo::Network drives it
-// through the sequential and partitioned DES backends, and the live
-// Impairment shim mirrors the shared-loss half (transport/impairment).
+// through the sequential and partitioned DES backends.
 #pragma once
 
 #include <cstdint>

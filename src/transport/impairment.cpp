@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/sim_time.hpp"
 #include "transport/wall_clock.hpp"
 #include "util/ensure.hpp"
 
@@ -11,134 +10,56 @@ namespace mcss::transport {
 
 Impairment::Impairment(net::ChannelConfig config, Rng rng,
                        net::Simulator& timeline, ReleaseFn release)
-    : config_(config),
-      rng_(rng),
-      timeline_(timeline),
-      release_(std::move(release)) {
-  MCSS_ENSURE(config_.rate_bps > 0.0, "channel rate must be positive");
-  MCSS_ENSURE(config_.loss >= 0.0 && config_.loss < 1.0,
-              "channel loss must be in [0, 1)");
-  MCSS_ENSURE(config_.delay >= 0, "channel delay must be nonnegative");
-  MCSS_ENSURE(config_.jitter >= 0, "jitter must be nonnegative");
-  MCSS_ENSURE(config_.corrupt >= 0.0 && config_.corrupt < 1.0,
-              "corruption probability must be in [0, 1)");
-  MCSS_ENSURE(config_.duplicate >= 0.0 && config_.duplicate < 1.0,
-              "duplication probability must be in [0, 1)");
-  MCSS_ENSURE(config_.queue_capacity_bytes > 0,
-              "queue capacity must be positive");
+    : link_(config, rng), timeline_(timeline), release_(std::move(release)) {
   MCSS_ENSURE(release_ != nullptr, "impairment needs a release sink");
-  watermark_ = config_.ready_watermark_bytes != 0
-                   ? config_.ready_watermark_bytes
-                   : std::max<std::size_t>(1, config_.queue_capacity_bytes / 2);
-}
-
-std::int64_t Impairment::serialization_ns(std::size_t bytes) const noexcept {
-  const double seconds = static_cast<double>(bytes) * 8.0 / config_.rate_bps;
-  return net::from_seconds(seconds);
 }
 
 bool Impairment::offer(util::FrameRef frame, std::int64_t now_ns) {
-  ++stats_.frames_offered;
-  MCSS_ENSURE(frame && frame.size() > 0, "cannot send an empty frame");
-  if (queued_bytes_ + frame.size() > config_.queue_capacity_bytes) {
-    ++stats_.frames_dropped_queue;
-    return false;
-  }
-  queued_bytes_ += frame.size();
-  stats_.bytes_queued_total += frame.size();
-  ++stats_.frames_queued;
-
-  // Charge the serializer up front: FIFO means this frame departs once
-  // everything already accepted has, so its departure time is known at
-  // offer time, and departures leave in offer order.
-  const std::int64_t start = std::max(serializer_free_at_, now_ns);
-  const std::int64_t departure = start + serialization_ns(frame.size());
-  serializer_free_at_ = departure;
-  if (departure <= now_ns) {
+  MCSS_ENSURE(frame, "cannot send an empty frame");
+  const auto departure = link_.offer(frame.size(), now_ns);
+  if (!departure) return false;
+  if (*departure <= now_ns && serializer_.empty()) {
     // Transparent-channel fast path: the serializer was idle and the
     // charge rounded to zero, so the frame departs right now, without
     // queueing. Draw order matches the queued path: the departure event
     // would have fired before any later offer.
-    depart(std::move(frame), departure);
+    depart(std::move(frame));
     return true;
   }
-  serializer_through_ += frame.size();
-  serializer_.push_back({departure, serializer_through_, std::move(frame)});
+  serializer_.push_back(std::move(frame));
   if (!departure_armed_) {
     // The new frame is the head: an armed event always sits on the head,
     // and later offers queue behind it.
     departure_armed_ = true;
-    schedule_wall(timeline_, departure, [this] { on_departures(); });
+    schedule_wall(timeline_, *departure, [this] { on_departures(); });
   }
   return true;
 }
 
-std::optional<std::int64_t> Impairment::below_at(
-    std::size_t limit) const noexcept {
-  if (queued_bytes_ < limit) return std::nullopt;
-  // Bytes left once frame i has departed: serializer_through_ minus its
-  // running count, which rises with i. Find the first i that leaves
-  // fewer than `limit` (the last frame leaves none, and limit >= 1 when
-  // the backlog is not below it yet, so one exists).
-  const std::uint64_t need = serializer_through_ - limit;
-  std::size_t lo = 0;
-  std::size_t hi = serializer_.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (serializer_[mid].through > need) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return serializer_[lo].departure_ns;
-}
-
 void Impairment::on_departures() {
   departure_armed_ = false;
-  while (!serializer_.empty() &&
-         serializer_.front().departure_ns <= timeline_.now()) {
-    Queued head = std::move(serializer_.front());
+  while (!serializer_.empty() && link_.head_departure() <= timeline_.now()) {
+    util::FrameRef frame = std::move(serializer_.front());
     serializer_.pop_front();
-    depart(std::move(head.frame), head.departure_ns);
+    depart(std::move(frame));
   }
   if (!serializer_.empty()) {
     departure_armed_ = true;
-    schedule_wall(timeline_, serializer_.front().departure_ns,
+    schedule_wall(timeline_, link_.head_departure(),
                   [this] { on_departures(); });
   }
 }
 
-void Impairment::depart(util::FrameRef frame, std::int64_t departure_ns) {
-  queued_bytes_ -= frame.size();
-  // netem-equivalent loss: decided as the frame leaves the serializer,
-  // with the same draw order as SimChannel so the two impairment paths
-  // stay behaviorally interchangeable.
-  if (rng_.bernoulli(config_.loss)) {
-    ++stats_.frames_dropped_loss;
-    return;
-  }
-  if (rng_.bernoulli(config_.corrupt)) {
-    ++stats_.frames_corrupted;
-    const auto bit = rng_.uniform_int(frame.size() * 8);
-    frame.data()[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-  }
-  const int copies = rng_.bernoulli(config_.duplicate) ? 2 : 1;
-  if (copies == 2) ++stats_.frames_duplicated;
-  for (int copy = 0; copy < copies; ++copy) {
-    ++stats_.frames_delivered;
-    stats_.bytes_delivered += frame.size();
-    // Jitter draws independently per copy, so duplicates (and successive
-    // frames) can reorder, as with real netem. Duplicates SHARE the
-    // pooled slot (refcount, not copy) — both releases read the same
-    // post-corruption bytes, which is what the old copying path produced.
-    std::int64_t extra = config_.delay;
-    if (config_.jitter > 0) {
-      extra += static_cast<std::int64_t>(
-          rng_.uniform_int(static_cast<std::uint64_t>(config_.jitter) + 1));
-    }
+void Impairment::depart(util::FrameRef frame) {
+  const std::int64_t departure_ns = link_.head_departure();
+  const net::LinkModel::Departure d =
+      link_.depart({frame.data(), frame.size()});
+  for (int copy = 0; copy < d.copies; ++copy) {
+    // Duplicates SHARE the pooled slot (refcount, not copy): both
+    // releases read the same post-corruption bytes.
+    const std::int64_t extra = d.delay[static_cast<std::size_t>(copy)];
     const std::int64_t release_at = departure_ns + extra;
-    util::FrameRef out = copy + 1 < copies ? frame : std::move(frame);
+    util::FrameRef out = copy + 1 < d.copies ? frame : std::move(frame);
     if (extra == 0) {
       // No netem delay to model: hand the frame straight to the channel
       // (the second leg of the transparent fast path).

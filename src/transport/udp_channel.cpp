@@ -173,27 +173,24 @@ bool UdpChannel::ready(std::int64_t now_ns) const noexcept {
   // Bytes parked behind a full kernel buffer count against the watermark
   // exactly as queued-at-the-serializer bytes do: both are backlog the
   // scheduler should steer new shares away from.
-  return impair_.queued_bytes() + pending_out_bytes_ < impair_.watermark();
+  const net::LinkModel& link = impair_.model();
+  return link.queued_bytes() + pending_out_bytes_ < link.watermark();
 }
 
 std::optional<std::int64_t> UdpChannel::unblocks_at(
     std::int64_t margin_ns) const noexcept {
-  if (pending_out_bytes_ >= impair_.watermark()) return std::nullopt;
-  const auto below =
-      impair_.below_at(impair_.watermark() - pending_out_bytes_);
+  const net::LinkModel& link = impair_.model();
+  if (pending_out_bytes_ >= link.watermark()) return std::nullopt;
+  const auto below = link.below_at(link.watermark() - pending_out_bytes_);
   if (!below) return std::nullopt;
-  return std::max(*below, impair_.free_at() - margin_ns);
+  return std::max(*below, link.free_at() - margin_ns);
 }
 
 std::int64_t UdpChannel::backlog_ns(std::int64_t now_ns) const noexcept {
-  std::int64_t t = impair_.backlog_ns(now_ns);
-  if (pending_out_bytes_ > 0) {
-    // Parked bytes have already been paced; charge them at line rate as a
-    // proxy for the kernel buffer draining.
-    t += net::from_seconds(static_cast<double>(pending_out_bytes_) * 8.0 /
-                           impair_.config().rate_bps);
-  }
-  return t;
+  // Parked bytes have already been paced; charge them at line rate as a
+  // proxy for the kernel buffer draining.
+  const net::LinkModel& link = impair_.model();
+  return link.backlog(now_ns) + link.serialization_time(pending_out_bytes_);
 }
 
 void UdpChannel::release(util::FrameRef frame, std::int64_t release_ns) {

@@ -60,7 +60,7 @@
 #include <string>
 #include <vector>
 
-#include "net/sim_channel.hpp"
+#include "net/link_model.hpp"
 #include "net/simulator.hpp"
 #include "transport/impairment.hpp"
 #include "transport/udp_socket.hpp"
@@ -150,7 +150,8 @@ class UdpChannel {
   void set_on_batch(BatchFn fn) { on_batch_ = std::move(fn); }
 
   /// Offer a pool-backed frame at monotonic time `now_ns`. False = tail
-  /// drop at the impairment queue (mirrors SimChannel::try_send).
+  /// drop at the impairment queue (the LinkModel admission
+  /// SimChannel::try_send uses).
   bool try_send(util::FrameRef frame, std::int64_t now_ns);
 
   /// Copying convenience: stage `frame` into a pool slot first. False
@@ -174,7 +175,7 @@ class UdpChannel {
 
   /// When the impairment serializer runs idle (in the past when it is).
   [[nodiscard]] std::int64_t idle_at() const noexcept {
-    return impair_.free_at();
+    return impair_.model().free_at();
   }
 
   /// The dynamic scheduler's "least backlog" key: serializer backlog plus
@@ -207,7 +208,7 @@ class UdpChannel {
   [[nodiscard]] std::uint16_t rx_port() const { return rx_.local_port(); }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const net::ChannelConfig& config() const noexcept {
-    return impair_.config();
+    return impair_.model().config();
   }
   [[nodiscard]] const net::ChannelStats& impair_stats() const noexcept {
     return impair_.stats();

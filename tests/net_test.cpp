@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/cpu_model.hpp"
+#include "net/link_model.hpp"
 #include "net/outage.hpp"
 #include "net/sim_channel.hpp"
 #include "net/sim_time.hpp"
@@ -598,6 +599,118 @@ TEST(SimChannel, RejectsInvalidNetemExtensions) {
   bad = basic_config();
   bad.duplicate = -0.1;
   EXPECT_THROW(SimChannel(sim, bad, Rng(0)), PreconditionError);
+}
+
+// ------------------------------------------------------------- link model
+
+TEST(LinkModel, RejectsInvalidConfigAndResolvesTheWatermark) {
+  ChannelConfig ok;
+  ok.queue_capacity_bytes = 3000;
+  EXPECT_EQ(LinkModel(ok, Rng(0)).watermark(), 1500u);  // half the queue
+  ok.ready_watermark_bytes = 700;
+  EXPECT_EQ(LinkModel(ok, Rng(0)).watermark(), 700u);
+  ok = {};
+  ok.queue_capacity_bytes = 1;
+  EXPECT_EQ(LinkModel(ok, Rng(0)).watermark(), 1u);  // never 0
+
+  const auto rejects = [](auto mutate) {
+    ChannelConfig bad;
+    mutate(bad);
+    EXPECT_THROW(LinkModel(bad, Rng(0)), PreconditionError);
+  };
+  rejects([](ChannelConfig& c) { c.rate_bps = 0; });
+  rejects([](ChannelConfig& c) { c.loss = -0.1; });
+  rejects([](ChannelConfig& c) { c.loss = 1.0; });
+  rejects([](ChannelConfig& c) { c.delay = -1; });
+  rejects([](ChannelConfig& c) { c.jitter = -1; });
+  rejects([](ChannelConfig& c) { c.corrupt = 1.0; });
+  rejects([](ChannelConfig& c) { c.duplicate = -0.1; });
+  rejects([](ChannelConfig& c) { c.queue_capacity_bytes = 0; });
+
+  LinkModel link(ChannelConfig{}, Rng(0));
+  EXPECT_THROW((void)link.offer(0, 0), PreconditionError);
+}
+
+TEST(LinkModel, ChargesTheSerializerAtOfferAndTailDrops) {
+  ChannelConfig cfg;
+  cfg.rate_bps = 8e6;  // 1 byte = 1 us
+  cfg.queue_capacity_bytes = 4000;
+  LinkModel link(cfg, Rng(1));
+  EXPECT_EQ(link.serialization_time(1000), from_micros(1000));
+  EXPECT_EQ(link.offer(1000, 0), from_micros(1000));
+  // Behind the head, from the serializer's free time, not from `now`.
+  EXPECT_EQ(link.offer(500, from_micros(200)), from_micros(1500));
+  EXPECT_FALSE(link.offer(3000, from_micros(200)).has_value());
+  EXPECT_EQ(link.stats().frames_dropped_queue, 1u);
+  EXPECT_EQ(link.free_at(), from_micros(1500));
+  EXPECT_EQ(link.head_departure(), from_micros(1000));
+  // Backlog: the head's remaining time plus the bytes behind it.
+  EXPECT_EQ(link.backlog(from_micros(200)), from_micros(1300));
+  EXPECT_EQ(link.backlog(from_micros(200), false), from_micros(1500));
+  std::vector<std::uint8_t> frame(1000, 0);
+  EXPECT_EQ(link.depart(frame).copies, 1);
+  EXPECT_EQ(link.queued_bytes(), 500u);
+  EXPECT_EQ(link.head_departure(), from_micros(1500));
+  // An idle serializer starts from `now`.
+  EXPECT_EQ(link.offer(100, from_micros(9000)), from_micros(9100));
+  EXPECT_EQ(link.stats().frames_queued, 3u);
+  EXPECT_EQ(link.stats().bytes_queued_total, 1600u);
+}
+
+TEST(LinkModel, BelowAtIsTheDepartureThatClearsTheLimit) {
+  ChannelConfig cfg;
+  cfg.rate_bps = 8e6;  // 1 byte = 1 us
+  cfg.queue_capacity_bytes = 1 << 20;
+  LinkModel link(cfg, Rng(1));
+  EXPECT_FALSE(link.below_at(1).has_value());  // empty: below already
+  ASSERT_TRUE(link.offer(1000, 0));            // departs at 1000 us
+  ASSERT_TRUE(link.offer(500, 0));             // 1500 us
+  ASSERT_TRUE(link.offer(2000, 0));            // 3500 us
+  EXPECT_FALSE(link.below_at(3501).has_value());
+  EXPECT_EQ(link.below_at(3500), from_micros(1000));  // 2500 left
+  EXPECT_EQ(link.below_at(2501), from_micros(1000));
+  EXPECT_EQ(link.below_at(2500), from_micros(1500));  // 2000 left
+  EXPECT_EQ(link.below_at(2000), from_micros(3500));  // only the last
+  EXPECT_EQ(link.below_at(1), from_micros(3500));
+  std::vector<std::uint8_t> head(1000, 0);
+  (void)link.depart(head);
+  EXPECT_FALSE(link.below_at(2501).has_value());
+  EXPECT_EQ(link.below_at(2500), from_micros(1500));
+  EXPECT_EQ(link.below_at(2000), from_micros(3500));
+}
+
+TEST(LinkModel, OutageDepartureDrawsNothing) {
+  // A frame that leaves while the channel is down consumes no draw, so
+  // the next frame sees the stream a channel without the outage would.
+  ChannelConfig cfg;
+  cfg.loss = 0.4;
+  cfg.corrupt = 0.3;
+  cfg.duplicate = 0.3;
+  cfg.delay = 1000;
+  cfg.jitter = 5000;
+  LinkModel with_outage(cfg, Rng(9));
+  LinkModel without(cfg, Rng(9));
+  std::vector<std::uint8_t> a(64, 0);
+  std::vector<std::uint8_t> b(64, 0);
+  ASSERT_TRUE(with_outage.offer(64, 0));
+  EXPECT_EQ(with_outage.depart(a, /*down=*/true).copies, 0);
+  EXPECT_EQ(with_outage.stats().frames_dropped_outage, 1u);
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(with_outage.offer(64, 0));
+    ASSERT_TRUE(without.offer(64, 0));
+    const auto x = with_outage.depart(a);
+    const auto y = without.depart(b);
+    ASSERT_EQ(x.copies, y.copies) << "frame " << i;
+    for (int c = 0; c < x.copies; ++c) {
+      EXPECT_EQ(x.delay[static_cast<std::size_t>(c)],
+                y.delay[static_cast<std::size_t>(c)]);
+    }
+  }
+  EXPECT_EQ(a, b);  // the same bits flipped
+  EXPECT_EQ(with_outage.stats().frames_dropped_loss,
+            without.stats().frames_dropped_loss);
+  EXPECT_GT(without.stats().frames_dropped_loss, 0u);
+  EXPECT_GT(without.stats().frames_duplicated, 0u);
 }
 
 // ---------------------------------------------------------------- outages

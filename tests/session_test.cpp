@@ -210,19 +210,13 @@ TEST(Session, ForgedFramesOnOneChannelAreNotCreditedToItsReport) {
 
   EXPECT_EQ(ep.stats().frames_auth_failed, kForged);
   EXPECT_EQ(ep.stats().frames_undecodable, 0u);
-  const auto& channels = manager->channel_telemetry();
-  ASSERT_EQ(channels.size(), ep.num_channels());
-  std::uint64_t received = 0;
-  for (std::size_t c = 0; c < channels.size(); ++c) {
-    // Clean loopback: every reported arrival is a share the sender sent.
-    EXPECT_LE(channels[c].frames_received, channels[c].shares_sent)
-        << "channel " << c;
-    EXPECT_EQ(channels[c].frames_undecodable, 0u) << "channel " << c;
-    received += channels[c].frames_received;
-  }
-  EXPECT_GT(received, 0u);
   const proto::Receiver* rx = ep.flow_receiver(*cid);
   ASSERT_NE(rx, nullptr);
+  const proto::SenderStats* tx = ep.flow_sender_stats(*cid);
+  ASSERT_NE(tx, nullptr);
+  // Clean loopback: every frame the flow received is a share it sent.
+  EXPECT_GT(rx->stats().frames_received, 0u);
+  EXPECT_LE(rx->stats().frames_received, tx->shares_sent);
   EXPECT_EQ(rx->stats().auth_failures, 0u) << "forgeries never reach it";
   EXPECT_EQ(rx->stats().packets_delivered, kPackets);
   obs::Registry registry;
@@ -922,13 +916,10 @@ TEST(Session, FramesWithoutAConnectionIdAreNeverCredited) {
   ASSERT_TRUE(run_until(ep, [&] {
     return delivered == 10 && manager->outstanding() == 0;
   }, 5000));
-  const auto& channels = manager->channel_telemetry();
-  ASSERT_EQ(channels.size(), ep.num_channels());
-  for (std::size_t c = 0; c < channels.size(); ++c) {
-    EXPECT_LE(channels[c].frames_received, channels[c].shares_sent)
-        << "channel " << c;
-    EXPECT_EQ(channels[c].frames_undecodable, 0u) << "channel " << c;
-  }
+  EXPECT_EQ(ep.stats().frames_undecodable, 0u);
+  const proto::SenderStats* tx = ep.flow_sender_stats(cid);
+  ASSERT_NE(tx, nullptr);
+  EXPECT_LE(ep.flow_receiver(cid)->stats().frames_received, tx->shares_sent);
   EXPECT_EQ(ep.flow_receiver(cid)->stats().packets_delivered, 10u);
   EXPECT_EQ(ep.flow_receiver(cid)->stats().auth_failures, 0u);
 }

@@ -129,7 +129,7 @@ TEST(SimLink, SerializesTagsChannelsAndTailDrops) {
   spec.rate_bps = 8e6;  // 1000 bytes = 1 ms on the serializer
   spec.delay = 0;
   spec.queue_capacity_bytes = 2500;
-  SimLink link(sim, spec, Rng(3), /*id=*/0);
+  SimLink link(sim, spec, Rng(3));
   std::vector<std::tuple<int, net::SimTime>> departures;
   link.set_depart([&](int channel, std::vector<std::uint8_t>) {
     departures.emplace_back(channel, sim.now());
@@ -152,7 +152,7 @@ TEST(SimLink, WritableEdgeFansOutToEverySubscriber) {
   spec.dst = 1;
   spec.rate_bps = 8e6;
   spec.queue_capacity_bytes = 2000;  // watermark = 1000
-  SimLink link(sim, spec, Rng(3), 0);
+  SimLink link(sim, spec, Rng(3));
   link.set_depart([](int, std::vector<std::uint8_t>) {});
   int edges = 0;
   link.add_writable_subscriber([&] { ++edges; });

@@ -517,7 +517,7 @@ TEST(Impairment, PacesFramesAtTheConfiguredRate) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(impair.offer(make_frame(pool, 1000, 0xAB), 0));
   }
-  EXPECT_EQ(impair.backlog_ns(0), 5'000'000);
+  EXPECT_EQ(impair.model().backlog(0), 5'000'000);
   rec.step(timeline, 10'000'000, 50'000);
   ASSERT_EQ(rec.at.size(), 5u);
   for (int i = 0; i < 5; ++i) {
@@ -527,7 +527,7 @@ TEST(Impairment, PacesFramesAtTheConfiguredRate) {
         << "frame " << i;
   }
   EXPECT_EQ(impair.stats().frames_delivered, 5u);
-  EXPECT_EQ(impair.backlog_ns(10'000'000), 0);
+  EXPECT_EQ(impair.model().backlog(10'000'000), 0);
 }
 
 TEST(Impairment, DelayPlusJitterStaysInBounds) {
@@ -561,15 +561,15 @@ TEST(Impairment, TailDropsAndReadyWatermark) {
   FramePool pool(2048, 8);
   Impairment impair(cfg, Rng(1), timeline,
                     [&](FrameRef, std::int64_t) { ++released; });
-  EXPECT_TRUE(impair.ready());
+  EXPECT_TRUE(impair.model().ready());
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(impair.offer(make_frame(pool, 1000, 2), 0));
   }
-  EXPECT_FALSE(impair.ready());  // 3000 queued >= 1500 watermark
+  EXPECT_FALSE(impair.model().ready());  // 3000 queued >= 1500 watermark
   EXPECT_FALSE(impair.offer(make_frame(pool, 1000, 2), 0));
   EXPECT_EQ(impair.stats().frames_dropped_queue, 1u);
   timeline.run_until(10'000'000);  // drain
-  EXPECT_TRUE(impair.ready());
+  EXPECT_TRUE(impair.model().ready());
   EXPECT_EQ(released, 3);
 }
 
@@ -699,6 +699,109 @@ TEST(Impairment, SeededGoldenRunKeepsOrderStampsAndDraws) {
   EXPECT_EQ(xb.frames_dropped_loss, 23u);
   EXPECT_EQ(xb.frames_corrupted, 11u);
   EXPECT_EQ(xb.frames_duplicated, 11u);
+  EXPECT_EQ(pool.in_use(), 0u);
+}
+
+TEST(Impairment, MatchesSimChannelFrameForFrameOnOneSeededTrace) {
+  // The same seeded offer trace, every knob on (rate, tail drop, loss,
+  // corrupt, duplicate, delay + jitter), through the simulated channel
+  // on its event queue and through the live shim on a timeline advanced
+  // to each offer stamp. Both must accept and refuse the same frames and
+  // release the same bytes at the same stamps in the same order, with
+  // the same counters.
+  ChannelConfig cfg;
+  cfg.rate_bps = 10e6;  // 1200 B = 960 us on the serializer
+  cfg.delay = 2'000'000;
+  cfg.jitter = 1'500'000;
+  cfg.loss = 0.08;
+  cfg.corrupt = 0.05;
+  cfg.duplicate = 0.06;
+  cfg.queue_capacity_bytes = 8 * 1024;
+  struct Offer {
+    std::int64_t at;
+    std::vector<std::uint8_t> bytes;
+  };
+  std::vector<Offer> trace;
+  Rng gen(77);
+  std::int64_t t = 0;
+  for (std::uint32_t i = 0; i < 800; ++i) {
+    // Bursts of back-to-back offers between idle gaps, so the queue both
+    // fills (tail drops) and drains empty.
+    t += i % 16 < 10 ? static_cast<std::int64_t>(gen.uniform_int(200'000))
+                     : static_cast<std::int64_t>(gen.uniform_int(3'000'000));
+    std::vector<std::uint8_t> bytes(64 + gen.uniform_int(1200),
+                                    static_cast<std::uint8_t>(i));
+    std::memcpy(bytes.data(), &i, sizeof i);
+    trace.push_back({t, std::move(bytes)});
+  }
+  const std::int64_t end = t + 1'000'000'000;
+  struct Release {
+    std::int64_t at;
+    std::vector<std::uint8_t> bytes;
+    bool operator==(const Release&) const = default;
+  };
+
+  std::vector<bool> sim_accepted;
+  std::vector<Release> sim_released;
+  net::Simulator sim;
+  net::SimChannel channel(sim, cfg, Rng(4242));
+  channel.set_receiver([&](std::vector<std::uint8_t> frame) {
+    sim_released.push_back({sim.now(), std::move(frame)});
+  });
+  for (const Offer& offer : trace) {
+    sim.run_until(offer.at);
+    sim_accepted.push_back(channel.try_send(offer.bytes));
+  }
+  sim.run_until(end);
+
+  std::vector<bool> live_accepted;
+  std::vector<Release> live_released;
+  net::Simulator timeline;
+  FramePool pool(2048, 512);
+  Impairment impair(cfg, Rng(4242), timeline,
+                    [&](FrameRef f, std::int64_t at) {
+                      live_released.push_back(
+                          {at, std::vector<std::uint8_t>(
+                                   f.data(), f.data() + f.size())});
+                    });
+  for (const Offer& offer : trace) {
+    timeline.run_until(offer.at);
+    FrameRef f = pool.acquire_copy(offer.bytes);
+    ASSERT_TRUE(f);
+    live_accepted.push_back(impair.offer(std::move(f), offer.at));
+  }
+  timeline.run_until(end);
+
+  EXPECT_EQ(live_accepted, sim_accepted);
+  EXPECT_TRUE(live_released == sim_released);
+  const net::ChannelStats& a = channel.stats();
+  const net::ChannelStats& b = impair.stats();
+  EXPECT_EQ(b.frames_offered, a.frames_offered);
+  EXPECT_EQ(b.frames_queued, a.frames_queued);
+  EXPECT_EQ(b.frames_dropped_queue, a.frames_dropped_queue);
+  EXPECT_EQ(b.frames_dropped_loss, a.frames_dropped_loss);
+  EXPECT_EQ(b.frames_dropped_outage, a.frames_dropped_outage);
+  EXPECT_EQ(b.frames_delivered, a.frames_delivered);
+  EXPECT_EQ(b.frames_corrupted, a.frames_corrupted);
+  EXPECT_EQ(b.frames_duplicated, a.frames_duplicated);
+  EXPECT_EQ(b.bytes_delivered, a.bytes_delivered);
+  EXPECT_EQ(b.bytes_queued_total, a.bytes_queued_total);
+  // Every knob actually fired on this trace.
+  EXPECT_EQ(a.frames_offered, trace.size());
+  EXPECT_GT(a.frames_dropped_queue, 0u);
+  EXPECT_GT(a.frames_dropped_loss, 0u);
+  EXPECT_GT(a.frames_corrupted, 0u);
+  EXPECT_GT(a.frames_duplicated, 0u);
+  EXPECT_EQ(sim_released.size(), a.frames_delivered);
+  bool reordered = false;
+  for (std::size_t i = 1; i < sim_released.size(); ++i) {
+    std::uint32_t prev = 0;
+    std::uint32_t cur = 0;
+    std::memcpy(&prev, sim_released[i - 1].bytes.data(), sizeof prev);
+    std::memcpy(&cur, sim_released[i].bytes.data(), sizeof cur);
+    reordered = reordered || cur < prev;
+  }
+  EXPECT_TRUE(reordered) << "jitter should reorder some releases";
   EXPECT_EQ(pool.in_use(), 0u);
 }
 
