@@ -1,12 +1,10 @@
 #include "feedback/reliable_link.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "protocol/wire.hpp"
 #include "util/ensure.hpp"
-#include "util/link_risk.hpp"
 
 namespace mcss::feedback {
 
@@ -28,11 +26,6 @@ ReliableLink::ReliableLink(net::Simulator& sim, proto::Sender& sender,
   MCSS_ENSURE(!forward_.empty(), "need at least one forward channel");
   MCSS_ENSURE(config_.report_interval > 0, "report interval must be positive");
   MCSS_ENSURE(config_.retransmit_extra >= 0, "extra shares must be >= 0");
-  if (!config_.channel_link_masks.empty()) {
-    MCSS_ENSURE(config_.channel_link_masks.size() == forward_.size(),
-                "link map must cover every forward channel");
-    manager_.set_link_map(config_.channel_link_masks);
-  }
 
   // Receiver side: tap each forward channel for per-channel counters,
   // then reassemble. Each frame is parsed and (keyed) authenticated once,
@@ -114,59 +107,22 @@ void ReliableLink::on_retransmit(std::uint64_t packet_id,
   std::vector<int> order(forward_.size());
   for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
 
-  if (!config_.channel_link_masks.empty()) {
-    // Link mode: the adversary taps links, so "already exposed" means
-    // the channel's path adds NO link beyond the packet's realized link
-    // union — re-using a possibly-tapped link is free. Others are
-    // ordered by the marginal risk of the links their path would add
-    // (probability any of the NEW links is tapped), index tiebreak.
-    const std::uint64_t exposed_links =
-        manager_.link_exposure(packet_id).value_or(0);
-    const auto added_risk = [&](int i) {
-      std::uint64_t fresh =
-          config_.channel_link_masks[static_cast<std::size_t>(i)] &
-          ~exposed_links;
-      double survive = 1.0;
-      while (fresh != 0) {
-        const int l = std::countr_zero(fresh);
-        fresh &= fresh - 1;
-        if (static_cast<std::size_t>(l) < config_.link_risks.size()) {
-          survive *= 1.0 - config_.link_risks[static_cast<std::size_t>(l)];
-        }
-      }
-      return 1.0 - survive;
-    };
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const bool fa =
-          (config_.channel_link_masks[static_cast<std::size_t>(a)] &
-           ~exposed_links) == 0;
-      const bool fb =
-          (config_.channel_link_masks[static_cast<std::size_t>(b)] &
-           ~exposed_links) == 0;
-      if (fa != fb) return fa;
-      const double ra = added_risk(a);
-      const double rb = added_risk(b);
-      if (ra != rb) return ra < rb;
-      return a < b;
-    });
-  } else {
-    // Privacy-aware ordering: already-exposed channels first (free),
-    // then unexposed ones by ascending risk, index as the tiebreak.
-    const std::uint32_t exposure =
-        manager_.exposure_mask(packet_id).value_or(0);
-    const auto risk = [&](int i) {
-      return static_cast<std::size_t>(i) < config_.risks.size()
-                 ? config_.risks[static_cast<std::size_t>(i)]
-                 : 0.0;
-    };
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const bool ea = (exposure >> a) & 1u;
-      const bool eb = (exposure >> b) & 1u;
-      if (ea != eb) return ea;
-      if (risk(a) != risk(b)) return risk(a) < risk(b);
-      return a < b;
-    });
-  }
+  // Privacy-aware ordering: already-exposed channels first (free),
+  // then unexposed ones by ascending risk, index as the tiebreak.
+  const std::uint32_t exposure =
+      manager_.exposure_mask(packet_id).value_or(0);
+  const auto risk = [&](int i) {
+    return static_cast<std::size_t>(i) < config_.risks.size()
+               ? config_.risks[static_cast<std::size_t>(i)]
+               : 0.0;
+  };
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const bool ea = (exposure >> a) & 1u;
+    const bool eb = (exposure >> b) & 1u;
+    if (ea != eb) return ea;
+    if (risk(a) != risk(b)) return risk(a) < risk(b);
+    return a < b;
+  });
   order.resize(static_cast<std::size_t>(m));
 
   sender_.resend(packet_id, generation, payload, k, order);

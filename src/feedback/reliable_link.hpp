@@ -52,16 +52,6 @@ struct ReliableLinkConfig {
   /// retransmit (lowest first). Missing entries default to 0 (= prefer
   /// by index).
   std::vector<double> risks;
-  /// Routed-topology link mode: when channel_link_masks is non-empty,
-  /// entry i is the LinkMask (util/link_risk.hpp) of forward channel
-  /// i's path, link_risks[l] is the tap probability of link l, and
-  /// retransmit ordering generalizes from channel exposure to link
-  /// exposure — a channel whose links the packet already traversed is
-  /// free (re-using a tapped link cannot widen exposure), others are
-  /// ordered by the marginal risk of the NEW links their path adds.
-  /// The manager's link map is installed from this automatically.
-  std::vector<std::uint64_t> channel_link_masks;
-  std::vector<double> link_risks;
 };
 
 struct ReliableLinkStats {

@@ -28,8 +28,6 @@ void publish(obs::Registry& registry, const RetransmitStats& stats) {
   add("mcss_retransmit_delay_samples_clamped", stats.delay_samples_clamped);
   add("mcss_retransmit_initial_channel_sum", stats.initial_channel_sum);
   add("mcss_retransmit_exposure_channel_sum", stats.exposure_channel_sum);
-  add("mcss_retransmit_initial_link_sum", stats.initial_link_sum);
-  add("mcss_retransmit_exposure_link_sum", stats.exposure_link_sum);
   registry.set(registry.gauge("mcss_retransmit_ack_delay_seconds_mean"),
                stats.delay.mean());
 }
@@ -43,25 +41,6 @@ RetransmitManager::RetransmitManager(RetransmitConfig config, Rng rng)
               "RTO bounds inverted");
   rto_ns_ = std::clamp(config_.initial_rto_ns, config_.min_rto_ns,
                        config_.max_rto_ns);
-}
-
-void RetransmitManager::set_link_map(
-    std::vector<std::uint64_t> channel_link_masks) {
-  MCSS_ENSURE(outstanding_.empty(),
-              "set_link_map requires no outstanding packets (their link "
-              "unions would under-count)");
-  channel_link_masks_ = std::move(channel_link_masks);
-}
-
-std::uint64_t RetransmitManager::links_of(
-    std::span<const int> channels) const {
-  std::uint64_t links = 0;
-  for (int ch : channels) {
-    if (static_cast<std::size_t>(ch) < channel_link_masks_.size()) {
-      links |= channel_link_masks_[static_cast<std::size_t>(ch)];
-    }
-  }
-  return links;
 }
 
 void RetransmitManager::on_packet_sent(std::uint64_t packet_id, int k,
@@ -86,8 +65,6 @@ void RetransmitManager::on_packet_sent(std::uint64_t packet_id, int k,
     packet.initial_mask |= std::uint32_t{1} << ch;
   }
   packet.exposure_mask = packet.initial_mask;
-  packet.initial_link_mask = links_of(channels);
-  packet.link_exposure_mask = packet.initial_link_mask;
   ++stats_.packets_tracked;
   push_deadline(packet_id, packet.deadline_ns);
   outstanding_.emplace(packet_id, std::move(packet));
@@ -96,9 +73,6 @@ void RetransmitManager::on_packet_sent(std::uint64_t packet_id, int k,
 void RetransmitManager::note_exposure(std::uint64_t packet_id,
                                       std::span<const int> channels) {
   const auto it = outstanding_.find(packet_id);
-  if (it != outstanding_.end()) {
-    it->second.link_exposure_mask |= links_of(channels);
-  }
   for (int ch : channels) {
     MCSS_ENSURE(ch >= 0 && ch < 32, "channel index out of range");
     if (it != outstanding_.end()) {
@@ -254,13 +228,6 @@ std::optional<std::uint32_t> RetransmitManager::exposure_mask(
   return it->second.exposure_mask;
 }
 
-std::optional<std::uint64_t> RetransmitManager::link_exposure(
-    std::uint64_t packet_id) const {
-  const auto it = outstanding_.find(packet_id);
-  if (it == outstanding_.end()) return std::nullopt;
-  return it->second.link_exposure_mask;
-}
-
 int RetransmitManager::widest_exposure() const noexcept {
   int widest = 0;
   for (const auto& [id, packet] : outstanding_) {
@@ -279,8 +246,7 @@ std::vector<ClosedPacket> RetransmitManager::snapshot_open() const {
   open.reserve(outstanding_.size());
   for (const auto& [id, packet] : outstanding_) {
     open.push_back({id, packet.k, packet.initial_mask, packet.exposure_mask,
-                    packet.retransmits, false, packet.initial_link_mask,
-                    packet.link_exposure_mask});
+                    packet.retransmits, false});
   }
   return open;
 }
@@ -293,13 +259,8 @@ void RetransmitManager::close(std::uint64_t packet_id,
       static_cast<std::uint64_t>(std::popcount(packet.initial_mask));
   stats_.exposure_channel_sum +=
       static_cast<std::uint64_t>(std::popcount(packet.exposure_mask));
-  stats_.initial_link_sum +=
-      static_cast<std::uint64_t>(std::popcount(packet.initial_link_mask));
-  stats_.exposure_link_sum +=
-      static_cast<std::uint64_t>(std::popcount(packet.link_exposure_mask));
   closed_.push_back({packet_id, packet.k, packet.initial_mask,
-                     packet.exposure_mask, packet.retransmits, acked,
-                     packet.initial_link_mask, packet.link_exposure_mask});
+                     packet.exposure_mask, packet.retransmits, acked});
 }
 
 void RetransmitManager::push_deadline(std::uint64_t packet_id,

@@ -86,11 +86,6 @@ struct RetransmitStats {
   /// retransmissions caused.
   std::uint64_t initial_channel_sum = 0;
   std::uint64_t exposure_channel_sum = 0;
-  /// Link-mode analogues (see set_link_map): sums of |initial link set|
-  /// and |realized link exposure set| over closed packets. Zero unless a
-  /// link map is installed.
-  std::uint64_t initial_link_sum = 0;
-  std::uint64_t exposure_link_sum = 0;
   /// One-way delay of acked deliveries (from report delay samples),
   /// via one_way_delay_seconds with serialization 0 (end to end).
   OnlineStats delay;
@@ -110,13 +105,6 @@ struct ClosedPacket {
   std::uint32_t exposure_mask = 0;
   int retransmits = 0;
   bool acked = false;
-  /// Link-id unions (util/link_risk.hpp LinkMask semantics), populated
-  /// when a channel->links map is installed via set_link_map. On a
-  /// routed topology the adversary taps links, so privacy accounting
-  /// prices THESE sets, not the channel masks: two channels sharing a
-  /// link contribute that link once.
-  std::uint64_t initial_link_mask = 0;
-  std::uint64_t link_exposure_mask = 0;
 };
 
 class RetransmitManager {
@@ -134,19 +122,6 @@ class RetransmitManager {
   RetransmitManager& operator=(const RetransmitManager&) = delete;
 
   void set_retransmit(RetransmitFn fn) { retransmit_ = std::move(fn); }
-
-  /// Install the channel -> link-set map of a routed topology:
-  /// channel_link_masks[i] is the LinkMask of the links channel i's path
-  /// traverses (util/link_risk.hpp). From then on every tracked packet
-  /// also accumulates link-mask unions, exposed via ClosedPacket and
-  /// link_exposure(). Channels beyond the map's size contribute no
-  /// links. Only legal while nothing is outstanding (mixed-mode records
-  /// would under-count early packets' links).
-  void set_link_map(std::vector<std::uint64_t> channel_link_masks);
-
-  [[nodiscard]] const std::vector<std::uint64_t>& link_map() const noexcept {
-    return channel_link_masks_;
-  }
 
   /// Track a freshly dispatched packet (wire to Sender's dispatch hook).
   void on_packet_sent(std::uint64_t packet_id, int k,
@@ -188,11 +163,6 @@ class RetransmitManager {
   [[nodiscard]] std::optional<std::uint32_t> exposure_mask(
       std::uint64_t packet_id) const;
 
-  /// Realized LINK exposure of a still-outstanding packet (meaningful
-  /// once set_link_map was called; zero-mask otherwise).
-  [[nodiscard]] std::optional<std::uint64_t> link_exposure(
-      std::uint64_t packet_id) const;
-
   /// Widest realized exposure union (channel count) across the
   /// still-outstanding packets — the flow-drill-down "how wide has
   /// this flow's privacy spread" signal. O(outstanding), no
@@ -219,13 +189,7 @@ class RetransmitManager {
     std::int64_t backoff_prev_ns = 0;
     std::uint32_t initial_mask = 0;
     std::uint32_t exposure_mask = 0;
-    std::uint64_t initial_link_mask = 0;
-    std::uint64_t link_exposure_mask = 0;
   };
-
-  /// Union of the link sets of the given channels under the installed
-  /// map (zero without one).
-  [[nodiscard]] std::uint64_t links_of(std::span<const int> channels) const;
 
   void on_rtt_sample(std::int64_t rtt_ns);
   void close(std::uint64_t packet_id, const Outstanding& packet, bool acked,
@@ -249,7 +213,6 @@ class RetransmitManager {
   std::int64_t rttvar_ns_ = 0;
   std::int64_t rto_ns_ = 0;
 
-  std::vector<std::uint64_t> channel_link_masks_;  ///< empty = channel mode
   std::vector<ClosedPacket> closed_;
   RetransmitStats stats_;
 };

@@ -1,10 +1,8 @@
 #include "obs/runtime/privacy.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
-#include "util/link_risk.hpp"
 #include "util/poisson_binomial.hpp"
 
 namespace mcss::obs::runtime {
@@ -43,25 +41,11 @@ double PrivacyAccountant::z_of(int k, std::uint32_t mask) const {
   };
   const auto it = z_cache_.find(key);
   if (it != z_cache_.end()) return hit(it->second);
-  double z = 0.0;
-  if (link_mode()) {
-    // Correlated exposure: only the exposed channels' paths matter, but
-    // links they SHARE must be counted once — the exact coverage-group
-    // enumeration handles that.
-    scratch_links_.clear();
-    for (std::size_t i = 0; i < config_.channel_link_masks.size(); ++i) {
-      if ((mask >> i) & 1u) {
-        scratch_links_.push_back(config_.channel_link_masks[i]);
-      }
-    }
-    z = correlated_subset_risk(config_.link_risks, scratch_links_, k);
-  } else {
-    scratch_.clear();
-    for (std::size_t i = 0; i < config_.channel_risks.size(); ++i) {
-      if ((mask >> i) & 1u) scratch_.push_back(config_.channel_risks[i]);
-    }
-    z = poisson_binomial_tail_geq(scratch_, k);
+  scratch_.clear();
+  for (std::size_t i = 0; i < config_.channel_risks.size(); ++i) {
+    if ((mask >> i) & 1u) scratch_.push_back(config_.channel_risks[i]);
   }
+  const double z = poisson_binomial_tail_geq(scratch_, k);
   z_cache_.emplace(key, z);
   return hit(z);
 }
@@ -118,10 +102,6 @@ void PrivacyAccountant::on_closed(std::span<const ExposureRecord> records) {
     totals_.max_realized_z = std::max(totals_.max_realized_z, realized);
     const double gap = realized - target;
     totals_.max_deficit = std::max(totals_.max_deficit, gap);
-    totals_.initial_link_sum += static_cast<std::uint64_t>(
-        std::popcount(record.initial_link_mask));
-    totals_.exposure_link_sum += static_cast<std::uint64_t>(
-        std::popcount(record.link_exposure_mask));
     const bool widened = record.exposure_mask != record.initial_mask;
     if (widened) ++totals_.packets_widened;
     const bool degraded = gap > config_.tolerance;

@@ -42,25 +42,11 @@ struct ExposureRecord {
   std::uint32_t exposure_mask = 0;
   int retransmits = 0;
   bool acked = false;
-  /// Link-id unions (LinkMask semantics), populated in link mode — see
-  /// PrivacyConfig::channel_link_masks.
-  std::uint64_t initial_link_mask = 0;
-  std::uint64_t link_exposure_mask = 0;
 };
 
 struct PrivacyConfig {
   /// Per-channel compromise probabilities z_i, indexed by channel bit.
   std::vector<double> channel_risks;
-  /// Routed-topology link mode: when BOTH of these are non-empty,
-  /// channel_link_masks[i] is the set of links channel i's path
-  /// traverses and link_risks[l] the independent tap probability of
-  /// link l. z_of then prices the CORRELATED exposure — a link shared
-  /// by two exposed channels is one tap, not two — via
-  /// util/link_risk.hpp's exact coverage-group enumeration, instead of
-  /// the per-channel Poisson binomial. channel_risks is ignored in
-  /// link mode (the marginals follow from the link map).
-  std::vector<double> link_risks;
-  std::vector<std::uint64_t> channel_link_masks;
   /// Absolute planner/LP target z(k, M); NaN / unset means "use each
   /// packet's initial mask as its plan".
   double planned_z = -1.0;  ///< < 0 == unset
@@ -76,10 +62,6 @@ struct PrivacyTotals {
   double planned_z_sum = 0.0;
   double max_realized_z = 0.0;
   double max_deficit = 0.0;  ///< worst single-packet realized - planned
-  /// Link-mode sums of |initial link set| / |realized link set| over
-  /// accounted packets (zero in channel mode).
-  std::uint64_t initial_link_sum = 0;
-  std::uint64_t exposure_link_sum = 0;
 };
 
 class PrivacyAccountant {
@@ -102,16 +84,9 @@ class PrivacyAccountant {
   /// not free; meant for the sampler's publish hook, not per fold.
   void publish_gauges();
 
-  /// z(k, mask) for a CHANNEL mask: the Poisson-binomial tail over
-  /// channel_risks in channel mode, the exact correlated subset risk
-  /// over the exposed channels' link sets in link mode.
+  /// z(k, mask) for a channel mask: the Poisson-binomial tail over the
+  /// masked channels' channel_risks.
   [[nodiscard]] double z_of(int k, std::uint32_t mask) const;
-
-  /// True when pricing correlated link exposure (see PrivacyConfig).
-  [[nodiscard]] bool link_mode() const noexcept {
-    return !config_.link_risks.empty() &&
-           !config_.channel_link_masks.empty();
-  }
 
   [[nodiscard]] const PrivacyTotals& totals() const noexcept {
     return totals_;
@@ -126,10 +101,8 @@ class PrivacyAccountant {
 
   PrivacyConfig config_;
   PrivacyTotals totals_;
-  // Scratch for z_of: risks of the channels set in a mask (channel
-  // mode) / their link masks (link mode).
+  // Scratch for z_of: risks of the channels set in a mask.
   mutable std::vector<double> scratch_;
-  mutable std::vector<std::uint64_t> scratch_links_;
   /// z(k, mask) memo: channel risks are fixed at construction, and a
   /// churning endpoint closes packets under a handful of distinct
   /// (k, mask) pairs, so the O(m^2) tail DP runs once per pair instead

@@ -877,8 +877,7 @@ void SessionEndpoint::fold_closed(Flow& flow) {
   for (const feedback::ClosedPacket& packet : closed) {
     closed_scratch_.push_back({packet.k, packet.initial_mask,
                                packet.exposure_mask, packet.retransmits,
-                               packet.acked, packet.initial_link_mask,
-                               packet.link_exposure_mask});
+                               packet.acked});
   }
   telemetry_->privacy().on_closed(closed_scratch_);
 }

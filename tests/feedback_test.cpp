@@ -630,42 +630,6 @@ TEST(RetransmitManager, SnapshotOpenCoversInFlightPackets) {
   EXPECT_EQ(mgr.outstanding(), 2u);  // snapshot does not close
 }
 
-TEST(RetransmitManager, LinkMapUnionsAcrossRetransmissions) {
-  RetransmitManager mgr({}, Rng(19));
-  // ch0 -> links {0,1}, ch1 -> links {1,2}, ch2 -> link {3}.
-  mgr.set_link_map({0b011, 0b110, 0b1000});
-  const std::vector<int> initial{0};
-  mgr.on_packet_sent(1, 1, std::vector<std::uint8_t>{1}, initial, 0);
-  EXPECT_EQ(mgr.link_exposure(1), 0b011u);
-  const std::vector<int> retry{1};
-  mgr.note_exposure(1, retry);
-  // Link 1 is shared between ch0 and ch1: the union adds only link 2.
-  EXPECT_EQ(mgr.link_exposure(1), 0b111u);
-
-  mgr.on_report(ack_report(1, 1, {1}), 1000);
-  const auto closed = mgr.drain_closed();
-  ASSERT_EQ(closed.size(), 1u);
-  EXPECT_EQ(closed[0].initial_link_mask, 0b011u);
-  EXPECT_EQ(closed[0].link_exposure_mask, 0b111u);
-  EXPECT_EQ(mgr.stats().initial_link_sum, 2u);
-  EXPECT_EQ(mgr.stats().exposure_link_sum, 3u);
-}
-
-TEST(RetransmitManager, LinkMapInstallRequiresNothingOutstanding) {
-  RetransmitManager mgr({}, Rng(21));
-  const std::vector<int> channels{0};
-  mgr.on_packet_sent(1, 1, std::vector<std::uint8_t>{1}, channels, 0);
-  EXPECT_THROW(mgr.set_link_map({0b1}), PreconditionError);
-  // Without a map installed, link fields stay zero-valued.
-  mgr.on_report(ack_report(1, 1, {1}), 1000);
-  const auto closed = mgr.drain_closed();
-  ASSERT_EQ(closed.size(), 1u);
-  EXPECT_EQ(closed[0].initial_link_mask, 0u);
-  EXPECT_EQ(mgr.stats().initial_link_sum, 0u);
-  EXPECT_FALSE(mgr.link_exposure(2).has_value());  // unknown packet
-  mgr.set_link_map({0b1});  // legal again once everything closed
-}
-
 // -------------------------------------------------------------- redundancy
 
 ChannelSet eval_channels() {
@@ -865,60 +829,6 @@ TEST(ReliableLink, DeterministicGivenSeed) {
   };
   EXPECT_EQ(run(42), run(42));
   EXPECT_NE(run(42), run(43));  // the loss draws actually differ
-}
-
-/// Link-mode testbed: 4 lossless forward channels, a feedback channel
-/// whose delay exceeds the whole run (no report ever returns, so every
-/// RTO fires and the retransmit path runs a fixed number of times), one
-/// packet. The
-/// dynamic scheduler picks the least-backlogged ready channels — {0, 1}
-/// at an idle start — so the initial link set is known exactly.
-ClosedPacket one_packet_link_run(std::vector<std::uint64_t> masks,
-                                 std::vector<double> link_risks,
-                                 int retransmit_extra) {
-  ReliableLinkConfig cfg;
-  cfg.retransmit.max_retransmits = 2;
-  cfg.retransmit.initial_rto_ns = 100'000'000;
-  cfg.retransmit.min_rto_ns = 30'000'000;
-  cfg.report_interval = net::from_millis(20);
-  cfg.retransmit_extra = retransmit_extra;
-  cfg.channel_link_masks = std::move(masks);
-  cfg.link_risks = std::move(link_risks);
-  ReliableTestbed t(lossy_channels(4, 0.0),
-                    {.rate_bps = 10e6, .delay = net::from_seconds(10.0)},
-                    std::make_unique<proto::DynamicScheduler>(2.0, 2.0, 4),
-                    std::move(cfg), /*seed=*/27);
-  (void)t.sender->send({1, 2, 3});
-  t.sim.run_until(net::from_seconds(2.0));
-  EXPECT_EQ(t.link->manager().stats().retransmits, 2u);
-  EXPECT_EQ(t.link->manager().stats().packets_abandoned, 1u);
-  auto closed = t.link->manager().drain_closed();
-  EXPECT_EQ(closed.size(), 1u);
-  return closed.empty() ? ClosedPacket{} : closed[0];
-}
-
-TEST(ReliableLink, RetransmitReusesAlreadyExposedLinks) {
-  // Channels 0/1 share link 0 and channels 2/3 share link 1: after the
-  // initial send on {0, 1}, retransmitting over {0, 1} again is free
-  // (the adversary tapping link 0 learned those shares already), so the
-  // realized link union must never widen past the initial one.
-  const auto p = one_packet_link_run({0b01, 0b01, 0b10, 0b10}, {0.5, 0.5},
-                                     /*retransmit_extra=*/0);
-  EXPECT_EQ(p.initial_link_mask, 0b01u);
-  EXPECT_EQ(p.link_exposure_mask, 0b01u);
-  EXPECT_EQ(p.retransmits, 2u);
-}
-
-TEST(ReliableLink, RetransmitAddsTheCheapestFreshLink) {
-  // Disjoint single-link paths with retransmit_extra = 1 force one
-  // fresh channel per retransmit: the pick must be channel 3 (added
-  // link risk 0.01), not channel 2 (0.4), on top of the free {0, 1}.
-  const auto p =
-      one_packet_link_run({0b0001, 0b0010, 0b0100, 0b1000},
-                          {0.5, 0.5, 0.4, 0.01}, /*retransmit_extra=*/1);
-  EXPECT_EQ(p.initial_link_mask, 0b0011u);
-  EXPECT_EQ(p.link_exposure_mask, 0b1011u);
-  EXPECT_EQ(p.exposure_mask, 0b1011u);
 }
 
 TEST(ReliableLink, AuthenticatedReportsRejectForgeries) {

@@ -37,7 +37,6 @@
 #include "obs/runtime/telemetry.hpp"
 #include "session/session_endpoint.hpp"
 #include "util/ensure.hpp"
-#include "util/link_risk.hpp"
 #include "util/poisson_binomial.hpp"
 #include "util/rng.hpp"
 
@@ -398,49 +397,6 @@ TEST(PrivacyAccountant, AccountsWideningAgainstPerPacketPlans) {
   EXPECT_DOUBLE_EQ(accountant.mean_realized_z(), (z_plan + z_wide) / 2);
   // Per-packet plans: deficit = mean realized - mean planned.
   EXPECT_DOUBLE_EQ(accountant.deficit(), (z_wide - z_plan) / 2);
-}
-
-TEST(PrivacyAccountant, LinkModeMatchesCorrelatedSubsetRisk) {
-  MetricsGuard guard(false);
-  PrivacyConfig config;
-  // ch0 -> links {0,1}, ch1 -> links {1,2}, ch2 -> link {3}: channels 0
-  // and 1 share link 1, channel 2 rides a private link.
-  config.link_risks = {0.05, 0.1, 0.2, 0.05};
-  config.channel_link_masks = {0b0011, 0b0110, 0b1000};
-  PrivacyAccountant accountant(config);
-  ASSERT_TRUE(accountant.link_mode());
-
-  for (std::uint32_t mask : {0b011u, 0b101u, 0b111u, 0b001u}) {
-    for (int k : {1, 2, 3}) {
-      std::vector<std::uint64_t> selected;
-      for (std::size_t i = 0; i < config.channel_link_masks.size(); ++i) {
-        if ((mask >> i) & 1u) {
-          selected.push_back(config.channel_link_masks[i]);
-        }
-      }
-      EXPECT_DOUBLE_EQ(accountant.z_of(k, mask),
-                       correlated_subset_risk(config.link_risks, selected, k))
-          << "k=" << k << " mask=" << mask;
-    }
-  }
-  // The shared link makes the joint tail strictly dearer than the
-  // independent-channel price of the same marginals.
-  EXPECT_GT(accountant.z_of(2, 0b011),
-            independent_subset_risk(config.link_risks,
-                                    config.channel_link_masks, 2));
-
-  // on_closed folds the link-mask unions into the link-mode totals.
-  ExposureRecord record;
-  record.k = 2;
-  record.initial_mask = 0b011;
-  record.exposure_mask = 0b111;
-  record.retransmits = 1;
-  record.initial_link_mask = 0b0011;
-  record.link_exposure_mask = 0b0111;
-  const std::vector<ExposureRecord> records{record};
-  accountant.on_closed(records);
-  EXPECT_EQ(accountant.totals().initial_link_sum, 2u);
-  EXPECT_EQ(accountant.totals().exposure_link_sum, 3u);
 }
 
 TEST(PrivacyAccountant, AbsoluteTargetOverridesPerPacketPlans) {
