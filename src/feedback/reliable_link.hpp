@@ -1,21 +1,23 @@
-// Simulator glue: one object that turns a (Sender, Receiver, channels)
-// triple into a reliable session.
+// Simulator driver for one flow's feedback::Arq: turns a (Sender,
+// Receiver, channels) triple into a reliable session.
 //
-// The link owns the plumbing the reliability layer needs on both sides:
+// The protocol logic (reports, RTO timer, retransmit order, report
+// ingest) lives in the Arq, the same one the live session endpoint
+// drives. The link keeps only the simulator wiring:
 //
 //   receiver side   a tap on every forward channel feeds per-channel
-//                   counters into a ReportBuilder; deliveries set SACK
-//                   bits and delay samples; a periodic sim event encodes
-//                   the next report onto the feedback channel
-//   sender side     the Sender's dispatch hook registers packets with a
-//                   RetransmitManager; arriving reports ack/close them;
-//                   RTO timers re-split and resend via Sender::resend()
+//                   counters to the Arq's ReportBuilder ahead of the
+//                   receiver; deliveries go to the Arq, and a periodic
+//                   sim event (or an early one the Arq asks for) sends
+//                   its report onto the feedback channel
+//   sender side     the Sender's dispatch hook hands packets to the
+//                   Arq; arriving reports go to it; its resend hook
+//                   re-splits through Sender::resend()
 //
-// Retransmission channel choice is privacy-aware: channels already in
-// the packet's realized exposure set are preferred (re-using them cannot
-// widen what an eavesdropper could have seen), then unexposed channels
-// by ascending risk. Construct the link INSTEAD of calling
-// receiver.attach() — it installs its own channel receivers.
+// Retransmission channel choice is privacy-aware (see arq.hpp):
+// channels already in the packet's realized exposure set first, then
+// unexposed channels by ascending `risks`. Construct the link INSTEAD
+// of calling receiver.attach() — it installs its own channel receivers.
 #pragma once
 
 #include <concepts>
@@ -24,8 +26,7 @@
 #include <vector>
 
 #include "crypto/siphash.hpp"
-#include "feedback/report_builder.hpp"
-#include "feedback/retransmit.hpp"
+#include "feedback/arq.hpp"
 #include "net/channel_port.hpp"
 #include "net/simulator.hpp"
 #include "protocol/receiver.hpp"
@@ -35,7 +36,7 @@ namespace mcss::feedback {
 
 struct ReliableLinkConfig {
   RetransmitConfig retransmit;
-  /// SACK window and delay-ring sizing (num_channels is filled in).
+  /// SACK window and delay-ring sizing.
   std::size_t sack_window_words = 16;
   std::size_t max_delay_samples = 64;
   net::SimTime report_interval = net::from_millis(20);
@@ -87,33 +88,29 @@ class ReliableLink {
     deliver_ = std::move(fn);
   }
 
-  [[nodiscard]] RetransmitManager& manager() noexcept { return manager_; }
-  [[nodiscard]] const RetransmitManager& manager() const noexcept {
-    return manager_;
+  [[nodiscard]] RetransmitManager& manager() noexcept {
+    return arq_.manager();
   }
-  [[nodiscard]] ReportBuilder& builder() noexcept { return builder_; }
+  [[nodiscard]] const RetransmitManager& manager() const noexcept {
+    return arq_.manager();
+  }
+  [[nodiscard]] ReportBuilder& builder() noexcept { return arq_.builder(); }
   [[nodiscard]] const ReliableLinkStats& stats() const noexcept {
     return stats_;
   }
 
  private:
+  /// The periodic report; re-arms itself until stop_after.
   void tick_report();
-  void schedule_advance();
-  void on_retransmit(std::uint64_t packet_id, std::uint8_t generation,
-                     const std::vector<std::uint8_t>& payload, int k);
+  /// Send the Arq's next report onto the feedback channel.
+  void send_report();
 
   net::Simulator& sim_;
-  proto::Sender& sender_;
-  proto::Receiver& receiver_;
-  std::vector<net::ChannelPort*> forward_;
-  net::ChannelPort& feedback_;
   ReliableLinkConfig config_;
+  net::ChannelPort& feedback_;
   proto::Receiver::DeliverFn deliver_;
-
-  ReportBuilder builder_;
-  RetransmitManager manager_;
-  bool advance_scheduled_ = false;
-  net::SimTime scheduled_for_ = 0;
+  ArqDriver driver_;
+  Arq arq_;
   ReliableLinkStats stats_;
 };
 

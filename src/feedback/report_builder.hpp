@@ -15,8 +15,9 @@
 // per flow). Reports built before that carry the same all-zero window
 // and counters.
 //
-// The builder is transport-agnostic: the sim glue (ReliableLink) and the
-// live endpoint both feed it and periodically call build().
+// The builder is transport-agnostic: feedback::Arq (arq.hpp) feeds it
+// and builds each flow's reports, for the simulator and the live
+// endpoint alike.
 #pragma once
 
 #include <cstddef>

@@ -6,8 +6,9 @@
 // simulator; callers feed it events (packet sent, report arrived) with
 // explicit timestamps, poll next_deadline(), and call advance(now) to
 // fire due retransmission timers. The actual re-split-and-send happens
-// through the RetransmitFn callback, which the sim glue (ReliableLink)
-// and the live endpoint each wire to their own send path.
+// through the RetransmitFn callback; feedback::Arq (arq.hpp) owns the
+// manager, its timer and the retransmit channel order for both the
+// simulator and the live endpoint.
 //
 // RTO follows RFC 6298: SRTT/RTTVAR from ack-derived samples (Karn's
 // rule excludes retransmitted packets, whose acks are ambiguous), RTO =

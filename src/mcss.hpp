@@ -12,6 +12,7 @@
 #include "core/schedule.hpp"         // IWYU pragma: export
 #include "core/subset_metrics.hpp"   // IWYU pragma: export
 #include "crypto/siphash.hpp"        // IWYU pragma: export
+#include "feedback/arq.hpp"          // IWYU pragma: export
 #include "feedback/redundancy.hpp"   // IWYU pragma: export
 #include "feedback/reliable_link.hpp" // IWYU pragma: export
 #include "feedback/report.hpp"       // IWYU pragma: export

@@ -1,13 +1,13 @@
 #include "protocol/sender.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/scope_timer.hpp"
 #include "obs/trace.hpp"
 #include "protocol/wire.hpp"
-#include "sss/shamir.hpp"
 #include "util/ensure.hpp"
 
 namespace mcss::proto {
@@ -140,11 +140,8 @@ void Sender::dispatch(std::vector<std::uint8_t> payload,
     ready_at = cpu_->submit(cpu_->split_ops(k, m));
   }
 
-  std::vector<sss::Share> shares;
-  {
-    obs::ScopeTimer split_timer(split_hist());
-    shares = sss::split(payload, k, m, rng_);
-  }
+  auto frames = write_frames(id, /*generation=*/0, k, payload,
+                             decision.channels.size());
   if (obs::trace_enabled()) {
     // Sim-time cost of the split: the CPU-model charge (zero without a
     // CPU model, where splitting is instantaneous in sim time).
@@ -154,18 +151,13 @@ void Sender::dispatch(std::vector<std::uint8_t> payload,
                                    "m", static_cast<std::uint64_t>(m));
   }
   for (int j = 0; j < m; ++j) {
-    ShareFrame frame;
-    frame.packet_id = id;
-    frame.k = static_cast<std::uint8_t>(k);
-    frame.share_index = shares[static_cast<std::size_t>(j)].index;
-    frame.payload = shares[static_cast<std::size_t>(j)].data;
-    auto bytes =
-        encode(frame, config_.auth_key ? &*config_.auth_key : nullptr);
+    auto& bytes = frames[static_cast<std::size_t>(j)];
     const auto ch_index =
         static_cast<std::size_t>(decision.channels[static_cast<std::size_t>(j)]);
     net::ChannelPort* ch = channels_[ch_index];
     ++stats_.shares_sent;
-    const std::uint64_t span = obs::share_span_id(id, frame.share_index);
+    const std::uint64_t span =
+        obs::share_span_id(id, static_cast<std::uint8_t>(j + 1));
     if (obs::trace_enabled()) {
       // Share lifecycle span: enqueue here, ended at the receiver (or
       // never, for shares the network loses).
@@ -211,27 +203,36 @@ void Sender::resend(std::uint64_t id, std::uint8_t generation,
 
   // Fresh randomness: a new polynomial per retransmission, never a
   // replay of the original share bytes (see wire.hpp on generations).
-  std::vector<sss::Share> shares;
-  {
-    obs::ScopeTimer split_timer(split_hist());
-    shares = sss::split(payload, k, m, rng_);
-  }
+  auto frames = write_frames(id, generation, k, payload, channels.size());
   for (int j = 0; j < m; ++j) {
-    ShareFrame frame;
-    frame.packet_id = id;
-    frame.k = static_cast<std::uint8_t>(k);
-    frame.share_index = shares[static_cast<std::size_t>(j)].index;
-    frame.generation = generation;
-    frame.payload = shares[static_cast<std::size_t>(j)].data;
-    auto bytes = encode(frame, config_.auth_key ? &*config_.auth_key : nullptr);
     const auto ch_index =
         static_cast<std::size_t>(channels[static_cast<std::size_t>(j)]);
     MCSS_ENSURE(ch_index < channels_.size(), "resend channel out of range");
     ++stats_.shares_retransmitted;
-    if (!channels_[ch_index]->try_send(std::move(bytes))) {
+    if (!channels_[ch_index]->try_send(
+            std::move(frames[static_cast<std::size_t>(j)]))) {
       ++stats_.shares_dropped_at_channel;
     }
   }
+}
+
+std::vector<std::vector<std::uint8_t>> Sender::write_frames(
+    std::uint64_t id, std::uint8_t generation, int k,
+    std::span<const std::uint8_t> payload, std::size_t m) {
+  const crypto::SipHashKey* key =
+      config_.auth_key ? &*config_.auth_key : nullptr;
+  MCSS_ENSURE(m <= kMaxSharesPerPacket, "at most one share per channel");
+  std::vector<std::vector<std::uint8_t>> frames(
+      m, std::vector<std::uint8_t>(
+             encoded_size(payload.size(), generation, key != nullptr)));
+  std::array<std::span<std::uint8_t>, kMaxSharesPerPacket> spans;
+  for (std::size_t j = 0; j < m; ++j) spans[j] = frames[j];
+  obs::ScopeTimer split_timer(split_hist());
+  write_shares({.packet_id = id,
+                .k = static_cast<std::uint8_t>(k),
+                .generation = generation},
+               payload, std::span(spans).first(m), key, split_scratch_, rng_);
+  return frames;
 }
 
 }  // namespace mcss::proto

@@ -121,6 +121,11 @@ class Sender {
  private:
   void pump();
   void dispatch(std::vector<std::uint8_t> payload, const ShareDecision& decision);
+  /// Packet `id`'s m share frames, one owned buffer each, written by
+  /// proto::write_shares (the CPU-free part of a dispatch or resend).
+  [[nodiscard]] std::vector<std::vector<std::uint8_t>> write_frames(
+      std::uint64_t id, std::uint8_t generation, int k,
+      std::span<const std::uint8_t> payload, std::size_t m);
 
   net::Simulator& sim_;
   std::vector<net::ChannelPort*> channels_;
@@ -130,6 +135,7 @@ class Sender {
   SenderConfig config_;
 
   std::deque<std::vector<std::uint8_t>> queue_;
+  std::vector<std::uint8_t> split_scratch_;
   std::uint64_t next_packet_id_ = 1;
   bool pump_scheduled_ = false;
   SenderStats stats_;

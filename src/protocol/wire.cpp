@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
+#include "sss/shamir.hpp"
 #include "util/ensure.hpp"
 
 namespace mcss::proto {
@@ -108,27 +108,40 @@ void seal_frame(std::span<std::uint8_t> dst, const crypto::SipHashKey& key) {
   seal_frames({&dst, 1}, key);
 }
 
-std::size_t encode_into(const ShareFrame& frame, std::span<std::uint8_t> dst,
-                        const crypto::SipHashKey* key) {
-  const FrameMeta meta{frame.packet_id, frame.k, frame.share_index,
-                       frame.generation, frame.connection_id};
+void write_shares(const FrameMeta& meta, std::span<const std::uint8_t> payload,
+                  std::span<const std::span<std::uint8_t>> frames,
+                  const crypto::SipHashKey* key,
+                  std::vector<std::uint8_t>& scratch, Rng& rng) {
+  MCSS_ENSURE(frames.size() <= kMaxSharesPerPacket,
+              "at most one share per channel");
   const bool keyed = key != nullptr;
-  std::size_t at = encode_header_into(meta, frame.payload.size(), dst, keyed);
-  if (!frame.payload.empty()) {
-    std::memcpy(dst.data() + at, frame.payload.data(), frame.payload.size());
+  const std::size_t size = encoded_size(payload.size(), meta.generation, keyed,
+                                        meta.connection_id);
+  std::array<std::span<std::uint8_t>, kMaxSharesPerPacket> windows;
+  FrameMeta share = meta;
+  for (std::size_t j = 0; j < frames.size(); ++j) {
+    MCSS_ENSURE(frames[j].size() == size, "share frame size mismatch");
+    share.share_index = static_cast<std::uint8_t>(j + 1);
+    const std::size_t at =
+        encode_header_into(share, payload.size(), frames[j], keyed);
+    windows[j] = frames[j].subspan(at, payload.size());
   }
-  at += frame.payload.size();
-  if (keyed) {
-    seal_frame(dst.first(at + kTagSize), *key);
-    at += kTagSize;
-  }
-  return at;
+  sss::split_into(payload, meta.k, std::span(windows).first(frames.size()),
+                  scratch, rng);
+  if (keyed) seal_frames(frames, *key);
 }
 
 std::vector<std::uint8_t> encode(const ShareFrame& frame,
                                  const crypto::SipHashKey* key) {
-  std::vector<std::uint8_t> out(encoded_size(frame, key != nullptr));
-  encode_into(frame, out, key);
+  const bool keyed = key != nullptr;
+  std::vector<std::uint8_t> out(encoded_size(frame, keyed));
+  const FrameMeta meta{frame.packet_id, frame.k, frame.share_index,
+                       frame.generation, frame.connection_id};
+  const std::size_t at =
+      encode_header_into(meta, frame.payload.size(), out, keyed);
+  std::copy(frame.payload.begin(), frame.payload.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(at));
+  if (keyed) seal_frame(out, *key);
   return out;
 }
 

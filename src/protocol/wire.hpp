@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "crypto/siphash.hpp"
+#include "util/rng.hpp"
 
 namespace mcss::proto {
 
@@ -112,17 +113,9 @@ struct FrameView {
 [[nodiscard]] std::size_t encoded_size(const ShareFrame& frame,
                                        bool keyed) noexcept;
 
-/// Serialize straight into caller-owned storage (a FramePool slot on the
-/// live transport's fast path — no per-share vector). Preconditions match
-/// encode(); additionally `dst` must hold encoded_size() bytes. Returns
-/// the bytes written.
-std::size_t encode_into(const ShareFrame& frame, std::span<std::uint8_t> dst,
-                        const crypto::SipHashKey* key = nullptr);
-
-/// Header fields of a frame whose payload the caller writes in place —
-/// the sender's split-into-slot path, where sss::split_into fills the
-/// payload region directly and no ShareFrame (or its payload vector)
-/// ever exists.
+/// Header fields of a frame whose payload is written in place —
+/// write_shares' path, where sss::split_into fills the payload region
+/// directly and no ShareFrame (or its payload vector) ever exists.
 struct FrameMeta {
   std::uint64_t packet_id = 0;
   std::uint8_t k = 1;
@@ -154,6 +147,25 @@ void seal_frames(std::span<const std::span<std::uint8_t>> frames,
 
 /// seal_frames() on a batch of one.
 void seal_frame(std::span<std::uint8_t> dst, const crypto::SipHashKey& key);
+
+/// Shares one write_shares() call writes at most: one per channel.
+inline constexpr std::size_t kMaxSharesPerPacket = 32;
+
+/// The one share writer, for first sends and retransmissions alike:
+/// frames[j] becomes the complete frame of share j (abscissa j + 1) of
+/// `payload` under threshold meta.k, with meta's packet id, generation
+/// and connection id (meta.share_index is ignored). It writes every
+/// header, lets sss::split_into compute the share bytes straight into
+/// the payload windows, and, with a key, tags all frames in one
+/// seal_frames() lane pass. Each frames[j] must be exactly
+/// encoded_size(payload.size(), meta.generation, key != nullptr,
+/// meta.connection_id) bytes; `scratch` holds the coefficient slices
+/// and is reusable across calls. `rng` is consumed as sss::split()
+/// consumes it, so equal seeds give equal share bytes.
+void write_shares(const FrameMeta& meta, std::span<const std::uint8_t> payload,
+                  std::span<const std::span<std::uint8_t>> frames,
+                  const crypto::SipHashKey* key,
+                  std::vector<std::uint8_t>& scratch, Rng& rng);
 
 enum class DecodeStatus {
   Ok,

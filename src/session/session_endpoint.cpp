@@ -8,7 +8,6 @@
 #include "feedback/report.hpp"
 #include "obs/metrics.hpp"
 #include "protocol/wire.hpp"
-#include "sss/shamir.hpp"
 #include "transport/wall_clock.hpp"
 #include "util/ensure.hpp"
 
@@ -62,6 +61,26 @@ std::uint16_t port_base_from_env(std::uint16_t fallback) {
 SessionEndpoint::SessionEndpoint(SessionConfig config)
     : config_(std::move(config)),
       epoch_ns_(transport::monotonic_ns()),
+      arq_driver_{
+          .timeline = timeline_,
+          .num_channels = static_cast<int>(config_.channels.size()),
+          .retransmit_extra = config_.reliability.retransmit_extra,
+          .report_key = config_.reliability.report_auth_key
+                            ? &*config_.reliability.report_auth_key
+                            : nullptr,
+          .resend =
+              [this](std::uint32_t cid, std::uint64_t id,
+                     std::uint8_t generation,
+                     std::span<const std::uint8_t> payload, int k,
+                     std::span<const int> channels) {
+                resend(cid, id, generation, payload, k, channels);
+              },
+          .after_timeout =
+              [this](std::uint32_t cid) {
+                if (const auto it = flows_.find(cid); it != flows_.end()) {
+                  fold_closed(it->second);
+                }
+              }},
       rng_(config_.seed),
       setup_latency_(PercentileTracker::reservoir(kSetupLatencySamples,
                                                   kSetupLatencySeed)) {
@@ -259,16 +278,13 @@ std::optional<std::uint32_t> SessionEndpoint::open_flow(
         on_delivered(cid, id, std::move(payload));
       });
   if (config_.reliability.enabled) {
-    flow.builder.emplace(feedback::ReportBuilderConfig{
-        .num_channels = channels_.size(),
-        .sack_window_words = config_.reliability.sack_window_words,
-        .max_delay_samples = config_.reliability.max_delay_samples});
-    flow.manager.emplace(config_.reliability.retransmit, rng_.fork());
-    flow.manager->set_retransmit(
-        [this, cid](std::uint64_t id, std::uint8_t generation,
-                    const std::vector<std::uint8_t>& payload, int k) {
-          resend(cid, id, generation, payload, k);
-        });
+    flow.arq.emplace(
+        arq_driver_, cid, config_.reliability.retransmit,
+        feedback::ReportBuilderConfig{
+            .num_channels = channels_.size(),
+            .sack_window_words = config_.reliability.sack_window_words,
+            .max_delay_samples = config_.reliability.max_delay_samples},
+        rng_.fork());
   }
 
   admitted_bytes_per_s_ += price;
@@ -288,10 +304,8 @@ bool SessionEndpoint::close_flow(std::uint32_t cid) {
   const auto it = flows_.find(cid);
   if (it == flows_.end()) return false;
   Flow& flow = it->second;
-  // Cancel-by-handle keeps the shared timeline from firing into freed
-  // per-flow state; the Receiver's destructor cancels its eviction
-  // timers the same way.
-  timeline_.cancel(flow.rto_timer);
+  // The erase below destroys the flow's Arq and Receiver, whose
+  // destructors take their timers back off the shared timeline.
   fold_closed(flow);
   unlink_ready(flow);
   unlink_report(flow);
@@ -475,43 +489,24 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
   }
   if (flow.sent_ns.empty()) flow.sent_base = id;
   flow.sent_ns.push_back(now);
-  if (flow.manager) {
-    flow.manager->on_packet_sent(id, k, payload, decision.channels, now);
-    arm_rto(flow);
-  }
+  if (flow.arq) flow.arq->on_sent(id, k, payload, decision.channels, now);
   emit(flow, id, /*generation=*/0, k, decision.channels, payload, now);
 }
 
 void SessionEndpoint::resend(std::uint32_t cid, std::uint64_t id,
                              std::uint8_t generation,
-                             const std::vector<std::uint8_t>& payload, int k) {
+                             std::span<const std::uint8_t> payload, int k,
+                             std::span<const int> channels) {
   const auto it = flows_.find(cid);
   if (it == flows_.end()) return;
   Flow& flow = it->second;
-  const int n = static_cast<int>(channels_.size());
-  const int m = std::min(n, k + config_.reliability.retransmit_extra);
-  const std::uint32_t exposure = flow.manager->exposure_mask(id).value_or(0);
-
-  // Privacy-aware channel choice: channels the adversary model already
-  // counts as exposed first (free for it), then unexposed ones, each in
-  // index order — ReliableLink's order with an empty risk vector.
-  proto::ChannelList order;
-  for (int i = 0; i < n; ++i) {
-    if ((exposure >> i) & 1u) order.push_back(i);
-  }
-  for (int i = 0; i < n; ++i) {
-    if (((exposure >> i) & 1u) == 0) order.push_back(i);
-  }
-  order.truncate(static_cast<std::size_t>(m));
-
   ++flow.sender_stats.packets_retransmitted;
-  emit(flow, id, generation, k, order, payload, now_ns());
-  flow.manager->note_exposure(id, std::as_const(order));
+  emit(flow, id, generation, k, channels, payload, now_ns());
 }
 
 void SessionEndpoint::emit(Flow& flow, std::uint64_t id,
                            std::uint8_t generation, int k,
-                           const proto::ChannelList& channels,
+                           std::span<const int> channels,
                            std::span<const std::uint8_t> payload,
                            std::int64_t now) {
   const auto m = static_cast<std::uint64_t>(channels.size());
@@ -520,9 +515,10 @@ void SessionEndpoint::emit(Flow& flow, std::uint64_t id,
   } else {
     flow.sender_stats.shares_retransmitted += m;
   }
-  const bool keyed = config_.auth_key.has_value();
+  const crypto::SipHashKey* key =
+      config_.auth_key ? &*config_.auth_key : nullptr;
   const std::size_t need =
-      proto::encoded_size(payload.size(), generation, keyed, flow.cid);
+      proto::encoded_size(payload.size(), generation, key != nullptr, flow.cid);
   if (need > pool_->slot_bytes()) {
     // A frame too large for the arena cannot travel the pooled path;
     // degrade is drop-with-stat (size the pool for your payloads).
@@ -531,20 +527,10 @@ void SessionEndpoint::emit(Flow& flow, std::uint64_t id,
     return;
   }
   tx_slots_.clear();
-  tx_spans_.clear();
   for (std::size_t j = 0; j < channels.size(); ++j) {
     util::FrameRef slot = pool_->acquire();
     if (!slot) break;  // only a retransmission runs outside the pump's gate
     slot.resize(need);
-    proto::FrameMeta meta;
-    meta.packet_id = id;
-    meta.k = static_cast<std::uint8_t>(k);
-    meta.share_index = static_cast<std::uint8_t>(j + 1);
-    meta.generation = generation;
-    meta.connection_id = flow.cid;
-    const std::size_t off =
-        proto::encode_header_into(meta, payload.size(), slot.span(), keyed);
-    tx_spans_.push_back(slot.span().subspan(off, payload.size()));
     tx_slots_.push_back(std::move(slot));
   }
   // Shares that got no slot are lost. Fewer than k cannot reconstruct,
@@ -554,16 +540,16 @@ void SessionEndpoint::emit(Flow& flow, std::uint64_t id,
   flow.sender_stats.shares_dropped_at_channel += m - got;
   if (got == 0) {
     tx_slots_.clear();
-    tx_spans_.clear();
     return;
   }
-  sss::split_into(payload, k, tx_spans_, split_scratch_, rng_);
-  if (keyed) {
-    // The payload windows are spent: the same vector now names the whole
-    // frames, and one lane pass tags them all.
-    for (std::size_t j = 0; j < got; ++j) tx_spans_[j] = tx_slots_[j].span();
-    proto::seal_frames(tx_spans_, *config_.auth_key);
-  }
+  std::array<std::span<std::uint8_t>, proto::kMaxSharesPerPacket> frames;
+  for (std::size_t j = 0; j < got; ++j) frames[j] = tx_slots_[j].span();
+  proto::write_shares({.packet_id = id,
+                       .k = static_cast<std::uint8_t>(k),
+                       .generation = generation,
+                       .connection_id = flow.cid},
+                      payload, std::span(frames).first(got), key,
+                      split_scratch_, rng_);
   for (std::size_t j = 0; j < got; ++j) {
     const auto ch = static_cast<std::size_t>(channels[j]);
     if (!channels_[ch]->try_send(std::move(tx_slots_[j]), now)) {
@@ -571,36 +557,6 @@ void SessionEndpoint::emit(Flow& flow, std::uint64_t id,
     }
   }
   tx_slots_.clear();
-  tx_spans_.clear();
-}
-
-void SessionEndpoint::arm_rto(Flow& flow) {
-  const auto deadline = flow.manager->next_deadline();
-  if (!deadline) {
-    timeline_.cancel(flow.rto_timer);
-    flow.rto_timer = {};
-    return;
-  }
-  const std::int64_t when = *deadline;
-  if (flow.rto_timer) {
-    if (flow.rto_deadline <= when) return;  // armed early enough already
-    timeline_.cancel(flow.rto_timer);
-  }
-  flow.rto_deadline = when;
-  const std::uint32_t cid = flow.cid;
-  // The callback captures the id, never the Flow: cancel-on-close is the
-  // designed teardown path, and the table lookup makes a missed cancel a
-  // no-op instead of a use-after-free. An overdue deadline fires on the
-  // next advance: schedule_wall clamps it to the timeline's now().
-  flow.rto_timer = transport::schedule_wall(timeline_, when, [this, cid] {
-    const auto it = flows_.find(cid);
-    if (it == flows_.end()) return;
-    Flow& f = it->second;
-    f.rto_timer = {};
-    f.manager->advance(now_ns());
-    fold_closed(f);
-    arm_rto(f);
-  });
 }
 
 void SessionEndpoint::on_share_batch(
@@ -636,7 +592,7 @@ void SessionEndpoint::on_share_batch(
       continue;
     }
     Flow& flow = it->second;
-    if (flow.builder) flow.builder->on_channel_frame(channel, true);
+    if (flow.arq) flow.arq->builder().on_channel_frame(channel, true);
     ++stats_.frames_demuxed;
     flow.receiver.on_frame(rx_status_[i], view);
   }
@@ -660,9 +616,8 @@ void SessionEndpoint::on_delivered(std::uint32_t cid, std::uint64_t id,
     }
   }
   ++stats_.packets_delivered;
-  if (flow.builder) {
-    flow.builder->on_delivered(id, now_ns());
-    if (flow.builder->report_due()) {
+  if (flow.arq) {
+    if (flow.arq->on_delivered(id, now_ns())) {
       // Ahead of the periodic timer, before the SACK window slides past
       // ids it has not acked yet.
       append_report(flow, now_ns());
@@ -687,12 +642,7 @@ void SessionEndpoint::emit_reports() {
 
 void SessionEndpoint::append_report(Flow& flow, std::int64_t now) {
   unlink_report(flow);
-  feedback::ReceiverReport report = flow.builder->build(now);
-  report.connection_id = flow.cid;
-  const auto bytes = feedback::encode_report(
-      report, config_.reliability.report_auth_key
-                  ? &*config_.reliability.report_auth_key
-                  : nullptr);
+  const auto bytes = flow.arq->report(now);
   if (report_datagram_.size() + bytes.size() > config_.max_datagram_bytes) {
     send_report_datagram(now);
   }
@@ -741,14 +691,13 @@ void SessionEndpoint::on_feedback_datagram(
       continue;
     }
     Flow& flow = it->second;
-    if (!flow.manager) continue;
+    if (!flow.arq) continue;
     // The demux is the cross-flow safety property: this report reaches
-    // ONLY its own flow's manager, so its SACK bits can never ack (and
-    // its generations never supersede) another flow's packet ids.
-    flow.manager->on_report(*report, now);
+    // ONLY its own flow's Arq, so its SACK bits can never ack (and its
+    // generations never supersede) another flow's packet ids.
+    flow.arq->on_report(*report, now);
     ++stats_.reports_demuxed;
     fold_closed(flow);
-    arm_rto(flow);
   }
 }
 
@@ -780,7 +729,7 @@ void SessionEndpoint::run_for(std::int64_t wall_ns) {
     // and before its events are handled: every handler sees a timeline
     // at `now`, and no timer fires inside a receive loop. Per-flow RTO
     // timers live here too, so this is the ONLY place retransmissions
-    // start — no per-flow manager scan anywhere.
+    // start — no per-flow Arq scan anywhere.
     timeline_.run_until(now);
     handle_events(now);
     const int wanted = pump(now);
@@ -841,8 +790,8 @@ const proto::Receiver* SessionEndpoint::flow_receiver(
 
 feedback::RetransmitManager* SessionEndpoint::flow_manager(std::uint32_t cid) {
   const auto it = flows_.find(cid);
-  if (it == flows_.end() || !it->second.manager) return nullptr;
-  return &*it->second.manager;
+  if (it == flows_.end() || !it->second.arq) return nullptr;
+  return &it->second.arq->manager();
 }
 
 std::size_t SessionEndpoint::flow_queued_packets(std::uint32_t cid) const {
@@ -862,15 +811,15 @@ std::size_t SessionEndpoint::flow_heap_bytes(std::uint32_t cid) const {
   const Flow& flow = it->second;
   return flow.queue.heap_bytes() + flow.sent_ns.heap_bytes() +
          flow.receiver.history_heap_bytes() +
-         (flow.builder ? flow.builder->heap_bytes() : 0);
+         (flow.arq ? flow.arq->builder().heap_bytes() : 0);
 }
 
 void SessionEndpoint::fold_closed(Flow& flow) {
-  if (!flow.manager) return;
+  if (!flow.arq) return;
   // Drain even without an accountant: the manager keeps one record per
   // closed packet until drained, so skipping the drain would grow every
   // reliability flow by one record per packet.
-  const auto closed = flow.manager->drain_closed();
+  const auto closed = flow.arq->manager().drain_closed();
   if (!telemetry_ || closed.empty()) return;
   closed_scratch_.clear();
   closed_scratch_.reserve(closed.size());
@@ -892,11 +841,12 @@ bool SessionEndpoint::probe_flow(std::uint32_t cid,
   out.receiver_bytes = flow.receiver.buffered_bytes();
   out.packets_sent = flow.sender_stats.packets_sent;
   out.packets_delivered = flow.receiver.stats().packets_delivered;
-  if (flow.manager) {
-    out.outstanding = flow.manager->outstanding();
-    out.rto_ns = flow.manager->current_rto_ns();
-    out.retransmits = flow.manager->stats().retransmits;
-    out.exposure_width = flow.manager->widest_exposure();
+  if (flow.arq) {
+    const feedback::RetransmitManager& manager = flow.arq->manager();
+    out.outstanding = manager.outstanding();
+    out.rto_ns = manager.current_rto_ns();
+    out.retransmits = manager.stats().retransmits;
+    out.exposure_width = manager.widest_exposure();
   }
   return true;
 }

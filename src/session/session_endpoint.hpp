@@ -14,8 +14,8 @@
 //   net::Simulator timeline (RTO,         send-stamp rings
 //     impairment, report, eviction)     DynamicScheduler (dither state)
 //   FramePool (TX/partial slots)        proto::Receiver (reassembly)
-//   UdpChannels + feedback lane         feedback::ReportBuilder (ARQ)
-//                                       feedback::RetransmitManager (ARQ)
+//   UdpChannels + feedback lane         feedback::Arq (report builder,
+//                                         retransmit manager, RTO timer)
 //
 // A flow is one node of the flow table with everything above inline, and
 // its heap use follows what it holds. The send queue, the send stamps,
@@ -37,9 +37,10 @@
 //   - O(1) ready-flow scheduling: flows with queued packets sit on an
 //     intrusive doubly-linked ready list and are served round-robin (one
 //     packet per turn). No per-flow heaps, no scan of idle flows.
-//   - Per-flow RTO timers live on the SHARED timeline, armed at the
-//     flow's RetransmitManager::next_deadline() and re-armed on ack and
-//     fire. The pump never scans managers, and the poll timeout reads
+//   - Per-flow RTO timers live on the SHARED timeline: each flow's
+//     feedback::Arq arms one at its next retransmit deadline and re-arms
+//     it on ack and fire. The pump never scans managers, and the poll
+//     timeout reads
 //     the timeline's earliest deadline in O(1); an idle endpoint with
 //     100k armed flows does O(due timers x log n) work per iteration,
 //     not O(flows).
@@ -47,10 +48,10 @@
 //     intrusive list of flows with NEW deliveries since the last report
 //     (again no idle-flow scan), coalescing several flows' reports into
 //     each feedback datagram.
-//   - Flow teardown cancels its RTO timer by handle
-//     (net::Simulator::cancel), and the Receiver's destructor cancels its
-//     eviction timers, so churn never leaves a callback aimed at freed
-//     per-flow state. Eviction timers leave the timeline with their
+//   - Flow teardown cancels its timers by handle (net::Simulator::cancel):
+//     the Arq's destructor takes back its RTO timer and the Receiver's
+//     its eviction timers, so churn never leaves a callback aimed at
+//     freed per-flow state. Eviction timers leave the timeline with their
 //     packet, so it holds one per PENDING partial.
 //   - Memory degrades PER FLOW: each flow's Receiver gets its own
 //     memory cap (limits.per_flow_memory_bytes), so an overloaded or
@@ -75,8 +76,7 @@
 #include <vector>
 
 #include "crypto/siphash.hpp"
-#include "feedback/report_builder.hpp"
-#include "feedback/retransmit.hpp"
+#include "feedback/arq.hpp"
 #include "net/sim_channel.hpp"
 #include "net/simulator.hpp"
 #include "obs/runtime/telemetry.hpp"
@@ -101,12 +101,12 @@ struct ChannelSpec {
 };
 
 /// Reliability add-on: a feedback UdpChannel carries coalesced receiver
-/// reports back to the sender side, whose per-flow RetransmitManagers
-/// ack, learn RTT, and retransmit on RTO timers.
+/// reports back to the sender side, whose per-flow feedback::Arqs ack,
+/// learn RTT, and retransmit on RTO timers.
 struct ReliabilityConfig {
   bool enabled = false;
   feedback::RetransmitConfig retransmit;
-  /// ReportBuilder sizing (num_channels is filled in by the endpoint).
+  /// ReportBuilder sizing.
   std::size_t sack_window_words = 16;
   std::size_t max_delay_samples = 64;
   std::int64_t report_interval_ns = 20'000'000;
@@ -246,9 +246,9 @@ class SessionEndpoint {
   [[nodiscard]] std::optional<std::uint32_t> open_flow(
       const FlowParams& params = {});
 
-  /// Tear a flow down: cancel its RTO timer, unlink it from the
-  /// ready/report lists, release its admission reservation, destroy its
-  /// state; the flow's Receiver cancels its pending eviction timers.
+  /// Tear a flow down: unlink it from the ready/report lists, release
+  /// its admission reservation, destroy its state; the flow's Arq
+  /// cancels its RTO timer and its Receiver its pending eviction timers.
   /// False when `cid` is not an open flow.
   bool close_flow(std::uint32_t cid);
 
@@ -345,8 +345,8 @@ class SessionEndpoint {
     double admitted_bytes_per_s;
     proto::DynamicScheduler scheduler;
     proto::Receiver receiver;
-    std::optional<feedback::ReportBuilder> builder;
-    std::optional<feedback::RetransmitManager> manager;
+    /// Reports and retransmissions; set when reliability is enabled.
+    std::optional<feedback::Arq> arq;
 
     util::Ring<std::vector<std::uint8_t>> queue;
     std::uint64_t next_packet_id = 1;
@@ -367,10 +367,6 @@ class SessionEndpoint {
     Flow* report_next = nullptr;
     bool in_report = false;
 
-    /// This flow's RTO timer on the shared timeline; empty when unarmed.
-    net::EventHandle rto_timer;
-    std::int64_t rto_deadline = 0;
-
     std::int64_t opened_ns = 0;
   };
 
@@ -390,16 +386,18 @@ class SessionEndpoint {
       int wanted, std::int64_t now) const;
   void dispatch(Flow& flow, std::vector<std::uint8_t> payload,
                 const proto::ShareDecision& decision, std::int64_t now);
+  /// The Arq's resend hook: re-split packet `id` of flow `cid` onto
+  /// the channels its retransmit order chose.
   void resend(std::uint32_t cid, std::uint64_t id, std::uint8_t generation,
-              const std::vector<std::uint8_t>& payload, int k);
+              std::span<const std::uint8_t> payload, int k,
+              std::span<const int> channels);
   /// The one share-emit path, for first sends and retransmissions: one
-  /// pool slot per share, headers written first, sss::split_into
-  /// computes the share bytes straight into the slots, one lane pass
-  /// seals them when keyed, and share j goes to channels[j]. A frame
-  /// larger than a slot, or a share that gets no slot, is dropped and
-  /// counted in the flow's shares_dropped_at_channel.
+  /// pool slot per share, proto::write_shares writes the frames in
+  /// place, and share j goes to channels[j]. A frame larger than a
+  /// slot, or a share that gets no slot, is dropped and counted in the
+  /// flow's shares_dropped_at_channel.
   void emit(Flow& flow, std::uint64_t id, std::uint8_t generation, int k,
-            const proto::ChannelList& channels,
+            std::span<const int> channels,
             std::span<const std::uint8_t> payload, std::int64_t now);
   /// One receive batch from share channel `channel`: decode and
   /// authenticate it in one lane pass, then demux each verified frame
@@ -408,10 +406,6 @@ class SessionEndpoint {
                       std::span<const std::span<const std::uint8_t>> frames);
   void on_delivered(std::uint32_t cid, std::uint64_t id,
                     std::vector<std::uint8_t> payload);
-  /// (Re)arm the flow's RTO timer at its manager's next deadline;
-  /// cancels a stale handle first. Call after any event that can move
-  /// the deadline (dispatch, ack, fire).
-  void arm_rto(Flow& flow);
   /// The periodic report timer: every flow on the report list, then
   /// re-arm.
   void emit_reports();
@@ -454,6 +448,9 @@ class SessionEndpoint {
   /// The endpoint's only timer queue, shared by every channel and flow;
   /// now() is now_ns(), advanced once per run_for iteration.
   net::Simulator timeline_;
+  /// What every flow's Arq shares: the timeline, the report key and
+  /// the resend / fold hooks.
+  feedback::ArqDriver arq_driver_;
   Rng rng_;
   std::vector<std::unique_ptr<transport::UdpChannel>> channels_;
   std::vector<bool> write_interest_;
@@ -482,7 +479,6 @@ class SessionEndpoint {
   std::vector<transport::Poller::Event> events_;
   std::vector<proto::ChannelView> view_scratch_;
   std::vector<util::FrameRef> tx_slots_;
-  std::vector<std::span<std::uint8_t>> tx_spans_;
   std::vector<std::uint8_t> split_scratch_;
   std::vector<std::uint8_t> report_datagram_;
   /// Key every flow's receiver carries; receive batches are verified

@@ -5,8 +5,8 @@
 // l's serializer it propagates for l's delay and either enters the
 // next link of its channel's path or, at the sink, fires the
 // channel's receiver. RoutedChannel implements net::ChannelPort, so
-// proto::Sender / proto::Receiver / feedback::ReliableLink drive a
-// routed topology exactly as they drive flat SimChannels.
+// proto::Sender and proto::Receiver drive a routed topology exactly as
+// they drive flat SimChannels.
 //
 // Engines:
 //

@@ -1,7 +1,8 @@
 // Tests for the reliability subsystem (src/feedback): the report wire
 // format, the receiver-side ReportBuilder, the RetransmitManager (RTO,
-// Karn, backoff budget, replay, exposure accounting), the proactive
-// redundancy planner, and the ReliableLink end-to-end simulator glue.
+// Karn, backoff budget, replay, exposure accounting), the per-flow Arq
+// (RTO timer, retransmit order, reports), the proactive redundancy
+// planner, and the ReliableLink end-to-end simulator driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <set>
 #include <vector>
 
+#include "feedback/arq.hpp"
 #include "feedback/redundancy.hpp"
 #include "feedback/reliable_link.hpp"
 #include "feedback/report.hpp"
@@ -704,6 +706,130 @@ TEST(ProactiveScheduler, WaitsUntilEveryPlanChannelIsReady) {
   EXPECT_EQ(d->channels, (std::vector<int>{0, 2, 3}));
 }
 
+// --------------------------------------------------------------------- Arq
+
+/// One resend the Arq asked its driver for.
+struct Resend {
+  std::uint64_t id = 0;
+  std::uint8_t generation = 0;
+  int k = 0;
+  std::vector<int> channels;
+};
+
+/// A driver on a bare simulator that records resends and RTO passes.
+struct ArqHarness {
+  net::Simulator sim;
+  std::vector<double> risks;
+  std::vector<Resend> resends;
+  int timeouts = 0;
+  ArqDriver driver;
+
+  ArqHarness(int num_channels, int retransmit_extra,
+             std::vector<double> channel_risks)
+      : risks(std::move(channel_risks)),
+        driver{.timeline = sim,
+               .num_channels = num_channels,
+               .retransmit_extra = retransmit_extra,
+               .risks = risks,
+               .resend =
+                   [this](std::uint32_t, std::uint64_t id,
+                          std::uint8_t generation,
+                          std::span<const std::uint8_t>, int k,
+                          std::span<const int> channels) {
+                     resends.push_back(
+                         {id, generation, k, {channels.begin(), channels.end()}});
+                   },
+               .after_timeout = [this](std::uint32_t) { ++timeouts; }} {}
+};
+
+RetransmitConfig one_retry_config() {
+  RetransmitConfig cfg;
+  cfg.max_retransmits = 1;
+  cfg.initial_rto_ns = 100'000'000;
+  return cfg;
+}
+
+TEST(Arq, RetransmitsExposedChannelsFirstThenLowestRisk) {
+  // Four channels; the packet went out on channel 1 alone (k = 1). With
+  // two extra shares the repair takes three channels: the exposed one
+  // for free, then the two cheapest unexposed ones by risk, not index.
+  ArqHarness h(4, /*retransmit_extra=*/2, {0.3, 0.9, 0.1, 0.2});
+  Arq arq(h.driver, /*cid=*/0, one_retry_config(), {}, Rng(5));
+  const std::vector<int> sent_on{1};
+  arq.on_sent(1, 1, std::vector<std::uint8_t>{7, 7}, sent_on, 0);
+  h.sim.run_until(net::from_millis(150));
+
+  ASSERT_EQ(h.resends.size(), 1u);
+  EXPECT_EQ(h.resends[0].id, 1u);
+  EXPECT_EQ(h.resends[0].generation, 1);
+  EXPECT_EQ(h.resends[0].channels, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(h.timeouts, 1);
+  const auto exposure = arq.manager().exposure_mask(1);
+  ASSERT_TRUE(exposure.has_value());
+  EXPECT_EQ(*exposure, 0b1110u);
+}
+
+TEST(Arq, WithoutRisksTheOrderIsExposedThenIndex) {
+  ArqHarness h(4, /*retransmit_extra=*/1, {});
+  Arq arq(h.driver, /*cid=*/0, one_retry_config(), {}, Rng(5));
+  const std::vector<int> sent_on{3, 2};
+  arq.on_sent(1, 2, std::vector<std::uint8_t>{1}, sent_on, 0);
+  h.sim.run_until(net::from_millis(150));
+  ASSERT_EQ(h.resends.size(), 1u);
+  EXPECT_EQ(h.resends[0].channels, (std::vector<int>{2, 3, 0}));
+}
+
+TEST(Arq, AReportCancelsTheRtoTheAckMadeMoot) {
+  ArqHarness h(2, 1, {});
+  Arq arq(h.driver, /*cid=*/0, one_retry_config(), {}, Rng(5));
+  const std::vector<int> sent_on{0, 1};
+  arq.on_sent(1, 2, std::vector<std::uint8_t>{1}, sent_on, 0);
+  EXPECT_EQ(h.sim.pending(), 1u);  // the RTO timer
+  arq.on_report(ack_report(1, 1, {1}), net::from_millis(10));
+  EXPECT_EQ(h.sim.pending(), 0u);
+  h.sim.run();
+  EXPECT_TRUE(h.resends.empty());
+  EXPECT_EQ(arq.manager().stats().packets_acked, 1u);
+}
+
+TEST(Arq, DestroyedWithAnArmedRtoFiresNothing) {
+  // The timeline outlives the flow (a session's shared one): the Arq's
+  // destructor must take its timer back, so running past the deadline
+  // fires nothing into the freed Arq (a sanitizer build turns a stray
+  // callback into a use-after-free report).
+  ArqHarness h(2, 1, {});
+  {
+    Arq arq(h.driver, /*cid=*/3, one_retry_config(), {}, Rng(5));
+    const std::vector<int> sent_on{0, 1};
+    arq.on_sent(1, 2, std::vector<std::uint8_t>{1}, sent_on, 0);
+    EXPECT_EQ(h.sim.pending(), 1u);
+  }
+  EXPECT_EQ(h.sim.pending(), 0u);
+  h.sim.run();
+  EXPECT_TRUE(h.resends.empty());
+  EXPECT_EQ(h.timeouts, 0);
+}
+
+TEST(Arq, ReportsCarryTheFlowIdAndTheDriversKey) {
+  ArqHarness h(2, 1, {});
+  h.driver.report_key = &kKey;
+  Arq arq(h.driver, /*cid=*/9, one_retry_config(),
+          {.sack_window_words = 1}, Rng(5));
+  for (std::uint64_t id = 1; id <= 31; ++id) {
+    EXPECT_FALSE(arq.on_delivered(id, 100));
+  }
+  EXPECT_TRUE(arq.on_delivered(32, 100));  // half of one 64-id word
+  const auto bytes = arq.report(200);
+  const crypto::SipHashKey wrong{};
+  EXPECT_FALSE(decode_report(bytes, &wrong).has_value());
+  const auto report = decode_report(bytes, &kKey);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->connection_id, 9u);
+  EXPECT_EQ(report->packets_delivered, 32u);
+  EXPECT_TRUE(report->acked(32));
+  EXPECT_FALSE(arq.on_delivered(33, 300));  // the report reset the count
+}
+
 // ------------------------------------------------------------ ReliableLink
 
 struct ReliableTestbed {
@@ -809,6 +935,27 @@ TEST(ReliableLink, ExposureNeverShrinksAndCoversInitial) {
       EXPECT_EQ(p.exposure_mask, p.initial_mask);
     }
   }
+}
+
+TEST(ReliableLink, SmallSackWindowSendsEarlyReports) {
+  // A one-word SACK window covers 64 ids, and a report is due once 32
+  // deliveries accumulated. 96 packets delivered within the first 10 ms
+  // must therefore be reported (and acked) before the first periodic
+  // report at 20 ms.
+  ReliableLinkConfig cfg = arq_config();
+  cfg.sack_window_words = 1;
+  ReliableTestbed t(lossy_channels(3, 0.0), {.rate_bps = 10e6},
+                    std::make_unique<proto::DynamicScheduler>(2.0, 2.0, 3),
+                    std::move(cfg), /*seed=*/17);
+  for (int i = 0; i < 96; ++i) {
+    t.sim.schedule_at(net::from_micros(static_cast<double>(i) * 50),
+                      [&t] { (void)t.sender->send({1, 2, 3, 4}); });
+  }
+  t.sim.run_until(net::from_millis(15));
+  EXPECT_EQ(t.delivered.size(), 96u);
+  EXPECT_EQ(t.link->stats().reports_sent, 3u);
+  EXPECT_EQ(t.link->manager().stats().packets_acked, 96u);
+  EXPECT_EQ(t.link->manager().outstanding(), 0u);
 }
 
 TEST(ReliableLink, DeterministicGivenSeed) {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "net/sim_channel.hpp"
@@ -317,6 +319,66 @@ TEST(EndToEnd, SenderRejectsOversizedPacket) {
             std::make_unique<DynamicScheduler>(1.0, 1.0, 2));
   EXPECT_THROW((void)t.sender->send(std::vector<std::uint8_t>(kMaxPayload + 1, 0)),
                PreconditionError);
+}
+
+// ------------------------------------------------------------ wire bytes
+
+/// Every frame a seeded Sender hands its three channels for one packet
+/// (k = 2 over all three) and one retransmission of it (generation 3 on
+/// channels 2 and 0), as hex in arrival order.
+std::vector<std::string> emitted_frames(
+    std::optional<crypto::SipHashKey> key) {
+  net::Simulator sim;
+  Rng seeder(2016);
+  std::vector<std::unique_ptr<net::SimChannel>> channels;
+  std::vector<net::SimChannel*> raw;
+  std::vector<std::string> frames;
+  for (int i = 0; i < 3; ++i) {
+    channels.push_back(std::make_unique<net::SimChannel>(
+        sim, net::ChannelConfig{.rate_bps = 10e6}, seeder.fork()));
+    raw.push_back(channels.back().get());
+    raw.back()->set_receiver([&frames](std::vector<std::uint8_t> frame) {
+      std::string hex;
+      for (std::uint8_t b : frame) {
+        hex += "0123456789abcdef"[b >> 4];
+        hex += "0123456789abcdef"[b & 0xF];
+      }
+      frames.push_back(std::move(hex));
+    });
+  }
+  Sender sender(sim, raw, std::make_unique<FixedScheduler>(2, 3),
+                seeder.fork(), nullptr, SenderConfig{.auth_key = key});
+  const std::vector<std::uint8_t> payload{0xDE, 0xAD, 0xBE, 0xEF, 0x42};
+  EXPECT_TRUE(sender.send(payload));
+  sim.run();
+  const std::vector<int> retry{2, 0};
+  sender.resend(1, 3, payload, 2, retry);
+  sim.run();
+  return frames;
+}
+
+TEST(SenderWire, UnkeyedFramesAreGolden) {
+  // Pins the share bytes, the header layout and the Rng draw order:
+  // any change to how the sender writes shares must leave these intact.
+  EXPECT_EQ(emitted_frames(std::nullopt),
+            (std::vector<std::string>{
+                "4d520102010000000000000001000500e8e2e87b68",
+                "4d520102010000000000000002000500b23312dc16",
+                "4d520102010000000000000003000500847c44483c",
+                "4d52010201000000000000000102050003203daeb948",
+                "4d5201020100000000000000020205000339969e4356"}));
+}
+
+TEST(SenderWire, KeyedFramesAreGolden) {
+  const crypto::SipHashKey key{1, 2,  3,  4,  5,  6,  7,  8,
+                               9, 10, 11, 12, 13, 14, 15, 16};
+  EXPECT_EQ(emitted_frames(key),
+            (std::vector<std::string>{
+                "4d520102010000000000000001010500e8e2e87b68b3734756dc79c2e7",
+                "4d520102010000000000000002010500b23312dc16d9b034b8e277f05e",
+                "4d520102010000000000000003010500847c44483c02c449d37e754df4",
+                "4d52010201000000000000000103050003203daeb948885c51682db45376",
+                "4d5201020100000000000000020305000339969e43565659ceea8eb24786"}));
 }
 
 // ---------------------------------------------------------------- receiver

@@ -640,6 +640,39 @@ TEST(Session, TeardownBetweenArmAndFireIsSafe) {
   EXPECT_EQ(ep.stats().flows_closed, 1u);
 }
 
+TEST(Session, ClosingAFlowTakesItsArmedRtoWithIt) {
+  // Two flows each deliver their packets, and no report can ack them
+  // before their RTO (the report interval is far longer), so both hold
+  // an armed RTO timer. Closing one must take its timer with it: past
+  // the deadline the open flow retransmits, and nothing of the closed
+  // one reaches the wire (its retransmissions would arrive as frames of
+  // an unknown connection).
+  SessionConfig config = clean_config();
+  config.reliability.enabled = true;
+  config.reliability.report_interval_ns = 2'000'000'000;
+  config.reliability.retransmit.initial_rto_ns = 60'000'000;
+  config.reliability.retransmit.min_rto_ns = 30'000'000;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const auto closed = ep.open_flow();
+  const auto open = ep.open_flow();
+  ASSERT_TRUE(closed.has_value() && open.has_value());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(ep.send(*closed, pattern_payload(64, 0xA0)));
+    ASSERT_TRUE(ep.send(*open, pattern_payload(64, 0xB0)));
+  }
+  ASSERT_TRUE(run_until(ep, [&] { return delivered == 6; }, 50));
+  ASSERT_EQ(ep.flow_manager(*closed)->outstanding(), 3u);
+  ASSERT_TRUE(ep.close_flow(*closed));
+
+  ep.run_for(150'000'000);
+  EXPECT_GT(ep.flow_manager(*open)->stats().retransmits, 0u);
+  EXPECT_EQ(ep.stats().frames_unknown_connection, 0u);
+}
+
 TEST(Session, OpenFlowAllocatesOnlyItsTableNodeOnAWarmEndpoint) {
   // The churn shape: ARQ on, 64 B packets, one packet per flow, flows
   // replaced while the population stays up. Opening a flow used to make
