@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "protocol/wire.hpp"
 #include "util/ensure.hpp"
 
 namespace mcss::feedback {
@@ -29,29 +28,15 @@ ReliableLink::ReliableLink(net::Simulator& sim, proto::Sender& sender,
                     sender.resend(id, generation, payload, k, channels);
                   }},
       arq_(driver_, /*cid=*/0, config_.retransmit,
-           {.num_channels = forward.size(),
-            .sack_window_words = config_.sack_window_words,
+           {.sack_window_words = config_.sack_window_words,
             .max_delay_samples = config_.max_delay_samples},
            rng) {
   MCSS_ENSURE(config_.report_interval > 0, "report interval must be positive");
 
-  // Receiver side: tap each forward channel for per-channel counters,
-  // then reassemble. Each frame is parsed and (keyed) authenticated once,
-  // under the receiver's key, before it is counted: a forged frame is
-  // undecodable, and the receiver takes the same verdict and view.
-  for (std::size_t i = 0; i < forward.size(); ++i) {
-    MCSS_ENSURE(forward[i] != nullptr, "null forward channel");
-    forward[i]->set_receiver(
-        [this, &receiver, i](std::vector<std::uint8_t> frame) {
-          const std::span<const std::uint8_t> raw(frame);
-          proto::FrameView view;
-          proto::DecodeStatus status = proto::DecodeStatus::Ok;
-          proto::decode_views({&raw, 1}, receiver.auth_key(), {&view, 1},
-                              {&status, 1});
-          arq_.builder().on_channel_frame(i,
-                                          status == proto::DecodeStatus::Ok);
-          receiver.on_frame(status, view);
-        });
+  // Receiver side: the receiver reassembles, the Arq hears deliveries.
+  for (net::ChannelPort* ch : forward) {
+    MCSS_ENSURE(ch != nullptr, "null forward channel");
+    receiver.attach(*ch);
   }
   receiver.set_deliver(
       [this](std::uint64_t id, std::vector<std::uint8_t> payload) {

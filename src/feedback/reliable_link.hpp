@@ -5,19 +5,18 @@
 // ingest) lives in the Arq, the same one the live session endpoint
 // drives. The link keeps only the simulator wiring:
 //
-//   receiver side   a tap on every forward channel feeds per-channel
-//                   counters to the Arq's ReportBuilder ahead of the
-//                   receiver; deliveries go to the Arq, and a periodic
-//                   sim event (or an early one the Arq asks for) sends
-//                   its report onto the feedback channel
+//   receiver side   the receiver is attached to every forward channel;
+//                   deliveries go to the Arq, and a periodic sim event
+//                   (or an early one the Arq asks for) sends its report
+//                   onto the feedback channel
 //   sender side     the Sender's dispatch hook hands packets to the
 //                   Arq; arriving reports go to it; its resend hook
 //                   re-splits through Sender::resend()
 //
 // Retransmission channel choice is privacy-aware (see arq.hpp):
 // channels already in the packet's realized exposure set first, then
-// unexposed channels by ascending `risks`. Construct the link INSTEAD
-// of calling receiver.attach() — it installs its own channel receivers.
+// unexposed channels by ascending `risks`. The link attaches the
+// receiver to the forward channels itself.
 #pragma once
 
 #include <concepts>

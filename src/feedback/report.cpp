@@ -37,9 +37,6 @@ void set_status(proto::DecodeStatus* status, proto::DecodeStatus value) {
 
 std::vector<std::uint8_t> encode_report(const ReceiverReport& report,
                                         const crypto::SipHashKey* key) {
-  MCSS_ENSURE(!report.channels.empty() &&
-                  report.channels.size() <= kMaxReportChannels,
-              "report needs 1..32 channels");
   MCSS_ENSURE(report.sack.size() <= kMaxSackWords, "SACK bitmap too large");
   MCSS_ENSURE(report.delays.size() <= kMaxDelaySamples,
               "too many delay samples");
@@ -47,8 +44,8 @@ std::vector<std::uint8_t> encode_report(const ReceiverReport& report,
   std::vector<std::uint8_t> out;
   out.reserve(kReportHeaderSize +
               (report.connection_id != 0 ? kReportConnectionIdSize : 0) +
-              8 * report.sack.size() + 16 * report.channels.size() +
-              16 * report.delays.size() + (key ? proto::kTagSize : 0));
+              8 * report.sack.size() + 16 * report.delays.size() +
+              (key ? proto::kTagSize : 0));
   std::uint8_t flags = key != nullptr ? kReportFlagAuthenticated : 0;
   // Connection 0 omits the field: single-flow reports stay byte-identical
   // to the pre-session encoding (mirrors the share codec's canonical form).
@@ -56,7 +53,7 @@ std::vector<std::uint8_t> encode_report(const ReceiverReport& report,
   put_u16(out, kReportMagic);
   out.push_back(kReportVersion);
   out.push_back(flags);
-  out.push_back(static_cast<std::uint8_t>(report.channels.size()));
+  out.push_back(0);  // reserved
   out.push_back(static_cast<std::uint8_t>(report.delays.size()));
   put_u16(out, static_cast<std::uint16_t>(report.sack.size()));
   put_u64(out, report.seq);
@@ -69,10 +66,6 @@ std::vector<std::uint8_t> encode_report(const ReceiverReport& report,
     }
   }
   for (std::uint64_t word : report.sack) put_u64(out, word);
-  for (const ChannelCounters& ch : report.channels) {
-    put_u64(out, ch.frames_received);
-    put_u64(out, ch.frames_undecodable);
-  }
   for (const DelaySample& s : report.delays) {
     put_u64(out, s.packet_id);
     put_u64(out, static_cast<std::uint64_t>(s.recv_time_ns));
@@ -106,16 +99,14 @@ std::optional<ReceiverReport> decode_report_prefix(
   const bool authenticated = (flags & kReportFlagAuthenticated) != 0;
   const std::size_t cid =
       (flags & kReportFlagConnection) != 0 ? kReportConnectionIdSize : 0;
-  const std::size_t num_channels = buf[4];
   const std::size_t num_delays = buf[5];
   const std::size_t sack_words = get_u16(buf.data() + 6);
-  if (num_channels < 1 || num_channels > kMaxReportChannels ||
-      sack_words > kMaxSackWords) {
+  if (buf[4] != 0 || sack_words > kMaxSackWords) {
     set_status(status, proto::DecodeStatus::Malformed);
     return std::nullopt;
   }
-  const std::size_t body = kReportHeaderSize + cid + 8 * sack_words +
-                           16 * num_channels + 16 * num_delays;
+  const std::size_t body =
+      kReportHeaderSize + cid + 8 * sack_words + 16 * num_delays;
   const std::size_t expected = body + (authenticated ? proto::kTagSize : 0);
   if (buf.size() < expected) {
     set_status(status, proto::DecodeStatus::Malformed);
@@ -157,10 +148,6 @@ std::optional<ReceiverReport> decode_report_prefix(
   report.sack.reserve(sack_words);
   for (std::size_t i = 0; i < sack_words; ++i, p += 8) {
     report.sack.push_back(get_u64(p));
-  }
-  report.channels.reserve(num_channels);
-  for (std::size_t i = 0; i < num_channels; ++i, p += 16) {
-    report.channels.push_back({get_u64(p), get_u64(p + 8)});
   }
   report.delays.reserve(num_delays);
   for (std::size_t i = 0; i < num_delays; ++i, p += 16) {

@@ -8,9 +8,9 @@
 //
 //   offset  size  field
 //        0     2  magic 0x5246 ("RF")
-//        2     1  version (1)
+//        2     1  version (2)
 //        3     1  flags (bit 0: authenticated, bit 1: connection id)
-//        4     1  number of channels n (1..32)
+//        4     1  reserved, 0
 //        5     1  delay sample count s (0..255)
 //        6     2  SACK word count w (little endian, 0..1024)
 //        8     8  report sequence number (strictly increasing; replays
@@ -22,9 +22,7 @@
 //     40+c    8w  SACK bitmap words (bit b of word i acknowledges packet
 //                 id base + 64*i + b as DELIVERED — reconstructed, not
 //                 merely a share seen)
-//   40+c+8w  16n  per-channel counters, cumulative: frames received and
-//                 frames that arrived undecodable (8 bytes each)
-//        ...  16s  delay samples: (packet id, receive time ns) of recent
+//   40+c+8w  16s  delay samples: (packet id, receive time ns) of recent
 //                 deliveries; the sender joins them with its own send
 //                 stamps for one-way delay
 //       tail    8  SipHash-2-4 tag over all preceding bytes [flag bit 0]
@@ -37,9 +35,11 @@
 // any ack processing, so one flow's report can never ack or supersede
 // another flow's packets.
 //
-// Decoding is strict, mirroring the share codec: bad magic/version,
-// unknown flags, out-of-range counts, or truncation reject the whole
-// report. decode_report_prefix() exists for the same reason as the share
+// Version 1 carried per-channel frame counters after the SACK words;
+// nothing read them, and version 2 drops them. Decoding is strict,
+// mirroring the share codec: bad magic/version (a version 1 report
+// included), unknown flags, a nonzero reserved byte, out-of-range counts,
+// or truncation reject the whole report. decode_report_prefix() exists for the same reason as the share
 // codec's: the live feedback channel may coalesce several reports into
 // one datagram.
 #pragma once
@@ -55,27 +55,13 @@
 namespace mcss::feedback {
 
 inline constexpr std::uint16_t kReportMagic = 0x5246;
-inline constexpr std::uint8_t kReportVersion = 1;
+inline constexpr std::uint8_t kReportVersion = 2;
 inline constexpr std::size_t kReportHeaderSize = 40;
 inline constexpr std::uint8_t kReportFlagAuthenticated = 0x01;
 inline constexpr std::uint8_t kReportFlagConnection = 0x02;
 inline constexpr std::size_t kReportConnectionIdSize = 4;
-inline constexpr std::size_t kMaxReportChannels = 32;
 inline constexpr std::size_t kMaxSackWords = 1024;
 inline constexpr std::size_t kMaxDelaySamples = 255;
-
-/// Cumulative per-channel receive counters, as seen at the tap in front
-/// of the reassembling receiver. "Lost" cannot be observed here — the
-/// receiver never sees what never arrived — so loss is the sender's own
-/// sent count minus frames_received; frames_undecodable additionally
-/// surfaces arrived-but-corrupted traffic.
-struct ChannelCounters {
-  std::uint64_t frames_received = 0;
-  std::uint64_t frames_undecodable = 0;
-
-  friend bool operator==(const ChannelCounters&,
-                         const ChannelCounters&) = default;
-};
 
 /// (packet id, receiver clock at delivery). Sender-side join with the
 /// send stamp yields one-way delay; see one_way_delay_seconds().
@@ -95,7 +81,6 @@ struct ReceiverReport {
   std::uint64_t packets_delivered = 0;  ///< cumulative
   std::uint64_t sack_base = 0;
   std::vector<std::uint64_t> sack;  ///< bitmap words over [base, base+64w)
-  std::vector<ChannelCounters> channels;
   std::vector<DelaySample> delays;
 
   /// Whether this report acknowledges `packet_id` as delivered. Ids
@@ -114,8 +99,8 @@ struct ReceiverReport {
 
 /// Serialize a report; with a key the report is tagged (authenticated
 /// feedback — a forged ack would suppress needed retransmissions).
-/// Throws PreconditionError when channel/sack/delay counts exceed the
-/// wire limits.
+/// Throws PreconditionError when sack/delay counts exceed the wire
+/// limits.
 [[nodiscard]] std::vector<std::uint8_t> encode_report(
     const ReceiverReport& report, const crypto::SipHashKey* key = nullptr);
 

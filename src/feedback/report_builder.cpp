@@ -8,21 +8,11 @@ namespace mcss::feedback {
 
 ReportBuilder::ReportBuilder(ReportBuilderConfig config)
     : config_(config), delays_(config.max_delay_samples) {
-  MCSS_ENSURE(config_.num_channels >= 1 &&
-                  config_.num_channels <= kMaxReportChannels,
-              "report builder needs 1..32 channels");
   MCSS_ENSURE(config_.sack_window_words >= 1 &&
                   config_.sack_window_words <= kMaxSackWords,
               "SACK window out of range");
   MCSS_ENSURE(config_.max_delay_samples <= kMaxDelaySamples,
               "delay ring exceeds the wire limit");
-}
-
-void ReportBuilder::on_channel_frame(std::size_t channel, bool decodable) {
-  MCSS_ENSURE(channel < config_.num_channels, "channel index out of range");
-  if (channels_.empty()) channels_.assign(config_.num_channels, {});
-  ++channels_[channel].frames_received;
-  if (!decodable) ++channels_[channel].frames_undecodable;
 }
 
 void ReportBuilder::on_delivered(std::uint64_t packet_id,
@@ -75,12 +65,10 @@ ReceiverReport ReportBuilder::build(std::int64_t now_ns) {
   report.packets_delivered = packets_delivered_;
   reported_delivered_ = packets_delivered_;
   report.sack_base = sack_base_;
-  // Before the first delivery / frame the members are still empty; the
-  // resize fills in the all-zero window and counters they stand for.
+  // Before the first delivery the window is still empty; the resize
+  // fills in the all-zero window it stands for.
   report.sack = sack_;
   report.sack.resize(config_.sack_window_words);
-  report.channels = channels_;
-  report.channels.resize(config_.num_channels);
   report.delays.reserve(delays_.size());
   for (std::size_t i = 0; i < delays_.size(); ++i) {
     report.delays.push_back(delays_[i]);

@@ -1,19 +1,17 @@
 // Receiver-side accounting that turns delivery events into periodic
 // ReceiverReports.
 //
-// The builder owns three pieces of receiver truth:
+// The builder owns two pieces of receiver truth:
 //   - a sliding SACK bitmap over delivered packet ids (word-granular
-//     window; old ids age out as new deliveries push the base forward),
-//   - cumulative per-channel frame counters (every report restates them,
-//     so a lost report costs nothing),
+//     window; old ids age out as new deliveries push the base forward;
+//     every report restates it, so a lost report costs nothing),
 //   - a bounded newest-first ring of (packet id, delivery time) delay
 //     samples, drained into each report.
 //
-// A builder that has seen no traffic holds no heap: the SACK words and
-// channel counters are allocated by the first frame or delivery, and the
-// delay ring by its first sample (a session endpoint keeps one builder
-// per flow). Reports built before that carry the same all-zero window
-// and counters.
+// A builder that has seen no delivery holds no heap: the SACK words are
+// allocated by the first delivery and the delay ring by its first
+// sample (a session endpoint keeps one builder per flow). Reports built
+// before that carry the same all-zero window.
 //
 // The builder is transport-agnostic: feedback::Arq (arq.hpp) feeds it
 // and builds each flow's reports, for the simulator and the live
@@ -30,7 +28,6 @@
 namespace mcss::feedback {
 
 struct ReportBuilderConfig {
-  std::size_t num_channels = 1;
   /// SACK window width in 64-bit words (ids covered = 64 * words).
   std::size_t sack_window_words = 16;
   /// Delay samples kept between reports; newest win when full.
@@ -41,16 +38,11 @@ class ReportBuilder {
  public:
   explicit ReportBuilder(ReportBuilderConfig config);
 
-  /// A frame arrived on `channel`; `decodable` says whether it parsed as
-  /// a share frame (corrupted traffic still counts as received — the
-  /// sender separates "network lost it" from "network mangled it").
-  void on_channel_frame(std::size_t channel, bool decodable = true);
-
   /// A packet was delivered (reconstructed) at receiver time
   /// `recv_time_ns`. Sets the packet's SACK bit and queues a delay sample.
   void on_delivered(std::uint64_t packet_id, std::int64_t recv_time_ns);
 
-  /// Assemble the next report: cumulative counters, the current SACK
+  /// Assemble the next report: the delivered count, the current SACK
   /// window, and all pending delay samples (which this call drains).
   /// Bumps the report sequence number.
   [[nodiscard]] ReceiverReport build(std::int64_t now_ns);
@@ -77,11 +69,9 @@ class ReportBuilder {
   [[nodiscard]] std::uint64_t delay_samples_clamped() const noexcept {
     return delay_samples_clamped_;
   }
-  /// Heap bytes the builder holds (SACK words, counters, delay ring).
+  /// Heap bytes the builder holds (SACK words, delay ring).
   [[nodiscard]] std::size_t heap_bytes() const noexcept {
-    return sack_.capacity() * sizeof(std::uint64_t) +
-           channels_.capacity() * sizeof(ChannelCounters) +
-           delays_.heap_bytes();
+    return sack_.capacity() * sizeof(std::uint64_t) + delays_.heap_bytes();
   }
 
  private:
@@ -94,8 +84,6 @@ class ReportBuilder {
   std::uint64_t sack_base_ = 1;  // packet ids start at 1
   /// Empty until the first delivery, then sack_window_words words.
   std::vector<std::uint64_t> sack_;
-  /// Empty until the first frame, then num_channels counters.
-  std::vector<ChannelCounters> channels_;
   util::Ring<DelaySample> delays_;
   std::int64_t last_recv_time_ns_ = 0;
   std::uint64_t delay_samples_clamped_ = 0;

@@ -146,8 +146,8 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
         spec.config, rng_.fork(), timeline_, *pool_, port, spec.name,
         config_.max_datagram_bytes, config_.send_batch, config_.recv_batch);
     ch->set_on_batch(
-        [this, i](std::span<const std::span<const std::uint8_t>> frames) {
-          on_share_batch(i, frames);
+        [this](std::span<const std::span<const std::uint8_t>> frames) {
+          on_share_batch(frames);
         });
     poller_.add(ch->rx_fd(), /*want_read=*/true, /*want_write=*/false);
     poller_.add(ch->tx_fd(), /*want_read=*/false, /*want_write=*/false);
@@ -281,7 +281,6 @@ std::optional<std::uint32_t> SessionEndpoint::open_flow(
     flow.arq.emplace(
         arq_driver_, cid, config_.reliability.retransmit,
         feedback::ReportBuilderConfig{
-            .num_channels = channels_.size(),
             .sack_window_words = config_.reliability.sack_window_words,
             .max_delay_samples = config_.reliability.max_delay_samples},
         rng_.fork());
@@ -560,11 +559,10 @@ void SessionEndpoint::emit(Flow& flow, std::uint64_t id,
 }
 
 void SessionEndpoint::on_share_batch(
-    std::size_t channel, std::span<const std::span<const std::uint8_t>> frames) {
+    std::span<const std::span<const std::uint8_t>> frames) {
   // One lane pass frames and authenticates the whole batch BEFORE the
   // demux: the connection id is only trusted once its frame's tag is,
-  // so a forged frame reaches no flow — not its receiver, not its
-  // per-channel report counters.
+  // so a forged frame reaches no flow's receiver.
   rx_views_.resize(frames.size());
   rx_status_.resize(frames.size());
   proto::decode_views(frames, rx_key_ ? &*rx_key_ : nullptr, rx_views_,
@@ -591,10 +589,8 @@ void SessionEndpoint::on_share_batch(
       ++stats_.frames_unknown_connection;
       continue;
     }
-    Flow& flow = it->second;
-    if (flow.arq) flow.arq->builder().on_channel_frame(channel, true);
     ++stats_.frames_demuxed;
-    flow.receiver.on_frame(rx_status_[i], view);
+    it->second.receiver.on_frame(rx_status_[i], view);
   }
 }
 

@@ -114,9 +114,9 @@ struct ReliabilityConfig {
   int retransmit_extra = 1;
   /// Impairment of the report path (feedback can be lossy too). The
   /// default is a clean fast lane, 10 Gbps with a 4 MiB queue: a report
-  /// tick offers every reporting flow's report at once, about 280 B
-  /// each, so it holds one tick of some 15k flows (100 Mbps / 64 KiB
-  /// overflowed from 278).
+  /// tick offers every reporting flow's report at once, about 230 B
+  /// each, so it holds one tick of some 18k flows (100 Mbps / 64 KiB
+  /// overflowed from 278 flows when reports were 48 B longer).
   net::ChannelConfig feedback_channel{.rate_bps = 10e9,
                                       .queue_capacity_bytes = 4u << 20};
   /// Tag reports with SipHash; unauthenticated/tampered ones are
@@ -399,11 +399,10 @@ class SessionEndpoint {
   void emit(Flow& flow, std::uint64_t id, std::uint8_t generation, int k,
             std::span<const int> channels,
             std::span<const std::uint8_t> payload, std::int64_t now);
-  /// One receive batch from share channel `channel`: decode and
-  /// authenticate it in one lane pass, then demux each verified frame
-  /// to its flow's receiver.
-  void on_share_batch(std::size_t channel,
-                      std::span<const std::span<const std::uint8_t>> frames);
+  /// One receive batch from a share channel: decode and authenticate it
+  /// in one lane pass, then demux each verified frame to its flow's
+  /// receiver.
+  void on_share_batch(std::span<const std::span<const std::uint8_t>> frames);
   void on_delivered(std::uint32_t cid, std::uint64_t id,
                     std::vector<std::uint8_t> payload);
   /// The periodic report timer: every flow on the report list, then

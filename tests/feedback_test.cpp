@@ -42,7 +42,6 @@ ReceiverReport sample_report() {
   r.packets_delivered = 42;
   r.sack_base = 17;
   r.sack = {0xDEADBEEFCAFEF00DULL, 0x1ULL};
-  r.channels = {{100, 2}, {250, 0}, {9, 9}};
   r.delays = {{17, 1'000'000}, {18, 2'000'000}};
   return r;
 }
@@ -52,8 +51,8 @@ ReceiverReport sample_report() {
 TEST(ReportCodec, RoundtripBasic) {
   const auto r = sample_report();
   const auto bytes = encode_report(r);
-  EXPECT_EQ(bytes.size(), kReportHeaderSize + 8 * r.sack.size() +
-                              16 * r.channels.size() + 16 * r.delays.size());
+  EXPECT_EQ(bytes.size(),
+            kReportHeaderSize + 8 * r.sack.size() + 16 * r.delays.size());
   const auto back = decode_report(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, r);
@@ -63,7 +62,6 @@ TEST(ReportCodec, RoundtripMinimal) {
   ReceiverReport r;
   r.seq = 1;
   r.sack_base = 1;
-  r.channels = {{0, 0}};  // one channel, nothing else
   const auto back = decode_report(encode_report(r));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, r);
@@ -86,8 +84,8 @@ TEST(ReportCodec, AuthenticatedRoundtripAndTamperRejection) {
   const auto r = sample_report();
   auto bytes = encode_report(r, &kKey);
   EXPECT_EQ(bytes.size(),
-            kReportHeaderSize + 8 * r.sack.size() + 16 * r.channels.size() +
-                16 * r.delays.size() + proto::kTagSize);
+            kReportHeaderSize + 8 * r.sack.size() + 16 * r.delays.size() +
+                proto::kTagSize);
 
   const auto back = decode_report(bytes, &kKey);
   ASSERT_TRUE(back.has_value());
@@ -136,12 +134,9 @@ TEST(ReportCodec, RejectsMalformed) {
   bad = good;
   bad[3] = kReportFlagConnection;
   EXPECT_FALSE(decode_report(bad).has_value());
-  // Channel count out of range (0 and > 32).
+  // Nonzero reserved byte.
   bad = good;
-  bad[4] = 0;
-  EXPECT_FALSE(decode_report(bad).has_value());
-  bad = good;
-  bad[4] = 33;
+  bad[4] = 1;
   EXPECT_FALSE(decode_report(bad).has_value());
   // SACK word count over the wire limit.
   bad = good;
@@ -159,13 +154,23 @@ TEST(ReportCodec, RejectsMalformed) {
   EXPECT_TRUE(decode_report(good).has_value());
 }
 
+TEST(ReportCodec, VersionOneReportIsMalformed) {
+  // A version 1 report: byte 4 counted its per-channel counters (16 B
+  // each, after the SACK words). Version 2 carries none, and a receiver
+  // of the old layout is refused outright rather than misparsed.
+  auto v1 = encode_report(sample_report());
+  v1[2] = 1;
+  v1[4] = 1;
+  v1.insert(v1.begin() + static_cast<std::ptrdiff_t>(kReportHeaderSize + 16),
+            16, 0);
+  proto::DecodeStatus status = proto::DecodeStatus::Ok;
+  EXPECT_FALSE(decode_report(v1, nullptr, &status).has_value());
+  EXPECT_EQ(status, proto::DecodeStatus::Malformed);
+  EXPECT_EQ(kReportVersion, 2);
+}
+
 TEST(ReportCodec, EncodeRejectsOverWireLimits) {
   ReceiverReport r;
-  r.channels.clear();  // zero channels
-  EXPECT_THROW((void)encode_report(r), PreconditionError);
-  r.channels.assign(kMaxReportChannels + 1, {});
-  EXPECT_THROW((void)encode_report(r), PreconditionError);
-  r.channels.assign(1, {});
   r.sack.assign(kMaxSackWords + 1, 0);
   EXPECT_THROW((void)encode_report(r), PreconditionError);
   r.sack.clear();
@@ -178,7 +183,6 @@ TEST(ReportCodec, PrefixParsesCoalescedReports) {
   ReceiverReport r2;
   r2.seq = 8;
   r2.sack_base = 1;
-  r2.channels = {{1, 0}};
   std::vector<std::uint8_t> buf = encode_report(r1);
   const std::size_t first_size = buf.size();
   const auto b2 = encode_report(r2);
@@ -205,8 +209,7 @@ TEST(ReportCodec, ConnectionIdRoundtrip) {
   r.connection_id = 0xC0FFEE;
   const auto bytes = encode_report(r);
   EXPECT_EQ(bytes.size(), kReportHeaderSize + kReportConnectionIdSize +
-                              8 * r.sack.size() + 16 * r.channels.size() +
-                              16 * r.delays.size());
+                              8 * r.sack.size() + 16 * r.delays.size());
   EXPECT_EQ(bytes[3], kReportFlagConnection);
   const auto back = decode_report(bytes);
   ASSERT_TRUE(back.has_value());
@@ -260,8 +263,6 @@ TEST(ReportCodec, RandomizedRoundtrip) {
     r.sack_base = rng();
     r.sack.resize(rng.uniform_int(40));
     for (auto& w : r.sack) w = rng();
-    r.channels.resize(1 + rng.uniform_int(kMaxReportChannels));
-    for (auto& c : r.channels) c = {rng(), rng()};
     r.delays.resize(rng.uniform_int(11));
     for (auto& d : r.delays) {
       d = {rng(), static_cast<std::int64_t>(rng() >> 1)};
@@ -285,10 +286,7 @@ TEST(ReportCodec, OneWayDelayDefinition) {
 // ----------------------------------------------------------- ReportBuilder
 
 TEST(ReportBuilder, SackAndCountersAccumulate) {
-  ReportBuilder builder({.num_channels = 2});
-  builder.on_channel_frame(0, true);
-  builder.on_channel_frame(0, false);  // arrived but undecodable
-  builder.on_channel_frame(1, true);
+  ReportBuilder builder({});
   builder.on_delivered(1, 10);
   builder.on_delivered(3, 20);
 
@@ -303,24 +301,21 @@ TEST(ReportBuilder, SackAndCountersAccumulate) {
   EXPECT_TRUE(r1.acked(1));
   EXPECT_FALSE(r1.acked(2));
   EXPECT_TRUE(r1.acked(3));
-  ASSERT_EQ(r1.channels.size(), 2u);
-  EXPECT_EQ(r1.channels[0], (ChannelCounters{2, 1}));
-  EXPECT_EQ(r1.channels[1], (ChannelCounters{1, 0}));
   ASSERT_EQ(r1.delays.size(), 2u);
   EXPECT_EQ(r1.delays[0], (DelaySample{1, 10}));
 
-  // Reports are cumulative: the next build restates SACK and counters,
-  // but delay samples were drained.
+  // Reports are cumulative: the next build restates SACK and the
+  // delivered count, but delay samples were drained.
   const auto r2 = builder.build(200);
   EXPECT_EQ(r2.seq, 2u);
   EXPECT_TRUE(r2.acked(1));
-  EXPECT_EQ(r2.channels[0], (ChannelCounters{2, 1}));
+  EXPECT_EQ(r2.packets_delivered, 2u);
   EXPECT_TRUE(r2.delays.empty());
   EXPECT_EQ(builder.reports_built(), 2u);
 }
 
 TEST(ReportBuilder, WindowSlidesForwardInWordSteps) {
-  ReportBuilder builder({.num_channels = 1, .sack_window_words = 2});
+  ReportBuilder builder({.sack_window_words = 2});
   builder.on_delivered(1, 0);
   EXPECT_EQ(builder.sack_base(), 1u);
   // 128 ids fit; id 129 forces the window one word forward.
@@ -341,7 +336,7 @@ TEST(ReportBuilder, WindowSlidesForwardInWordSteps) {
 }
 
 TEST(ReportBuilder, DelayRingKeepsNewestSamples) {
-  ReportBuilder builder({.num_channels = 1, .max_delay_samples = 4});
+  ReportBuilder builder({.max_delay_samples = 4});
   for (std::uint64_t id = 1; id <= 10; ++id) {
     builder.on_delivered(id, static_cast<std::int64_t>(id) * 100);
   }
@@ -353,35 +348,28 @@ TEST(ReportBuilder, DelayRingKeepsNewestSamples) {
 
 TEST(ReportBuilder, IdleBuilderHoldsNoHeapAndReportsTheSameZeros) {
   // A session keeps one builder per flow: until traffic arrives it must
-  // hold nothing, yet report the full zero window and counters.
-  ReportBuilder builder({.num_channels = 3, .sack_window_words = 16});
+  // hold nothing, yet report the full zero window.
+  ReportBuilder builder({.sack_window_words = 16});
   EXPECT_EQ(builder.heap_bytes(), 0u);
   EXPECT_FALSE(builder.acked(1));
   const auto r = builder.build(50);
   EXPECT_EQ(r.sack, std::vector<std::uint64_t>(16, 0));
-  ASSERT_EQ(r.channels.size(), 3u);
-  for (const auto& c : r.channels) EXPECT_EQ(c, (ChannelCounters{0, 0}));
   EXPECT_TRUE(r.delays.empty());
   EXPECT_EQ(builder.heap_bytes(), 0u);
 
-  builder.on_channel_frame(2, true);
   builder.on_delivered(1, 60);
   EXPECT_GT(builder.heap_bytes(), 0u);
   const auto r2 = builder.build(70);
   EXPECT_TRUE(r2.acked(1));
   EXPECT_EQ(r2.sack.size(), 16u);
-  EXPECT_EQ(r2.channels[2], (ChannelCounters{1, 0}));
-  EXPECT_EQ(r2.channels[0], (ChannelCounters{0, 0}));
   ASSERT_EQ(r2.delays.size(), 1u);
   EXPECT_EQ(r2.delays[0], (DelaySample{1, 60}));
-  EXPECT_THROW(builder.on_channel_frame(3, true), PreconditionError);
 }
 
 // -------------------------------------------------------- RetransmitManager
 
 ReceiverReport ack_report(std::uint64_t seq, std::uint64_t sack_base,
-                          std::vector<std::uint64_t> acked_ids,
-                          std::size_t num_channels = 1) {
+                          std::vector<std::uint64_t> acked_ids) {
   ReceiverReport r;
   r.seq = seq;
   r.sack_base = sack_base;
@@ -391,7 +379,6 @@ ReceiverReport ack_report(std::uint64_t seq, std::uint64_t sack_base,
     r.sack[static_cast<std::size_t>(off / 64)] |= std::uint64_t{1}
                                                   << (off % 64);
   }
-  r.channels.assign(num_channels, {});
   return r;
 }
 
@@ -997,9 +984,10 @@ TEST(ReliableLink, AuthenticatedReportsRejectForgeries) {
 }
 
 TEST(ReliableLink, KeyedLinkCountsForgedFramesUndecodable) {
-  // A share frame tagged under the wrong key is authenticated before the
-  // per-channel counters see it: it arrives on channel 0 but counts as
-  // undecodable there, so it cannot hide loss from the sender's estimate.
+  // A share frame tagged under the wrong key and a frame that is no
+  // frame at all arrive on channel 0 of a keyed link: the receiver
+  // counts one auth failure and one malformed frame, and neither
+  // disturbs the genuine packet.
   ReliableTestbed t(lossy_channels(2, 0.0), {.rate_bps = 10e6},
                     std::make_unique<proto::DynamicScheduler>(2.0, 2.0, 2),
                     arq_config(), /*seed=*/9, kKey);
@@ -1012,13 +1000,13 @@ TEST(ReliableLink, KeyedLinkCountsForgedFramesUndecodable) {
     forged.payload = {9, 9, 9};
     const crypto::SipHashKey wrong{};
     (void)t.channels[0]->try_send(proto::encode(forged, &wrong));
+    (void)t.channels[0]->try_send({0x52, 0x4D, 1, 2});
   });
   t.sim.run_until(net::from_seconds(0.5));
-  const auto report = t.link->builder().build(t.sim.now());
-  ASSERT_EQ(report.channels.size(), 2u);
-  EXPECT_EQ(report.channels[0], (ChannelCounters{2, 1}));
-  EXPECT_EQ(report.channels[1], (ChannelCounters{1, 0}));
+  EXPECT_EQ(t.receiver->stats().frames_received, 4u);
   EXPECT_EQ(t.receiver->stats().auth_failures, 1u);
+  EXPECT_EQ(t.receiver->stats().malformed_frames, 1u);
+  EXPECT_EQ(t.receiver->stats().packets_delivered, 1u);
   EXPECT_EQ(t.delivered.size(), 1u);
 }
 

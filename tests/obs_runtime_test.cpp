@@ -616,7 +616,6 @@ TEST(RetransmitManager, ImpossibleDelaySamplesAreCountedNotAveraged) {
   report.seq = 1;
   report.sack_base = 1;
   report.sack.assign(1, 0b111);  // acks 1, 2, 3
-  report.channels.assign(1, {});
   report.receiver_time_ns = 5000;
   report.delays = {
       {1, 500},   // before the send stamp: impossible
@@ -631,9 +630,7 @@ TEST(RetransmitManager, ImpossibleDelaySamplesAreCountedNotAveraged) {
 }
 
 TEST(ReportBuilder, RegressingDeliveryStampsAreClampedMonotone) {
-  feedback::ReportBuilderConfig config;
-  config.num_channels = 1;
-  feedback::ReportBuilder builder(config);
+  feedback::ReportBuilder builder({});
   builder.on_delivered(1, 1000);
   builder.on_delivered(2, 400);  // receiver clock stepped backwards
   builder.on_delivered(3, 1500);

@@ -162,8 +162,7 @@ TEST(Session, ForgedFramesOnOneChannelAreNotCreditedToItsReport) {
   // connection id but a tag under the wrong key at channel 0. They must
   // be authenticated before the demux: counted as auth failures by the
   // session (and published as the receivers' auth-failure total), never
-  // credited to the flow's per-channel report counters (which feed the
-  // sender's loss estimate) nor handed to its receiver.
+  // credited to the flow nor handed to its receiver.
   SessionConfig config = clean_config();
   config.auth_key = crypto::SipHashKey{{1, 2, 3, 4}};
   config.reliability.enabled = true;
@@ -367,7 +366,6 @@ TEST(Session, ReportDemuxNeverAcksAnotherFlowsPackets) {
   report.packets_delivered = 1;
   report.sack_base = 1;
   report.sack = {1};  // bit 0: packet id 1 delivered
-  report.channels.resize(ep.num_channels());
   const auto bytes = feedback::encode_report(report);
 
   ep.on_feedback_datagram(bytes, ep.now_ns());
