@@ -95,7 +95,6 @@ class Arq {
   [[nodiscard]] const RetransmitManager& manager() const noexcept {
     return manager_;
   }
-  [[nodiscard]] ReportBuilder& builder() noexcept { return builder_; }
   [[nodiscard]] const ReportBuilder& builder() const noexcept {
     return builder_;
   }

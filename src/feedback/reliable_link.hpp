@@ -93,7 +93,6 @@ class ReliableLink {
   [[nodiscard]] const RetransmitManager& manager() const noexcept {
     return arq_.manager();
   }
-  [[nodiscard]] ReportBuilder& builder() noexcept { return arq_.builder(); }
   [[nodiscard]] const ReliableLinkStats& stats() const noexcept {
     return stats_;
   }

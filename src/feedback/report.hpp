@@ -35,11 +35,10 @@
 // any ack processing, so one flow's report can never ack or supersede
 // another flow's packets.
 //
-// Version 1 carried per-channel frame counters after the SACK words;
-// nothing read them, and version 2 drops them. Decoding is strict,
-// mirroring the share codec: bad magic/version (a version 1 report
-// included), unknown flags, a nonzero reserved byte, out-of-range counts,
-// or truncation reject the whole report. decode_report_prefix() exists for the same reason as the share
+// Decoding is strict, mirroring the share codec: bad magic/version (a
+// version 1 report, whose byte 4 counted per-channel counters, included),
+// unknown flags, a nonzero reserved byte, out-of-range counts, or
+// truncation reject the whole report. decode_report_prefix() exists for the same reason as the share
 // codec's: the live feedback channel may coalesce several reports into
 // one datagram.
 #pragma once
