@@ -122,7 +122,7 @@ class Sender {
   void pump();
   void dispatch(std::vector<std::uint8_t> payload, const ShareDecision& decision);
   /// Packet `id`'s m share frames, one owned buffer each, written by
-  /// proto::write_shares (the CPU-free part of a dispatch or resend).
+  /// proto::write_shares.
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> write_frames(
       std::uint64_t id, std::uint8_t generation, int k,
       std::span<const std::uint8_t> payload, std::size_t m);
