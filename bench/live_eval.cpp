@@ -319,10 +319,10 @@ struct FastpathResult {
 /// Saturation run for the sendmmsg/recvmmsg fast path: four clean
 /// channels (no loss, no delay, rate high enough that the impairment
 /// shim stays transparent), packets pushed as fast as backpressure
-/// admits. batch == 1 is the legacy one-syscall-per-datagram path kept
-/// for exactly this before/after; batch > 1 exercises coalescing,
-/// sendmmsg/recvmmsg, and the pool fast path. Single-threaded process,
-/// so mbps here is throughput per core.
+/// admits. batch is the sendmmsg/recvmmsg depth: 1 moves one datagram
+/// per syscall (the before), 32 batches them (the after); both run the
+/// same transport code. Single-threaded process, so mbps here is
+/// throughput per core.
 FastpathResult run_fastpath(std::size_t batch, int packets,
                             std::uint64_t seed) {
   session::SessionConfig cfg = one_flow_config(4096, seed);
@@ -531,10 +531,10 @@ int main(int argc, char** argv) {
   }
   saturating_json += "]";
 
-  // Fast-path before/after: the legacy batch=1 path (one syscall per
-  // datagram, assembly copies) against the batched sendmmsg/recvmmsg +
-  // FramePool path, same clean-channel saturation workload. The CI-safe
-  // in-binary gate is 2x; see EXPERIMENTS.md for measured headroom.
+  // Fast-path before/after: depth 1 (one datagram per sendmmsg and
+  // per recvmmsg) against depth 32, same transport code, same
+  // clean-channel saturation workload. The CI-safe in-binary gate is 2x;
+  // see EXPERIMENTS.md for measured headroom.
   constexpr int kFastpathPackets = 4000;
   // Warmup run (discarded): pages in, trains branches, and lifts the
   // CPU governor out of idle so the first measured run isn't cold.

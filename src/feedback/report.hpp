@@ -38,9 +38,9 @@
 // Decoding is strict, mirroring the share codec: bad magic/version (a
 // version 1 report, whose byte 4 counted per-channel counters, included),
 // unknown flags, a nonzero reserved byte, out-of-range counts, or
-// truncation reject the whole report. decode_report_prefix() exists for the same reason as the share
-// codec's: the live feedback channel may coalesce several reports into
-// one datagram.
+// truncation reject the whole report. decode_report_prefix() exists
+// because the live feedback channel may coalesce several reports into
+// one datagram, as the share channels coalesce frames.
 #pragma once
 
 #include <cstdint>

@@ -76,13 +76,6 @@ Receiver::~Receiver() {
   if (alive_) *alive_ = false;
 }
 
-void Receiver::set_arena(util::FramePool* arena) {
-  MCSS_ENSURE(partials_.empty(),
-              "set_arena requires no pending partials (storage layouts "
-              "would mix)");
-  config_.arena = arena;
-}
-
 void Receiver::attach(net::ChannelPort& channel) {
   channel.set_receiver([this](std::vector<std::uint8_t> f) {
     on_frame(std::move(f));
@@ -130,13 +123,14 @@ void Receiver::on_frame(DecodeStatus status, const FrameView& view) {
       return;
     }
     Partial partial;
+    partial.id = id;
     partial.k = view.k;
     partial.generation = view.generation;
     partial.share_size = view.payload.size();
     partial.first_seen = sim_.now();
     it = partials_.emplace(id, std::move(partial)).first;
     init_storage(it->second);
-    it->second.order_it = creation_order_.insert(creation_order_.end(), id);
+    creation_order_.push_back(it->second);
     if (obs::trace_enabled()) {
       obs::Tracer::global().async_begin("reassembly", "receiver", id,
                                         sim_.now(), "k", view.k);
@@ -161,8 +155,8 @@ void Receiver::on_frame(DecodeStatus status, const FrameView& view) {
     // reassembly lease — with ARQ, a packet legitimately outlives one
     // reassembly timeout while retransmissions are still arriving.
     buffered_bytes_ -= partial.share_size * partial.count;
-    partial.shares.clear();
     partial.slot.reset();
+    partial.heap.clear();
     partial.count = 0;
     partial.k = view.k;
     partial.generation = view.generation;
@@ -197,52 +191,39 @@ void Receiver::on_frame(DecodeStatus status, const FrameView& view) {
 }
 
 void Receiver::init_storage(Partial& partial) {
-  // One arena slot holds the whole partial: k index bytes up front, then
-  // k share regions of share_size each. Appends are then a byte write
-  // plus a memcpy — no heap. Partials that cannot fit a slot (or find
-  // the pool exhausted) degrade to per-share heap vectors.
+  // Every partial has one layout, k index bytes up front and then k
+  // share regions of share_size each, so an append is a byte write plus
+  // a memcpy. An arena slot holds it whole, with no heap at all. The
+  // heap buffer grows as shares append and is never reserved for all k
+  // up front: a forged header can claim 255 shares of 64 KiB, and the
+  // memory cap counts only bytes that arrived.
   const std::size_t need =
       static_cast<std::size_t>(partial.k) * (1 + partial.share_size);
   if (config_.arena != nullptr && need <= config_.arena->slot_bytes()) {
     partial.slot = config_.arena->acquire();
   }
-  if (partial.in_arena()) {
+  if (partial.slot) {
     partial.slot.resize(need);
     ++stats_.partials_in_arena;
   } else {
-    partial.shares.reserve(partial.k);
     ++stats_.partials_on_heap;
   }
 }
 
-bool Receiver::has_share(const Partial& partial, std::uint8_t index) const {
-  if (partial.in_arena()) {
-    const std::uint8_t* indices = partial.slot.data();
-    for (std::uint8_t i = 0; i < partial.count; ++i) {
-      if (indices[i] == index) return true;
-    }
-    return false;
-  }
-  return std::any_of(
-      partial.shares.begin(), partial.shares.end(),
-      [index](const sss::Share& s) { return s.index == index; });
+bool Receiver::has_share(Partial& partial, std::uint8_t index) {
+  const std::uint8_t* indices = partial.storage();
+  return std::find(indices, indices + partial.count, index) !=
+         indices + partial.count;
 }
 
 void Receiver::append_share(Partial& partial, std::uint8_t index,
                             std::span<const std::uint8_t> payload) {
-  if (partial.in_arena()) {
-    std::uint8_t* base = partial.slot.data();
-    base[partial.count] = index;
-    if (!payload.empty()) {
-      std::memcpy(base + partial.k +
-                      static_cast<std::size_t>(partial.count) *
-                          partial.share_size,
-                  payload.data(), payload.size());
-    }
-  } else {
-    partial.shares.push_back(
-        {index, std::vector<std::uint8_t>(payload.begin(), payload.end())});
-  }
+  const std::size_t at =
+      partial.k + static_cast<std::size_t>(partial.count) * partial.share_size;
+  if (!partial.slot) partial.heap.resize(at + partial.share_size);
+  std::uint8_t* base = partial.storage();
+  base[partial.count] = index;
+  if (!payload.empty()) std::memcpy(base + at, payload.data(), payload.size());
   ++partial.count;
 }
 
@@ -267,21 +248,17 @@ void Receiver::complete(std::uint64_t id, Partial& partial) {
   std::vector<std::uint8_t> payload;
   {
     obs::ScopeTimer reconstruct_timer(reconstruct_hist());
-    if (partial.in_arena()) {
-      // Views straight into the arena slot; k <= 255 bounds the stack
-      // array. complete() fires on the k-th append, so count == k.
-      sss::ShareView views[255];
-      const std::uint8_t* base = partial.slot.data();
-      for (std::size_t i = 0; i < partial.k; ++i) {
-        views[i] = {base[i],
-                    {base + partial.k + i * partial.share_size,
-                     partial.share_size}};
-      }
-      payload = sss::reconstruct_views(
-          std::span<const sss::ShareView>(views, partial.k));
-    } else {
-      payload = sss::reconstruct_first_k(partial.shares, partial.k);
+    // Views straight into the partial's storage; k <= 255 bounds the
+    // stack array. complete() fires on the k-th append, so count == k.
+    sss::ShareView views[255];
+    const std::uint8_t* base = partial.storage();
+    for (std::size_t i = 0; i < partial.k; ++i) {
+      views[i] = {base[i],
+                  {base + partial.k + i * partial.share_size,
+                   partial.share_size}};
     }
+    payload = sss::reconstruct_views(
+        std::span<const sss::ShareView>(views, partial.k));
   }
 
   net::SimTime done = now;
@@ -313,7 +290,7 @@ void Receiver::complete(std::uint64_t id, Partial& partial) {
 
   buffered_bytes_ -= partial.share_size * partial.count;
   sim_.cancel(partial.eviction);
-  creation_order_.erase(partial.order_it);
+  creation_order_.erase(partial);
   partials_.erase(id);
   remember_completed(id);
 }
@@ -323,7 +300,7 @@ void Receiver::evict(std::uint64_t id, std::uint64_t* counter) {
   MCSS_INVARIANT(it != partials_.end(), "evicting a packet that is not pending");
   buffered_bytes_ -= it->second.share_size * it->second.count;
   sim_.cancel(it->second.eviction);  // no-op when the timer is what fired
-  creation_order_.erase(it->second.order_it);
+  creation_order_.erase(it->second);
   partials_.erase(it);
   ++*counter;
   if (obs::trace_enabled()) {
@@ -337,11 +314,11 @@ void Receiver::evict(std::uint64_t id, std::uint64_t* counter) {
 
 bool Receiver::make_room(std::size_t incoming_bytes,
                          std::optional<std::uint64_t> exclude) {
-  auto it = creation_order_.begin();
+  Partial* next = creation_order_.front();
   while (buffered_bytes_ + incoming_bytes > config_.memory_limit_bytes &&
-         it != creation_order_.end()) {
-    const std::uint64_t victim = *it;
-    ++it;  // advance before evict() unlinks the node behind us
+         next != nullptr) {
+    const std::uint64_t victim = next->id;
+    next = creation_order_.next(*next);  // before evict() frees the victim
     if (exclude && victim == *exclude) continue;
     evict(victim, &stats_.packets_evicted_memory);
   }

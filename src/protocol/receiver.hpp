@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -23,8 +22,8 @@
 #include "net/cpu_model.hpp"
 #include "net/simulator.hpp"
 #include "protocol/wire.hpp"
-#include "sss/share.hpp"
 #include "util/frame_pool.hpp"
+#include "util/intrusive_list.hpp"
 #include "util/ring.hpp"
 
 namespace mcss::obs {
@@ -44,12 +43,13 @@ struct ReceiverConfig {
   /// are accepted; tampered and unauthenticated frames are dropped and
   /// counted in stats().auth_failures.
   std::optional<crypto::SipHashKey> auth_key;
-  /// When set, reassembly partials store their share bytes in slots of
-  /// this pool (one slot per partial: k index bytes, then k regions of
-  /// share_size bytes) instead of heap-allocating per appended share.
-  /// Partials too big for a slot, or arriving while the pool is
-  /// exhausted, fall back to the heap — a policy degradation, never a
-  /// drop. The pool must outlive the receiver. Not owned.
+  /// When set, a reassembly partial keeps its shares in one slot of this
+  /// pool, so its appends never touch the heap. The slot holds the
+  /// partial's one layout: k index bytes, then k regions of share_size
+  /// bytes. A partial too big for a slot, or arriving while the pool is
+  /// exhausted, keeps the same layout in a heap buffer instead — a
+  /// policy degradation, never a drop. Without an arena every partial
+  /// does. The pool must outlive the receiver. Not owned.
   util::FramePool* arena = nullptr;
 };
 
@@ -74,8 +74,8 @@ struct ReceiverStats {
   /// Partials whose buffered shares were discarded because a newer
   /// generation (a retransmission) arrived and restarted reassembly.
   std::uint64_t partials_superseded = 0;
-  /// Partials whose share storage landed in an arena slot vs. the heap
-  /// fallback (pool exhausted, partial too big for a slot, or no arena
+  /// Partials whose share storage landed in an arena slot vs. a heap
+  /// buffer (pool exhausted, partial too big for a slot, or no arena
   /// configured). Arena appends are allocation-free.
   std::uint64_t partials_in_arena = 0;
   std::uint64_t partials_on_heap = 0;
@@ -95,11 +95,6 @@ class Receiver {
 
   Receiver(const Receiver&) = delete;
   Receiver& operator=(const Receiver&) = delete;
-
-  /// Late-bind the partial-storage arena (see ReceiverConfig::arena) —
-  /// for owners whose pool is constructed after the receiver. Only legal
-  /// while no partials are pending.
-  void set_arena(util::FramePool* arena);
 
   /// Install this receiver as the delivery target of a channel.
   void attach(net::ChannelPort& channel);
@@ -153,34 +148,35 @@ class Receiver {
 
  private:
   struct Partial {
+    std::uint64_t id = 0;
     std::uint8_t k = 1;
     std::uint8_t generation = 0;  ///< re-split count of the stored shares
     std::uint8_t count = 0;       ///< shares stored so far
     std::size_t share_size = 0;
-    /// Arena storage: k index bytes, then k share regions of share_size
-    /// each. Null = heap fallback via `shares`.
+    /// The shares: k index bytes, then k share regions of share_size
+    /// each, in `slot` when it is set and in `heap` otherwise. `heap`
+    /// grows as shares append, so it holds only what has arrived.
     util::FrameRef slot;
-    std::vector<sss::Share> shares;  ///< heap fallback storage
+    std::vector<std::uint8_t> heap;
     net::SimTime first_seen = 0;
     /// This partial's reassembly-timeout timer; cancelled when the
     /// partial completes, is evicted or is superseded, so the timeline
     /// holds one timer per PENDING partial and none for finished ones.
     net::EventHandle eviction;
-    /// This partial's node in creation_order_, for O(1) unlink.
-    std::list<std::uint64_t>::iterator order_it;
+    /// Link in creation_order_.
+    util::ListHook<Partial> order;
 
-    [[nodiscard]] bool in_arena() const noexcept {
-      return static_cast<bool>(slot);
+    [[nodiscard]] std::uint8_t* storage() noexcept {
+      return slot ? slot.data() : heap.data();
     }
   };
 
-  /// Acquire storage for a (re)started partial: an arena slot when it
-  /// fits and the pool has room, the heap vector otherwise.
+  /// Place a (re)started partial: an arena slot when one is configured,
+  /// fits and is free; the heap buffer otherwise.
   void init_storage(Partial& partial);
-  [[nodiscard]] bool has_share(const Partial& partial,
-                               std::uint8_t index) const;
-  void append_share(Partial& partial, std::uint8_t index,
-                    std::span<const std::uint8_t> payload);
+  [[nodiscard]] static bool has_share(Partial& partial, std::uint8_t index);
+  static void append_share(Partial& partial, std::uint8_t index,
+                           std::span<const std::uint8_t> payload);
 
   /// (Re)arm the partial's reassembly timeout, cancelling any earlier
   /// one.
@@ -199,7 +195,8 @@ class Receiver {
   DeliverFn deliver_;
 
   std::unordered_map<std::uint64_t, Partial> partials_;
-  std::list<std::uint64_t> creation_order_;  // for oldest-first eviction
+  /// Pending partials, oldest first, for oldest-first eviction.
+  util::IntrusiveList<Partial, &Partial::order> creation_order_;
   std::size_t buffered_bytes_ = 0;
   std::unordered_set<std::uint64_t> completed_;
   /// Completion order of completed_, capped at completed_history.

@@ -26,12 +26,6 @@ namespace {
 /// longer batches run in chunks of this many.
 constexpr std::size_t kLaneBatch = 32;
 
-template <typename T>
-std::optional<T> fail(DecodeStatus* status, DecodeStatus why) {
-  if (status != nullptr) *status = why;
-  return std::nullopt;
-}
-
 }  // namespace
 
 std::size_t encoded_size(const ShareFrame& frame, bool keyed) noexcept {
@@ -272,24 +266,10 @@ std::optional<FrameView> decode_view(std::span<const std::uint8_t> buf,
   return view;
 }
 
-std::optional<FrameView> decode_prefix_view(std::span<const std::uint8_t> buf,
-                                            std::size_t* consumed,
-                                            const crypto::SipHashKey* key,
-                                            DecodeStatus* status) {
-  MCSS_ENSURE(consumed != nullptr, "decode_prefix needs a consumed out-param");
-  *consumed = 0;
-  const auto extent = frame_extent(buf);
-  if (!extent) return fail<FrameView>(status, DecodeStatus::Malformed);
-  auto view = decode_view(buf.first(*extent), key, status);
-  if (view) *consumed = *extent;
-  return view;
-}
-
-std::optional<ShareFrame> decode_prefix(std::span<const std::uint8_t> buf,
-                                        std::size_t* consumed,
-                                        const crypto::SipHashKey* key,
-                                        DecodeStatus* status) {
-  const auto view = decode_prefix_view(buf, consumed, key, status);
+std::optional<ShareFrame> decode(std::span<const std::uint8_t> buf,
+                                 const crypto::SipHashKey* key,
+                                 DecodeStatus* status) {
+  const auto view = decode_view(buf, key, status);
   if (!view) return std::nullopt;
   ShareFrame frame;
   frame.packet_id = view->packet_id;
@@ -298,18 +278,6 @@ std::optional<ShareFrame> decode_prefix(std::span<const std::uint8_t> buf,
   frame.generation = view->generation;
   frame.connection_id = view->connection_id;
   frame.payload.assign(view->payload.begin(), view->payload.end());
-  return frame;
-}
-
-std::optional<ShareFrame> decode(std::span<const std::uint8_t> buf,
-                                 const crypto::SipHashKey* key,
-                                 DecodeStatus* status) {
-  std::size_t consumed = 0;
-  auto frame = decode_prefix(buf, &consumed, key, status);
-  if (frame && consumed != buf.size()) {
-    // Strict mode: trailing bytes after the one frame are a malformation.
-    return fail<ShareFrame>(status, DecodeStatus::Malformed);
-  }
   return frame;
 }
 

@@ -42,8 +42,8 @@
 // (Section V: "the receiver will typically be waiting for shares of many
 // packets at once"). Decoding is strict: any malformed frame is rejected
 // as a whole. Reads that may carry several back-to-back frames (the live
-// transport coalesces small frames into one datagram) parse them one at
-// a time with decode_prefix().
+// transport coalesces small frames into one datagram) are cut into frames
+// with frame_extent() and decoded with decode_views().
 //
 // The authenticated mode extends the paper's passive threat model to
 // active (Byzantine) channels: without it, a single flipped bit in any
@@ -179,35 +179,10 @@ enum class DecodeStatus {
 /// through `status` when non-null. A receiver configured with a key
 /// REJECTS unauthenticated frames — downgrade attempts are failures.
 /// Strict: the buffer must hold exactly one frame (trailing bytes are a
-/// malformation). Delegates to decode_prefix.
+/// malformation). decode_view() with the payload copied out.
 [[nodiscard]] std::optional<ShareFrame> decode(
     std::span<const std::uint8_t> buf, const crypto::SipHashKey* key = nullptr,
     DecodeStatus* status = nullptr);
-
-/// Parse ONE frame from the head of `buf` and report how many bytes it
-/// occupied through `consumed`, leaving any trailing bytes (the next
-/// frame, or junk) for the caller. This is the receive-path entry point
-/// for transports whose reads can coalesce frames (a recv() that returns
-/// two back-to-back datagram payloads, or a batched live-transport
-/// datagram): strict decode() would reject the whole buffer and drop
-/// every frame in it.
-///
-/// On success `*consumed` is the full frame size (header + payload +
-/// tag). On failure `*consumed` is 0 — a malformed head gives no safe
-/// resynchronization point, so the caller should discard the buffer (and
-/// count it; see DecodeStatus). Authentication semantics match decode().
-[[nodiscard]] std::optional<ShareFrame> decode_prefix(
-    std::span<const std::uint8_t> buf, std::size_t* consumed,
-    const crypto::SipHashKey* key = nullptr, DecodeStatus* status = nullptr);
-
-/// Zero-copy decode_prefix: identical framing/authentication semantics,
-/// but the result's payload is a span INTO `buf` (valid only while `buf`
-/// is) instead of an owned vector. This is the session/receiver hot
-/// path — one parse, no allocation, demux on connection_id, and the
-/// consumer copies only the bytes it retains.
-[[nodiscard]] std::optional<FrameView> decode_prefix_view(
-    std::span<const std::uint8_t> buf, std::size_t* consumed,
-    const crypto::SipHashKey* key = nullptr, DecodeStatus* status = nullptr);
 
 /// Batch decode, the live receive path: frames[i] must hold exactly one
 /// frame (trailing bytes are a malformation); views[i] gets its fields

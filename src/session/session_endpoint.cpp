@@ -306,8 +306,8 @@ bool SessionEndpoint::close_flow(std::uint32_t cid) {
   // The erase below destroys the flow's Arq and Receiver, whose
   // destructors take their timers back off the shared timeline.
   fold_closed(flow);
-  unlink_ready(flow);
-  unlink_report(flow);
+  ready_.erase(flow);
+  report_.erase(flow);
   admitted_bytes_per_s_ =
       std::max(0.0, admitted_bytes_per_s_ - flow.admitted_bytes_per_s);
   ++stats_.flows_closed;
@@ -329,71 +329,13 @@ bool SessionEndpoint::send(std::uint32_t cid,
     return false;
   }
   flow.queue.push_back(std::move(payload));
-  push_ready(flow);
+  ready_.push_back(flow);
   return true;
-}
-
-void SessionEndpoint::push_ready(Flow& flow) {
-  if (flow.in_ready) return;
-  flow.in_ready = true;
-  flow.ready_prev = ready_tail_;
-  flow.ready_next = nullptr;
-  if (ready_tail_ != nullptr) {
-    ready_tail_->ready_next = &flow;
-  } else {
-    ready_head_ = &flow;
-  }
-  ready_tail_ = &flow;
-}
-
-void SessionEndpoint::unlink_ready(Flow& flow) {
-  if (!flow.in_ready) return;
-  if (flow.ready_prev != nullptr) {
-    flow.ready_prev->ready_next = flow.ready_next;
-  } else {
-    ready_head_ = flow.ready_next;
-  }
-  if (flow.ready_next != nullptr) {
-    flow.ready_next->ready_prev = flow.ready_prev;
-  } else {
-    ready_tail_ = flow.ready_prev;
-  }
-  flow.ready_prev = flow.ready_next = nullptr;
-  flow.in_ready = false;
-}
-
-void SessionEndpoint::push_report(Flow& flow) {
-  if (flow.in_report) return;
-  flow.in_report = true;
-  flow.report_prev = report_tail_;
-  flow.report_next = nullptr;
-  if (report_tail_ != nullptr) {
-    report_tail_->report_next = &flow;
-  } else {
-    report_head_ = &flow;
-  }
-  report_tail_ = &flow;
-}
-
-void SessionEndpoint::unlink_report(Flow& flow) {
-  if (!flow.in_report) return;
-  if (flow.report_prev != nullptr) {
-    flow.report_prev->report_next = flow.report_next;
-  } else {
-    report_head_ = flow.report_next;
-  }
-  if (flow.report_next != nullptr) {
-    flow.report_next->report_prev = flow.report_prev;
-  } else {
-    report_tail_ = flow.report_prev;
-  }
-  flow.report_prev = flow.report_next = nullptr;
-  flow.in_report = false;
 }
 
 int SessionEndpoint::pump(std::int64_t now) {
   std::size_t budget = config_.limits.max_dispatch_per_pump;
-  while (ready_head_ != nullptr && budget > 0) {
+  while (!ready_.empty() && budget > 0) {
     // Pool backpressure: a dispatch fans out to at most one share per
     // channel; without headroom, leave packets queued (flows stay on
     // the ready list) and let departures free slots.
@@ -406,7 +348,7 @@ int SessionEndpoint::pump(std::int64_t now) {
       view_scratch_[i] = {channels_[i]->ready(now),
                           channels_[i]->backlog_ns(now)};
     }
-    Flow& flow = *ready_head_;
+    Flow& flow = *ready_.front();
     const auto decision = flow.scheduler.next(view_scratch_);
     if (!decision) {
       // DynamicScheduler defers only when too few channels are
@@ -418,8 +360,8 @@ int SessionEndpoint::pump(std::int64_t now) {
     std::vector<std::uint8_t> payload = std::move(flow.queue.front());
     flow.queue.pop_front();
     // Round-robin fairness: one packet per turn, then to the tail.
-    unlink_ready(flow);
-    if (!flow.queue.empty()) push_ready(flow);
+    ready_.erase(flow);
+    if (!flow.queue.empty()) ready_.push_back(flow);
     dispatch(flow, std::move(payload), *decision, now);
     --budget;
   }
@@ -619,7 +561,7 @@ void SessionEndpoint::on_delivered(std::uint32_t cid, std::uint64_t id,
       append_report(flow, now_ns());
       send_report_datagram(now_ns());
     } else {
-      push_report(flow);
+      report_.push_back(flow);
     }
   }
   if (deliver_) deliver_(cid, id, std::move(payload));
@@ -629,15 +571,15 @@ void SessionEndpoint::emit_reports() {
   const std::int64_t now = now_ns();
   // Only flows with deliveries since the last report are on the list;
   // idle flows cost nothing. Several flows' reports coalesce into each
-  // feedback datagram (the report codec's decode_prefix contract).
-  while (report_head_ != nullptr) append_report(*report_head_, now);
+  // feedback datagram (the report codec's decode_report_prefix contract).
+  while (!report_.empty()) append_report(*report_.front(), now);
   send_report_datagram(now);
   timeline_.schedule_at(now + config_.reliability.report_interval_ns,
                         [this] { emit_reports(); });
 }
 
 void SessionEndpoint::append_report(Flow& flow, std::int64_t now) {
-  unlink_report(flow);
+  report_.erase(flow);
   const auto bytes = flow.arq->report(now);
   if (report_datagram_.size() + bytes.size() > config_.max_datagram_bytes) {
     send_report_datagram(now);

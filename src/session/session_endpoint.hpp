@@ -85,6 +85,7 @@
 #include "protocol/sender.hpp"
 #include "transport/poller.hpp"
 #include "transport/udp_channel.hpp"
+#include "util/intrusive_list.hpp"
 #include "util/ring.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -173,8 +174,9 @@ struct SessionConfig {
   std::size_t max_datagram_bytes = 1400;
   ReliabilityConfig reliability;
   SessionLimits limits;
-  /// Datagrams per sendmmsg / recvmmsg. 1 = the unbatched path (one
-  /// syscall per datagram), bench/live_eval's before/after baseline.
+  /// Batch depths: wire datagrams per sendmmsg, receive entries per
+  /// recvmmsg. Depth 1 (one datagram per syscall) runs the same code;
+  /// bench/live_eval compares it with depth 32.
   std::size_t send_batch = 32;
   std::size_t recv_batch = 32;
   /// FramePool sizing. 0 = auto: slots from channel count and batch
@@ -358,14 +360,9 @@ class SessionEndpoint {
     util::Ring<std::int64_t> sent_ns;
     std::uint64_t sent_base = 1;
 
-    /// Intrusive ready list (flows with queued packets), round-robin.
-    Flow* ready_prev = nullptr;
-    Flow* ready_next = nullptr;
-    bool in_ready = false;
-    /// Intrusive report list (flows with deliveries since last report).
-    Flow* report_prev = nullptr;
-    Flow* report_next = nullptr;
-    bool in_report = false;
+    /// Links in ready_ and report_.
+    util::ListHook<Flow> ready_hook;
+    util::ListHook<Flow> report_hook;
 
     std::int64_t opened_ns = 0;
   };
@@ -417,11 +414,6 @@ class SessionEndpoint {
   void update_write_interest();
   [[nodiscard]] double price_flow(const FlowParams& params) const noexcept;
 
-  void push_ready(Flow& flow);
-  void unlink_ready(Flow& flow);
-  void push_report(Flow& flow);
-  void unlink_report(Flow& flow);
-
   void init_telemetry();
   /// Wake-up timer so an idle poller still advances the sampler; 1 ms
   /// cadence while a sliced flow walk is in progress, the sample
@@ -464,10 +456,10 @@ class SessionEndpoint {
   std::uint32_t next_cid_ = 1;
   PercentileTracker setup_latency_;
 
-  Flow* ready_head_ = nullptr;
-  Flow* ready_tail_ = nullptr;
-  Flow* report_head_ = nullptr;
-  Flow* report_tail_ = nullptr;
+  /// Flows with queued packets, served round-robin.
+  util::IntrusiveList<Flow, &Flow::ready_hook> ready_;
+  /// Flows with deliveries since their last report.
+  util::IntrusiveList<Flow, &Flow::report_hook> report_;
 
   std::unique_ptr<obs::runtime::RuntimeTelemetry> telemetry_;
   /// Last totals published per counter series (publish_metrics is

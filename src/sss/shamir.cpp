@@ -190,11 +190,4 @@ std::vector<std::uint8_t> reconstruct_scalar(std::span<const Share> shares) {
   return secret;
 }
 
-std::vector<std::uint8_t> reconstruct_first_k(std::span<const Share> shares,
-                                              int k) {
-  MCSS_ENSURE(k >= 1 && static_cast<std::size_t>(k) <= shares.size(),
-              "k out of range for available shares");
-  return reconstruct(shares.subspan(0, static_cast<std::size_t>(k)));
-}
-
 }  // namespace mcss::sss

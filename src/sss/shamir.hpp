@@ -69,10 +69,6 @@ void split_into(std::span<const std::uint8_t> secret, int k,
 [[nodiscard]] std::vector<std::uint8_t> reconstruct_scalar(
     std::span<const Share> shares);
 
-/// Reconstruct using only the first k of the given shares.
-[[nodiscard]] std::vector<std::uint8_t> reconstruct_first_k(
-    std::span<const Share> shares, int k);
-
 /// reconstruct() over non-owning views: byte-identical result, same
 /// precondition checks, no per-share vectors — the receiver's
 /// arena-backed reassembly path hands spans into pool slots.

@@ -1,7 +1,6 @@
 #include "transport/udp_channel.hpp"
 
 #include <algorithm>
-#include <array>
 #include <climits>
 #include <cstring>
 #include <memory>
@@ -84,7 +83,6 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng,
     : name_(std::move(name)),
       max_datagram_bytes_(max_datagram_bytes),
       send_batch_(send_batch),
-      recv_batch_(recv_batch),
       rx_(UdpSocket::bound_loopback(rx_port)),
       tx_(UdpSocket::bound_loopback(0)),
       timeline_(timeline),
@@ -101,7 +99,7 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng,
   MCSS_ENSURE(max_datagram_bytes_ >= proto::kHeaderSize + proto::kTagSize,
               "max datagram too small for one frame");
   MCSS_ENSURE(send_batch_ >= 1, "send batch must be at least 1");
-  MCSS_ENSURE(recv_batch_ >= 1, "recv batch must be at least 1");
+  MCSS_ENSURE(recv_batch >= 1, "recv batch must be at least 1");
   tx_.connect_loopback(rx_.local_port());
 
   // Deep kernel buffers for the batched path: one pump can flush every
@@ -126,28 +124,26 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng,
   tx_runs_.resize(send_batch_);
   tx_cmsgs_.resize(send_batch_);
   tx_iovs_.resize(ring_.size());
-  rx_frames_.reserve(recv_batch_ * kFramesPerSlot);
-  if (recv_batch_ > 1) {
-    // With UDP_GRO a few large entries each take a whole burst; without
-    // it, each entry is one datagram of at most a pool slot. Either way
-    // one uninitialised block, so only the pages the kernel writes
-    // become resident.
-    rx_.enable_receive_offload();
-    rx_entries_ = rx_.gro() ? std::min(recv_batch_, kGroEntries) : recv_batch_;
-    const std::size_t entry_bytes =
-        rx_.gro() ? kGroEntryBytes : pool_.slot_bytes();
-    rx_buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(rx_entries_ *
-                                                             entry_bytes);
-    rx_msgs_.resize(rx_entries_);
-    rx_iovs_.resize(rx_entries_);
-    rx_cmsgs_.resize(rx_entries_);
-    for (std::size_t i = 0; i < rx_entries_; ++i) {
-      rx_iovs_[i] = {rx_buf_.get() + i * entry_bytes, entry_bytes};
-      std::memset(&rx_msgs_[i].msg_hdr, 0, sizeof(rx_msgs_[i].msg_hdr));
-      rx_msgs_[i].msg_hdr.msg_iov = &rx_iovs_[i];
-      rx_msgs_[i].msg_hdr.msg_iovlen = 1;
-      rx_msgs_[i].msg_hdr.msg_control = rx_cmsgs_[i].buf;
-    }
+  rx_frames_.reserve(recv_batch * kFramesPerSlot);
+  // With UDP_GRO a few large entries each take a whole burst; without
+  // it, each entry is one datagram of at most a pool slot. Either way
+  // one uninitialised block, so only the pages the kernel writes become
+  // resident.
+  rx_.enable_receive_offload();
+  rx_entries_ = rx_.gro() ? std::min(recv_batch, kGroEntries) : recv_batch;
+  const std::size_t entry_bytes =
+      rx_.gro() ? kGroEntryBytes : pool_.slot_bytes();
+  rx_buf_ =
+      std::make_unique_for_overwrite<std::uint8_t[]>(rx_entries_ * entry_bytes);
+  rx_msgs_.resize(rx_entries_);
+  rx_iovs_.resize(rx_entries_);
+  rx_cmsgs_.resize(rx_entries_);
+  for (std::size_t i = 0; i < rx_entries_; ++i) {
+    rx_iovs_[i] = {rx_buf_.get() + i * entry_bytes, entry_bytes};
+    std::memset(&rx_msgs_[i].msg_hdr, 0, sizeof(rx_msgs_[i].msg_hdr));
+    rx_msgs_[i].msg_hdr.msg_iov = &rx_iovs_[i];
+    rx_msgs_[i].msg_hdr.msg_iovlen = 1;
+    rx_msgs_[i].msg_hdr.msg_control = rx_cmsgs_[i].buf;
   }
 }
 
@@ -205,19 +201,9 @@ void UdpChannel::release(util::FrameRef frame, std::int64_t release_ns) {
   slot.ref = std::move(frame);
   slot.release_ns = release_ns;
   ++ring_count_;
-  // Legacy mode keeps the old send-on-release behavior; the batched mode
-  // waits for the endpoint's per-pump flush unless a full sendmmsg's
-  // worth is already pending.
-  if (send_batch_ == 1 || ring_count_ >= send_batch_) flush(release_ns);
-}
-
-void UdpChannel::flush(std::int64_t now_ns) {
-  last_flush_release_ns_.clear();
-  if (send_batch_ == 1) {
-    flush_legacy(now_ns);
-  } else {
-    flush_batched(now_ns);
-  }
+  // Wait for the endpoint's per-pump flush unless a full sendmmsg's
+  // worth is already pending (at depth 1, every release is).
+  if (ring_count_ >= send_batch_) flush(release_ns);
 }
 
 void UdpChannel::retire_front_frames(std::size_t frames, std::int64_t now_ns,
@@ -240,7 +226,8 @@ void UdpChannel::retire_front_frames(std::size_t frames, std::int64_t now_ns,
   }
 }
 
-void UdpChannel::flush_batched(std::int64_t now_ns) {
+void UdpChannel::flush(std::int64_t now_ns) {
+  last_flush_release_ns_.clear();
   const std::size_t max_segments = tx_.max_segments();
   while (ring_count_ > 0) {
     // Build up to send_batch_ datagrams: greedy head-first coalescing,
@@ -370,49 +357,6 @@ void UdpChannel::flush_batched(std::int64_t now_ns) {
   }
 }
 
-void UdpChannel::flush_legacy(std::int64_t now_ns) {
-  // The pre-batching path, preserved verbatim (assembly copy, one send()
-  // per datagram) as the bench's before/after baseline.
-  std::vector<std::uint8_t> datagram;
-  while (ring_count_ > 0) {
-    std::size_t take = 1;
-    std::size_t total = ring_at(0).ref.size();
-    while (take < ring_count_ &&
-           total + ring_at(take).ref.size() <= max_datagram_bytes_) {
-      total += ring_at(take).ref.size();
-      ++take;
-    }
-    datagram.clear();
-    datagram.reserve(total);
-    for (std::size_t i = 0; i < take; ++i) {
-      const auto bytes = ring_at(i).ref.cspan();
-      datagram.insert(datagram.end(), bytes.begin(), bytes.end());
-    }
-
-    switch (tx_.send(datagram)) {
-      case UdpSocket::IoResult::Ok:
-        ++stats_.datagrams_sent;
-        stats_.bytes_sent += datagram.size();
-        stats_.frames_coalesced += take - 1;
-        retire_front_frames(take, now_ns, /*sent=*/true);
-        break;
-      case UdpSocket::IoResult::WouldBlock:
-        ++stats_.send_wouldblock;
-        arm_retry();
-        return;
-      case UdpSocket::IoResult::Refused:
-        ++stats_.send_refused;
-        retire_front_frames(take, now_ns, /*sent=*/false);
-        break;
-      case UdpSocket::IoResult::Error:
-        ++stats_.send_errors;
-        retire_front_frames(take, now_ns, /*sent=*/false);
-        break;
-    }
-    retry_backoff_.reset();
-  }
-}
-
 void UdpChannel::arm_retry() {
   if (retry_armed_) return;
   retry_armed_ = true;
@@ -429,14 +373,6 @@ void UdpChannel::arm_retry() {
 void UdpChannel::on_writable(std::int64_t now_ns) { flush(now_ns); }
 
 void UdpChannel::on_readable() {
-  if (recv_batch_ == 1) {
-    on_readable_legacy();
-  } else {
-    on_readable_batched();
-  }
-}
-
-void UdpChannel::on_readable_batched() {
   for (;;) {
     // The kernel shrinks msg_controllen to the cmsgs it wrote.
     for (std::size_t i = 0; i < rx_entries_; ++i) {
@@ -500,30 +436,6 @@ void UdpChannel::on_readable_batched() {
     // The next recv_many refills these entries: the batch goes up now.
     forward_batch();
     if (batch.completed < rx_entries_) return;  // queue drained mid-batch
-  }
-}
-
-void UdpChannel::on_readable_legacy() {
-  std::array<std::uint8_t, 65535> buf;
-  for (;;) {
-    std::size_t n = 0;
-    switch (rx_.recv(buf, &n)) {
-      case UdpSocket::IoResult::Ok:
-        break;
-      case UdpSocket::IoResult::WouldBlock:
-        return;  // drained
-      case UdpSocket::IoResult::Refused:
-        ++stats_.recv_refused;
-        continue;
-      case UdpSocket::IoResult::Error:
-        ++stats_.recv_errors;
-        return;
-    }
-    if (n == 0) continue;
-    ++stats_.datagrams_received;
-    stats_.bytes_received += n;
-    split_into_batch({buf.data(), n});
-    forward_batch();
   }
 }
 

@@ -46,10 +46,10 @@
 // recvmmsg, split, forward — performs zero heap allocations; the
 // transport suite asserts that with an operator-new counting hook.
 //
-// send_batch == 1 selects the LEGACY path deliberately: one send()/
-// recv() per datagram with assembly and per-frame materialization,
-// byte-compatible with the pre-batching transport. bench/live_eval uses
-// it as the honest before/after baseline.
+// send_batch and recv_batch are depths, not modes: at depth 1 every
+// release is flushed at once as a one-datagram sendmmsg, and each
+// recvmmsg takes one entry. bench/live_eval runs depth 1 against depth
+// 32 as its before/after.
 #pragma once
 
 #include <cstdint>
@@ -103,7 +103,7 @@ class UdpChannel {
  public:
   /// Receives one receive batch: the raw bytes of every frame (and every
   /// undecodable datagram tail) split from the datagrams of one
-  /// recvmmsg, or from one datagram on the unbatched path. A recvmmsg
+  /// recvmmsg. A recvmmsg
   /// that splits into more than recv_batch * kFramesPerSlot frames
   /// arrives as several calls. The spans view receive entries and are
   /// only valid for the duration of the call (it fires before the
@@ -136,8 +136,9 @@ class UdpChannel {
   /// receive entries per recvmmsg: with UDP_GRO, min(recv_batch,
   /// kGroEntries) entries of kGroEntryBytes; without, recv_batch
   /// entries of pool.slot_bytes(), one datagram each. The entries are
-  /// the channel's own; it takes no pool slots to receive.
-  /// send_batch == 1 selects the legacy unbatched path.
+  /// the channel's own; it takes no pool slots to receive. Depth 1
+  /// runs the same code with one datagram per sendmmsg and one entry
+  /// per recvmmsg.
   UdpChannel(net::ChannelConfig config, Rng rng, net::Simulator& timeline,
              util::FramePool& pool, std::uint16_t rx_port, std::string name = {},
              std::size_t max_datagram_bytes = 1400,
@@ -216,7 +217,7 @@ class UdpChannel {
   [[nodiscard]] const UdpChannelStats& stats() const noexcept {
     return stats_;
   }
-  /// Kernel-crossing syscall counts (send+sendmmsg / recv+recvmmsg), the
+  /// Kernel-crossing syscall counts (sendmmsg / recvmmsg calls), the
   /// numerator of the bench's syscalls_per_packet column.
   [[nodiscard]] std::uint64_t syscalls_send() const noexcept {
     return tx_.syscalls_send();
@@ -256,10 +257,6 @@ class UdpChannel {
   };
 
   void release(util::FrameRef frame, std::int64_t release_ns);
-  void flush_batched(std::int64_t now_ns);
-  void flush_legacy(std::int64_t now_ns);
-  void on_readable_batched();
-  void on_readable_legacy();
   /// Split one datagram into frames, appending them to the pending batch.
   void split_into_batch(std::span<const std::uint8_t> datagram);
   /// Hand the pending batch upward and clear it.
@@ -273,7 +270,6 @@ class UdpChannel {
   std::string name_;
   std::size_t max_datagram_bytes_;
   std::size_t send_batch_;
-  std::size_t recv_batch_;
   UdpSocket rx_;
   UdpSocket tx_;
   net::Simulator& timeline_;

@@ -1,6 +1,8 @@
 // Tests for the share wire format and the (kappa, mu) dither.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "protocol/dither.hpp"
@@ -111,6 +113,27 @@ ShareFrame sample_frame(std::uint64_t id, std::uint8_t index,
   f.share_index = index;
   f.payload.assign(payload_len, static_cast<std::uint8_t>(0xA0 + index));
   return f;
+}
+
+/// Cut one frame off the head of `rest` the way the live transport
+/// splits a coalesced datagram: frame_extent() finds where the frame
+/// ends, decode_view() decodes exactly that extent. On success `rest`
+/// moves past the frame and the frame comes back owned; on failure
+/// `rest` is left as it was and `status` says why.
+std::optional<ShareFrame> take_frame(std::span<const std::uint8_t>& rest,
+                                     const crypto::SipHashKey* key = nullptr,
+                                     DecodeStatus* status = nullptr) {
+  const auto extent = frame_extent(rest);
+  if (!extent) {
+    if (status != nullptr) *status = DecodeStatus::Malformed;
+    return std::nullopt;
+  }
+  const auto view = decode_view(rest.first(*extent), key, status);
+  if (!view) return std::nullopt;
+  rest = rest.subspan(*extent);
+  return ShareFrame{view->packet_id, view->k, view->share_index,
+                    view->generation, view->connection_id,
+                    {view->payload.begin(), view->payload.end()}};
 }
 
 // ------------------------------------------------------------- generation
@@ -322,11 +345,9 @@ TEST(WirePrefix, ConnectionFramesConcatenate) {
 
   std::span<const std::uint8_t> rest(buf);
   for (const ShareFrame* want : {&f1, &f2, &f3}) {
-    std::size_t consumed = 0;
-    const auto parsed = decode_prefix(rest, &consumed);
+    const auto parsed = take_frame(rest);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, *want);
-    rest = rest.subspan(consumed);
   }
   EXPECT_TRUE(rest.empty());
 }
@@ -343,21 +364,21 @@ TEST(WirePrefix, GenerationFramesConcatenate) {
   const auto b2 = encode(f2);
   buf.insert(buf.end(), b2.begin(), b2.end());
 
-  std::size_t consumed = 0;
-  auto parsed = decode_prefix(buf, &consumed);
+  std::span<const std::uint8_t> rest(buf);
+  auto parsed = take_frame(rest);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, f1);
-  EXPECT_EQ(consumed, first_size);
-  parsed = decode_prefix(std::span(buf).subspan(consumed), &consumed);
+  EXPECT_EQ(buf.size() - rest.size(), first_size);
+  parsed = take_frame(rest);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, f2);
 }
 
-// ------------------------------------------------------------ decode_prefix
+// ------------------------------------------- frame_extent + decode_view
 
 TEST(WirePrefix, ConcatenatedFramesParseOneAtATime) {
   // Regression: a recv that coalesces two frames used to fail strict
-  // decode() and drop both. decode_prefix walks the buffer frame by
+  // decode() and drop both. frame_extent walks the buffer frame by
   // frame.
   const auto f1 = sample_frame(10, 1, 5);
   const auto f2 = sample_frame(11, 2, 0);  // empty payload frame
@@ -371,14 +392,13 @@ TEST(WirePrefix, ConcatenatedFramesParseOneAtATime) {
   std::span<const std::uint8_t> rest(buf);
   std::vector<ShareFrame> parsed;
   while (!rest.empty()) {
-    std::size_t consumed = 0;
+    const std::size_t before = rest.size();
     DecodeStatus status = DecodeStatus::Ok;
-    auto f = decode_prefix(rest, &consumed, nullptr, &status);
+    auto f = take_frame(rest, nullptr, &status);
     ASSERT_TRUE(f.has_value());
     EXPECT_EQ(status, DecodeStatus::Ok);
-    ASSERT_GT(consumed, 0u);
+    ASSERT_LT(rest.size(), before);
     parsed.push_back(std::move(*f));
-    rest = rest.subspan(consumed);
   }
   ASSERT_EQ(parsed.size(), 3u);
   EXPECT_EQ(parsed[0], f1);
@@ -392,11 +412,11 @@ TEST(WirePrefix, TrailingJunkDoesNotPoisonTheFrame) {
   const std::size_t frame_size = buf.size();
   buf.insert(buf.end(), {0xDE, 0xAD, 0xBE});  // padding / torn next frame
 
-  std::size_t consumed = 0;
-  const auto parsed = decode_prefix(buf, &consumed);
+  std::span<const std::uint8_t> rest(buf);
+  const auto parsed = take_frame(rest);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, f);
-  EXPECT_EQ(consumed, frame_size);
+  EXPECT_EQ(buf.size() - rest.size(), frame_size);
 
   // Strict decode still refuses the same buffer (delegation preserved
   // the exact-size contract).
@@ -415,12 +435,12 @@ TEST(WirePrefix, AuthenticatedFramesConcatenate) {
   const auto b2 = encode(f2, &key);
   buf.insert(buf.end(), b2.begin(), b2.end());
 
-  std::size_t consumed = 0;
+  std::span<const std::uint8_t> rest(buf);
   DecodeStatus status = DecodeStatus::Ok;
-  auto parsed = decode_prefix(buf, &consumed, &key, &status);
+  auto parsed = take_frame(rest, &key, &status);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, f1);
-  EXPECT_EQ(consumed, first_size);  // tag bytes counted as consumed
+  EXPECT_EQ(buf.size() - rest.size(), first_size);  // tag bytes included
   EXPECT_EQ(status, DecodeStatus::Ok);
 
   // The tag covers only the first frame, so the concatenation must not
@@ -428,25 +448,29 @@ TEST(WirePrefix, AuthenticatedFramesConcatenate) {
   // extent still fails even with a healthy second frame behind it.
   auto tampered = buf;
   tampered[kHeaderSize] ^= 0x01;
-  EXPECT_FALSE(decode_prefix(tampered, &consumed, &key, &status).has_value());
+  rest = tampered;
+  EXPECT_FALSE(take_frame(rest, &key, &status).has_value());
   EXPECT_EQ(status, DecodeStatus::AuthFailed);
-  EXPECT_EQ(consumed, 0u);
+  EXPECT_EQ(rest.size(), tampered.size());
 }
 
 TEST(WirePrefix, MalformedHeadConsumesNothing) {
   std::vector<std::uint8_t> junk(64, 0x55);
-  std::size_t consumed = 99;
+  EXPECT_FALSE(frame_extent(junk).has_value());
+  std::span<const std::uint8_t> rest(junk);
   DecodeStatus status = DecodeStatus::Ok;
-  EXPECT_FALSE(decode_prefix(junk, &consumed, nullptr, &status).has_value());
-  EXPECT_EQ(consumed, 0u);
+  EXPECT_FALSE(take_frame(rest, nullptr, &status).has_value());
+  EXPECT_EQ(rest.size(), junk.size());
   EXPECT_EQ(status, DecodeStatus::Malformed);
 
   // A truncated frame (header promises more payload than the buffer
   // holds) is malformed, not a partial success.
   auto truncated = encode(sample_frame(5, 5, 100));
-  truncated.resize(truncated.size() - 1);
-  EXPECT_FALSE(decode_prefix(truncated, &consumed, nullptr, &status).has_value());
-  EXPECT_EQ(consumed, 0u);
+  truncated.pop_back();
+  EXPECT_FALSE(frame_extent(truncated).has_value());
+  rest = truncated;
+  EXPECT_FALSE(take_frame(rest, nullptr, &status).has_value());
+  EXPECT_EQ(rest.size(), truncated.size());
 }
 
 // ---------------------------------------------------------------- dither

@@ -8,6 +8,7 @@
 #include "net/simulator.hpp"
 #include "protocol/receiver.hpp"
 #include "protocol/wire.hpp"
+#include "sss/share.hpp"
 #include "util/rng.hpp"
 
 namespace mcss::proto {

@@ -1206,8 +1206,8 @@ TEST(Session, TinyKernelBuffersDoNotWedgeTheLoop) {
 }
 
 TEST(Session, UnbatchedModeStillDelivers) {
-  // send_batch = recv_batch = 1 is the pre-batching transport, kept as
-  // bench/live_eval's before/after baseline.
+  // send_batch = recv_batch = 1: one datagram per sendmmsg and one
+  // entry per recvmmsg, bench/live_eval's before/after baseline.
   SessionConfig config = two_channel_config(100e6);
   config.send_batch = 1;
   config.recv_batch = 1;

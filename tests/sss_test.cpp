@@ -85,7 +85,8 @@ TEST_P(ShamirKmTest, RoundtripWithFirstKShares) {
   const auto secret = random_secret(rng, 64);
   const auto shares = split(secret, k, m, rng);
   ASSERT_EQ(shares.size(), static_cast<std::size_t>(m));
-  EXPECT_EQ(reconstruct_first_k(shares, k), secret);
+  EXPECT_EQ(reconstruct(std::span(shares).first(static_cast<std::size_t>(k))),
+            secret);
 }
 
 TEST_P(ShamirKmTest, EveryKSubsetReconstructs) {
@@ -171,7 +172,7 @@ TEST(Shamir, EmptySecretRoundtrips) {
   Rng rng(2);
   const std::vector<std::uint8_t> empty;
   const auto shares = split(empty, 2, 3, rng);
-  EXPECT_TRUE(reconstruct_first_k(shares, 2).empty());
+  EXPECT_TRUE(reconstruct(std::span(shares).first(2)).empty());
 }
 
 TEST(Shamir, LargeSecretRoundtrips) {
@@ -274,9 +275,6 @@ TEST(Shamir, ReconstructRejectsBadShares) {
   std::vector<Share> zero_index{shares[0], shares[1]};
   zero_index[0].index = 0;
   EXPECT_THROW((void)reconstruct(zero_index), PreconditionError);
-
-  EXPECT_THROW((void)reconstruct_first_k(shares, 0), PreconditionError);
-  EXPECT_THROW((void)reconstruct_first_k(shares, 4), PreconditionError);
 }
 
 TEST(Shamir, DeterministicGivenSeed) {

@@ -41,6 +41,7 @@
 namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};  ///< bytes those calls asked for
 }  // namespace
 
 // noinline keeps GCC from pairing an inlined free() against new
@@ -51,6 +52,7 @@ std::atomic<std::uint64_t> g_allocs{0};
 MCSS_TEST_NOINLINE void* operator new(std::size_t size) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size != 0 ? size : 1)) return p;
   throw std::bad_alloc();
@@ -1075,6 +1077,51 @@ TEST(UdpChannel, SegmentedAndPlainSendsDeliverTheSameFramesInOrder) {
   EXPECT_EQ(segmented.datagrams_received, segmented.datagrams_sent);
 }
 
+TEST(UdpChannel, DepthOneDeliversTheSameFramesOneDatagramPerSyscall) {
+  // Depth is not a mode: at depth 1 the same code moves one datagram per
+  // sendmmsg and takes one entry per recvmmsg. Seeded frames of mixed
+  // sizes reach the receiver identical and in order at depth 1 and 32.
+  Rng rng(29);
+  std::vector<std::vector<std::uint8_t>> sent;
+  for (std::uint64_t id = 1; id <= 60; ++id) {
+    const std::size_t size = 40 + rng.uniform_int(1400 - 40 + 1);
+    sent.push_back(frame_of_size(id, size));
+  }
+
+  const auto run = [&](std::size_t depth) {
+    net::Simulator timeline;
+    FramePool pool(2048, 96);
+    ChannelConfig cfg;
+    cfg.rate_bps = 1e15;
+    UdpChannel ch(cfg, Rng(21), timeline, pool, 0, "depth",
+                  /*max_datagram_bytes=*/1400, depth, depth);
+    std::vector<std::vector<std::uint8_t>> got;
+    ch.set_on_batch(collect_into(got));
+    offer_all(ch, sent);
+    timeline.run_until(1'000'000);
+    ch.flush(1'000'000);
+    EXPECT_FALSE(ch.wants_write());
+    std::uint64_t drains = 0;
+    for (; drains < 5000 && got.size() < sent.size(); ++drains) {
+      ch.on_readable();
+    }
+    EXPECT_EQ(got, sent) << "depth " << depth;
+    if (depth == 1) {
+      EXPECT_EQ(ch.syscalls_send(), ch.stats().datagrams_sent);
+      // Every drain ends on the one recvmmsg that finds the socket empty.
+      EXPECT_EQ(ch.syscalls_recv(), ch.stats().datagrams_received + drains);
+    }
+    EXPECT_EQ(ch.stats().datagrams_received, ch.stats().datagrams_sent);
+    return ch.stats();
+  };
+  const UdpChannelStats one = run(1);
+  const UdpChannelStats deep = run(32);
+  EXPECT_EQ(one.frames_forwarded, sent.size());
+  EXPECT_EQ(deep.frames_forwarded, sent.size());
+  EXPECT_EQ(one.gso_messages, 0u);
+  EXPECT_EQ(one.gro_messages, 0u);
+}
+
 TEST(UdpChannel, ShorterDatagramEndsARunAndLongerNeverJoins) {
   if (!kernel_segments()) GTEST_SKIP() << "kernel lacks UDP_SEGMENT";
   net::Simulator timeline;
@@ -1442,7 +1489,7 @@ TEST(UdpChannel, RecvmmsgDrainsBurstsLargerThanTheBatch) {
   EXPECT_EQ(ch.stats().datagrams_received, 10u);
   EXPECT_EQ(ch.stats().frames_forwarded, 10u);
   // 10 datagrams through 4-deep recvmmsg: at least three kernel visits,
-  // far fewer than the 10 the unbatched path would make.
+  // far fewer than the 10 a depth-1 channel would make.
   EXPECT_GE(ch.syscalls_recv(), 3u);
   // One callback per recvmmsg that returned datagrams, not one per frame.
   EXPECT_GE(batches, 3u);
@@ -1630,7 +1677,7 @@ TEST(Receiver, ArenaReassemblyAppendsDoNotAllocate) {
 
   g_allocs.store(0);
   g_count_allocs.store(true);
-  for (int i = 1; i < 7; ++i) {  // appends only — completion is separate
+  for (std::size_t i = 1; i < 7; ++i) {  // appends only; completion is separate
     receiver.on_frame(std::span<const std::uint8_t>(frames[i]));
   }
   g_count_allocs.store(false);
@@ -1647,7 +1694,7 @@ TEST(Receiver, ArenaReassemblyAppendsDoNotAllocate) {
 
 TEST(Receiver, OversizePartialFallsBackToHeapAndStillDelivers) {
   // A partial that cannot fit one slot (k * (1 + share_size) too big)
-  // degrades to heap vectors — a policy change, never a drop. Same for
+  // degrades to a heap buffer — a policy change, never a drop. Same for
   // pool exhaustion.
   net::Simulator sim;
   FramePool pool(512, 2);  // 3 * (1 + 256) = 771 > 512 -> heap
@@ -1692,6 +1739,32 @@ TEST(Receiver, OversizePartialFallsBackToHeapAndStillDelivers) {
   receiver.on_frame(std::span<const std::uint8_t>(bytes));
   EXPECT_EQ(receiver.pending_packets(), 1u);
   EXPECT_EQ(receiver.stats().partials_on_heap, 2u);
+}
+
+TEST(Receiver, ForgedHugePartialTakesOnlyTheHeapItsBytesNeed) {
+  // One frame claims k = 255 shares of 65,535 bytes. The memory cap
+  // counts only bytes that arrived, so the heap buffer must grow with
+  // them: reserving the whole partial (k * share_size, about 16 MiB)
+  // up front would sit outside the cap.
+  net::Simulator sim;
+  proto::Receiver receiver(sim);  // no arena: every partial on the heap
+  proto::ShareFrame f;
+  f.packet_id = 1;
+  f.k = 255;
+  f.share_index = 1;
+  f.payload.assign(proto::kMaxPayload, 0x5A);
+  const auto bytes = proto::encode(f);
+
+  g_alloc_bytes.store(0);
+  g_count_allocs.store(true);
+  receiver.on_frame(std::span<const std::uint8_t>(bytes));
+  g_count_allocs.store(false);
+  ASSERT_EQ(receiver.pending_packets(), 1u);
+  ASSERT_EQ(receiver.buffered_bytes(), proto::kMaxPayload);
+  EXPECT_EQ(receiver.stats().partials_on_heap, 1u);
+  // 2x the bytes received plus the k index bytes, and 4 KiB for the
+  // partial's table node, the table's buckets and its timer entry.
+  EXPECT_LE(g_alloc_bytes.load(), 2 * proto::kMaxPayload + 255 + 4096);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // backoff, ring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <set>
@@ -9,6 +10,7 @@
 
 #include "util/backoff.hpp"
 #include "util/ensure.hpp"
+#include "util/intrusive_list.hpp"
 #include "util/link_risk.hpp"
 #include "util/poisson_binomial.hpp"
 #include "util/ring.hpp"
@@ -675,6 +677,66 @@ TEST(Ring, PopReleasesWhatTheEntryOwns) {
   ring.push_back({});
   EXPECT_TRUE(ring.front().empty());
   EXPECT_EQ(ring.front().capacity(), 0u);
+}
+
+// -------------------------------------------------------- IntrusiveList
+
+struct Linked {
+  int value = 0;
+  util::ListHook<Linked> a;
+  util::ListHook<Linked> b;
+};
+using ListA = util::IntrusiveList<Linked, &Linked::a>;
+using ListB = util::IntrusiveList<Linked, &Linked::b>;
+
+std::vector<int> values(const ListA& list) {
+  std::vector<int> out;
+  for (Linked* p = list.front(); p != nullptr; p = ListA::next(*p)) {
+    out.push_back(p->value);
+  }
+  return out;
+}
+
+TEST(IntrusiveList, MatchesAFifoModelUnderRandomPushAndErase) {
+  // Pushes go to the back, erases unlink from anywhere, and the list
+  // walks oldest first, as a std::vector model does.
+  std::array<Linked, 12> nodes;
+  for (int i = 0; i < 12; ++i) nodes[static_cast<std::size_t>(i)].value = i;
+  ListA list;
+  std::vector<int> model;
+  Rng rng(17);
+  for (int step = 0; step < 3000; ++step) {
+    Linked& n = nodes[rng.uniform_int(nodes.size())];
+    const auto at = std::find(model.begin(), model.end(), n.value);
+    if (rng.uniform() < 0.5) {
+      list.push_back(n);  // a no-op when already linked
+      if (at == model.end()) model.push_back(n.value);
+    } else {
+      list.erase(n);  // a no-op when not linked
+      if (at != model.end()) model.erase(at);
+    }
+    ASSERT_EQ(values(list), model) << "step " << step;
+    ASSERT_EQ(list.size(), model.size());
+    ASSERT_EQ(list.empty(), model.empty());
+    ASSERT_EQ(list.contains(n), std::find(model.begin(), model.end(),
+                                          n.value) != model.end());
+  }
+}
+
+TEST(IntrusiveList, AnElementSitsOnTwoListsThroughTwoHooks) {
+  Linked x{.value = 1};
+  Linked y{.value = 2};
+  ListA first;
+  ListB second;
+  first.push_back(x);
+  first.push_back(y);
+  second.push_back(y);
+  EXPECT_TRUE(second.contains(y));
+  EXPECT_FALSE(second.contains(x));
+  first.erase(y);
+  EXPECT_EQ(values(first), std::vector<int>{1});
+  EXPECT_EQ(second.front(), &y);
+  EXPECT_EQ(second.size(), 1u);
 }
 
 }  // namespace
