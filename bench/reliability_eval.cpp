@@ -151,7 +151,7 @@ ModeResult run_mode(const ModePoint& point, double pps, double seconds) {
     }
     joined += "]";
     r.plan_channels = std::move(joined);
-    scheduler = std::make_unique<feedback::ProactiveScheduler>(plan);
+    scheduler = std::make_unique<proto::FixedScheduler>(plan.k, plan.channels);
   } else {
     scheduler = std::make_unique<proto::DynamicScheduler>(
         static_cast<double>(kThreshold), static_cast<double>(kThreshold), n);

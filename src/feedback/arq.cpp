@@ -10,7 +10,10 @@ namespace mcss::feedback {
 
 Arq::Arq(const ArqDriver& driver, std::uint32_t cid,
          RetransmitConfig retransmit, ReportBuilderConfig report, Rng rng)
-    : driver_(driver), cid_(cid), builder_(report), manager_(retransmit, rng) {
+    : driver_(driver),
+      cid_(cid),
+      builder_(report),
+      manager_(driver.timeline, retransmit, rng) {
   MCSS_ENSURE(driver_.num_channels >= 1 &&
                   driver_.num_channels <=
                       static_cast<int>(proto::ChannelList::kCapacity),
@@ -22,30 +25,24 @@ Arq::Arq(const ArqDriver& driver, std::uint32_t cid,
                                  int k) {
     resend(id, generation, payload, k);
   });
-}
-
-Arq::~Arq() {
-  // The timeline may be shared and outlive this flow: take the timer
-  // back so it never fires into freed state.
-  driver_.timeline.cancel(rto_timer_);
+  if (driver_.after_timeout) {
+    manager_.set_after_timeout([this] { driver_.after_timeout(cid_); });
+  }
 }
 
 void Arq::on_sent(std::uint64_t id, int k,
                   std::span<const std::uint8_t> payload,
                   std::span<const int> channels, std::int64_t now) {
   manager_.on_packet_sent(id, k, payload, channels, now);
-  arm();
 }
 
 void Arq::on_report(const ReceiverReport& report, std::int64_t now) {
   manager_.on_report(report, now);
-  arm();
 }
 
 void Arq::on_report_datagram(std::span<const std::uint8_t> datagram,
                              std::int64_t now) {
   manager_.on_report_datagram(datagram, now, driver_.report_key);
-  arm();
 }
 
 bool Arq::on_delivered(std::uint64_t id, std::int64_t now) {
@@ -57,30 +54,6 @@ std::vector<std::uint8_t> Arq::report(std::int64_t now) {
   ReceiverReport report = builder_.build(now);
   report.connection_id = cid_;
   return encode_report(report, driver_.report_key);
-}
-
-void Arq::arm() {
-  net::Simulator& timeline = driver_.timeline;
-  const auto deadline = manager_.next_deadline();
-  if (!deadline) {
-    timeline.cancel(rto_timer_);
-    rto_timer_ = {};
-    return;
-  }
-  if (rto_timer_) {
-    if (rto_deadline_ <= *deadline) return;  // armed early enough already
-    timeline.cancel(rto_timer_);
-  }
-  rto_deadline_ = *deadline;
-  // A live deadline can trail the timeline (an RTO already overdue when
-  // a report re-arms it): it then fires on the next advance.
-  rto_timer_ =
-      timeline.schedule_at(std::max(*deadline, timeline.now()), [this] {
-        rto_timer_ = {};
-        manager_.advance(driver_.timeline.now());
-        arm();
-        if (driver_.after_timeout) driver_.after_timeout(cid_);
-      });
 }
 
 void Arq::resend(std::uint64_t id, std::uint8_t generation,

@@ -3,14 +3,16 @@
 // An Arq holds a flow's ReportBuilder and RetransmitManager and does
 // what both drivers (feedback::ReliableLink in the simulator,
 // session::SessionEndpoint on sockets) need of them:
-//   - the RTO timer, armed at the manager's next_deadline() on the
-//     driver's net::Simulator (simulated time, or the live endpoint's
-//     wall-driven timeline) under one handle the destructor cancels;
+//   - the RTO timers: the manager gives each outstanding packet its own
+//     timer on the driver's net::Simulator (simulated time, or the live
+//     endpoint's wall-driven timeline), and the packet's close or the
+//     manager's destruction takes it back; the driver's after-timeout
+//     hook runs after each one fires;
 //   - the retransmit channel order: channels the packet already exposed
 //     first (re-using them cannot widen what an eavesdropper saw), then
 //     ascending risk, index as the tiebreak;
 //   - report build + encode, and the early report a delivery makes due;
-//   - report ingest, then re-arming the RTO.
+//   - report ingest.
 // It has no sockets and reads no clock. The hooks live in an ArqDriver
 // all of one driver's Arqs share, so a flow pays a pointer for them.
 #pragma once
@@ -38,7 +40,8 @@ struct ArqDriver {
       std::uint32_t cid, std::uint64_t id, std::uint8_t generation,
       std::span<const std::uint8_t> payload, int k,
       std::span<const int> channels)>;
-  /// After an RTO pass of flow `cid`, which may have closed packets.
+  /// After one of flow `cid`'s RTO timers fired, which may have closed
+  /// its packet.
   using TimeoutFn = std::function<void(std::uint32_t cid)>;
 
   net::Simulator& timeline;
@@ -61,22 +64,21 @@ class Arq {
   /// `cid` scopes the flow's reports (0 = the single-flow encoding).
   Arq(const ArqDriver& driver, std::uint32_t cid, RetransmitConfig retransmit,
       ReportBuilderConfig report, Rng rng);
-  ~Arq();
 
   Arq(const Arq&) = delete;
   Arq& operator=(const Arq&) = delete;
 
   // ------------------------------------------------------ sender side
 
-  /// Track a freshly dispatched packet and arm the RTO.
+  /// Track a freshly dispatched packet and arm its RTO timer.
   void on_sent(std::uint64_t id, int k, std::span<const std::uint8_t> payload,
                std::span<const int> channels, std::int64_t now);
 
-  /// Ingest one report already demultiplexed to this flow, then re-arm.
+  /// Ingest one report already demultiplexed to this flow.
   void on_report(const ReceiverReport& report, std::int64_t now);
 
   /// Ingest a feedback datagram (possibly several coalesced reports)
-  /// under the driver's report key, then re-arm.
+  /// under the driver's report key.
   void on_report_datagram(std::span<const std::uint8_t> datagram,
                           std::int64_t now);
 
@@ -100,8 +102,6 @@ class Arq {
   }
 
  private:
-  /// (Re)arm the RTO timer at the manager's next deadline.
-  void arm();
   /// The manager's retransmit hook: order the channels, have the
   /// driver resend on the first k + retransmit_extra, widen exposure.
   void resend(std::uint64_t id, std::uint8_t generation,
@@ -111,8 +111,6 @@ class Arq {
   std::uint32_t cid_;
   ReportBuilder builder_;
   RetransmitManager manager_;
-  net::EventHandle rto_timer_;
-  std::int64_t rto_deadline_ = 0;
 };
 
 }  // namespace mcss::feedback

@@ -54,24 +54,4 @@ RedundancyPlan plan_redundancy(const ChannelSet& channels,
   return plan;
 }
 
-ProactiveScheduler::ProactiveScheduler(RedundancyPlan plan)
-    : plan_(std::move(plan)) {
-  MCSS_ENSURE(!plan_.channels.empty(), "plan has no channels");
-  MCSS_ENSURE(plan_.k >= 1 &&
-                  plan_.k <= static_cast<int>(plan_.channels.size()),
-              "plan (k, m) invalid");
-}
-
-std::optional<proto::ShareDecision> ProactiveScheduler::next(
-    std::span<const proto::ChannelView> channels) {
-  for (int ch : plan_.channels) {
-    MCSS_ENSURE(static_cast<std::size_t>(ch) < channels.size(),
-                "plan channel out of range");
-    if (!channels[static_cast<std::size_t>(ch)].ready) {
-      return std::nullopt;  // wait for the full plan to be writable
-    }
-  }
-  return proto::ShareDecision{plan_.k, proto::ChannelList(plan_.channels)};
-}
-
 }  // namespace mcss::feedback

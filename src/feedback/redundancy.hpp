@@ -11,14 +11,14 @@
 // loss channels first, among channels fast enough for the offered
 // rate) whose l(k, M) clears the target, and reports the predicted
 // loss and risk z(k, M) so callers see what the extra shares cost in
-// privacy.
+// privacy. A proto::FixedScheduler over (plan.k, plan.channels) sends
+// the plan.
 #pragma once
 
 #include <vector>
 
 #include "core/channel.hpp"
 #include "core/subset_metrics.hpp"
-#include "protocol/scheduler.hpp"
 
 namespace mcss::feedback {
 
@@ -52,19 +52,5 @@ struct RedundancyPlan {
 /// ordering.
 [[nodiscard]] RedundancyPlan plan_redundancy(const ChannelSet& channels,
                                              const RedundancyGoal& goal);
-
-/// Scheduler that emits a fixed plan: every packet is split k-of-m over
-/// exactly the planned channels, waiting (like StaticScheduler's parked
-/// decisions) until all of them are writable.
-class ProactiveScheduler final : public proto::ShareScheduler {
- public:
-  explicit ProactiveScheduler(RedundancyPlan plan);
-
-  [[nodiscard]] std::optional<proto::ShareDecision> next(
-      std::span<const proto::ChannelView> channels) override;
-
- private:
-  RedundancyPlan plan_;
-};
 
 }  // namespace mcss::feedback

@@ -1,7 +1,7 @@
 // Simulator driver for one flow's feedback::Arq: turns a (Sender,
 // Receiver, channels) triple into a reliable session.
 //
-// The protocol logic (reports, RTO timer, retransmit order, report
+// The protocol logic (reports, RTO timers, retransmit order, report
 // ingest) lives in the Arq, the same one the live session endpoint
 // drives. The link keeps only the simulator wiring:
 //

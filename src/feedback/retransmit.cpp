@@ -32,8 +32,9 @@ void publish(obs::Registry& registry, const RetransmitStats& stats) {
                stats.delay.mean());
 }
 
-RetransmitManager::RetransmitManager(RetransmitConfig config, Rng rng)
-    : config_(config), rng_(rng) {
+RetransmitManager::RetransmitManager(net::Simulator& timeline,
+                                     RetransmitConfig config, Rng rng)
+    : timeline_(timeline), config_(config), rng_(rng) {
   MCSS_ENSURE(config_.max_retransmits >= 0, "budget must be non-negative");
   MCSS_ENSURE(config_.max_outstanding >= 1, "need room for one packet");
   MCSS_ENSURE(config_.min_rto_ns > 0 &&
@@ -41,6 +42,12 @@ RetransmitManager::RetransmitManager(RetransmitConfig config, Rng rng)
               "RTO bounds inverted");
   rto_ns_ = std::clamp(config_.initial_rto_ns, config_.min_rto_ns,
                        config_.max_rto_ns);
+}
+
+RetransmitManager::~RetransmitManager() {
+  // The timeline may be shared and outlive this manager (session flows
+  // come and go): take back every RTO timer still parked there.
+  for (const auto& [id, packet] : outstanding_) timeline_.cancel(packet.timer);
 }
 
 void RetransmitManager::on_packet_sent(std::uint64_t packet_id, int k,
@@ -59,15 +66,16 @@ void RetransmitManager::on_packet_sent(std::uint64_t packet_id, int k,
   packet.payload.assign(payload.begin(), payload.end());
   packet.k = k;
   packet.first_sent_ns = now_ns;
-  packet.deadline_ns = now_ns + rto_ns_;
   for (int ch : channels) {
     MCSS_ENSURE(ch >= 0 && ch < 32, "channel index out of range");
     packet.initial_mask |= std::uint32_t{1} << ch;
   }
   packet.exposure_mask = packet.initial_mask;
   ++stats_.packets_tracked;
-  push_deadline(packet_id, packet.deadline_ns);
-  outstanding_.emplace(packet_id, std::move(packet));
+  const auto [it, inserted] =
+      outstanding_.emplace(packet_id, std::move(packet));
+  MCSS_ENSURE(inserted, "packet id already outstanding");
+  arm(it, now_ns + rto_ns_);
 }
 
 void RetransmitManager::note_exposure(std::uint64_t packet_id,
@@ -172,34 +180,20 @@ void RetransmitManager::on_rtt_sample(std::int64_t rtt_ns) {
       config_.min_rto_ns, config_.max_rto_ns);
 }
 
-std::optional<std::int64_t> RetransmitManager::next_deadline() {
-  // The heap may hold stale entries for rescheduled or closed packets;
-  // prune them from the top until the earliest VALID deadline surfaces.
-  while (!deadlines_.empty()) {
-    const auto [deadline, id] = deadlines_.top();
-    const auto it = outstanding_.find(id);
-    if (it != outstanding_.end() && it->second.deadline_ns == deadline) {
-      return deadline;
-    }
-    deadlines_.pop();
-  }
-  return std::nullopt;
+void RetransmitManager::arm(Packets::iterator it, std::int64_t deadline_ns) {
+  // Map nodes never move, so the iterator stays valid until the packet
+  // closes, and every close cancels this timer first.
+  it->second.timer =
+      timeline_.schedule_at(deadline_ns, [this, it] { on_timeout(it); });
 }
 
-void RetransmitManager::advance(std::int64_t now_ns) {
-  while (!deadlines_.empty() && deadlines_.top().first <= now_ns) {
-    const auto [deadline, id] = deadlines_.top();
-    deadlines_.pop();
-    const auto it = outstanding_.find(id);
-    if (it == outstanding_.end() || it->second.deadline_ns != deadline) {
-      continue;  // stale heap entry
-    }
-    Outstanding& packet = it->second;
-    if (packet.retransmits >= config_.max_retransmits || !retransmit_) {
-      close(id, packet, false, &stats_.packets_abandoned);
-      outstanding_.erase(it);
-      continue;
-    }
+void RetransmitManager::on_timeout(Packets::iterator it) {
+  const std::uint64_t id = it->first;
+  Outstanding& packet = it->second;
+  if (packet.retransmits >= config_.max_retransmits || !retransmit_) {
+    close(id, packet, false, &stats_.packets_abandoned);
+    outstanding_.erase(it);
+  } else {
     ++packet.retransmits;
     packet.retransmitted = true;
     // Generation 0 is reserved for originals; wrap 255 -> 1.
@@ -214,11 +208,11 @@ void RetransmitManager::advance(std::int64_t now_ns) {
     backoff.cap_ns = std::max(backoff.cap_ns, backoff.base_ns);
     packet.backoff_prev_ns =
         Backoff::step(rng_, backoff, packet.backoff_prev_ns);
-    packet.deadline_ns = now_ns + packet.backoff_prev_ns;
-    push_deadline(id, packet.deadline_ns);
+    arm(it, timeline_.now() + packet.backoff_prev_ns);
 
     retransmit_(id, packet.generation, packet.payload, packet.k);
   }
+  if (after_timeout_) after_timeout_();
 }
 
 std::optional<std::uint32_t> RetransmitManager::exposure_mask(
@@ -254,6 +248,7 @@ std::vector<ClosedPacket> RetransmitManager::snapshot_open() const {
 void RetransmitManager::close(std::uint64_t packet_id,
                               const Outstanding& packet, bool acked,
                               std::uint64_t* counter) {
+  timeline_.cancel(packet.timer);
   ++*counter;
   stats_.initial_channel_sum +=
       static_cast<std::uint64_t>(std::popcount(packet.initial_mask));
@@ -261,11 +256,6 @@ void RetransmitManager::close(std::uint64_t packet_id,
       static_cast<std::uint64_t>(std::popcount(packet.exposure_mask));
   closed_.push_back({packet_id, packet.k, packet.initial_mask,
                      packet.exposure_mask, packet.retransmits, acked});
-}
-
-void RetransmitManager::push_deadline(std::uint64_t packet_id,
-                                      std::int64_t deadline_ns) {
-  deadlines_.emplace(deadline_ns, packet_id);
 }
 
 }  // namespace mcss::feedback

@@ -2,13 +2,17 @@
 // estimation, privacy-aware retransmission scheduling, and exposure
 // accounting.
 //
-// The manager is transport-agnostic. It never touches a socket or a
-// simulator; callers feed it events (packet sent, report arrived) with
-// explicit timestamps, poll next_deadline(), and call advance(now) to
-// fire due retransmission timers. The actual re-split-and-send happens
-// through the RetransmitFn callback; feedback::Arq (arq.hpp) owns the
-// manager, its timer and the retransmit channel order for both the
-// simulator and the live endpoint.
+// The manager is transport-agnostic: it never touches a socket and
+// reads no clock. Callers feed it events (packet sent, report arrived)
+// with explicit timestamps. Each outstanding packet holds one RTO timer
+// on the caller's net::Simulator (simulated time, or a live endpoint's
+// wall-driven timeline): scheduled when the packet is sent, re-armed
+// with backoff each time it fires and retransmits, and cancelled when
+// the packet closes (ack, abandon, displacement, or the manager's
+// destruction). The actual re-split-and-send happens through the
+// RetransmitFn callback; feedback::Arq (arq.hpp) owns the manager and
+// the retransmit channel order for both the simulator and the live
+// endpoint.
 //
 // RTO follows RFC 6298: SRTT/RTTVAR from ack-derived samples (Karn's
 // rule excludes retransmitted packets, whose acks are ambiguous), RTO =
@@ -33,11 +37,11 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <queue>
 #include <span>
 #include <vector>
 
 #include "feedback/report.hpp"
+#include "net/simulator.hpp"
 #include "util/backoff.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -116,15 +120,22 @@ class RetransmitManager {
   using RetransmitFn = std::function<void(
       std::uint64_t packet_id, std::uint8_t generation,
       const std::vector<std::uint8_t>& payload, int k)>;
+  /// Runs after each RTO timer fired (retransmitted or abandoned).
+  using TimeoutFn = std::function<void()>;
 
-  RetransmitManager(RetransmitConfig config, Rng rng);
+  /// RTO timers go on `timeline`, which must outlive the manager.
+  RetransmitManager(net::Simulator& timeline, RetransmitConfig config,
+                    Rng rng);
+  ~RetransmitManager();
 
   RetransmitManager(const RetransmitManager&) = delete;
   RetransmitManager& operator=(const RetransmitManager&) = delete;
 
   void set_retransmit(RetransmitFn fn) { retransmit_ = std::move(fn); }
+  void set_after_timeout(TimeoutFn fn) { after_timeout_ = std::move(fn); }
 
-  /// Track a freshly dispatched packet (wire to Sender's dispatch hook).
+  /// Track a freshly dispatched packet (wire to Sender's dispatch hook)
+  /// and arm its RTO timer at now_ns + RTO (now_ns >= timeline.now()).
   void on_packet_sent(std::uint64_t packet_id, int k,
                       std::span<const std::uint8_t> payload,
                       std::span<const int> channels, std::int64_t now_ns);
@@ -141,15 +152,6 @@ class RetransmitManager {
 
   /// Feed one already-decoded report.
   void on_report(const ReceiverReport& report, std::int64_t now_ns);
-
-  /// Earliest pending retransmission deadline, if any packet is
-  /// outstanding. Drive advance() no later than this. (Non-const: it
-  /// prunes lazily invalidated heap entries as a side effect.)
-  [[nodiscard]] std::optional<std::int64_t> next_deadline();
-
-  /// Fire every deadline <= now: retransmit packets with budget left
-  /// (via the RetransmitFn), abandon the rest.
-  void advance(std::int64_t now_ns);
 
   [[nodiscard]] std::size_t outstanding() const noexcept {
     return outstanding_.size();
@@ -186,28 +188,29 @@ class RetransmitManager {
     int retransmits = 0;
     bool retransmitted = false;  ///< Karn: RTT samples only when false
     std::int64_t first_sent_ns = 0;
-    std::int64_t deadline_ns = 0;
     std::int64_t backoff_prev_ns = 0;
     std::uint32_t initial_mask = 0;
     std::uint32_t exposure_mask = 0;
+    net::EventHandle timer;  ///< the pending RTO
   };
+  using Packets = std::map<std::uint64_t, Outstanding>;
 
+  void arm(Packets::iterator it, std::int64_t deadline_ns);
+  /// The packet's RTO fired: retransmit it with backoff and re-arm, or
+  /// abandon it once the budget is spent.
+  void on_timeout(Packets::iterator it);
   void on_rtt_sample(std::int64_t rtt_ns);
+  /// Record the close and cancel the packet's timer (the caller erases).
   void close(std::uint64_t packet_id, const Outstanding& packet, bool acked,
              std::uint64_t* counter);
-  void push_deadline(std::uint64_t packet_id, std::int64_t deadline_ns);
 
+  net::Simulator& timeline_;
   RetransmitConfig config_;
   Rng rng_;
   RetransmitFn retransmit_;
+  TimeoutFn after_timeout_;
 
-  std::map<std::uint64_t, Outstanding> outstanding_;
-  /// Min-heap of (deadline, id); entries are lazily invalidated by
-  /// checking against the packet's current deadline_ns.
-  using HeapEntry = std::pair<std::int64_t, std::uint64_t>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      deadlines_;
+  Packets outstanding_;
 
   std::uint64_t last_report_seq_ = 0;
   std::int64_t srtt_ns_ = 0;

@@ -111,22 +111,20 @@ std::optional<ShareDecision> StaticScheduler::next(
 
 // ---------------------------------------------------------------- Fixed
 
-FixedScheduler::FixedScheduler(int k, int num_channels)
-    : k_(k), num_channels_(num_channels) {
-  MCSS_ENSURE(k >= 1 && k <= num_channels, "need 1 <= k <= n");
+FixedScheduler::FixedScheduler(int k, std::span<const int> channels)
+    : k_(k), channels_(channels) {
+  MCSS_ENSURE(k >= 1 && static_cast<std::size_t>(k) <= channels_.size(),
+              "need 1 <= k <= |M|");
 }
 
 std::optional<ShareDecision> FixedScheduler::next(
     std::span<const ChannelView> channels) {
-  MCSS_ENSURE(static_cast<int>(channels.size()) == num_channels_,
-              "channel count changed");
-  for (const ChannelView& c : channels) {
-    if (!c.ready) return std::nullopt;
+  for (int ch : channels_) {
+    MCSS_ENSURE(ch >= 0 && static_cast<std::size_t>(ch) < channels.size(),
+                "channel out of range");
+    if (!channels[static_cast<std::size_t>(ch)].ready) return std::nullopt;
   }
-  ShareDecision d;
-  d.k = k_;
-  for (int i = 0; i < num_channels_; ++i) d.channels.push_back(i);
-  return d;
+  return ShareDecision{k_, channels_};
 }
 
 // ------------------------------------------------------------- metrics

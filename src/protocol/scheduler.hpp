@@ -12,8 +12,11 @@
 //   StaticScheduler        samples an explicit ShareSchedule (e.g. the
 //                          IV-D LP solution); waits until its chosen M is
 //                          writable
-//   FixedScheduler         constant (k, m = n): MICSS semantics (k = n)
-//                          or courier-mode threshold schemes (k < n)
+//   FixedScheduler         constant (k, M): MICSS semantics (k = n over
+//                          every channel), courier-mode threshold schemes
+//                          (k < n), or a proactive redundancy plan
+//                          (feedback/redundancy.hpp); waits until every
+//                          channel in M is writable
 #pragma once
 
 #include <array>
@@ -161,16 +164,18 @@ class StaticScheduler final : public ShareScheduler {
   StaticSchedulerStats stats_;
 };
 
-/// Constant (k, m = n) over all channels; k = n gives MICSS semantics.
+/// Constant (k, M): every packet is split k-of-|M| over exactly the
+/// listed channels, once all of them are writable. k = n over every
+/// channel gives MICSS semantics.
 class FixedScheduler final : public ShareScheduler {
  public:
-  FixedScheduler(int k, int num_channels);
+  FixedScheduler(int k, std::span<const int> channels);
   [[nodiscard]] std::optional<ShareDecision> next(
       std::span<const ChannelView> channels) override;
 
  private:
   int k_;
-  int num_channels_;
+  ChannelList channels_;
 };
 
 }  // namespace mcss::proto

@@ -15,7 +15,8 @@
 //     impairment, report, eviction)     DynamicScheduler (dither state)
 //   FramePool (TX/partial slots)        proto::Receiver (reassembly)
 //   UdpChannels + feedback lane         feedback::Arq (report builder,
-//                                         retransmit manager, RTO timer)
+//                                         retransmit manager; one RTO
+//                                         timer per outstanding packet)
 //
 // A flow is one node of the flow table with everything above inline, and
 // its heap use follows what it holds. The send queue, the send stamps,
@@ -37,19 +38,19 @@
 //   - O(1) ready-flow scheduling: flows with queued packets sit on an
 //     intrusive doubly-linked ready list and are served round-robin (one
 //     packet per turn). No per-flow heaps, no scan of idle flows.
-//   - Per-flow RTO timers live on the SHARED timeline: each flow's
-//     feedback::Arq arms one at its next retransmit deadline and re-arms
-//     it on ack and fire. The pump never scans managers, and the poll
-//     timeout reads
+//   - RTO timers live on the SHARED timeline, one per outstanding
+//     packet: each flow's feedback::Arq schedules it at send, re-arms
+//     it with backoff when it fires, and cancels it when the packet
+//     closes. The pump never scans managers, and the poll timeout reads
 //     the timeline's earliest deadline in O(1); an idle endpoint with
-//     100k armed flows does O(due timers x log n) work per iteration,
+//     100k armed packets does O(due timers x log n) work per iteration,
 //     not O(flows).
 //   - Report emission is paced by one session-wide timer that walks an
 //     intrusive list of flows with NEW deliveries since the last report
 //     (again no idle-flow scan), coalescing several flows' reports into
 //     each feedback datagram.
 //   - Flow teardown cancels its timers by handle (net::Simulator::cancel):
-//     the Arq's destructor takes back its RTO timer and the Receiver's
+//     the Arq's destructor takes back its RTO timers and the Receiver's
 //     its eviction timers, so churn never leaves a callback aimed at
 //     freed per-flow state. Eviction timers leave the timeline with their
 //     packet, so it holds one per PENDING partial.
@@ -250,7 +251,7 @@ class SessionEndpoint {
 
   /// Tear a flow down: unlink it from the ready/report lists, release
   /// its admission reservation, destroy its state; the flow's Arq
-  /// cancels its RTO timer and its Receiver its pending eviction timers.
+  /// cancels its RTO timers and its Receiver its pending eviction timers.
   /// False when `cid` is not an open flow.
   bool close_flow(std::uint32_t cid);
 

@@ -105,23 +105,6 @@ void UdpSocket::connect_loopback(std::uint16_t port) {
   }
 }
 
-UdpSocket::IoResult UdpSocket::send(std::span<const std::uint8_t> datagram) {
-  MCSS_ENSURE(valid(), "send() on a closed socket");
-  if (inject_wouldblock_ > 0) {
-    --inject_wouldblock_;
-    return IoResult::WouldBlock;
-  }
-  for (;;) {
-    ++syscalls_send_;
-    const ssize_t n = ::send(fd_, datagram.data(), datagram.size(), 0);
-    if (n >= 0) return IoResult::Ok;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return IoResult::WouldBlock;
-    if (errno == ECONNREFUSED) return IoResult::Refused;
-    return IoResult::Error;
-  }
-}
-
 void UdpSocket::set_segment_size(msghdr& hdr, SegmentCmsg& control,
                                  std::uint16_t segment_bytes) noexcept {
   hdr.msg_control = control.buf;
@@ -212,27 +195,6 @@ UdpSocket::BatchResult UdpSocket::recv_many(std::span<mmsghdr> msgs) {
     }
     if (errno == ECONNREFUSED) return {IoResult::Refused, 0};
     return {IoResult::Error, 0};
-  }
-}
-
-UdpSocket::IoResult UdpSocket::recv(std::span<std::uint8_t> buf,
-                                    std::size_t* received) {
-  MCSS_ENSURE(valid(), "recv() on a closed socket");
-  MCSS_ENSURE(received != nullptr, "recv() needs a length out-param");
-  *received = 0;
-  for (;;) {
-    ++syscalls_recv_;
-    const ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
-    if (n >= 0) {
-      *received = static_cast<std::size_t>(n);
-      return IoResult::Ok;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return IoResult::WouldBlock;
-    // ECONNREFUSED surfaces on connected UDP receive too (pending ICMP
-    // error); report it so callers can count and move on.
-    if (errno == ECONNREFUSED) return IoResult::Refused;
-    return IoResult::Error;
   }
 }
 

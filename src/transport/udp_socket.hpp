@@ -71,19 +71,9 @@ class UdpSocket {
   [[nodiscard]] int fd() const noexcept { return fd_; }
   [[nodiscard]] std::uint16_t local_port() const;
 
-  /// Fix the peer to 127.0.0.1:`port` so send() needs no address and the
-  /// socket receives ICMP errors (ECONNREFUSED) for dead peers.
+  /// Fix the peer to 127.0.0.1:`port` so send_many() needs no address
+  /// and the socket receives ICMP errors (ECONNREFUSED) for dead peers.
   void connect_loopback(std::uint16_t port);
-
-  /// Send one datagram. On Ok the whole datagram was accepted (UDP never
-  /// short-writes a datagram).
-  [[nodiscard]] IoResult send(std::span<const std::uint8_t> datagram);
-
-  /// Receive one datagram into `buf`; `*received` gets its length.
-  /// WouldBlock when nothing is queued. A datagram longer than `buf` is
-  /// truncated by the kernel (size your buffer for the max datagram).
-  [[nodiscard]] IoResult recv(std::span<std::uint8_t> buf,
-                              std::size_t* received);
 
   /// Segments one UDP_SEGMENT message may carry (the kernel's
   /// UDP_MAX_SEGMENTS floor across versions), and the payload bytes one
@@ -130,12 +120,13 @@ class UdpSocket {
   /// the mmsghdr/iovec/cmsg arrays (persistent, reused across calls —
   /// this layer allocates nothing). A message is one datagram, or, with a
   /// UDP_SEGMENT cmsg, a run of datagrams the kernel cuts at the segment
-  /// size. Error mapping matches send(): a failure on the FIRST message
-  /// surfaces as {WouldBlock|Refused|Error, 0}; a failure on a later slot
-  /// makes the kernel stop and return the count sent so far — reported
-  /// here as {Ok, n<size}, with the slot's errno surfacing at the head of
-  /// the next call. msg_len is filled per sent message (UDP never
-  /// short-writes, so it is the message's whole payload).
+  /// size. A failure on the FIRST message surfaces as {WouldBlock, 0}
+  /// (EAGAIN: the kernel send buffer is full), {Refused, 0}
+  /// (ECONNREFUSED) or {Error, 0} (anything else); a failure on a later
+  /// slot makes the kernel stop and return the count sent so far —
+  /// reported here as {Ok, n<size}, with the slot's errno surfacing at
+  /// the head of the next call. msg_len is filled per sent message (UDP
+  /// never short-writes, so it is the message's whole payload).
   [[nodiscard]] BatchResult send_many(std::span<mmsghdr> msgs);
 
   /// Receive up to msgs.size() messages in one recvmmsg(2). Each
@@ -149,7 +140,7 @@ class UdpSocket {
   /// to call again until the poller reports readable).
   [[nodiscard]] BatchResult recv_many(std::span<mmsghdr> msgs);
 
-  /// Syscalls actually issued (send/sendmmsg and recv/recvmmsg that
+  /// Syscalls actually issued (sendmmsg and recvmmsg calls that
   /// reached the kernel, including ones that returned EAGAIN; EINTR
   /// retries count each attempt). The batched fast path's whole point is
   /// driving syscalls_send()/packet toward 1/batch — the bench reads
@@ -166,7 +157,7 @@ class UdpSocket {
   void set_send_buffer(int bytes);
   void set_recv_buffer(int bytes);
 
-  /// Make the next `count` send()/send_many() calls report WouldBlock
+  /// Make the next `count` send_many() calls report WouldBlock
   /// without touching the kernel (deterministic EAGAIN for tests). A
   /// batched call consumes ONE injection and completes zero datagrams —
   /// modelling EAGAIN on slot 0.
@@ -176,7 +167,7 @@ class UdpSocket {
   /// and return short ({Ok, k}), as the kernel does when a mid-batch slot
   /// fails — a real short return needs a timing-dependent mid-batch
   /// EAGAIN, but the requeue-the-tail path must run on every CI run.
-  /// One-shot; 0 disarms. Ignored by send().
+  /// One-shot; 0 disarms.
   void inject_accept_limit(int k) noexcept {
     inject_accept_limit_ = k;
     inject_accept_armed_ = true;
@@ -196,7 +187,7 @@ class UdpSocket {
   /// Set UDP_GRO (bursts arrive whole) and SO_RXQ_OVFL (drop counts ride
   /// on received messages) on this socket, best effort: a kernel that
   /// refuses either option just leaves it off. For receivers that read
-  /// control data with recv_many(); recv() ignores it.
+  /// control data with recv_many().
   void enable_receive_offload() noexcept;
 
   /// True when the kernel accepted UDP_GRO in enable_receive_offload().

@@ -48,7 +48,9 @@ std::unique_ptr<proto::ShareScheduler> make_scheduler(
     }
     case SchedulerKind::Fixed: {
       const int k = static_cast<int>(config.kappa + 0.5);
-      return std::make_unique<proto::FixedScheduler>(k, n);
+      proto::ChannelList every;
+      for (int i = 0; i < n; ++i) every.push_back(i);
+      return std::make_unique<proto::FixedScheduler>(k, every);
     }
     case SchedulerKind::Custom: {
       MCSS_ENSURE(config.custom_schedule.has_value(),

@@ -1,8 +1,9 @@
 // Tests for the reliability subsystem (src/feedback): the report wire
 // format, the receiver-side ReportBuilder, the RetransmitManager (RTO,
-// Karn, backoff budget, replay, exposure accounting), the per-flow Arq
-// (RTO timer, retransmit order, reports), the proactive redundancy
-// planner, and the ReliableLink end-to-end simulator driver.
+// Karn, backoff budget, replay, exposure accounting, one timer per
+// outstanding packet), the per-flow Arq (RTO timers, retransmit order,
+// reports), the proactive redundancy planner, and the ReliableLink
+// end-to-end simulator driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -383,7 +384,8 @@ ReceiverReport ack_report(std::uint64_t seq, std::uint64_t sack_base,
 }
 
 TEST(RetransmitManager, AckClosesPacketAndSamplesRtt) {
-  RetransmitManager mgr({}, Rng(1));
+  net::Simulator sim;
+  RetransmitManager mgr(sim, {}, Rng(1));
   const std::vector<std::uint8_t> payload{1, 2, 3};
   const std::vector<int> channels{0, 2};
   mgr.on_packet_sent(1, 2, payload, channels, 0);
@@ -411,7 +413,8 @@ TEST(RetransmitManager, TimeoutRetransmitsUntilBudgetThenAbandons) {
   RetransmitConfig config;
   config.max_retransmits = 2;
   config.initial_rto_ns = 100'000'000;
-  RetransmitManager mgr(config, Rng(3));
+  net::Simulator sim;
+  RetransmitManager mgr(sim, config, Rng(3));
   std::vector<std::uint8_t> seen_generations;
   mgr.set_retransmit([&](std::uint64_t id, std::uint8_t generation,
                          const std::vector<std::uint8_t>& payload, int k) {
@@ -424,16 +427,16 @@ TEST(RetransmitManager, TimeoutRetransmitsUntilBudgetThenAbandons) {
   const std::vector<int> channels{0, 1};
   mgr.on_packet_sent(1, 2, std::vector<std::uint8_t>{9, 9}, channels, 0);
   std::int64_t now = 0;
-  // Drive the RTO clock: each advance at the pending deadline fires one
+  // Drive the RTO clock: each run to the pending deadline fires one
   // retransmission until the budget is gone, then the packet is dropped.
   for (int round = 0; round < 3; ++round) {
-    const auto deadline = mgr.next_deadline();
+    const auto deadline = sim.next_event_time();
     ASSERT_TRUE(deadline.has_value());
     EXPECT_GT(*deadline, now);
     now = *deadline;
-    mgr.advance(now);
+    sim.run_until(now);
   }
-  EXPECT_FALSE(mgr.next_deadline().has_value());
+  EXPECT_FALSE(sim.next_event_time().has_value());
   EXPECT_EQ(seen_generations, (std::vector<std::uint8_t>{1, 2}));
   EXPECT_EQ(mgr.stats().retransmits, 2u);
   EXPECT_EQ(mgr.stats().packets_abandoned, 1u);
@@ -448,14 +451,15 @@ TEST(RetransmitManager, TimeoutRetransmitsUntilBudgetThenAbandons) {
 TEST(RetransmitManager, TrackingOnlyModeAbandonsAtFirstTimeout) {
   RetransmitConfig config;
   config.max_retransmits = 0;  // ARQ off: exposure/ack accounting only
-  RetransmitManager mgr(config, Rng(3));
+  net::Simulator sim;
+  RetransmitManager mgr(sim, config, Rng(3));
   bool retransmitted = false;
   mgr.set_retransmit([&](auto, auto, const auto&, auto) {
     retransmitted = true;
   });
   const std::vector<int> channels{0};
   mgr.on_packet_sent(1, 1, std::vector<std::uint8_t>{1}, channels, 0);
-  mgr.advance(*mgr.next_deadline());
+  sim.run_until(*sim.next_event_time());
   EXPECT_FALSE(retransmitted);
   EXPECT_EQ(mgr.stats().packets_abandoned, 1u);
 }
@@ -463,11 +467,12 @@ TEST(RetransmitManager, TrackingOnlyModeAbandonsAtFirstTimeout) {
 TEST(RetransmitManager, KarnRuleExcludesRetransmittedPackets) {
   RetransmitConfig config;
   config.initial_rto_ns = 100'000'000;
-  RetransmitManager mgr(config, Rng(5));
+  net::Simulator sim;
+  RetransmitManager mgr(sim, config, Rng(5));
   mgr.set_retransmit([](auto, auto, const auto&, auto) {});
   const std::vector<int> channels{0};
   mgr.on_packet_sent(1, 1, std::vector<std::uint8_t>{1}, channels, 0);
-  mgr.advance(*mgr.next_deadline());  // one retransmission
+  sim.run_until(*sim.next_event_time());  // one retransmission
   EXPECT_EQ(mgr.stats().retransmits, 1u);
 
   // The eventual ack closes the packet but its RTT (and one-way delay
@@ -481,7 +486,8 @@ TEST(RetransmitManager, KarnRuleExcludesRetransmittedPackets) {
 }
 
 TEST(RetransmitManager, DelaySamplesJoinSendStamps) {
-  RetransmitManager mgr({}, Rng(5));
+  net::Simulator sim;
+  RetransmitManager mgr(sim, {}, Rng(5));
   const std::vector<int> channels{0};
   mgr.on_packet_sent(4, 1, std::vector<std::uint8_t>{1}, channels,
                      10'000'000);
@@ -493,7 +499,8 @@ TEST(RetransmitManager, DelaySamplesJoinSendStamps) {
 }
 
 TEST(RetransmitManager, ReplayedAndStaleReportsDropped) {
-  RetransmitManager mgr({}, Rng(7));
+  net::Simulator sim;
+  RetransmitManager mgr(sim, {}, Rng(7));
   const std::vector<int> channels{0};
   mgr.on_packet_sent(1, 1, std::vector<std::uint8_t>{1}, channels, 0);
   mgr.on_packet_sent(2, 1, std::vector<std::uint8_t>{2}, channels, 0);
@@ -510,7 +517,8 @@ TEST(RetransmitManager, ReplayedAndStaleReportsDropped) {
 }
 
 TEST(RetransmitManager, DatagramPathCountsMalformedAndAuthFailures) {
-  RetransmitManager mgr({}, Rng(9));
+  net::Simulator sim;
+  RetransmitManager mgr(sim, {}, Rng(9));
   // Garbage datagram.
   mgr.on_report_datagram(std::vector<std::uint8_t>(32, 0xAB), 0);
   EXPECT_EQ(mgr.stats().reports_malformed, 1u);
@@ -533,7 +541,8 @@ TEST(RetransmitManager, SurvivesAReportStorm) {
   // forward.
   RetransmitConfig config;
   config.max_retransmits = 0;
-  RetransmitManager mgr(config, Rng(11));
+  net::Simulator sim;
+  RetransmitManager mgr(sim, config, Rng(11));
   Rng rng(77);
   const std::vector<int> channels{0};
   for (std::uint64_t id = 1; id <= 64; ++id) {
@@ -572,7 +581,8 @@ TEST(RetransmitManager, SurvivesAReportStorm) {
 TEST(RetransmitManager, OverflowDisplacesTheOldestPacket) {
   RetransmitConfig config;
   config.max_outstanding = 2;
-  RetransmitManager mgr(config, Rng(13));
+  net::Simulator sim;
+  RetransmitManager mgr(sim, config, Rng(13));
   const std::vector<int> channels{0};
   for (std::uint64_t id = 1; id <= 3; ++id) {
     mgr.on_packet_sent(id, 1, std::vector<std::uint8_t>{1}, channels, 0);
@@ -585,8 +595,36 @@ TEST(RetransmitManager, OverflowDisplacesTheOldestPacket) {
   EXPECT_FALSE(closed[0].acked);
 }
 
+TEST(RetransmitManager, DisplacedPacketTakesItsTimerWithIt) {
+  // max_outstanding = 2: the third send displaces packet 1, whose RTO
+  // leaves the timeline with it; only packets 2 and 3 ever time out.
+  RetransmitConfig config;
+  config.max_outstanding = 2;
+  config.max_retransmits = 0;
+  net::Simulator sim;
+  RetransmitManager mgr(sim, config, Rng(13));
+  int timeouts = 0;
+  mgr.set_after_timeout([&] { ++timeouts; });
+  const std::vector<int> channels{0};
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    mgr.on_packet_sent(id, 1, std::vector<std::uint8_t>{1}, channels,
+                       static_cast<std::int64_t>(id));
+  }
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(mgr.stats().packets_displaced, 1u);
+  sim.run();
+  EXPECT_EQ(timeouts, 2);
+  EXPECT_EQ(mgr.stats().packets_abandoned, 2u);
+  const auto closed = mgr.drain_closed();
+  ASSERT_EQ(closed.size(), 3u);
+  EXPECT_EQ(closed[0].packet_id, 1u);
+  EXPECT_EQ(closed[1].packet_id, 2u);
+  EXPECT_EQ(closed[2].packet_id, 3u);
+}
+
 TEST(RetransmitManager, ExposureUnionsAcrossRetransmissions) {
-  RetransmitManager mgr({}, Rng(15));
+  net::Simulator sim;
+  RetransmitManager mgr(sim, {}, Rng(15));
   const std::vector<int> initial{0, 1};
   mgr.on_packet_sent(1, 2, std::vector<std::uint8_t>{1}, initial, 0);
   EXPECT_EQ(mgr.exposure_mask(1), 0b011u);
@@ -608,7 +646,8 @@ TEST(RetransmitManager, ExposureUnionsAcrossRetransmissions) {
 }
 
 TEST(RetransmitManager, SnapshotOpenCoversInFlightPackets) {
-  RetransmitManager mgr({}, Rng(17));
+  net::Simulator sim;
+  RetransmitManager mgr(sim, {}, Rng(17));
   const std::vector<int> channels{0, 1};
   mgr.on_packet_sent(1, 2, std::vector<std::uint8_t>{1}, channels, 0);
   mgr.on_packet_sent(2, 2, std::vector<std::uint8_t>{2}, channels, 0);
@@ -675,22 +714,6 @@ TEST(Redundancy, InfeasibleGoalReturnsBestEffortPlan) {
       lossy, {.k = 2, .target_delivery = 0.9, .offered_pps = 1000.0});
   EXPECT_FALSE(none.feasible);
   EXPECT_TRUE(none.channels.empty());
-}
-
-TEST(ProactiveScheduler, WaitsUntilEveryPlanChannelIsReady) {
-  RedundancyPlan plan;
-  plan.k = 2;
-  plan.channels = {0, 2, 3};
-  ProactiveScheduler sched(plan);
-  std::vector<proto::ChannelView> view{
-      {true, 0}, {true, 0}, {false, 0}, {true, 0}};
-  EXPECT_FALSE(sched.next(view).has_value());  // channel 2 not ready
-  view[2].ready = true;
-  view[1].ready = false;  // non-plan channel may be busy
-  const auto d = sched.next(view);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->k, 2);
-  EXPECT_EQ(d->channels, (std::vector<int>{0, 2, 3}));
 }
 
 // --------------------------------------------------------------------- Arq
@@ -795,6 +818,48 @@ TEST(Arq, DestroyedWithAnArmedRtoFiresNothing) {
   h.sim.run();
   EXPECT_TRUE(h.resends.empty());
   EXPECT_EQ(h.timeouts, 0);
+}
+
+TEST(Arq, EveryOutstandingPacketHoldsOneTimer) {
+  // Each unacked packet's RTO is its own event on the shared timeline,
+  // and an ack takes exactly that packet's event off it.
+  ArqHarness h(2, 1, {});
+  Arq arq(h.driver, /*cid=*/0, one_retry_config(), {}, Rng(5));
+  const std::vector<int> sent_on{0, 1};
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    arq.on_sent(id, 2, std::vector<std::uint8_t>{1}, sent_on,
+                net::from_millis(static_cast<double>(id)));
+  }
+  EXPECT_EQ(h.sim.pending(), 3u);
+  arq.on_report(ack_report(1, 1, {2}), net::from_millis(10));
+  EXPECT_EQ(h.sim.pending(), 2u);
+  arq.on_report(ack_report(2, 1, {1, 3}), net::from_millis(20));
+  EXPECT_EQ(h.sim.pending(), 0u);
+  h.sim.run();
+  EXPECT_TRUE(h.resends.empty());
+  EXPECT_EQ(h.timeouts, 0);
+}
+
+TEST(Arq, AnAckedPacketsDeadlineWakesNothing) {
+  // Packet 1's RTO is due at 100 ms and packet 2's at 150 ms. Once
+  // packet 1 is acked, nothing may wake at 100 ms: the next event on
+  // the timeline is packet 2's own deadline.
+  ArqHarness h(2, 1, {});
+  Arq arq(h.driver, /*cid=*/0, one_retry_config(), {}, Rng(5));
+  const std::vector<int> sent_on{0, 1};
+  arq.on_sent(1, 2, std::vector<std::uint8_t>{1}, sent_on, 0);
+  arq.on_sent(2, 2, std::vector<std::uint8_t>{2}, sent_on,
+              net::from_millis(50));
+  arq.on_report(ack_report(1, 1, {1}), net::from_millis(60));
+  h.sim.run_until(net::from_millis(150) - 1);
+  EXPECT_EQ(h.sim.processed(), 0u);
+  EXPECT_EQ(h.timeouts, 0);
+  EXPECT_TRUE(h.resends.empty());
+
+  h.sim.run_until(net::from_millis(150));
+  ASSERT_EQ(h.resends.size(), 1u);
+  EXPECT_EQ(h.resends[0].id, 2u);
+  EXPECT_EQ(h.timeouts, 1);
 }
 
 TEST(Arq, ReportsCarryTheFlowIdAndTheDriversKey) {

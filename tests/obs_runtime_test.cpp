@@ -28,6 +28,7 @@
 #include "feedback/report.hpp"
 #include "feedback/report_builder.hpp"
 #include "feedback/retransmit.hpp"
+#include "net/simulator.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/runtime/health.hpp"
@@ -605,7 +606,8 @@ TEST(Registry, CrossTypeNameCollisionThrows) {
 // ------------------------------------------------- delay-sample clamps
 
 TEST(RetransmitManager, ImpossibleDelaySamplesAreCountedNotAveraged) {
-  feedback::RetransmitManager mgr({}, Rng(1));
+  net::Simulator sim;
+  feedback::RetransmitManager mgr(sim, {}, Rng(1));
   const std::vector<std::uint8_t> payload{1};
   const std::vector<int> channels{0};
   mgr.on_packet_sent(1, 1, payload, channels, /*now_ns=*/1000);

@@ -177,7 +177,7 @@ TEST(StaticScheduler, FullParkedPoolEvictsOldestInsteadOfWedging) {
 }
 
 TEST(FixedScheduler, RequiresAllChannels) {
-  FixedScheduler sched(3, 3);
+  FixedScheduler sched(3, std::vector<int>{0, 1, 2});
   const std::vector<ChannelView> missing_one{{true, 0}, {true, 0}, {false, 0}};
   EXPECT_FALSE(sched.next(missing_one).has_value());
   const std::vector<ChannelView> all{{true, 0}, {true, 0}, {true, 0}};
@@ -185,6 +185,22 @@ TEST(FixedScheduler, RequiresAllChannels) {
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->k, 3);
   EXPECT_EQ(d->channels, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(FixedScheduler, WaitsUntilEveryPlanChannelIsReady) {
+  // A proactive redundancy plan: k = 2 over channels {0, 2, 3} of four.
+  FixedScheduler sched(2, std::vector<int>{0, 2, 3});
+  std::vector<ChannelView> view{{true, 0}, {true, 0}, {false, 0}, {true, 0}};
+  EXPECT_FALSE(sched.next(view).has_value());  // channel 2 not ready
+  view[2].ready = true;
+  view[1].ready = false;  // non-plan channel may be busy
+  const auto d = sched.next(view);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->k, 2);
+  EXPECT_EQ(d->channels, (std::vector<int>{0, 2, 3}));
+  // Every listed channel is bounds-checked against the view.
+  const std::vector<ChannelView> three(3, ChannelView{true, 0});
+  EXPECT_THROW((void)sched.next(three), PreconditionError);
 }
 
 TEST(ChannelList, HoldsUpToThirtyTwoChannelsInline) {
@@ -346,7 +362,8 @@ std::vector<std::string> emitted_frames(
       frames.push_back(std::move(hex));
     });
   }
-  Sender sender(sim, raw, std::make_unique<FixedScheduler>(2, 3),
+  Sender sender(sim, raw,
+                std::make_unique<FixedScheduler>(2, std::vector<int>{0, 1, 2}),
                 seeder.fork(), nullptr, SenderConfig{.auth_key = key});
   const std::vector<std::uint8_t> payload{0xDE, 0xAD, 0xBE, 0xEF, 0x42};
   EXPECT_TRUE(sender.send(payload));

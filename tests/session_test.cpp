@@ -26,6 +26,7 @@
 #include "obs/metrics.hpp"
 #include "protocol/wire.hpp"
 #include "transport/udp_socket.hpp"
+#include "udp_test_util.hpp"
 #include "util/ensure.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -187,7 +188,7 @@ TEST(Session, ForgedFramesOnOneChannelAreNotCreditedToItsReport) {
     forged.share_index = 1;
     forged.connection_id = *cid;
     forged.payload = pattern_payload(64, 0xEE);
-    ASSERT_EQ(injector.send(proto::encode(forged, &wrong)),
+    ASSERT_EQ(test::send_one(injector, proto::encode(forged, &wrong)),
               transport::UdpSocket::IoResult::Ok);
   }
   ASSERT_TRUE(run_until(ep, [&] {
@@ -925,9 +926,9 @@ TEST(Session, FramesWithoutAConnectionIdAreNeverCredited) {
     frame.k = 2;
     frame.share_index = 1;
     frame.payload = std::vector<std::uint8_t>(64, 0xEE);
-    ASSERT_EQ(injector.send(proto::encode(frame, &bad_key)),
+    ASSERT_EQ(test::send_one(injector, proto::encode(frame, &bad_key)),
               transport::UdpSocket::IoResult::Ok);
-    ASSERT_EQ(injector.send(proto::encode(frame, &good_key)),
+    ASSERT_EQ(test::send_one(injector, proto::encode(frame, &good_key)),
               transport::UdpSocket::IoResult::Ok);
   }
   ASSERT_TRUE(run_until(ep, [&] {
@@ -1063,8 +1064,9 @@ TEST(Session, KeyedEndpointSurvivesAMalformedDatagramStorm) {
     for (auto& attacker : attackers) {
       std::vector<std::uint8_t> junk(48);
       rng.fill(junk);
-      ASSERT_EQ(attacker.send(junk), transport::UdpSocket::IoResult::Ok);
-      ASSERT_EQ(attacker.send(forged_bytes),
+      ASSERT_EQ(test::send_one(attacker, junk),
+                transport::UdpSocket::IoResult::Ok);
+      ASSERT_EQ(test::send_one(attacker, forged_bytes),
                 transport::UdpSocket::IoResult::Ok);
     }
     ep.run_for(10'000'000);

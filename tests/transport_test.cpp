@@ -28,6 +28,7 @@
 #include "transport/poller.hpp"
 #include "transport/udp_channel.hpp"
 #include "transport/udp_socket.hpp"
+#include "udp_test_util.hpp"
 #include "transport/wall_clock.hpp"
 #include "util/ensure.hpp"
 #include "util/frame_pool.hpp"
@@ -247,7 +248,7 @@ TEST(Poller, ReportsReadinessAndHonorsInterest) {
   EXPECT_EQ(poller.wait(0, events), 0u);  // nothing queued yet
 
   const std::vector<std::uint8_t> ping{1, 2, 3};
-  ASSERT_EQ(tx.send(ping), UdpSocket::IoResult::Ok);
+  ASSERT_EQ(test::send_one(tx, ping), UdpSocket::IoResult::Ok);
   // Loopback delivery is immediate, but give the kernel a timeout anyway.
   ASSERT_EQ(poller.wait(1'000'000'000, events), 1u);
   EXPECT_EQ(events[0].fd, rx.fd());
@@ -262,7 +263,7 @@ TEST(Poller, ReportsReadinessAndHonorsInterest) {
   poller.remove(rx.fd());
   std::uint8_t buf[16];
   std::size_t n = 0;
-  ASSERT_EQ(rx.recv(buf, &n), UdpSocket::IoResult::Ok);
+  ASSERT_EQ(test::recv_one(rx, buf, &n), UdpSocket::IoResult::Ok);
   EXPECT_EQ(n, 3u);
   EXPECT_EQ(poller.wait(0, events), 0u);
 }
@@ -304,7 +305,8 @@ TEST(Poller, EpollWaitFallbackRoundsUpAndReportsTheSameEvents) {
               });
     return events;
   };
-  ASSERT_EQ(tx.send(std::vector<std::uint8_t>{5, 6}), UdpSocket::IoResult::Ok);
+  ASSERT_EQ(test::send_one(tx, std::vector<std::uint8_t>{5, 6}),
+            UdpSocket::IoResult::Ok);
   Poller precise;
   Poller fallback;
   fallback.inject_no_ns_timeouts();
@@ -337,18 +339,18 @@ TEST(UdpSocket, RoundTripAndDrainToWouldBlock) {
   tx.connect_loopback(rx.local_port());
 
   const std::vector<std::uint8_t> msg{9, 8, 7, 6};
-  ASSERT_EQ(tx.send(msg), UdpSocket::IoResult::Ok);
+  ASSERT_EQ(test::send_one(tx, msg), UdpSocket::IoResult::Ok);
   std::uint8_t buf[64];
   std::size_t n = 0;
   // recv may race loopback delivery; retry briefly.
   UdpSocket::IoResult r = UdpSocket::IoResult::WouldBlock;
   for (int i = 0; i < 1000 && r == UdpSocket::IoResult::WouldBlock; ++i) {
-    r = rx.recv(buf, &n);
+    r = test::recv_one(rx, buf, &n);
   }
   ASSERT_EQ(r, UdpSocket::IoResult::Ok);
   EXPECT_EQ(n, 4u);
   EXPECT_TRUE(std::equal(msg.begin(), msg.end(), buf));
-  EXPECT_EQ(rx.recv(buf, &n), UdpSocket::IoResult::WouldBlock);
+  EXPECT_EQ(test::recv_one(rx, buf, &n), UdpSocket::IoResult::WouldBlock);
 }
 
 TEST(UdpSocket, InjectedWouldBlockIsDeterministic) {
@@ -357,9 +359,9 @@ TEST(UdpSocket, InjectedWouldBlockIsDeterministic) {
   tx.connect_loopback(rx.local_port());
   tx.inject_wouldblock(2);
   const std::vector<std::uint8_t> msg{1};
-  EXPECT_EQ(tx.send(msg), UdpSocket::IoResult::WouldBlock);
-  EXPECT_EQ(tx.send(msg), UdpSocket::IoResult::WouldBlock);
-  EXPECT_EQ(tx.send(msg), UdpSocket::IoResult::Ok);
+  EXPECT_EQ(test::send_one(tx, msg), UdpSocket::IoResult::WouldBlock);
+  EXPECT_EQ(test::send_one(tx, msg), UdpSocket::IoResult::WouldBlock);
+  EXPECT_EQ(test::send_one(tx, msg), UdpSocket::IoResult::Ok);
 }
 
 TEST(UdpSocket, SendManyRecvManyMoveWholeBatchesInOneSyscallEach) {
@@ -873,7 +875,7 @@ TEST(UdpChannel, UndecodableDatagramIsForwardedWholeForAccounting) {
   UdpSocket attacker = UdpSocket::bound_loopback(0);
   attacker.connect_loopback(ch.rx_port());
   const std::vector<std::uint8_t> junk{'h', 'e', 'l', 'l', 'o'};
-  ASSERT_EQ(attacker.send(junk), UdpSocket::IoResult::Ok);
+  ASSERT_EQ(test::send_one(attacker, junk), UdpSocket::IoResult::Ok);
   for (int spins = 0; spins < 2000 && got.empty(); ++spins) {
     ch.on_readable();
   }
@@ -1480,7 +1482,8 @@ TEST(UdpChannel, RecvmmsgDrainsBurstsLargerThanTheBatch) {
   UdpSocket peer = UdpSocket::bound_loopback(0);
   peer.connect_loopback(ch.rx_port());
   for (std::uint64_t i = 1; i <= 10; ++i) {
-    ASSERT_EQ(peer.send(big_frame_bytes(i)), UdpSocket::IoResult::Ok);
+    ASSERT_EQ(test::send_one(peer, big_frame_bytes(i)),
+              UdpSocket::IoResult::Ok);
   }
   for (int spins = 0; spins < 5000 && got.size() < 10; ++spins) {
     ch.on_readable();
