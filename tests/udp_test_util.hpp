@@ -15,19 +15,14 @@
 namespace mcss::test {
 
 /// Send `datagram` as a one-message send_many(): Ok once it was sent,
-/// else the reason the kernel (or an injected fault) gave.
+/// else the reason the kernel (or an injected WouldBlock) gave.
 inline transport::UdpSocket::IoResult send_one(
     transport::UdpSocket& socket, std::span<const std::uint8_t> datagram) {
   iovec iov{const_cast<std::uint8_t*>(datagram.data()), datagram.size()};
   mmsghdr msg{};
   msg.msg_hdr.msg_iov = &iov;
   msg.msg_hdr.msg_iovlen = 1;
-  const auto [result, completed] = socket.send_many({&msg, 1});
-  if (completed == 1) return transport::UdpSocket::IoResult::Ok;
-  // A short batch of one sent nothing; its errno surfaces next call.
-  return result == transport::UdpSocket::IoResult::Ok
-             ? transport::UdpSocket::IoResult::WouldBlock
-             : result;
+  return socket.send_many({&msg, 1}).result;
 }
 
 /// Receive one datagram into `buf` with a one-message recv_many();
