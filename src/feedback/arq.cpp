@@ -13,21 +13,13 @@ Arq::Arq(const ArqDriver& driver, std::uint32_t cid,
     : driver_(driver),
       cid_(cid),
       builder_(report),
-      manager_(driver.timeline, retransmit, rng) {
+      manager_(driver.timeline, retransmit, rng, this) {
   MCSS_ENSURE(driver_.num_channels >= 1 &&
                   driver_.num_channels <=
                       static_cast<int>(proto::ChannelList::kCapacity),
               "ARQ needs 1..32 forward channels");
   MCSS_ENSURE(driver_.retransmit_extra >= 0, "extra shares must be >= 0");
   MCSS_ENSURE(static_cast<bool>(driver_.resend), "ARQ needs a resend hook");
-  manager_.set_retransmit([this](std::uint64_t id, std::uint8_t generation,
-                                 const std::vector<std::uint8_t>& payload,
-                                 int k) {
-    resend(id, generation, payload, k);
-  });
-  if (driver_.after_timeout) {
-    manager_.set_after_timeout([this] { driver_.after_timeout(cid_); });
-  }
 }
 
 void Arq::on_sent(std::uint64_t id, int k,
@@ -50,8 +42,9 @@ bool Arq::on_delivered(std::uint64_t id, std::int64_t now) {
   return builder_.report_due();
 }
 
-std::vector<std::uint8_t> Arq::report(std::int64_t now) {
-  ReceiverReport report = builder_.build(now);
+std::vector<std::uint8_t> Arq::report(std::int64_t now,
+                                      const util::IdWindow& delivered) {
+  ReceiverReport report = builder_.build(now, delivered);
   report.connection_id = cid_;
   return encode_report(report, driver_.report_key);
 }
@@ -79,6 +72,10 @@ void Arq::resend(std::uint64_t id, std::uint8_t generation,
 
   driver_.resend(cid_, id, generation, payload, k, std::as_const(order));
   manager_.note_exposure(id, std::as_const(order));
+}
+
+void Arq::after_timeout() {
+  if (driver_.after_timeout) driver_.after_timeout(cid_);
 }
 
 }  // namespace mcss::feedback

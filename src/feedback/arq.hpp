@@ -6,8 +6,9 @@
 //   - the RTO timers: the manager gives each outstanding packet its own
 //     timer on the driver's net::Simulator (simulated time, or the live
 //     endpoint's wall-driven timeline), and the packet's close or the
-//     manager's destruction takes it back; the driver's after-timeout
-//     hook runs after each one fires;
+//     manager's destruction takes it back; the manager calls back into
+//     its owning Arq, which resends and then runs the driver's
+//     after-timeout hook;
 //   - the retransmit channel order: channels the packet already exposed
 //     first (re-using them cannot widen what an eavesdropper saw), then
 //     ascending risk, index as the tiebreak;
@@ -15,6 +16,13 @@
 //   - report ingest.
 // It has no sockets and reads no clock. The hooks live in an ArqDriver
 // all of one driver's Arqs share, so a flow pays a pointer for them.
+//
+// The Arq keeps no record of which ids were delivered: a report copies
+// its SACK words from the flow receiver's completed-id window
+// (proto::Receiver::delivered()). Each driver ensures that window is at
+// least the report's SACK window wide, and gives the receiver no
+// net::CpuModel, so the window is marked when the Arq hears the
+// delivery (report_builder.hpp).
 #pragma once
 
 #include <cstdint>
@@ -27,6 +35,7 @@
 #include "feedback/report_builder.hpp"
 #include "feedback/retransmit.hpp"
 #include "net/simulator.hpp"
+#include "util/id_window.hpp"
 #include "util/rng.hpp"
 
 namespace mcss::feedback {
@@ -34,16 +43,6 @@ namespace mcss::feedback {
 /// What one driver's Arqs share: its timer queue, forward channels,
 /// report key and hooks. The driver owns it; it must outlive them.
 struct ArqDriver {
-  /// Re-split packet `id` of flow `cid` under threshold k with FRESH
-  /// randomness, tag it `generation`, and send share j on channels[j].
-  using ResendFn = std::function<void(
-      std::uint32_t cid, std::uint64_t id, std::uint8_t generation,
-      std::span<const std::uint8_t> payload, int k,
-      std::span<const int> channels)>;
-  /// After one of flow `cid`'s RTO timers fired, which may have closed
-  /// its packet.
-  using TimeoutFn = std::function<void(std::uint32_t cid)>;
-
   net::Simulator& timeline;
   /// Forward (share) channels, 1..32.
   int num_channels = 1;
@@ -55,8 +54,16 @@ struct ArqDriver {
   /// Tags outgoing reports and authenticates incoming ones; null =
   /// unauthenticated reports.
   const crypto::SipHashKey* report_key = nullptr;
-  ResendFn resend;
-  TimeoutFn after_timeout;  ///< may be empty
+  /// Re-split packet `id` of flow `cid` under threshold k with FRESH
+  /// randomness, tag it `generation`, and send share j on channels[j].
+  std::function<void(std::uint32_t cid, std::uint64_t id,
+                     std::uint8_t generation,
+                     std::span<const std::uint8_t> payload, int k,
+                     std::span<const int> channels)>
+      resend;
+  /// After one of flow `cid`'s RTO timers fired, which may have closed
+  /// its packet; may be empty.
+  std::function<void(std::uint32_t cid)> after_timeout;
 };
 
 class Arq {
@@ -90,8 +97,10 @@ class Arq {
   /// report acked.
   [[nodiscard]] bool on_delivered(std::uint64_t id, std::int64_t now);
 
-  /// Build and encode the next report (tagged under the driver's key).
-  [[nodiscard]] std::vector<std::uint8_t> report(std::int64_t now);
+  /// Build and encode the next report (tagged under the driver's key),
+  /// its SACK words copied from the flow receiver's `delivered` window.
+  [[nodiscard]] std::vector<std::uint8_t> report(
+      std::int64_t now, const util::IdWindow& delivered);
 
   [[nodiscard]] RetransmitManager& manager() noexcept { return manager_; }
   [[nodiscard]] const RetransmitManager& manager() const noexcept {
@@ -102,10 +111,15 @@ class Arq {
   }
 
  private:
-  /// The manager's retransmit hook: order the channels, have the
-  /// driver resend on the first k + retransmit_extra, widen exposure.
+  friend class RetransmitManager;
+
+  /// Called by the manager when an RTO retransmits: order the channels,
+  /// have the driver resend on the first k + retransmit_extra, widen
+  /// exposure.
   void resend(std::uint64_t id, std::uint8_t generation,
               const std::vector<std::uint8_t>& payload, int k);
+  /// Called by the manager after each RTO fired: the driver's hook.
+  void after_timeout();
 
   const ArqDriver& driver_;
   std::uint32_t cid_;

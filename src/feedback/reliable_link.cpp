@@ -13,6 +13,7 @@ ReliableLink::ReliableLink(net::Simulator& sim, proto::Sender& sender,
                            ReliableLinkConfig config, Rng rng)
     : sim_(sim),
       config_(std::move(config)),
+      receiver_(receiver),
       feedback_(feedback),
       driver_{.timeline = sim,
               .num_channels = static_cast<int>(forward.size()),
@@ -32,6 +33,8 @@ ReliableLink::ReliableLink(net::Simulator& sim, proto::Sender& sender,
             .max_delay_samples = config_.max_delay_samples},
            rng) {
   MCSS_ENSURE(config_.report_interval > 0, "report interval must be positive");
+  MCSS_ENSURE(receiver.delivered().width_words() >= config_.sack_window_words,
+              "the receiver's completed_history must span the SACK window");
 
   // Receiver side: the receiver reassembles, the Arq hears deliveries.
   for (net::ChannelPort* ch : forward) {
@@ -66,7 +69,7 @@ void ReliableLink::tick_report() {
 
 void ReliableLink::send_report() {
   ++stats_.reports_sent;
-  if (!feedback_.try_send(arq_.report(sim_.now()))) {
+  if (!feedback_.try_send(arq_.report(sim_.now(), receiver_.delivered()))) {
     ++stats_.reports_dropped_at_channel;
   }
 }

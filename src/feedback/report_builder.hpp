@@ -1,17 +1,22 @@
 // Receiver-side accounting that turns delivery events into periodic
 // ReceiverReports.
 //
-// The builder owns two pieces of receiver truth:
-//   - a sliding SACK bitmap over delivered packet ids (word-granular
-//     window; old ids age out as new deliveries push the base forward;
-//     every report restates it, so a lost report costs nothing),
-//   - a bounded newest-first ring of (packet id, delivery time) delay
-//     samples, drained into each report.
+// Which ids were delivered is the receiver's truth, not the builder's:
+// build() copies the report's sliding SACK words from the receiver's
+// completed-id window (util::IdWindow, proto::Receiver::delivered()).
+// The report's base is a function of the highest delivered id alone
+// (the lowest 64-id-aligned base whose sack_window_words words still
+// reach it), and every report restates the window, so a lost report
+// costs nothing. The copy is exact while the receiver's window is at
+// least sack_window_words words wide; feedback::Arq's drivers ensure
+// it. It also takes the window to be marked when the builder hears the
+// delivery, so no receiver under an Arq may have a net::CpuModel (its
+// window would be marked before the delayed delivery); none does.
 //
-// A builder that has seen no delivery holds no heap: the SACK words are
-// allocated by the first delivery and the delay ring by its first
-// sample (a session endpoint keeps one builder per flow). Reports built
-// before that carry the same all-zero window.
+// The builder keeps the rest: the delivered count, the report sequence
+// and a bounded newest-first ring of (packet id, delivery time) delay
+// samples, drained into each report. It holds no heap until its first
+// delay sample (a session endpoint keeps one builder per flow).
 //
 // The builder is transport-agnostic: feedback::Arq (arq.hpp) feeds it
 // and builds each flow's reports, for the simulator and the live
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "feedback/report.hpp"
+#include "util/id_window.hpp"
 #include "util/ring.hpp"
 
 namespace mcss::feedback {
@@ -39,13 +45,14 @@ class ReportBuilder {
   explicit ReportBuilder(ReportBuilderConfig config);
 
   /// A packet was delivered (reconstructed) at receiver time
-  /// `recv_time_ns`. Sets the packet's SACK bit and queues a delay sample.
+  /// `recv_time_ns`. Counts it and queues a delay sample.
   void on_delivered(std::uint64_t packet_id, std::int64_t recv_time_ns);
 
-  /// Assemble the next report: the delivered count, the current SACK
-  /// window, and all pending delay samples (which this call drains).
-  /// Bumps the report sequence number.
-  [[nodiscard]] ReceiverReport build(std::int64_t now_ns);
+  /// Assemble the next report: the delivered count, the top
+  /// sack_window_words words of `delivered`, and all pending delay
+  /// samples (which this call drains). Bumps the report sequence number.
+  [[nodiscard]] ReceiverReport build(std::int64_t now_ns,
+                                     const util::IdWindow& delivered);
 
   [[nodiscard]] std::uint64_t packets_delivered() const noexcept {
     return packets_delivered_;
@@ -58,32 +65,24 @@ class ReportBuilder {
     return packets_delivered_ - reported_delivered_ >=
            32 * config_.sack_window_words;
   }
-  [[nodiscard]] std::uint64_t sack_base() const noexcept { return sack_base_; }
   [[nodiscard]] std::uint64_t reports_built() const noexcept {
     return next_seq_ - 1;
   }
-  /// Whether `packet_id` is acknowledged in the current window.
-  [[nodiscard]] bool acked(std::uint64_t packet_id) const noexcept;
   /// Delivery stamps that regressed against an earlier sample and were
   /// clamped up to it (a receiver clock stepping backwards).
   [[nodiscard]] std::uint64_t delay_samples_clamped() const noexcept {
     return delay_samples_clamped_;
   }
-  /// Heap bytes the builder holds (SACK words, delay ring).
+  /// Heap bytes the builder holds (the delay ring).
   [[nodiscard]] std::size_t heap_bytes() const noexcept {
-    return sack_.capacity() * sizeof(std::uint64_t) + delays_.heap_bytes();
+    return delays_.heap_bytes();
   }
 
  private:
-  void advance_window(std::uint64_t packet_id);
-
   ReportBuilderConfig config_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t packets_delivered_ = 0;
   std::uint64_t reported_delivered_ = 0;  ///< packets_delivered_ at build()
-  std::uint64_t sack_base_ = 1;  // packet ids start at 1
-  /// Empty until the first delivery, then sack_window_words words.
-  std::vector<std::uint64_t> sack_;
   util::Ring<DelaySample> delays_;
   std::int64_t last_recv_time_ns_ = 0;
   std::uint64_t delay_samples_clamped_ = 0;

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <utility>
 
+#include "feedback/arq.hpp"
 #include "obs/metrics.hpp"
 #include "util/ensure.hpp"
 
@@ -33,8 +34,9 @@ void publish(obs::Registry& registry, const RetransmitStats& stats) {
 }
 
 RetransmitManager::RetransmitManager(net::Simulator& timeline,
-                                     RetransmitConfig config, Rng rng)
-    : timeline_(timeline), config_(config), rng_(rng) {
+                                     RetransmitConfig config, Rng rng,
+                                     Arq* owner)
+    : timeline_(timeline), config_(config), rng_(rng), owner_(owner) {
   MCSS_ENSURE(config_.max_retransmits >= 0, "budget must be non-negative");
   MCSS_ENSURE(config_.max_outstanding >= 1, "need room for one packet");
   MCSS_ENSURE(config_.min_rto_ns > 0 &&
@@ -190,7 +192,7 @@ void RetransmitManager::arm(Packets::iterator it, std::int64_t deadline_ns) {
 void RetransmitManager::on_timeout(Packets::iterator it) {
   const std::uint64_t id = it->first;
   Outstanding& packet = it->second;
-  if (packet.retransmits >= config_.max_retransmits || !retransmit_) {
+  if (packet.retransmits >= config_.max_retransmits || owner_ == nullptr) {
     close(id, packet, false, &stats_.packets_abandoned);
     outstanding_.erase(it);
   } else {
@@ -210,9 +212,9 @@ void RetransmitManager::on_timeout(Packets::iterator it) {
         Backoff::step(rng_, backoff, packet.backoff_prev_ns);
     arm(it, timeline_.now() + packet.backoff_prev_ns);
 
-    retransmit_(id, packet.generation, packet.payload, packet.k);
+    owner_->resend(id, packet.generation, packet.payload, packet.k);
   }
-  if (after_timeout_) after_timeout_();
+  if (owner_ != nullptr) owner_->after_timeout();
 }
 
 std::optional<std::uint32_t> RetransmitManager::exposure_mask(

@@ -9,10 +9,12 @@
 // wall-driven timeline): scheduled when the packet is sent, re-armed
 // with backoff each time it fires and retransmits, and cancelled when
 // the packet closes (ack, abandon, displacement, or the manager's
-// destruction). The actual re-split-and-send happens through the
-// RetransmitFn callback; feedback::Arq (arq.hpp) owns the manager and
-// the retransmit channel order for both the simulator and the live
-// endpoint.
+// destruction). The actual re-split-and-send happens in the owning
+// feedback::Arq (arq.hpp), which the manager calls back directly and
+// which holds the retransmit channel order for both the simulator and
+// the live endpoint. A manager without an owner tracks packets for
+// exposure and ack accounting only and abandons each at its first
+// timeout.
 //
 // RTO follows RFC 6298: SRTT/RTTVAR from ack-derived samples (Karn's
 // rule excludes retransmitted packets, whose acks are ambiguous), RTO =
@@ -34,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -51,6 +52,8 @@ class Registry;
 }
 
 namespace mcss::feedback {
+
+class Arq;
 
 struct RetransmitConfig {
   /// Retransmissions per packet before the manager gives up (0 disables
@@ -114,25 +117,17 @@ struct ClosedPacket {
 
 class RetransmitManager {
  public:
-  /// Retransmission callback: re-split `payload` (threshold k) under a
-  /// fresh generation and send. Channel choice belongs to the caller;
-  /// it must call note_exposure() with the channels it used.
-  using RetransmitFn = std::function<void(
-      std::uint64_t packet_id, std::uint8_t generation,
-      const std::vector<std::uint8_t>& payload, int k)>;
-  /// Runs after each RTO timer fired (retransmitted or abandoned).
-  using TimeoutFn = std::function<void()>;
-
-  /// RTO timers go on `timeline`, which must outlive the manager.
+  /// RTO timers go on `timeline`, which must outlive the manager. When
+  /// an RTO fires, `owner` re-splits the packet under a fresh
+  /// generation, sends it and notes its exposure, and then hears that
+  /// the timer fired (retransmitted or abandoned). Without an owner
+  /// every packet is abandoned at its first timeout.
   RetransmitManager(net::Simulator& timeline, RetransmitConfig config,
-                    Rng rng);
+                    Rng rng, Arq* owner = nullptr);
   ~RetransmitManager();
 
   RetransmitManager(const RetransmitManager&) = delete;
   RetransmitManager& operator=(const RetransmitManager&) = delete;
-
-  void set_retransmit(RetransmitFn fn) { retransmit_ = std::move(fn); }
-  void set_after_timeout(TimeoutFn fn) { after_timeout_ = std::move(fn); }
 
   /// Track a freshly dispatched packet (wire to Sender's dispatch hook)
   /// and arm its RTO timer at now_ns + RTO (now_ns >= timeline.now()).
@@ -207,8 +202,7 @@ class RetransmitManager {
   net::Simulator& timeline_;
   RetransmitConfig config_;
   Rng rng_;
-  RetransmitFn retransmit_;
-  TimeoutFn after_timeout_;
+  Arq* owner_;
 
   Packets outstanding_;
 

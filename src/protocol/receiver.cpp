@@ -62,7 +62,7 @@ Receiver::Receiver(net::Simulator& sim, ReceiverConfig config,
     : sim_(sim),
       config_(config),
       cpu_(cpu),
-      completed_order_(config.completed_history) {
+      delivered_(config.completed_history) {
   MCSS_ENSURE(config_.reassembly_timeout > 0, "timeout must be positive");
   MCSS_ENSURE(config_.memory_limit_bytes > 0, "memory limit must be positive");
   if (cpu_ != nullptr) alive_ = std::make_shared<bool>(true);
@@ -111,7 +111,7 @@ void Receiver::on_frame(DecodeStatus status, const FrameView& view) {
         "share", "share", obs::share_span_id(id, view.share_index),
         sim_.now());
   }
-  if (completed_.contains(id)) {
+  if (delivered_.state(id) != util::IdWindow::State::New) {
     ++stats_.late_shares;
     return;
   }
@@ -276,6 +276,10 @@ void Receiver::complete(std::uint64_t id, Partial& partial) {
   }
   ++stats_.packets_delivered;
   stats_.bytes_delivered += payload.size();
+  // Marked before the callback, which may build a report from the
+  // window. The id passed the window check on arrival and the floor
+  // moves only here, so it is still at or above the floor.
+  delivered_.mark(id);
   if (deliver_) {
     if (done <= sim_.now()) {
       deliver_(id, std::move(payload));
@@ -292,7 +296,6 @@ void Receiver::complete(std::uint64_t id, Partial& partial) {
   sim_.cancel(partial.eviction);
   creation_order_.erase(partial);
   partials_.erase(id);
-  remember_completed(id);
 }
 
 void Receiver::evict(std::uint64_t id, std::uint64_t* counter) {
@@ -323,16 +326,6 @@ bool Receiver::make_room(std::size_t incoming_bytes,
     evict(victim, &stats_.packets_evicted_memory);
   }
   return buffered_bytes_ + incoming_bytes <= config_.memory_limit_bytes;
-}
-
-void Receiver::remember_completed(std::uint64_t id) {
-  if (config_.completed_history == 0) return;
-  if (completed_order_.full()) {
-    completed_.erase(completed_order_.front());
-    completed_order_.pop_front();
-  }
-  completed_.insert(id);
-  completed_order_.push_back(id);
 }
 
 }  // namespace mcss::proto

@@ -4,8 +4,21 @@
 // partially lost. The receiver keeps a reassembly table keyed by packet
 // id — the design borrowed from IP fragment reassembly (Section V):
 // partial packets are evicted after a timeout, total buffered memory is
-// bounded (oldest partials evicted first), and recently completed ids are
+// bounded (oldest partials evicted first), and completed ids are
 // remembered so late duplicate shares do not resurrect finished packets.
+//
+// The completed ids live in one util::IdWindow (the anti-replay window
+// of RFC 4303 section 3.4.3): a floor plus one bit per id above it,
+// completed_history ids wide. A share of an id the window holds as
+// delivered, or of any id below its floor, is a late share and never
+// delivered, so neither a resend nor a replayed frame set of a finished
+// packet is delivered twice, however long ago it finished. The floor
+// moves only when a packet completes. A keyed receiver completes only
+// authenticated packets, so a forged frame cannot move it; an unkeyed
+// receiver already delivers forged packets, and there a forged id far
+// ahead moves the floor past every genuine id below it. A flow's
+// receiver report (feedback::ReportBuilder) copies its SACK words from
+// the same window.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +27,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "crypto/siphash.hpp"
@@ -23,8 +35,8 @@
 #include "net/simulator.hpp"
 #include "protocol/wire.hpp"
 #include "util/frame_pool.hpp"
+#include "util/id_window.hpp"
 #include "util/intrusive_list.hpp"
-#include "util/ring.hpp"
 
 namespace mcss::obs {
 class Registry;
@@ -37,7 +49,9 @@ struct ReceiverConfig {
   net::SimTime reassembly_timeout = net::from_millis(500);
   /// Bound on total buffered share bytes across all partial packets.
   std::size_t memory_limit_bytes = 8u << 20;
-  /// How many completed packet ids to remember for duplicate suppression.
+  /// Width of the completed-id window, in ids (rounded up to whole
+  /// 64-bit words; must be positive). Ids more than about this far
+  /// below the highest completed id are refused as late.
   std::size_t completed_history = 8192;
   /// When set, only frames carrying a valid SipHash-2-4 tag under this key
   /// are accepted; tampered and unauthenticated frames are dropped and
@@ -58,7 +72,7 @@ struct ReceiverStats {
   std::uint64_t malformed_frames = 0;
   std::uint64_t auth_failures = 0;          ///< bad/missing tag (keyed mode)
   std::uint64_t duplicate_shares = 0;       ///< same (id, index) twice
-  std::uint64_t late_shares = 0;            ///< for an already-completed id
+  std::uint64_t late_shares = 0;  ///< completed id, or below the window
   std::uint64_t conflicting_metadata = 0;   ///< k or length disagrees
   std::uint64_t packets_delivered = 0;
   std::uint64_t bytes_delivered = 0;
@@ -140,10 +154,10 @@ class Receiver {
   [[nodiscard]] std::size_t tracked_partials() const noexcept {
     return creation_order_.size();
   }
-  /// Heap bytes of the completed-id history ring (0 before the first
-  /// delivery; it grows toward completed_history as ids complete).
-  [[nodiscard]] std::size_t history_heap_bytes() const noexcept {
-    return completed_order_.heap_bytes();
+  /// The completed-id window: marked when a packet completes, before
+  /// it is handed to the delivery callback.
+  [[nodiscard]] const util::IdWindow& delivered() const noexcept {
+    return delivered_;
   }
 
  private:
@@ -187,7 +201,6 @@ class Receiver {
   /// fit under the cap; false when they cannot be made to fit.
   bool make_room(std::size_t incoming_bytes,
                  std::optional<std::uint64_t> exclude);
-  void remember_completed(std::uint64_t id);
 
   net::Simulator& sim_;
   ReceiverConfig config_;
@@ -198,9 +211,7 @@ class Receiver {
   /// Pending partials, oldest first, for oldest-first eviction.
   util::IntrusiveList<Partial, &Partial::order> creation_order_;
   std::size_t buffered_bytes_ = 0;
-  std::unordered_set<std::uint64_t> completed_;
-  /// Completion order of completed_, capped at completed_history.
-  util::Ring<std::uint64_t> completed_order_;
+  util::IdWindow delivered_;
   ReceiverStats stats_;
   /// Liveness token captured by CpuModel deferred-delivery timers, which
   /// are not tracked by handle: a receiver destroyed with a delivery

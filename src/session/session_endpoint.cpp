@@ -91,6 +91,13 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
   MCSS_ENSURE(config_.limits.max_flows >= 1, "max_flows must be at least 1");
   MCSS_ENSURE(config_.limits.admission_headroom > 0.0,
               "admission headroom must be positive");
+  // A flow's reports copy their SACK words from its receiver's
+  // completed-id window (and a session receiver has no CpuModel).
+  MCSS_ENSURE(!config_.reliability.enabled ||
+                  util::IdWindow(config_.receiver.completed_history)
+                          .width_words() >=
+                      config_.reliability.sack_window_words,
+              "receiver.completed_history must span the SACK window");
   if (config_.port_base != 0) {
     // Channel i binds port_base + i, plus one feedback lane when
     // reliability is on. uint16_t arithmetic would otherwise wrap
@@ -580,7 +587,7 @@ void SessionEndpoint::emit_reports() {
 
 void SessionEndpoint::append_report(Flow& flow, std::int64_t now) {
   report_.erase(flow);
-  const auto bytes = flow.arq->report(now);
+  const auto bytes = flow.arq->report(now, flow.receiver.delivered());
   if (report_datagram_.size() + bytes.size() > config_.max_datagram_bytes) {
     send_report_datagram(now);
   }
@@ -748,7 +755,7 @@ std::size_t SessionEndpoint::flow_heap_bytes(std::uint32_t cid) const {
   if (it == flows_.end()) return 0;
   const Flow& flow = it->second;
   return flow.queue.heap_bytes() + flow.sent_ns.heap_bytes() +
-         flow.receiver.history_heap_bytes() +
+         flow.receiver.delivered().heap_bytes() +
          (flow.arq ? flow.arq->builder().heap_bytes() : 0);
 }
 

@@ -19,12 +19,14 @@
 //                                         timer per outstanding packet)
 //
 // A flow is one node of the flow table with everything above inline, and
-// its heap use follows what it holds. The send queue, the send stamps,
-// the receiver's completed-id history and the report builder's delay
-// samples are util::Ring FIFOs that allocate on their first push and
-// grow up to their existing limits, so a flow that has neither sent nor
-// received costs its node and nothing else (DESIGN.md, "Per-flow state",
-// has the byte table).
+// its heap use follows what it holds. The send queue, the send stamps
+// and the report builder's delay samples are util::Ring FIFOs that
+// allocate on their first push and grow up to their existing limits.
+// The receiver's completed-id window (util::IdWindow), which the flow's
+// reports also copy their SACK words from, grows a word at a time with
+// the ids it spans. So a flow that has neither sent nor received costs
+// its node and nothing else (DESIGN.md, "Per-flow state", has the byte
+// table).
 //
 // Flows are keyed by the wire header's connection id (wire.hpp flag bit
 // 2): every share and every receiver report carries the owning flow's

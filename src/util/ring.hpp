@@ -1,15 +1,14 @@
 // FIFO ring over one vector, for per-flow queues that are usually empty.
 //
-// A session endpoint holds one send queue, one send-stamp window, one
-// completed-id history and one delay-sample buffer per flow, for 100k+
-// flows. libstdc++'s std::deque allocates a map and a ~512 B node the
-// moment the first element arrives and keeps both, so four deques cost
-// an idle flow over 2 KB. Ring allocates nothing until its first push,
-// then doubles its storage as the queue grows, up to a cap the owner
-// takes from an existing limit (it never preallocates the cap: a 65,536
-// entry history that only ever holds three ids holds four slots). Storage
-// is kept once grown, so a warm flow pushes and pops without touching the
-// heap.
+// A session endpoint holds one send queue, one send-stamp window and one
+// delay-sample buffer per flow, for 100k+ flows. libstdc++'s std::deque
+// allocates a map and a ~512 B node the moment the first element arrives
+// and keeps both, so three deques cost an idle flow over 1.5 KB. Ring
+// allocates nothing until its first push, then doubles its storage as
+// the queue grows, up to a cap the owner takes from an existing limit
+// (it never preallocates the cap: a 4,096-packet queue that only ever
+// holds three packets holds four slots). Storage is kept once grown, so
+// a warm flow pushes and pops without touching the heap.
 //
 // Pushing onto a full ring is a precondition failure: owners that keep
 // the newest entries pop the oldest first.

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "feedback/arq.hpp"
@@ -28,6 +29,7 @@
 #include "protocol/wire.hpp"
 #include "sss/shamir.hpp"
 #include "util/ensure.hpp"
+#include "util/id_window.hpp"
 #include "util/rng.hpp"
 
 namespace mcss::feedback {
@@ -286,16 +288,21 @@ TEST(ReportCodec, OneWayDelayDefinition) {
 
 // ----------------------------------------------------------- ReportBuilder
 
+/// A delivery as a flow's receiver and Arq see it: the receiver marks
+/// its completed-id window, then the builder counts it.
+void deliver(util::IdWindow& window, ReportBuilder& builder, std::uint64_t id,
+             std::int64_t recv_time_ns) {
+  window.mark(id);
+  builder.on_delivered(id, recv_time_ns);
+}
+
 TEST(ReportBuilder, SackAndCountersAccumulate) {
+  util::IdWindow window(8192);
   ReportBuilder builder({});
-  builder.on_delivered(1, 10);
-  builder.on_delivered(3, 20);
+  deliver(window, builder, 1, 10);
+  deliver(window, builder, 3, 20);
 
-  EXPECT_TRUE(builder.acked(1));
-  EXPECT_FALSE(builder.acked(2));
-  EXPECT_TRUE(builder.acked(3));
-
-  const auto r1 = builder.build(100);
+  const auto r1 = builder.build(100, window);
   EXPECT_EQ(r1.seq, 1u);
   EXPECT_EQ(r1.receiver_time_ns, 100);
   EXPECT_EQ(r1.packets_delivered, 2u);
@@ -307,7 +314,7 @@ TEST(ReportBuilder, SackAndCountersAccumulate) {
 
   // Reports are cumulative: the next build restates SACK and the
   // delivered count, but delay samples were drained.
-  const auto r2 = builder.build(200);
+  const auto r2 = builder.build(200, window);
   EXPECT_EQ(r2.seq, 2u);
   EXPECT_TRUE(r2.acked(1));
   EXPECT_EQ(r2.packets_delivered, 2u);
@@ -316,32 +323,49 @@ TEST(ReportBuilder, SackAndCountersAccumulate) {
 }
 
 TEST(ReportBuilder, WindowSlidesForwardInWordSteps) {
+  util::IdWindow window(128);
   ReportBuilder builder({.sack_window_words = 2});
-  builder.on_delivered(1, 0);
-  EXPECT_EQ(builder.sack_base(), 1u);
+  deliver(window, builder, 1, 0);
+  EXPECT_EQ(builder.build(0, window).sack_base, 1u);
   // 128 ids fit; id 129 forces the window one word forward.
-  builder.on_delivered(129, 0);
-  EXPECT_GT(builder.sack_base(), 1u);
-  EXPECT_FALSE(builder.acked(1));  // aged out
-  EXPECT_TRUE(builder.acked(129));
+  deliver(window, builder, 129, 0);
+  const auto slid = builder.build(0, window);
+  EXPECT_GT(slid.sack_base, 1u);
+  EXPECT_FALSE(slid.acked(1));  // aged out
+  EXPECT_TRUE(slid.acked(129));
 
   // A huge jump takes the full-clear path but keeps the new id acked.
-  builder.on_delivered(1'000'000, 0);
-  EXPECT_TRUE(builder.acked(1'000'000));
-  EXPECT_FALSE(builder.acked(129));
-  // The builder's view and the encoded report agree after the slides.
-  const auto r = builder.build(0);
+  deliver(window, builder, 1'000'000, 0);
+  const auto r = builder.build(0, window);
   EXPECT_TRUE(r.acked(1'000'000));
   EXPECT_FALSE(r.acked(129));
   EXPECT_EQ(r.packets_delivered, 3u);
 }
 
+TEST(ReportBuilder, AWiderReceiverWindowReportsTheSameWords) {
+  // The report's base depends on the highest delivered id and its own
+  // width only, so a receiver window wider than the report changes no
+  // report.
+  util::IdWindow exact(128);
+  util::IdWindow wide(8192);
+  ReportBuilder a({.sack_window_words = 2});
+  ReportBuilder b({.sack_window_words = 2});
+  for (const std::uint64_t id : {1u, 5u, 64u, 65u, 130u, 129u, 300u, 257u}) {
+    deliver(exact, a, id, 0);
+    deliver(wide, b, id, 0);
+    EXPECT_EQ(encode_report(a.build(0, exact)),
+              encode_report(b.build(0, wide)))
+        << "after id " << id;
+  }
+}
+
 TEST(ReportBuilder, DelayRingKeepsNewestSamples) {
+  util::IdWindow window(1024);
   ReportBuilder builder({.max_delay_samples = 4});
   for (std::uint64_t id = 1; id <= 10; ++id) {
-    builder.on_delivered(id, static_cast<std::int64_t>(id) * 100);
+    deliver(window, builder, id, static_cast<std::int64_t>(id) * 100);
   }
-  const auto r = builder.build(0);
+  const auto r = builder.build(0, window);
   ASSERT_EQ(r.delays.size(), 4u);
   EXPECT_EQ(r.delays.front().packet_id, 7u);  // oldest kept
   EXPECT_EQ(r.delays.back().packet_id, 10u);  // newest
@@ -350,17 +374,20 @@ TEST(ReportBuilder, DelayRingKeepsNewestSamples) {
 TEST(ReportBuilder, IdleBuilderHoldsNoHeapAndReportsTheSameZeros) {
   // A session keeps one builder per flow: until traffic arrives it must
   // hold nothing, yet report the full zero window.
+  util::IdWindow window(8192);
   ReportBuilder builder({.sack_window_words = 16});
   EXPECT_EQ(builder.heap_bytes(), 0u);
-  EXPECT_FALSE(builder.acked(1));
-  const auto r = builder.build(50);
+  EXPECT_EQ(window.heap_bytes(), 0u);
+  const auto r = builder.build(50, window);
   EXPECT_EQ(r.sack, std::vector<std::uint64_t>(16, 0));
+  EXPECT_EQ(r.sack_base, 1u);
+  EXPECT_FALSE(r.acked(1));
   EXPECT_TRUE(r.delays.empty());
   EXPECT_EQ(builder.heap_bytes(), 0u);
 
-  builder.on_delivered(1, 60);
+  deliver(window, builder, 1, 60);
   EXPECT_GT(builder.heap_bytes(), 0u);
-  const auto r2 = builder.build(70);
+  const auto r2 = builder.build(70, window);
   EXPECT_TRUE(r2.acked(1));
   EXPECT_EQ(r2.sack.size(), 16u);
   ASSERT_EQ(r2.delays.size(), 1u);
@@ -368,6 +395,52 @@ TEST(ReportBuilder, IdleBuilderHoldsNoHeapAndReportsTheSameZeros) {
 }
 
 // -------------------------------------------------------- RetransmitManager
+
+/// One resend the Arq asked its driver for.
+struct Resend {
+  std::uint64_t id = 0;
+  std::uint8_t generation = 0;
+  int k = 0;
+  std::vector<int> channels;
+  std::vector<std::uint8_t> payload;
+};
+
+/// A driver on a bare simulator that records resends and RTO passes.
+struct ArqHarness {
+  net::Simulator sim;
+  std::vector<double> risks;
+  std::vector<Resend> resends;
+  int timeouts = 0;
+  ArqDriver driver;
+
+  ArqHarness(int num_channels, int retransmit_extra,
+             std::vector<double> channel_risks)
+      : risks(std::move(channel_risks)),
+        driver{.timeline = sim,
+               .num_channels = num_channels,
+               .retransmit_extra = retransmit_extra,
+               .risks = risks,
+               .resend =
+                   [this](std::uint32_t, std::uint64_t id,
+                          std::uint8_t generation,
+                          std::span<const std::uint8_t> payload, int k,
+                          std::span<const int> channels) {
+                     resends.push_back({id,
+                                        generation,
+                                        k,
+                                        {channels.begin(), channels.end()},
+                                        {payload.begin(), payload.end()}});
+                   },
+               .after_timeout = [this](std::uint32_t) { ++timeouts; }} {}
+};
+
+RetransmitConfig one_retry_config() {
+  RetransmitConfig cfg;
+  cfg.max_retransmits = 1;
+  cfg.initial_rto_ns = 100'000'000;
+  return cfg;
+}
+
 
 ReceiverReport ack_report(std::uint64_t seq, std::uint64_t sack_base,
                           std::vector<std::uint64_t> acked_ids) {
@@ -413,36 +486,36 @@ TEST(RetransmitManager, TimeoutRetransmitsUntilBudgetThenAbandons) {
   RetransmitConfig config;
   config.max_retransmits = 2;
   config.initial_rto_ns = 100'000'000;
-  net::Simulator sim;
-  RetransmitManager mgr(sim, config, Rng(3));
-  std::vector<std::uint8_t> seen_generations;
-  mgr.set_retransmit([&](std::uint64_t id, std::uint8_t generation,
-                         const std::vector<std::uint8_t>& payload, int k) {
-    EXPECT_EQ(id, 1u);
-    EXPECT_EQ(k, 2);
-    EXPECT_EQ(payload, (std::vector<std::uint8_t>{9, 9}));
-    seen_generations.push_back(generation);
-  });
+  ArqHarness h(2, 1, {});
+  Arq arq(h.driver, /*cid=*/0, config, {}, Rng(3));
+  const RetransmitManager& mgr = arq.manager();
 
   const std::vector<int> channels{0, 1};
-  mgr.on_packet_sent(1, 2, std::vector<std::uint8_t>{9, 9}, channels, 0);
+  arq.on_sent(1, 2, std::vector<std::uint8_t>{9, 9}, channels, 0);
   std::int64_t now = 0;
   // Drive the RTO clock: each run to the pending deadline fires one
   // retransmission until the budget is gone, then the packet is dropped.
   for (int round = 0; round < 3; ++round) {
-    const auto deadline = sim.next_event_time();
+    const auto deadline = h.sim.next_event_time();
     ASSERT_TRUE(deadline.has_value());
     EXPECT_GT(*deadline, now);
     now = *deadline;
-    sim.run_until(now);
+    h.sim.run_until(now);
   }
-  EXPECT_FALSE(sim.next_event_time().has_value());
+  EXPECT_FALSE(h.sim.next_event_time().has_value());
+  std::vector<std::uint8_t> seen_generations;
+  for (const Resend& r : h.resends) {
+    EXPECT_EQ(r.id, 1u);
+    EXPECT_EQ(r.k, 2);
+    EXPECT_EQ(r.payload, (std::vector<std::uint8_t>{9, 9}));
+    seen_generations.push_back(r.generation);
+  }
   EXPECT_EQ(seen_generations, (std::vector<std::uint8_t>{1, 2}));
   EXPECT_EQ(mgr.stats().retransmits, 2u);
   EXPECT_EQ(mgr.stats().packets_abandoned, 1u);
   EXPECT_EQ(mgr.outstanding(), 0u);
 
-  const auto closed = mgr.drain_closed();
+  const auto closed = arq.manager().drain_closed();
   ASSERT_EQ(closed.size(), 1u);
   EXPECT_FALSE(closed[0].acked);
   EXPECT_EQ(closed[0].retransmits, 2);
@@ -451,35 +524,42 @@ TEST(RetransmitManager, TimeoutRetransmitsUntilBudgetThenAbandons) {
 TEST(RetransmitManager, TrackingOnlyModeAbandonsAtFirstTimeout) {
   RetransmitConfig config;
   config.max_retransmits = 0;  // ARQ off: exposure/ack accounting only
+  ArqHarness h(1, 1, {});
+  Arq arq(h.driver, /*cid=*/0, config, {}, Rng(3));
+  const std::vector<int> channels{0};
+  arq.on_sent(1, 1, std::vector<std::uint8_t>{1}, channels, 0);
+  h.sim.run_until(*h.sim.next_event_time());
+  EXPECT_TRUE(h.resends.empty());
+  EXPECT_EQ(arq.manager().stats().packets_abandoned, 1u);
+}
+
+TEST(RetransmitManager, WithoutAnOwnerEveryPacketIsAbandonedAtItsFirstTimeout) {
   net::Simulator sim;
-  RetransmitManager mgr(sim, config, Rng(3));
-  bool retransmitted = false;
-  mgr.set_retransmit([&](auto, auto, const auto&, auto) {
-    retransmitted = true;
-  });
+  RetransmitManager mgr(sim, {}, Rng(3));
   const std::vector<int> channels{0};
   mgr.on_packet_sent(1, 1, std::vector<std::uint8_t>{1}, channels, 0);
-  sim.run_until(*sim.next_event_time());
-  EXPECT_FALSE(retransmitted);
+  sim.run();
+  EXPECT_EQ(mgr.stats().retransmits, 0u);
   EXPECT_EQ(mgr.stats().packets_abandoned, 1u);
+  EXPECT_EQ(mgr.outstanding(), 0u);
 }
 
 TEST(RetransmitManager, KarnRuleExcludesRetransmittedPackets) {
   RetransmitConfig config;
   config.initial_rto_ns = 100'000'000;
-  net::Simulator sim;
-  RetransmitManager mgr(sim, config, Rng(5));
-  mgr.set_retransmit([](auto, auto, const auto&, auto) {});
+  ArqHarness h(1, 1, {});
+  Arq arq(h.driver, /*cid=*/0, config, {}, Rng(5));
+  const RetransmitManager& mgr = arq.manager();
   const std::vector<int> channels{0};
-  mgr.on_packet_sent(1, 1, std::vector<std::uint8_t>{1}, channels, 0);
-  sim.run_until(*sim.next_event_time());  // one retransmission
+  arq.on_sent(1, 1, std::vector<std::uint8_t>{1}, channels, 0);
+  h.sim.run_until(*h.sim.next_event_time());  // one retransmission
   EXPECT_EQ(mgr.stats().retransmits, 1u);
 
   // The eventual ack closes the packet but its RTT (and one-way delay
   // samples) are ambiguous and must not train the estimator.
   auto report = ack_report(1, 1, {1});
   report.delays = {{1, 500'000'000}};
-  mgr.on_report(report, 500'000'000);
+  arq.on_report(report, 500'000'000);
   EXPECT_EQ(mgr.stats().packets_acked, 1u);
   EXPECT_EQ(mgr.stats().rtt_samples, 0u);
   EXPECT_EQ(mgr.stats().delay.count(), 0u);
@@ -601,19 +681,18 @@ TEST(RetransmitManager, DisplacedPacketTakesItsTimerWithIt) {
   RetransmitConfig config;
   config.max_outstanding = 2;
   config.max_retransmits = 0;
-  net::Simulator sim;
-  RetransmitManager mgr(sim, config, Rng(13));
-  int timeouts = 0;
-  mgr.set_after_timeout([&] { ++timeouts; });
+  ArqHarness h(1, 1, {});
+  Arq arq(h.driver, /*cid=*/0, config, {}, Rng(13));
+  RetransmitManager& mgr = arq.manager();
   const std::vector<int> channels{0};
   for (std::uint64_t id = 1; id <= 3; ++id) {
-    mgr.on_packet_sent(id, 1, std::vector<std::uint8_t>{1}, channels,
-                       static_cast<std::int64_t>(id));
+    arq.on_sent(id, 1, std::vector<std::uint8_t>{1}, channels,
+                static_cast<std::int64_t>(id));
   }
-  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(h.sim.pending(), 2u);
   EXPECT_EQ(mgr.stats().packets_displaced, 1u);
-  sim.run();
-  EXPECT_EQ(timeouts, 2);
+  h.sim.run();
+  EXPECT_EQ(h.timeouts, 2);
   EXPECT_EQ(mgr.stats().packets_abandoned, 2u);
   const auto closed = mgr.drain_closed();
   ASSERT_EQ(closed.size(), 3u);
@@ -717,47 +796,6 @@ TEST(Redundancy, InfeasibleGoalReturnsBestEffortPlan) {
 }
 
 // --------------------------------------------------------------------- Arq
-
-/// One resend the Arq asked its driver for.
-struct Resend {
-  std::uint64_t id = 0;
-  std::uint8_t generation = 0;
-  int k = 0;
-  std::vector<int> channels;
-};
-
-/// A driver on a bare simulator that records resends and RTO passes.
-struct ArqHarness {
-  net::Simulator sim;
-  std::vector<double> risks;
-  std::vector<Resend> resends;
-  int timeouts = 0;
-  ArqDriver driver;
-
-  ArqHarness(int num_channels, int retransmit_extra,
-             std::vector<double> channel_risks)
-      : risks(std::move(channel_risks)),
-        driver{.timeline = sim,
-               .num_channels = num_channels,
-               .retransmit_extra = retransmit_extra,
-               .risks = risks,
-               .resend =
-                   [this](std::uint32_t, std::uint64_t id,
-                          std::uint8_t generation,
-                          std::span<const std::uint8_t>, int k,
-                          std::span<const int> channels) {
-                     resends.push_back(
-                         {id, generation, k, {channels.begin(), channels.end()}});
-                   },
-               .after_timeout = [this](std::uint32_t) { ++timeouts; }} {}
-};
-
-RetransmitConfig one_retry_config() {
-  RetransmitConfig cfg;
-  cfg.max_retransmits = 1;
-  cfg.initial_rto_ns = 100'000'000;
-  return cfg;
-}
 
 TEST(Arq, RetransmitsExposedChannelsFirstThenLowestRisk) {
   // Four channels; the packet went out on channel 1 alone (k = 1). With
@@ -867,11 +905,14 @@ TEST(Arq, ReportsCarryTheFlowIdAndTheDriversKey) {
   h.driver.report_key = &kKey;
   Arq arq(h.driver, /*cid=*/9, one_retry_config(),
           {.sack_window_words = 1}, Rng(5));
+  util::IdWindow delivered(64);
   for (std::uint64_t id = 1; id <= 31; ++id) {
+    delivered.mark(id);
     EXPECT_FALSE(arq.on_delivered(id, 100));
   }
+  delivered.mark(32);
   EXPECT_TRUE(arq.on_delivered(32, 100));  // half of one 64-id word
-  const auto bytes = arq.report(200);
+  const auto bytes = arq.report(200, delivered);
   const crypto::SipHashKey wrong{};
   EXPECT_FALSE(decode_report(bytes, &wrong).has_value());
   const auto report = decode_report(bytes, &kKey);
@@ -880,6 +921,135 @@ TEST(Arq, ReportsCarryTheFlowIdAndTheDriversKey) {
   EXPECT_EQ(report->packets_delivered, 32u);
   EXPECT_TRUE(report->acked(32));
   EXPECT_FALSE(arq.on_delivered(33, 300));  // the report reset the count
+}
+
+/// The SACK window a report builder kept of its own before reports read
+/// the receiver's completed-id window: a base that slides in whole
+/// words over the ids delivered at or above it. The reference the
+/// property test below holds every report to.
+struct ReferenceSack {
+  std::uint64_t base = 1;
+  std::vector<std::uint64_t> words;
+
+  explicit ReferenceSack(std::size_t n) : words(n, 0) {}
+
+  void on_delivered(std::uint64_t id) {
+    if (id < base) return;
+    const std::uint64_t span = 64 * words.size();
+    if (id - base >= span) {
+      const std::uint64_t shift_words = (id - base - span) / 64 + 1;
+      if (shift_words >= words.size()) {
+        std::fill(words.begin(), words.end(), 0);
+      } else {
+        const auto n = static_cast<std::ptrdiff_t>(shift_words);
+        std::copy(words.begin() + n, words.end(), words.begin());
+        std::fill(words.end() - n, words.end(), 0);
+      }
+      base += 64 * shift_words;
+    }
+    const std::uint64_t offset = id - base;
+    words[static_cast<std::size_t>(offset / 64)] |= std::uint64_t{1}
+                                                    << (offset % 64);
+  }
+};
+
+TEST(Arq, ReportBytesMatchTheSlidingBitmapReference) {
+  // Seeded delivery sequences (reordered, with gaps, with replays and
+  // with jumps past both windows) run through a Receiver and an Arq.
+  // Every encoded report must equal the one built from the delivered
+  // ids by the reference arithmetic, wherever the receiver's window is
+  // at least the report's.
+  struct Shape {
+    std::size_t completed_history;
+    std::size_t sack_words;
+    std::uint64_t first_id;
+  };
+  const Shape shapes[] = {{64, 1, 1},     {128, 2, 1},      {1000, 16, 1},
+                          {8192, 16, 1},  {65'536, 16, 1},  {8192, 1, 1},
+                          {1024, 16, std::uint64_t{1} << 62}};
+  std::uint64_t reports = 0;
+  for (const Shape& shape : shapes) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message()
+                   << "history " << shape.completed_history << ", sack "
+                   << shape.sack_words << ", seed " << seed);
+      ArqHarness h(2, 1, {});
+      const std::uint32_t cid = 7;
+      Arq arq(h.driver, cid, one_retry_config(),
+              {.sack_window_words = shape.sack_words}, Rng(seed));
+      proto::ReceiverConfig rc;
+      rc.completed_history = shape.completed_history;
+      proto::Receiver rx(h.sim, rc);
+
+      ReferenceSack reference(shape.sack_words);
+      std::uint64_t seq = 0;
+      std::uint64_t delivered = 0;
+      std::vector<DelaySample> pending;
+      std::int64_t now = 0;
+      rx.set_deliver([&](std::uint64_t id, std::vector<std::uint8_t>) {
+        reference.on_delivered(id);
+        ++delivered;
+        pending.push_back({id, now});
+        if (pending.size() > 64) pending.erase(pending.begin());
+        (void)arq.on_delivered(id, now);
+      });
+      const auto check_report = [&] {
+        ReceiverReport expected;
+        expected.seq = ++seq;
+        expected.receiver_time_ns = now;
+        expected.packets_delivered = delivered;
+        expected.sack_base = reference.base;
+        expected.sack = reference.words;
+        expected.delays = std::exchange(pending, {});
+        expected.connection_id = cid;
+        ASSERT_EQ(arq.report(now, rx.delivered()), encode_report(expected))
+            << "report " << seq;
+        ++reports;
+      };
+
+      Rng rng(1000 + seed);
+      const std::uint64_t window_ids = 64 * rx.delivered().width_words();
+      std::uint64_t cursor = shape.first_id;
+      std::vector<std::uint64_t> sent;
+      proto::ShareFrame f;
+      f.k = 1;
+      f.share_index = 1;
+      f.payload = {1};
+      for (int step = 0; step < 3000; ++step) {
+        ++now;
+        std::uint64_t id = cursor;
+        const std::uint64_t roll = rng.uniform_int(100);
+        if (roll < 10 && !sent.empty()) {
+          // A late share, resend or replay of an id sent before: new
+          // if it never completed and is still above the floor.
+          id = sent[rng.uniform_int(sent.size())];
+          f.generation = static_cast<std::uint8_t>(1 + rng.uniform_int(3));
+        } else {
+          f.generation = 0;
+          if (roll < 15) {
+            cursor += 1 + rng.uniform_int(3 * window_ids);  // a jump
+          } else if (roll < 35) {
+            cursor += 2 + rng.uniform_int(40);  // a gap
+          } else if (roll >= 55) {
+            ++cursor;
+          }
+          // Otherwise one of the next few ids arrives ahead of its turn.
+          const bool reordered = roll >= 35 && roll < 55;
+          id = reordered ? cursor + 1 + rng.uniform_int(6) : cursor;
+        }
+        f.packet_id = id;
+        rx.on_frame(proto::encode(f));
+        sent.push_back(id);
+        if (sent.size() > 256) sent.erase(sent.begin());
+        if (rng.uniform_int(4) == 0) check_report();
+        if (HasFatalFailure()) return;
+      }
+      check_report();
+      EXPECT_GT(rx.stats().late_shares, 0u);
+      EXPECT_GT(rx.delivered().floor(), shape.first_id);
+    }
+  }
+  EXPECT_GT(reports, 10'000u);
 }
 
 // ------------------------------------------------------------ ReliableLink

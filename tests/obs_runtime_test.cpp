@@ -38,6 +38,7 @@
 #include "obs/runtime/telemetry.hpp"
 #include "session/session_endpoint.hpp"
 #include "util/ensure.hpp"
+#include "util/id_window.hpp"
 #include "util/poisson_binomial.hpp"
 #include "util/rng.hpp"
 
@@ -637,7 +638,8 @@ TEST(ReportBuilder, RegressingDeliveryStampsAreClampedMonotone) {
   builder.on_delivered(2, 400);  // receiver clock stepped backwards
   builder.on_delivered(3, 1500);
   EXPECT_EQ(builder.delay_samples_clamped(), 1u);
-  const feedback::ReceiverReport report = builder.build(2000);
+  const feedback::ReceiverReport report =
+      builder.build(2000, util::IdWindow(1024));
   ASSERT_EQ(report.delays.size(), 3u);
   EXPECT_EQ(report.delays[0].recv_time_ns, 1000);
   EXPECT_EQ(report.delays[1].recv_time_ns, 1000);  // clamped up, kept

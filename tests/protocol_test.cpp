@@ -15,6 +15,8 @@
 #include "protocol/scheduler.hpp"
 #include "protocol/sender.hpp"
 #include "protocol/wire.hpp"
+#include "sss/shamir.hpp"
+#include "util/ensure.hpp"
 #include "util/rng.hpp"
 
 namespace mcss::proto {
@@ -705,6 +707,9 @@ TEST(Receiver, TimeoutAndMemoryEvictionInterplay) {
 }
 
 TEST(Receiver, CompletedHistoryIsBounded) {
+  // completed_history = 4 rounds up to one 64-id word: the window's
+  // memory stays one word however many ids complete, and an id that
+  // slid below its floor is refused as late, never delivered again.
   net::Simulator sim;
   ReceiverConfig cfg;
   cfg.completed_history = 4;
@@ -719,26 +724,38 @@ TEST(Receiver, CompletedHistoryIsBounded) {
     f.packet_id = id;
     rx.on_frame(encode(f));
   }
-  // Id 6 is still remembered: its replay is a late share. Id 1 has
-  // fallen out of the 4-deep history: its replay starts a new partial
-  // (delivered again immediately since k = 1 — duplicate delivery is
-  // the documented cost of the bounded history).
+  // Ids 1..6 share the one word: replays of the newest and the oldest
+  // are both late shares.
   f.packet_id = 6;
   rx.on_frame(encode(f));
-  EXPECT_EQ(rx.stats().late_shares, 1u);
   f.packet_id = 1;
   rx.on_frame(encode(f));
-  EXPECT_EQ(rx.stats().late_shares, 1u);
+  EXPECT_EQ(rx.stats().late_shares, 2u);
+  EXPECT_EQ(rx.stats().packets_delivered, 6u);
+
+  // Id 65 opens the next word, so the window slides past ids 1..64.
+  f.packet_id = 65;
+  rx.on_frame(encode(f));
+  EXPECT_EQ(rx.delivered().floor(), 65u);
+  f.packet_id = 1;
+  rx.on_frame(encode(f));
+  f.packet_id = 7;  // never delivered, but below the floor now
+  rx.on_frame(encode(f));
+  EXPECT_EQ(rx.stats().late_shares, 4u);
   EXPECT_EQ(rx.stats().packets_delivered, 7u);
+  EXPECT_EQ(rx.delivered().heap_bytes(), sizeof(std::uint64_t));
 }
 
 TEST(Receiver, CompletedHistoryGrowsWithUseNotWithItsCap) {
+  // A 65,536-id window is 1,024 words, but it holds only the words its
+  // ids span.
   net::Simulator sim;
   ReceiverConfig cfg;
   cfg.completed_history = 65'536;
   Receiver rx(sim, cfg);
   rx.set_deliver([](std::uint64_t, std::vector<std::uint8_t>) {});
-  EXPECT_EQ(rx.history_heap_bytes(), 0u);
+  EXPECT_EQ(rx.delivered().width_words(), 1024u);
+  EXPECT_EQ(rx.delivered().heap_bytes(), 0u);
 
   ShareFrame f;
   f.k = 1;
@@ -748,28 +765,138 @@ TEST(Receiver, CompletedHistoryGrowsWithUseNotWithItsCap) {
     f.packet_id = id;
     rx.on_frame(encode(f));
   }
-  EXPECT_EQ(rx.history_heap_bytes(), 4 * sizeof(std::uint64_t));
+  EXPECT_EQ(rx.delivered().heap_bytes(), sizeof(std::uint64_t));
+  f.packet_id = 200;  // the fourth word
+  rx.on_frame(encode(f));
+  EXPECT_EQ(rx.delivered().heap_bytes(), 4 * sizeof(std::uint64_t));
   f.packet_id = 2;
   rx.on_frame(encode(f));
   EXPECT_EQ(rx.stats().late_shares, 1u);
 }
 
-TEST(Receiver, ZeroCompletedHistoryRemembersNothing) {
+TEST(Receiver, ZeroCompletedHistoryIsRefused) {
+  // Without a window every late share would resurrect its packet.
   net::Simulator sim;
   ReceiverConfig cfg;
   cfg.completed_history = 0;
+  EXPECT_THROW(Receiver(sim, cfg), PreconditionError);
+}
+
+TEST(Receiver, ResendOfAnIdAWindowBehindIsNotDeliveredAgain) {
+  // Id 1 completes, then the flow moves more than one window past it.
+  // A retransmission of id 1 (a fresh generation, as the ARQ sends it)
+  // must not bring the finished packet back.
+  net::Simulator sim;
+  ReceiverConfig cfg;
+  cfg.completed_history = 128;
   Receiver rx(sim, cfg);
-  rx.set_deliver([](std::uint64_t, std::vector<std::uint8_t>) {});
+  std::map<std::uint64_t, int> delivered;
+  rx.set_deliver(
+      [&](std::uint64_t id, std::vector<std::uint8_t>) { ++delivered[id]; });
+  for (std::uint64_t id = 1; id <= 300; ++id) rx.on_frame(share_of(id, 1, 1));
+  ASSERT_EQ(delivered.size(), 300u);
+  ASSERT_GT(rx.delivered().floor(), 1u + 128u);
+
+  rx.on_frame(share_of(1, 1, 1, /*gen=*/1));
+  rx.on_frame(share_of(2, 2, 1, /*gen=*/3));
+  rx.on_frame(share_of(2, 2, 2, /*gen=*/3));
+  EXPECT_EQ(delivered[1], 1);
+  EXPECT_EQ(delivered[2], 1);
+  EXPECT_EQ(rx.stats().packets_delivered, 300u);
+  EXPECT_EQ(rx.stats().late_shares, 3u);
+  EXPECT_EQ(rx.pending_packets(), 0u);
+}
+
+const crypto::SipHashKey kReplayKey{9, 8, 7, 6, 5, 4, 3, 2,
+                                    1, 0, 1, 2, 3, 4, 5, 6};
+
+/// Frames of packet `id` split under k = 2 and tagged under kReplayKey.
+std::vector<std::vector<std::uint8_t>> tagged_packet(std::uint64_t id,
+                                                     Rng& rng) {
+  const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5};
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (const auto& share : sss::split(payload, 2, 2, rng)) {
+    ShareFrame f;
+    f.packet_id = id;
+    f.k = 2;
+    f.share_index = share.index;
+    f.payload = share.data;
+    frames.push_back(encode(f, &kReplayKey));
+  }
+  return frames;
+}
+
+TEST(Receiver, ReplayedTaggedPacketIsNotDeliveredAfterItsWindowPassed) {
+  // An eavesdropper records id 1's correctly tagged share set and plays
+  // it back once 8,192 later ids were delivered: the tags verify, but
+  // the id sits below the window's floor.
+  net::Simulator sim;
+  ReceiverConfig cfg;
+  cfg.auth_key = kReplayKey;
+  Receiver rx(sim, cfg);
+  std::uint64_t delivered = 0;
+  std::uint64_t last_id = 0;
+  rx.set_deliver([&](std::uint64_t id, std::vector<std::uint8_t>) {
+    ++delivered;
+    last_id = id;
+  });
+  Rng rng(91);
+  const auto recorded = tagged_packet(1, rng);
+  for (const auto& frame : recorded) rx.on_frame(frame);
+  ASSERT_EQ(delivered, 1u);
+
   ShareFrame f;
-  f.packet_id = 9;
   f.k = 1;
-  f.payload = {7};
   f.share_index = 1;
-  rx.on_frame(encode(f));
-  rx.on_frame(encode(f));
+  f.payload = {3};
+  for (std::uint64_t id = 2; id <= 8193; ++id) {
+    f.packet_id = id;
+    rx.on_frame(encode(f, &kReplayKey));
+  }
+  ASSERT_EQ(delivered, 8193u);
+
+  for (const auto& frame : recorded) rx.on_frame(frame);
+  EXPECT_EQ(delivered, 8193u);
+  EXPECT_EQ(last_id, 8193u);
+  EXPECT_EQ(rx.stats().late_shares, 2u);
+  EXPECT_EQ(rx.stats().auth_failures, 0u);
+  EXPECT_EQ(rx.pending_packets(), 0u);
+}
+
+TEST(Receiver, ForgedFarAheadIdDoesNotMoveAKeyedFloor) {
+  // Only authenticated packets complete, so a forged frame claiming an
+  // id far ahead cannot slide the window past genuine ids.
+  net::Simulator sim;
+  ReceiverConfig cfg;
+  cfg.auth_key = kReplayKey;
+  cfg.completed_history = 64;
+  Receiver rx(sim, cfg);
+  std::uint64_t delivered = 0;
+  rx.set_deliver([&](std::uint64_t, std::vector<std::uint8_t>) { ++delivered; });
+  Rng rng(92);
+  for (std::uint64_t id = 1; id <= 5; ++id) {
+    for (const auto& frame : tagged_packet(id, rng)) rx.on_frame(frame);
+  }
+  ASSERT_EQ(delivered, 5u);
+
+  ShareFrame forged;
+  forged.packet_id = 1'000'000;
+  forged.k = 1;
+  forged.share_index = 1;
+  forged.payload = {6};
+  const crypto::SipHashKey wrong{};
+  rx.on_frame(encode(forged));          // untagged
+  rx.on_frame(encode(forged, &wrong));  // tagged under another key
+  auto mutated = tagged_packet(6, rng)[0];
+  mutated[8] ^= 0x40;  // a packet-id byte under a once-valid tag
+  rx.on_frame(mutated);
+  EXPECT_EQ(rx.stats().auth_failures, 3u);
+  EXPECT_EQ(rx.delivered().floor(), 1u);
+  EXPECT_EQ(rx.delivered().highest(), 5u);
+
+  for (const auto& frame : tagged_packet(6, rng)) rx.on_frame(frame);
+  EXPECT_EQ(delivered, 6u);
   EXPECT_EQ(rx.stats().late_shares, 0u);
-  EXPECT_EQ(rx.stats().packets_delivered, 2u);
-  EXPECT_EQ(rx.history_heap_bytes(), 0u);
 }
 
 TEST(Receiver, DuplicateAndLateShareAccounting) {

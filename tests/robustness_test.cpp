@@ -3,8 +3,11 @@
 // crash, hang, leak accounting, or deliver corrupted data.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
+#include "feedback/report.hpp"
+#include "feedback/retransmit.hpp"
 #include "net/simulator.hpp"
 #include "protocol/receiver.hpp"
 #include "protocol/wire.hpp"
@@ -78,6 +81,118 @@ TEST(Fuzz, AuthenticatedDecodeRejectsAllMutations) {
     buf[pos] ^= flip;
     EXPECT_FALSE(decode(buf, &key).has_value());
   }
+}
+
+/// A structurally valid report: random seq, counts and words, and a
+/// SACK base that is sometimes within a window of 2^64.
+feedback::ReceiverReport random_report(Rng& rng) {
+  feedback::ReceiverReport r;
+  r.connection_id = rng.bernoulli(0.5) ? 0 : static_cast<std::uint32_t>(
+                                                 rng.uniform_int(1u << 20));
+  r.seq = rng.uniform_int(1000);
+  r.receiver_time_ns = static_cast<std::int64_t>(rng.uniform_int(1u << 30));
+  r.packets_delivered = rng();
+  const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+  switch (rng.uniform_int(3)) {
+    case 0:
+      r.sack_base = 1 + rng.uniform_int(256);
+      break;
+    case 1:
+      r.sack_base = top - rng.uniform_int(64 * 1024);
+      break;
+    default:
+      r.sack_base = rng();
+      break;
+  }
+  const std::size_t words = rng.bernoulli(0.05)
+                                ? feedback::kMaxSackWords
+                                : rng.uniform_int(33);
+  for (std::size_t i = 0; i < words; ++i) r.sack.push_back(rng());
+  const std::size_t delays = rng.uniform_int(8);
+  for (std::size_t i = 0; i < delays; ++i) {
+    r.delays.push_back({rng(), static_cast<std::int64_t>(rng())});
+  }
+  return r;
+}
+
+TEST(Fuzz, ReportDatagramsSurviveMutation) {
+  // Seeded random bytes and mutated valid reports, coalesced or not,
+  // into a keyless and a keyed manager with packets outstanding near
+  // both ends of the id space. Every datagram lands in at least one
+  // counter, nothing crashes, and the ack bookkeeping stays whole.
+  const crypto::SipHashKey key{3, 1, 4, 1, 5, 9, 2, 6,
+                               5, 3, 5, 8, 9, 7, 9, 3};
+  net::Simulator sim;
+  feedback::RetransmitManager plain(sim, {}, Rng(21));
+  feedback::RetransmitManager keyed(sim, {}, Rng(22));
+  const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+  const std::vector<int> channels{0, 1};
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    for (const std::uint64_t id : {1 + i, top - i}) {
+      plain.on_packet_sent(id, 2, std::vector<std::uint8_t>{1}, channels, 0);
+      keyed.on_packet_sent(id, 2, std::vector<std::uint8_t>{1}, channels, 0);
+    }
+  }
+  const auto counted = [](const feedback::RetransmitStats& st) {
+    return st.reports_received + st.reports_malformed +
+           st.reports_auth_failed;
+  };
+
+  Rng rng(23);
+  for (int i = 0; i < 20000; ++i) {
+    std::vector<std::uint8_t> datagram;
+    if (rng.uniform_int(4) == 0) {
+      datagram = random_buffer(rng, 256);
+      if (datagram.empty()) datagram.push_back(rng.byte());
+    } else {
+      const std::size_t reports = 1 + rng.uniform_int(3);
+      const bool tag = rng.bernoulli(0.5);
+      for (std::size_t r = 0; r < reports; ++r) {
+        const auto bytes =
+            feedback::encode_report(random_report(rng), tag ? &key : nullptr);
+        datagram.insert(datagram.end(), bytes.begin(), bytes.end());
+      }
+      switch (rng.uniform_int(5)) {
+        case 0:  // a few bytes anywhere
+          for (std::uint64_t m = 1 + rng.uniform_int(4); m > 0; --m) {
+            datagram[rng.uniform_int(datagram.size())] = rng.byte();
+          }
+          break;
+        case 1:  // truncated
+          datagram.resize(1 + rng.uniform_int(datagram.size()));
+          break;
+        case 2:  // trailing garbage
+          for (std::uint64_t m = 1 + rng.uniform_int(16); m > 0; --m) {
+            datagram.push_back(rng.byte());
+          }
+          break;
+        case 3:  // a header byte: counts, flags, seq or SACK base
+          datagram[rng.uniform_int(feedback::kReportHeaderSize)] ^=
+              static_cast<std::uint8_t>(1 + rng.uniform_int(255));
+          break;
+        default:  // intact
+          break;
+      }
+    }
+    const std::uint64_t before_plain = counted(plain.stats());
+    const std::uint64_t before_keyed = counted(keyed.stats());
+    const auto now = static_cast<std::int64_t>(i);
+    plain.on_report_datagram(datagram, now);
+    keyed.on_report_datagram(datagram, now, &key);
+    ASSERT_GT(counted(plain.stats()), before_plain) << "datagram " << i;
+    ASSERT_GT(counted(keyed.stats()), before_keyed) << "datagram " << i;
+  }
+  for (const auto* mgr : {&plain, &keyed}) {
+    const auto& st = mgr->stats();
+    EXPECT_EQ(st.packets_tracked, 128u);
+    EXPECT_EQ(mgr->outstanding() + st.packets_acked + st.packets_displaced +
+                  st.packets_abandoned,
+              st.packets_tracked);
+    EXPECT_LE(st.reports_replayed, st.reports_received);
+  }
+  EXPECT_GT(plain.stats().reports_received, 0u);
+  EXPECT_GT(plain.stats().packets_acked, 0u);
+  EXPECT_GT(keyed.stats().reports_auth_failed, 0u);
 }
 
 // ---------------------------------------------------------------- receiver
