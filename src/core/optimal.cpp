@@ -48,10 +48,6 @@ ShareSchedule min_loss_schedule(const ChannelSet& c) {
   return ShareSchedule(c, {{1, c.all(), 1.0}});
 }
 
-ShareSchedule min_delay_schedule(const ChannelSet& c) {
-  return ShareSchedule(c, {{1, c.all(), 1.0}});
-}
-
 ShareSchedule max_rate_schedule(const ChannelSet& c) {
   const double total = c.total_rate();
   std::vector<ScheduleEntry> entries;

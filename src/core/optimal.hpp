@@ -30,7 +30,6 @@ namespace mcss {
 /// The schedules achieving the above optima.
 [[nodiscard]] ShareSchedule max_privacy_schedule(const ChannelSet& c);
 [[nodiscard]] ShareSchedule min_loss_schedule(const ChannelSet& c);
-[[nodiscard]] ShareSchedule min_delay_schedule(const ChannelSet& c);
 
 /// The throughput-maximizing schedule at kappa = mu = 1 (Section IV-C):
 /// p(1, {i}) = r_i / sum r — MPTCP-like proportional striping. Achieves

@@ -6,9 +6,8 @@
 //   - the RTO timers: the manager gives each outstanding packet its own
 //     timer on the driver's net::Simulator (simulated time, or the live
 //     endpoint's wall-driven timeline), and the packet's close or the
-//     manager's destruction takes it back; the manager calls back into
-//     its owning Arq, which resends and then runs the driver's
-//     after-timeout hook;
+//     manager's destruction takes it back, and it calls its Arq back to
+//     resend and to run the driver's after-timeout hook;
 //   - the retransmit channel order: channels the packet already exposed
 //     first (re-using them cannot widen what an eavesdropper saw), then
 //     ascending risk, index as the tiebreak;
@@ -16,13 +15,8 @@
 //   - report ingest.
 // It has no sockets and reads no clock. The hooks live in an ArqDriver
 // all of one driver's Arqs share, so a flow pays a pointer for them.
-//
-// The Arq keeps no record of which ids were delivered: a report copies
-// its SACK words from the flow receiver's completed-id window
-// (proto::Receiver::delivered()). Each driver ensures that window is at
-// least the report's SACK window wide, and gives the receiver no
-// net::CpuModel, so the window is marked when the Arq hears the
-// delivery (report_builder.hpp).
+// Reports ack from the flow receiver's completed-id window, which the
+// driver passes in (report_builder.hpp).
 #pragma once
 
 #include <cstdint>
@@ -35,7 +29,6 @@
 #include "feedback/report_builder.hpp"
 #include "feedback/retransmit.hpp"
 #include "net/simulator.hpp"
-#include "util/id_window.hpp"
 #include "util/rng.hpp"
 
 namespace mcss::feedback {
@@ -97,8 +90,8 @@ class Arq {
   /// report acked.
   [[nodiscard]] bool on_delivered(std::uint64_t id, std::int64_t now);
 
-  /// Build and encode the next report (tagged under the driver's key),
-  /// its SACK words copied from the flow receiver's `delivered` window.
+  /// Build and encode the next report (tagged under the driver's key)
+  /// from the flow receiver's `delivered` window.
   [[nodiscard]] std::vector<std::uint8_t> report(
       std::int64_t now, const util::IdWindow& delivered);
 
@@ -113,12 +106,11 @@ class Arq {
  private:
   friend class RetransmitManager;
 
-  /// Called by the manager when an RTO retransmits: order the channels,
-  /// have the driver resend on the first k + retransmit_extra, widen
-  /// exposure.
+  /// The manager's retransmit: order the channels, have the driver
+  /// resend on the first k + retransmit_extra, widen exposure.
   void resend(std::uint64_t id, std::uint8_t generation,
               const std::vector<std::uint8_t>& payload, int k);
-  /// Called by the manager after each RTO fired: the driver's hook.
+  /// Run by the manager after each RTO fired.
   void after_timeout();
 
   const ArqDriver& driver_;

@@ -7,9 +7,8 @@
 //
 //   receiver side   the receiver is attached to every forward channel;
 //                   deliveries go to the Arq, and a periodic sim event
-//                   (or an early one the Arq asks for) sends its report,
-//                   acked from the receiver's completed-id window, onto
-//                   the feedback channel
+//                   (or an early one the Arq asks for) sends its report
+//                   onto the feedback channel
 //   sender side     the Sender's dispatch hook hands packets to the
 //                   Arq; arriving reports go to it; its resend hook
 //                   re-splits through Sender::resend()
@@ -17,9 +16,7 @@
 // Retransmission channel choice is privacy-aware (see arq.hpp):
 // channels already in the packet's realized exposure set first, then
 // unexposed channels by ascending `risks`. The link attaches the
-// receiver to the forward channels itself. The receiver's
-// completed_history must span the SACK window (checked at construction)
-// and the receiver must have no net::CpuModel (report_builder.hpp).
+// receiver to the forward channels itself.
 #pragma once
 
 #include <concepts>

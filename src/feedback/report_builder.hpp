@@ -1,22 +1,16 @@
 // Receiver-side accounting that turns delivery events into periodic
 // ReceiverReports.
 //
-// Which ids were delivered is the receiver's truth, not the builder's:
-// build() copies the report's sliding SACK words from the receiver's
-// completed-id window (util::IdWindow, proto::Receiver::delivered()).
-// The report's base is a function of the highest delivered id alone
-// (the lowest 64-id-aligned base whose sack_window_words words still
-// reach it), and every report restates the window, so a lost report
-// costs nothing. The copy is exact while the receiver's window is at
-// least sack_window_words words wide; feedback::Arq's drivers ensure
-// it. It also takes the window to be marked when the builder hears the
-// delivery, so no receiver under an Arq may have a net::CpuModel (its
-// window would be marked before the delayed delivery); none does.
-//
-// The builder keeps the rest: the delivered count, the report sequence
-// and a bounded newest-first ring of (packet id, delivery time) delay
-// samples, drained into each report. It holds no heap until its first
-// delay sample (a session endpoint keeps one builder per flow).
+// build() copies each report's SACK words from the top of the flow
+// receiver's completed-id window (proto::Receiver::delivered()), so the
+// base is a function of the highest delivered id, and every report
+// restates the window: a lost report costs nothing. The copy is whole
+// while that window is at least sack_window_words wide, which the Arq
+// drivers check, and it assumes the window is marked when the builder
+// hears the delivery, so no receiver under an Arq may have a
+// net::CpuModel (none does). The builder keeps the delivered count and
+// a newest-first ring of (packet id, delivery time) delay samples,
+// drained into each report; no heap until its first sample.
 //
 // The builder is transport-agnostic: feedback::Arq (arq.hpp) feeds it
 // and builds each flow's reports, for the simulator and the live
@@ -54,9 +48,6 @@ class ReportBuilder {
   [[nodiscard]] ReceiverReport build(std::int64_t now_ns,
                                      const util::IdWindow& delivered);
 
-  [[nodiscard]] std::uint64_t packets_delivered() const noexcept {
-    return packets_delivered_;
-  }
   /// Whether the deliveries since the last build() reach half the SACK
   /// window. A report built now still acks every one of them; waiting
   /// for the periodic report at a high packet rate would let the window

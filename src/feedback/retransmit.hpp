@@ -9,12 +9,9 @@
 // wall-driven timeline): scheduled when the packet is sent, re-armed
 // with backoff each time it fires and retransmits, and cancelled when
 // the packet closes (ack, abandon, displacement, or the manager's
-// destruction). The actual re-split-and-send happens in the owning
-// feedback::Arq (arq.hpp), which the manager calls back directly and
-// which holds the retransmit channel order for both the simulator and
-// the live endpoint. A manager without an owner tracks packets for
-// exposure and ack accounting only and abandons each at its first
-// timeout.
+// destruction). The re-split-and-send, with the retransmit channel
+// order, happens in the owning feedback::Arq (arq.hpp), which the
+// manager calls directly.
 //
 // RTO follows RFC 6298: SRTT/RTTVAR from ack-derived samples (Karn's
 // rule excludes retransmitted packets, whose acks are ambiguous), RTO =
@@ -117,11 +114,9 @@ struct ClosedPacket {
 
 class RetransmitManager {
  public:
-  /// RTO timers go on `timeline`, which must outlive the manager. When
-  /// an RTO fires, `owner` re-splits the packet under a fresh
-  /// generation, sends it and notes its exposure, and then hears that
-  /// the timer fired (retransmitted or abandoned). Without an owner
-  /// every packet is abandoned at its first timeout.
+  /// RTO timers go on `timeline`, which must outlive the manager. A
+  /// firing RTO retransmits through `owner`; without one, every packet
+  /// is abandoned at its first timeout.
   RetransmitManager(net::Simulator& timeline, RetransmitConfig config,
                     Rng rng, Arq* owner = nullptr);
   ~RetransmitManager();

@@ -101,14 +101,6 @@ void ScrapeServer::route(std::string path, Handler handler) {
   routes_.emplace_back(std::move(path), std::move(handler));
 }
 
-bool ScrapeServer::owns_fd(int fd) const noexcept {
-  if (fd == listen_fd_) return true;
-  for (const auto& conn : conns_) {
-    if (conn.fd == fd) return true;
-  }
-  return false;
-}
-
 bool ScrapeServer::on_event(int fd, bool readable, bool writable) {
   if (fd == listen_fd_) {
     if (readable) accept_ready();

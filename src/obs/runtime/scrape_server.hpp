@@ -74,7 +74,6 @@ class ScrapeServer {
   /// Register a handler for an exact path (e.g. "/metrics").
   void route(std::string path, Handler handler);
 
-  [[nodiscard]] int listen_fd() const noexcept { return listen_fd_; }
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] std::size_t open_connections() const noexcept {
     return conns_.size();
@@ -82,9 +81,6 @@ class ScrapeServer {
   [[nodiscard]] const ScrapeServerStats& stats() const noexcept {
     return stats_;
   }
-
-  /// True when `fd` is the listener or one of our connections.
-  [[nodiscard]] bool owns_fd(int fd) const noexcept;
 
   /// Progress whatever `fd` is ready for. Returns false when the fd is
   /// not ours (caller keeps dispatching), true when it was consumed.

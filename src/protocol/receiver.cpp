@@ -78,7 +78,7 @@ Receiver::~Receiver() {
 
 void Receiver::attach(net::ChannelPort& channel) {
   channel.set_receiver([this](std::vector<std::uint8_t> f) {
-    on_frame(std::move(f));
+    on_frame(std::span<const std::uint8_t>(f));
   });
 }
 
@@ -276,10 +276,7 @@ void Receiver::complete(std::uint64_t id, Partial& partial) {
   }
   ++stats_.packets_delivered;
   stats_.bytes_delivered += payload.size();
-  // Marked before the callback, which may build a report from the
-  // window. The id passed the window check on arrival and the floor
-  // moves only here, so it is still at or above the floor.
-  delivered_.mark(id);
+  delivered_.mark(id);  // before the callback, which may build a report
   if (deliver_) {
     if (done <= sim_.now()) {
       deliver_(id, std::move(payload));

@@ -4,21 +4,13 @@
 // partially lost. The receiver keeps a reassembly table keyed by packet
 // id — the design borrowed from IP fragment reassembly (Section V):
 // partial packets are evicted after a timeout, total buffered memory is
-// bounded (oldest partials evicted first), and completed ids are
-// remembered so late duplicate shares do not resurrect finished packets.
-//
-// The completed ids live in one util::IdWindow (the anti-replay window
-// of RFC 4303 section 3.4.3): a floor plus one bit per id above it,
-// completed_history ids wide. A share of an id the window holds as
-// delivered, or of any id below its floor, is a late share and never
-// delivered, so neither a resend nor a replayed frame set of a finished
-// packet is delivered twice, however long ago it finished. The floor
-// moves only when a packet completes. A keyed receiver completes only
-// authenticated packets, so a forged frame cannot move it; an unkeyed
-// receiver already delivers forged packets, and there a forged id far
-// ahead moves the floor past every genuine id below it. A flow's
-// receiver report (feedback::ReportBuilder) copies its SACK words from
-// the same window.
+// bounded (oldest partials evicted first), and completed ids go into a
+// util::IdWindow (RFC 4303's anti-replay window), which the flow's
+// reports also copy their SACK words from: a share of a completed id, or
+// of any id below the window's floor, is late and never delivered again.
+// The floor moves only when a packet completes, so a keyed receiver's
+// moves only for authenticated packets; an unkeyed receiver, which
+// delivers forgeries anyway, lets a forged id far ahead move it.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +41,7 @@ struct ReceiverConfig {
   net::SimTime reassembly_timeout = net::from_millis(500);
   /// Bound on total buffered share bytes across all partial packets.
   std::size_t memory_limit_bytes = 8u << 20;
-  /// Width of the completed-id window, in ids (rounded up to whole
-  /// 64-bit words; must be positive). Ids more than about this far
-  /// below the highest completed id are refused as late.
+  /// Completed-id window width in ids (> 0; whole 64-bit words).
   std::size_t completed_history = 8192;
   /// When set, only frames carrying a valid SipHash-2-4 tag under this key
   /// are accepted; tampered and unauthenticated frames are dropped and
@@ -131,11 +121,6 @@ class Receiver {
   /// view need not outlive the call.
   void on_frame(DecodeStatus status, const FrameView& frame);
 
-  /// Owning-buffer convenience (the attach() path; public for tests).
-  void on_frame(std::vector<std::uint8_t> frame) {
-    on_frame(std::span<const std::uint8_t>(frame));
-  }
-
   [[nodiscard]] const ReceiverStats& stats() const noexcept { return stats_; }
   /// The key frames must be authenticated under before they reach this
   /// receiver (the key batch decoders pass to decode_views); null when
@@ -154,8 +139,7 @@ class Receiver {
   [[nodiscard]] std::size_t tracked_partials() const noexcept {
     return creation_order_.size();
   }
-  /// The completed-id window: marked when a packet completes, before
-  /// it is handed to the delivery callback.
+  /// Completed ids, marked before the delivery callback runs.
   [[nodiscard]] const util::IdWindow& delivered() const noexcept {
     return delivered_;
   }

@@ -91,13 +91,12 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
   MCSS_ENSURE(config_.limits.max_flows >= 1, "max_flows must be at least 1");
   MCSS_ENSURE(config_.limits.admission_headroom > 0.0,
               "admission headroom must be positive");
-  // A flow's reports copy their SACK words from its receiver's
-  // completed-id window (and a session receiver has no CpuModel).
   MCSS_ENSURE(!config_.reliability.enabled ||
                   util::IdWindow(config_.receiver.completed_history)
                           .width_words() >=
                       config_.reliability.sack_window_words,
-              "receiver.completed_history must span the SACK window");
+              "reports copy SACK words from receiver.completed_history, "
+              "which must span them");
   if (config_.port_base != 0) {
     // Channel i binds port_base + i, plus one feedback lane when
     // reliability is on. uint16_t arithmetic would otherwise wrap
@@ -278,7 +277,7 @@ std::optional<std::uint32_t> SessionEndpoint::open_flow(
                        params.kappa.value_or(config_.kappa),
                        params.mu.value_or(config_.mu),
                        static_cast<int>(channels_.size()),
-                       config_.limits.max_queue_packets, now_ns())
+                       config_.limits.max_queue_packets)
           .first->second;
   flow.receiver.set_deliver(
       [this, cid](std::uint64_t id, std::vector<std::uint8_t> payload) {

@@ -20,11 +20,10 @@
 //
 // A flow is one node of the flow table with everything above inline, and
 // its heap use follows what it holds. The send queue, the send stamps
-// and the report builder's delay samples are util::Ring FIFOs that
-// allocate on their first push and grow up to their existing limits.
-// The receiver's completed-id window (util::IdWindow), which the flow's
-// reports also copy their SACK words from, grows a word at a time with
-// the ids it spans. So a flow that has neither sent nor received costs
+// and the report builder's delay samples are util::Ring FIFOs, and the
+// receiver's completed-id window (also the reports' SACK bitmap) a
+// util::IdWindow; each allocates on first use and grows up to an
+// existing limit, so a flow that has neither sent nor received costs
 // its node and nothing else (DESIGN.md, "Per-flow state", has the byte
 // table).
 //
@@ -335,15 +334,13 @@ class SessionEndpoint {
   struct Flow {
     Flow(std::uint32_t id, const FlowParams& p, double bytes_per_s,
          net::Simulator& timeline, proto::ReceiverConfig rc, double kappa,
-         double mu, int num_channels, std::size_t max_queue,
-         std::int64_t opened)
+         double mu, int num_channels, std::size_t max_queue)
         : cid(id),
           params(p),
           admitted_bytes_per_s(bytes_per_s),
           scheduler(kappa, mu, num_channels),
           receiver(timeline, std::move(rc)),
-          queue(max_queue),
-          opened_ns(opened) {}
+          queue(max_queue) {}
 
     std::uint32_t cid;
     FlowParams params;
@@ -366,8 +363,6 @@ class SessionEndpoint {
     /// Links in ready_ and report_.
     util::ListHook<Flow> ready_hook;
     util::ListHook<Flow> report_hook;
-
-    std::int64_t opened_ns = 0;
   };
 
   /// Dispatch queued packets round-robin. Returns the m of the head

@@ -98,13 +98,6 @@ SimLink& Network::link(int id) {
   return *links_[static_cast<std::size_t>(id)];
 }
 
-std::vector<net::ChannelPort*> Network::channel_ports() {
-  std::vector<net::ChannelPort*> ports;
-  ports.reserve(channels_.size());
-  for (const auto& channel : channels_) ports.push_back(channel.get());
-  return ports;
-}
-
 void Network::on_depart(int link_id, int channel,
                         std::vector<std::uint8_t> frame) {
   const LinkSpec& spec = topo_.links[static_cast<std::size_t>(link_id)];

@@ -110,9 +110,6 @@ class Network {
     return static_cast<int>(channels_.size());
   }
 
-  /// The channels as ports, for Sender/ReliableLink construction.
-  [[nodiscard]] std::vector<net::ChannelPort*> channel_ports();
-
   [[nodiscard]] const NetworkStats& stats() const noexcept { return stats_; }
 
   /// Aggregate every link's counters (mcss_topo_link_*) plus network

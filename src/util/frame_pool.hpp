@@ -60,9 +60,6 @@ class FrameRef {
   [[nodiscard]] std::span<std::uint8_t> span() noexcept {
     return {data(), size()};
   }
-  [[nodiscard]] std::span<const std::uint8_t> cspan() const noexcept {
-    return {data(), size()};
-  }
 
   /// Index of the slot inside the pool arena (for registered-buffer I/O).
   [[nodiscard]] std::uint32_t slot() const noexcept { return slot_; }

@@ -1,19 +1,10 @@
-// Sliding window of delivered packet ids: a floor plus one bit per id
-// above it (the anti-replay window of RFC 4303 section 3.4.3).
-//
-// A flow's receiver marks each id it completes, and the flow's receiver
-// report copies its SACK words from the same window, so "which ids were
-// delivered" is recorded once. Ids start at 1. Word w covers ids
-// 64w + 1 .. 64w + 64, and the window holds the `words` words ending at
-// the one that covers the highest marked id (or the first `words` words
-// while the highest id is still inside them). It slides in whole words,
-// driven only by mark(): every id below its floor reads BelowFloor, so
-// an id that slid out can never read as new again.
-//
-// The window allocates nothing at construction and grows its words with
-// the span of marked ids, never preallocating its width: a flow that
-// delivered one packet holds one word. Words are indexed modulo the
-// width, so a slide clears only the words it reuses, O(words slid).
+// One flow's delivered packet ids: a floor plus one bit per id above it
+// (RFC 4303 section 3.4.3's anti-replay window). Ids start at 1; word w
+// covers ids 64w + 1 .. 64w + 64. The window is the `width` words ending
+// at the highest marked id's word, or the first `width` words, so only
+// mark() slides it, and an id below the floor never reads New again.
+// Words grow with the marked span, never preallocated, and are indexed
+// modulo the width, so a slide clears only the words it reuses.
 #pragma once
 
 #include <algorithm>
@@ -30,87 +21,70 @@ class IdWindow {
  public:
   enum class State : std::uint8_t { New, Delivered, BelowFloor };
 
-  /// Tracks at least `ids` ids, rounded up to whole 64-bit words.
+  /// At least `ids` ids wide, rounded up to whole words.
   explicit IdWindow(std::size_t ids) : width_((ids + 63) / 64) {
     MCSS_ENSURE(ids > 0, "an id window needs a width");
   }
 
   [[nodiscard]] State state(std::uint64_t id) const noexcept {
     if (id < floor()) return State::BelowFloor;
-    if (id > highest_) return State::New;
-    return (words_[slot(word_of(id))] >> ((id - 1) % 64)) & 1u
-               ? State::Delivered
-               : State::New;
+    const bool set =
+        id <= highest_ && (word((id - 1) / 64) >> ((id - 1) % 64)) & 1u;
+    return set ? State::Delivered : State::New;
   }
 
-  /// Mark `id` delivered (id >= floor()). A new highest id slides the
-  /// window up to cover it.
+  /// Mark `id` (>= floor()) delivered, sliding the window up to it.
   void mark(std::uint64_t id) {
     MCSS_ENSURE(id >= floor(), "marking an id below the window's floor");
-    const std::uint64_t w = word_of(id);
-    if (id > highest_) {
-      // Words above the old highest word hold no marks; once the window
-      // wraps, their slots still hold words that slid below the floor.
-      const std::uint64_t first_new = highest_ == 0 ? 0 : top_word() + 1;
+    const std::uint64_t w = (id - 1) / 64;
+    const std::uint64_t fresh = highest_ == 0 ? 0 : top() + 1;
+    if (w >= fresh) {  // new words: zero them, and grow while below width
       const std::uint64_t held = words_.size();
       if (w >= held && held < width_) {
-        words_.resize(static_cast<std::size_t>(
-            std::min(width_, std::max(w + 1, 2 * held))));
+        words_.resize(std::min(width_, std::max(w + 1, 2 * held)));
       }
-      const std::uint64_t reused =
-          w >= first_new ? std::min(w - first_new + 1, width_) : 0;
-      for (std::uint64_t i = 0; i < reused; ++i) {
-        words_[slot(first_new + i)] = 0;
+      for (std::uint64_t i = fresh; i <= w && i - fresh < width_; ++i) {
+        words_[i % width_] = 0;
       }
-      highest_ = id;
     }
-    words_[slot(w)] |= std::uint64_t{1} << ((id - 1) % 64);
+    highest_ = std::max(highest_, id);
+    words_[w % width_] |= std::uint64_t{1} << ((id - 1) % 64);
   }
 
-  /// The lowest id the window still tracks; every id below it reads
-  /// BelowFloor.
+  /// The lowest id the window tracks; every id below it is BelowFloor.
   [[nodiscard]] std::uint64_t floor() const noexcept {
-    return 1 + 64 * floor_word();
+    return highest_ != 0 && top() >= width_ ? 1 + 64 * (top() - width_ + 1)
+                                            : 1;
   }
-  /// The highest id marked so far; 0 before the first mark.
+  /// The highest id marked; 0 before the first mark.
   [[nodiscard]] std::uint64_t highest() const noexcept { return highest_; }
   [[nodiscard]] std::size_t width_words() const noexcept { return width_; }
-  /// Heap bytes the words hold: 0 until the first mark.
   [[nodiscard]] std::size_t heap_bytes() const noexcept {
     return words_.capacity() * sizeof(std::uint64_t);
   }
 
-  /// Copy the out.size() words that end at the highest marked id's word
-  /// (or the first out.size() words while it is inside them) and return
-  /// the first id out[0] covers. Words the window no longer holds, or
-  /// not yet, read 0: a copy at most width_words() wide loses nothing.
+  /// Copy the out.size() words ending at the highest id's word (the
+  /// first out.size() words until that passes them); returns the first
+  /// id out[0] covers. A word the window does not hold reads 0, so a
+  /// copy no wider than the window loses nothing.
   std::uint64_t top_words(std::span<std::uint64_t> out) const noexcept {
-    const std::uint64_t top = highest_ == 0 ? 0 : top_word();
+    const std::uint64_t last = highest_ == 0 ? 0 : top();
     const std::uint64_t first =
-        top + 1 > out.size() ? top + 1 - out.size() : 0;
+        last >= out.size() ? last + 1 - out.size() : 0;
     for (std::size_t i = 0; i < out.size(); ++i) {
-      const std::uint64_t w = first + i;
-      const bool held = highest_ != 0 && w >= floor_word() && w <= top;
-      out[i] = held ? words_[slot(w)] : 0;
+      const std::uint64_t id = 1 + 64 * (first + i);
+      out[i] = id >= floor() && id <= highest_ ? word(first + i) : 0;
     }
     return 1 + 64 * first;
   }
 
  private:
-  [[nodiscard]] static std::uint64_t word_of(std::uint64_t id) noexcept {
-    return (id - 1) / 64;
+  /// The highest id's word (highest_ > 0).
+  [[nodiscard]] std::uint64_t top() const noexcept {
+    return (highest_ - 1) / 64;
   }
-  [[nodiscard]] std::uint64_t top_word() const noexcept {
-    return word_of(highest_);
-  }
-  [[nodiscard]] std::uint64_t floor_word() const noexcept {
-    return highest_ != 0 && top_word() >= width_ ? top_word() - width_ + 1
-                                                 : 0;
-  }
-  /// While the words are still growing no mark has passed the width,
-  /// so every held word's slot is its own index.
-  [[nodiscard]] std::size_t slot(std::uint64_t w) const noexcept {
-    return static_cast<std::size_t>(w % width_);
+  [[nodiscard]] std::uint64_t word(std::uint64_t w) const noexcept {
+    return words_[static_cast<std::size_t>(w % width_)];
   }
 
   std::vector<std::uint64_t> words_;

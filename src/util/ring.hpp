@@ -3,12 +3,11 @@
 // A session endpoint holds one send queue, one send-stamp window and one
 // delay-sample buffer per flow, for 100k+ flows. libstdc++'s std::deque
 // allocates a map and a ~512 B node the moment the first element arrives
-// and keeps both, so three deques cost an idle flow over 1.5 KB. Ring
-// allocates nothing until its first push, then doubles its storage as
-// the queue grows, up to a cap the owner takes from an existing limit
-// (it never preallocates the cap: a 4,096-packet queue that only ever
-// holds three packets holds four slots). Storage is kept once grown, so
-// a warm flow pushes and pops without touching the heap.
+// and keeps both. Ring allocates nothing until its first push, then
+// doubles its storage as the queue grows, up to a cap the owner takes
+// from an existing limit (never preallocated: a 4,096-packet queue that
+// only ever holds three packets holds four slots). Storage is kept once
+// grown, so a warm flow pushes and pops without touching the heap.
 //
 // Pushing onto a full ring is a precondition failure: owners that keep
 // the newest entries pop the oldest first.

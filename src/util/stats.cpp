@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace mcss {
 
@@ -18,8 +17,6 @@ void OnlineStats::add(double x) noexcept {
 double OnlineStats::variance() const noexcept {
   return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
 }
-
-double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 void OnlineStats::merge(const OnlineStats& other) noexcept {
   if (other.count_ == 0) return;

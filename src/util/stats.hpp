@@ -19,7 +19,6 @@ class OnlineStats {
   [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
   /// Sample variance (n-1 denominator); 0 with fewer than two samples.
   [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const noexcept { return sum_; }

@@ -951,7 +951,7 @@ TEST(Receiver, ConflictingMetadataIsRejected) {
 TEST(Receiver, MalformedFramesAreCounted) {
   net::Simulator sim;
   Receiver rx(sim);
-  rx.on_frame({1, 2, 3});
+  rx.on_frame(std::vector<std::uint8_t>{1, 2, 3});
   EXPECT_EQ(rx.stats().malformed_frames, 1u);
   EXPECT_EQ(rx.pending_packets(), 0u);
 }

@@ -10,6 +10,7 @@
 
 #include "util/backoff.hpp"
 #include "util/ensure.hpp"
+#include "util/id_window.hpp"
 #include "util/intrusive_list.hpp"
 #include "util/link_risk.hpp"
 #include "util/poisson_binomial.hpp"
@@ -662,6 +663,78 @@ TEST(Ring, PushOntoAFullRingIsRefused) {
   EXPECT_TRUE(none.full());
   EXPECT_THROW(none.push_back(1), PreconditionError);
   EXPECT_EQ(none.heap_bytes(), 0u);
+}
+
+TEST(IdWindow, AnswersThreeStatesAndSlidesInWholeWords) {
+  util::IdWindow window(128);  // two words
+  using State = util::IdWindow::State;
+  window.mark(1);
+  window.mark(3);
+  EXPECT_EQ(window.state(0), State::BelowFloor);  // ids start at 1
+  EXPECT_EQ(window.state(1), State::Delivered);
+  EXPECT_EQ(window.state(2), State::New);
+  EXPECT_EQ(window.state(500), State::New);
+  EXPECT_EQ(window.floor(), 1u);
+
+  window.mark(129);  // a third word: the first slides out
+  EXPECT_EQ(window.floor(), 65u);
+  EXPECT_EQ(window.state(3), State::BelowFloor);
+  EXPECT_EQ(window.state(64), State::BelowFloor);
+  EXPECT_EQ(window.state(65), State::New);
+  EXPECT_EQ(window.state(129), State::Delivered);
+  EXPECT_THROW(window.mark(64), PreconditionError);
+
+  window.mark(100);  // behind the highest id, above the floor
+  EXPECT_EQ(window.state(100), State::Delivered);
+  window.mark(1000);  // past the whole window
+  EXPECT_EQ(window.highest(), 1000u);
+  EXPECT_EQ(window.floor(), 897u);
+  EXPECT_EQ(window.state(129), State::BelowFloor);
+  EXPECT_EQ(window.state(897), State::New);
+  EXPECT_EQ(window.state(1000), State::Delivered);
+  EXPECT_THROW(util::IdWindow(0), PreconditionError);
+}
+
+TEST(IdWindow, ReusedWordsComeBackEmpty) {
+  util::IdWindow window(1);  // one word, reused by every slide
+  for (std::uint64_t id = 1; id <= 64; ++id) window.mark(id);
+  window.mark(65);
+  EXPECT_EQ(window.floor(), 65u);
+  EXPECT_EQ(window.state(66), util::IdWindow::State::New);
+  window.mark(64 * 5 + 2);  // skips words 2..4
+  EXPECT_EQ(window.state(64 * 5 + 1), util::IdWindow::State::New);
+  EXPECT_EQ(window.heap_bytes(), sizeof(std::uint64_t));
+}
+
+TEST(IdWindow, GrowsWithTheMarkedSpanUpToItsWidth) {
+  util::IdWindow window(1024 * 64);
+  EXPECT_EQ(window.width_words(), 1024u);
+  EXPECT_EQ(window.heap_bytes(), 0u);
+  window.mark(1);
+  EXPECT_EQ(window.heap_bytes(), sizeof(std::uint64_t));
+  window.mark(200);  // the fourth word
+  EXPECT_EQ(window.heap_bytes(), 4 * sizeof(std::uint64_t));
+  window.mark(10'000'000);
+  EXPECT_EQ(window.heap_bytes(), 1024 * sizeof(std::uint64_t));
+  EXPECT_EQ(window.state(200), util::IdWindow::State::BelowFloor);
+}
+
+TEST(IdWindow, TopWordsEndAtTheHighestIdsWord) {
+  util::IdWindow window(256);  // four words
+  std::vector<std::uint64_t> two(2);
+  EXPECT_EQ(window.top_words(two), 1u);
+  EXPECT_EQ(two, (std::vector<std::uint64_t>{0, 0}));
+  window.mark(2);
+  window.mark(65);
+  EXPECT_EQ(window.top_words(two), 1u);
+  EXPECT_EQ(two, (std::vector<std::uint64_t>{0b10, 0b1}));
+  window.mark(130);  // the third word: two words now start at id 65
+  EXPECT_EQ(window.top_words(two), 65u);
+  EXPECT_EQ(two, (std::vector<std::uint64_t>{0b1, 0b10}));
+  window.mark(64 * 4 + 1);  // the fifth word: the window slides
+  std::vector<std::uint64_t> six(6);
+  EXPECT_EQ(window.top_words(six), 1u);  // wider than the window
+  EXPECT_EQ(six, (std::vector<std::uint64_t>{0, 0b1, 0b10, 0, 0b1, 0}));
 }
 
 TEST(Ring, PopReleasesWhatTheEntryOwns) {
