@@ -94,7 +94,7 @@ void RetransmitManager::note_exposure(std::uint64_t packet_id,
 void RetransmitManager::on_report_datagram(std::span<const std::uint8_t> bytes,
                                            std::int64_t now_ns,
                                            const crypto::SipHashKey* key) {
-  while (!bytes.empty()) {
+  do {  // an empty datagram is malformed too
     std::size_t consumed = 0;
     proto::DecodeStatus status = proto::DecodeStatus::Ok;
     const auto report = decode_report_prefix(bytes, &consumed, key, &status);
@@ -110,7 +110,7 @@ void RetransmitManager::on_report_datagram(std::span<const std::uint8_t> bytes,
     }
     on_report(*report, now_ns);
     bytes = bytes.subspan(consumed);
-  }
+  } while (!bytes.empty());
 }
 
 void RetransmitManager::on_report(const ReceiverReport& report,
@@ -149,11 +149,12 @@ void RetransmitManager::on_report(const ReceiverReport& report,
   }
 
   // Ack everything the SACK window covers. The window is a range of
-  // ids, so an ordered-map range scan touches only candidates.
-  const std::uint64_t window_end =
-      report.sack_base + 64 * static_cast<std::uint64_t>(report.sack.size());
+  // ids, so an ordered-map range scan touches only candidates; offsets
+  // from the base, so a window reaching past 2^64 does not wrap.
+  const std::uint64_t span =
+      64 * static_cast<std::uint64_t>(report.sack.size());
   auto it = outstanding_.lower_bound(report.sack_base);
-  while (it != outstanding_.end() && it->first < window_end) {
+  while (it != outstanding_.end() && it->first - report.sack_base < span) {
     if (!report.acked(it->first)) {
       ++it;
       continue;

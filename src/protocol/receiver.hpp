@@ -62,7 +62,7 @@ struct ReceiverStats {
   std::uint64_t malformed_frames = 0;
   std::uint64_t auth_failures = 0;          ///< bad/missing tag (keyed mode)
   std::uint64_t duplicate_shares = 0;       ///< same (id, index) twice
-  std::uint64_t late_shares = 0;  ///< completed id, or below the window
+  std::uint64_t late_shares = 0;            ///< id completed or below floor
   std::uint64_t conflicting_metadata = 0;   ///< k or length disagrees
   std::uint64_t packets_delivered = 0;
   std::uint64_t bytes_delivered = 0;

@@ -610,7 +610,7 @@ void SessionEndpoint::on_feedback_datagram(
                                       ? &*config_.reliability.report_auth_key
                                       : nullptr;
   std::span<const std::uint8_t> rest = datagram;
-  while (!rest.empty()) {
+  do {  // an empty datagram is malformed too
     std::size_t consumed = 0;
     proto::DecodeStatus status = proto::DecodeStatus::Ok;
     const auto report = feedback::decode_report_prefix(rest, &consumed, key,
@@ -642,7 +642,7 @@ void SessionEndpoint::on_feedback_datagram(
     flow.arq->on_report(*report, now);
     ++stats_.reports_demuxed;
     fold_closed(flow);
-  }
+  } while (!rest.empty());
 }
 
 void SessionEndpoint::update_write_interest() {

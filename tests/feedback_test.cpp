@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -596,12 +597,29 @@ TEST(RetransmitManager, ReplayedAndStaleReportsDropped) {
   EXPECT_EQ(mgr.outstanding(), 1u);
 }
 
+TEST(RetransmitManager, AcksAWindowThatRunsPastTheTopOfTheIdSpace) {
+  // The window's end wraps past 2^64; the ids inside it are still
+  // acked.
+  net::Simulator sim;
+  RetransmitManager mgr(sim, {}, Rng(7));
+  const std::vector<int> channels{0};
+  const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+  mgr.on_packet_sent(top - 2, 1, std::vector<std::uint8_t>{1}, channels, 0);
+  mgr.on_packet_sent(top - 1, 1, std::vector<std::uint8_t>{1}, channels, 0);
+  mgr.on_report(ack_report(1, top - 100, {top - 2}), 1000);
+  EXPECT_EQ(mgr.stats().packets_acked, 1u);
+  EXPECT_EQ(mgr.outstanding(), 1u);
+  EXPECT_TRUE(mgr.exposure_mask(top - 1).has_value());
+}
+
 TEST(RetransmitManager, DatagramPathCountsMalformedAndAuthFailures) {
   net::Simulator sim;
   RetransmitManager mgr(sim, {}, Rng(9));
-  // Garbage datagram.
+  // Garbage datagram, and an empty one.
   mgr.on_report_datagram(std::vector<std::uint8_t>(32, 0xAB), 0);
   EXPECT_EQ(mgr.stats().reports_malformed, 1u);
+  mgr.on_report_datagram({}, 0);
+  EXPECT_EQ(mgr.stats().reports_malformed, 2u);
   // Unauthenticated report hitting a keyed manager.
   const auto untagged = encode_report(ack_report(1, 1, {}));
   mgr.on_report_datagram(untagged, 0, &kKey);

@@ -142,8 +142,7 @@ TEST(Fuzz, ReportDatagramsSurviveMutation) {
   for (int i = 0; i < 20000; ++i) {
     std::vector<std::uint8_t> datagram;
     if (rng.uniform_int(4) == 0) {
-      datagram = random_buffer(rng, 256);
-      if (datagram.empty()) datagram.push_back(rng.byte());
+      datagram = random_buffer(rng, 256);  // empty ones too
     } else {
       const std::size_t reports = 1 + rng.uniform_int(3);
       const bool tag = rng.bernoulli(0.5);
