@@ -15,8 +15,6 @@
 //   - report ingest.
 // It has no sockets and reads no clock. The hooks live in an ArqDriver
 // all of one driver's Arqs share, so a flow pays a pointer for them.
-// Reports ack from the flow receiver's completed-id window, which the
-// driver passes in (report_builder.hpp).
 #pragma once
 
 #include <cstdint>

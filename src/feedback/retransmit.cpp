@@ -148,9 +148,9 @@ void RetransmitManager::on_report(const ReceiverReport& report,
                                            sample.recv_time_ns));
   }
 
-  // Ack everything the SACK window covers. The window is a range of
-  // ids, so an ordered-map range scan touches only candidates; offsets
-  // from the base, so a window reaching past 2^64 does not wrap.
+  // Ack everything the SACK window covers: a range of ids, so an
+  // ordered-map range scan touches only candidates. Offsets from the
+  // base do not wrap where the window reaches past 2^64.
   const std::uint64_t span =
       64 * static_cast<std::uint64_t>(report.sack.size());
   auto it = outstanding_.lower_bound(report.sack_base);

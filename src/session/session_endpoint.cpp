@@ -95,8 +95,7 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
                   util::IdWindow(config_.receiver.completed_history)
                           .width_words() >=
                       config_.reliability.sack_window_words,
-              "reports copy SACK words from receiver.completed_history, "
-              "which must span them");
+              "receiver.completed_history must span the SACK window");
   if (config_.port_base != 0) {
     // Channel i binds port_base + i, plus one feedback lane when
     // reliability is on. uint16_t arithmetic would otherwise wrap

@@ -71,9 +71,10 @@ class IdWindow {
     const std::uint64_t last = highest_ == 0 ? 0 : top();
     const std::uint64_t first =
         last >= out.size() ? last + 1 - out.size() : 0;
+    const std::uint64_t lowest = floor();
     for (std::size_t i = 0; i < out.size(); ++i) {
       const std::uint64_t id = 1 + 64 * (first + i);
-      out[i] = id >= floor() && id <= highest_ ? word(first + i) : 0;
+      out[i] = id >= lowest && id <= highest_ ? word(first + i) : 0;
     }
     return 1 + 64 * first;
   }
