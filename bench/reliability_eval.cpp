@@ -4,9 +4,10 @@
 //
 //   best_effort  DynamicScheduler(2, 2) alone: minimal shares, no
 //                feedback; whatever the channels drop stays lost
-//   arq          the same scheduler under a ReliableLink: receiver
-//                reports over a lossy feedback channel, RTO-driven
-//                re-split retransmissions, realized-exposure accounting
+//   arq          the same scheduler with the endpoint's reliability on:
+//                receiver reports over a lossy feedback channel,
+//                RTO-driven re-split retransmissions, realized-exposure
+//                accounting
 //   proactive    plan_redundancy() picks the smallest n > k channel
 //                subset whose closed-form l(k, M) clears the delivery
 //                target; every packet is k-of-n up front, no feedback
@@ -21,30 +22,28 @@
 //   reliability_eval [--obs] [--seconds S] [--pps P]
 //                    [--out BENCH_reliability.json]
 //
-// Each mode is one deterministic simulation (own Simulator, own seeded
-// Rng) fanned out over MCSS_THREADS workers; all printing happens on
+// Each mode is one session::SessionEndpoint with one flow, run on
+// virtual time (no sockets, the timeline's clock): the live endpoint's
+// pump, wake plan, receive path and ARQ, deterministic under its seed.
+// The modes fan out over MCSS_THREADS workers; all printing happens on
 // the main thread in mode order, so stdout and the JSON document are
 // bitwise identical for any thread count.
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/subset_metrics.hpp"
 #include "feedback/redundancy.hpp"
-#include "feedback/reliable_link.hpp"
-#include "net/sim_channel.hpp"
-#include "net/simulator.hpp"
+#include "net/sim_time.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "protocol/receiver.hpp"
-#include "protocol/scheduler.hpp"
-#include "protocol/sender.hpp"
+#include "session/session_endpoint.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/subset.hpp"
@@ -114,32 +113,18 @@ ModeResult run_mode(const ModePoint& point, double pps, double seconds) {
   const ChannelSet model = setup.to_model(kPacketBytes);
   const int n = setup.num_channels();
 
-  net::Simulator sim;
-  Rng rng(point.seed);
-
-  std::vector<std::unique_ptr<net::SimChannel>> channels;
-  std::vector<net::SimChannel*> forward;
-  for (int i = 0; i < n; ++i) {
-    channels.push_back(std::make_unique<net::SimChannel>(
-        sim, setup.channels[static_cast<std::size_t>(i)], rng.fork(),
-        "fwd" + std::to_string(i)));
-    forward.push_back(channels.back().get());
-  }
-
-  // Feedback path for ARQ: narrower and itself lossy, like a real
-  // reverse channel — reports must survive it or repairs never happen.
-  net::ChannelConfig feedback_cfg;
-  feedback_cfg.rate_bps = 10e6;
-  feedback_cfg.loss = 0.02;
-  feedback_cfg.delay = net::from_millis(1);
-  net::SimChannel feedback(sim, feedback_cfg, rng.fork(), "feedback");
-
   ModeResult r;
 
-  std::unique_ptr<proto::ShareScheduler> scheduler;
-  feedback::RedundancyPlan plan;
+  // The endpoint's channel j is setup channel to_setup[j]: every setup
+  // channel, or the proactive plan's subset.
+  std::vector<int> to_setup;
+  session::SessionConfig cfg;
+  cfg.virtual_time = true;
+  cfg.seed = point.seed;
+  cfg.kappa = kThreshold;
+  cfg.mu = kThreshold;
   if (point.mode == Mode::Proactive) {
-    plan = feedback::plan_redundancy(
+    const feedback::RedundancyPlan plan = feedback::plan_redundancy(
         model, {.k = kThreshold, .target_delivery = kTargetDelivery,
                 .offered_pps = pps});
     r.plan_loss = plan.predicted_loss;
@@ -151,108 +136,112 @@ ModeResult run_mode(const ModePoint& point, double pps, double seconds) {
     }
     joined += "]";
     r.plan_channels = std::move(joined);
-    scheduler = std::make_unique<proto::FixedScheduler>(plan.k, plan.channels);
+    // k-of-|plan| over exactly the plan: DynamicScheduler with m = n
+    // takes every channel.
+    to_setup = plan.channels;
+    cfg.kappa = plan.k;
+    cfg.mu = static_cast<double>(plan.channels.size());
   } else {
-    scheduler = std::make_unique<proto::DynamicScheduler>(
-        static_cast<double>(kThreshold), static_cast<double>(kThreshold), n);
+    for (int i = 0; i < n; ++i) to_setup.push_back(i);
+  }
+  for (const int i : to_setup) {
+    cfg.channels.push_back({setup.channels[static_cast<std::size_t>(i)],
+                            "fwd" + std::to_string(i)});
+  }
+  if (point.mode == Mode::Arq) {
+    session::ReliabilityConfig& rel = cfg.reliability;
+    rel.enabled = true;
+    rel.retransmit.max_retransmits = 6;
+    rel.retransmit.initial_rto_ns = 100'000'000;
+    rel.retransmit.min_rto_ns = 30'000'000;
+    rel.report_interval_ns = 20'000'000;
+    rel.retransmit_extra = 1;
+    rel.channel_risks = setup.risks;
+    // Narrower and itself lossy, like a real reverse channel — reports
+    // must survive it or repairs never happen.
+    rel.feedback_channel = {.rate_bps = 10e6,
+                            .loss = 0.02,
+                            .delay = net::from_millis(1)};
   }
 
-  proto::Receiver receiver(sim);
-  proto::Sender sender(sim, forward, std::move(scheduler), rng.fork());
+  session::SessionEndpoint ep(std::move(cfg));
+  const std::uint32_t cid =
+      ep.open_flow({.rate_pps = pps, .payload_bytes = kPacketBytes}).value();
 
-  const net::SimTime end =
-      net::from_seconds(seconds) + net::from_seconds(kDrainSeconds);
-
-  RiskAverager static_risk(model);
-  RiskAverager exposure_risk(model);
+  // Each packet's initial channel set (its generation-0 emit) and its
+  // realized exposure (the union over every emit), in setup indices.
+  struct Exposure {
+    std::uint32_t initial = 0;
+    std::uint32_t realized = 0;
+  };
+  std::vector<Exposure> exposure;  // indexed by packet id - 1
+  std::vector<std::int64_t> sent_at;
+  ep.set_on_emit([&](std::uint32_t, std::uint64_t id, std::uint8_t generation,
+                     int, std::span<const int> chans) {
+    std::uint32_t mask = 0;
+    for (const int c : chans) {
+      mask |= std::uint32_t{1} << to_setup[static_cast<std::size_t>(c)];
+    }
+    if (exposure.size() < id) {
+      exposure.resize(id);
+      sent_at.resize(id);
+    }
+    Exposure& e = exposure[id - 1];
+    if (generation == 0) {
+      e.initial = mask;
+      sent_at[id - 1] = ep.now_ns();
+    }
+    e.realized |= mask;
+  });
   std::uint64_t delivered = 0;
   OnlineStats delay;
-  std::unordered_map<std::uint64_t, net::SimTime> sent_at;
-
-  std::unique_ptr<feedback::ReliableLink> link;
-  if (point.mode == Mode::Arq) {
-    feedback::ReliableLinkConfig link_cfg;
-    link_cfg.retransmit.max_retransmits = 6;
-    link_cfg.retransmit.initial_rto_ns = 100'000'000;
-    link_cfg.retransmit.min_rto_ns = 30'000'000;
-    link_cfg.report_interval = net::from_millis(20);
-    link_cfg.stop_after = end;
-    link_cfg.retransmit_extra = 1;
-    link_cfg.risks = setup.risks;
-    link = std::make_unique<feedback::ReliableLink>(
-        sim, sender, receiver, forward, feedback, link_cfg, rng.fork());
-    link->set_deliver([&](std::uint64_t, std::vector<std::uint8_t>) {
-      ++delivered;
-    });
-  } else {
-    for (auto* ch : forward) receiver.attach(*ch);
-    // Without a link the dispatch hook is free: record each packet's
-    // initial channel set (== its realized exposure, nothing resends)
-    // and its send time for the end-to-end delay figure.
-    sender.set_dispatch_hook([&](std::uint64_t id, int,
-                                 std::span<const std::uint8_t>,
-                                 std::span<const int> chans) {
-      std::uint32_t mask = 0;
-      for (int c : chans) mask |= std::uint32_t{1} << c;
-      static_risk.add(mask);
-      exposure_risk.add(mask);
-      r.initial_channel_sum += static_cast<std::uint64_t>(chans.size());
-      r.exposure_channel_sum += static_cast<std::uint64_t>(chans.size());
-      ++r.exposure_records;
-      sent_at.emplace(id, sim.now());
-    });
-    receiver.set_deliver([&](std::uint64_t id, std::vector<std::uint8_t>) {
-      ++delivered;
-      if (auto it = sent_at.find(id); it != sent_at.end()) {
-        delay.add(net::to_seconds(sim.now() - it->second));
-      }
-    });
-  }
+  ep.set_deliver([&](std::uint32_t, std::uint64_t id,
+                     std::vector<std::uint8_t>) {
+    ++delivered;
+    delay.add(net::to_seconds(ep.now_ns() - sent_at[id - 1]));
+  });
 
   // Paced constant-bitrate source: one packet per interval, stopping
   // after `seconds` so the drain window only carries repairs.
   const auto total = static_cast<std::uint64_t>(pps * seconds);
-  const auto interval = static_cast<net::SimTime>(1e9 / pps);
-  auto payload_rng = std::make_shared<Rng>(rng.fork());
+  const auto interval = static_cast<std::int64_t>(1e9 / pps);
+  const std::int64_t end =
+      net::from_seconds(seconds) + net::from_seconds(kDrainSeconds);
+  Rng payload_rng(~point.seed);
   for (std::uint64_t i = 0; i < total; ++i) {
-    sim.schedule_at(static_cast<net::SimTime>(i) * interval, [&, payload_rng] {
-      std::vector<std::uint8_t> payload(kPacketBytes);
-      payload_rng->fill(payload);
-      (void)sender.send(std::move(payload));
-    });
+    std::vector<std::uint8_t> payload(kPacketBytes);
+    payload_rng.fill(payload);
+    (void)ep.send(cid, std::move(payload));
+    ep.run_for(interval);
   }
-  sim.run_until(end);
+  ep.run_for(end - ep.now_ns());
 
-  const auto& ss = sender.stats();
+  const proto::SenderStats& ss = *ep.flow_sender_stats(cid);
   r.packets_offered = total;
   r.packets_sent = ss.packets_sent;
   r.packets_delivered = delivered;
   r.shares_sent = ss.shares_sent + ss.shares_retransmitted;
+  r.retransmits = ss.packets_retransmitted;
 
-  if (point.mode == Mode::Arq) {
-    // Exposure accounting lives in the manager: closed packets plus
-    // whatever the cutoff caught mid-flight.
-    auto records = link->manager().drain_closed();
-    for (const auto& open : link->manager().snapshot_open()) {
-      records.push_back(open);
-    }
-    for (const auto& rec : records) {
-      static_risk.add(rec.initial_mask);
-      exposure_risk.add(rec.exposure_mask);
-    }
-    r.exposure_records = records.size();
-    const auto& ms = link->manager().stats();
-    r.retransmits = ms.retransmits;
-    r.reports_received = ms.reports_received;
-    r.reports_sent = link->stats().reports_sent;
-    r.initial_channel_sum = ms.initial_channel_sum;
-    r.exposure_channel_sum = ms.exposure_channel_sum;
-    r.delay_mean_s = ms.delay.mean();
+  RiskAverager static_risk(model);
+  RiskAverager exposure_risk(model);
+  for (const Exposure& e : exposure) {
+    static_risk.add(e.initial);
+    exposure_risk.add(e.realized);
+    r.initial_channel_sum += static_cast<std::uint64_t>(std::popcount(e.initial));
+    r.exposure_channel_sum +=
+        static_cast<std::uint64_t>(std::popcount(e.realized));
+  }
+  r.exposure_records = exposure.size();
+  r.static_risk_mean = static_risk.mean();
+  r.exposure_risk_mean = exposure_risk.mean();
+  if (const feedback::RetransmitManager* manager = ep.flow_manager(cid)) {
+    r.reports_sent = ep.stats().reports_sent;
+    r.reports_received = manager->stats().reports_received;
+    r.delay_mean_s = manager->stats().delay.mean();
   } else {
     r.delay_mean_s = delay.mean();
   }
-  r.static_risk_mean = static_risk.mean();
-  r.exposure_risk_mean = exposure_risk.mean();
   return r;
 }
 

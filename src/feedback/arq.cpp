@@ -32,11 +32,6 @@ void Arq::on_report(const ReceiverReport& report, std::int64_t now) {
   manager_.on_report(report, now);
 }
 
-void Arq::on_report_datagram(std::span<const std::uint8_t> datagram,
-                             std::int64_t now) {
-  manager_.on_report_datagram(datagram, now, driver_.report_key);
-}
-
 bool Arq::on_delivered(std::uint64_t id, std::int64_t now) {
   builder_.on_delivered(id, now);
   return builder_.report_due();

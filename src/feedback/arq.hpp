@@ -1,18 +1,18 @@
-// One flow's ARQ, written once for the simulator and the live endpoint.
+// One flow's ARQ: what session::SessionEndpoint, the one ARQ driver,
+// runs per flow on sockets and on virtual time alike.
 //
 // An Arq holds a flow's ReportBuilder and RetransmitManager and does
-// what both drivers (feedback::ReliableLink in the simulator,
-// session::SessionEndpoint on sockets) need of them:
+// what the driver needs of them:
 //   - the RTO timers: the manager gives each outstanding packet its own
-//     timer on the driver's net::Simulator (simulated time, or the live
-//     endpoint's wall-driven timeline), and the packet's close or the
-//     manager's destruction takes it back, and it calls its Arq back to
-//     resend and to run the driver's after-timeout hook;
+//     timer on the driver's net::Simulator (the endpoint's wall-driven
+//     or virtual timeline), and the packet's close or the manager's
+//     destruction takes it back, and it calls its Arq back to resend and
+//     to run the driver's after-timeout hook;
 //   - the retransmit channel order: channels the packet already exposed
 //     first (re-using them cannot widen what an eavesdropper saw), then
 //     ascending risk, index as the tiebreak;
 //   - report build + encode, and the early report a delivery makes due;
-//   - report ingest.
+//   - ingest of reports the driver's demux decoded for this flow.
 // It has no sockets and reads no clock. The hooks live in an ArqDriver
 // all of one driver's Arqs share, so a flow pays a pointer for them.
 #pragma once
@@ -74,11 +74,6 @@ class Arq {
 
   /// Ingest one report already demultiplexed to this flow.
   void on_report(const ReceiverReport& report, std::int64_t now);
-
-  /// Ingest a feedback datagram (possibly several coalesced reports)
-  /// under the driver's report key.
-  void on_report_datagram(std::span<const std::uint8_t> datagram,
-                          std::int64_t now);
 
   // ---------------------------------------------------- receiver side
 

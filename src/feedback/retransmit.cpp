@@ -23,8 +23,6 @@ void publish(obs::Registry& registry, const RetransmitStats& stats) {
   add("mcss_retransmit_retransmits", stats.retransmits);
   add("mcss_retransmit_reports_received", stats.reports_received);
   add("mcss_retransmit_reports_replayed", stats.reports_replayed);
-  add("mcss_retransmit_reports_malformed", stats.reports_malformed);
-  add("mcss_retransmit_reports_auth_failed", stats.reports_auth_failed);
   add("mcss_retransmit_rtt_samples", stats.rtt_samples);
   add("mcss_retransmit_delay_samples_clamped", stats.delay_samples_clamped);
   add("mcss_retransmit_initial_channel_sum", stats.initial_channel_sum);
@@ -89,28 +87,6 @@ void RetransmitManager::note_exposure(std::uint64_t packet_id,
       it->second.exposure_mask |= std::uint32_t{1} << ch;
     }
   }
-}
-
-void RetransmitManager::on_report_datagram(std::span<const std::uint8_t> bytes,
-                                           std::int64_t now_ns,
-                                           const crypto::SipHashKey* key) {
-  do {  // an empty datagram is malformed too
-    std::size_t consumed = 0;
-    proto::DecodeStatus status = proto::DecodeStatus::Ok;
-    const auto report = decode_report_prefix(bytes, &consumed, key, &status);
-    if (!report) {
-      // No resynchronization point inside a mangled datagram: count the
-      // failure once and drop the rest.
-      if (status == proto::DecodeStatus::AuthFailed) {
-        ++stats_.reports_auth_failed;
-      } else {
-        ++stats_.reports_malformed;
-      }
-      return;
-    }
-    on_report(*report, now_ns);
-    bytes = bytes.subspan(consumed);
-  } while (!bytes.empty());
 }
 
 void RetransmitManager::on_report(const ReceiverReport& report,

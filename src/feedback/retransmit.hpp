@@ -5,8 +5,8 @@
 // The manager is transport-agnostic: it never touches a socket and
 // reads no clock. Callers feed it events (packet sent, report arrived)
 // with explicit timestamps. Each outstanding packet holds one RTO timer
-// on the caller's net::Simulator (simulated time, or a live endpoint's
-// wall-driven timeline): scheduled when the packet is sent, re-armed
+// on the caller's net::Simulator (the session endpoint's timeline, on
+// wall or virtual time): scheduled when the packet is sent, re-armed
 // with backoff each time it fires and retransmits, and cancelled when
 // the packet closes (ack, abandon, displacement, or the manager's
 // destruction). The re-split-and-send, with the retransmit channel
@@ -79,8 +79,6 @@ struct RetransmitStats {
   std::uint64_t retransmits = 0;
   std::uint64_t reports_received = 0;
   std::uint64_t reports_replayed = 0;  ///< stale/duplicate seq, dropped
-  std::uint64_t reports_malformed = 0;
-  std::uint64_t reports_auth_failed = 0;
   std::uint64_t rtt_samples = 0;
   /// Delay samples rejected as physically impossible: delivery stamped
   /// before the packet's send or after the report carrying it was
@@ -124,8 +122,7 @@ class RetransmitManager {
   RetransmitManager(const RetransmitManager&) = delete;
   RetransmitManager& operator=(const RetransmitManager&) = delete;
 
-  /// Track a freshly dispatched packet (wire to Sender's dispatch hook)
-  /// and arm its RTO timer at now_ns + RTO (now_ns >= timeline.now()).
+  /// Track a freshly dispatched packet and arm its RTO timer at now_ns + RTO (now_ns >= timeline.now()).
   void on_packet_sent(std::uint64_t packet_id, int k,
                       std::span<const std::uint8_t> payload,
                       std::span<const int> channels, std::int64_t now_ns);
@@ -134,13 +131,9 @@ class RetransmitManager {
   /// widening its realized exposure set.
   void note_exposure(std::uint64_t packet_id, std::span<const int> channels);
 
-  /// Feed a raw feedback datagram (possibly several coalesced reports;
-  /// malformed and replayed reports are counted and skipped).
-  void on_report_datagram(std::span<const std::uint8_t> bytes,
-                          std::int64_t now_ns,
-                          const crypto::SipHashKey* key = nullptr);
-
-  /// Feed one already-decoded report.
+  /// Feed one decoded report (replayed ones are counted and skipped).
+  /// Decoding, and counting malformed or unauthenticated datagrams, is
+  /// the session endpoint's demux.
   void on_report(const ReceiverReport& report, std::int64_t now_ns);
 
   [[nodiscard]] std::size_t outstanding() const noexcept {

@@ -14,7 +14,6 @@
 #include "crypto/siphash.hpp"        // IWYU pragma: export
 #include "feedback/arq.hpp"          // IWYU pragma: export
 #include "feedback/redundancy.hpp"   // IWYU pragma: export
-#include "feedback/reliable_link.hpp" // IWYU pragma: export
 #include "feedback/report.hpp"       // IWYU pragma: export
 #include "feedback/report_builder.hpp" // IWYU pragma: export
 #include "feedback/retransmit.hpp"   // IWYU pragma: export

@@ -1,11 +1,11 @@
 // The sender-facing channel abstraction.
 //
-// The simulated protocol endpoints (proto::Sender, proto::Receiver and
-// feedback::ReliableLink, the simulator's ARQ driver) only ever need
-// five operations from a channel: offer a frame, ask whether it is
-// writable, ask how long its backlog would take to drain, install the
-// far-end delivery callback, and install the writability-edge callback. ChannelPort names exactly that
-// surface, so the same endpoints drive
+// The simulated protocol endpoints (proto::Sender and proto::Receiver)
+// only ever need five operations from a channel: offer a frame, ask
+// whether it is writable, ask how long its backlog would take to drain,
+// install the far-end delivery callback, and install the
+// writability-edge callback. ChannelPort names exactly that surface, so
+// the same endpoints drive
 //
 //   - net::SimChannel        a point-to-point simulated link (the
 //                            paper's model: one dedicated wire per

@@ -121,9 +121,6 @@ void Sender::dispatch(std::vector<std::uint8_t> payload,
   ++stats_.packets_sent;
   stats_.sum_k += k;
   stats_.sum_m += m;
-  if (dispatch_hook_) {
-    dispatch_hook_(id, k, payload, decision.channels);
-  }
 
   const net::SimTime now = sim_.now();
   if (obs::trace_enabled()) {
@@ -140,8 +137,7 @@ void Sender::dispatch(std::vector<std::uint8_t> payload,
     ready_at = cpu_->submit(cpu_->split_ops(k, m));
   }
 
-  auto frames = write_frames(id, /*generation=*/0, k, payload,
-                             decision.channels.size());
+  auto frames = write_frames(id, k, payload, decision.channels.size());
   if (obs::trace_enabled()) {
     // Sim-time cost of the split: the CPU-model charge (zero without a
     // CPU model, where splitting is instantaneous in sim time).
@@ -186,51 +182,19 @@ void Sender::dispatch(std::vector<std::uint8_t> payload,
   }
 }
 
-void Sender::resend(std::uint64_t id, std::uint8_t generation,
-                    std::span<const std::uint8_t> payload, int k,
-                    std::span<const int> channels) {
-  const int m = static_cast<int>(channels.size());
-  MCSS_ENSURE(generation != 0, "retransmissions must bump the generation");
-  MCSS_ENSURE(k >= 1 && k <= m, "resend needs a valid (k, m)");
-
-  ++stats_.packets_retransmitted;
-  const net::SimTime now = sim_.now();
-  if (obs::trace_enabled()) {
-    obs::Tracer::global().instant("retransmit", "sender", now, id, "generation",
-                                  static_cast<std::uint64_t>(generation), "m",
-                                  static_cast<std::uint64_t>(m));
-  }
-
-  // Fresh randomness: a new polynomial per retransmission, never a
-  // replay of the original share bytes (see wire.hpp on generations).
-  auto frames = write_frames(id, generation, k, payload, channels.size());
-  for (int j = 0; j < m; ++j) {
-    const auto ch_index =
-        static_cast<std::size_t>(channels[static_cast<std::size_t>(j)]);
-    MCSS_ENSURE(ch_index < channels_.size(), "resend channel out of range");
-    ++stats_.shares_retransmitted;
-    if (!channels_[ch_index]->try_send(
-            std::move(frames[static_cast<std::size_t>(j)]))) {
-      ++stats_.shares_dropped_at_channel;
-    }
-  }
-}
-
 std::vector<std::vector<std::uint8_t>> Sender::write_frames(
-    std::uint64_t id, std::uint8_t generation, int k,
-    std::span<const std::uint8_t> payload, std::size_t m) {
+    std::uint64_t id, int k, std::span<const std::uint8_t> payload,
+    std::size_t m) {
   const crypto::SipHashKey* key =
       config_.auth_key ? &*config_.auth_key : nullptr;
   MCSS_ENSURE(m <= kMaxSharesPerPacket, "at most one share per channel");
   std::vector<std::vector<std::uint8_t>> frames(
       m, std::vector<std::uint8_t>(
-             encoded_size(payload.size(), generation, key != nullptr)));
+             encoded_size(payload.size(), /*generation=*/0, key != nullptr)));
   std::array<std::span<std::uint8_t>, kMaxSharesPerPacket> spans;
   for (std::size_t j = 0; j < m; ++j) spans[j] = frames[j];
   obs::ScopeTimer split_timer(split_hist());
-  write_shares({.packet_id = id,
-                .k = static_cast<std::uint8_t>(k),
-                .generation = generation},
+  write_shares({.packet_id = id, .k = static_cast<std::uint8_t>(k)},
                payload, std::span(spans).first(m), key, split_scratch_, rng_);
   return frames;
 }

@@ -15,7 +15,6 @@
 #include <concepts>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -49,8 +48,8 @@ struct SenderStats {
   std::uint64_t packets_sent = 0;      ///< split + shares handed to channels
   std::uint64_t shares_sent = 0;
   std::uint64_t shares_dropped_at_channel = 0;  ///< try_send refused
-  std::uint64_t packets_retransmitted = 0;  ///< resend() calls (ARQ layer)
-  std::uint64_t shares_retransmitted = 0;   ///< shares sent by resend()
+  std::uint64_t packets_retransmitted = 0;  ///< ARQ re-splits (session)
+  std::uint64_t shares_retransmitted = 0;   ///< shares those re-splits sent
   double sum_k = 0.0;  ///< achieved kappa = sum_k / packets_sent
   double sum_m = 0.0;  ///< achieved mu    = sum_m / packets_sent
 
@@ -91,26 +90,6 @@ class Sender {
   /// Offer one source packet. Returns false when the send queue is full.
   bool send(std::vector<std::uint8_t> payload);
 
-  /// Observer for every dispatched packet: (id, k, payload, channel
-  /// indices carrying one share each). The reliability layer uses it to
-  /// record outstanding packets and their initial channel exposure.
-  using DispatchFn =
-      std::function<void(std::uint64_t id, int k,
-                         std::span<const std::uint8_t> payload,
-                         std::span<const int> channels)>;
-  void set_dispatch_hook(DispatchFn fn) { dispatch_hook_ = std::move(fn); }
-
-  /// ARQ retransmission path: re-split `payload` with FRESH randomness
-  /// into |channels| shares under threshold k, tag the frames with
-  /// `generation` (must be nonzero), and hand one share to each listed
-  /// channel. Bypasses the scheduler, the send queue, and the CPU pacing
-  /// model — retransmit volume is bounded by the RetransmitManager's
-  /// budget, and the decision of *when* and *where* belongs to the
-  /// reliability layer (src/feedback), not the share scheduler.
-  void resend(std::uint64_t id, std::uint8_t generation,
-              std::span<const std::uint8_t> payload, int k,
-              std::span<const int> channels);
-
   [[nodiscard]] const SenderStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t queued_packets() const noexcept { return queue_.size(); }
 
@@ -121,11 +100,11 @@ class Sender {
  private:
   void pump();
   void dispatch(std::vector<std::uint8_t> payload, const ShareDecision& decision);
-  /// Packet `id`'s m share frames, one owned buffer each, written by
-  /// proto::write_shares.
+  /// Packet `id`'s m generation-0 share frames, one owned buffer each,
+  /// written by proto::write_shares.
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> write_frames(
-      std::uint64_t id, std::uint8_t generation, int k,
-      std::span<const std::uint8_t> payload, std::size_t m);
+      std::uint64_t id, int k, std::span<const std::uint8_t> payload,
+      std::size_t m);
 
   net::Simulator& sim_;
   std::vector<net::ChannelPort*> channels_;
@@ -139,7 +118,6 @@ class Sender {
   std::uint64_t next_packet_id_ = 1;
   bool pump_scheduled_ = false;
   SenderStats stats_;
-  DispatchFn dispatch_hook_;
 };
 
 }  // namespace mcss::proto

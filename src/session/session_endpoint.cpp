@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <string_view>
 #include <utility>
 
 #include "feedback/report.hpp"
@@ -47,6 +48,59 @@ constexpr std::int64_t kIdleLeadNs = 150'000;
 constexpr std::size_t kSetupLatencySamples = 4096;
 constexpr std::uint64_t kSetupLatencySeed = 1;
 
+/// Zero-length virtual waits in a row before the clock steps 1 ns: each
+/// one runs a due timer, staged datagrams or a pump that can dispatch,
+/// so a run this long means nothing moves, and the step keeps every
+/// run_for returning.
+constexpr std::uint32_t kMaxVirtualZeroWaits = 1u << 16;
+
+/// The session counters in publication order. `sampled` marks the
+/// subset the periodic sampler publishes (O(1) in flows); the end-of-run
+/// publish_metrics adds every one.
+struct SessionCounter {
+  std::string_view name;
+  std::uint64_t SessionStats::*value;
+  bool sampled;
+};
+constexpr SessionCounter kSessionCounters[] = {
+    {"mcss_session_flows_opened", &SessionStats::flows_opened, true},
+    {"mcss_session_flows_closed", &SessionStats::flows_closed, true},
+    {"mcss_session_flows_rejected_rate", &SessionStats::flows_rejected_rate,
+     false},
+    {"mcss_session_flows_rejected_capacity",
+     &SessionStats::flows_rejected_capacity, false},
+    {"mcss_session_packets_sent", &SessionStats::packets_sent, true},
+    {"mcss_session_packets_delivered", &SessionStats::packets_delivered, true},
+    {"mcss_session_queue_rejects", &SessionStats::queue_rejects, true},
+    {"mcss_session_frames_demuxed", &SessionStats::frames_demuxed, false},
+    {"mcss_session_frames_undecodable", &SessionStats::frames_undecodable,
+     false},
+    {"mcss_session_frames_auth_failed", &SessionStats::frames_auth_failed,
+     false},
+    {"mcss_session_frames_without_connection",
+     &SessionStats::frames_without_connection, false},
+    {"mcss_session_frames_unknown_connection",
+     &SessionStats::frames_unknown_connection, false},
+    {"mcss_session_reports_sent", &SessionStats::reports_sent, true},
+    {"mcss_session_report_datagrams_sent",
+     &SessionStats::report_datagrams_sent, false},
+    {"mcss_session_reports_dropped_at_channel",
+     &SessionStats::reports_dropped_at_channel, false},
+    {"mcss_session_reports_demuxed", &SessionStats::reports_demuxed, true},
+    {"mcss_session_reports_malformed", &SessionStats::reports_malformed,
+     false},
+    {"mcss_session_reports_auth_failed", &SessionStats::reports_auth_failed,
+     false},
+    {"mcss_session_reports_without_connection",
+     &SessionStats::reports_without_connection, false},
+    {"mcss_session_reports_unknown_connection",
+     &SessionStats::reports_unknown_connection, false},
+    {"mcss_session_pool_defers", &SessionStats::pool_defers, true},
+    {"mcss_session_schedule_defers", &SessionStats::schedule_defers, true},
+    {"mcss_session_pool_oversize_drops", &SessionStats::pool_oversize_drops,
+     false},
+};
+
 }  // namespace
 
 std::uint16_t port_base_from_env(std::uint16_t fallback) {
@@ -65,6 +119,7 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
           .timeline = timeline_,
           .num_channels = static_cast<int>(config_.channels.size()),
           .retransmit_extra = config_.reliability.retransmit_extra,
+          .risks = config_.reliability.channel_risks,
           .report_key = config_.reliability.report_auth_key
                             ? &*config_.reliability.report_auth_key
                             : nullptr,
@@ -96,6 +151,9 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
                           .width_words() >=
                       config_.reliability.sack_window_words,
               "receiver.completed_history must span the SACK window");
+  MCSS_ENSURE(!(config_.virtual_time && config_.telemetry.enabled),
+              "virtual time runs without telemetry: its scrape server binds "
+              "a socket");
   if (config_.port_base != 0) {
     // Channel i binds port_base + i, plus one feedback lane when
     // reliability is on. uint16_t arithmetic would otherwise wrap
@@ -149,15 +207,18 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
             : 0;
     auto ch = std::make_unique<transport::UdpChannel>(
         spec.config, rng_.fork(), timeline_, *pool_, port, spec.name,
-        config_.max_datagram_bytes, config_.send_batch, config_.recv_batch);
+        config_.max_datagram_bytes, config_.send_batch, config_.recv_batch,
+        config_.virtual_time);
     ch->set_on_batch(
         [this](std::span<const std::span<const std::uint8_t>> frames) {
           on_share_batch(frames);
         });
-    poller_.add(ch->rx_fd(), /*want_read=*/true, /*want_write=*/false);
-    poller_.add(ch->tx_fd(), /*want_read=*/false, /*want_write=*/false);
-    fd_to_channel_[ch->rx_fd()] = i;
-    fd_to_channel_[ch->tx_fd()] = i;
+    if (!config_.virtual_time) {
+      poller_.add(ch->rx_fd(), /*want_read=*/true, /*want_write=*/false);
+      poller_.add(ch->tx_fd(), /*want_read=*/false, /*want_write=*/false);
+      fd_to_channel_[ch->rx_fd()] = i;
+      fd_to_channel_[ch->tx_fd()] = i;
+    }
     channels_.push_back(std::move(ch));
   }
 
@@ -170,19 +231,21 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
     feedback_ch_ = std::make_unique<transport::UdpChannel>(
         config_.reliability.feedback_channel, rng_.fork(), timeline_, *pool_,
         fb_port, "feedback", config_.max_datagram_bytes, config_.send_batch,
-        config_.recv_batch);
+        config_.recv_batch, config_.virtual_time);
     feedback_ch_->set_on_batch(
         [this](std::span<const std::span<const std::uint8_t>> datagrams) {
           for (const auto datagram : datagrams) {
             on_feedback_datagram(datagram, now_ns());
           }
         });
-    poller_.add(feedback_ch_->rx_fd(), /*want_read=*/true,
-                /*want_write=*/false);
-    poller_.add(feedback_ch_->tx_fd(), /*want_read=*/false,
-                /*want_write=*/false);
-    fd_to_channel_[feedback_ch_->rx_fd()] = n;
-    fd_to_channel_[feedback_ch_->tx_fd()] = n;
+    if (!config_.virtual_time) {
+      poller_.add(feedback_ch_->rx_fd(), /*want_read=*/true,
+                  /*want_write=*/false);
+      poller_.add(feedback_ch_->tx_fd(), /*want_read=*/false,
+                  /*want_write=*/false);
+      fd_to_channel_[feedback_ch_->rx_fd()] = n;
+      fd_to_channel_[feedback_ch_->tx_fd()] = n;
+    }
 
     MCSS_ENSURE(config_.reliability.report_interval_ns > 0,
                 "report interval must be positive");
@@ -238,7 +301,8 @@ void SessionEndpoint::arm_sampler_timer() {
 SessionEndpoint::~SessionEndpoint() = default;
 
 std::int64_t SessionEndpoint::now_ns() const {
-  return transport::monotonic_ns() - epoch_ns_;
+  return config_.virtual_time ? virtual_now_ns_
+                              : transport::monotonic_ns() - epoch_ns_;
 }
 
 double SessionEndpoint::price_flow(const FlowParams& params) const noexcept {
@@ -455,6 +519,7 @@ void SessionEndpoint::emit(Flow& flow, std::uint64_t id,
                            std::span<const int> channels,
                            std::span<const std::uint8_t> payload,
                            std::int64_t now) {
+  if (on_emit_) on_emit_(flow.cid, id, generation, k, channels);
   const auto m = static_cast<std::uint64_t>(channels.size());
   if (generation == 0) {
     flow.sender_stats.shares_sent += m;
@@ -629,12 +694,13 @@ void SessionEndpoint::on_feedback_datagram(
       continue;
     }
     const auto it = flows_.find(report->connection_id);
-    if (it == flows_.end()) {
+    if (it == flows_.end() || !it->second.arq) {
+      // A closed flow's late report, an unknown id, or a flow that
+      // takes no reports (reliability off).
       ++stats_.reports_unknown_connection;
       continue;
     }
     Flow& flow = it->second;
-    if (!flow.arq) continue;
     // The demux is the cross-flow safety property: this report reaches
     // ONLY its own flow's Arq, so its SACK bits can never ack (and its
     // generations never supersede) another flow's packet ids.
@@ -674,7 +740,11 @@ void SessionEndpoint::run_for(std::int64_t wall_ns) {
     // timers live here too, so this is the ONLY place retransmissions
     // start — no per-flow Arq scan anywhere.
     timeline_.run_until(now);
-    handle_events(now);
+    if (config_.virtual_time) {
+      deliver_staged();
+    } else {
+      handle_events(now);
+    }
     const int wanted = pump(now);
     for (const auto& ch : channels_) ch->flush(now);
     if (feedback_ch_) feedback_ch_->flush(now);
@@ -694,11 +764,34 @@ void SessionEndpoint::run_for(std::int64_t wall_ns) {
     const transport::PollWait wait = transport::plan_wait(
         timeline_, wait_start, deadline,
         wanted > 0 ? channels_unblock_at(wanted, wait_start) : std::nullopt);
+    if (config_.virtual_time) {
+      advance_virtual(wait_start, wait.timeout_ns, deadline);
+      continue;
+    }
     poller_.wait(wait.timeout_ns, events_);
     if (telemetry_) {
       telemetry_->health().on_wait(wait_start, wait.wake_ns, now_ns());
     }
   }
+}
+
+void SessionEndpoint::deliver_staged() {
+  for (const auto& ch : channels_) ch->deliver_staged();
+  if (feedback_ch_) feedback_ch_->deliver_staged();
+}
+
+void SessionEndpoint::advance_virtual(std::int64_t wait_start,
+                                      std::int64_t timeout_ns,
+                                      std::int64_t deadline) {
+  // Staged datagrams are a readable socket: the poller returns at once.
+  bool staged = feedback_ch_ && feedback_ch_->has_staged();
+  for (const auto& ch : channels_) staged = staged || ch->has_staged();
+  if (staged) timeout_ns = 0;
+  if (timeout_ns == 0 && ++virtual_zero_waits_ > kMaxVirtualZeroWaits) {
+    timeout_ns = 1;
+  }
+  if (timeout_ns > 0) virtual_zero_waits_ = 0;
+  virtual_now_ns_ = std::min(wait_start + timeout_ns, deadline);
 }
 
 void SessionEndpoint::handle_events(std::int64_t now) {
@@ -794,28 +887,28 @@ bool SessionEndpoint::probe_flow(std::uint32_t cid,
   return true;
 }
 
-void SessionEndpoint::publish_runtime_metrics(obs::Registry& registry) const {
-  // O(1) in flows: session-level counters as deltas plus cheap gauges.
-  // The O(flows) per-flow aggregation stays in publish_metrics (the
-  // end-of-run hook) — a 250 ms sampler must not walk 100k flows twice.
-  const auto add = [&](std::string_view name, std::uint64_t value) {
-    counter_deltas_.add_total(registry, name, value);
-  };
-  add("mcss_session_flows_opened", stats_.flows_opened);
-  add("mcss_session_flows_closed", stats_.flows_closed);
-  add("mcss_session_packets_sent", stats_.packets_sent);
-  add("mcss_session_packets_delivered", stats_.packets_delivered);
-  add("mcss_session_queue_rejects", stats_.queue_rejects);
-  add("mcss_session_reports_sent", stats_.reports_sent);
-  add("mcss_session_reports_demuxed", stats_.reports_demuxed);
-  add("mcss_session_pool_defers", stats_.pool_defers);
-  add("mcss_session_schedule_defers", stats_.schedule_defers);
+void SessionEndpoint::publish_session_counters(obs::Registry& registry,
+                                               bool sampled_only) const {
+  // Delta-tracked adds: when the periodic sampler already published
+  // these series mid-run, only the remainder lands here and the
+  // registry converges to the exact totals.
+  for (const SessionCounter& counter : kSessionCounters) {
+    if (sampled_only && !counter.sampled) continue;
+    counter_deltas_.add_total(registry, counter.name, stats_.*counter.value);
+  }
   registry.set(registry.gauge("mcss_session_flows_open"),
                static_cast<double>(flows_.size()));
   registry.set(registry.gauge("mcss_session_admitted_bytes_per_s"),
                admitted_bytes_per_s_);
   registry.set(registry.gauge("mcss_session_budget_bytes_per_s"),
                budget_bytes_per_s_);
+}
+
+void SessionEndpoint::publish_runtime_metrics(obs::Registry& registry) const {
+  // O(1) in flows. The O(flows) per-flow aggregation stays in
+  // publish_metrics (the end-of-run hook) — a 250 ms sampler must not
+  // walk 100k flows twice.
+  publish_session_counters(registry, /*sampled_only=*/true);
   if (telemetry_) {
     telemetry_->health().set_pool_occupancy(pool_->in_use(),
                                             pool_->capacity());
@@ -826,46 +919,10 @@ void SessionEndpoint::publish_runtime_metrics(obs::Registry& registry) const {
 }
 
 void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
-  // Delta-tracked adds: when the periodic sampler already published
-  // these series mid-run, only the remainder lands here and the
-  // registry converges to the exact totals.
+  publish_session_counters(registry, /*sampled_only=*/false);
   const auto add = [&](std::string_view name, std::uint64_t value) {
     counter_deltas_.add_total(registry, name, value);
   };
-  add("mcss_session_flows_opened", stats_.flows_opened);
-  add("mcss_session_flows_closed", stats_.flows_closed);
-  add("mcss_session_flows_rejected_rate", stats_.flows_rejected_rate);
-  add("mcss_session_flows_rejected_capacity", stats_.flows_rejected_capacity);
-  add("mcss_session_packets_sent", stats_.packets_sent);
-  add("mcss_session_packets_delivered", stats_.packets_delivered);
-  add("mcss_session_queue_rejects", stats_.queue_rejects);
-  add("mcss_session_frames_demuxed", stats_.frames_demuxed);
-  add("mcss_session_frames_undecodable", stats_.frames_undecodable);
-  add("mcss_session_frames_auth_failed", stats_.frames_auth_failed);
-  add("mcss_session_frames_without_connection",
-      stats_.frames_without_connection);
-  add("mcss_session_frames_unknown_connection",
-      stats_.frames_unknown_connection);
-  add("mcss_session_reports_sent", stats_.reports_sent);
-  add("mcss_session_report_datagrams_sent", stats_.report_datagrams_sent);
-  add("mcss_session_reports_dropped_at_channel",
-      stats_.reports_dropped_at_channel);
-  add("mcss_session_reports_demuxed", stats_.reports_demuxed);
-  add("mcss_session_reports_malformed", stats_.reports_malformed);
-  add("mcss_session_reports_auth_failed", stats_.reports_auth_failed);
-  add("mcss_session_reports_without_connection",
-      stats_.reports_without_connection);
-  add("mcss_session_reports_unknown_connection",
-      stats_.reports_unknown_connection);
-  add("mcss_session_pool_defers", stats_.pool_defers);
-  add("mcss_session_schedule_defers", stats_.schedule_defers);
-  add("mcss_session_pool_oversize_drops", stats_.pool_oversize_drops);
-  registry.set(registry.gauge("mcss_session_flows_open"),
-               static_cast<double>(flows_.size()));
-  registry.set(registry.gauge("mcss_session_admitted_bytes_per_s"),
-               admitted_bytes_per_s_);
-  registry.set(registry.gauge("mcss_session_budget_bytes_per_s"),
-               budget_bytes_per_s_);
 
   // Aggregate the per-flow protocol counters (flows are too many to
   // publish individually) plus the shared substrate.

@@ -60,6 +60,15 @@
 //     attacked flow evicts its own oldest partials and cannot starve its
 //     neighbours' reassembly.
 //
+// Virtual time (SessionConfig::virtual_time) runs the same endpoint
+// with no socket and no wall clock: now_ns() is the timeline's time,
+// each UdpChannel stages the datagrams its flush would send and the
+// loop's receive step hands them to the receive path, and where the
+// live loop would sleep in the poller the clock advances by the planned
+// timeout. bench/reliability_eval runs its ARQ comparison this way, so
+// the table measures the live code; the session tests run it against
+// loopback UDP decision for decision.
+//
 // Admission control shares the channel rate budget fairly: a flow
 // declares its offered rate (FlowParams), the endpoint prices it as
 // rate_pps * mu * (payload + overhead) bytes/s, and admits while the
@@ -125,6 +134,9 @@ struct ReliabilityConfig {
   /// Tag reports with SipHash; unauthenticated/tampered ones are
   /// rejected and counted.
   std::optional<crypto::SipHashKey> report_auth_key;
+  /// Per-channel risk z_i ordering unexposed channels on retransmit
+  /// (lowest first); empty = index order.
+  std::vector<double> channel_risks;
 };
 
 /// MCSS_LIVE_PORT_BASE as uint16, or `fallback` when unset/unparsable.
@@ -188,6 +200,10 @@ struct SessionConfig {
   /// sending payloads beyond the defaults.
   std::size_t pool_slots = 0;
   std::size_t pool_slot_bytes = 0;
+  /// Run on the timeline's clock instead of the wall clock, with no
+  /// sockets: see the file comment. Refuses telemetry (its scrape
+  /// server binds a socket).
+  bool virtual_time = false;
   /// Runtime telemetry plane (scrape server + sampler + privacy
   /// accounting + loop health); off by default. When
   /// telemetry.privacy.channel_risks is empty the endpoint fills a
@@ -236,6 +252,10 @@ class SessionEndpoint {
   /// Delivery callback: (connection id, packet id, payload).
   using DeliverFn = std::function<void(std::uint32_t, std::uint64_t,
                                        std::vector<std::uint8_t>)>;
+  /// Every share emission, first send (generation 0) or retransmission:
+  /// (connection id, packet id, generation, k, channel indices).
+  using EmitFn = std::function<void(std::uint32_t, std::uint64_t,
+                                    std::uint8_t, int, std::span<const int>)>;
 
   explicit SessionEndpoint(SessionConfig config);
   ~SessionEndpoint();
@@ -244,6 +264,9 @@ class SessionEndpoint {
   SessionEndpoint& operator=(const SessionEndpoint&) = delete;
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
+  /// Observe each emission before its shares take pool slots, so a
+  /// share the pool or a channel drops still counts as exposed.
+  void set_on_emit(EmitFn fn) { on_emit_ = std::move(fn); }
 
   /// Admit a flow and install its state; nullopt when admission refuses
   /// (rate budget or max_flows — see stats()). O(1) amortized.
@@ -260,10 +283,12 @@ class SessionEndpoint {
   /// per-flow queue full (backpressure).
   bool send(std::uint32_t cid, std::vector<std::uint8_t> payload);
 
-  /// Run the shared event loop for `wall_ns` of real time.
+  /// Run the shared event loop for `wall_ns` of real time (of the
+  /// timeline's time, on virtual time).
   void run_for(std::int64_t wall_ns);
 
-  /// Monotonic nanoseconds since construction (the endpoint's timeline).
+  /// Monotonic nanoseconds since construction (the endpoint's timeline);
+  /// the timeline's time on virtual time.
   [[nodiscard]] std::int64_t now_ns() const;
 
   /// Feed one feedback datagram (possibly several coalesced reports)
@@ -409,6 +434,14 @@ class SessionEndpoint {
   void append_report(Flow& flow, std::int64_t now);
   void send_report_datagram(std::int64_t now);
   void handle_events(std::int64_t now);
+  /// Virtual time's receive step: every channel's staged datagrams go
+  /// up, share channels in index order, then the feedback lane.
+  void deliver_staged();
+  /// Virtual time's poller wait: advance the clock from `wait_start` by
+  /// what the poller would sleep, zero while a channel holds staged
+  /// datagrams, and never past `deadline`.
+  void advance_virtual(std::int64_t wait_start, std::int64_t timeout_ns,
+                       std::int64_t deadline);
   void update_write_interest();
   [[nodiscard]] double price_flow(const FlowParams& params) const noexcept;
 
@@ -426,9 +459,16 @@ class SessionEndpoint {
   /// Session-level counters as deltas + cheap gauges; the periodic
   /// sampler's publish hook (O(1) in flows).
   void publish_runtime_metrics(obs::Registry& registry) const;
+  /// The session counters (every one, or only the sampler's subset) as
+  /// delta-tracked adds, then the three session gauges.
+  void publish_session_counters(obs::Registry& registry,
+                                bool sampled_only) const;
 
   SessionConfig config_;
   std::int64_t epoch_ns_;
+  /// now_ns() on virtual time; zero waits in a row (see advance_virtual).
+  std::int64_t virtual_now_ns_ = 0;
+  std::uint32_t virtual_zero_waits_ = 0;
   transport::Poller poller_;
   /// Before timeline_/channels_/flows_: every FrameRef alive at
   /// destruction (impairment closures pending on the timeline, per-flow
@@ -448,6 +488,7 @@ class SessionEndpoint {
   bool feedback_write_interest_ = false;
 
   DeliverFn deliver_;
+  EmitFn on_emit_;
   SessionStats stats_;
   double budget_bytes_per_s_ = 0.0;
   double admitted_bytes_per_s_ = 0.0;

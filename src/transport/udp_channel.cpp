@@ -79,12 +79,14 @@ void publish(obs::Registry& registry, const UdpChannelStats& stats) {
 UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng,
                        net::Simulator& timeline, util::FramePool& pool, std::uint16_t rx_port,
                        std::string name, std::size_t max_datagram_bytes,
-                       std::size_t send_batch, std::size_t recv_batch)
+                       std::size_t send_batch, std::size_t recv_batch,
+                       bool virtual_time)
     : name_(std::move(name)),
+      virtual_time_(virtual_time),
       max_datagram_bytes_(max_datagram_bytes),
       send_batch_(send_batch),
-      rx_(UdpSocket::bound_loopback(rx_port)),
-      tx_(UdpSocket::bound_loopback(0)),
+      rx_(virtual_time ? UdpSocket() : UdpSocket::bound_loopback(rx_port)),
+      tx_(virtual_time ? UdpSocket() : UdpSocket::bound_loopback(0)),
       timeline_(timeline),
       pool_(pool),
       impair_(config, rng, timeline,
@@ -100,19 +102,21 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng,
               "max datagram too small for one frame");
   MCSS_ENSURE(send_batch_ >= 1, "send batch must be at least 1");
   MCSS_ENSURE(recv_batch >= 1, "recv batch must be at least 1");
-  tx_.connect_loopback(rx_.local_port());
-
-  // Deep kernel buffers for the batched path: one pump can flush every
-  // free pool slot in a single sendmmsg burst, and the RX side has to
-  // hold that burst until the next recvmmsg wakeup. Sized to the arena
-  // (the true in-flight bound), best effort — the kernel silently clamps
-  // to net.core.{w,r}mem_max, and a clamped buffer only means earlier
-  // EAGAIN on TX or kernel drops on RX, both of which the transport
-  // already treats as backpressure and loss.
-  const auto want = static_cast<int>(std::clamp<std::size_t>(
-      pool_.capacity() * pool_.slot_bytes(), 256u << 10, 4u << 20));
-  tx_.set_send_buffer(want);
-  rx_.set_recv_buffer(want);
+  if (!virtual_time_) {
+    tx_.connect_loopback(rx_.local_port());
+    // Deep kernel buffers for the batched path: one pump can flush every
+    // free pool slot in a single sendmmsg burst, and the RX side has to
+    // hold that burst until the next recvmmsg wakeup. Sized to the arena
+    // (the true in-flight bound), best effort — the kernel silently
+    // clamps to net.core.{w,r}mem_max, and a clamped buffer only means
+    // earlier EAGAIN on TX or kernel drops on RX, both of which the
+    // transport already treats as backpressure and loss.
+    const auto want = static_cast<int>(std::clamp<std::size_t>(
+        pool_.capacity() * pool_.slot_bytes(), 256u << 10, 4u << 20));
+    tx_.set_send_buffer(want);
+    rx_.set_recv_buffer(want);
+    rx_.enable_receive_offload();
+  }
 
   // Every allocation the steady state needs happens HERE, once. The ring
   // bound is every pool slot in flight at once, duplicated (the
@@ -129,7 +133,6 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng,
   // it, each entry is one datagram of at most a pool slot. Either way
   // one uninitialised block, so only the pages the kernel writes become
   // resident.
-  rx_.enable_receive_offload();
   rx_entries_ = rx_.gro() ? std::min(recv_batch, kGroEntries) : recv_batch;
   const std::size_t entry_bytes =
       rx_.gro() ? kGroEntryBytes : pool_.slot_bytes();
@@ -298,7 +301,8 @@ void UdpChannel::flush(std::int64_t now_ns) {
       }
     }
 
-    const auto batch = tx_.send_many({tx_msgs_.data(), nmsg});
+    const auto batch = virtual_time_ ? stage({tx_msgs_.data(), nmsg})
+                                     : tx_.send_many({tx_msgs_.data(), nmsg});
     if (batch.completed > 0) {
       std::size_t wire_datagrams = 0;
       for (unsigned i = 0; i < batch.completed; ++i) {
@@ -355,6 +359,48 @@ void UdpChannel::flush(std::int64_t now_ns) {
         continue;
     }
   }
+}
+
+UdpSocket::BatchResult UdpChannel::stage(std::span<mmsghdr> msgs) {
+  for (mmsghdr& m : msgs) {
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < m.msg_hdr.msg_iovlen; ++i) {
+      const iovec& iov = m.msg_hdr.msg_iov[i];
+      const auto* data = static_cast<const std::uint8_t*>(iov.iov_base);
+      staged_bytes_.insert(staged_bytes_.end(), data, data + iov.iov_len);
+      bytes += iov.iov_len;
+    }
+    staged_ends_.push_back(staged_bytes_.size());
+    m.msg_len = static_cast<unsigned>(bytes);
+  }
+  return {UdpSocket::IoResult::Ok, static_cast<unsigned>(msgs.size())};
+}
+
+void UdpChannel::deliver_staged() {
+  staged_bytes_.swap(delivering_bytes_);
+  staged_ends_.swap(delivering_ends_);
+  // One batch per rx_entries_ datagrams, as each recvmmsg would fill.
+  std::size_t in_batch = 0;
+  const auto end_batch = [&] {
+    if (obs::metrics_enabled()) {
+      obs::Registry::global().observe(recv_batch_hist(),
+                                      static_cast<double>(in_batch));
+    }
+    forward_batch();
+    in_batch = 0;
+  };
+  std::size_t begin = 0;
+  for (const std::size_t end : delivering_ends_) {
+    // Never empty: the link model refuses empty frames.
+    ++stats_.datagrams_received;
+    stats_.bytes_received += end - begin;
+    split_into_batch({delivering_bytes_.data() + begin, end - begin});
+    begin = end;
+    if (++in_batch == rx_entries_) end_batch();
+  }
+  if (in_batch > 0) end_batch();
+  delivering_bytes_.clear();
+  delivering_ends_.clear();
 }
 
 void UdpChannel::arm_retry() {

@@ -50,6 +50,13 @@
 // release is flushed at once as a one-datagram sendmmsg, and each
 // recvmmsg takes one entry. bench/live_eval runs depth 1 against depth
 // 32 as its before/after.
+//
+// Virtual time cuts the channel below the coalescer: it opens no
+// socket, flush() stages each datagram it would have handed sendmmsg,
+// and deliver_staged() hands the staged datagrams upward as recvmmsg
+// calls of recv_batch entries would. Everything above, the impairment,
+// the pending ring, the coalescing and the frame split, is the live
+// code (SessionConfig::virtual_time).
 #pragma once
 
 #include <cstdint>
@@ -139,10 +146,13 @@ class UdpChannel {
   /// the channel's own; it takes no pool slots to receive. Depth 1
   /// runs the same code with one datagram per sendmmsg and one entry
   /// per recvmmsg.
+  /// With `virtual_time` the channel opens no socket (rx_port is
+  /// unused) and moves datagrams through staged() instead.
   UdpChannel(net::ChannelConfig config, Rng rng, net::Simulator& timeline,
              util::FramePool& pool, std::uint16_t rx_port, std::string name = {},
              std::size_t max_datagram_bytes = 1400,
-             std::size_t send_batch = 32, std::size_t recv_batch = 32);
+             std::size_t send_batch = 32, std::size_t recv_batch = 32,
+             bool virtual_time = false);
 
   UdpChannel(const UdpChannel&) = delete;
   UdpChannel& operator=(const UdpChannel&) = delete;
@@ -198,6 +208,17 @@ class UdpChannel {
   /// whenever a full batch is pending, so backlogs never wait for the
   /// next pump.
   void flush(std::int64_t now_ns);
+
+  /// Virtual time: true while flush() has staged datagrams that
+  /// deliver_staged() has not handed upward (a readable socket).
+  [[nodiscard]] bool has_staged() const noexcept {
+    return !staged_ends_.empty();
+  }
+
+  /// Virtual time: hand every staged datagram upward, recv_batch
+  /// datagrams per batch callback as one recvmmsg would. Datagrams
+  /// staged by the callbacks wait for the next call.
+  void deliver_staged();
 
   /// True while frames are parked waiting for kernel buffer space — the
   /// endpoint mirrors this into the poller's EPOLLOUT interest
@@ -257,6 +278,9 @@ class UdpChannel {
   };
 
   void release(util::FrameRef frame, std::int64_t release_ns);
+  /// Virtual time's sendmmsg: copy each message's datagram into the
+  /// staging buffer; every message completes.
+  UdpSocket::BatchResult stage(std::span<mmsghdr> msgs);
   /// Split one datagram into frames, appending them to the pending batch.
   void split_into_batch(std::span<const std::uint8_t> datagram);
   /// Hand the pending batch upward and clear it.
@@ -268,6 +292,7 @@ class UdpChannel {
   }
 
   std::string name_;
+  bool virtual_time_;
   std::size_t max_datagram_bytes_;
   std::size_t send_batch_;
   UdpSocket rx_;
@@ -300,6 +325,13 @@ class UdpChannel {
   /// construction (full = forward early), so splitting never allocates.
   std::vector<std::span<const std::uint8_t>> rx_frames_;
   std::vector<std::int64_t> last_flush_release_ns_;
+  /// Virtual time: staged datagrams back to back, each one's end offset,
+  /// and the pair being delivered (swapped in, so callbacks that stage
+  /// more never touch the bytes the current batch views).
+  std::vector<std::uint8_t> staged_bytes_;
+  std::vector<std::size_t> staged_ends_;
+  std::vector<std::uint8_t> delivering_bytes_;
+  std::vector<std::size_t> delivering_ends_;
 
   /// EAGAIN recovery: EPOLLOUT is the primary wake-up, but a timer
   /// re-flush paced by decorrelated-jitter backoff backstops pollers

@@ -2,8 +2,9 @@
 // format, the receiver-side ReportBuilder, the RetransmitManager (RTO,
 // Karn, backoff budget, replay, exposure accounting, one timer per
 // outstanding packet), the per-flow Arq (RTO timers, retransmit order,
-// reports), the proactive redundancy planner, and the ReliableLink
-// end-to-end simulator driver.
+// reports), the report-datagram path through the session endpoint's
+// demux, and the proactive redundancy planner. The ARQ end to end runs
+// on virtual-time session endpoints in session_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +14,12 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "feedback/arq.hpp"
 #include "feedback/redundancy.hpp"
-#include "feedback/reliable_link.hpp"
 #include "feedback/report.hpp"
 #include "feedback/report_builder.hpp"
 #include "feedback/retransmit.hpp"
@@ -28,7 +29,7 @@
 #include "protocol/scheduler.hpp"
 #include "protocol/sender.hpp"
 #include "protocol/wire.hpp"
-#include "sss/shamir.hpp"
+#include "report_target.hpp"
 #include "util/ensure.hpp"
 #include "util/id_window.hpp"
 #include "util/rng.hpp"
@@ -612,24 +613,33 @@ TEST(RetransmitManager, AcksAWindowThatRunsPastTheTopOfTheIdSpace) {
   EXPECT_TRUE(mgr.exposure_mask(top - 1).has_value());
 }
 
+using test::report_target;
+
+ReceiverReport flow_report(std::uint64_t seq, std::uint64_t sack_base,
+                           std::vector<std::uint64_t> acked_ids) {
+  ReceiverReport r = ack_report(seq, sack_base, std::move(acked_ids));
+  r.connection_id = 1;
+  return r;
+}
+
 TEST(RetransmitManager, DatagramPathCountsMalformedAndAuthFailures) {
-  net::Simulator sim;
-  RetransmitManager mgr(sim, {}, Rng(9));
+  const auto plain = report_target(nullptr);
   // Garbage datagram, and an empty one.
-  mgr.on_report_datagram(std::vector<std::uint8_t>(32, 0xAB), 0);
-  EXPECT_EQ(mgr.stats().reports_malformed, 1u);
-  mgr.on_report_datagram({}, 0);
-  EXPECT_EQ(mgr.stats().reports_malformed, 2u);
-  // Unauthenticated report hitting a keyed manager.
-  const auto untagged = encode_report(ack_report(1, 1, {}));
-  mgr.on_report_datagram(untagged, 0, &kKey);
-  EXPECT_EQ(mgr.stats().reports_auth_failed, 1u);
+  plain->on_feedback_datagram(std::vector<std::uint8_t>(32, 0xAB), 0);
+  EXPECT_EQ(plain->stats().reports_malformed, 1u);
+  plain->on_feedback_datagram({}, 0);
+  EXPECT_EQ(plain->stats().reports_malformed, 2u);
+  // Unauthenticated report hitting a keyed endpoint.
+  const auto keyed = report_target(&kKey);
+  keyed->on_feedback_datagram(encode_report(flow_report(1, 1, {})), 0);
+  EXPECT_EQ(keyed->stats().reports_auth_failed, 1u);
   // Two coalesced valid reports parse in one datagram.
-  auto buf = encode_report(ack_report(1, 1, {}), &kKey);
-  const auto second = encode_report(ack_report(2, 1, {}), &kKey);
+  auto buf = encode_report(flow_report(1, 1, {}), &kKey);
+  const auto second = encode_report(flow_report(2, 1, {}), &kKey);
   buf.insert(buf.end(), second.begin(), second.end());
-  mgr.on_report_datagram(buf, 0, &kKey);
-  EXPECT_EQ(mgr.stats().reports_received, 2u);
+  keyed->on_feedback_datagram(buf, 0);
+  EXPECT_EQ(keyed->stats().reports_demuxed, 2u);
+  EXPECT_EQ(keyed->flow_manager(1)->stats().reports_received, 2u);
 }
 
 TEST(RetransmitManager, SurvivesAReportStorm) {
@@ -639,18 +649,16 @@ TEST(RetransmitManager, SurvivesAReportStorm) {
   // forward.
   RetransmitConfig config;
   config.max_retransmits = 0;
-  net::Simulator sim;
-  RetransmitManager mgr(sim, config, Rng(11));
+  const auto ep = report_target(&kKey, config, 64);
+  const RetransmitManager& mgr = *ep->flow_manager(1);
+  ASSERT_EQ(mgr.outstanding(), 64u);
   Rng rng(77);
-  const std::vector<int> channels{0};
-  for (std::uint64_t id = 1; id <= 64; ++id) {
-    mgr.on_packet_sent(id, 1, std::vector<std::uint8_t>{1}, channels, 0);
-  }
 
   std::uint64_t valid_sent = 0;
   for (int i = 0; i < 500; ++i) {
     auto bytes = encode_report(
-        ack_report(1 + rng.uniform_int(40), 1, {1 + rng.uniform_int(64)}), &kKey);
+        flow_report(1 + rng.uniform_int(40), 1, {1 + rng.uniform_int(64)}),
+        &kKey);
     switch (rng.uniform_int(4)) {
       case 0:  // valid (possibly replayed seq)
         ++valid_sent;
@@ -665,11 +673,13 @@ TEST(RetransmitManager, SurvivesAReportStorm) {
         bytes[0] ^= 0xFF;
         break;
     }
-    mgr.on_report_datagram(bytes, static_cast<std::int64_t>(i), &kKey);
+    ep->on_feedback_datagram(bytes, static_cast<std::int64_t>(i));
   }
   const auto& s = mgr.stats();
+  const auto& st = ep->stats();
   EXPECT_EQ(s.reports_received, valid_sent);
-  EXPECT_EQ(s.reports_received + s.reports_malformed + s.reports_auth_failed,
+  EXPECT_EQ(st.reports_demuxed, s.reports_received);
+  EXPECT_EQ(st.reports_demuxed + st.reports_malformed + st.reports_auth_failed,
             500u);
   EXPECT_LE(s.reports_replayed, s.reports_received);
   EXPECT_LE(s.packets_acked, 64u);
@@ -1070,200 +1080,22 @@ TEST(Arq, ReportBytesMatchTheSlidingBitmapReference) {
   EXPECT_GT(reports, 10'000u);
 }
 
-// ------------------------------------------------------------ ReliableLink
-
-struct ReliableTestbed {
-  net::Simulator sim;
-  std::vector<std::unique_ptr<net::SimChannel>> channels;
-  std::unique_ptr<net::SimChannel> feedback;
-  std::unique_ptr<proto::Receiver> receiver;
-  std::unique_ptr<proto::Sender> sender;
-  std::unique_ptr<ReliableLink> link;
-  std::map<std::uint64_t, std::vector<std::uint8_t>> delivered;
-
-  ReliableTestbed(std::vector<net::ChannelConfig> configs,
-                  net::ChannelConfig feedback_config,
-                  std::unique_ptr<proto::ShareScheduler> scheduler,
-                  ReliableLinkConfig link_config, std::uint64_t seed,
-                  std::optional<crypto::SipHashKey> wire_key = std::nullopt) {
-    Rng seeder(seed);
-    std::vector<net::SimChannel*> raw;
-    for (auto& cfg : configs) {
-      channels.push_back(
-          std::make_unique<net::SimChannel>(sim, cfg, seeder.fork()));
-      raw.push_back(channels.back().get());
-    }
-    feedback = std::make_unique<net::SimChannel>(sim, feedback_config,
-                                                 seeder.fork());
-    proto::ReceiverConfig rx_config;
-    rx_config.auth_key = wire_key;
-    receiver = std::make_unique<proto::Receiver>(sim, rx_config);
-    sender = std::make_unique<proto::Sender>(
-        sim, raw, std::move(scheduler), seeder.fork(), /*cpu=*/nullptr,
-        proto::SenderConfig{.auth_key = wire_key});
-    link = std::make_unique<ReliableLink>(sim, *sender, *receiver, raw,
-                                          *feedback, std::move(link_config),
-                                          seeder.fork());
-    link->set_deliver([this](std::uint64_t id, std::vector<std::uint8_t> p) {
-      delivered[id] = std::move(p);
-    });
-  }
-};
-
-std::vector<net::ChannelConfig> lossy_channels(int n, double loss) {
-  net::ChannelConfig cfg;
-  cfg.rate_bps = 20e6;
-  cfg.loss = loss;
-  cfg.delay = net::from_millis(1);
-  std::vector<net::ChannelConfig> v(static_cast<std::size_t>(n), cfg);
-  return v;
-}
-
-ReliableLinkConfig arq_config() {
-  ReliableLinkConfig cfg;
-  cfg.retransmit.max_retransmits = 6;
-  cfg.retransmit.initial_rto_ns = 100'000'000;
-  cfg.retransmit.min_rto_ns = 30'000'000;
-  cfg.report_interval = net::from_millis(20);
-  cfg.retransmit_extra = 1;
-  return cfg;
-}
-
-TEST(ReliableLink, ArqRecoversPacketsBestEffortLoses) {
-  // kappa = mu = 2 on 5%-lossy channels leaves zero share slack: ~9.7%
-  // of packets die without ARQ. The reliable link must recover
-  // essentially all of them within the run's drain time.
-  const int count = 300;
-  ReliableTestbed t(lossy_channels(3, 0.05), {.rate_bps = 10e6, .loss = 0.1},
-                    std::make_unique<proto::DynamicScheduler>(2.0, 2.0, 3),
-                    arq_config(), /*seed=*/21);
-  for (int i = 0; i < count; ++i) {
-    t.sim.schedule_at(net::from_micros(static_cast<double>(i) * 1000),
-                      [&t] { (void)t.sender->send({1, 2, 3, 4}); });
-  }
-  t.sim.run_until(net::from_seconds(4.0));
-
-  EXPECT_GE(t.delivered.size(), static_cast<std::size_t>(count) - 1)
-      << "ARQ should deliver >= 99.9%";
-  const auto& stats = t.link->manager().stats();
-  EXPECT_GT(stats.retransmits, 0u);
-  EXPECT_GT(stats.packets_acked, 0u);
-  EXPECT_GT(stats.rtt_samples, 0u);
-  EXPECT_GT(t.link->stats().reports_sent, 0u);
-  // Retransmissions widen realized exposure beyond the initial plan.
-  EXPECT_GE(stats.exposure_channel_sum, stats.initial_channel_sum);
-}
-
-TEST(ReliableLink, ExposureNeverShrinksAndCoversInitial) {
-  ReliableTestbed t(lossy_channels(3, 0.08), {.rate_bps = 10e6},
-                    std::make_unique<proto::DynamicScheduler>(2.0, 2.0, 3),
-                    arq_config(), /*seed=*/33);
-  for (int i = 0; i < 200; ++i) {
-    t.sim.schedule_at(net::from_micros(static_cast<double>(i) * 1000),
-                      [&t] { (void)t.sender->send({5, 6, 7}); });
-  }
-  t.sim.run_until(net::from_seconds(3.0));
-
-  auto packets = t.link->manager().drain_closed();
-  const auto open = t.link->manager().snapshot_open();
-  packets.insert(packets.end(), open.begin(), open.end());
-  ASSERT_EQ(packets.size(), 200u);
-  for (const auto& p : packets) {
-    EXPECT_EQ(p.exposure_mask & p.initial_mask, p.initial_mask)
-        << "packet " << p.packet_id;
-    if (p.retransmits == 0) {
-      EXPECT_EQ(p.exposure_mask, p.initial_mask);
-    }
-  }
-}
-
-TEST(ReliableLink, SmallSackWindowSendsEarlyReports) {
-  // A one-word SACK window covers 64 ids, and a report is due once 32
-  // deliveries accumulated. 96 packets delivered within the first 10 ms
-  // must therefore be reported (and acked) before the first periodic
-  // report at 20 ms.
-  ReliableLinkConfig cfg = arq_config();
-  cfg.sack_window_words = 1;
-  ReliableTestbed t(lossy_channels(3, 0.0), {.rate_bps = 10e6},
-                    std::make_unique<proto::DynamicScheduler>(2.0, 2.0, 3),
-                    std::move(cfg), /*seed=*/17);
-  for (int i = 0; i < 96; ++i) {
-    t.sim.schedule_at(net::from_micros(static_cast<double>(i) * 50),
-                      [&t] { (void)t.sender->send({1, 2, 3, 4}); });
-  }
-  t.sim.run_until(net::from_millis(15));
-  EXPECT_EQ(t.delivered.size(), 96u);
-  EXPECT_EQ(t.link->stats().reports_sent, 3u);
-  EXPECT_EQ(t.link->manager().stats().packets_acked, 96u);
-  EXPECT_EQ(t.link->manager().outstanding(), 0u);
-}
-
-TEST(ReliableLink, DeterministicGivenSeed) {
-  const auto run = [](std::uint64_t seed) {
-    ReliableTestbed t(lossy_channels(3, 0.05),
-                      {.rate_bps = 10e6, .loss = 0.1},
-                      std::make_unique<proto::DynamicScheduler>(2.0, 2.0, 3),
-                      arq_config(), seed);
-    for (int i = 0; i < 100; ++i) {
-      t.sim.schedule_at(net::from_micros(static_cast<double>(i) * 1000),
-                        [&t] { (void)t.sender->send({1, 2}); });
-    }
-    t.sim.run_until(net::from_seconds(2.0));
-    return std::tuple{t.delivered.size(),
-                      t.link->manager().stats().retransmits,
-                      t.link->manager().stats().packets_acked,
-                      t.link->manager().stats().exposure_channel_sum};
-  };
-  EXPECT_EQ(run(42), run(42));
-  EXPECT_NE(run(42), run(43));  // the loss draws actually differ
-}
-
-TEST(ReliableLink, AuthenticatedReportsRejectForgeries) {
-  ReliableLinkConfig cfg = arq_config();
-  cfg.report_auth_key = kKey;
-  ReliableTestbed t(lossy_channels(2, 0.0), {.rate_bps = 10e6},
-                    std::make_unique<proto::DynamicScheduler>(2.0, 2.0, 2),
-                    std::move(cfg), /*seed=*/9);
-  (void)t.sender->send({1, 2, 3});
-  // A forged (unkeyed) report injected onto the feedback channel must be
-  // rejected; the genuine keyed reports keep flowing.
-  t.sim.schedule_at(net::from_millis(5), [&t] {
-    (void)t.feedback->try_send(encode_report(ack_report(99, 1, {1})));
-  });
-  t.sim.run_until(net::from_seconds(0.5));
-  EXPECT_EQ(t.link->manager().stats().reports_auth_failed, 1u);
-  EXPECT_GT(t.link->manager().stats().reports_received, 0u);
-  EXPECT_EQ(t.delivered.size(), 1u);
-}
-
-TEST(ReliableLink, KeyedLinkCountsForgedFramesUndecodable) {
-  // A share frame tagged under the wrong key and a frame that is no
-  // frame at all arrive on channel 0 of a keyed link: the receiver
-  // counts one auth failure and one malformed frame, and neither
-  // disturbs the genuine packet.
-  ReliableTestbed t(lossy_channels(2, 0.0), {.rate_bps = 10e6},
-                    std::make_unique<proto::DynamicScheduler>(2.0, 2.0, 2),
-                    arq_config(), /*seed=*/9, kKey);
-  (void)t.sender->send({1, 2, 3});
-  t.sim.schedule_at(net::from_millis(5), [&t] {
-    proto::ShareFrame forged;
-    forged.packet_id = 7;
-    forged.k = 2;
-    forged.share_index = 1;
-    forged.payload = {9, 9, 9};
-    const crypto::SipHashKey wrong{};
-    (void)t.channels[0]->try_send(proto::encode(forged, &wrong));
-    (void)t.channels[0]->try_send({0x52, 0x4D, 1, 2});
-  });
-  t.sim.run_until(net::from_seconds(0.5));
-  EXPECT_EQ(t.receiver->stats().frames_received, 4u);
-  EXPECT_EQ(t.receiver->stats().auth_failures, 1u);
-  EXPECT_EQ(t.receiver->stats().malformed_frames, 1u);
-  EXPECT_EQ(t.receiver->stats().packets_delivered, 1u);
-  EXPECT_EQ(t.delivered.size(), 1u);
-}
-
 // --------------------------------------------- re-split + receiver behavior
+
+/// Packet 1's m shares of `payload` under k = 2, tagged `generation`,
+/// one frame each, as the session's emit writes them.
+std::vector<std::vector<std::uint8_t>> resplit(
+    std::span<const std::uint8_t> payload, std::uint8_t generation,
+    std::size_t m, Rng& rng) {
+  std::vector<std::vector<std::uint8_t>> frames(
+      m, std::vector<std::uint8_t>(
+             proto::encoded_size(payload.size(), generation, false)));
+  std::vector<std::span<std::uint8_t>> spans(frames.begin(), frames.end());
+  std::vector<std::uint8_t> scratch;
+  proto::write_shares({.packet_id = 1, .k = 2, .generation = generation},
+                      payload, spans, nullptr, scratch, rng);
+  return frames;
+}
 
 TEST(Resend, FreshShareBytesStillReconstruct) {
   // The ISSUE's acceptance test: a retransmitted share must carry
@@ -1293,11 +1125,7 @@ TEST(Resend, FreshShareBytesStillReconstruct) {
   ASSERT_EQ(captured.size(), 2u);  // generation-0 shares
   const auto originals = captured;
 
-  captured.clear();
-  const std::vector<int> both{0, 1};
-  sender.resend(1, 1, payload, 2, both);
-  sim.run();
-  ASSERT_EQ(captured.size(), 2u);  // generation-1 shares
+  captured = resplit(payload, 1, 2, seeder);  // generation-1 shares
 
   std::map<std::uint8_t, proto::ShareFrame> gen0, gen1;
   for (const auto& bytes : originals) {
@@ -1316,8 +1144,6 @@ TEST(Resend, FreshShareBytesStillReconstruct) {
       EXPECT_NE(gen0[f->share_index].payload, f->payload);
     }
   }
-  EXPECT_EQ(sender.stats().packets_retransmitted, 1u);
-  EXPECT_EQ(sender.stats().shares_retransmitted, 2u);
 
   // The retransmitted generation reconstructs on its own.
   proto::Receiver rx(sim);
@@ -1337,18 +1163,7 @@ TEST(Resend, ReceiverSupersedesOldGenerationAndDropsStale) {
   Rng rng(61);
   const std::vector<std::uint8_t> payload{1, 2, 3, 4};
   auto gen_frames = [&](std::uint8_t generation) {
-    auto shares = sss::split(payload, 2, 2, rng);
-    std::vector<std::vector<std::uint8_t>> frames;
-    for (const auto& s : shares) {
-      proto::ShareFrame f;
-      f.packet_id = 1;
-      f.k = 2;
-      f.share_index = s.index;
-      f.generation = generation;
-      f.payload = s.data;
-      frames.push_back(proto::encode(f));
-    }
-    return frames;
+    return resplit(payload, generation, 2, rng);
   };
 
   proto::Receiver rx(sim);

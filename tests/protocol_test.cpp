@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -341,9 +342,19 @@ TEST(EndToEnd, SenderRejectsOversizedPacket) {
 
 // ------------------------------------------------------------ wire bytes
 
+std::string to_hex(std::span<const std::uint8_t> frame) {
+  std::string hex;
+  for (std::uint8_t b : frame) {
+    hex += "0123456789abcdef"[b >> 4];
+    hex += "0123456789abcdef"[b & 0xF];
+  }
+  return hex;
+}
+
 /// Every frame a seeded Sender hands its three channels for one packet
-/// (k = 2 over all three) and one retransmission of it (generation 3 on
-/// channels 2 and 0), as hex in arrival order.
+/// (k = 2 over all three), as hex in arrival order, then one
+/// retransmission of it (generation 3, two shares) that write_shares
+/// writes from a twin of the sender's Rng, advanced past the first send.
 std::vector<std::string> emitted_frames(
     std::optional<crypto::SipHashKey> key) {
   net::Simulator sim;
@@ -356,23 +367,36 @@ std::vector<std::string> emitted_frames(
         sim, net::ChannelConfig{.rate_bps = 10e6}, seeder.fork()));
     raw.push_back(channels.back().get());
     raw.back()->set_receiver([&frames](std::vector<std::uint8_t> frame) {
-      std::string hex;
-      for (std::uint8_t b : frame) {
-        hex += "0123456789abcdef"[b >> 4];
-        hex += "0123456789abcdef"[b & 0xF];
-      }
-      frames.push_back(std::move(hex));
+      frames.push_back(to_hex(frame));
     });
   }
+  const Rng sender_rng = seeder.fork();
   Sender sender(sim, raw,
                 std::make_unique<FixedScheduler>(2, std::vector<int>{0, 1, 2}),
-                seeder.fork(), nullptr, SenderConfig{.auth_key = key});
+                sender_rng, nullptr, SenderConfig{.auth_key = key});
   const std::vector<std::uint8_t> payload{0xDE, 0xAD, 0xBE, 0xEF, 0x42};
   EXPECT_TRUE(sender.send(payload));
   sim.run();
-  const std::vector<int> retry{2, 0};
-  sender.resend(1, 3, payload, 2, retry);
-  sim.run();
+
+  Rng twin = sender_rng;
+  const crypto::SipHashKey* k = key ? &*key : nullptr;
+  std::vector<std::uint8_t> scratch;
+  const auto write = [&](std::uint8_t generation, std::size_t m) {
+    std::vector<std::vector<std::uint8_t>> out(
+        m, std::vector<std::uint8_t>(
+               encoded_size(payload.size(), generation, k != nullptr)));
+    std::vector<std::span<std::uint8_t>> spans(out.begin(), out.end());
+    write_shares({.packet_id = 1, .k = 2, .generation = generation}, payload,
+                 spans, k, scratch, twin);
+    return out;
+  };
+  // The twin writes the sender's frames first: same bytes, same draws.
+  const auto first = write(0, 3);
+  EXPECT_EQ(frames.size(), first.size());
+  for (std::size_t j = 0; j < first.size() && j < frames.size(); ++j) {
+    EXPECT_EQ(frames[j], to_hex(first[j])) << "share " << j + 1;
+  }
+  for (const auto& frame : write(3, 2)) frames.push_back(to_hex(frame));
   return frames;
 }
 

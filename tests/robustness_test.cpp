@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "feedback/report.hpp"
@@ -11,6 +12,8 @@
 #include "net/simulator.hpp"
 #include "protocol/receiver.hpp"
 #include "protocol/wire.hpp"
+#include "report_target.hpp"
+#include "session/session_endpoint.hpp"
 #include "sss/share.hpp"
 #include "util/rng.hpp"
 
@@ -117,28 +120,23 @@ feedback::ReceiverReport random_report(Rng& rng) {
 
 TEST(Fuzz, ReportDatagramsSurviveMutation) {
   // Seeded random bytes and mutated valid reports, coalesced or not,
-  // into a keyless and a keyed manager with packets outstanding near
-  // both ends of the id space. Every datagram lands in at least one
-  // counter, nothing crashes, and the ack bookkeeping stays whole.
+  // into a keyless and a keyed endpoint's demux, half of them aimed at
+  // its flow (half of those replays), with SACK bases near both ends of
+  // the id space. Every
+  // datagram lands in at least one session counter, nothing crashes,
+  // and the flow's ack bookkeeping stays whole.
   const crypto::SipHashKey key{3, 1, 4, 1, 5, 9, 2, 6,
                                5, 3, 5, 8, 9, 7, 9, 3};
-  net::Simulator sim;
-  feedback::RetransmitManager plain(sim, {}, Rng(21));
-  feedback::RetransmitManager keyed(sim, {}, Rng(22));
-  const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
-  const std::vector<int> channels{0, 1};
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    for (const std::uint64_t id : {1 + i, top - i}) {
-      plain.on_packet_sent(id, 2, std::vector<std::uint8_t>{1}, channels, 0);
-      keyed.on_packet_sent(id, 2, std::vector<std::uint8_t>{1}, channels, 0);
-    }
-  }
-  const auto counted = [](const feedback::RetransmitStats& st) {
-    return st.reports_received + st.reports_malformed +
-           st.reports_auth_failed;
+  const auto plain = test::report_target(nullptr, {}, 64);
+  const auto keyed = test::report_target(&key, {}, 64);
+  const auto counted = [](const session::SessionStats& st) {
+    return st.reports_demuxed + st.reports_malformed +
+           st.reports_auth_failed + st.reports_without_connection +
+           st.reports_unknown_connection;
   };
 
   Rng rng(23);
+  std::uint64_t fresh_seq = 1000;  // above every random_report seq
   for (int i = 0; i < 20000; ++i) {
     std::vector<std::uint8_t> datagram;
     if (rng.uniform_int(4) == 0) {
@@ -147,8 +145,14 @@ TEST(Fuzz, ReportDatagramsSurviveMutation) {
       const std::size_t reports = 1 + rng.uniform_int(3);
       const bool tag = rng.bernoulli(0.5);
       for (std::size_t r = 0; r < reports; ++r) {
+        feedback::ReceiverReport report = random_report(rng);
+        if (rng.bernoulli(0.5)) {
+          // Aimed at the flow: a fresh seq, or a random one to replay.
+          report.connection_id = 1;
+          if (rng.bernoulli(0.5)) report.seq = ++fresh_seq;
+        }
         const auto bytes =
-            feedback::encode_report(random_report(rng), tag ? &key : nullptr);
+            feedback::encode_report(report, tag ? &key : nullptr);
         datagram.insert(datagram.end(), bytes.begin(), bytes.end());
       }
       switch (rng.uniform_int(5)) {
@@ -173,25 +177,27 @@ TEST(Fuzz, ReportDatagramsSurviveMutation) {
           break;
       }
     }
-    const std::uint64_t before_plain = counted(plain.stats());
-    const std::uint64_t before_keyed = counted(keyed.stats());
+    const std::uint64_t before_plain = counted(plain->stats());
+    const std::uint64_t before_keyed = counted(keyed->stats());
     const auto now = static_cast<std::int64_t>(i);
-    plain.on_report_datagram(datagram, now);
-    keyed.on_report_datagram(datagram, now, &key);
-    ASSERT_GT(counted(plain.stats()), before_plain) << "datagram " << i;
-    ASSERT_GT(counted(keyed.stats()), before_keyed) << "datagram " << i;
+    plain->on_feedback_datagram(datagram, now);
+    keyed->on_feedback_datagram(datagram, now);
+    ASSERT_GT(counted(plain->stats()), before_plain) << "datagram " << i;
+    ASSERT_GT(counted(keyed->stats()), before_keyed) << "datagram " << i;
   }
-  for (const auto* mgr : {&plain, &keyed}) {
-    const auto& st = mgr->stats();
-    EXPECT_EQ(st.packets_tracked, 128u);
-    EXPECT_EQ(mgr->outstanding() + st.packets_acked + st.packets_displaced +
+  for (session::SessionEndpoint* ep : {plain.get(), keyed.get()}) {
+    const feedback::RetransmitManager& mgr = *ep->flow_manager(1);
+    const auto& st = mgr.stats();
+    EXPECT_EQ(st.packets_tracked, 64u);
+    EXPECT_EQ(mgr.outstanding() + st.packets_acked + st.packets_displaced +
                   st.packets_abandoned,
               st.packets_tracked);
     EXPECT_LE(st.reports_replayed, st.reports_received);
+    EXPECT_EQ(st.reports_received, ep->stats().reports_demuxed);
   }
-  EXPECT_GT(plain.stats().reports_received, 0u);
-  EXPECT_GT(plain.stats().packets_acked, 0u);
-  EXPECT_GT(keyed.stats().reports_auth_failed, 0u);
+  EXPECT_GT(plain->flow_manager(1)->stats().reports_received, 0u);
+  EXPECT_GT(plain->flow_manager(1)->stats().packets_acked, 0u);
+  EXPECT_GT(keyed->stats().reports_auth_failed, 0u);
 }
 
 // ---------------------------------------------------------------- receiver

@@ -12,11 +12,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <set>
+#include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -1340,6 +1344,410 @@ TEST(Session, DefaultFeedbackLaneCarriesACoalescedReportBurst) {
     retransmits += ep.flow_sender_stats(cid)->packets_retransmitted;
   }
   EXPECT_EQ(retransmits, 0u);
+}
+
+// ----------------------------------------------------------- virtual time
+//
+// The same endpoint on the timeline's clock: no sockets, datagrams
+// staged between a channel's flush and the loop's receive step. These
+// are the ARQ's end-to-end tests, and the oracle that the two clocks
+// make the same decisions.
+
+const crypto::SipHashKey kReportKey{1, 2,  3,  4,  5,  6,  7,  8,
+                                    9, 10, 11, 12, 13, 14, 15, 16};
+
+/// `n` channels of 20 Mbps, `loss` and 1 ms, kappa = mu = 2, and the ARQ
+/// the reliability bench runs: six retransmissions, RTO 100 ms (30 ms
+/// floor), a report every 20 ms and one extra share per repair.
+SessionConfig virtual_arq_config(int n, double loss,
+                                 net::ChannelConfig feedback,
+                                 std::uint64_t seed) {
+  SessionConfig config;
+  config.virtual_time = true;
+  config.seed = seed;
+  for (int i = 0; i < n; ++i) {
+    config.channels.push_back({net::ChannelConfig{.rate_bps = 20e6,
+                                                  .loss = loss,
+                                                  .delay = net::from_millis(1)},
+                               "ch" + std::to_string(i)});
+  }
+  config.kappa = 2.0;
+  config.mu = 2.0;
+  config.reliability.enabled = true;
+  config.reliability.retransmit.max_retransmits = 6;
+  config.reliability.retransmit.initial_rto_ns = 100'000'000;
+  config.reliability.retransmit.min_rto_ns = 30'000'000;
+  config.reliability.report_interval_ns = 20'000'000;
+  config.reliability.retransmit_extra = 1;
+  config.reliability.feedback_channel = feedback;
+  return config;
+}
+
+/// One emission as set_on_emit saw it.
+struct Emit {
+  std::uint64_t id = 0;
+  std::uint8_t generation = 0;
+  int k = 0;
+  std::vector<int> channels;
+  friend bool operator==(const Emit&, const Emit&) = default;
+};
+
+std::string describe(const Emit& e) {
+  std::string out = "(id " + std::to_string(e.id) + ", generation " +
+                    std::to_string(e.generation) + ", k " +
+                    std::to_string(e.k) + ", channels {";
+  for (std::size_t i = 0; i < e.channels.size(); ++i) {
+    out += (i != 0 ? "," : "") + std::to_string(e.channels[i]);
+  }
+  return out + "})";
+}
+
+/// Every emission of one endpoint plus, per packet, the mask of its
+/// first one and the union over all of them.
+struct EmitLog {
+  struct Masks {
+    std::uint32_t initial = 0;
+    std::uint32_t exposure = 0;
+    int retransmits = 0;
+  };
+  std::vector<Emit> emits;
+  std::map<std::uint64_t, Masks> packets;
+  std::uint64_t shares_retransmitted = 0;
+
+  explicit EmitLog(SessionEndpoint& ep) {
+    ep.set_on_emit([this](std::uint32_t, std::uint64_t id,
+                          std::uint8_t generation, int k,
+                          std::span<const int> channels) {
+      emits.push_back({id, generation, k, {channels.begin(), channels.end()}});
+      std::uint32_t mask = 0;
+      for (const int c : channels) mask |= std::uint32_t{1} << c;
+      Masks& m = packets[id];
+      if (generation == 0) {
+        m.initial = mask;
+      } else {
+        ++m.retransmits;
+        shares_retransmitted += channels.size();
+      }
+      m.exposure |= mask;
+    });
+  }
+};
+
+/// Send `count` copies of `payload` on `cid`, one every `interval_ns`
+/// from time 0, then run the endpoint to `end_ns`.
+void send_paced(SessionEndpoint& ep, std::uint32_t cid, int count,
+                std::int64_t interval_ns,
+                const std::vector<std::uint8_t>& payload,
+                std::int64_t end_ns) {
+  for (int i = 0; i < count; ++i) {
+    EXPECT_TRUE(ep.send(cid, payload)) << "packet " << i;
+    ep.run_for(interval_ns);
+  }
+  ep.run_for(std::max<std::int64_t>(end_ns - ep.now_ns(), 0));
+}
+
+TEST(VirtualTime, RunForEndsAtItsDeadlineAndOpensNoSocket) {
+  SessionConfig config = virtual_arq_config(2, 0.0, {}, 3);
+  SessionEndpoint ep(std::move(config));
+  EXPECT_EQ(ep.channel(0).rx_fd(), -1);
+  EXPECT_EQ(ep.channel(0).tx_fd(), -1);
+  ep.run_for(7'500'000'001);
+  EXPECT_EQ(ep.now_ns(), 7'500'000'001);
+  ep.run_for(0);
+  EXPECT_EQ(ep.now_ns(), 7'500'000'001);
+  EXPECT_EQ(ep.poller().wait_calls(), 0u);
+
+  SessionConfig telemetry = virtual_arq_config(2, 0.0, {}, 3);
+  telemetry.telemetry.enabled = true;
+  EXPECT_THROW(SessionEndpoint{std::move(telemetry)}, PreconditionError);
+}
+
+TEST(VirtualTimeReliability, ArqRecoversPacketsBestEffortLoses) {
+  // kappa = mu = 2 on 5%-lossy channels leaves zero share slack: ~9.7%
+  // of packets die without ARQ. The endpoint's ARQ must recover
+  // essentially all of them within the run's drain time.
+  constexpr int kCount = 300;
+  SessionEndpoint ep(virtual_arq_config(3, 0.05,
+                                        {.rate_bps = 10e6, .loss = 0.1}, 21));
+  EmitLog log(ep);
+  std::map<std::uint64_t, std::vector<std::uint8_t>> delivered;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t id,
+                     std::vector<std::uint8_t> payload) {
+    delivered[id] = std::move(payload);
+  });
+  const std::uint32_t cid = open_one_flow(ep);
+  send_paced(ep, cid, kCount, 1'000'000, {1, 2, 3, 4}, 4'000'000'000);
+
+  EXPECT_GE(delivered.size(), static_cast<std::size_t>(kCount) - 1)
+      << "ARQ should deliver >= 99.9%";
+  const auto& stats = ep.flow_manager(cid)->stats();
+  EXPECT_GT(stats.retransmits, 0u);
+  EXPECT_GT(stats.packets_acked, 0u);
+  EXPECT_GT(stats.rtt_samples, 0u);
+  EXPECT_GT(ep.stats().reports_sent, 0u);
+  // Retransmissions widen realized exposure beyond the initial plan.
+  EXPECT_GE(stats.exposure_channel_sum, stats.initial_channel_sum);
+  // Each retransmission is one re-split, counted with its shares.
+  const proto::SenderStats& sender = *ep.flow_sender_stats(cid);
+  EXPECT_EQ(sender.packets_retransmitted, stats.retransmits);
+  EXPECT_EQ(sender.shares_retransmitted, log.shares_retransmitted);
+}
+
+TEST(VirtualTimeReliability, ExposureNeverShrinksAndCoversInitial) {
+  SessionEndpoint ep(virtual_arq_config(3, 0.08, {.rate_bps = 10e6}, 33));
+  EmitLog log(ep);
+  const std::uint32_t cid = open_one_flow(ep);
+  send_paced(ep, cid, 200, 1'000'000, {5, 6, 7}, 3'000'000'000);
+
+  ASSERT_EQ(log.packets.size(), 200u);
+  std::uint64_t initial_sum = 0;
+  std::uint64_t exposure_sum = 0;
+  for (const auto& [id, p] : log.packets) {
+    EXPECT_EQ(p.exposure & p.initial, p.initial) << "packet " << id;
+    if (p.retransmits == 0) {
+      EXPECT_EQ(p.exposure, p.initial) << "packet " << id;
+    }
+    initial_sum += static_cast<std::uint64_t>(std::popcount(p.initial));
+    exposure_sum += static_cast<std::uint64_t>(std::popcount(p.exposure));
+  }
+  // The manager's accounting matches the wire: closed packets in its
+  // sums, the cutoff's still-open ones record by record.
+  const feedback::RetransmitManager& manager = *ep.flow_manager(cid);
+  EXPECT_EQ(manager.stats().packets_tracked, 200u);
+  std::uint64_t open_initial = 0;
+  std::uint64_t open_exposure = 0;
+  for (const feedback::ClosedPacket& open : manager.snapshot_open()) {
+    const EmitLog::Masks& p = log.packets.at(open.packet_id);
+    EXPECT_EQ(open.initial_mask, p.initial);
+    EXPECT_EQ(open.exposure_mask, p.exposure);
+    EXPECT_EQ(open.retransmits, p.retransmits);
+    open_initial += static_cast<std::uint64_t>(std::popcount(p.initial));
+    open_exposure += static_cast<std::uint64_t>(std::popcount(p.exposure));
+  }
+  EXPECT_EQ(manager.stats().initial_channel_sum + open_initial, initial_sum);
+  EXPECT_EQ(manager.stats().exposure_channel_sum + open_exposure,
+            exposure_sum);
+}
+
+TEST(VirtualTimeReliability, SmallSackWindowSendsEarlyReports) {
+  // A one-word SACK window covers 64 ids, and a report is due once 32
+  // deliveries accumulated. 96 packets delivered within the first 10 ms
+  // must therefore be reported (and acked) before the first periodic
+  // report at 20 ms.
+  SessionConfig config = virtual_arq_config(3, 0.0, {.rate_bps = 10e6}, 17);
+  config.reliability.sack_window_words = 1;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const std::uint32_t cid = open_one_flow(ep);
+  send_paced(ep, cid, 96, 50'000, {1, 2, 3, 4}, 15'000'000);
+  EXPECT_EQ(delivered, 96u);
+  EXPECT_EQ(ep.stats().reports_sent, 3u);
+  EXPECT_EQ(ep.flow_manager(cid)->stats().packets_acked, 96u);
+  EXPECT_EQ(ep.flow_manager(cid)->outstanding(), 0u);
+}
+
+TEST(VirtualTimeReliability, DeterministicGivenSeed) {
+  const auto run = [](std::uint64_t seed) {
+    SessionEndpoint ep(virtual_arq_config(
+        3, 0.05, {.rate_bps = 10e6, .loss = 0.1}, seed));
+    std::size_t delivered = 0;
+    ep.set_deliver([&](std::uint32_t, std::uint64_t,
+                       std::vector<std::uint8_t>) { ++delivered; });
+    const std::uint32_t cid = open_one_flow(ep);
+    send_paced(ep, cid, 100, 1'000'000, {1, 2}, 2'000'000'000);
+    const auto& stats = ep.flow_manager(cid)->stats();
+    return std::tuple{delivered, stats.retransmits, stats.packets_acked,
+                      stats.exposure_channel_sum};
+  };
+  EXPECT_EQ(run(42), run(42));
+  EXPECT_NE(run(42), run(43));  // the loss draws actually differ
+}
+
+TEST(VirtualTimeReliability, AuthenticatedReportsRejectForgeries) {
+  SessionConfig config = virtual_arq_config(2, 0.0, {.rate_bps = 10e6}, 9);
+  config.reliability.report_auth_key = kReportKey;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const std::uint32_t cid = open_one_flow(ep);
+  ASSERT_TRUE(ep.send(cid, {1, 2, 3}));
+  // A forged (unkeyed) report fed to the feedback demux must be
+  // rejected; the genuine keyed reports keep flowing.
+  ep.run_for(5'000'000);
+  feedback::ReceiverReport forged;
+  forged.seq = 99;
+  forged.sack_base = 1;
+  forged.sack = {1};
+  forged.connection_id = cid;
+  ep.on_feedback_datagram(feedback::encode_report(forged), ep.now_ns());
+  ep.run_for(495'000'000);
+  EXPECT_EQ(ep.stats().reports_auth_failed, 1u);
+  EXPECT_GT(ep.flow_manager(cid)->stats().reports_received, 0u);
+  EXPECT_EQ(delivered, 1u);
+}
+
+TEST(VirtualTimeReliability, KeyedLinkCountsForgedFramesUndecodable) {
+  // A share frame tagged under the wrong key and a frame that is no
+  // frame at all arrive on channel 0 of a keyed endpoint: the demux
+  // counts one auth failure and one undecodable frame, neither reaches
+  // the flow's receiver, and the genuine packet is delivered.
+  SessionConfig config = virtual_arq_config(2, 0.0, {.rate_bps = 10e6}, 9);
+  config.auth_key = kReportKey;
+  SessionEndpoint ep(std::move(config));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint32_t, std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  const std::uint32_t cid = open_one_flow(ep);
+  ASSERT_TRUE(ep.send(cid, {1, 2, 3}));
+  ep.run_for(5'000'000);
+  proto::ShareFrame forged;
+  forged.packet_id = 7;
+  forged.k = 2;
+  forged.share_index = 1;
+  forged.payload = {9, 9, 9};
+  const crypto::SipHashKey wrong{};
+  EXPECT_TRUE(ep.channel(0).try_send(
+      std::span<const std::uint8_t>(proto::encode(forged, &wrong)),
+      ep.now_ns()));
+  const std::vector<std::uint8_t> garbage{0x52, 0x4D, 1, 2};
+  EXPECT_TRUE(ep.channel(0).try_send(std::span<const std::uint8_t>(garbage),
+                                     ep.now_ns()));
+  ep.run_for(495'000'000);
+  const session::SessionStats& st = ep.stats();
+  EXPECT_EQ(st.frames_auth_failed, 1u);
+  EXPECT_EQ(st.frames_undecodable, 1u);
+  EXPECT_EQ(st.frames_demuxed + st.frames_auth_failed + st.frames_undecodable,
+            4u);
+  const proto::Receiver& receiver = *ep.flow_receiver(cid);
+  EXPECT_EQ(receiver.stats().frames_received, 2u);
+  EXPECT_EQ(receiver.stats().packets_delivered, 1u);
+  EXPECT_EQ(delivered, 1u);
+}
+
+/// What one two-clock run emitted and delivered.
+struct TwoClockRun {
+  std::vector<Emit> emits;
+  std::set<std::uint64_t> delivered;
+  std::uint64_t sent = 0;
+};
+
+/// One seeded single-flow workload: 120 slices of 1 ms, each opening
+/// with a burst of 1-3 packets of 16-415 bytes, over live_eval's
+/// fastpath channels (1 Tbps, no loss, no delay: the impairment stays
+/// out of the way), reliability on with an RTO no run reaches. Then it
+/// drains until every packet is delivered and acked (at most 5 s).
+TwoClockRun run_two_clock_workload(bool virtual_time) {
+  SessionConfig config;
+  config.virtual_time = virtual_time;
+  config.seed = 2024;
+  for (int i = 0; i < 4; ++i) {
+    config.channels.push_back(
+        {net::ChannelConfig{.rate_bps = 1e12,
+                            .queue_capacity_bytes = 4u << 20},
+         "fast" + std::to_string(i)});
+  }
+  config.kappa = 1.6;
+  config.mu = 2.7;
+  config.reliability.enabled = true;
+  config.reliability.retransmit.initial_rto_ns = 10'000'000'000;
+  config.reliability.retransmit.min_rto_ns = 10'000'000'000;
+  config.reliability.retransmit.max_rto_ns = 10'000'000'000;
+  SessionEndpoint ep(std::move(config));
+  TwoClockRun run;
+  EmitLog log(ep);
+  ep.set_deliver([&](std::uint32_t, std::uint64_t id,
+                     std::vector<std::uint8_t>) { run.delivered.insert(id); });
+  const std::uint32_t cid = open_one_flow(ep);
+  Rng rng(77);
+  for (int slice = 0; slice < 120; ++slice) {
+    for (std::uint64_t b = 1 + rng.uniform_int(3); b > 0; --b) {
+      std::vector<std::uint8_t> payload(16 + rng.uniform_int(400));
+      rng.fill(payload);
+      EXPECT_TRUE(ep.send(cid, std::move(payload)));
+      ++run.sent;
+    }
+    ep.run_for(1'000'000);
+  }
+  const std::int64_t budget = ep.now_ns() + 5'000'000'000;
+  while ((run.delivered.size() < run.sent ||
+          ep.flow_manager(cid)->outstanding() > 0) &&
+         ep.now_ns() < budget) {
+    ep.run_for(1'000'000);
+  }
+  EXPECT_EQ(ep.flow_manager(cid)->outstanding(), 0u);
+  run.emits = std::move(log.emits);
+  return run;
+}
+
+TEST(VirtualTime, MatchesLoopbackDecisionForDecision) {
+  // One code base on two clocks: the same seeded workload through the
+  // same endpoint, once on virtual time and once over loopback UDP,
+  // makes the same (id, k, channel set) decisions and delivers the same
+  // packets.
+  const TwoClockRun virt = run_two_clock_workload(true);
+  const TwoClockRun live = run_two_clock_workload(false);
+  ASSERT_EQ(virt.sent, live.sent);
+  const std::size_t common = std::min(virt.emits.size(), live.emits.size());
+  for (std::size_t i = 0; i < common; ++i) {
+    ASSERT_EQ(virt.emits[i], live.emits[i])
+        << "decision " << i << " differs: virtual " << describe(virt.emits[i])
+        << ", loopback " << describe(live.emits[i]);
+  }
+  ASSERT_EQ(virt.emits.size(), live.emits.size())
+      << "first unmatched decision: "
+      << describe(virt.emits.size() > common ? virt.emits[common]
+                                             : live.emits[common]);
+  EXPECT_EQ(virt.emits.size(), virt.sent) << "no retransmission expected";
+  EXPECT_EQ(virt.delivered, live.delivered);
+  EXPECT_EQ(virt.delivered.size(), virt.sent);
+  // The workload exercises more than the lowest-index channel sets.
+  std::set<std::vector<int>> sets;
+  for (const Emit& e : virt.emits) sets.insert(e.channels);
+  EXPECT_GT(sets.size(), 3u);
+}
+
+TEST(VirtualTime, TwoRunsWithOneSeedAreIdentical) {
+  // Lossy channels and a lossy feedback lane, so the run retransmits:
+  // every emission, every delivery and its virtual time, and the final
+  // counters repeat exactly.
+  struct Run {
+    std::vector<Emit> emits;
+    std::vector<std::pair<std::uint64_t, std::int64_t>> deliveries;
+    std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>
+        counters;
+  };
+  const auto run = [] {
+    SessionEndpoint ep(virtual_arq_config(
+        3, 0.05, {.rate_bps = 10e6, .loss = 0.1}, 5));
+    Run r;
+    EmitLog log(ep);
+    ep.set_deliver([&](std::uint32_t, std::uint64_t id,
+                       std::vector<std::uint8_t>) {
+      r.deliveries.emplace_back(id, ep.now_ns());
+    });
+    const std::uint32_t cid = open_one_flow(ep);
+    send_paced(ep, cid, 150, 700'000, {1, 2, 3, 4, 5, 6}, 1'500'000'000);
+    r.emits = std::move(log.emits);
+    r.counters = {ep.stats().reports_sent, ep.stats().reports_demuxed,
+                  ep.flow_manager(cid)->stats().retransmits,
+                  ep.stats().frames_demuxed};
+    return r;
+  };
+  const Run a = run();
+  const Run b = run();
+  EXPECT_GT(std::get<2>(a.counters), 0u) << "the run should retransmit";
+  ASSERT_EQ(a.emits.size(), b.emits.size());
+  for (std::size_t i = 0; i < a.emits.size(); ++i) {
+    ASSERT_EQ(a.emits[i], b.emits[i]) << "decision " << i;
+  }
+  EXPECT_EQ(a.deliveries, b.deliveries);
+  EXPECT_EQ(a.counters, b.counters);
 }
 
 }  // namespace
